@@ -9,6 +9,8 @@
 #include "core/match_engine.h"
 #include "datagen/grades_gen.h"
 #include "datagen/retail_gen.h"
+#include "mapping/clio.h"
+#include "relational/csv.h"
 
 namespace csm::check {
 namespace {
@@ -113,6 +115,74 @@ std::string RunRetailDegradedPrefix() {
          FingerprintResult(result);
 }
 
+/// Target-side matching (§3, §7) on a reversed Retail fixture: the split
+/// Book/Music tables are the source and the combined inventory is the
+/// target, so conditions are inferred on the target table and every match
+/// is flipped back into source -> target orientation.
+std::string RunRetailTargetContext() {
+  RetailDataset data = Retail(120, 2, 11);
+  ContextMatchOptions o;
+  o.inference = ViewInferenceKind::kSrcClass;
+  o.omega = 0.05;
+  o.seed = 12;
+  o.threads = 2;
+  MatchRequest request;
+  request.mode = MatchMode::kTargetContext;
+  request.source = BorrowDatabase(data.target);
+  request.target = BorrowDatabase(data.source);
+  MatchEngine engine(o);
+  const MatchResponse response = engine.Execute(request);
+  std::string out = "flipped_matches:\n";
+  for (const Match& m : response.matches) out += "  " + m.ToString() + "\n";
+  out += "selected_target_views:\n";
+  for (const View& v : response.selected_views) {
+    out += "  " + v.name() + "|" + v.base_table() + "|" +
+           v.condition().ToString() + "\n";
+  }
+  return out + FingerprintResult(response.result);
+}
+
+/// ClioQualTable, then every derived mapping executed over `source`: the
+/// CSV bytes of each output table (Section 4's end goal, moving the data).
+std::string TransformToCsv(const Database& source, const Database& target,
+                           const ContextMatchOptions& options) {
+  const ClioQualTableResult mapped = ClioQualTable(source, target, options);
+  StatusOr<Database> executed =
+      ExecuteMappings(mapped.mapping.queries, source, mapped.mapping.views,
+                      target.GetSchema());
+  if (!executed.ok()) return "status: " + executed.status().ToString() + "\n";
+  std::string out;
+  for (const Table& table : executed->tables()) {
+    out += "table " + table.name() + "\n" + TableToCsv(table);
+  }
+  return out;
+}
+
+std::string RunRetailTransform() {
+  RetailDataset data = Retail(60, 2, 13);
+  ContextMatchOptions o;
+  o.inference = ViewInferenceKind::kSrcClass;
+  o.omega = 0.05;
+  o.seed = 14;
+  o.threads = 2;
+  return TransformToCsv(data.source, data.target, o);
+}
+
+std::string RunGradesTransform() {
+  GradesOptions d;
+  d.num_students = 40;
+  d.sigma = 3.0;
+  d.seed = 15;
+  GradesDataset data = MakeGradesDataset(d);
+  ContextMatchOptions o;
+  o.tau = 0.45;
+  o.omega = 0.025;
+  o.early_disjuncts = false;
+  o.seed = 16;
+  o.threads = 2;
+  return TransformToCsv(data.source, data.target, o);
+}
+
 struct GoldenCase {
   const char* name;
   std::string (*run)();
@@ -125,6 +195,9 @@ constexpr GoldenCase kCases[] = {
     {"grades_qualtable_late", &RunGradesQualTableLate},
     {"retail_conjunctive_2stage", &RunRetailConjunctiveTwoStage},
     {"retail_degraded_prefix", &RunRetailDegradedPrefix},
+    {"retail_target_context", &RunRetailTargetContext},
+    {"retail_transform", &RunRetailTransform},
+    {"grades_transform", &RunGradesTransform},
 };
 
 std::string FirstDiffLine(const std::string& expected,

@@ -1,6 +1,7 @@
 // Golden regression corpus: fixed dataset/options combinations whose
-// serialized ContextMatchResult (check/fingerprint.h) is checked into
-// tests/golden/.  The runner (tests/golden_runner.cc) recomputes every
+// serialized output is checked into tests/golden/: match results
+// (check/fingerprint.h) in every Execute mode and the CSV bytes of
+// executed mappings.  The runner (tests/golden_runner.cc) recomputes every
 // case and diffs it against the checked-in expectation; any divergence —
 // an algorithm change, a broken refactor, a nondeterminism leak — fails
 // the build.  Intentional output changes are recorded with

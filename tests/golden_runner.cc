@@ -1,5 +1,5 @@
 // Golden-corpus runner: recomputes every case in src/check/golden.cc and
-// diffs the serialized ContextMatchResult against tests/golden/<case>.golden.
+// diffs its serialized output against tests/golden/<case>.golden.
 //
 //   golden_runner <golden_dir>            # verify (exit 1 on divergence)
 //   golden_runner <golden_dir> --update   # re-record expectations
