@@ -80,8 +80,8 @@ void BM_ScoreRestricted(benchmark::State& state) {
   // Books-only title bag.
   std::vector<Value> restricted;
   for (size_t r = 0; r < inv.num_rows(); ++r) {
-    if (inv.at(r, "ItemType") == data.book_labels[0]) {
-      restricted.push_back(inv.at(r, "Title"));
+    if (inv.ValueAt(r, "ItemType") == data.book_labels[0]) {
+      restricted.push_back(inv.ValueAt(r, "Title"));
     }
   }
   AttributeRef target{"Book", "BookTitle"};

@@ -1,16 +1,16 @@
 // Conjunctive contextual conditions (Section 3.5): the target's
 // fiction_books table corresponds to `type = 'book' AND fiction = 1` in the
 // source — a 2-condition that single-stage ContextMatch cannot express.
-// ConjunctiveContextMatch finds it in the second stage by re-running view
-// inference on the views selected in the first stage, partitioning only on
-// attributes not already in the condition.
+// A MatchMode::kConjunctive request finds it in the second stage by
+// re-running view inference on the views selected in the first stage,
+// partitioning only on attributes not already in the condition.
 //
 // Build & run:  ./build/examples/conjunctive_context
 
 #include <cstdio>
 
 #include "common/random.h"
-#include "core/context_match.h"
+#include "core/match_engine.h"
 #include "datagen/wordlists.h"
 
 int main() {
@@ -64,15 +64,20 @@ int main() {
   options.seed = 34;
 
   // ---- Stage 1 only: simple 1-conditions -------------------------------
-  ContextMatchResult single = ContextMatch(source, target, options);
+  MatchEngine engine(options);
+  const MatchResponse single = engine.Execute(
+      {.source = BorrowDatabase(source), .target = BorrowDatabase(target)});
   std::printf("-- single-stage selected views --\n");
   for (const View& v : single.selected_views) {
     std::printf("  %s\n", v.ToString().c_str());
   }
 
   // ---- Two stages: conjunctive 2-conditions ----------------------------
-  ContextMatchResult staged =
-      ConjunctiveContextMatch(source, target, options, /*max_stages=*/2);
+  const MatchResponse staged =
+      engine.Execute({.mode = MatchMode::kConjunctive,
+                      .max_stages = 2,
+                      .source = BorrowDatabase(source),
+                      .target = BorrowDatabase(target)});
   std::printf("\n-- two-stage selected views --\n");
   for (const View& v : staged.selected_views) {
     std::printf("  %s\n", v.ToString().c_str());

@@ -37,8 +37,9 @@ ContextMatchResult RunEngine(const Database& source, const Database& target,
                              ContextMatchOptions options, size_t threads,
                              const CancellationToken* cancel = nullptr) {
   options.threads = threads;
-  MatchEngine engine(options);
-  return engine.Match(source, target, cancel);
+  const MatchRequest request{.source = BorrowDatabase(source),
+                             .target = BorrowDatabase(target)};
+  return MatchEngine(options).Execute(request, cancel).result;
 }
 
 /// Disarms the global fault injector on scope exit, so an oracle that
@@ -162,11 +163,12 @@ Status CheckThreadInvariance(const Database& source, const Database& target,
 Status CheckColdVsWarmCache(const Database& source, const Database& target,
                             const ContextMatchOptions& options) {
   MatchEngine engine(options);
-  const std::string cold =
-      FingerprintResult(engine.Match(source, target));
+  const MatchRequest request{.source = BorrowDatabase(source),
+                             .target = BorrowDatabase(target)};
+  const std::string cold = FingerprintResult(engine.Execute(request).result);
   for (int repeat = 0; repeat < 2; ++repeat) {
     const std::string warm =
-        FingerprintResult(engine.Match(source, target));
+        FingerprintResult(engine.Execute(request).result);
     if (warm != cold) {
       return Status::Internal("warm-cache repeat " +
                               std::to_string(repeat + 1) + " diverged; " +
@@ -179,20 +181,6 @@ Status CheckColdVsWarmCache(const Database& source, const Database& target,
         std::to_string(engine.session_cache_hits()) +
         ", misses=" + std::to_string(engine.session_cache_misses()) +
         "); the warm comparison proved nothing");
-  }
-  return Status::Ok();
-}
-
-Status CheckEngineVsFreeFunction(const Database& source,
-                                 const Database& target,
-                                 const ContextMatchOptions& options) {
-  const std::string free_fn =
-      FingerprintResult(ContextMatch(source, target, options));
-  const std::string engine =
-      FingerprintResult(RunEngine(source, target, options, options.threads));
-  if (engine != free_fn) {
-    return Status::Internal("MatchEngine vs free function diverged; " +
-                            DiffSummary(free_fn, engine));
   }
   return Status::Ok();
 }
@@ -215,7 +203,6 @@ Status CheckAllOracles(const Database& source, const Database& target,
   CSM_RETURN_IF_ERROR(
       CheckThreadInvariance(source, target, options, thread_counts));
   CSM_RETURN_IF_ERROR(CheckColdVsWarmCache(source, target, options));
-  CSM_RETURN_IF_ERROR(CheckEngineVsFreeFunction(source, target, options));
   const ContextMatchResult full = RunEngine(source, target, options, 1);
   const size_t candidates = full.pool.candidate_views.size();
   if (candidates < 2) return Status::Ok();

@@ -7,7 +7,6 @@
 //
 //   * CheckThreadInvariance      serial vs. thread pool (threads 1/2/4)
 //   * CheckColdVsWarmCache       first engine call vs. session-cache hits
-//   * CheckEngineVsFreeFunction  MatchEngine::Match vs. csm::ContextMatch
 //   * CheckCancelledPrefix       a run cancelled at a fixed logical fault
 //                                point vs. the same prefix of the full run
 //
@@ -43,11 +42,6 @@ Status CheckThreadInvariance(const Database& source, const Database& target,
 /// session cache actually reported hits.
 Status CheckColdVsWarmCache(const Database& source, const Database& target,
                             const ContextMatchOptions& options);
-
-/// Compares MatchEngine::Match against the free function ContextMatch.
-Status CheckEngineVsFreeFunction(const Database& source,
-                                 const Database& target,
-                                 const ContextMatchOptions& options);
 
 /// Cancels a run with a fault injected at scoring-candidate index
 /// `fault_index` (clamped to the full run's candidate count) and checks the

@@ -27,8 +27,6 @@ std::string FingerprintResult(const ContextMatchResult& r) {
 }
 
 std::string FingerprintTable(const Table& table) {
-  // Reads the column segments directly (no row-cache materialization); the
-  // rendering is byte-identical to the historical row-major loop.
   std::string out = table.schema().ToString() + "\n";
   const size_t cols = table.schema().num_attributes();
   for (size_t r = 0; r < table.num_rows(); ++r) {

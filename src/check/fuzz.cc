@@ -292,8 +292,9 @@ Status FuzzPipeline(const FuzzOptions& options) {
                     : options.thread_counts[rng.NextBounded(
                           options.thread_counts.size())];
 
-    MatchEngine engine(o);
-    const ContextMatchResult result = engine.Match(pair.source, pair.target);
+    const MatchRequest request{.source = BorrowDatabase(pair.source),
+                               .target = BorrowDatabase(pair.target)};
+    const ContextMatchResult result = MatchEngine(o).Execute(request).result;
     auto fail = [&](const std::string& message) {
       return Replay(options, i,
                     Status::Internal(message + " (inference=" +
@@ -412,7 +413,7 @@ Status FuzzRowColumnarEquivalence(const FuzzOptions& options) {
         options, i, CompareTables(rowpath, bound.ToTable(), "view gather")));
     for (size_t vr = 0; vr < bound.num_rows(); ++vr) {
       for (size_t c = 0; c < cols; ++c) {
-        if (!(bound.ValueAt(vr, c) == rowpath.at(vr, c))) {
+        if (!(bound.ValueAt(vr, c) == rowpath.ValueAt(vr, c))) {
           return Replay(options, i,
                         Status::Internal(
                             "TableView::ValueAt != row copy at view row " +
@@ -432,7 +433,7 @@ Status FuzzRowColumnarEquivalence(const FuzzOptions& options) {
                       Status::Internal("ValueBag size mismatch on " + attr));
       }
       for (size_t vr = 0; vr < bag.size(); ++vr) {
-        if (!(bag[vr] == rowpath.at(vr, c))) {
+        if (!(bag[vr] == rowpath.ValueAt(vr, c))) {
           return Replay(options, i,
                         Status::Internal("ValueBag mismatch on " + attr +
                                          " at view row " +

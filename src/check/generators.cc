@@ -144,10 +144,11 @@ Condition RandomCondition(const Table& table, Rng& rng) {
     const auto& attr = table.schema().attribute(c);
     // Distinct non-null values present in the column.
     std::vector<Value> present;
-    for (const Row& row : table.rows()) {
-      if (row[c].is_null()) continue;
-      if (std::find(present.begin(), present.end(), row[c]) == present.end()) {
-        present.push_back(row[c]);
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      Value value = table.ValueAt(r, c);
+      if (value.is_null()) continue;
+      if (std::find(present.begin(), present.end(), value) == present.end()) {
+        present.push_back(std::move(value));
       }
     }
     std::vector<Value> values;

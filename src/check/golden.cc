@@ -34,8 +34,9 @@ std::string RunRetailSrcClassEarly() {
   o.omega = 0.05;
   o.seed = 2;
   o.threads = 2;
-  MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  return FingerprintResult(MatchEngine(o).Execute(request).result);
 }
 
 std::string RunRetailNaiveMultiTable() {
@@ -46,8 +47,9 @@ std::string RunRetailNaiveMultiTable() {
   o.omega = 0.1;
   o.seed = 4;
   o.threads = 1;
-  MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  return FingerprintResult(MatchEngine(o).Execute(request).result);
 }
 
 std::string RunRetailTgtClass() {
@@ -57,8 +59,9 @@ std::string RunRetailTgtClass() {
   o.omega = 0.05;
   o.seed = 6;
   o.threads = 2;
-  MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  return FingerprintResult(MatchEngine(o).Execute(request).result);
 }
 
 std::string RunGradesQualTableLate() {
@@ -72,8 +75,9 @@ std::string RunGradesQualTableLate() {
   o.early_disjuncts = false;
   o.seed = 8;
   o.threads = 2;
-  MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  return FingerprintResult(MatchEngine(o).Execute(request).result);
 }
 
 std::string RunRetailConjunctiveTwoStage() {
@@ -84,9 +88,13 @@ std::string RunRetailConjunctiveTwoStage() {
   o.omega = 0.05;
   o.seed = 10;
   o.threads = 2;
-  MatchEngine engine(o);
   return FingerprintResult(
-      engine.ConjunctiveMatch(data.source, data.target, /*max_stages=*/2));
+      MatchEngine(o)
+          .Execute({.mode = MatchMode::kConjunctive,
+                    .max_stages = 2,
+                    .source = BorrowDatabase(data.source),
+                    .target = BorrowDatabase(data.target)})
+          .result);
 }
 
 /// Pins the degradation contract itself: a run cancelled at a fixed
@@ -106,8 +114,10 @@ std::string RunRetailDegradedPrefix() {
                       .action = FaultInjector::Action::kCancel,
                       .token = &token,
                       .reason = CancelReason::kDeadline});
-  MatchEngine engine(o);
-  ContextMatchResult result = engine.Match(data.source, data.target, &token);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  const ContextMatchResult result =
+      MatchEngine(o).Execute(request, &token).result;
   FaultInjector::DisarmAll();
   return "status: " + std::string(StatusCodeToString(result.status.code())) +
          "\ncompleteness: " +
@@ -126,12 +136,10 @@ std::string RunRetailTargetContext() {
   o.omega = 0.05;
   o.seed = 12;
   o.threads = 2;
-  MatchRequest request;
-  request.mode = MatchMode::kTargetContext;
-  request.source = BorrowDatabase(data.target);
-  request.target = BorrowDatabase(data.source);
-  MatchEngine engine(o);
-  const MatchResponse response = engine.Execute(request);
+  const MatchResponse response =
+      MatchEngine(o).Execute({.mode = MatchMode::kTargetContext,
+                              .source = BorrowDatabase(data.target),
+                              .target = BorrowDatabase(data.source)});
   std::string out = "flipped_matches:\n";
   for (const Match& m : response.matches) out += "  " + m.ToString() + "\n";
   out += "selected_target_views:\n";

@@ -1,7 +1,5 @@
 #include "core/context_match.h"
 
-#include "core/match_engine.h"
-
 namespace csm {
 
 const char* MatchCompletenessToString(MatchCompleteness completeness) {
@@ -14,23 +12,6 @@ const char* MatchCompletenessToString(MatchCompleteness completeness) {
       return "baseline_only";
   }
   return "unknown";
-}
-
-// The pipeline lives in MatchEngine (core/match_engine.cc); the free
-// functions are compatibility wrappers over a throwaway engine, so one-shot
-// callers keep the old API while repeat callers construct an engine and
-// reuse its pool and session cache.
-
-ContextMatchResult ContextMatch(const Database& source, const Database& target,
-                                const ContextMatchOptions& options) {
-  return MatchEngine(options).Match(source, target);
-}
-
-ContextMatchResult ConjunctiveContextMatch(const Database& source,
-                                           const Database& target,
-                                           const ContextMatchOptions& options,
-                                           size_t max_stages) {
-  return MatchEngine(options).ConjunctiveMatch(source, target, max_stages);
 }
 
 }  // namespace csm

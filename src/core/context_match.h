@@ -1,5 +1,7 @@
-// Algorithm ContextMatch (Fig. 5) — the contextual schema matching driver —
-// plus the iterative conjunctive-condition extension of Section 3.5.
+// The result of Algorithm ContextMatch (Fig. 5): the selected contextual
+// matches, their views, the scored pool and how complete the run was.
+// Every mode runs through MatchEngine::Execute (core/match_engine.h), whose
+// MatchResponse carries this result.
 
 #ifndef CSM_CORE_CONTEXT_MATCH_H_
 #define CSM_CORE_CONTEXT_MATCH_H_
@@ -69,20 +71,6 @@ struct ContextMatchResult {
   /// Sum of the phase wall-clock totals (the pre-PhaseReport four-field sum).
   double TotalSeconds() const { return phases.TotalSeconds(); }
 };
-
-/// Runs contextual schema matching of every source table against the target
-/// database using the strategies configured in `options`.
-ContextMatchResult ContextMatch(const Database& source, const Database& target,
-                                const ContextMatchOptions& options);
-
-/// Section 3.5: repeatedly re-runs inference on the views selected in the
-/// previous stage (partitioning only on attributes not already in the
-/// condition) to discover conjunctive k-conditions, up to `max_stages`
-/// condition attributes.  max_stages == 1 is plain ContextMatch.
-ContextMatchResult ConjunctiveContextMatch(const Database& source,
-                                           const Database& target,
-                                           const ContextMatchOptions& options,
-                                           size_t max_stages);
 
 }  // namespace csm
 

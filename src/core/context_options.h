@@ -73,7 +73,7 @@ struct ContextMatchOptions {
   /// streams are fixed up front, only the scheduling changes (see
   /// DESIGN.md "Threading model & determinism").
   size_t threads = 1;
-  /// Wall-clock budget for one Match call in milliseconds; 0 = unbounded.
+  /// Wall-clock budget for one Execute call in milliseconds; 0 = unbounded.
   /// When the budget runs out the run degrades instead of finishing: it
   /// returns the standard-match baseline plus whatever contextual matches
   /// were fully scored, with ContextMatchResult::completeness downgraded

@@ -241,10 +241,8 @@ MatchResponse MatchEngine::Execute(const MatchRequest& request,
       response.result = RunPipeline(*request.target, *request.source,
                                     /*max_stages=*/1, request.baseline_only,
                                     effective);
-      // `csm::Match` the struct is qualified here: unqualified `Match`
-      // inside a member function names the MatchEngine::Match overload.
-      for (const csm::Match& reversed_match : response.result.matches) {
-        csm::Match flipped;
+      for (const Match& reversed_match : response.result.matches) {
+        Match flipped;
         flipped.source = reversed_match.target;
         flipped.target = reversed_match.source;
         flipped.condition = reversed_match.condition;
@@ -267,46 +265,11 @@ MatchResponse MatchEngine::Execute(const MatchRequest& request,
   return response;
 }
 
-ContextMatchResult MatchEngine::Match(const Database& source,
-                                      const Database& target,
-                                      const CancellationToken* cancel) {
-  MatchRequest request;
-  request.source = BorrowDatabase(source);
-  request.target = BorrowDatabase(target);
-  return std::move(Execute(request, cancel).result);
-}
-
-ContextMatchResult MatchEngine::ConjunctiveMatch(
-    const Database& source, const Database& target, size_t max_stages,
-    const CancellationToken* cancel) {
-  MatchRequest request;
-  request.mode = MatchMode::kConjunctive;
-  request.max_stages = max_stages;
-  request.source = BorrowDatabase(source);
-  request.target = BorrowDatabase(target);
-  return std::move(Execute(request, cancel).result);
-}
-
 void MatchEngine::Cancel() {
   std::lock_guard<std::mutex> lock(cancel_mu_);
   if (active_cancel_ != nullptr) {
     active_cancel_->Cancel(CancelReason::kCaller);
   }
-}
-
-TargetContextMatchResult MatchEngine::TargetContextMatch(
-    const Database& source, const Database& target,
-    const CancellationToken* cancel) {
-  MatchRequest request;
-  request.mode = MatchMode::kTargetContext;
-  request.source = BorrowDatabase(source);
-  request.target = BorrowDatabase(target);
-  MatchResponse response = Execute(request, cancel);
-  TargetContextMatchResult result;
-  result.matches = std::move(response.matches);
-  result.selected_target_views = std::move(response.selected_views);
-  result.reversed = std::move(response.result);
-  return result;
 }
 
 MatchEngine::SessionLookup MatchEngine::LookupSessions(
@@ -547,7 +510,7 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
         states[i].accepted = &sessions.entry->accepted[i];
       }
       for (const SourceState& state : states) {
-        for (const csm::Match& m : *state.accepted) {
+        for (const Match& m : *state.accepted) {
           result.pool.base_matches.push_back(m);
         }
         registry.AddCounter("base_matches", state.accepted->size());
@@ -557,7 +520,7 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
       // a normalized confidence.
       CSM_INVARIANT_LE(states.size(), tables.size());
       if constexpr (check::kInvariantsEnabled) {
-        for (const csm::Match& m : result.pool.base_matches) {
+        for (const Match& m : result.pool.base_matches) {
           CSM_INVARIANT(m.is_standard()) << m.ToString();
           CSM_INVARIANT_GE(m.confidence, 0.0) << m.ToString();
           CSM_INVARIANT_LE(m.confidence, 1.0) << m.ToString();
@@ -698,7 +661,7 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
           if (fragment.scored) {
             result.pool.view_row_counts[ViewKey(view)] = fragment.view_rows;
             registry.AddCounter("view_matches", fragment.view_matches.size());
-            for (csm::Match& m : fragment.view_matches) {
+            for (Match& m : fragment.view_matches) {
               result.pool.view_matches.push_back(std::move(m));
             }
           }

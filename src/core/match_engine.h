@@ -1,23 +1,21 @@
 // MatchEngine: the long-lived entry point to contextual schema matching.
 //
-// The free functions ContextMatch / ConjunctiveContextMatch /
-// TargetContextMatch build everything per call: a thread pool, one
-// TableMatchSession per source table, the attribute score distributions
-// inside each session.  MatchEngine hoists that state into an object so a
-// caller that matches repeatedly — parameter sweeps, benchmark trials, a
-// service matching many sources against one warehouse schema — pays for it
+// Execute is the one match entrypoint: it runs a MatchRequest in any mode
+// (core/match_request.h) and answers a MatchResponse.  The engine hoists
+// per-call state — a thread pool, one TableMatchSession per source table,
+// the attribute score distributions inside each session — into an object,
+// so a caller that matches repeatedly (parameter sweeps, benchmark trials, a
+// service matching many sources against one warehouse schema) pays for it
 // once:
 //
 //   csm::MatchEngine engine(options);
 //   engine.set_tracer(&tracer);            // optional observability sinks
-//   auto r1 = engine.Match(src, tgt);      // builds sessions
-//   auto r2 = engine.Match(src, tgt);      // reuses them (cache hit)
+//   const csm::MatchRequest request{.source = csm::BorrowDatabase(src),
+//                                   .target = csm::BorrowDatabase(tgt)};
+//   auto r1 = engine.Execute(request);     // builds sessions
+//   auto r2 = engine.Execute(request);     // reuses them (cache hit)
 //
-// Since the service PR the engine has ONE real entrypoint — Execute over a
-// MatchRequest (core/match_request.h) — and Match / ConjunctiveMatch /
-// TargetContextMatch are thin wrappers that build the request and unpack
-// the response.  New callers should use Execute; the wrappers stay for the
-// one-shot free functions and existing call sites.
+// One-shot callers use a throwaway engine: MatchEngine(options).Execute(r).
 //
 // What the engine owns:
 //   * the worker pool (options.threads resolved once at construction),
@@ -28,19 +26,18 @@
 //     invisible to the RNG streams — results are bit-identical with a cold
 //     or warm cache (determinism_test enforces this).
 //
-// The engine is not internally synchronized: run one Match call at a time
+// The engine is not internally synchronized: run one Execute call at a time
 // per engine (the call itself parallelizes internally).  The only member
-// safe to call concurrently with a running Match is Cancel().  The free
-// functions remain as one-line wrappers over a throwaway engine.
+// safe to call concurrently with a running Execute is Cancel().
 //
-// Deadlines & cancellation: a Match call can be bounded three ways — a
-// wall-clock budget (ContextMatchOptions::deadline_ms), a caller-owned
-// CancellationToken passed to Match, or Cancel() invoked from another
-// thread.  All three degrade the run cooperatively instead of aborting it:
-// phases poll the token at deterministic checkpoints, drain work already
-// claimed, and the result carries whatever completed plus a non-OK status
-// and a ContextMatchResult::completeness tag (see DESIGN.md "Failure
-// model, deadlines & degradation").
+// Deadlines & cancellation: an Execute call can be bounded four ways — a
+// wall-clock budget (ContextMatchOptions::deadline_ms), a per-request budget
+// (MatchRequest::deadline_ms), a caller-owned CancellationToken passed to
+// Execute, or Cancel() invoked from another thread.  All of them degrade the
+// run cooperatively instead of aborting it: phases poll the token at
+// deterministic checkpoints, drain work already claimed, and the response
+// carries whatever completed plus a non-OK status and a completeness tag
+// (see DESIGN.md "Failure model, deadlines & degradation").
 
 #ifndef CSM_CORE_MATCH_ENGINE_H_
 #define CSM_CORE_MATCH_ENGINE_H_
@@ -56,7 +53,6 @@
 #include "core/context_match.h"
 #include "core/match_request.h"
 #include "core/session_store.h"
-#include "core/target_context.h"
 #include "exec/thread_pool.h"
 #include "match/session.h"
 #include "obs/hooks.h"
@@ -71,42 +67,24 @@ class MatchEngine {
   MatchEngine(const MatchEngine&) = delete;
   MatchEngine& operator=(const MatchEngine&) = delete;
 
-  /// The unified entrypoint: runs `request` (mode, stages, per-request
-  /// deadline) and returns the single response shape.  The three legacy
-  /// signatures below are thin wrappers over this and bit-identical to
-  /// their historical behavior.  A malformed request (null databases,
-  /// max_stages == 0, unknown mode) is answered with kInvalidArgument
-  /// without running.  `request.deadline_ms` layers a budget measured from
-  /// this call under the caller's token; options().deadline_ms still
-  /// applies too — whichever fires first wins.
-  MatchResponse Execute(const MatchRequest& request,
-                        const CancellationToken* cancel = nullptr);
-
-  /// Algorithm ContextMatch (Fig. 5) over every source table.
+  /// Runs `request` (mode, stages, per-request deadline) and returns the
+  /// single response shape.  A malformed request (null databases,
+  /// max_stages == 0) is answered with kInvalidArgument without running.
   ///
   /// `cancel` optionally bounds the run: when the token is cancelled (by
   /// the caller, a parent deadline, or a fault injection) the run degrades
-  /// per the per-phase contracts and returns early with a non-OK
-  /// result.status.  The token is only read; it must outlive the call.
-  /// Combined with options().deadline_ms, whichever fires first wins.
-  ContextMatchResult Match(const Database& source, const Database& target,
-                           const CancellationToken* cancel = nullptr);
+  /// per the per-phase contracts and returns early with a non-OK status.
+  /// The token is only read; it must outlive the call.
+  /// `request.deadline_ms` layers a budget measured from this call under
+  /// the caller's token; options().deadline_ms still applies too —
+  /// whichever fires first wins.
+  MatchResponse Execute(const MatchRequest& request,
+                        const CancellationToken* cancel = nullptr);
 
-  /// Section 3.5 conjunctive staging; max_stages == 1 is plain Match.
-  ContextMatchResult ConjunctiveMatch(const Database& source,
-                                      const Database& target,
-                                      size_t max_stages,
-                                      const CancellationToken* cancel = nullptr);
-
-  /// Reverse-role run with conditions on target tables (core/target_context.h).
-  TargetContextMatchResult TargetContextMatch(
-      const Database& source, const Database& target,
-      const CancellationToken* cancel = nullptr);
-
-  /// Requests cooperative cancellation of the Match call currently running
-  /// on another thread (reason kCaller).  Safe to call from any thread at
-  /// any time; a no-op when no call is in flight.  The running call drains
-  /// and returns a degraded result with status kCancelled.
+  /// Requests cooperative cancellation of the Execute call currently
+  /// running on another thread (reason kCaller).  Safe to call from any
+  /// thread at any time; a no-op when no call is in flight.  The running
+  /// call drains and returns a degraded response with status kCancelled.
   void Cancel();
 
   /// Optional sinks, applied to every subsequent call.  Null detaches.
@@ -173,7 +151,7 @@ class MatchEngine {
                                uint64_t parent_span,
                                const CancellationToken* cancel);
 
-  /// The full staged pipeline behind Match / ConjunctiveMatch.
+  /// The full staged pipeline behind every Execute mode.
   /// `baseline_only` stops after phase 1 + selection (status OK,
   /// completeness kBaselineOnly) — the brownout/load-shedding answer.
   ContextMatchResult RunPipeline(const Database& source,

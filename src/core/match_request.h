@@ -1,19 +1,16 @@
-// The unified request/response surface of the matching engine and service.
+// The request/response surface of the matching engine and service.
 //
-// PRs 1-5 grew three parallel entrypoints (Match / ConjunctiveMatch /
-// TargetContextMatch), each with its own signature and result struct.  A
-// long-lived service — and the pluggable-backend ensemble direction behind
-// it — needs ONE stable shape to queue, deduplicate, rate-limit and answer:
+// Every mode of the paper's algorithm — ContextMatch (Fig. 5), conjunctive
+// staging (§3.5) and target-side conditions (§3, §7) — is one MatchRequest
+// that MatchEngine::Execute answers with one MatchResponse: the single
+// shape a long-lived service queues, deduplicates, rate-limits and answers.
+// Requests are built with designated initializers:
 //
-//   MatchRequest request;
-//   request.mode = MatchMode::kConjunctive;
-//   request.max_stages = 2;
-//   request.source = BorrowDatabase(src);      // or a shared_ptr you own
-//   request.target = BorrowDatabase(tgt);
-//   MatchResponse response = engine.Execute(request);
-//
-// The legacy entrypoints survive as thin wrappers over Execute, bit
-// identical to their pre-unification behavior (determinism_test).
+//   MatchResponse response = engine.Execute(
+//       {.mode = MatchMode::kConjunctive,
+//        .max_stages = 2,
+//        .source = BorrowDatabase(src),      // or a shared_ptr you own
+//        .target = BorrowDatabase(tgt)});
 //
 // Ownership: the request carries shared_ptr<const Database> so a queued
 // request outlives the caller's stack frame (the service holds admitted
@@ -43,8 +40,18 @@ enum class MatchMode {
   /// Section 3.5 iterative staging up to MatchRequest::max_stages
   /// conjunctive condition attributes; max_stages == 1 is plain kContext.
   kConjunctive,
-  /// Reverse-role run: conditions inferred on the *target* tables, matches
-  /// flipped back into source -> target orientation (core/target_context.h).
+  /// Target-side conditions.  Section 3 notes that "it is generally
+  /// straightforward to reverse the role of source and target tables to
+  /// discover matches involving conditions on the target table", and
+  /// Section 7 lists views on the target schema as future work.  This mode
+  /// is that reversal: the target database is matched as if it were the
+  /// source, conditions are inferred on *its* tables (TgtClassInfer's
+  /// "target" classifiers train on the source), and every match is flipped
+  /// back into source -> target orientation with Match::condition_on_target
+  /// set.  The canonical use mirrors Example 1.1: when the source keeps
+  /// books and music in separate tables and the target combines them, each
+  /// source table maps into the slice of the target table selected by its
+  /// discriminator value.
   kTargetContext,
 };
 
@@ -65,7 +72,7 @@ struct MatchRequest {
   size_t max_stages = 1;
   /// Accounting key for the service's quotas and per-tenant metrics; the
   /// engine itself ignores it.  Empty = the default tenant.
-  std::string tenant;
+  std::string tenant = {};
   /// Wall-clock budget for this request in milliseconds; 0 = unbounded.
   /// In the service the budget covers queue time too: a request that
   /// expires while queued is answered without running.  Overrides nothing —

@@ -336,6 +336,8 @@ Status WriteScaleDatasetCsv(const Database& source, const Database& target,
     }
     truth_out << '\n';
   }
+  // close() flushes the buffered tail; a failure there must not read as OK.
+  truth_out.close();
   if (!truth_out) return Status::IoError("write failed: " + dir + "/truth.tsv");
   return Status::Ok();
 }

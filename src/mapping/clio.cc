@@ -1,5 +1,7 @@
 #include "mapping/clio.h"
 
+#include "core/match_engine.h"
+
 namespace csm {
 
 SchemaMappingResult BuildSchemaMapping(const Database& source,
@@ -45,7 +47,10 @@ ClioQualTableResult ClioQualTable(const Database& source,
   ClioQualTableResult result;
   ContextMatchOptions qual_options = options;
   qual_options.selection = SelectionPolicy::kQualTable;
-  result.match_result = ContextMatch(source, target, qual_options);
+  result.match_result = MatchEngine(qual_options)
+                            .Execute({.source = BorrowDatabase(source),
+                                      .target = BorrowDatabase(target)})
+                            .result;
   result.mapping = BuildSchemaMapping(source, target.GetSchema(),
                                       result.match_result.matches,
                                       result.match_result.selected_views);

@@ -27,13 +27,17 @@ struct JoinedRows {
   }
 };
 
-/// Wraps a materialized relation instance as a JoinedRows.
+/// Wraps a materialized relation instance as a JoinedRows, boxing each row
+/// once.
 JoinedRows Wrap(const Table& instance, const std::string& relation) {
   JoinedRows out;
   for (const auto& attr : instance.schema().attributes()) {
     out.columns.emplace_back(relation, attr.name);
   }
-  out.rows = instance.rows();
+  out.rows.reserve(instance.num_rows());
+  for (size_t r = 0; r < instance.num_rows(); ++r) {
+    out.rows.push_back(instance.row(r));
+  }
   out.relations.insert(relation);
   return out;
 }
@@ -271,7 +275,9 @@ StatusOr<Database> ExecuteMappings(const std::vector<MappingQuery>& queries,
       if (query.target_table != table_schema.name()) continue;
       CSM_ASSIGN_OR_RETURN(Table part,
                            ExecuteMapping(query, source, views, table_schema));
-      for (const Row& row : part.rows()) merged.AddRow(row);
+      // Re-encodes strings in row order: the dictionary codes a per-row
+      // AddRow loop would assign.
+      merged.AppendRowsFrom(part);
     }
     out.AddTable(std::move(merged));
   }

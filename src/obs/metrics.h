@@ -2,7 +2,7 @@
 // and fixed-bucket latency histograms with p50/p95/p99 summaries.  The
 // registry is the single bookkeeping system behind ContextMatch's
 // PhaseReport, the thread pool's queue/latency signals and the bench JSON
-// summaries; exec::PhaseStats is a thin view over it.
+// summaries.
 //
 // Thread safety: every mutating and reading method may be called
 // concurrently (one registry mutex; each operation is a map lookup plus an

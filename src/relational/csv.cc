@@ -174,11 +174,11 @@ std::string TableToCsv(const Table& instance) {
     os << QuoteField(schema.attribute(c).name);
   }
   os << '\n';
-  for (const Row& row : instance.rows()) {
+  for (size_t r = 0; r < instance.num_rows(); ++r) {
     std::string line;
-    for (size_t c = 0; c < row.size(); ++c) {
+    for (size_t c = 0; c < schema.num_attributes(); ++c) {
       if (c > 0) line += ',';
-      line += QuoteField(row[c].ToString());
+      line += QuoteField(instance.ValueAt(r, c).ToString());
     }
     // A single-attribute NULL row would render as an empty line, which a
     // reader cannot tell apart from the file's trailing newline.  Quote it;
@@ -205,6 +205,9 @@ Status WriteCsvFile(const Table& instance, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
   out << TableToCsv(instance);
+  // close() flushes the buffered tail; checking the stream before it would
+  // miss a failed final write (a small table on a full disk).
+  out.close();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
 }

@@ -89,10 +89,6 @@ Table ReservoirSampleRows(const Table& instance, size_t sample_size,
       SampleRowPositions(instance.num_rows(), sample_size, rng));
 }
 
-Table SampleRows(const Table& instance, size_t sample_size, Rng& rng) {
-  return ReservoirSampleRows(instance, sample_size, rng);
-}
-
 uint64_t DeriveTableSampleSeed(uint64_t seed, std::string_view table_name) {
   // FNV-1a over the name, folded into the caller's seed; stable across
   // platforms so cold-tier restores rebuild the identical sample.

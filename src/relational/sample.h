@@ -5,10 +5,8 @@
 // The subsampling path is built on SampleRowPositions, a bounded-cost
 // uniform index sampler (Floyd's algorithm): drawing k of n rows costs
 // O(k log k) time and O(k) memory regardless of n, so samplers stay cheap
-// on million-row tables.  ReservoirSampleRows and the legacy SampleRows
-// both gather exactly the positions SampleRowPositions picks, so the two
-// entry points are bit-identical for the same (rows, sample_size, rng
-// state) — the differential tests in relational_test pin this down.
+// on million-row tables.  ReservoirSampleRows gathers exactly the positions
+// SampleRowPositions picks.
 
 #ifndef CSM_RELATIONAL_SAMPLE_H_
 #define CSM_RELATIONAL_SAMPLE_H_
@@ -61,12 +59,6 @@ PosList SampleRowPositions(size_t num_rows, size_t sample_size, Rng& rng);
 /// of kept rows is preserved; returns a copy of `instance` when
 /// sample_size >= num_rows.
 Table ReservoirSampleRows(const Table& instance, size_t sample_size, Rng& rng);
-
-/// Legacy name for ReservoirSampleRows.  Historically this shuffled a full
-/// n-entry index vector (O(n) work for any sample size); it now delegates
-/// to the reservoir path, so both names pick the same rows for the same
-/// rng state.
-Table SampleRows(const Table& instance, size_t sample_size, Rng& rng);
 
 /// Deterministic per-table seed for training-sample draws: folds
 /// `table_name` into `seed` so every table of a database samples from an

@@ -14,20 +14,6 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   }
 }
 
-Table::Table(const Table& other)
-    : schema_(other.schema_),
-      columns_(other.columns_),
-      num_rows_(other.num_rows_) {}
-
-Table& Table::operator=(const Table& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  columns_ = other.columns_;
-  num_rows_ = other.num_rows_;
-  InvalidateRowCache();
-  return *this;
-}
-
 Table::Table(Table&& other) noexcept
     : schema_(std::move(other.schema_)),
       columns_(std::move(other.columns_)),
@@ -41,7 +27,6 @@ Table& Table::operator=(Table&& other) noexcept {
   columns_ = std::move(other.columns_);
   num_rows_ = other.num_rows_;
   other.num_rows_ = 0;
-  InvalidateRowCache();
   return *this;
 }
 
@@ -61,7 +46,6 @@ void Table::AddRow(Row row) {
     columns_[i].Append(row[i]);
   }
   ++num_rows_;
-  InvalidateRowCache();
 }
 
 Status Table::AddRowFromText(const std::vector<std::string>& fields) {
@@ -80,7 +64,6 @@ Status Table::AddRowFromText(const std::vector<std::string>& fields) {
     }
   }
   ++num_rows_;
-  InvalidateRowCache();
   return Status::Ok();
 }
 
@@ -103,30 +86,23 @@ void Table::AppendRowsFrom(const Table& other) {
     columns_[i].AppendFrom(other.columns_[i]);
   }
   num_rows_ += other.num_rows_;
-  InvalidateRowCache();
 }
 
-const std::vector<Row>& Table::rows() const { return CachedRows(); }
-
-const Row& Table::row(size_t index) const {
-  const std::vector<Row>& cached = CachedRows();
-  CSM_CHECK_LT(index, cached.size());
-  return cached[index];
-}
-
-const Value& Table::at(size_t row_index, size_t col_index) const {
-  CSM_CHECK_LT(row_index, num_rows_);
-  CSM_CHECK_LT(col_index, schema_.num_attributes());
-  return CachedRows()[row_index][col_index];
-}
-
-const Value& Table::at(size_t row_index, std::string_view attribute) const {
-  return at(row_index, schema_.AttributeIndex(attribute));
+Row Table::row(size_t index) const {
+  CSM_CHECK_LT(index, num_rows_);
+  Row out;
+  out.reserve(columns_.size());
+  for (const auto& col : columns_) out.push_back(col.GetValue(index));
+  return out;
 }
 
 Value Table::ValueAt(size_t row_index, size_t col_index) const {
   CSM_CHECK_LT(col_index, columns_.size());
   return columns_[col_index].GetValue(row_index);
+}
+
+Value Table::ValueAt(size_t row_index, std::string_view attribute) const {
+  return ValueAt(row_index, schema_.AttributeIndex(attribute));
 }
 
 const Column& Table::column(size_t col_index) const {
@@ -259,27 +235,6 @@ std::string Table::ToString(size_t max_rows) const {
     os << "... (" << num_rows_ - printed << " more rows)\n";
   }
   return os.str();
-}
-
-void Table::InvalidateRowCache() {
-  std::lock_guard<std::mutex> lock(row_cache_mu_);
-  row_cache_.reset();
-}
-
-const std::vector<Row>& Table::CachedRows() const {
-  std::lock_guard<std::mutex> lock(row_cache_mu_);
-  if (!row_cache_) {
-    auto rows = std::make_unique<std::vector<Row>>();
-    rows->reserve(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      Row row;
-      row.reserve(columns_.size());
-      for (const auto& col : columns_) row.push_back(col.GetValue(r));
-      rows->push_back(std::move(row));
-    }
-    row_cache_ = std::move(rows);
-  }
-  return *row_cache_;
 }
 
 void Database::AddTable(Table table) {

@@ -2,17 +2,15 @@
 // throughout the matching algorithms.
 //
 // Storage is columnar: one typed Column segment per attribute, with
-// dictionary-encoded strings (see relational/column.h).  The legacy
-// row-oriented accessors (rows(), row(), at()) are preserved on top of the
-// columnar store via a lazily built row cache, so existing call sites keep
-// working unchanged while hot paths scan columns directly.
+// dictionary-encoded strings (see relational/column.h).  Every read goes
+// through the segments — column() for scans, ValueAt for one cell,
+// ValueBag / ValueCounts for a whole attribute — and row() boxes one row
+// by value for the few row-at-a-time consumers.
 
 #ifndef CSM_RELATIONAL_TABLE_H_
 #define CSM_RELATIONAL_TABLE_H_
 
 #include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -32,8 +30,10 @@ class Table {
   Table() = default;
   explicit Table(TableSchema schema);
 
-  Table(const Table& other);
-  Table& operator=(const Table& other);
+  Table(const Table&) = default;
+  Table& operator=(const Table&) = default;
+  /// Moves leave `other` with zero rows, not a row count over moved-out
+  /// segments.
   Table(Table&& other) noexcept;
   Table& operator=(Table&& other) noexcept;
 
@@ -61,21 +61,16 @@ class Table {
   /// chunk order is bit-identical to one serial parse of the whole file.
   void AppendRowsFrom(const Table& other);
 
-  /// Legacy row-oriented accessors, served from a lazily built (and
-  /// mutex-guarded, so concurrent const readers are safe) row cache.
-  /// References stay valid until the next AddRow / AddRowFromText.
-  const std::vector<Row>& rows() const;
-  const Row& row(size_t index) const;
+  /// Row `index` boxed by value from the column segments; CHECK-fails when
+  /// out of range.
+  Row row(size_t index) const;
 
-  /// The cell at (row, attribute index) — row-cache-backed reference.
-  const Value& at(size_t row_index, size_t col_index) const;
+  /// The cell at (row, attribute index), boxed by value from the column
+  /// segment.
+  Value ValueAt(size_t row_index, size_t col_index) const;
 
   /// The cell at (row, attribute name); CHECK-fails for unknown names.
-  const Value& at(size_t row_index, std::string_view attribute) const;
-
-  /// The cell at (row, attribute index) boxed by value straight from the
-  /// column segment — no row cache involved.
-  Value ValueAt(size_t row_index, size_t col_index) const;
+  Value ValueAt(size_t row_index, std::string_view attribute) const;
 
   /// Column segment of attribute `col_index`.
   const Column& column(size_t col_index) const;
@@ -110,18 +105,9 @@ class Table {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  void InvalidateRowCache();
-  const std::vector<Row>& CachedRows() const;
-
   TableSchema schema_;
   std::vector<Column> columns_;  // one per schema attribute
   size_t num_rows_ = 0;
-
-  // Lazily built legacy row view.  Guarded by row_cache_mu_ so concurrent
-  // const readers (e.g. pool workers fingerprinting samples) are race-free;
-  // never copied with the table.
-  mutable std::mutex row_cache_mu_;
-  mutable std::unique_ptr<std::vector<Row>> row_cache_;
 };
 
 /// A named collection of table instances conforming to a Schema.

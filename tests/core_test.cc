@@ -11,7 +11,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/clustered_view_gen.h"
-#include "core/context_match.h"
+#include "core/match_engine.h"
 #include "core/naive_infer.h"
 #include "core/src_class_infer.h"
 #include "core/tgt_class_infer.h"
@@ -550,7 +550,9 @@ TEST(ContextMatchTest, FindsCorrectViewsOnRetail) {
   o.early_disjuncts = true;
   o.omega = 0.05;
   o.seed = 32;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   ASSERT_EQ(r.selected_views.size(), 2u);
   std::set<std::string> conditions;
   for (const View& v : r.selected_views) {
@@ -571,7 +573,9 @@ TEST(ContextMatchTest, PhaseTimersPopulated) {
   ContextMatchOptions o;
   o.seed = 34;
   o.omega = 0.1;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   EXPECT_GT(r.phases.Seconds("standard_match"), 0.0);
   EXPECT_GT(r.TotalSeconds(), 0.0);
 }
@@ -584,8 +588,10 @@ TEST(ContextMatchTest, DeterministicGivenSeeds) {
   ContextMatchOptions o;
   o.seed = 36;
   o.omega = 0.1;
-  ContextMatchResult a = ContextMatch(data.source, data.target, o);
-  ContextMatchResult b = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult a = MatchEngine(o).Execute(request).result;
+  ContextMatchResult b = MatchEngine(o).Execute(request).result;
   ASSERT_EQ(a.matches.size(), b.matches.size());
   for (size_t i = 0; i < a.matches.size(); ++i) {
     EXPECT_EQ(a.matches[i].ToString(), b.matches[i].ToString());
@@ -600,7 +606,9 @@ TEST(ContextMatchTest, PoolContainsConditionalVersionsOfAcceptedMatches) {
   ContextMatchOptions o;
   o.seed = 38;
   o.omega = 0.1;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   ASSERT_FALSE(r.pool.candidate_views.empty());
   // Every view match corresponds to some base match's attribute pair.
   for (const Match& vm : r.pool.view_matches) {
@@ -659,7 +667,12 @@ TEST(ConjunctiveContextMatchTest, FindsTwoAttributeCondition) {
   o.omega = 0.05;
   o.seed = 40;
   ContextMatchResult staged =
-      ConjunctiveContextMatch(source, target, o, /*max_stages=*/2);
+      MatchEngine(o)
+          .Execute({.mode = MatchMode::kConjunctive,
+                    .max_stages = 2,
+                    .source = BorrowDatabase(source),
+                    .target = BorrowDatabase(target)})
+          .result;
   bool found_conjunction = false;
   for (const View& v : staged.selected_views) {
     if (v.condition().NumAttributes() == 2 &&
@@ -680,9 +693,16 @@ TEST(ConjunctiveContextMatchTest, SingleStageEqualsContextMatch) {
   ContextMatchOptions o;
   o.seed = 42;
   o.omega = 0.1;
-  ContextMatchResult a = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult a = MatchEngine(o).Execute(request).result;
   ContextMatchResult b =
-      ConjunctiveContextMatch(data.source, data.target, o, 1);
+      MatchEngine(o)
+          .Execute({.mode = MatchMode::kConjunctive,
+                    .max_stages = 1,
+                    .source = BorrowDatabase(data.source),
+                    .target = BorrowDatabase(data.target)})
+          .result;
   ASSERT_EQ(a.matches.size(), b.matches.size());
   for (size_t i = 0; i < a.matches.size(); ++i) {
     EXPECT_EQ(a.matches[i].ToString(), b.matches[i].ToString());

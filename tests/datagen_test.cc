@@ -174,7 +174,7 @@ TEST(RetailGenTest, CorrelatedAttributesTrackRho) {
   const Table& inv = data.source.GetTable("inventory");
   size_t agree = 0;
   for (size_t r = 0; r < inv.num_rows(); ++r) {
-    if (inv.at(r, "CorrType1") == inv.at(r, "ItemType")) ++agree;
+    if (inv.ValueAt(r, "CorrType1") == inv.ValueAt(r, "ItemType")) ++agree;
   }
   // rho + (1-rho)/gamma chance agreement: 0.8 + 0.2/4 = 0.85.
   EXPECT_NEAR(static_cast<double>(agree) / 1000.0, 0.85, 0.05);
@@ -232,10 +232,10 @@ TEST(RetailGenTest, BooksAndCdsHaveDistinctPriceRanges) {
   const Table& inv = data.source.GetTable("inventory");
   DescriptiveStats book_prices, cd_prices;
   for (size_t r = 0; r < inv.num_rows(); ++r) {
-    if (inv.at(r, "ItemType") == data.book_labels[0]) {
-      book_prices.Add(inv.at(r, "Price").AsNumeric());
+    if (inv.ValueAt(r, "ItemType") == data.book_labels[0]) {
+      book_prices.Add(inv.ValueAt(r, "Price").AsNumeric());
     } else {
-      cd_prices.Add(inv.at(r, "Price").AsNumeric());
+      cd_prices.Add(inv.ValueAt(r, "Price").AsNumeric());
     }
   }
   EXPECT_GT(book_prices.Mean(), cd_prices.Mean());
@@ -265,8 +265,8 @@ TEST(GradesGenTest, ExamMeansFollowFormula) {
   const Table& narrow = data.source.GetTable("grades_narrow");
   std::map<int64_t, DescriptiveStats> per_exam;
   for (size_t r = 0; r < narrow.num_rows(); ++r) {
-    per_exam[narrow.at(r, "examNum").AsInt()].Add(
-        narrow.at(r, "grade").AsNumeric());
+    per_exam[narrow.ValueAt(r, "examNum").AsInt()].Add(
+        narrow.ValueAt(r, "grade").AsNumeric());
   }
   ASSERT_EQ(per_exam.size(), 5u);
   for (const auto& [exam, stats] : per_exam) {
@@ -285,7 +285,7 @@ TEST(GradesGenTest, NamesAreUniqueWithinEachSchema) {
   const Table& wide = data.target.GetTable("grades_wide");
   std::set<std::string> names;
   for (size_t r = 0; r < wide.num_rows(); ++r) {
-    EXPECT_TRUE(names.insert(wide.at(r, "name").AsString()).second);
+    EXPECT_TRUE(names.insert(wide.ValueAt(r, "name").AsString()).second);
   }
 }
 
@@ -315,7 +315,7 @@ TEST(GradesGenTest, GradesAreClampedToScale) {
   GradesDataset data = MakeGradesDataset(options);
   const Table& narrow = data.source.GetTable("grades_narrow");
   for (size_t r = 0; r < narrow.num_rows(); ++r) {
-    double g = narrow.at(r, "grade").AsNumeric();
+    double g = narrow.ValueAt(r, "grade").AsNumeric();
     EXPECT_GE(g, 0.0);
     EXPECT_LE(g, 100.0);
   }

@@ -41,7 +41,9 @@ std::string RunRetail(uint64_t data_seed, uint64_t match_seed,
   o.omega = 0.05;
   o.seed = match_seed;
   o.threads = threads;
-  return Fingerprint(ContextMatch(data.source, data.target, o));
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  return Fingerprint(MatchEngine(o).Execute(request).result);
 }
 
 std::string RunGrades(uint64_t data_seed, uint64_t match_seed,
@@ -56,7 +58,9 @@ std::string RunGrades(uint64_t data_seed, uint64_t match_seed,
   o.early_disjuncts = false;
   o.seed = match_seed;
   o.threads = threads;
-  return Fingerprint(ContextMatch(data.source, data.target, o));
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  return Fingerprint(MatchEngine(o).Execute(request).result);
 }
 
 TEST(ThreadDeterminismTest, RetailIdenticalAcrossThreadCounts) {
@@ -92,17 +96,19 @@ TEST(ThreadDeterminismTest, ReportsThreadsUsed) {
   ContextMatchOptions o;
   o.seed = 10;
   o.threads = 3;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   EXPECT_EQ(r.threads_used, 3u);
   EXPECT_EQ(r.phases.counters.at("source_tables"),
             data.source.tables().size());
 }
 
 // ---------------------------------------------------------------------------
-// MatchEngine equivalence: the engine API (pooled threads, cached sessions,
-// optional tracing) must be bit-identical to the free functions, because it
-// only changes where state lives — never the work decomposition or the RNG
-// streams.
+// MatchEngine reuse: pooled threads, cached sessions and optional tracing
+// only change where state lives — never the work decomposition or the RNG
+// streams — so repeated and traced calls must be bit-identical to a fresh
+// engine's run.
 
 std::string EngineRunRetail(uint64_t data_seed, uint64_t match_seed,
                             size_t threads, size_t repeats,
@@ -121,26 +127,18 @@ std::string EngineRunRetail(uint64_t data_seed, uint64_t match_seed,
   MatchEngine engine(o);
   obs::Tracer tracer;
   if (traced) engine.set_tracer(&tracer);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
   std::string fingerprint;
   for (size_t i = 0; i < repeats; ++i) {
     // Repeat > 1 exercises the warm session cache.
-    fingerprint = Fingerprint(engine.Match(data.source, data.target));
+    fingerprint = Fingerprint(engine.Execute(request).result);
   }
   if (repeats > 1) {
     EXPECT_GE(engine.session_cache_hits(), repeats - 1);
     EXPECT_EQ(engine.session_cache_misses(), 1u);
   }
   return fingerprint;
-}
-
-TEST(MatchEngineTest, MatchesFreeFunctionBitIdentically) {
-  for (uint64_t seed : {1u, 7u}) {
-    const std::string free_fn = RunRetail(seed, seed + 1, /*threads=*/1);
-    EXPECT_EQ(free_fn, EngineRunRetail(seed, seed + 1, /*threads=*/1,
-                                       /*repeats=*/1));
-    EXPECT_EQ(free_fn, EngineRunRetail(seed, seed + 1, /*threads=*/4,
-                                       /*repeats=*/1));
-  }
 }
 
 TEST(MatchEngineTest, SessionCacheReuseIsInvisible) {
@@ -157,7 +155,7 @@ TEST(MatchEngineTest, TracingDoesNotChangeResults) {
   EXPECT_EQ(untraced, traced);
 }
 
-TEST(MatchEngineTest, GradesEngineMatchesFreeFunction) {
+TEST(MatchEngineTest, GradesSessionCacheReuseIsInvisible) {
   GradesOptions d;
   d.num_students = 120;
   d.seed = 3;
@@ -168,11 +166,12 @@ TEST(MatchEngineTest, GradesEngineMatchesFreeFunction) {
   o.early_disjuncts = false;
   o.seed = 4;
   o.threads = 2;
-  const std::string free_fn =
-      Fingerprint(ContextMatch(data.source, data.target, o));
   MatchEngine engine(o);
-  EXPECT_EQ(free_fn, Fingerprint(engine.Match(data.source, data.target)));
-  EXPECT_EQ(free_fn, Fingerprint(engine.Match(data.source, data.target)));
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  const std::string cold = Fingerprint(engine.Execute(request).result);
+  EXPECT_EQ(cold, RunGrades(3, 4, /*threads=*/2));
+  EXPECT_EQ(cold, Fingerprint(engine.Execute(request).result));
   EXPECT_EQ(engine.session_cache_hits(), 1u);
 }
 
@@ -205,8 +204,9 @@ std::string DegradedRunRetail(size_t threads, StatusCode* code,
                       .action = FaultInjector::Action::kCancel,
                       .token = &token,
                       .reason = CancelReason::kDeadline});
-  MatchEngine engine(o);
-  ContextMatchResult r = engine.Match(data.source, data.target, &token);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  const ContextMatchResult r = MatchEngine(o).Execute(request, &token).result;
   FaultInjector::DisarmAll();
 
   *code = r.status.code();
@@ -262,123 +262,53 @@ TEST(MatchEngineTest, SessionCacheEvictsLeastRecentlyUsed) {
   const Database target = TinyDatabase("tgt", 999);
   std::vector<Database> sources;
   for (int i = 0; i < 9; ++i) sources.push_back(TinyDatabase("src", i));
+  std::vector<MatchRequest> requests;
+  for (const Database& source : sources) {
+    requests.push_back({.source = BorrowDatabase(source),
+                        .target = BorrowDatabase(target)});
+  }
 
   // Fill the cache to capacity (kMaxCachedSessionSets = 8 entries), then
   // touch pairs 1..7 again so pair 0 is the least recently used.
-  for (int i = 0; i < 8; ++i) engine.Match(sources[i], target);
+  for (int i = 0; i < 8; ++i) engine.Execute(requests[i]);
   EXPECT_EQ(engine.session_cache_misses(), 8u);
   EXPECT_EQ(engine.session_cache_evictions(), 0u);
-  for (int i = 1; i < 8; ++i) engine.Match(sources[i], target);
+  for (int i = 1; i < 8; ++i) engine.Execute(requests[i]);
   EXPECT_EQ(engine.session_cache_hits(), 7u);
 
   // A ninth distinct pair evicts exactly one entry.
-  engine.Match(sources[8], target);
+  engine.Execute(requests[8]);
   EXPECT_EQ(engine.session_cache_evictions(), 1u);
   EXPECT_EQ(metrics.Counter("engine.session_cache_evictions"), 1u);
 
   // The seven retouched pairs and the newcomer are all still warm...
   const uint64_t hits_before = engine.session_cache_hits();
-  for (int i = 1; i < 9; ++i) engine.Match(sources[i], target);
+  for (int i = 1; i < 9; ++i) engine.Execute(requests[i]);
   EXPECT_EQ(engine.session_cache_hits(), hits_before + 8);
 
   // ...and pair 0 was the eviction victim.
   const uint64_t misses_before = engine.session_cache_misses();
-  engine.Match(sources[0], target);
+  engine.Execute(requests[0]);
   EXPECT_EQ(engine.session_cache_misses(), misses_before + 1);
 }
 
-TEST(MatchEngineTest, ConjunctiveAndTargetWrappersAgree) {
+// Malformed requests are answered kInvalidArgument without running.
+TEST(MatchEngineTest, ExecuteRejectsMalformedRequests) {
   RetailOptions d;
-  d.num_items = 120;
-  d.gamma = 2;
+  d.num_items = 60;
   d.seed = 11;
   RetailDataset data = MakeRetailDataset(d);
   ContextMatchOptions o;
-  o.omega = 0.05;
   o.seed = 12;
-  o.threads = 2;
-
   MatchEngine engine(o);
-  EXPECT_EQ(
-      Fingerprint(ConjunctiveContextMatch(data.source, data.target, o, 2)),
-      Fingerprint(engine.ConjunctiveMatch(data.source, data.target, 2)));
-
-  TargetContextMatchResult free_fn =
-      TargetContextMatch(data.source, data.target, o);
-  TargetContextMatchResult via_engine =
-      engine.TargetContextMatch(data.source, data.target);
-  EXPECT_EQ(Fingerprint(free_fn.reversed),
-            Fingerprint(via_engine.reversed));
-  ASSERT_EQ(free_fn.matches.size(), via_engine.matches.size());
-  for (size_t i = 0; i < free_fn.matches.size(); ++i) {
-    EXPECT_EQ(free_fn.matches[i].ToString(), via_engine.matches[i].ToString());
-  }
-}
-
-// The unified Execute entrypoint must be bit-identical to the legacy
-// wrappers for every mode — the wrappers are contractually thin shims, and
-// this is what lets callers migrate without re-validating results.
-TEST(MatchEngineTest, ExecuteMatchesLegacyEntrypointsBitIdentically) {
-  RetailOptions d;
-  d.num_items = 120;
-  d.gamma = 2;
-  d.seed = 11;
-  RetailDataset data = MakeRetailDataset(d);
-  ContextMatchOptions o;
-  o.omega = 0.05;
-  o.seed = 12;
-  o.threads = 2;
-
-  MatchRequest request;
-  request.source = BorrowDatabase(data.source);
-  request.target = BorrowDatabase(data.target);
-
-  {
-    MatchEngine via_execute(o);
-    MatchEngine via_wrapper(o);
-    request.mode = MatchMode::kContext;
-    EXPECT_EQ(Fingerprint(via_execute.Execute(request).result),
-              Fingerprint(via_wrapper.Match(data.source, data.target)));
-  }
-  {
-    MatchEngine via_execute(o);
-    MatchEngine via_wrapper(o);
-    request.mode = MatchMode::kConjunctive;
-    request.max_stages = 2;
-    EXPECT_EQ(
-        Fingerprint(via_execute.Execute(request).result),
-        Fingerprint(via_wrapper.ConjunctiveMatch(data.source, data.target, 2)));
-    request.max_stages = 1;
-  }
-  {
-    MatchEngine via_execute(o);
-    MatchEngine via_wrapper(o);
-    request.mode = MatchMode::kTargetContext;
-    MatchResponse response = via_execute.Execute(request);
-    TargetContextMatchResult legacy =
-        via_wrapper.TargetContextMatch(data.source, data.target);
-    EXPECT_EQ(Fingerprint(response.result), Fingerprint(legacy.reversed));
-    ASSERT_EQ(response.matches.size(), legacy.matches.size());
-    for (size_t i = 0; i < response.matches.size(); ++i) {
-      EXPECT_EQ(response.matches[i].ToString(), legacy.matches[i].ToString());
-    }
-    ASSERT_EQ(response.selected_views.size(),
-              legacy.selected_target_views.size());
-    for (size_t i = 0; i < response.selected_views.size(); ++i) {
-      EXPECT_EQ(response.selected_views[i].ToString(),
-                legacy.selected_target_views[i].ToString());
-    }
-  }
-
-  // Malformed requests answer kInvalidArgument without running.
-  MatchEngine engine(o);
-  MatchRequest bad;
-  bad.mode = MatchMode::kContext;
-  EXPECT_EQ(engine.Execute(bad).status.code(), StatusCode::kInvalidArgument);
-  bad.source = BorrowDatabase(data.source);
-  bad.target = BorrowDatabase(data.target);
-  bad.max_stages = 0;
-  EXPECT_EQ(engine.Execute(bad).status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Execute({}).status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine
+                .Execute({.max_stages = 0,
+                          .source = BorrowDatabase(data.source),
+                          .target = BorrowDatabase(data.target)})
+                .status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.session_cache_misses(), 0u);
 }
 
 }  // namespace

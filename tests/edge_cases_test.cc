@@ -8,7 +8,7 @@
 
 #include "common/string_util.h"
 #include "core/clustered_view_gen.h"
-#include "core/context_match.h"
+#include "core/match_engine.h"
 #include "datagen/retail_gen.h"
 #include "datagen/wordlists.h"
 #include "mapping/executor.h"
@@ -186,10 +186,20 @@ TEST(ConjunctiveEdgeTest, ExtraStagesAreHarmlessWhenNothingToRefine) {
   ContextMatchOptions o;
   o.omega = 0.05;
   o.seed = 92;
-  ContextMatchResult one = ConjunctiveContextMatch(data.source, data.target,
-                                                   o, 1);
-  ContextMatchResult three = ConjunctiveContextMatch(data.source, data.target,
-                                                     o, 3);
+  ContextMatchResult one =
+      MatchEngine(o)
+          .Execute({.mode = MatchMode::kConjunctive,
+                    .max_stages = 1,
+                    .source = BorrowDatabase(data.source),
+                    .target = BorrowDatabase(data.target)})
+          .result;
+  ContextMatchResult three =
+      MatchEngine(o)
+          .Execute({.mode = MatchMode::kConjunctive,
+                    .max_stages = 3,
+                    .source = BorrowDatabase(data.source),
+                    .target = BorrowDatabase(data.target)})
+          .result;
   // No second informative attribute exists, so deeper stages cannot select
   // conjunctive views; the simple views must survive unchanged.
   std::set<std::string> one_keys, three_simple_keys;
@@ -216,7 +226,12 @@ TEST(ConjunctiveEdgeTest, StageConditionsNeverRepeatAttributes) {
   o.omega = 0.05;
   o.seed = 94;
   ContextMatchResult r =
-      ConjunctiveContextMatch(data.source, data.target, o, 3);
+      MatchEngine(o)
+          .Execute({.mode = MatchMode::kConjunctive,
+                    .max_stages = 3,
+                    .source = BorrowDatabase(data.source),
+                    .target = BorrowDatabase(data.target)})
+          .result;
   for (const View& v : r.pool.candidate_views) {
     std::set<std::string> attrs;
     for (const std::string& a : v.condition().MentionedAttributes()) {
@@ -247,8 +262,8 @@ TEST(ExecutorEdgeTest, CoercionsAndNulls) {
   auto result = ExecuteMapping(queries[0], db, {}, target.GetTable("out"));
   ASSERT_TRUE(result.ok());
   // 3.0 coerces to int 3; 2.5 is lossy and becomes NULL.
-  EXPECT_EQ(result->at(0, "as_int"), Value::Int(3));
-  EXPECT_TRUE(result->at(1, "as_int").is_null());
+  EXPECT_EQ(result->ValueAt(0, "as_int"), Value::Int(3));
+  EXPECT_TRUE(result->ValueAt(1, "as_int").is_null());
 }
 
 TEST(ExecutorEdgeTest, DuplicateOutputRowsCollapse) {
@@ -293,7 +308,9 @@ TEST(SelectionBookkeepingTest, SelectedViewsMatchEmittedConditions) {
   o.omega = 0.05;
   o.early_disjuncts = false;
   o.seed = 96;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   std::set<std::string> selected_conditions;
   for (const View& v : r.selected_views) {
     selected_conditions.insert(v.condition().ToString());
@@ -313,7 +330,9 @@ TEST(SelectionBookkeepingTest, MatchesSortedByTargetThenConfidence) {
   ContextMatchOptions o;
   o.omega = 0.05;
   o.seed = 98;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   for (size_t i = 1; i < r.matches.size(); ++i) {
     const Match& prev = r.matches[i - 1];
     const Match& cur = r.matches[i];
@@ -337,7 +356,9 @@ TEST_P(SampleSizeRobustnessTest, PipelineRunsAtAllSizes) {
   ContextMatchOptions o;
   o.omega = 0.05;
   o.seed = 100;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   MatchQuality q = EvaluateMatches(data.truth, r.matches);
   EXPECT_GE(q.precision, 0.0);  // completing cleanly is the main assertion
   if (GetParam() >= 200) {
@@ -365,19 +386,19 @@ TEST(PlaceboCorrectionTest, ImprovesWideSchemaFMeasure) {
   double with_sum = 0.0, without_sum = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     RetailDataset data = MakeRetailDataset(d);
+    const MatchRequest request{.source = BorrowDatabase(data.source),
+                               .target = BorrowDatabase(data.target)};
     ContextMatchOptions o;
     o.omega = 0.1;
     o.seed = 102 + static_cast<uint64_t>(rep);
     o.placebo_correction = true;
-    with_sum += EvaluateMatches(
-                    data.truth,
-                    ContextMatch(data.source, data.target, o).matches)
-                    .fmeasure;
+    with_sum +=
+        EvaluateMatches(data.truth, MatchEngine(o).Execute(request).matches)
+            .fmeasure;
     o.placebo_correction = false;
-    without_sum += EvaluateMatches(
-                       data.truth,
-                       ContextMatch(data.source, data.target, o).matches)
-                       .fmeasure;
+    without_sum +=
+        EvaluateMatches(data.truth, MatchEngine(o).Execute(request).matches)
+            .fmeasure;
     d.seed += 10;
   }
   EXPECT_GT(with_sum, without_sum);
@@ -393,8 +414,10 @@ TEST(PlaceboCorrectionTest, DoesNotHurtCleanSchemas) {
   o.omega = 0.1;
   o.seed = 112;
   o.placebo_correction = true;
-  MatchQuality q = EvaluateMatches(
-      data.truth, ContextMatch(data.source, data.target, o).matches);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  MatchQuality q =
+      EvaluateMatches(data.truth, MatchEngine(o).Execute(request).matches);
   EXPECT_GT(q.fmeasure, 0.75);
 }
 

@@ -1,5 +1,5 @@
-// Tests for the execution-engine layer: ThreadPool, ParallelFor/Map,
-// per-task RNG splitting and PhaseStats aggregation.
+// Tests for the execution-engine layer: ThreadPool, ParallelFor/Map and
+// per-task RNG splitting.
 
 #include <atomic>
 #include <set>
@@ -11,7 +11,6 @@
 
 #include "common/random.h"
 #include "exec/parallel.h"
-#include "exec/phase_stats.h"
 #include "exec/task_rng.h"
 #include "exec/thread_pool.h"
 
@@ -238,28 +237,6 @@ TEST(TaskRngTest, StreamsAreIndependentOfEachOther) {
 TEST(TaskRngTest, DifferentPhaseSeedsGiveDifferentStreams) {
   EXPECT_NE(TaskSeed(1, 0), TaskSeed(2, 0));
   EXPECT_NE(TaskRng(1, 3).Next(), TaskRng(2, 3).Next());
-}
-
-TEST(PhaseStatsTest, AggregatesAcrossThreads) {
-  PhaseStats stats;
-  ThreadPool pool(4);
-  ParallelFor(&pool, 100, [&](size_t) {
-    stats.AddCount("cells");
-    stats.AddSeconds("train", 0.5);
-  });
-  EXPECT_EQ(stats.Count("cells"), 100u);
-  EXPECT_NEAR(stats.Seconds("train"), 50.0, 1e-9);
-  EXPECT_EQ(stats.Count("missing"), 0u);
-  EXPECT_EQ(stats.Seconds("missing"), 0.0);
-  auto counts = stats.CountsSnapshot();
-  EXPECT_EQ(counts.at("cells"), 100u);
-  EXPECT_NE(stats.ToString().find("cells"), std::string::npos);
-}
-
-TEST(ScopedPhaseTimerTest, AddsElapsedTime) {
-  PhaseStats stats;
-  { ScopedPhaseTimer timer(&stats, "phase"); }
-  EXPECT_GE(stats.Seconds("phase"), 0.0);
 }
 
 }  // namespace

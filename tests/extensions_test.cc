@@ -5,7 +5,7 @@
 
 #include <set>
 
-#include "core/target_context.h"
+#include "core/match_engine.h"
 #include "datagen/retail_gen.h"
 #include "relational/csv.h"
 #include "tests/test_util.h"
@@ -15,7 +15,7 @@ namespace {
 
 using testing::S;
 
-// ------------------------------------------------- TargetContextMatch
+// ---------------------------------------------- MatchMode::kTargetContext
 
 /// Reversed retail: separate Book/Music sources, combined inventory target.
 struct ReversedRetail {
@@ -39,11 +39,13 @@ TEST(TargetContextMatchTest, FindsConditionsOnTargetTables) {
   options.omega = 0.05;
   options.inference = ViewInferenceKind::kSrcClass;
   options.seed = 82;
-  TargetContextMatchResult result =
-      TargetContextMatch(data.source, data.target, options);
+  const MatchResponse response =
+      MatchEngine(options).Execute({.mode = MatchMode::kTargetContext,
+                                    .source = BorrowDatabase(data.source),
+                                    .target = BorrowDatabase(data.target)});
 
-  ASSERT_FALSE(result.selected_target_views.empty());
-  for (const View& v : result.selected_target_views) {
+  ASSERT_FALSE(response.selected_views.empty());
+  for (const View& v : response.selected_views) {
     EXPECT_EQ(v.base_table(), "inventory");
     EXPECT_TRUE(v.condition().MentionsAttribute("ItemType"))
         << v.ToString();
@@ -51,7 +53,7 @@ TEST(TargetContextMatchTest, FindsConditionsOnTargetTables) {
   // Matches are flipped into source -> target orientation, with the
   // condition flagged as living on the target table.
   bool found_book_title = false;
-  for (const Match& m : result.matches) {
+  for (const Match& m : response.matches) {
     EXPECT_EQ(m.target.table, "inventory");
     if (!m.condition.is_true()) {
       EXPECT_TRUE(m.condition_on_target);
@@ -71,14 +73,16 @@ TEST(TargetContextMatchTest, ReversedDiagnosticsPreserved) {
   ContextMatchOptions options;
   options.omega = 0.05;
   options.seed = 84;
-  TargetContextMatchResult result =
-      TargetContextMatch(data.source, data.target, options);
-  EXPECT_EQ(result.matches.size(), result.reversed.matches.size());
-  for (size_t i = 0; i < result.matches.size(); ++i) {
-    EXPECT_EQ(result.matches[i].source, result.reversed.matches[i].target);
-    EXPECT_EQ(result.matches[i].target, result.reversed.matches[i].source);
-    EXPECT_DOUBLE_EQ(result.matches[i].confidence,
-                     result.reversed.matches[i].confidence);
+  const MatchResponse response =
+      MatchEngine(options).Execute({.mode = MatchMode::kTargetContext,
+                                    .source = BorrowDatabase(data.source),
+                                    .target = BorrowDatabase(data.target)});
+  EXPECT_EQ(response.matches.size(), response.result.matches.size());
+  for (size_t i = 0; i < response.matches.size(); ++i) {
+    EXPECT_EQ(response.matches[i].source, response.result.matches[i].target);
+    EXPECT_EQ(response.matches[i].target, response.result.matches[i].source);
+    EXPECT_DOUBLE_EQ(response.matches[i].confidence,
+                     response.result.matches[i].confidence);
   }
 }
 
@@ -87,9 +91,11 @@ TEST(TargetContextMatchTest, StandardMatchesAreNotFlaggedTargetConditioned) {
   ContextMatchOptions options;
   options.omega = 5.0;  // nothing improves: only base matches survive
   options.seed = 86;
-  TargetContextMatchResult result =
-      TargetContextMatch(data.source, data.target, options);
-  for (const Match& m : result.matches) {
+  const MatchResponse response =
+      MatchEngine(options).Execute({.mode = MatchMode::kTargetContext,
+                                    .source = BorrowDatabase(data.source),
+                                    .target = BorrowDatabase(data.target)});
+  for (const Match& m : response.matches) {
     EXPECT_TRUE(m.condition.is_true());
     EXPECT_FALSE(m.condition_on_target);
   }
@@ -104,22 +110,22 @@ TEST(CsvInferenceTest, InfersIntRealString) {
   EXPECT_EQ(table->schema().attribute(0).type, ValueType::kInt);
   EXPECT_EQ(table->schema().attribute(1).type, ValueType::kReal);
   EXPECT_EQ(table->schema().attribute(2).type, ValueType::kString);
-  EXPECT_EQ(table->at(0, "id"), Value::Int(1));
-  EXPECT_EQ(table->at(1, "price"), Value::Real(3.0));
+  EXPECT_EQ(table->ValueAt(0, "id"), Value::Int(1));
+  EXPECT_EQ(table->ValueAt(1, "price"), Value::Real(3.0));
 }
 
 TEST(CsvInferenceTest, OneBadCellDemotesColumn) {
   auto table = TableFromCsvInferred("t", "x\n1\n2\noops\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->schema().attribute(0).type, ValueType::kString);
-  EXPECT_EQ(table->at(0, "x"), Value::String("1"));
+  EXPECT_EQ(table->ValueAt(0, "x"), Value::String("1"));
 }
 
 TEST(CsvInferenceTest, EmptyCellsAreNullAndDoNotAffectType) {
   auto table = TableFromCsvInferred("t", "x\n1\n\n3\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->schema().attribute(0).type, ValueType::kInt);
-  EXPECT_TRUE(table->at(1, "x").is_null());
+  EXPECT_TRUE(table->ValueAt(1, "x").is_null());
 }
 
 TEST(CsvInferenceTest, AllEmptyColumnDefaultsToString) {
@@ -136,9 +142,9 @@ TEST(CsvInferenceTest, RoundTripThroughWriter) {
   auto parsed = TableFromCsvInferred("roundtrip", TableToCsv(original));
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->num_rows(), 2u);
-  EXPECT_EQ(parsed->at(0, "n"), Value::Int(1));
-  EXPECT_EQ(parsed->at(0, "r"), Value::Real(1.5));
-  EXPECT_EQ(parsed->at(0, "s"), Value::String("x,y"));
+  EXPECT_EQ(parsed->ValueAt(0, "n"), Value::Int(1));
+  EXPECT_EQ(parsed->ValueAt(0, "r"), Value::Real(1.5));
+  EXPECT_EQ(parsed->ValueAt(0, "s"), Value::String("x,y"));
 }
 
 TEST(CsvInferenceTest, ArityMismatchRejected) {
@@ -151,7 +157,7 @@ TEST(CsvInferenceTest, FileVariantReadsFromDisk) {
   ASSERT_TRUE(WriteCsvFile(t, path).ok());
   auto parsed = ReadCsvFileInferred("disk", path);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->at(0, "v"), Value::Int(9));
+  EXPECT_EQ(parsed->ValueAt(0, "v"), Value::Int(9));
 }
 
 }  // namespace

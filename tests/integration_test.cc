@@ -5,7 +5,7 @@
 
 #include <set>
 
-#include "core/context_match.h"
+#include "core/match_engine.h"
 #include "datagen/grades_gen.h"
 #include "datagen/retail_gen.h"
 #include "mapping/clio.h"
@@ -29,7 +29,9 @@ TEST(IntegrationTest, RetailEndToEndAllTargets) {
     o.omega = 0.05;
     o.inference = ViewInferenceKind::kSrcClass;
     o.seed = 52;
-    ContextMatchResult r = ContextMatch(data.source, data.target, o);
+    const MatchRequest request{.source = BorrowDatabase(data.source),
+                               .target = BorrowDatabase(data.target)};
+    ContextMatchResult r = MatchEngine(o).Execute(request).result;
     MatchQuality q = EvaluateMatches(data.truth, r.matches);
     EXPECT_GT(q.fmeasure, 0.6) << RetailTargetToString(target);
     EXPECT_GT(q.precision, 0.8) << RetailTargetToString(target);
@@ -47,7 +49,9 @@ TEST(IntegrationTest, RetailTgtClassInferAlsoWorks) {
   o.inference = ViewInferenceKind::kTgtClass;
   o.early_disjuncts = true;
   o.seed = 54;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   MatchQuality q = EvaluateMatches(data.truth, r.matches);
   EXPECT_GT(q.fmeasure, 0.7);
 }
@@ -62,7 +66,9 @@ TEST(IntegrationTest, CorrelatedChameleonsNeverEnterGroundTruth) {
   ContextMatchOptions o;
   o.omega = 0.05;
   o.seed = 56;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   // Any match conditioned on a CorrType attribute must be judged incorrect.
   for (const Match& m : r.matches) {
     if (m.condition.is_true()) continue;
@@ -117,7 +123,7 @@ TEST(IntegrationTest, GradesAttributeNormalizationEndToEnd) {
   // At least 4 of the 5 grade columns populated for the first row.
   size_t populated = 0;
   for (size_t c = 1; c < wide.schema().num_attributes(); ++c) {
-    if (!wide.at(0, c).is_null()) ++populated;
+    if (!wide.ValueAt(0, c).is_null()) ++populated;
   }
   EXPECT_GE(populated, 4u);
 }
@@ -132,7 +138,9 @@ TEST(IntegrationTest, GradesViewsCarryCorrectPerExamMatches) {
   o.omega = 0.05;
   o.early_disjuncts = false;
   o.seed = 60;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   // Every emitted grade->gradeN match must condition on examNum = N.
   for (const Match& m : r.matches) {
     if (m.condition.is_true() || m.source.attribute != "grade") continue;
@@ -170,7 +178,9 @@ TEST_P(PipelinePropertyTest, InvariantsHold) {
   o.early_disjuncts = p.early;
   o.omega = 0.05;
   o.seed = 62;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
 
   std::set<std::string> candidate_keys;
   for (const View& v : r.pool.candidate_views) {
@@ -230,8 +240,10 @@ TEST_P(OmegaMonotonicityTest, HigherOmegaSelectsFewerOrEqualViews) {
   lo.seed = 64;
   ContextMatchOptions hi = lo;
   hi.omega = omega + 0.1;
-  ContextMatchResult r_lo = ContextMatch(data.source, data.target, lo);
-  ContextMatchResult r_hi = ContextMatch(data.source, data.target, hi);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r_lo = MatchEngine(lo).Execute(request).result;
+  ContextMatchResult r_hi = MatchEngine(hi).Execute(request).result;
   EXPECT_GE(r_lo.selected_views.size(), r_hi.selected_views.size());
 }
 
@@ -250,7 +262,9 @@ TEST(IntegrationTest, SelectedViewsPartitionTheirLabelSlices) {
   o.omega = 0.05;
   o.early_disjuncts = true;
   o.seed = 66;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   const Table& inv = data.source.GetTable("inventory");
   std::set<size_t> claimed;
   for (const View& v : r.selected_views) {
@@ -283,7 +297,9 @@ TEST(IntegrationTest, DegenerateInputsAreHandled) {
 
   ContextMatchOptions o;
   o.seed = 68;
-  ContextMatchResult r = ContextMatch(source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   EXPECT_TRUE(r.matches.empty());
 }
 
@@ -294,7 +310,9 @@ TEST(IntegrationTest, SingleRowSourceDoesNotCrash) {
   RetailDataset data = MakeRetailDataset(d);
   ContextMatchOptions o;
   o.seed = 70;
-  ContextMatchResult r = ContextMatch(data.source, data.target, o);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
   (void)r;  // completing without CHECK failure is the assertion
 }
 
@@ -357,7 +375,9 @@ TEST(IntegrationTest, Example12PriceNormalization) {
   // table *supplements* another (as Fig. 4 supplements Rs).
   o.selection = SelectionPolicy::kMultiTable;
   o.seed = 72;
-  ContextMatchResult r = ContextMatch(source, target, o);
+  const MatchRequest request{.source = BorrowDatabase(source),
+                             .target = BorrowDatabase(target)};
+  ContextMatchResult r = MatchEngine(o).Execute(request).result;
 
   bool reg_to_price = false, sale_to_saleprice = false;
   for (const Match& m : r.matches) {

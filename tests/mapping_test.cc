@@ -482,19 +482,19 @@ TEST(ExecutorTest, AttributeNormalizationJoinsOnName) {
   auto result = ExecuteMapping(queries[0], db, views, target.GetTable("projs"));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 3u);  // one per student
-  for (const Row& row : result->rows()) {
+  for (size_t r = 0; r < result->num_rows(); ++r) {
     // Every student got both grades promoted into one row.
-    EXPECT_FALSE(row[1].is_null());
-    EXPECT_FALSE(row[2].is_null());
+    EXPECT_FALSE(result->ValueAt(r, 1).is_null());
+    EXPECT_FALSE(result->ValueAt(r, 2).is_null());
   }
   // Spot-check ann: grades A (assign 0) and B (assign 1).
   bool found_ann = false;
   for (size_t r = 0; r < result->num_rows(); ++r) {
-    if (result->at(r, "name") == S("ann")) {
+    if (result->ValueAt(r, "name") == S("ann")) {
       found_ann = true;
-      EXPECT_EQ(result->at(r, "grade0"), S("A"));
-      EXPECT_EQ(result->at(r, "grade1"), S("B"));
-      EXPECT_EQ(result->at(r, "advisor").AsString(),
+      EXPECT_EQ(result->ValueAt(r, "grade0"), S("A"));
+      EXPECT_EQ(result->ValueAt(r, "grade1"), S("B"));
+      EXPECT_EQ(result->ValueAt(r, "advisor").AsString(),
                 "sk_projs_advisor(ann,A,B)");
     }
   }
@@ -524,9 +524,9 @@ TEST(ExecutorTest, FullOuterJoinKeepsUnmatchedRows) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_rows(), 2u);
   for (size_t r = 0; r < result->num_rows(); ++r) {
-    if (result->at(r, "name") == S("solo")) {
-      EXPECT_EQ(result->at(r, "grade0"), S("C"));
-      EXPECT_TRUE(result->at(r, "grade1").is_null());
+    if (result->ValueAt(r, "name") == S("solo")) {
+      EXPECT_EQ(result->ValueAt(r, "grade0"), S("C"));
+      EXPECT_TRUE(result->ValueAt(r, "grade1").is_null());
     }
   }
 }
@@ -561,8 +561,9 @@ TEST(ExecutorTest, Join3FilterRestrictsReferencedSide) {
   ASSERT_TRUE(result.ok());
   // 3 students x 1 (assign 0) instructor each.
   EXPECT_EQ(result->num_rows(), 3u);
-  for (const Row& row : result->rows()) {
-    EXPECT_EQ(row[1], S("prof x"));  // only the assign-0 instructor
+  // Only the assign-0 instructor.
+  for (size_t r = 0; r < result->num_rows(); ++r) {
+    EXPECT_EQ(result->ValueAt(r, 1), S("prof x"));
   }
 }
 
@@ -594,7 +595,7 @@ TEST(ExecutorTest, TypeCoercionInProjection) {
   ASSERT_EQ(queries.size(), 1u);
   auto result = ExecuteMapping(queries[0], db, {}, target.GetTable("out"));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->at(0, "as_string"), S("5"));
+  EXPECT_EQ(result->ValueAt(0, "as_string"), S("5"));
 }
 
 TEST(ExecutorTest, ExecuteMappingsUnionsPerTargetTable) {

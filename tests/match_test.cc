@@ -278,10 +278,10 @@ TEST(SessionTest, RestrictedBagShiftsConfidence) {
   // Books-only restriction of `title`.
   std::vector<Value> books_only, music_only;
   for (size_t r = 0; r < fx.source.num_rows(); ++r) {
-    if (fx.source.at(r, "kind") == S("B")) {
-      books_only.push_back(fx.source.at(r, "title"));
+    if (fx.source.ValueAt(r, "kind") == S("B")) {
+      books_only.push_back(fx.source.ValueAt(r, "title"));
     } else {
-      music_only.push_back(fx.source.at(r, "title"));
+      music_only.push_back(fx.source.ValueAt(r, "title"));
     }
   }
   AttributeRef book_name{"books", "name"};

@@ -231,7 +231,9 @@ TEST(TracedMatchTest, SpansCoverTheRunAndNestUnderRoot) {
   MatchEngine engine(o);
   obs::Tracer tracer;
   engine.set_tracer(&tracer);
-  ContextMatchResult result = engine.Match(data.source, data.target);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  ContextMatchResult result = engine.Execute(request).result;
   ASSERT_FALSE(result.matches.empty());
 
   std::vector<obs::SpanRecord> spans = tracer.Snapshot();

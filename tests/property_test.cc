@@ -138,9 +138,11 @@ TEST_P(SeededPropertyTest, TrainTestSplitIsExactPartition) {
   TrainTestSplit split = SplitTrainTest(t, fraction, split_rng);
   EXPECT_EQ(split.train.num_rows() + split.test.num_rows(), n);
   std::set<int64_t> ids;
-  for (const Row& r : split.train.rows()) ids.insert(r[0].AsInt());
-  for (const Row& r : split.test.rows()) {
-    EXPECT_TRUE(ids.insert(r[0].AsInt()).second);
+  for (size_t r = 0; r < split.train.num_rows(); ++r) {
+    ids.insert(split.train.ValueAt(r, 0).AsInt());
+  }
+  for (size_t r = 0; r < split.test.num_rows(); ++r) {
+    EXPECT_TRUE(ids.insert(split.test.ValueAt(r, 0).AsInt()).second);
   }
   EXPECT_EQ(ids.size(), n);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 
 #include "relational/categorical.h"
@@ -172,9 +173,9 @@ TEST(TableTest, BasicAccessors) {
   Table t = SampleInventory();
   EXPECT_EQ(t.num_rows(), 4u);
   EXPECT_EQ(t.name(), "inv");
-  EXPECT_EQ(t.at(0, "name"), S("war and peace"));
-  EXPECT_EQ(t.at(2, 0u), I(3));
-  EXPECT_TRUE(t.at(3, "price").is_null());
+  EXPECT_EQ(t.ValueAt(0, "name"), S("war and peace"));
+  EXPECT_EQ(t.ValueAt(2, 0u), I(3));
+  EXPECT_TRUE(t.ValueAt(3, "price").is_null());
 }
 
 TEST(TableTest, ArityMismatchDies) {
@@ -214,7 +215,7 @@ TEST(TableTest, SelectRows) {
   Table t = SampleInventory();
   Table subset = t.SelectRows(std::vector<size_t>{0, 2});
   EXPECT_EQ(subset.num_rows(), 2u);
-  EXPECT_EQ(subset.at(1, "name"), S("dune"));
+  EXPECT_EQ(subset.ValueAt(1, "name"), S("dune"));
 }
 
 TEST(TableTest, Renamed) {
@@ -325,7 +326,7 @@ TEST(ViewTest, SelectOnlyMaterialization) {
   EXPECT_EQ(m.num_rows(), 2u);
   EXPECT_EQ(m.name(), "books");
   EXPECT_EQ(m.schema().num_attributes(), 4u);
-  EXPECT_EQ(m.at(0, "name"), S("war and peace"));
+  EXPECT_EQ(m.ValueAt(0, "name"), S("war and peace"));
 }
 
 TEST(ViewTest, ProjectionMaterialization) {
@@ -335,7 +336,7 @@ TEST(ViewTest, ProjectionMaterialization) {
   Table m = v.Materialize(t);
   EXPECT_EQ(m.schema().num_attributes(), 2u);
   EXPECT_EQ(m.schema().attribute(0).name, "name");
-  EXPECT_EQ(m.at(1, "name"), S("dune"));
+  EXPECT_EQ(m.ValueAt(1, "name"), S("dune"));
 }
 
 TEST(ViewTest, MatchingRows) {
@@ -470,9 +471,11 @@ TEST(SampleTest, SplitSizesAndDisjointness) {
   EXPECT_NEAR(static_cast<double>(split.train.num_rows()), 30.0, 1.0);
   // Disjoint: every "unique" value appears exactly once across both sides.
   std::set<std::string> seen;
-  for (const Row& r : split.train.rows()) seen.insert(r[1].AsString());
-  for (const Row& r : split.test.rows()) {
-    EXPECT_TRUE(seen.insert(r[1].AsString()).second);
+  for (size_t r = 0; r < split.train.num_rows(); ++r) {
+    seen.insert(split.train.ValueAt(r, 1).AsString());
+  }
+  for (size_t r = 0; r < split.test.num_rows(); ++r) {
+    EXPECT_TRUE(seen.insert(split.test.ValueAt(r, 1).AsString()).second);
   }
   EXPECT_EQ(seen.size(), 60u);
 }
@@ -500,9 +503,9 @@ TEST(SampleTest, SplitAlwaysKeepsBothSidesNonEmpty) {
 TEST(SampleTest, SampleRowsSubsets) {
   Table t = CategoricalFixture(20, 3, 0);
   Rng rng(9);
-  Table s = SampleRows(t, 10, rng);
+  Table s = ReservoirSampleRows(t, 10, rng);
   EXPECT_EQ(s.num_rows(), 10u);
-  Table all = SampleRows(t, 1000, rng);
+  Table all = ReservoirSampleRows(t, 1000, rng);
   EXPECT_EQ(all.num_rows(), 60u);
 }
 
@@ -533,25 +536,6 @@ TEST(SampleTest, SampleRowPositionsDeterministicGivenSeed) {
   Rng a(42), b(42), c(43), d(42);
   EXPECT_EQ(SampleRowPositions(500, 20, a), SampleRowPositions(500, 20, b));
   EXPECT_NE(SampleRowPositions(500, 20, d), SampleRowPositions(500, 20, c));
-}
-
-// Differential oracle for the SampleRows -> ReservoirSampleRows delegation:
-// both entry points must pick bit-identical rows for the same rng state.
-TEST(SampleTest, ReservoirSampleRowsMatchesSampleRows) {
-  Table t = CategoricalFixture(40, 3, 0);  // 120 rows
-  for (uint64_t seed : {1u, 9u, 77u}) {
-    for (size_t k : {size_t{1}, size_t{17}, size_t{120}, size_t{500}}) {
-      Rng legacy_rng(seed), reservoir_rng(seed);
-      Table legacy = SampleRows(t, k, legacy_rng);
-      Table reservoir = ReservoirSampleRows(t, k, reservoir_rng);
-      ASSERT_EQ(legacy.num_rows(), reservoir.num_rows())
-          << "seed=" << seed << " k=" << k;
-      for (size_t r = 0; r < legacy.num_rows(); ++r) {
-        EXPECT_EQ(legacy.row(r), reservoir.row(r))
-            << "seed=" << seed << " k=" << k << " row=" << r;
-      }
-    }
-  }
 }
 
 // Regression for the O(table)-cost sampling path: SampleRowPositions must
@@ -603,17 +587,17 @@ TEST(CsvTest, QuotingSpecialCharacters) {
   std::string csv = TableToCsv(t);
   auto parsed = TableFromCsv(t.schema(), csv);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->at(0, "text"), S("has,comma"));
-  EXPECT_EQ(parsed->at(1, "text"), S("has \"quotes\""));
-  EXPECT_EQ(parsed->at(2, "text"), S("has\nnewline"));
+  EXPECT_EQ(parsed->ValueAt(0, "text"), S("has,comma"));
+  EXPECT_EQ(parsed->ValueAt(1, "text"), S("has \"quotes\""));
+  EXPECT_EQ(parsed->ValueAt(2, "text"), S("has\nnewline"));
 }
 
 TEST(CsvTest, NullsRoundTripAsEmpty) {
   Table t = MakeTable("n", {"a", "b"}, {{I(1), N()}, {I(2), R(1.5)}});
   auto parsed = TableFromCsv(t.schema(), TableToCsv(t));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->at(0, "b").is_null());
-  EXPECT_EQ(parsed->at(1, "b"), R(1.5));
+  EXPECT_TRUE(parsed->ValueAt(0, "b").is_null());
+  EXPECT_EQ(parsed->ValueAt(1, "b"), R(1.5));
 }
 
 TEST(CsvTest, HeaderMismatchRejected) {
@@ -661,6 +645,15 @@ TEST(CsvTest, MissingFileErrors) {
             StatusCode::kIoError);
 }
 
+// Regression: WriteCsvFile checked the stream before the final flush, so a
+// table small enough to stay in the write buffer reported OK on a full
+// device.
+TEST(CsvTest, WriteReportsFailedFinalFlush) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Table t = MakeTable("t", {"a"}, {{I(1)}});
+  EXPECT_EQ(WriteCsvFile(t, "/dev/full").code(), StatusCode::kIoError);
+}
+
 // Regression: ParseRecord used to skip a bare "\r" without terminating the
 // record, so a classic-Mac (CR-only) file collapsed into a single record.
 TEST(CsvTest, BareCarriageReturnTerminatesRecord) {
@@ -669,8 +662,8 @@ TEST(CsvTest, BareCarriageReturnTerminatesRecord) {
   auto parsed = TableFromCsv(schema, "a\r1\r2\r");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 2u);
-  EXPECT_EQ(parsed->at(0, "a"), I(1));
-  EXPECT_EQ(parsed->at(1, "a"), I(2));
+  EXPECT_EQ(parsed->ValueAt(0, "a"), I(1));
+  EXPECT_EQ(parsed->ValueAt(1, "a"), I(2));
 }
 
 TEST(CsvTest, MixedLineEndingsParse) {
@@ -679,9 +672,9 @@ TEST(CsvTest, MixedLineEndingsParse) {
   auto parsed = TableFromCsv(schema, "a\n1\r\n2\r3\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 3u);
-  EXPECT_EQ(parsed->at(0, "a"), I(1));
-  EXPECT_EQ(parsed->at(1, "a"), I(2));
-  EXPECT_EQ(parsed->at(2, "a"), I(3));
+  EXPECT_EQ(parsed->ValueAt(0, "a"), I(1));
+  EXPECT_EQ(parsed->ValueAt(1, "a"), I(2));
+  EXPECT_EQ(parsed->ValueAt(2, "a"), I(3));
 }
 
 // Regression: an unquoted embedded "\r" used to be silently dropped; it now
@@ -691,8 +684,8 @@ TEST(CsvTest, EmbeddedCarriageReturnRoundTrip) {
   Table t = MakeTable("t", {"text"}, {{S("line\rbreak")}, {S("dos\r\nend")}});
   auto parsed = TableFromCsv(t.schema(), TableToCsv(t));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->at(0, "text"), S("line\rbreak"));
-  EXPECT_EQ(parsed->at(1, "text"), S("dos\r\nend"));
+  EXPECT_EQ(parsed->ValueAt(0, "text"), S("line\rbreak"));
+  EXPECT_EQ(parsed->ValueAt(1, "text"), S("dos\r\nend"));
 }
 
 TEST(CsvTest, Utf8InQuotedFields) {
@@ -714,8 +707,8 @@ TEST(CsvTest, TrailingCommaIsEmptyField) {
   auto parsed = TableFromCsv(schema, "a,b\n1,\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 1u);
-  EXPECT_EQ(parsed->at(0, "a"), I(1));
-  EXPECT_TRUE(parsed->at(0, "b").is_null());
+  EXPECT_EQ(parsed->ValueAt(0, "a"), I(1));
+  EXPECT_TRUE(parsed->ValueAt(0, "b").is_null());
 }
 
 TEST(CsvTest, QuotedFieldAtEofWithoutNewline) {
@@ -724,7 +717,7 @@ TEST(CsvTest, QuotedFieldAtEofWithoutNewline) {
   auto parsed = TableFromCsv(schema, "a\n\"hi, there\"");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 1u);
-  EXPECT_EQ(parsed->at(0, "a"), S("hi, there"));
+  EXPECT_EQ(parsed->ValueAt(0, "a"), S("hi, there"));
 }
 
 TEST(CsvTest, EmptyFileRejectedHeaderOnlyAccepted) {
@@ -750,9 +743,9 @@ TEST(CsvTest, SingleAttributeNullRowsRoundTrip) {
   auto parsed = TableFromCsv(t.schema(), csv);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 3u);
-  EXPECT_TRUE(parsed->at(0, "a").is_null());
-  EXPECT_EQ(parsed->at(1, "a"), I(1));
-  EXPECT_TRUE(parsed->at(2, "a").is_null());
+  EXPECT_TRUE(parsed->ValueAt(0, "a").is_null());
+  EXPECT_EQ(parsed->ValueAt(1, "a"), I(1));
+  EXPECT_TRUE(parsed->ValueAt(2, "a").is_null());
 }
 
 // --------------------------------------------------- Columnar storage
@@ -800,7 +793,7 @@ TEST(ColumnTest, GatherSharesDictionaryUntilMutation) {
   EXPECT_NE(&gathered.column(0).dictionary(), &t.column(0).dictionary());
   EXPECT_EQ(t.column(0).dictionary().size(), 2u);
   EXPECT_EQ(gathered.column(0).dictionary().size(), 3u);
-  EXPECT_EQ(gathered.at(2, "s"), S("z"));
+  EXPECT_EQ(gathered.ValueAt(2, "s"), S("z"));
 }
 
 TEST(TableTest, AddRowFromTextRollsBackOnBadCell) {
@@ -813,8 +806,8 @@ TEST(TableTest, AddRowFromTextRollsBackOnBadCell) {
   EXPECT_EQ(t.num_rows(), 1u);  // failed row left no partial cells
   ASSERT_TRUE(t.AddRowFromText({"3", "three"}).ok());
   EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.at(1, "i"), I(3));
-  EXPECT_EQ(t.at(1, "s"), S("three"));
+  EXPECT_EQ(t.ValueAt(1, "i"), I(3));
+  EXPECT_EQ(t.ValueAt(1, "s"), S("three"));
 }
 
 TEST(ConditionTest, MatchingPositionsMatchesPerRowEvaluate) {
@@ -886,8 +879,8 @@ TEST(TableViewTest, RenamedAndToTable) {
   const Table copy = view.ToTable();
   EXPECT_EQ(copy.name(), "slice");
   ASSERT_EQ(copy.num_rows(), 2u);
-  EXPECT_EQ(copy.at(0, "s"), S("c"));
-  EXPECT_EQ(copy.at(1, "s"), S("a"));
+  EXPECT_EQ(copy.ValueAt(0, "s"), S("c"));
+  EXPECT_EQ(copy.ValueAt(1, "s"), S("a"));
 }
 
 TEST(TableViewTest, ViewBindMatchesMaterialize) {
@@ -915,10 +908,10 @@ TEST(SampleTest, ViewSplitSelectsSameRowsAsTableSplit) {
   ASSERT_EQ(views.train.num_rows(), tables.train.num_rows());
   ASSERT_EQ(views.test.num_rows(), tables.test.num_rows());
   for (size_t r = 0; r < tables.train.num_rows(); ++r) {
-    EXPECT_EQ(views.train.ValueAt(r, 0), tables.train.at(r, 0));
+    EXPECT_EQ(views.train.ValueAt(r, 0), tables.train.ValueAt(r, 0));
   }
   for (size_t r = 0; r < tables.test.num_rows(); ++r) {
-    EXPECT_EQ(views.test.ValueAt(r, 0), tables.test.at(r, 0));
+    EXPECT_EQ(views.test.ValueAt(r, 0), tables.test.ValueAt(r, 0));
   }
 }
 

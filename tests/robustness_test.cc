@@ -1,6 +1,6 @@
 // The failure-model contracts (DESIGN.md "Failure model, deadlines &
 // degradation"): deadlines, caller cancellation, and injected faults must
-// degrade a Match run — never corrupt it.  A degraded run returns the
+// degrade an Execute run — never corrupt it.  A degraded run returns the
 // standard-match baseline plus every contextual view that was fully
 // scored, a non-OK status naming the phase, and a completeness tag.
 //
@@ -63,10 +63,10 @@ class RobustnessTest : public ::testing::Test {
     return o;
   }
 
-  static double RunSeconds(MatchEngine& engine, const Database& src,
-                           const Database& tgt, ContextMatchResult* out) {
+  static double RunSeconds(MatchEngine& engine, const MatchRequest& request,
+                           ContextMatchResult* out) {
     const auto start = std::chrono::steady_clock::now();
-    *out = engine.Match(src, tgt);
+    *out = engine.Execute(request).result;
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
@@ -75,8 +75,10 @@ class RobustnessTest : public ::testing::Test {
 
 TEST_F(RobustnessTest, CleanRunIsComplete) {
   RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
   MatchEngine engine(NaiveOptions(2));
-  ContextMatchResult r = engine.Match(data.source, data.target);
+  ContextMatchResult r = engine.Execute(request).result;
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.completeness, MatchCompleteness::kComplete);
   EXPECT_FALSE(r.pool.base_matches.empty());
@@ -89,6 +91,8 @@ TEST_F(RobustnessTest, CleanRunIsComplete) {
 
 TEST_F(RobustnessTest, WallClockDeadlineDegradesAndReturnsEarly) {
   RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
 
   // Inflate the classifier grid with a 10ms sleep per cell so the workload
   // durably exceeds the deadline.  kSleep never changes results, only time.
@@ -100,7 +104,7 @@ TEST_F(RobustnessTest, WallClockDeadlineDegradesAndReturnsEarly) {
   ContextMatchResult full;
   MatchEngine slow_engine(Options(1));
   const double full_seconds =
-      RunSeconds(slow_engine, data.source, data.target, &full);
+      RunSeconds(slow_engine, request, &full);
   ASSERT_TRUE(full.status.ok());
 
   ContextMatchOptions bounded = Options(1);
@@ -108,7 +112,7 @@ TEST_F(RobustnessTest, WallClockDeadlineDegradesAndReturnsEarly) {
   MatchEngine engine(bounded);
   ContextMatchResult r;
   const double degraded_seconds =
-      RunSeconds(engine, data.source, data.target, &r);
+      RunSeconds(engine, request, &r);
 
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << r.status;
   EXPECT_NE(r.completeness, MatchCompleteness::kComplete);
@@ -123,6 +127,8 @@ TEST_F(RobustnessTest, WallClockDeadlineDegradesAndReturnsEarly) {
 
 TEST_F(RobustnessTest, InjectedDeadlineDuringScoringKeepsScoredPrefix) {
   RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
   CancellationToken token;
   FaultInjector::Arm({.site = "scoring.candidate",
                       .index = 5,
@@ -131,7 +137,7 @@ TEST_F(RobustnessTest, InjectedDeadlineDuringScoringKeepsScoredPrefix) {
                       .reason = CancelReason::kDeadline});
 
   MatchEngine engine(NaiveOptions(2));
-  ContextMatchResult r = engine.Match(data.source, data.target, &token);
+  ContextMatchResult r = engine.Execute(request, &token).result;
 
   EXPECT_EQ(FaultInjector::FireCount("scoring.candidate"), 1u);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << r.status;
@@ -151,9 +157,11 @@ TEST_F(RobustnessTest, InjectedDeadlineDuringScoringKeepsScoredPrefix) {
 
 TEST_F(RobustnessTest, CancelDuringInferenceDiscardsTheStage) {
   RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
 
   MatchEngine clean_engine(Options(2));
-  ContextMatchResult clean = clean_engine.Match(data.source, data.target);
+  ContextMatchResult clean = clean_engine.Execute(request).result;
   ASSERT_TRUE(clean.status.ok());
 
   CancellationToken token;
@@ -164,7 +172,7 @@ TEST_F(RobustnessTest, CancelDuringInferenceDiscardsTheStage) {
                       .reason = CancelReason::kCaller});
 
   MatchEngine engine(Options(2));
-  ContextMatchResult r = engine.Match(data.source, data.target, &token);
+  ContextMatchResult r = engine.Execute(request, &token).result;
 
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << r.status;
   EXPECT_NE(r.status.message().find("inference"), std::string::npos);
@@ -179,6 +187,8 @@ TEST_F(RobustnessTest, CancelDuringInferenceDiscardsTheStage) {
 
 TEST_F(RobustnessTest, InjectedTaskFailureDegradesWithInternalStatus) {
   RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
   CancellationToken token;
   FaultInjector::Arm({.site = "scoring.candidate",
                       .index = 2,
@@ -186,7 +196,7 @@ TEST_F(RobustnessTest, InjectedTaskFailureDegradesWithInternalStatus) {
                       .token = &token});
 
   MatchEngine engine(NaiveOptions(2));
-  ContextMatchResult r = engine.Match(data.source, data.target, &token);
+  ContextMatchResult r = engine.Execute(request, &token).result;
 
   // The run completes (no crash, no hang) but reports the fault.
   EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status;
@@ -198,6 +208,8 @@ TEST_F(RobustnessTest, InjectedTaskFailureDegradesWithInternalStatus) {
 
 TEST_F(RobustnessTest, EngineCancelFromAnotherThread) {
   RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
 
   // Slow the grid down so the run is still in flight when Cancel() lands.
   FaultInjector::Arm({.site = "inference.cell",
@@ -208,7 +220,7 @@ TEST_F(RobustnessTest, EngineCancelFromAnotherThread) {
   MatchEngine engine(Options(2));
   ContextMatchResult r;
   std::thread runner(
-      [&] { r = engine.Match(data.source, data.target); });
+      [&] { r = engine.Execute(request).result; });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   engine.Cancel();
   runner.join();
@@ -220,7 +232,7 @@ TEST_F(RobustnessTest, EngineCancelFromAnotherThread) {
   // stays usable: the next (un-slowed) call completes normally.
   engine.Cancel();
   FaultInjector::DisarmAll();
-  ContextMatchResult again = engine.Match(data.source, data.target);
+  ContextMatchResult again = engine.Execute(request).result;
   EXPECT_TRUE(again.status.ok());
   EXPECT_EQ(again.completeness, MatchCompleteness::kComplete);
 }
@@ -238,6 +250,8 @@ TEST_F(RobustnessTest, Phase1CutIsAWholeChunkTablePrefix) {
   Database target("tgt");
   target.AddTable(MakeTable("items", {"name", "qty"},
                             {{S("alpha"), I(1)}, {S("delta"), I(4)}}));
+  const MatchRequest request{.source = BorrowDatabase(source),
+                             .target = BorrowDatabase(target)};
 
   for (size_t threads : {1u, 2u, 4u}) {
     CancellationToken token;
@@ -248,7 +262,7 @@ TEST_F(RobustnessTest, Phase1CutIsAWholeChunkTablePrefix) {
                         .reason = CancelReason::kDeadline});
 
     MatchEngine engine(Options(threads));
-    ContextMatchResult r = engine.Match(source, target, &token);
+    ContextMatchResult r = engine.Execute(request, &token).result;
 
     EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
         << "threads=" << threads;
@@ -261,7 +275,7 @@ TEST_F(RobustnessTest, Phase1CutIsAWholeChunkTablePrefix) {
 
     // The partial session prefix must never be cached: a fresh healthy
     // call on the same data rebuilds and sees all 10 tables.
-    ContextMatchResult healthy = engine.Match(source, target);
+    ContextMatchResult healthy = engine.Execute(request).result;
     EXPECT_TRUE(healthy.status.ok()) << healthy.status;
     EXPECT_EQ(healthy.phases.counters.at("source_tables"), 10u);
     EXPECT_EQ(engine.session_cache_hits(), 0u);
@@ -277,6 +291,8 @@ TEST_F(RobustnessTest, ScoringCutIsAWholeChunkCandidatePrefix) {
   g.num_students = 120;
   g.seed = 3;
   GradesDataset data = MakeGradesDataset(g);
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
   auto opts = [](size_t threads) {
     ContextMatchOptions o;
     o.inference = ViewInferenceKind::kNaive;
@@ -288,7 +304,7 @@ TEST_F(RobustnessTest, ScoringCutIsAWholeChunkCandidatePrefix) {
   };
 
   MatchEngine clean_engine(opts(2));
-  ContextMatchResult clean = clean_engine.Match(data.source, data.target);
+  ContextMatchResult clean = clean_engine.Execute(request).result;
   ASSERT_TRUE(clean.status.ok());
   ASSERT_GT(clean.pool.candidate_views.size(), 16u);
 
@@ -300,7 +316,7 @@ TEST_F(RobustnessTest, ScoringCutIsAWholeChunkCandidatePrefix) {
                         .token = &token,
                         .reason = CancelReason::kDeadline});
     MatchEngine engine(opts(threads));
-    ContextMatchResult r = engine.Match(data.source, data.target, &token);
+    ContextMatchResult r = engine.Execute(request, &token).result;
     FaultInjector::DisarmAll();
 
     EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
@@ -317,15 +333,17 @@ TEST_F(RobustnessTest, SleepInjectionNeverChangesResults) {
   // kSleep at the schedule-dependent "pool.task" site (and anywhere else)
   // perturbs timing only; the output stays bit-identical.
   RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
   MatchEngine clean_engine(Options(2));
-  ContextMatchResult clean = clean_engine.Match(data.source, data.target);
+  ContextMatchResult clean = clean_engine.Execute(request).result;
 
   FaultInjector::Arm({.site = "pool.task",
                       .action = FaultInjector::Action::kSleep,
                       .sleep_ms = 1,
                       .fire_limit = 16});
   MatchEngine slow_engine(Options(2));
-  ContextMatchResult slow = slow_engine.Match(data.source, data.target);
+  ContextMatchResult slow = slow_engine.Execute(request).result;
 
   EXPECT_TRUE(slow.status.ok());
   ASSERT_EQ(slow.matches.size(), clean.matches.size());

@@ -100,7 +100,7 @@ TEST(MatchServiceTest, AnswersAndMatchesDirectEngineRun) {
   EXPECT_GE(response.run_seconds, 0.0);
 
   MatchEngine engine(FastEngine());
-  ContextMatchResult direct = engine.Match(data.source, data.target);
+  ContextMatchResult direct = engine.Execute(RequestOver(data, 0)).result;
   EXPECT_EQ(check::FingerprintResult(response.result),
             check::FingerprintResult(direct));
   service.Stop();
@@ -217,8 +217,8 @@ TEST(MatchServiceTest, InFlightDeduplicationSharesOneBitIdenticalRun) {
 
   // And the shared run is bit-identical to an independent engine run.
   MatchEngine engine(FastEngine());
-  EXPECT_EQ(fingerprint,
-            check::FingerprintResult(engine.Match(data.source, data.target)));
+  const ContextMatchResult direct = engine.Execute(RequestOver(data, 0)).result;
+  EXPECT_EQ(fingerprint, check::FingerprintResult(direct));
   EXPECT_EQ(service.metrics().Counter("service.completed"), 1u);
   service.Stop();
 }
@@ -319,7 +319,7 @@ TEST(ColdStoreTest, RoundTripRestoresBitIdenticalSessions) {
   MatchEngine writer(FastEngine());
   writer.set_cold_store(&store);
   const std::string fresh =
-      check::FingerprintResult(writer.Match(data.source, data.target));
+      check::FingerprintResult(writer.Execute(RequestOver(data, 0)).result);
   EXPECT_EQ(writer.session_cold_stores(), 1u);
   EXPECT_EQ(writer.session_cold_hits(), 0u);
   EXPECT_EQ(store.stores(), 1u);
@@ -329,7 +329,7 @@ TEST(ColdStoreTest, RoundTripRestoresBitIdenticalSessions) {
   MatchEngine reader(FastEngine());
   reader.set_cold_store(&store);
   const std::string restored =
-      check::FingerprintResult(reader.Match(data.source, data.target));
+      check::FingerprintResult(reader.Execute(RequestOver(data, 0)).result);
   EXPECT_EQ(fresh, restored);
   EXPECT_EQ(reader.session_cold_hits(), 1u);
   EXPECT_EQ(reader.session_cold_stores(), 0u) << "a cold hit must not re-store";
@@ -337,7 +337,7 @@ TEST(ColdStoreTest, RoundTripRestoresBitIdenticalSessions) {
   // The restored entry was promoted into the hot tier: a repeat run is a
   // hot hit, not another disk read.
   const uint64_t loads_before = store.loads();
-  reader.Match(data.source, data.target);
+  reader.Execute(RequestOver(data, 0));
   EXPECT_EQ(store.loads(), loads_before);
   EXPECT_EQ(reader.session_cache_hits(), 1u);
 
@@ -352,7 +352,7 @@ TEST(ColdStoreTest, CorruptBlobFallsBackToFreshBuild) {
   MatchEngine writer(FastEngine());
   writer.set_cold_store(&store);
   const std::string fresh =
-      check::FingerprintResult(writer.Match(data.source, data.target));
+      check::FingerprintResult(writer.Execute(RequestOver(data, 0)).result);
 
   // Re-store garbage under every key with a VALID frame: the store's CRC
   // check passes, so the blob reaches the engine's parse-level validation
@@ -373,7 +373,7 @@ TEST(ColdStoreTest, CorruptBlobFallsBackToFreshBuild) {
   reader.set_cold_store(&store);
   reader.set_metrics(&metrics);
   const std::string rebuilt =
-      check::FingerprintResult(reader.Match(data.source, data.target));
+      check::FingerprintResult(reader.Execute(RequestOver(data, 0)).result);
   EXPECT_EQ(fresh, rebuilt);
   EXPECT_EQ(reader.session_cold_hits(), 0u);
   EXPECT_GE(metrics.Counter("engine.session_cold_invalid"), 1u);
@@ -418,7 +418,7 @@ TEST(ColdStoreTest, DistinctOptionsDoNotShareBlobs) {
   ContextMatchOptions a = FastEngine();
   MatchEngine first(a);
   first.set_cold_store(&store);
-  first.Match(data.source, data.target);
+  first.Execute(RequestOver(data, 0));
 
   // min_non_null_values changes which triples get scored, so the cold key
   // must differ and the second engine must NOT restore the first's blob.
@@ -426,7 +426,7 @@ TEST(ColdStoreTest, DistinctOptionsDoNotShareBlobs) {
   b.match.min_non_null_values = 5;
   MatchEngine second(b);
   second.set_cold_store(&store);
-  second.Match(data.source, data.target);
+  second.Execute(RequestOver(data, 0));
   EXPECT_EQ(second.session_cold_hits(), 0u);
   EXPECT_EQ(store.stores(), 2u);
 
