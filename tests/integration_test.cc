@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "core/match_engine.h"
 #include "datagen/grades_gen.h"
@@ -160,8 +161,11 @@ TEST(IntegrationTest, GradesViewsCarryCorrectPerExamMatches) {
 struct PipelineParam {
   ViewInferenceKind inference;
   SelectionPolicy selection;
-  bool early;
+  // An int, not a bool: gtest names each case after the parameter's bytes,
+  // and a struct with no padding bytes prints the same on every run.
+  int early;
 };
+static_assert(std::has_unique_object_representations_v<PipelineParam>);
 
 class PipelinePropertyTest : public ::testing::TestWithParam<PipelineParam> {};
 
