@@ -77,17 +77,19 @@ void BM_ScoreRestricted(benchmark::State& state) {
   const RetailDataset& data = SharedData();
   const Table& inv = data.source.GetTable("inventory");
   TableMatchSession session(inv, data.target, DefaultMatcherSuite());
-  // Books-only title bag.
-  std::vector<Value> restricted;
+  // Books-only rows; the sample is gathered from them inside the loop.
+  PosList books;
   for (size_t r = 0; r < inv.num_rows(); ++r) {
     if (inv.ValueAt(r, "ItemType") == data.book_labels[0]) {
-      restricted.push_back(inv.ValueAt(r, "Title"));
+      books.push_back(static_cast<RowId>(r));
     }
   }
+  const TableView restricted(inv, std::move(books));
   AttributeRef target{"Book", "BookTitle"};
   for (auto _ : state) {
+    AttributeSample sample = AttributeSample::FromTable(restricted, "Title");
     benchmark::DoNotOptimize(
-        session.ScoreRestricted("Title", restricted, target).confidence);
+        session.ScoreRestrictedSample(sample, target).confidence);
   }
 }
 BENCHMARK(BM_ScoreRestricted);

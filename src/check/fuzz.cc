@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,10 +14,13 @@
 #include "check/fingerprint.h"
 #include "check/generators.h"
 #include "core/match_engine.h"
+#include "match/matcher.h"
 #include "ml/naive_bayes.h"
 #include "relational/csv.h"
+#include "relational/sample.h"
 #include "relational/table_view.h"
 #include "relational/view.h"
+#include "stats/descriptive.h"
 #include "text/gram.h"
 #include "text/profile.h"
 #include "text/tfidf.h"
@@ -318,12 +322,10 @@ Status FuzzPipeline(const FuzzOptions& options) {
     // Selection picks only scored views.
     std::vector<std::string> candidate_keys;
     for (const View& v : result.pool.candidate_views) {
-      candidate_keys.push_back(v.base_table() + "\x1d" +
-                               v.condition().ToString());
+      candidate_keys.push_back(ViewKey(v.base_table(), v.condition()));
     }
     for (const View& v : result.selected_views) {
-      const std::string key =
-          v.base_table() + "\x1d" + v.condition().ToString();
+      const std::string key = ViewKey(v.base_table(), v.condition());
       if (std::find(candidate_keys.begin(), candidate_keys.end(), key) ==
           candidate_keys.end()) {
         return fail("selected view was never scored: " + v.ToString());
@@ -337,7 +339,7 @@ Status FuzzPipeline(const FuzzOptions& options) {
                     v.base_table());
       }
       auto it = result.pool.view_row_counts.find(
-          v.base_table() + "\x1d" + v.condition().ToString());
+          ViewKey(v.base_table(), v.condition()));
       if (it != result.pool.view_row_counts.end() &&
           it->second > base->num_rows()) {
         return fail("view row count exceeds base table rows for " +
@@ -531,6 +533,108 @@ class ReferenceNaiveBayes {
   std::set<std::string> vocabulary_;
 };
 
+/// Reference semantics of an AttributeSample over `positions` of `column`,
+/// computed from boxed cells: per-row 3-gram and word tokenization of each
+/// rendering into map profiles, and the numeric cells folded in position
+/// order.
+struct BoxedBagReference {
+  size_t non_null = 0;
+  TokenProfile grams;
+  TokenProfile words;
+  DescriptiveStats numeric;
+
+  BoxedBagReference(const Column& column, const PosList& positions) {
+    std::vector<Value> cells;
+    column.BoxGatheredTo(positions, &cells);
+    for (const Value& v : cells) {
+      if (v.is_null()) continue;
+      ++non_null;
+      const std::string text = v.ToString();
+      grams.AddAll(QGrams(text, 3));
+      words.AddAll(WordTokens(text));
+      if (v.IsNumeric()) numeric.Add(v.AsNumeric());
+    }
+  }
+};
+
+/// Samples every column of `table` twice — FromTable over the whole table
+/// and over a random row draw of 0..n rows — and checks each against its
+/// BoxedBagReference: exact counts, bit-equal profile aggregates and numeric
+/// moments, and bit-equal similarities between every pair of samples.
+Status CheckSamplesAgainstBoxedBags(const Table& table, Rng& rng) {
+  PosList all(table.num_rows());
+  std::iota(all.begin(), all.end(), RowId{0});
+  std::vector<AttributeSample> samples;
+  std::vector<BoxedBagReference> bags;
+  for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
+    const std::string& name = table.schema().attribute(c).name;
+    const PosList draw = SampleRowPositions(
+        table.num_rows(), rng.NextBounded(table.num_rows() + 1), rng);
+    samples.push_back(AttributeSample::FromTable(table, name));
+    bags.emplace_back(table.column(c), all);
+    samples.push_back(AttributeSample::FromTable(TableView(table, draw), name));
+    bags.emplace_back(table.column(c), draw);
+  }
+
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const AttributeSample& sample = samples[i];
+    const BoxedBagReference& bag = bags[i];
+    const GramProfile& grams = sample.QGramProfile();
+    const WordProfile& words = sample.WordProfile();
+    const DescriptiveStats& numeric = sample.NumericStats();
+    const bool mostly_numeric =
+        bag.non_null > 0 && static_cast<double>(bag.numeric.count()) >=
+                                0.5 * static_cast<double>(bag.non_null);
+    if (sample.NonNullCount() != bag.non_null ||
+        grams.num_distinct() != bag.grams.num_distinct() ||
+        !BitEqual(grams.total(), bag.grams.total()) ||
+        !BitEqual(grams.Norm(), bag.grams.Norm()) ||
+        words.num_distinct() != bag.words.num_distinct() ||
+        !BitEqual(words.total(), bag.words.total()) ||
+        !BitEqual(words.Norm(), bag.words.Norm()) ||
+        numeric.count() != bag.numeric.count() ||
+        !BitEqual(numeric.Mean(), bag.numeric.Mean()) ||
+        !BitEqual(numeric.PopulationStdDev(),
+                  bag.numeric.PopulationStdDev()) ||
+        sample.MostlyNumeric() != mostly_numeric) {
+      return Status::Internal(
+          "sample of " + sample.ref().ToString() +
+          (i % 2 == 0 ? " (whole table)" : " (row draw)") +
+          " diverged from its boxed bag");
+    }
+  }
+
+  TfIdfCorpus sample_corpus, bag_corpus;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    sample_corpus.AddDocument(samples[i].WordProfile());
+    bag_corpus.AddDocument(bags[i].words);
+  }
+  for (size_t a = 0; a < samples.size(); ++a) {
+    for (size_t b = a; b < samples.size(); ++b) {
+      const AttributeSample& sa = samples[a];
+      const AttributeSample& sb = samples[b];
+      const bool ok =
+          BitEqual(CosineSimilarity(sa.QGramProfile(), sb.QGramProfile()),
+                   CosineSimilarity(bags[a].grams, bags[b].grams)) &&
+          BitEqual(DiceSimilarity(sa.QGramProfile(), sb.QGramProfile()),
+                   DiceSimilarity(bags[a].grams, bags[b].grams)) &&
+          BitEqual(CosineSimilarity(sa.WordProfile(), sb.WordProfile()),
+                   CosineSimilarity(bags[a].words, bags[b].words)) &&
+          BitEqual(DiceSimilarity(sa.WordProfile(), sb.WordProfile()),
+                   DiceSimilarity(bags[a].words, bags[b].words)) &&
+          BitEqual(sample_corpus.WeightedCosine(sa.WordProfile(),
+                                                sb.WordProfile()),
+                   bag_corpus.WeightedCosine(bags[a].words, bags[b].words));
+      if (!ok) {
+        return Status::Internal("sample similarity diverged from boxed bags "
+                                "on samples " +
+                                std::to_string(a) + "/" + std::to_string(b));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
@@ -703,6 +807,11 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
         }
       }
     }
+
+    // (4) Column-only attribute samples against the boxed bags they
+    // replaced.
+    CSM_RETURN_IF_ERROR(
+        Replay(options, i, CheckSamplesAgainstBoxedBags(table, rng)));
   }
   return Status::Ok();
 }

@@ -39,7 +39,9 @@
 //                            token kernel (text/gram.h): packed gram ids,
 //                            flat profiles, TF-IDF weighted cosine and the
 //                            Naive Bayes classifier (boxed and coded paths)
-//                            against map-of-strings reference
+//                            and column-only AttributeSamples (whole
+//                            columns and random row draws) against
+//                            map-of-strings / boxed-bag reference
 //                            implementations — every score bit-identical
 
 #ifndef CSM_CHECK_FUZZ_H_

@@ -35,17 +35,6 @@ struct SourceState {
   const MatchList* accepted = nullptr;  // standard matches from this table
 };
 
-/// Values of `attribute` at the given row positions of `sample`, gathered
-/// straight from the column segment (no row materialization).
-std::vector<Value> BagAtPositions(const Table& sample, const PosList& rows,
-                                  std::string_view attribute) {
-  const Column& col = sample.column(sample.schema().AttributeIndex(attribute));
-  std::vector<Value> bag;
-  bag.reserve(rows.size());
-  for (RowId r : rows) bag.push_back(col.GetValue(r));
-  return bag;
-}
-
 /// Scores of one candidate view, produced on a worker and merged into the
 /// ScoredPool by the caller in candidate order.
 struct ScoredFragment {
@@ -72,48 +61,47 @@ ScoredFragment ScoreCandidate(const SourceState& state, const View& candidate,
   fragment.scored = true;
   // One restricted sample per source attribute, so each attribute's
   // restriction — and its cached token profiles — is built once per view
-  // no matter how many target attributes it is scored against.
+  // no matter how many target attributes it is scored against.  A sample
+  // is the attribute's column gathered at the view's positions: codes and
+  // typed cells only, no boxed Values.
   std::map<std::string, AttributeSample> samples;
   std::map<std::string, std::vector<AttributeSample>> placebo_samples;
 
   // Columnar scan: literal-vs-code comparison per row instead of per-row
   // Evaluate over boxed values.  Positions come back ascending, exactly the
   // order the row-at-a-time loop produced.
-  PosList view_rows = candidate.condition().MatchingPositions(*state.sample);
+  const TableView view(*state.sample,
+                       candidate.condition().MatchingPositions(*state.sample));
   // The placebo shift is averaged over a few independent draws: one random
   // subset is noisy enough that a spuriously merged view can land inside
   // selection's near-tie band on draw luck alone.  Each draw is a
   // bounded-cost Floyd's sample (relational/sample.h): O(|view|) work per
   // draw instead of the old O(|table|) iota + full shuffle per candidate.
   constexpr size_t kPlaceboDraws = 3;
-  std::vector<PosList> placebo_draws;
+  std::vector<TableView> placebo_views;
   if (placebo_correction) {
-    placebo_draws.reserve(kPlaceboDraws);
+    placebo_views.reserve(kPlaceboDraws);
     for (size_t d = 0; d < kPlaceboDraws; ++d) {
-      placebo_draws.push_back(SampleRowPositions(state.sample->num_rows(),
-                                                 view_rows.size(), rng));
+      placebo_views.emplace_back(
+          *state.sample, SampleRowPositions(state.sample->num_rows(),
+                                            view.num_rows(), rng));
     }
   }
 
   // View row-count conservation: a condition can only restrict the sample.
-  CSM_INVARIANT_LE(view_rows.size(), state.sample->num_rows())
+  CSM_INVARIANT_LE(view.num_rows(), state.sample->num_rows())
       << candidate.ToString();
-  for (const PosList& placebo_rows : placebo_draws) {
-    CSM_INVARIANT_EQ(placebo_rows.size(), view_rows.size())
+  for (const TableView& placebo : placebo_views) {
+    CSM_INVARIANT_EQ(placebo.num_rows(), view.num_rows())
         << candidate.ToString();
   }
-  fragment.view_rows = view_rows.size();
+  fragment.view_rows = view.num_rows();
 
   for (const Match& base : *state.accepted) {
     const std::string& attr = base.source.attribute;
     auto it = samples.find(attr);
     if (it == samples.end()) {
-      it = samples
-               .emplace(attr, state.session->MakeRestrictedSample(
-                                  attr,
-                                  BagAtPositions(*state.sample, view_rows,
-                                                 attr)))
-               .first;
+      it = samples.emplace(attr, AttributeSample::FromTable(view, attr)).first;
     }
     MatchScore ms =
         state.session->ScoreRestrictedSample(it->second, base.target);
@@ -123,10 +111,9 @@ ScoredFragment ScoreCandidate(const SourceState& state, const View& candidate,
       auto pit = placebo_samples.find(attr);
       if (pit == placebo_samples.end()) {
         std::vector<AttributeSample> attr_samples;
-        attr_samples.reserve(placebo_draws.size());
-        for (const PosList& placebo_rows : placebo_draws) {
-          attr_samples.push_back(state.session->MakeRestrictedSample(
-              attr, BagAtPositions(*state.sample, placebo_rows, attr)));
+        attr_samples.reserve(placebo_views.size());
+        for (const TableView& placebo : placebo_views) {
+          attr_samples.push_back(AttributeSample::FromTable(placebo, attr));
         }
         pit = placebo_samples.emplace(attr, std::move(attr_samples)).first;
       }
@@ -148,10 +135,6 @@ ScoredFragment ScoreCandidate(const SourceState& state, const View& candidate,
     fragment.view_matches.push_back(std::move(conditional));
   }
   return fragment;
-}
-
-std::string ViewKey(const View& view) {
-  return view.base_table() + "\x1d" + view.condition().ToString();
 }
 
 /// Bounds the session cache; one entry can hold a full database's score
@@ -596,7 +579,10 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
                   base.condition.Conjoin(candidate.view.condition()));
               candidate.view = conjoined;
             }
-            if (scored_keys.insert(ViewKey(candidate.view)).second) {
+            if (scored_keys
+                    .insert(ViewKey(candidate.view.base_table(),
+                                    candidate.view.condition()))
+                    .second) {
               stage_candidates.push_back(std::move(candidate));
             }
           }
@@ -659,7 +645,8 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
           ScoredFragment& fragment = fragments[i];
           const View& view = stage_candidates[i].view;
           if (fragment.scored) {
-            result.pool.view_row_counts[ViewKey(view)] = fragment.view_rows;
+            result.pool.view_row_counts[ViewKey(
+                view.base_table(), view.condition())] = fragment.view_rows;
             registry.AddCounter("view_matches", fragment.view_matches.size());
             for (Match& m : fragment.view_matches) {
               result.pool.view_matches.push_back(std::move(m));
@@ -722,15 +709,18 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
     if constexpr (check::kInvariantsEnabled) {
       std::set<std::string> candidate_keys;
       for (const View& v : result.pool.candidate_views) {
-        candidate_keys.insert(ViewKey(v));
+        candidate_keys.insert(ViewKey(v.base_table(), v.condition()));
       }
       for (const View& v : result.selected_views) {
-        CSM_INVARIANT(candidate_keys.count(ViewKey(v)) == 1) << v.ToString();
+        CSM_INVARIANT(
+            candidate_keys.count(ViewKey(v.base_table(), v.condition())) == 1)
+            << v.ToString();
       }
       for (const SourceState& state : states) {
         for (const View& v : result.pool.candidate_views) {
           if (v.base_table() != state.sample->name()) continue;
-          auto rows_it = result.pool.view_row_counts.find(ViewKey(v));
+          auto rows_it = result.pool.view_row_counts.find(
+              ViewKey(v.base_table(), v.condition()));
           if (rows_it == result.pool.view_row_counts.end()) continue;
           CSM_INVARIANT_LE(rows_it->second, state.sample->num_rows())
               << v.ToString();

@@ -11,11 +11,7 @@
 namespace csm {
 namespace {
 
-/// Key identifying one candidate view: (source table, condition text).
-std::string ViewKey(const std::string& table, const Condition& condition) {
-  return table + "\x1d" + condition.ToString();
-}
-
+/// Key of the candidate view a view match was scored on.
 std::string ViewKey(const Match& match) {
   return ViewKey(match.source.table, match.condition);
 }

@@ -32,7 +32,7 @@ struct ScoredPool {
   MatchList view_matches;
   /// The candidate views that produced `view_matches`.
   std::vector<View> candidate_views;
-  /// Rows each candidate view selects, keyed by "<table>\x1d<condition>".
+  /// Rows each candidate view selects, keyed by ViewKey (relational/view.h).
   /// Used to break near-ties between equally confident views toward the
   /// one with larger coverage (two equally pure conditions — a merged
   /// disjunct vs one of its halves — score alike once size bias is

@@ -55,9 +55,9 @@ std::vector<CandidateView> DeduplicateCandidates(
   std::vector<CandidateView> out;
   out.reserve(candidates.size());
   for (auto& candidate : candidates) {
-    std::string key = candidate.view.base_table() + "\x1d" +
-                      candidate.view.condition().ToString();
-    if (seen.insert(std::move(key)).second) {
+    if (seen.insert(ViewKey(candidate.view.base_table(),
+                            candidate.view.condition()))
+            .second) {
       out.push_back(std::move(candidate));
     }
   }

@@ -42,19 +42,29 @@ JoinedRows Wrap(const Table& instance, const std::string& relation) {
   return out;
 }
 
-/// A hashable rendering of the join-key values of one row; nullopt when any
-/// key value is NULL (NULLs never join).
-std::optional<std::string> KeyOf(const Row& row,
-                                 const std::vector<size_t>& cols) {
-  std::string key;
+/// Appends `v` to `out` as "<type>:<length>:<rendering>".  The length
+/// prefix makes a sequence of encoded values injective: bytes inside a
+/// rendering (separators, digits, colons) can never shift the boundary
+/// between two cells, so equal encodings mean equal (type, rendering)
+/// sequences.  Join keys and duplicate-row fingerprints both use it.
+void AppendEncoded(const Value& v, std::string* out) {
+  const std::string rendering = v.ToString();
+  out->append(std::to_string(static_cast<int>(v.type())));
+  out->push_back(':');
+  out->append(std::to_string(rendering.size()));
+  out->push_back(':');
+  out->append(rendering);
+}
+
+/// Encodes the join-key values of one row into `key`; false when any key
+/// value is NULL (NULLs never join).
+bool KeyOf(const Row& row, const std::vector<size_t>& cols, std::string* key) {
+  key->clear();
   for (size_t c : cols) {
-    if (row[c].is_null()) return std::nullopt;
-    key += std::to_string(static_cast<int>(row[c].type()));
-    key += ':';
-    key += row[c].ToString();
-    key += '\x1f';
+    if (row[c].is_null()) return false;
+    AppendEncoded(row[c], key);
   }
-  return key;
+  return true;
 }
 
 /// Full outer join of `left` with `right` on the given column equalities.
@@ -69,18 +79,18 @@ JoinedRows FullOuterJoin(const JoinedRows& left, const JoinedRows& right,
   out.relations.insert(right.relations.begin(), right.relations.end());
 
   std::map<std::string, std::vector<size_t>> right_index;
+  std::string key;
   for (size_t r = 0; r < right.rows.size(); ++r) {
-    if (auto key = KeyOf(right.rows[r], right_cols)) {
-      right_index[*key].push_back(r);
+    if (KeyOf(right.rows[r], right_cols, &key)) {
+      right_index[key].push_back(r);
     }
   }
 
   std::vector<bool> right_matched(right.rows.size(), false);
   for (const Row& lrow : left.rows) {
-    auto key = KeyOf(lrow, left_cols);
     const std::vector<size_t>* partners = nullptr;
-    if (key.has_value()) {
-      auto it = right_index.find(*key);
+    if (KeyOf(lrow, left_cols, &key)) {
+      auto it = right_index.find(key);
       if (it != right_index.end()) partners = &it->second;
     }
     if (partners == nullptr) {
@@ -220,6 +230,7 @@ StatusOr<Table> ExecuteMapping(const MappingQuery& query,
   // Project into the target schema.
   Table result(target_schema);
   std::set<std::string> seen_rows;
+  std::string fingerprint;
   for (const Row& row : joined.rows) {
     Row target_row;
     target_row.reserve(target_schema.num_attributes());
@@ -252,12 +263,9 @@ StatusOr<Table> ExecuteMapping(const MappingQuery& query,
       }
     }
     // Collapse exact duplicates.
-    std::string fingerprint;
-    for (const Value& v : target_row) {
-      fingerprint += std::to_string(static_cast<int>(v.type())) + ":" +
-                     v.ToString() + '\x1f';
-    }
-    if (seen_rows.insert(std::move(fingerprint)).second) {
+    fingerprint.clear();
+    for (const Value& v : target_row) AppendEncoded(v, &fingerprint);
+    if (seen_rows.insert(fingerprint).second) {
       result.AddRow(std::move(target_row));
     }
   }

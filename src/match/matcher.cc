@@ -1,59 +1,25 @@
 #include "match/matcher.h"
 
-#include <cstring>
+#include <bit>
+#include <cstdint>
 #include <unordered_map>
 
 #include "text/tokenizer.h"
 
 namespace csm {
 
-AttributeSample AttributeSample::FromTable(const Table& instance,
+AttributeSample AttributeSample::FromTable(const TableView& instance,
                                            std::string_view attribute) {
-  size_t col = instance.schema().AttributeIndex(attribute);
-  AttributeSample sample;
-  sample.ref_ = AttributeRef{instance.name(), std::string(attribute)};
-  sample.type_ = instance.schema().attribute(col).type;
-  sample.column_ = instance.column(col);
-  sample.size_ = sample.column_->size();
-  return sample;
-}
-
-const std::vector<Value>& AttributeSample::values() const {
-  if (!column_.has_value()) return values_;
-  std::call_once(caches_->values_once, [this] {
-    std::vector<Value> boxed;
-    boxed.reserve(column_->size());
-    for (size_t r = 0; r < column_->size(); ++r) {
-      boxed.push_back(column_->GetValue(r));
-    }
-    caches_->boxed_values = std::move(boxed);
-  });
-  return *caches_->boxed_values;
+  return AttributeSample(
+      AttributeRef{instance.name(), std::string(attribute)},
+      instance.GatherColumn(instance.schema().AttributeIndex(attribute)));
 }
 
 size_t AttributeSample::NonNullCount() const {
   std::call_once(caches_->non_null_once, [this] {
     size_t n = 0;
-    if (column_.has_value()) {
-      switch (column_->type()) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kInt:
-        case ValueType::kReal:
-          for (uint8_t is_null : column_->null_mask()) {
-            if (is_null == 0) ++n;
-          }
-          break;
-        case ValueType::kString:
-          for (uint32_t code : column_->codes()) {
-            if (code != kNullCode) ++n;
-          }
-          break;
-      }
-    } else {
-      for (const Value& v : values_) {
-        if (!v.is_null()) ++n;
-      }
+    for (size_t r = 0; r < column_.size(); ++r) {
+      if (!column_.IsNull(r)) ++n;
     }
     caches_->non_null_count = n;
   });
@@ -64,64 +30,37 @@ const std::vector<std::pair<std::string, double>>&
 AttributeSample::DistinctRenders() const {
   std::call_once(caches_->distinct_once, [this] {
     std::vector<std::pair<std::string, double>> out;
-    if (column_.has_value()) {
-      switch (column_->type()) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kInt: {
-          const std::vector<int64_t>& ints = column_->ints();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          std::unordered_map<int64_t, size_t> index;
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (nulls[r]) continue;
-            auto [it, inserted] = index.try_emplace(ints[r], out.size());
-            if (inserted) {
-              out.emplace_back(Value::Int(ints[r]).ToString(), 1.0);
-            } else {
-              out[it->second].second += 1.0;
-            }
-          }
-          break;
-        }
-        case ValueType::kReal: {
-          // Group by bit pattern: identical bits render identically, and
-          // every distinct NaN/zero encoding just forms its own group.
-          const std::vector<double>& reals = column_->reals();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          std::unordered_map<uint64_t, size_t> index;
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (nulls[r]) continue;
-            uint64_t bits;
-            std::memcpy(&bits, &reals[r], sizeof(bits));
-            auto [it, inserted] = index.try_emplace(bits, out.size());
-            if (inserted) {
-              out.emplace_back(Value::Real(reals[r]).ToString(), 1.0);
-            } else {
-              out[it->second].second += 1.0;
-            }
-          }
-          break;
-        }
-        case ValueType::kString: {
-          const StringDictionary& dict = column_->dictionary();
-          for (const auto& [code, count] : column_->CodeCounts()) {
-            out.emplace_back(dict.value(code), static_cast<double>(count));
-          }
-          break;
-        }
+    auto render = [&](size_t r) {
+      return column_.type() == ValueType::kString
+                 ? column_.dictionary().value(column_.codes()[r])
+                 : column_.GetValue(r).ToString();
+    };
+    // Groups the non-null rows by `key(r)` and renders each group once.
+    auto group_by = [&](auto key) {
+      std::unordered_map<decltype(key(0)), size_t> index;
+      for (size_t r = 0; r < column_.size(); ++r) {
+        if (column_.IsNull(r)) continue;
+        auto [it, inserted] = index.try_emplace(key(r), out.size());
+        if (inserted) out.emplace_back(render(r), 0.0);
+        out[it->second].second += 1.0;
       }
-    } else {
-      std::unordered_map<std::string, size_t> index;
-      for (const Value& v : values_) {
-        if (v.is_null()) continue;
-        std::string render = v.ToString();
-        auto [it, inserted] = index.try_emplace(std::move(render), out.size());
-        if (inserted) {
-          out.emplace_back(it->first, 1.0);
-        } else {
-          out[it->second].second += 1.0;
-        }
-      }
+    };
+    switch (column_.type()) {
+      case ValueType::kNull:
+        break;
+      case ValueType::kInt:
+        group_by([&](size_t r) { return column_.ints()[r]; });
+        break;
+      case ValueType::kReal:
+        // Group by bit pattern: identical bits render identically, and
+        // every distinct NaN/zero encoding just forms its own group.
+        group_by([&](size_t r) {
+          return std::bit_cast<uint64_t>(column_.reals()[r]);
+        });
+        break;
+      case ValueType::kString:
+        group_by([&](size_t r) { return column_.codes()[r]; });
+        break;
     }
     caches_->distinct = std::move(out);
   });
@@ -152,34 +91,15 @@ const csm::WordProfile& AttributeSample::WordProfile() const {
 
 const DescriptiveStats& AttributeSample::NumericStats() const {
   std::call_once(caches_->numeric_once, [this] {
+    // Row-order accumulation: DescriptiveStats is order-sensitive, and a
+    // gathered column keeps the view's row order.
     DescriptiveStats stats;
-    if (column_.has_value()) {
-      // Typed row-order accumulation — the same Add sequence the boxed
-      // loop produced (DescriptiveStats is order-sensitive).
-      switch (column_->type()) {
-        case ValueType::kNull:
-        case ValueType::kString:
-          break;  // no numeric values
-        case ValueType::kInt: {
-          const std::vector<int64_t>& ints = column_->ints();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (!nulls[r]) stats.Add(static_cast<double>(ints[r]));
-          }
-          break;
-        }
-        case ValueType::kReal: {
-          const std::vector<double>& reals = column_->reals();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (!nulls[r]) stats.Add(reals[r]);
-          }
-          break;
-        }
-      }
-    } else {
-      for (const Value& v : values_) {
-        if (v.IsNumeric()) stats.Add(v.AsNumeric());
+    const bool is_int = column_.type() == ValueType::kInt;
+    if (is_int || column_.type() == ValueType::kReal) {
+      for (size_t r = 0; r < column_.size(); ++r) {
+        if (column_.IsNull(r)) continue;
+        stats.Add(is_int ? static_cast<double>(column_.ints()[r])
+                         : column_.reals()[r]);
       }
     }
     caches_->numeric_stats = stats;
@@ -187,11 +107,10 @@ const DescriptiveStats& AttributeSample::NumericStats() const {
   return *caches_->numeric_stats;
 }
 
-bool AttributeSample::MostlyNumeric(double fraction) const {
-  size_t non_null = NonNullCount();
-  if (non_null == 0) return false;
-  return static_cast<double>(NumericStats().count()) >=
-         fraction * static_cast<double>(non_null);
+bool AttributeSample::MostlyNumeric() const {
+  const size_t non_null = NonNullCount();
+  return non_null > 0 && static_cast<double>(NumericStats().count()) >=
+                             0.5 * static_cast<double>(non_null);
 }
 
 }  // namespace csm

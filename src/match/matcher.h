@@ -9,11 +9,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "relational/column.h"
 #include "relational/schema.h"
-#include "relational/table.h"
+#include "relational/table_view.h"
 #include "stats/descriptive.h"
 #include "text/gram.h"
 
@@ -25,12 +27,12 @@ namespace csm {
 /// (e.g., a target attribute compared against many candidate views) pays
 /// the tokenization cost once.
 ///
-/// Two storage modes: FromTable keeps the attribute's Column segment
-/// (sharing the string dictionary, no boxing), and the profile builders
-/// tokenize each *distinct* rendered value once, scaled by its
-/// multiplicity — bit-identical to per-row tokenization because the counts
-/// are exact integers.  The explicit-bag constructor (restricted candidate
-/// bags, tests) keeps boxed Values; values() boxes lazily in column mode.
+/// The bag is a Column segment: the attribute's column of a Table, or its
+/// Gather at a TableView's positions (a candidate view or placebo draw), in
+/// both cases sharing the string dictionary with no per-row boxing.  The
+/// profile builders tokenize each *distinct* rendered value once, scaled by
+/// its multiplicity — bit-identical to per-row tokenization because the
+/// counts are exact integers and the builders sort what they emit.
 ///
 /// Thread safety: the lazy caches are built under std::call_once, so a
 /// sample shared across ParallelFor workers (a TableMatchSession's target
@@ -39,28 +41,24 @@ namespace csm {
 /// values are identical, so the derived profiles are too.
 class AttributeSample {
  public:
-  AttributeSample() = default;
-  AttributeSample(AttributeRef ref, ValueType type, std::vector<Value> values)
-      : ref_(std::move(ref)),
-        type_(type),
-        values_(std::move(values)),
-        size_(values_.size()) {}
-
-  /// Builds a sample for one attribute of `instance`, keeping the column
-  /// segment (dictionary shared, no per-row boxing).
-  static AttributeSample FromTable(const Table& instance,
+  /// Builds a sample for one attribute of `instance`: the column itself
+  /// for a whole Table, else the column gathered at the view's positions
+  /// (in view-row order).
+  static AttributeSample FromTable(const TableView& instance,
                                    std::string_view attribute);
 
   const AttributeRef& ref() const { return ref_; }
-  ValueType declared_type() const { return type_; }
-
-  /// The boxed value bag; in column mode it is materialized lazily on
-  /// first use (the profile paths never need it).
-  const std::vector<Value>& values() const;
-  size_t size() const { return size_; }
+  ValueType declared_type() const { return column_.type(); }
+  size_t size() const { return column_.size(); }
 
   /// Number of non-null values (cached).
   size_t NonNullCount() const;
+
+  /// Distinct rendered (ToString) non-null values with multiplicities —
+  /// the shared input of both token profile builders (cached).  Order is
+  /// unspecified, and a rendering may repeat when distinct cells render
+  /// alike (e.g., NaN payloads); consumers aggregate by text.
+  const std::vector<std::pair<std::string, double>>& DistinctRenders() const;
 
   /// Cached padded 3-gram profile over all non-null values.
   const GramProfile& QGramProfile() const;
@@ -68,43 +66,35 @@ class AttributeSample {
   /// Cached word-token profile over all non-null values.
   const csm::WordProfile& WordProfile() const;
 
-  /// Cached numeric stats over the numeric values; empty accumulator when
-  /// the attribute has no numeric values.
+  /// Cached numeric stats over the numeric values in row order; empty
+  /// accumulator when the attribute has no numeric values.
   const DescriptiveStats& NumericStats() const;
 
-  /// True if at least `fraction` of the non-null values are numeric.
-  bool MostlyNumeric(double fraction = 0.5) const;
+  /// True if at least half of the non-null values are numeric.
+  bool MostlyNumeric() const;
 
  private:
   /// Lazily built caches guarded by once-flags (which are neither copyable
   /// nor movable, hence the shared heap block).
   struct Caches {
-    std::once_flag values_once;
     std::once_flag non_null_once;
     std::once_flag distinct_once;
     std::once_flag qgram_once;
     std::once_flag word_once;
     std::once_flag numeric_once;
-    std::optional<std::vector<Value>> boxed_values;
     size_t non_null_count = 0;
-    /// Distinct rendered (ToString) non-null values with multiplicities.
     std::optional<std::vector<std::pair<std::string, double>>> distinct;
     std::optional<GramProfile> qgram_profile;
     std::optional<csm::WordProfile> word_profile;
     std::optional<DescriptiveStats> numeric_stats;
   };
 
-  /// Distinct rendered values with multiplicities — the shared input of
-  /// both token profile builders.
-  const std::vector<std::pair<std::string, double>>& DistinctRenders() const;
+  AttributeSample(AttributeRef ref, Column column)
+      : ref_(std::move(ref)), column_(std::move(column)) {}
 
   AttributeRef ref_;
-  ValueType type_ = ValueType::kString;
-  /// Column mode: the attribute's segment (dictionary shared with the
-  /// source table, copy-on-write).  Bag mode: values_ holds the bag.
-  std::optional<Column> column_;
-  std::vector<Value> values_;
-  size_t size_ = 0;
+  /// The bag (dictionary shared with the source table, copy-on-write).
+  Column column_;
   std::shared_ptr<Caches> caches_ = std::make_shared<Caches>();
 };
 

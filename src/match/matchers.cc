@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <set>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "text/string_distance.h"
@@ -140,17 +141,17 @@ bool ValueOverlapMatcher::Applicable(const AttributeSample& source,
 
 double ValueOverlapMatcher::Score(const AttributeSample& source,
                                   const AttributeSample& target) const {
-  std::set<std::string> target_values;
-  for (const Value& v : target.values()) {
-    if (!v.is_null()) target_values.insert(v.ToString());
+  std::set<std::string_view> target_values;
+  for (const auto& render : target.DistinctRenders()) {
+    target_values.insert(render.first);
   }
-  std::set<std::string> source_values;
-  for (const Value& v : source.values()) {
-    if (!v.is_null()) source_values.insert(v.ToString());
+  std::set<std::string_view> source_values;
+  for (const auto& render : source.DistinctRenders()) {
+    source_values.insert(render.first);
   }
   if (source_values.empty()) return 0.0;
   size_t hits = 0;
-  for (const std::string& v : source_values) {
+  for (std::string_view v : source_values) {
     if (target_values.count(v) > 0) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(source_values.size());

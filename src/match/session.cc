@@ -217,22 +217,6 @@ MatchScore TableMatchSession::PairScore(std::string_view source_attribute,
   return out;
 }
 
-MatchScore TableMatchSession::ScoreRestricted(
-    std::string_view source_attribute, const std::vector<Value>& restricted_bag,
-    const AttributeRef& target) const {
-  AttributeSample restricted =
-      MakeRestrictedSample(source_attribute, restricted_bag);
-  return ScoreRestrictedSample(restricted, target);
-}
-
-AttributeSample TableMatchSession::MakeRestrictedSample(
-    std::string_view source_attribute, std::vector<Value> restricted_bag) const {
-  size_t s = SourceIndex(source_attribute);
-  return AttributeSample(source_samples_[s].ref(),
-                         source_samples_[s].declared_type(),
-                         std::move(restricted_bag));
-}
-
 MatchScore TableMatchSession::ScoreRestrictedSample(
     const AttributeSample& sample, const AttributeRef& target) const {
   size_t s = SourceIndex(sample.ref().attribute);

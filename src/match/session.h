@@ -118,21 +118,14 @@ class TableMatchSession {
   MatchScore PairScore(std::string_view source_attribute,
                        const AttributeRef& target) const;
 
-  /// Re-scores a restricted source bag (a candidate view's values of
-  /// `source_attribute`) against `target`, converting raw scores with the
-  /// distributions recorded during construction, per the strawman
-  /// discussion in Section 3.  This is ContextMatch's ScoreMatch.
-  MatchScore ScoreRestricted(std::string_view source_attribute,
-                             const std::vector<Value>& restricted_bag,
-                             const AttributeRef& target) const;
-
-  /// Builds a reusable restricted sample for `source_attribute`.  When one
-  /// bag is scored against many targets, build the sample once (its token
-  /// profiles are cached inside) and call ScoreRestrictedSample per target.
-  AttributeSample MakeRestrictedSample(std::string_view source_attribute,
-                                       std::vector<Value> restricted_bag) const;
-
-  /// Scores a sample created by MakeRestrictedSample against `target`.
+  /// ContextMatch's ScoreMatch (Section 3): re-scores a restricted sample
+  /// against `target`, converting raw scores with the distributions
+  /// recorded during construction, per the strawman discussion in Section
+  /// 3.  The sample is a candidate view's (or placebo draw's) values of one
+  /// source attribute, built with AttributeSample::FromTable over a
+  /// TableView of the source table; its attribute name selects the
+  /// distributions.  Build it once per (view, attribute) — its token
+  /// profiles are cached inside — and call this once per target.
   MatchScore ScoreRestrictedSample(const AttributeSample& sample,
                                    const AttributeRef& target) const;
 

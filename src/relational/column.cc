@@ -1,6 +1,5 @@
 #include "relational/column.h"
 
-#include <algorithm>
 #include <charconv>
 #include <utility>
 
@@ -366,17 +365,6 @@ const StringDictionary& Column::dictionary() const {
 std::optional<uint32_t> Column::CodeFor(std::string_view s) const {
   if (type_ != ValueType::kString) return std::nullopt;
   return dict_->Find(s);
-}
-
-std::vector<std::pair<uint32_t, size_t>> Column::CodeCounts() const {
-  CSM_CHECK(type_ == ValueType::kString) << "not a string column";
-  std::unordered_map<uint32_t, size_t> counts;
-  for (uint32_t code : codes_) {
-    if (code != kNullCode) ++counts[code];
-  }
-  std::vector<std::pair<uint32_t, size_t>> out(counts.begin(), counts.end());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void Column::EnsureOwnDictionary() {

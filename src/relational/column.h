@@ -149,14 +149,6 @@ class Column {
   /// the column is not a string column or never saw `s`.
   std::optional<uint32_t> CodeFor(std::string_view s) const;
 
-  /// Typed distinct-count access for a kString column: the distinct codes
-  /// referenced by this column's rows with their multiplicities, sorted by
-  /// code (== dictionary first-seen order), NULL cells excluded.  Cost is
-  /// O(rows) hash aggregation — deliberately not O(dictionary), since
-  /// gathered columns share (possibly much larger) parent dictionaries.
-  /// CHECK-fails on non-string columns.
-  std::vector<std::pair<uint32_t, size_t>> CodeCounts() const;
-
  private:
   void EnsureOwnDictionary();
 

@@ -53,6 +53,11 @@ const Column& TableView::column(size_t view_col) const {
   return base().column(base_column_index(view_col));
 }
 
+Column TableView::GatherColumn(size_t view_col) const {
+  const Column& col = column(view_col);
+  return identity_ ? col : col.Gather(positions_);
+}
+
 Value TableView::ValueAt(size_t row_index, size_t col_index) const {
   return column(col_index).GetValue(position(row_index));
 }
@@ -149,14 +154,7 @@ TableView TableView::Renamed(std::string new_name) const {
 Table TableView::ToTable() const {
   std::vector<Column> columns;
   columns.reserve(num_columns());
-  if (identity_ && column_map_.empty()) {
-    for (size_t c = 0; c < num_columns(); ++c) columns.push_back(column(c));
-  } else {
-    const PosList positions = Positions();
-    for (size_t c = 0; c < num_columns(); ++c) {
-      columns.push_back(column(c).Gather(positions));
-    }
-  }
+  for (size_t c = 0; c < num_columns(); ++c) columns.push_back(GatherColumn(c));
   return Table::FromColumns(schema(), std::move(columns), num_rows());
 }
 

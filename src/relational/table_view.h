@@ -72,6 +72,11 @@ class TableView {
   /// through position()).
   const Column& column(size_t view_col) const;
 
+  /// The view's cells of column `view_col` as a standalone segment: the
+  /// base column for an identity view, else its Gather at the view's
+  /// positions (string dictionary shared, no string copies).
+  Column GatherColumn(size_t view_col) const;
+
   /// The cell at (view row, view column), boxed by value.
   Value ValueAt(size_t row_index, size_t col_index) const;
 

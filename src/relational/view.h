@@ -12,6 +12,7 @@
 #define CSM_RELATIONAL_VIEW_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "relational/condition.h"
@@ -80,6 +81,12 @@ class View {
   Condition condition_;
   std::vector<std::string> projection_;
 };
+
+/// Identity of the select-only view over `base_table` with `condition`:
+/// "<base_table>\x1d<condition>".  The engine keys ScoredPool's view row
+/// counts by it, and selection and the result oracles look them up with
+/// it, so every side must build it here.
+std::string ViewKey(std::string_view base_table, const Condition& condition);
 
 /// A view family F = (R, l, {V_i}): select-only views over base table R
 /// whose conditions partition rows by the categorical attribute l

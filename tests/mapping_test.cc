@@ -612,6 +612,72 @@ TEST(ExecutorTest, ExecuteMappingsUnionsPerTargetTable) {
   EXPECT_EQ(result->GetTable("projs").num_rows(), 6u);
 }
 
+/// Maps `target_attribute` of the query's target table from
+/// `relation`.`attribute`.
+TargetAttrMapping MappedFrom(const std::string& relation,
+                             const std::string& attribute,
+                             const std::string& target_attribute) {
+  TargetAttrMapping mapping;
+  mapping.target_attribute = target_attribute;
+  mapping.source = std::make_pair(relation, attribute);
+  return mapping;
+}
+
+/// A target table of string attributes named `attributes`.
+TableSchema StringTarget(const std::vector<std::string>& attributes) {
+  TableSchema out("out");
+  for (const std::string& name : attributes) {
+    out.AddAttribute(name, ValueType::kString);
+  }
+  return out;
+}
+
+// The two rows differ, but joining each row's renderings with a separator
+// byte and no lengths made their fingerprints equal.
+TEST(ExecutorTest, DedupKeepsRowsWhoseRenderingsHoldSeparators) {
+  Database db("src");
+  db.AddTable(MakeTable("t", {"a", "b"},
+                        {{S("p\x1f" "3:q"), S("r")},
+                         {S("p"), S("q\x1f" "3:r")}}));
+  MappingQuery query;
+  query.target_table = "out";
+  query.logical.relations = {"t"};
+  query.attr_mappings = {MappedFrom("t", "a", "a"), MappedFrom("t", "b", "b")};
+  auto result = ExecuteMapping(query, db, {}, StringTarget({"a", "b"}));
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->num_rows(), 2u);
+  EXPECT_EQ(result->ValueAt(0, "a"), S("p\x1f" "3:q"));
+  EXPECT_EQ(result->ValueAt(1, "a"), S("p"));
+}
+
+// The same ambiguity on a two-attribute join key made unequal keys join.
+TEST(ExecutorTest, JoinKeysWhoseRenderingsHoldSeparatorsDoNotCollide) {
+  Database db("src");
+  db.AddTable(MakeTable("L", {"k1", "k2", "tag"},
+                        {{S("p\x1f" "3:q"), S("r"), S("left")}}));
+  db.AddTable(MakeTable("R", {"k1", "k2", "tag"},
+                        {{S("p"), S("q\x1f" "3:r"), S("right")}}));
+  MappingQuery query;
+  query.target_table = "out";
+  query.logical.relations = {"L", "R"};
+  JoinEdge edge;
+  edge.left = "L";
+  edge.right = "R";
+  edge.left_attributes = {"k1", "k2"};
+  edge.right_attributes = {"k1", "k2"};
+  query.logical.joins = {edge};
+  query.attr_mappings = {MappedFrom("L", "tag", "l"),
+                         MappedFrom("R", "tag", "r")};
+  auto result = ExecuteMapping(query, db, {}, StringTarget({"l", "r"}));
+  ASSERT_TRUE(result.ok());
+  // Full outer join of two non-matching rows: (left, NULL), (NULL, right).
+  ASSERT_EQ(result->num_rows(), 2u);
+  EXPECT_EQ(result->ValueAt(0, "l"), S("left"));
+  EXPECT_TRUE(result->ValueAt(0, "r").is_null());
+  EXPECT_TRUE(result->ValueAt(1, "l").is_null());
+  EXPECT_EQ(result->ValueAt(1, "r"), S("right"));
+}
+
 // ---------------------------------------------------------------- Facade
 
 TEST(ClioTest, BuildSchemaMappingMinesPropagatesAndGenerates) {

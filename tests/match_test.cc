@@ -20,40 +20,39 @@ using testing::N;
 using testing::R;
 using testing::S;
 
+/// A sample over the one column of a table `table` holding `values`.
+AttributeSample ColumnSample(const char* table, const char* attr,
+                             ValueType type, std::vector<Value> values) {
+  TableSchema schema(table);
+  schema.AddAttribute(attr, type);
+  Table instance(schema);
+  for (Value& v : values) instance.AddRow({std::move(v)});
+  return AttributeSample::FromTable(instance, attr);
+}
+
 AttributeSample StringSample(const char* table, const char* attr,
                              std::vector<std::string> values) {
   std::vector<Value> bag;
   for (auto& v : values) bag.push_back(Value::String(std::move(v)));
-  return AttributeSample(AttributeRef{table, attr}, ValueType::kString,
-                         std::move(bag));
+  return ColumnSample(table, attr, ValueType::kString, std::move(bag));
 }
 
 AttributeSample NumericSample(const char* table, const char* attr,
                               std::vector<double> values) {
   std::vector<Value> bag;
   for (double v : values) bag.push_back(Value::Real(v));
-  return AttributeSample(AttributeRef{table, attr}, ValueType::kReal,
-                         std::move(bag));
+  return ColumnSample(table, attr, ValueType::kReal, std::move(bag));
 }
 
 // ------------------------------------------------------- AttributeSample
 
 TEST(AttributeSampleTest, NonNullCountAndProfiles) {
-  AttributeSample s(AttributeRef{"t", "a"}, ValueType::kString,
-                    {S("ab"), N(), S("cd")});
+  AttributeSample s =
+      ColumnSample("t", "a", ValueType::kString, {S("ab"), N(), S("cd")});
   EXPECT_EQ(s.size(), 3u);
   EXPECT_EQ(s.NonNullCount(), 2u);
   EXPECT_FALSE(s.QGramProfile().empty());
   EXPECT_EQ(s.WordProfile().num_distinct(), 2u);
-}
-
-TEST(AttributeSampleTest, NumericStatsSkipStrings) {
-  AttributeSample s(AttributeRef{"t", "a"}, ValueType::kString,
-                    {S("x"), R(4.0), I(2)});
-  EXPECT_EQ(s.NumericStats().count(), 2u);
-  EXPECT_DOUBLE_EQ(s.NumericStats().Mean(), 3.0);
-  EXPECT_FALSE(s.MostlyNumeric(0.9));
-  EXPECT_TRUE(s.MostlyNumeric(0.5));
 }
 
 TEST(AttributeSampleTest, FromTable) {
@@ -113,7 +112,7 @@ TEST(QGramMatcherTest, SimilarTextScoresHigherThanDissimilar) {
 TEST(QGramMatcherTest, InapplicableOnEmptyBags) {
   QGramMatcher m;
   auto sa = StringSample("s", "a", {"x"});
-  AttributeSample empty(AttributeRef{"t", "b"}, ValueType::kString, {});
+  AttributeSample empty = ColumnSample("t", "b", ValueType::kString, {});
   EXPECT_FALSE(m.Applicable(sa, empty));
   EXPECT_TRUE(m.Applicable(sa, sa));
 }
@@ -142,7 +141,7 @@ TEST(TfIdfMatcherTest, PrepareDiscountsUbiquitousTokens) {
 
 TEST(TfIdfMatcherTest, InapplicableWithoutWords) {
   TfIdfTokenMatcher m;
-  AttributeSample empty(AttributeRef{"t", "b"}, ValueType::kString, {});
+  AttributeSample empty = ColumnSample("t", "b", ValueType::kString, {});
   auto sa = StringSample("s", "a", {"x"});
   EXPECT_FALSE(m.Applicable(sa, empty));
 }
@@ -276,20 +275,21 @@ TEST(SessionTest, RestrictedBagShiftsConfidence) {
   SessionFixture fx;
   TableMatchSession session(fx.source, fx.target, DefaultMatcherSuite());
   // Books-only restriction of `title`.
-  std::vector<Value> books_only, music_only;
+  PosList books_only, music_only;
   for (size_t r = 0; r < fx.source.num_rows(); ++r) {
-    if (fx.source.ValueAt(r, "kind") == S("B")) {
-      books_only.push_back(fx.source.ValueAt(r, "title"));
-    } else {
-      music_only.push_back(fx.source.ValueAt(r, "title"));
-    }
+    PosList& rows = fx.source.ValueAt(r, "kind") == S("B") ? books_only
+                                                            : music_only;
+    rows.push_back(static_cast<RowId>(r));
   }
   AttributeRef book_name{"books", "name"};
+  auto restricted = [&](PosList rows) {
+    AttributeSample sample = AttributeSample::FromTable(
+        TableView(fx.source, std::move(rows)), "title");
+    return session.ScoreRestrictedSample(sample, book_name).confidence;
+  };
   double base = session.PairScore("title", book_name).confidence;
-  double restricted_good =
-      session.ScoreRestricted("title", books_only, book_name).confidence;
-  double restricted_bad =
-      session.ScoreRestricted("title", music_only, book_name).confidence;
+  double restricted_good = restricted(books_only);
+  double restricted_bad = restricted(music_only);
   EXPECT_GT(restricted_good, base);
   EXPECT_LT(restricted_bad, base);
 }
@@ -297,8 +297,10 @@ TEST(SessionTest, RestrictedBagShiftsConfidence) {
 TEST(SessionTest, EmptyRestrictionScoresZero) {
   SessionFixture fx;
   TableMatchSession session(fx.source, fx.target, DefaultMatcherSuite());
+  AttributeSample empty =
+      AttributeSample::FromTable(TableView(fx.source, PosList{}), "title");
   MatchScore ms =
-      session.ScoreRestricted("title", {}, AttributeRef{"books", "name"});
+      session.ScoreRestrictedSample(empty, AttributeRef{"books", "name"});
   EXPECT_EQ(ms.matchers_used, 0u);
   EXPECT_DOUBLE_EQ(ms.confidence, 0.0);
 }
@@ -430,7 +432,7 @@ TEST(ValueOverlapMatcherTest, DisjointAndIdenticalExtremes) {
 
 TEST(ValueOverlapMatcherTest, ApplicabilityNeedsValues) {
   ValueOverlapMatcher m;
-  AttributeSample empty(AttributeRef{"t", "e"}, ValueType::kString, {});
+  AttributeSample empty = ColumnSample("t", "e", ValueType::kString, {});
   auto a = StringSample("s", "a", {"x"});
   EXPECT_FALSE(m.Applicable(a, empty));
   EXPECT_TRUE(m.Applicable(a, a));
@@ -438,8 +440,7 @@ TEST(ValueOverlapMatcherTest, ApplicabilityNeedsValues) {
 
 TEST(ValueOverlapMatcherTest, CrossTypeValuesCompareByRendering) {
   ValueOverlapMatcher m;
-  AttributeSample ints(AttributeRef{"s", "i"}, ValueType::kInt,
-                       {Value::Int(1), Value::Int(2)});
+  AttributeSample ints = ColumnSample("s", "i", ValueType::kInt, {I(1), I(2)});
   auto strings = StringSample("t", "s", {"1", "9"});
   EXPECT_NEAR(m.Score(ints, strings), 0.5, 1e-12);
 }
