@@ -2,8 +2,8 @@
 // generates a scale retail inventory, writes it as CSV, then measures
 //
 //   1. ingest  — streaming (mmap + chunked parallel parse) wall-clock per
-//                thread count, vs the legacy slurp + serial parse, with
-//                rows/sec and speedup-vs-1-thread;
+//                thread count, with rows/sec and speedup-vs-1-thread (one
+//                thread parses one chunk);
 //   2. chunks  — chunk-size sensitivity at the best thread count (the
 //                autotuned size should sit near the sweep's minimum);
 //   3. training — TableMatchSession build time at full table size vs a
@@ -108,21 +108,15 @@ int main(int argc, char** argv) {
               file_bytes, write_seconds);
 
   // ---- 1. Ingest thread sweep ------------------------------------------
-  const double legacy_seconds = BestOf(reps, [&] {
-    auto loaded = ReadCsvFile(inventory.schema(), csv_path);
-    if (!loaded.ok()) std::abort();
-  });
-
   std::vector<size_t> thread_counts = {1, 2, 4};
   if (hardware > 4) thread_counts.push_back(hardware);
 
   ResultTable ingest_table(
-      "Scale: streaming CSV ingest (vs legacy slurp + serial parse)",
-      {"threads", "seconds", "rows_per_sec", "per_thread", "vs_1thread",
-       "vs_legacy"});
+      "Scale: streaming CSV ingest",
+      {"threads", "seconds", "rows_per_sec", "per_thread", "vs_1thread"});
   struct IngestRow {
     size_t threads;
-    double seconds, rows_per_sec, speedup_vs_serial, speedup_vs_legacy;
+    double seconds, rows_per_sec, speedup_vs_serial;
     size_t chunks;
     size_t chunk_bytes;
   };
@@ -144,7 +138,6 @@ int main(int argc, char** argv) {
     row.seconds = seconds;
     row.rows_per_sec = seconds > 0 ? static_cast<double>(rows) / seconds : 0;
     row.speedup_vs_serial = seconds > 0 ? one_thread_seconds / seconds : 0;
-    row.speedup_vs_legacy = seconds > 0 ? legacy_seconds / seconds : 0;
     row.chunks = stats.chunks;
     row.chunk_bytes = stats.chunk_bytes;
     ingest_rows.push_back(row);
@@ -153,11 +146,10 @@ int main(int argc, char** argv) {
          ResultTable::Num(row.rows_per_sec, 0),
          ResultTable::Num(row.rows_per_sec /
                               static_cast<double>(threads), 0),
-         ResultTable::Num(row.speedup_vs_serial, 2),
-         ResultTable::Num(row.speedup_vs_legacy, 2)});
+         ResultTable::Num(row.speedup_vs_serial, 2)});
   }
   ingest_table.Print();
-  std::printf("legacy loader: %.3fs\n\n", legacy_seconds);
+  std::printf("\n");
 
   // ---- 2. Chunk-size sweep ---------------------------------------------
   const size_t sweep_threads = std::min<size_t>(hardware, 4);
@@ -228,20 +220,18 @@ int main(int argc, char** argv) {
                " \"repetitions\": %zu},\n"
                "  \"hardware_concurrency\": %zu,\n"
                "  \"datagen_seconds\": %.3f,\n"
-               "  \"legacy_ingest_seconds\": %.4f,\n"
                "  \"ingest\": [\n",
-               rows, file_bytes, reps, hardware, gen_seconds, legacy_seconds);
+               rows, file_bytes, reps, hardware, gen_seconds);
   for (size_t i = 0; i < ingest_rows.size(); ++i) {
     const IngestRow& r = ingest_rows[i];
     std::fprintf(out,
                  "    {\"threads\": %zu, \"seconds\": %.4f,"
                  " \"rows_per_sec\": %.0f, \"rows_per_sec_per_thread\": %.0f,"
                  " \"chunks\": %zu, \"chunk_bytes\": %zu,"
-                 " \"speedup_vs_1thread\": %.3f,"
-                 " \"speedup_vs_legacy\": %.3f}%s\n",
+                 " \"speedup_vs_1thread\": %.3f}%s\n",
                  r.threads, r.seconds, r.rows_per_sec,
                  r.rows_per_sec / static_cast<double>(r.threads), r.chunks,
-                 r.chunk_bytes, r.speedup_vs_serial, r.speedup_vs_legacy,
+                 r.chunk_bytes, r.speedup_vs_serial,
                  i + 1 < ingest_rows.size() ? "," : "");
   }
   std::fprintf(out,

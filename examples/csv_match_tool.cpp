@@ -13,16 +13,14 @@
 //   --stages=N       conjunctive condition stages         (default 1)
 //   --target-views   also search for conditions on the target tables
 //   --seed=N         RNG seed                             (default 1)
-//   --threads=N      worker threads; 0 = all cores        (default 1)
+//   --threads=N      worker threads for CSV ingest and matching;
+//                    0 = all cores                        (default 1)
 //                    (results are identical for every N)
-//   --streaming      load CSVs through the mmap + chunked parallel ingest
-//                    (types inferred from a prefix; falls back to the
-//                    slurping loader per file if the prefix guessed wrong)
 //   --sample-rows=N  cap classifier training at N rows per table (uniform
 //                    deterministic sample; 0 = train on every row)
 //   --load-only      stop after loading both directories (ingest smoke:
-//                    CI's million-row scale job uses this to exercise the
-//                    streaming loaders under ASan without a full match)
+//                    CI's million-row scale job uses this to exercise CSV
+//                    ingest under ASan without a full match)
 //   --deadline-ms=N  wall-clock budget per match run; on expiry the run
 //                    degrades (baseline + views scored so far) and the
 //                    tool exits with code 3 after printing what it has
@@ -34,13 +32,14 @@
 //
 // Exit codes come from the shared StatusCode table (ExitCodeForStatus in
 // common/status.h, the same mapping the match service uses): 0 success,
-// 1 internal failure, 2 bad input (unusable flags, missing/unreadable
-// CSVs), 3 deadline exceeded or cancelled (degraded result was still
-// printed).  Output-write failures (trace/metrics files) exit 1.
+// 1 internal failure, 2 bad input (unusable flags, missing/unreadable or
+// malformed CSVs), 3 deadline exceeded or cancelled (degraded result was
+// still printed).  Output-write failures (trace/metrics files) exit 1.
 //
 // Demo (no arguments): generates the Retail data set into a temp directory
 // and matches it, so the tool is runnable out of the box.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -65,9 +64,20 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// Parses a count flag's value: a non-negative decimal integer, digits
+/// only (atoll would turn "-1" into SIZE_MAX workers and "abc" into 0).
+/// Prints the rejection and returns false on anything else.
+bool ParseCountFlag(const char* name, const std::string& value, size_t* out) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+  if (ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "--%s needs a non-negative integer, got '%s'\n", name,
+               value.c_str());
+  return false;
+}
+
 StatusOr<Database> LoadDirectory(const std::string& dir,
-                                 const std::string& db_name, bool streaming,
-                                 size_t threads) {
+                                 const std::string& db_name, size_t threads) {
   namespace fs = std::filesystem;
   Database db(db_name);
   std::error_code ec;
@@ -80,31 +90,14 @@ StatusOr<Database> LoadDirectory(const std::string& dir,
     return Status::NotFound("no .csv files in " + dir);
   }
   std::sort(files.begin(), files.end());
+  CsvIngestOptions ingest;
+  ingest.threads = threads;
   for (const auto& path : files) {
-    Table table;
-    if (streaming) {
-      CsvIngestOptions ingest;
-      ingest.threads = threads;
-      CsvIngestStats stats;
-      auto loaded = ReadCsvFileInferredStreaming(
-          path.stem().string(), path.string(), /*infer_records=*/1024,
-          ingest, &stats);
-      if (!loaded.ok()) {
-        // Prefix-based inference can guess too narrow a type; the slurping
-        // loader infers from every record, so it settles it.
-        loaded = ReadCsvFileInferred(path.stem().string(), path.string());
-      }
-      CSM_ASSIGN_OR_RETURN(table, std::move(loaded));
-      std::printf("loaded %-24s %8zu rows  [%s, %zu chunks, %.3fs]\n",
-                  path.filename().c_str(), table.num_rows(),
-                  stats.used_mmap ? "mmap" : "read", stats.chunks,
-                  stats.load_seconds + stats.parse_seconds);
-    } else {
-      CSM_ASSIGN_OR_RETURN(table, ReadCsvFileInferred(path.stem().string(),
-                                                      path.string()));
-      std::printf("loaded %-24s %8zu rows  %s\n", path.filename().c_str(),
-                  table.num_rows(), table.schema().ToString().c_str());
-    }
+    CSM_ASSIGN_OR_RETURN(
+        Table table,
+        ReadCsvFileInferred(path.stem().string(), path.string(), ingest));
+    std::printf("loaded %-24s %8zu rows  %s\n", path.filename().c_str(),
+                table.num_rows(), table.schema().ToString().c_str());
     db.AddTable(std::move(table));
   }
   return db;
@@ -135,7 +128,6 @@ int main(int argc, char** argv) {
   options.omega = 0.1;
   size_t stages = 1;
   bool target_views = false;
-  bool streaming = false;
   bool load_only = false;
   std::string trace_out, metrics_out;
 
@@ -150,9 +142,9 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "seed", &value)) {
       options.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
     } else if (ParseFlag(arg, "stages", &value)) {
-      stages = static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseCountFlag("stages", value, &stages)) return 2;
     } else if (ParseFlag(arg, "threads", &value)) {
-      options.threads = static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseCountFlag("threads", value, &options.threads)) return 2;
     } else if (ParseFlag(arg, "deadline-ms", &value)) {
       options.deadline_ms = std::atoll(value.c_str());
       if (options.deadline_ms <= 0) {
@@ -182,10 +174,10 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "metrics-out", &value)) {
       metrics_out = value;
     } else if (ParseFlag(arg, "sample-rows", &value)) {
-      options.match.max_training_rows =
-          static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (arg == "--streaming") {
-      streaming = true;
+      if (!ParseCountFlag("sample-rows", value,
+                          &options.match.max_training_rows)) {
+        return 2;
+      }
     } else if (arg == "--load-only") {
       load_only = true;
     } else if (arg == "--late") {
@@ -220,18 +212,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Unreadable input is the caller's problem: load failures carry
-  // kIoError/kNotFound, which the shared table maps to exit 2 (bad input),
-  // distinct from the tool's own failures (exit 1).
-  auto source = LoadDirectory(source_dir, "source", streaming,
-                              options.threads);
+  // Unreadable or malformed input is the caller's problem: load failures
+  // carry kIoError/kNotFound/kInvalidArgument, which the shared table maps
+  // to exit 2 (bad input), distinct from the tool's own failures (exit 1).
+  auto source = LoadDirectory(source_dir, "source", options.threads);
   if (!source.ok()) {
     std::fprintf(stderr, "cannot load source: %s\n",
                  source.status().ToString().c_str());
     return ExitCodeForStatus(source.status().code());
   }
-  auto target = LoadDirectory(target_dir, "target", streaming,
-                              options.threads);
+  auto target = LoadDirectory(target_dir, "target", options.threads);
   if (!target.ok()) {
     std::fprintf(stderr, "cannot load target: %s\n",
                  target.status().ToString().c_str());

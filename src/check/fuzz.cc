@@ -1,8 +1,13 @@
 #include "check/fuzz.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -101,6 +106,39 @@ Status CompareTables(const Table& expected, const Table& actual,
   return Status::Ok();
 }
 
+/// A chunked parse must match the one-chunk parse in values *and* in the
+/// codes its merged dictionaries assign (downstream fingerprints and
+/// dictionary-code scans depend on them).
+Status CompareChunkedParse(const Table& expected, const Table& actual,
+                           const char* what) {
+  CSM_RETURN_IF_ERROR(CompareTables(expected, actual, what));
+  for (size_t c = 0; c < expected.schema().num_attributes(); ++c) {
+    const Column& e = expected.column(c);
+    const Column& a = actual.column(c);
+    if (e.type() != ValueType::kString) continue;
+    const std::string& name = expected.schema().attribute(c).name;
+    if (a.codes() != e.codes()) {
+      return Status::Internal(std::string(what) + ": dictionary codes "
+                              "diverged in column " + name);
+    }
+    if (a.dictionary().size() != e.dictionary().size()) {
+      return Status::Internal(std::string(what) + ": dictionary size "
+                              "diverged in column " + name);
+    }
+    for (uint32_t code = 0; code < e.dictionary().size(); ++code) {
+      if (a.dictionary().value(code) != e.dictionary().value(code)) {
+        return Status::Internal(std::string(what) + ": dictionary entry " +
+                                std::to_string(code) + " diverged in column " +
+                                name);
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+/// One thread parses one chunk: the reference parse.
+constexpr CsvIngestOptions kOneChunk{.threads = 1};
+
 }  // namespace
 
 Status FuzzCsvRoundTrip(const FuzzOptions& options) {
@@ -109,7 +147,8 @@ Status FuzzCsvRoundTrip(const FuzzOptions& options) {
     const Table table = RandomHostileTable("fuzz", rng);
 
     // Library writer -> library parser.
-    StatusOr<Table> parsed = TableFromCsv(table.schema(), TableToCsv(table));
+    StatusOr<Table> parsed =
+        TableFromCsvParallel(table.schema(), TableToCsv(table), kOneChunk);
     if (!parsed.ok()) {
       return Replay(options, i,
                     Status::Internal("ParseCsv failed on WriteCsv output: " +
@@ -120,7 +159,7 @@ Status FuzzCsvRoundTrip(const FuzzOptions& options) {
 
     // Re-rendered with randomized \n / \r\n / \r record terminators.
     const std::string mixed = RenderCsvMixedLineEndings(table, rng);
-    parsed = TableFromCsv(table.schema(), mixed);
+    parsed = TableFromCsvParallel(table.schema(), mixed, kOneChunk);
     if (!parsed.ok()) {
       return Replay(options, i,
                     Status::Internal("ParseCsv failed on mixed-line-ending "
@@ -138,16 +177,25 @@ Status FuzzCsvChunkedParse(const FuzzOptions& options) {
   // record (and every quoted terminator) at a chunk boundary; the larger
   // sizes exercise mid-table splits and the single-chunk degenerate case.
   const size_t kChunkSizes[] = {1, 7, 64, 4096};
+  const std::vector<size_t> thread_counts =
+      options.thread_counts.empty() ? std::vector<size_t>{1}
+                                    : options.thread_counts;
+  // The inferred reader takes a file; pid keeps concurrent runs apart.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("csm_fuzz_csv_" + std::to_string(::getpid()) + ".csv"))
+          .string();
   for (size_t i = 0; i < options.iterations; ++i) {
     Rng rng(IterationSeed(options.seed, i));
     const Table table = RandomHostileTable("fuzz", rng);
     const std::string renderings[] = {TableToCsv(table),
                                       RenderCsvMixedLineEndings(table, rng)};
     for (const std::string& csv : renderings) {
-      const StatusOr<Table> serial = TableFromCsv(table.schema(), csv);
+      const StatusOr<Table> serial =
+          TableFromCsvParallel(table.schema(), csv, kOneChunk);
       if (!serial.ok()) {
         return Replay(options, i,
-                      Status::Internal("serial parser rejected rendering: " +
+                      Status::Internal("one-chunk parser rejected rendering: " +
                                        serial.status().message()));
       }
 
@@ -172,61 +220,57 @@ Status FuzzCsvChunkedParse(const FuzzOptions& options) {
                                        std::to_string(csv.size()) + " bytes"));
       }
 
+      // The inferred reader takes a file.
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << csv;
+        out.close();
+        if (!out) return Status::IoError("cannot write fuzz input " + path);
+      }
+      const StatusOr<Table> inferred =
+          ReadCsvFileInferred("fuzz", path, kOneChunk);
+      if (!inferred.ok()) {
+        return Replay(options, i,
+                      Status::Internal("inferred reader rejected rendering: " +
+                                       inferred.status().message()));
+      }
+
+      // Every chunk size x thread count must reproduce the one-chunk typed
+      // parse, and the per-chunk type fold plus its merge must infer the
+      // schema — and parse the cells and codes — of the one-chunk read.
       for (size_t chunk_bytes : kChunkSizes) {
-        CsvIngestOptions ingest;
-        ingest.chunk_bytes = chunk_bytes;
-        ingest.threads = options.thread_counts.empty()
-                             ? 1
-                             : options.thread_counts[rng.NextBounded(
-                                   options.thread_counts.size())];
-        const StatusOr<Table> chunked =
-            TableFromCsvParallel(table.schema(), csv, ingest);
-        auto where = [&](const std::string& message) {
-          return Status::Internal(message + " (chunk_bytes=" +
-                                  std::to_string(chunk_bytes) + ", threads=" +
-                                  std::to_string(ingest.threads) + ")");
-        };
-        if (!chunked.ok()) {
-          return Replay(options, i,
-                        where("chunked parser rejected text the serial "
-                              "parser accepted: " +
-                              chunked.status().message()));
-        }
-        CSM_RETURN_IF_ERROR(Replay(
-            options, i, CompareTables(*serial, *chunked, "chunked parse")));
-        // Value equality is not enough: the merged dictionary must assign
-        // the exact codes a serial parse would (downstream fingerprints and
-        // dictionary-code scans depend on it).
-        for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
-          const Column& expected = serial->column(c);
-          const Column& actual = chunked->column(c);
-          if (expected.type() != ValueType::kString) continue;
-          if (actual.codes() != expected.codes()) {
+        for (size_t threads : thread_counts) {
+          const CsvIngestOptions ingest{.threads = threads,
+                                        .chunk_bytes = chunk_bytes};
+          auto where = [&](const std::string& message) {
             return Replay(options, i,
-                          where("dictionary codes diverged from serial parse "
-                                "in column " +
-                                table.schema().attribute(c).name));
+                          Status::Internal(
+                              message + " (chunk_bytes=" +
+                              std::to_string(chunk_bytes) + ", threads=" +
+                              std::to_string(threads) + ")"));
+          };
+          const StatusOr<Table> chunked =
+              TableFromCsvParallel(table.schema(), csv, ingest);
+          if (!chunked.ok()) {
+            return where("chunked parser rejected text the one-chunk parser "
+                         "accepted: " + chunked.status().message());
           }
-          if (actual.dictionary().size() != expected.dictionary().size()) {
-            return Replay(options, i,
-                          where("merged dictionary size diverged in column " +
-                                table.schema().attribute(c).name));
+          Status same = CompareChunkedParse(*serial, *chunked, "chunked parse");
+          if (!same.ok()) return where(same.message());
+          const StatusOr<Table> chunked_inferred =
+              ReadCsvFileInferred("fuzz", path, ingest);
+          if (!chunked_inferred.ok()) {
+            return where("chunked inferred read failed: " +
+                         chunked_inferred.status().message());
           }
-          for (uint32_t code = 0; code < expected.dictionary().size();
-               ++code) {
-            if (actual.dictionary().value(code) !=
-                expected.dictionary().value(code)) {
-              return Replay(
-                  options, i,
-                  where("dictionary entry " + std::to_string(code) +
-                        " diverged in column " +
-                        table.schema().attribute(c).name));
-            }
-          }
+          same = CompareChunkedParse(*inferred, *chunked_inferred,
+                                     "chunked inferred read");
+          if (!same.ok()) return where(same.message());
         }
       }
     }
   }
+  std::remove(path.c_str());
   return Status::Ok();
 }
 

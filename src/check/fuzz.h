@@ -9,16 +9,19 @@
 // violated invariant aborts and a divergence returns a replayable Status.
 //
 //   * FuzzCsvRoundTrip       random hostile tables through
-//                            TableToCsv -> TableFromCsv, plus a re-rendered
-//                            variant with randomized \n / \r\n / \r record
-//                            terminators through the same parser
+//                            TableToCsv -> one-chunk TableFromCsvParallel,
+//                            plus a re-rendered variant with randomized
+//                            \n / \r\n / \r record terminators through the
+//                            same parser
 //   * FuzzCsvChunkedParse     random hostile tables rendered with mixed
 //                            record terminators through the chunked
-//                            parallel parser at hostile chunk sizes (down
-//                            to 1 byte) and several thread counts; checks
-//                            chunk-scan invariants plus bit-identical
-//                            tables *and* dictionary code assignment
-//                            against the serial parser
+//                            parallel parser, and as files through
+//                            ReadCsvFileInferred, at hostile chunk sizes
+//                            (down to 1 byte) x several thread counts;
+//                            checks chunk-scan invariants plus
+//                            bit-identical tables (inferred schema
+//                            included) *and* dictionary code assignment
+//                            against the one-chunk parse / read
 //   * FuzzConditionEvaluation random conditions: View::Materialize and
 //                            View::MatchingRows against per-row
 //                            Condition::Evaluate ground truth

@@ -41,13 +41,21 @@ std::string QuoteField(const std::string& field) {
   return out;
 }
 
-/// Splits one logical CSV record starting at `pos`; advances `pos` past the
-/// record's trailing newline.  Handles quoted fields with embedded commas,
-/// quotes, and newlines.
-StatusOr<std::vector<std::string>> ParseRecord(std::string_view text,
-                                               size_t& pos) {
-  std::vector<std::string> fields;
-  std::string current;
+/// Splits one logical CSV record starting at `pos` into `fields`, reusing
+/// their storage from the previous record; advances `pos` past the record's
+/// trailing newline.  Handles quoted fields with embedded commas, quotes,
+/// and newlines.  A blank line at the very end of `text` yields no fields:
+/// it is the file's trailing newline, not a record.
+Status ParseRecord(std::string_view text, size_t& pos,
+                   std::vector<std::string>* fields) {
+  size_t count = 0;
+  auto next_field = [&]() -> std::string* {
+    if (count == fields->size()) fields->emplace_back();
+    std::string* field = &(*fields)[count++];
+    field->clear();
+    return field;
+  };
+  std::string* current = next_field();
   bool in_quotes = false;
   bool saw_any = false;
   while (pos < text.size()) {
@@ -55,13 +63,13 @@ StatusOr<std::vector<std::string>> ParseRecord(std::string_view text,
     if (in_quotes) {
       if (c == '"') {
         if (pos + 1 < text.size() && text[pos + 1] == '"') {
-          current += '"';
+          *current += '"';
           ++pos;
         } else {
           in_quotes = false;
         }
       } else {
-        current += c;
+        *current += c;
       }
       ++pos;
       saw_any = true;
@@ -74,8 +82,7 @@ StatusOr<std::vector<std::string>> ParseRecord(std::string_view text,
       continue;
     }
     if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
+      current = next_field();
       ++pos;
       saw_any = true;
       continue;
@@ -92,18 +99,15 @@ StatusOr<std::vector<std::string>> ParseRecord(std::string_view text,
       ++pos;
       break;
     }
-    current += c;
+    *current += c;
     ++pos;
     saw_any = true;
   }
   if (in_quotes) {
     return Status::InvalidArgument("unterminated quoted CSV field");
   }
-  if (!saw_any && pos >= text.size()) {
-    return std::vector<std::string>{};  // empty trailing record
-  }
-  fields.push_back(std::move(current));
-  return fields;
+  fields->resize(!saw_any && pos >= text.size() ? 0 : count);
+  return Status::Ok();
 }
 
 Status ValidateCsvHeader(const TableSchema& schema,
@@ -122,44 +126,45 @@ Status ValidateCsvHeader(const TableSchema& schema,
   return Status::Ok();
 }
 
-/// Parses every record of `text` from `pos` into `out` (blank trailing
-/// lines skipped).  The single record loop shared by the serial and the
-/// per-chunk parallel parse, so both paths have identical semantics by
-/// construction.
-Status AppendCsvRecords(const TableSchema& schema, std::string_view text,
-                        size_t pos, Table* out) {
-  while (pos < text.size()) {
-    CSM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(text, pos));
+/// The one record loop: parses each record of `csv` in [span.begin,
+/// span.end) and hands its `arity` fields to `visit`.  ParseRecord sees the
+/// whole text, so only a blank line at the end of the file — never one that
+/// merely ends a chunk — is skipped as the trailing newline.
+template <typename Visit>
+Status AppendCsvRecords(std::string_view csv, const CsvChunkSpan& span,
+                        size_t arity, const std::string& table_name,
+                        Visit&& visit) {
+  std::vector<std::string> fields;
+  size_t pos = span.begin;
+  while (pos < span.end) {
+    CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &fields));
     if (fields.empty()) continue;  // blank trailing line
-    if (fields.size() != schema.num_attributes()) {
+    if (fields.size() != arity) {
       return Status::InvalidArgument("CSV record arity mismatch in table '" +
-                                     schema.name() + "'");
+                                     table_name + "'");
     }
-    // Parse straight into the column segments (dictionary codes for string
-    // attributes) instead of boxing a Value per cell.
-    CSM_RETURN_IF_ERROR(out->AddRowFromText(fields));
+    CSM_RETURN_IF_ERROR(visit(fields));
   }
   return Status::Ok();
 }
 
-/// Column-type inference accumulator: demotes each column from int toward
-/// real toward string as cells fail to parse.  Shared by the slurping and
-/// streaming inferred readers.
+/// Widens each column's type so it admits `record`'s cells, in the order
+/// kNull (no non-empty cell yet) < kInt < kReal < kString.  A column's
+/// verdict is the widest of its cells' narrowest types, so chunks fold
+/// independently and merge exactly by taking the per-column maximum: every
+/// cell from_chars accepts as an int64 also parses as a double.
 void UpdateTypeInference(const std::vector<std::string>& record,
-                         std::vector<ValueType>* types,
-                         std::vector<bool>* saw_value) {
+                         std::vector<ValueType>* types) {
   for (size_t c = 0; c < record.size(); ++c) {
-    std::string_view cell = Trim(record[c]);
+    ValueType& type = (*types)[c];
+    if (type == ValueType::kString) continue;
+    const std::string_view cell = Trim(record[c]);
     if (cell.empty()) continue;
-    (*saw_value)[c] = true;
-    if ((*types)[c] == ValueType::kInt &&
-        !Value::Parse(cell, ValueType::kInt).ok()) {
-      (*types)[c] = ValueType::kReal;
-    }
-    if ((*types)[c] == ValueType::kReal &&
-        !Value::Parse(cell, ValueType::kReal).ok()) {
-      (*types)[c] = ValueType::kString;
+    if (type != ValueType::kReal && Value::Parse(cell, ValueType::kInt).ok()) {
+      type = ValueType::kInt;
+    } else {
+      type = Value::Parse(cell, ValueType::kReal).ok() ? ValueType::kReal
+                                                       : ValueType::kString;
     }
   }
 }
@@ -189,18 +194,6 @@ std::string TableToCsv(const Table& instance) {
   return os.str();
 }
 
-StatusOr<Table> TableFromCsv(const TableSchema& schema, std::string_view csv) {
-  size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(csv, pos));
-  CSM_RETURN_IF_ERROR(ValidateCsvHeader(schema, header));
-  // Single pass: no estimate scan — vector growth amortizes, and the old
-  // newline-count pass re-read every byte of the text a second time.
-  Table out(schema);
-  CSM_RETURN_IF_ERROR(AppendCsvRecords(schema, csv, pos, &out));
-  return out;
-}
-
 Status WriteCsvFile(const Table& instance, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
@@ -211,69 +204,6 @@ Status WriteCsvFile(const Table& instance, const std::string& path) {
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
 }
-
-StatusOr<Table> ReadCsvFile(const TableSchema& schema,
-                            const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return TableFromCsv(schema, buffer.str());
-}
-
-StatusOr<Table> TableFromCsvInferred(const std::string& table_name,
-                                     std::string_view csv) {
-  // First pass: collect header and all records as raw strings.
-  size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header, ParseRecord(csv, pos));
-  if (header.empty()) {
-    return Status::InvalidArgument("CSV has no header row");
-  }
-  std::vector<std::vector<std::string>> records;
-  while (pos < csv.size()) {
-    CSM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(csv, pos));
-    if (fields.empty()) continue;
-    if (fields.size() != header.size()) {
-      return Status::InvalidArgument("CSV record arity mismatch in '" +
-                                     table_name + "'");
-    }
-    records.push_back(std::move(fields));
-  }
-
-  // Second pass: infer column types — int unless some cell fails, then
-  // real, then string.
-  std::vector<ValueType> types(header.size(), ValueType::kInt);
-  std::vector<bool> saw_value(header.size(), false);
-  for (const auto& record : records) {
-    UpdateTypeInference(record, &types, &saw_value);
-  }
-  TableSchema schema(table_name);
-  for (size_t c = 0; c < header.size(); ++c) {
-    schema.AddAttribute(header[c],
-                        saw_value[c] ? types[c] : ValueType::kString);
-  }
-
-  Table out(schema);
-  out.Reserve(records.size());
-  for (const auto& record : records) {
-    CSM_RETURN_IF_ERROR(out.AddRowFromText(record));
-  }
-  return out;
-}
-
-StatusOr<Table> ReadCsvFileInferred(const std::string& table_name,
-                                    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return TableFromCsvInferred(table_name, buffer.str());
-}
-
-// ---------------------------------------------------------------------------
-// Streaming / parallel ingest
-// ---------------------------------------------------------------------------
 
 std::vector<CsvChunkSpan> ScanCsvChunks(std::string_view csv, size_t pos,
                                         size_t target_chunk_bytes) {
@@ -320,59 +250,64 @@ std::vector<CsvChunkSpan> ScanCsvChunks(std::string_view csv, size_t pos,
 }
 
 size_t AutotuneCsvChunkBytes(size_t total_bytes, size_t threads) {
-  if (threads == 0) threads = 1;
+  if (threads <= 1) return std::max<size_t>(total_bytes, 1);
   constexpr size_t kMinChunk = 64u << 10;  // below this, spawn overhead wins
   constexpr size_t kMaxChunk = 16u << 20;  // above this, stragglers dominate
   const size_t target = total_bytes / (threads * 4);
   return std::clamp(target, kMinChunk, kMaxChunk);
 }
 
-StatusOr<Table> TableFromCsvParallel(const TableSchema& schema,
-                                     std::string_view csv,
-                                     const CsvIngestOptions& options,
-                                     CsvIngestStats* stats) {
-  const auto t0 = std::chrono::steady_clock::now();
-  size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(csv, pos));
-  CSM_RETURN_IF_ERROR(ValidateCsvHeader(schema, header));
+namespace {
 
-  exec::ThreadPool* pool = options.pool;
-  const size_t threads =
-      pool != nullptr ? pool->size() : exec::EffectiveThreads(options.threads);
-  const size_t chunk_bytes =
+/// How one read splits the CSV body and who parses it.  Planned once per
+/// read, so the inferred reader's type fold and typed parse share the spans.
+struct CsvChunkPlan {
+  size_t threads = 1;
+  size_t chunk_bytes = 0;
+  std::vector<CsvChunkSpan> spans;
+  std::unique_ptr<exec::ThreadPool> pool;  // null: spans run on the caller
+};
+
+CsvChunkPlan PlanCsvChunks(std::string_view csv, size_t pos,
+                           const CsvIngestOptions& options) {
+  CsvChunkPlan plan;
+  plan.threads = exec::EffectiveThreads(options.threads);
+  plan.chunk_bytes =
       options.chunk_bytes != 0
           ? options.chunk_bytes
-          : AutotuneCsvChunkBytes(csv.size() - pos, threads);
-  const std::vector<CsvChunkSpan> spans = ScanCsvChunks(csv, pos, chunk_bytes);
-
-  std::unique_ptr<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && threads > 1 && spans.size() > 1) {
-    owned_pool = std::make_unique<exec::ThreadPool>(threads);
-    pool = owned_pool.get();
+          : AutotuneCsvChunkBytes(csv.size() - pos, plan.threads);
+  plan.spans = ScanCsvChunks(csv, pos, plan.chunk_bytes);
+  if (plan.threads > 1 && plan.spans.size() > 1) {
+    plan.pool = std::make_unique<exec::ThreadPool>(plan.threads);
   }
+  return plan;
+}
 
-  // Each chunk parses into its own table (own dictionaries, no shared
-  // mutable state); the merge below re-encodes in chunk order, which
-  // reproduces the serial parse bit-for-bit.
+/// Parses every span of `plan` into its own table (own dictionaries, no
+/// shared mutable state) and appends them in text order; the append
+/// re-encodes string codes in row order, which reproduces a one-chunk parse
+/// bit for bit.  The first error in text order wins, as it would in one
+/// chunk.  `t0` starts the parse_seconds clock.
+StatusOr<Table> ParseCsvChunks(const TableSchema& schema, std::string_view csv,
+                               const CsvChunkPlan& plan,
+                               std::chrono::steady_clock::time_point t0,
+                               CsvIngestStats* stats) {
   struct ChunkResult {
     Table table;
     Status status;
   };
   std::vector<ChunkResult> parsed =
-      exec::ParallelMap(pool, spans.size(), [&](size_t i) {
-        const CsvChunkSpan& span = spans[i];
+      exec::ParallelMap(plan.pool.get(), plan.spans.size(), [&](size_t i) {
         ChunkResult result;
         result.table = Table(schema);
-        result.table.Reserve(span.records);
+        result.table.Reserve(plan.spans[i].records);
         result.status = AppendCsvRecords(
-            schema, csv.substr(span.begin, span.end - span.begin), 0,
-            &result.table);
+            csv, plan.spans[i], schema.num_attributes(), schema.name(),
+            [&](const std::vector<std::string>& fields) {
+              return result.table.AddRowFromText(fields);
+            });
         return result;
       });
-
-  // First error in text order wins — identical to what the serial parser
-  // would have reported first.
   for (const ChunkResult& result : parsed) {
     if (!result.status.ok()) return result.status;
   }
@@ -394,16 +329,58 @@ StatusOr<Table> TableFromCsvParallel(const TableSchema& schema,
   }
 
   if (stats != nullptr) {
-    stats->threads = threads;
-    stats->chunk_bytes = chunk_bytes;
-    stats->chunks = spans.size();
+    stats->threads = plan.threads;
+    stats->chunk_bytes = plan.chunk_bytes;
+    stats->chunks = plan.spans.size();
     stats->records = out.num_rows();
     stats->parse_seconds = SecondsSince(t0);
   }
   return out;
 }
 
-namespace {
+/// Infers the schema of `csv`'s body from every record: folds the type of
+/// each chunk in parallel over `plan`'s spans, then merges the verdicts per
+/// column in text order.  `header` names the columns and must not repeat a
+/// name.
+StatusOr<TableSchema> InferCsvSchema(const std::string& table_name,
+                                     const std::vector<std::string>& header,
+                                     std::string_view csv,
+                                     const CsvChunkPlan& plan) {
+  struct ChunkTypes {
+    std::vector<ValueType> types;
+    Status status;
+  };
+  const std::vector<ChunkTypes> folds =
+      exec::ParallelMap(plan.pool.get(), plan.spans.size(), [&](size_t i) {
+        ChunkTypes fold;
+        fold.types.assign(header.size(), ValueType::kNull);
+        fold.status = AppendCsvRecords(
+            csv, plan.spans[i], header.size(), table_name,
+            [&](const std::vector<std::string>& fields) {
+              UpdateTypeInference(fields, &fold.types);
+              return Status::Ok();
+            });
+        return fold;
+      });
+  std::vector<ValueType> types(header.size(), ValueType::kNull);
+  for (const ChunkTypes& fold : folds) {
+    if (!fold.status.ok()) return fold.status;
+    for (size_t c = 0; c < types.size(); ++c) {
+      types[c] = std::max(types[c], fold.types[c]);
+    }
+  }
+  TableSchema schema(table_name);
+  for (size_t c = 0; c < header.size(); ++c) {
+    if (schema.FindAttribute(header[c]).has_value()) {
+      return Status::InvalidArgument("CSV header repeats column '" +
+                                     header[c] + "' in '" + table_name + "'");
+    }
+    schema.AddAttribute(header[c], types[c] == ValueType::kNull
+                                       ? ValueType::kString
+                                       : types[c]);
+  }
+  return schema;
+}
 
 /// The loaded bytes of a CSV file: either a read-only mapping (unmapped by
 /// the shared_ptr deleter) or an owned fallback buffer.  Move-friendly by
@@ -414,6 +391,8 @@ struct CsvFileBuffer {
   std::string_view view;
 };
 
+/// The one file loader: maps `path` read-only, or reads it in one buffered
+/// forward pass when mapping fails or `force_read_fallback` is set.
 Status LoadCsvFile(const std::string& path, bool force_read_fallback,
                    CsvFileBuffer* buffer, CsvIngestStats* stats) {
 #ifndef _WIN32
@@ -474,6 +453,19 @@ Status LoadCsvFile(const std::string& path, bool force_read_fallback,
 
 }  // namespace
 
+StatusOr<Table> TableFromCsvParallel(const TableSchema& schema,
+                                     std::string_view csv,
+                                     const CsvIngestOptions& options,
+                                     CsvIngestStats* stats) {
+  const auto t0 = std::chrono::steady_clock::now();
+  size_t pos = 0;
+  std::vector<std::string> header;
+  CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &header));
+  CSM_RETURN_IF_ERROR(ValidateCsvHeader(schema, header));
+  return ParseCsvChunks(schema, csv, PlanCsvChunks(csv, pos, options), t0,
+                        stats);
+}
+
 StatusOr<Table> ReadCsvFileStreaming(const TableSchema& schema,
                                      const std::string& path,
                                      const CsvIngestOptions& options,
@@ -486,44 +478,27 @@ StatusOr<Table> ReadCsvFileStreaming(const TableSchema& schema,
   return TableFromCsvParallel(schema, buffer.view, options, stats);
 }
 
-StatusOr<Table> ReadCsvFileInferredStreaming(const std::string& table_name,
-                                             const std::string& path,
-                                             size_t infer_records,
-                                             const CsvIngestOptions& options,
-                                             CsvIngestStats* stats) {
+StatusOr<Table> ReadCsvFileInferred(const std::string& table_name,
+                                    const std::string& path,
+                                    const CsvIngestOptions& options,
+                                    CsvIngestStats* stats) {
   const auto t0 = std::chrono::steady_clock::now();
   CsvFileBuffer buffer;
   CSM_RETURN_IF_ERROR(
       LoadCsvFile(path, options.force_read_fallback, &buffer, stats));
   if (stats != nullptr) stats->load_seconds = SecondsSince(t0);
-
+  const auto parse_start = std::chrono::steady_clock::now();
   const std::string_view csv = buffer.view;
   size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(csv, pos));
+  std::vector<std::string> header;
+  CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &header));
   if (header.empty()) {
     return Status::InvalidArgument("CSV has no header row");
   }
-  std::vector<ValueType> types(header.size(), ValueType::kInt);
-  std::vector<bool> saw_value(header.size(), false);
-  size_t seen = 0;
-  while (pos < csv.size() && (infer_records == 0 || seen < infer_records)) {
-    CSM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(csv, pos));
-    if (fields.empty()) continue;
-    if (fields.size() != header.size()) {
-      return Status::InvalidArgument("CSV record arity mismatch in '" +
-                                     table_name + "'");
-    }
-    UpdateTypeInference(fields, &types, &saw_value);
-    ++seen;
-  }
-  TableSchema schema(table_name);
-  for (size_t c = 0; c < header.size(); ++c) {
-    schema.AddAttribute(header[c],
-                        saw_value[c] ? types[c] : ValueType::kString);
-  }
-  return TableFromCsvParallel(schema, csv, options, stats);
+  const CsvChunkPlan plan = PlanCsvChunks(csv, pos, options);
+  CSM_ASSIGN_OR_RETURN(TableSchema schema,
+                       InferCsvSchema(table_name, header, csv, plan));
+  return ParseCsvChunks(schema, csv, plan, parse_start, stats);
 }
 
 }  // namespace csm

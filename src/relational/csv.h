@@ -1,11 +1,29 @@
 // CSV serialization for tables: RFC-4180-ish quoting, header row with
-// attribute names.  Used by the examples and for dumping experiment inputs.
+// attribute names.
+//
+// One ingest path (DESIGN.md "Streaming ingest & sampling"): a file is
+// mapped read-only (or read once through a buffered fallback), one
+// structural pass splits its body into record-aligned chunks, and the
+// chunks parse in parallel into per-chunk column segments that merge in
+// text order with dictionary re-encoding.  One thread parses one chunk, so
+// a serial read builds the table directly with no merge.  The result is
+// bit-identical at every thread count and chunk size.  Three entrypoints
+// read CSV: TableFromCsvParallel (typed, from text), ReadCsvFileStreaming
+// (typed, from a file) and ReadCsvFileInferred (column types inferred from
+// every record of a file).
+//
+// Text format: the first record is a header of attribute names; empty
+// cells are NULL.  Records end at "\n", "\r\n" or a bare "\r" (classic
+// Mac), so files with any mix of line endings parse; CR/LF *inside* a field
+// must be quoted (the writer always quotes them).  A blank line at the end
+// of the text is the file's trailing newline, not a record.
 
 #ifndef CSM_RELATIONAL_CSV_H_
 #define CSM_RELATIONAL_CSV_H_
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -13,50 +31,14 @@
 
 namespace csm {
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 /// Serializes `instance` (with a header row) to CSV text.  A row that would
 /// render as a completely empty line (a single-attribute NULL) is written as
 /// `""` so it survives the round trip — an empty line is otherwise
 /// indistinguishable from the file's trailing newline.
 std::string TableToCsv(const Table& instance);
 
-/// Parses CSV text into a table.  The first row must be a header matching
-/// `schema`'s attribute names (order-sensitive); cells are parsed by each
-/// attribute's declared type; empty cells become NULL.  Records end at
-/// "\n", "\r\n" or a bare "\r" (classic Mac), so files with any mix of
-/// line endings parse; CR/LF *inside* a field must be quoted (the writer
-/// always quotes them).  A blank line after the last record is treated as
-/// the file's trailing newline, not a record.
-StatusOr<Table> TableFromCsv(const TableSchema& schema, std::string_view csv);
-
 /// Writes `instance` as CSV to `path`.
 Status WriteCsvFile(const Table& instance, const std::string& path);
-
-/// Reads a CSV file into a table conforming to `schema`.
-StatusOr<Table> ReadCsvFile(const TableSchema& schema, const std::string& path);
-
-/// Parses CSV text inferring each column's type from its cells: a column
-/// whose non-empty cells all parse as int becomes int; failing that, real;
-/// otherwise string.  Columns with no non-empty cells default to string.
-/// The header row supplies the attribute names.
-StatusOr<Table> TableFromCsvInferred(const std::string& table_name,
-                                     std::string_view csv);
-
-/// Reads a CSV file with inferred column types.
-StatusOr<Table> ReadCsvFileInferred(const std::string& table_name,
-                                    const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Streaming / parallel ingest (the million-row path; DESIGN.md "Streaming
-// ingest & sampling").  One structural pass splits the text into chunks on
-// record boundaries; chunks parse in parallel into per-chunk column
-// segments; the chunk tables merge in order with dictionary re-encoding.
-// The merged table is bit-identical to TableFromCsv on the same text at
-// every thread count and chunk size.
-// ---------------------------------------------------------------------------
 
 /// One parse chunk: a half-open byte range of the CSV body that starts and
 /// ends on record boundaries, plus an upper-bound record count for
@@ -79,19 +61,18 @@ struct CsvChunkSpan {
 std::vector<CsvChunkSpan> ScanCsvChunks(std::string_view csv, size_t pos,
                                         size_t target_chunk_bytes);
 
-/// Chunk size heuristic: aim for ~4 chunks per worker so stragglers level
-/// out, clamped to [64 KiB, 16 MiB] so tiny files stay serial-ish and huge
-/// files do not blow up the per-chunk table count.
+/// Chunk size policy.  One thread (`threads` <= 1) gets one chunk holding
+/// the whole body, so it parses straight into the result with no per-chunk
+/// tables and no merge.  More threads aim for ~4 chunks per worker so
+/// stragglers level out, clamped to [64 KiB, 16 MiB] so tiny files stay a
+/// single chunk and huge files do not blow up the per-chunk table count.
 size_t AutotuneCsvChunkBytes(size_t total_bytes, size_t threads);
 
-/// Knobs for the streaming ingest path.
+/// Knobs for CSV ingest.
 struct CsvIngestOptions {
-  /// Worker threads for the chunk parse; 0 = one per hardware thread,
-  /// 1 = fully serial (no pool spun up).  Ignored when `pool` is set.
+  /// Worker threads for the chunk passes; 0 = one per hardware thread,
+  /// 1 = fully serial (no pool spun up).
   size_t threads = 0;
-  /// Optional borrowed pool; when set, chunk parsing runs on it instead of
-  /// a private pool.
-  exec::ThreadPool* pool = nullptr;
   /// Target chunk size in bytes; 0 = AutotuneCsvChunkBytes.
   size_t chunk_bytes = 0;
   /// Skip mmap and use the instrumented buffered-read fallback (tests use
@@ -99,7 +80,7 @@ struct CsvIngestOptions {
   bool force_read_fallback = false;
 };
 
-/// Observability counters for one streaming ingest.
+/// Observability counters for one ingest.
 struct CsvIngestStats {
   size_t file_bytes = 0;    // size of the input file / text
   size_t bytes_read = 0;    // bytes copied by the read fallback (0 = mmap)
@@ -109,39 +90,42 @@ struct CsvIngestStats {
   size_t chunks = 0;
   size_t records = 0;       // data records parsed (header excluded)
   double load_seconds = 0.0;   // mmap / read time
-  double parse_seconds = 0.0;  // scan + parallel parse + merge time
+  double parse_seconds = 0.0;  // scan + type inference + parse + merge time
 };
 
-/// Parses CSV text into a table through the chunked parallel path.  Output
-/// is bit-identical to TableFromCsv(schema, csv) — same rows, same
-/// dictionary code assignment — for every thread count and chunk size; the
-/// first parse error in *text order* is returned, as the serial parser
-/// would.  `stats`, when non-null, receives the parse-side counters.
+/// Parses CSV text into a table.  The header must match `schema`'s
+/// attribute names (order-sensitive); cells parse by each attribute's
+/// declared type.  Output — rows and dictionary code assignment — is
+/// identical for every thread count and chunk size, and the first parse
+/// error in *text order* is returned.  `stats`, when non-null, receives the
+/// parse-side counters.
 StatusOr<Table> TableFromCsvParallel(const TableSchema& schema,
                                      std::string_view csv,
                                      const CsvIngestOptions& options = {},
                                      CsvIngestStats* stats = nullptr);
 
-/// Streaming file ingest: maps the file read-only (mmap) when possible and
-/// parses it with TableFromCsvParallel, so no second copy of the text is
-/// made and no estimate pass re-reads the file.  Falls back to a buffered
+/// Reads a CSV file into a table conforming to `schema`: maps the file
+/// read-only (mmap) when possible and parses it with TableFromCsvParallel,
+/// so no second copy of the text is made.  Falls back to a buffered
 /// single-pass read (counted in stats->bytes_read) when mapping fails or
-/// options.force_read_fallback is set.
+/// options.force_read_fallback is set.  A missing file is kIoError.
 StatusOr<Table> ReadCsvFileStreaming(const TableSchema& schema,
                                      const std::string& path,
                                      const CsvIngestOptions& options = {},
                                      CsvIngestStats* stats = nullptr);
 
-/// Streaming variant of ReadCsvFileInferred: infers column types from the
-/// first `infer_records` data records (0 = all, which degrades to a full
-/// extra scan), then runs the chunked parallel parse.  When the sampled
-/// prefix under-constrains a column (say, an int-looking prefix followed by
-/// text) the typed parse fails; the caller decides whether to retry with
-/// TableFromCsvInferred.
-StatusOr<Table> ReadCsvFileInferredStreaming(
-    const std::string& table_name, const std::string& path,
-    size_t infer_records = 1024, const CsvIngestOptions& options = {},
-    CsvIngestStats* stats = nullptr);
+/// Reads a CSV file, inferring each column's type from every record: a
+/// column whose non-empty cells all parse as int becomes int; failing
+/// that, real; otherwise string.  Columns with no non-empty cells default
+/// to string.  The header supplies the attribute names, which must be
+/// unique (kInvalidArgument names a repeated one).  The file loads like
+/// ReadCsvFileStreaming; one chunk plan serves both passes: a parallel
+/// per-chunk type fold, merged per column by taking the wider type, then
+/// the typed parse.  The inferred schema does not depend on the chunking.
+StatusOr<Table> ReadCsvFileInferred(const std::string& table_name,
+                                    const std::string& path,
+                                    const CsvIngestOptions& options = {},
+                                    CsvIngestStats* stats = nullptr);
 
 }  // namespace csm
 

@@ -1,18 +1,19 @@
-// Tests for the streaming / chunked-parallel CSV ingest path
-// (relational/csv.h, "Streaming ingest & sampling" in DESIGN.md):
-// chunk-boundary correctness at hostile chunk sizes, the single-pass
-// byte-once guarantee of the file loaders, and error-order parity with the
-// serial parser.
+// Tests for the chunked CSV ingest path (relational/csv.h, "Streaming
+// ingest & sampling" in DESIGN.md): chunk-boundary correctness at hostile
+// chunk sizes, the single-pass byte-once guarantee of the file loader,
+// error-order parity with the one-chunk parse, and column-type inference
+// from every record.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "relational/csv.h"
 #include "relational/table.h"
 #include "tests/test_util.h"  // NOLINT
@@ -26,16 +27,22 @@ using testing::N;
 using testing::R;
 using testing::S;
 
-/// Serial ground truth; the streaming path must match it bit for bit.
+/// One thread parses one chunk: the serial ground truth every other chunk
+/// size and thread count must match bit for bit.
+constexpr CsvIngestOptions kOneChunk{.threads = 1};
+
 Table SerialParse(const TableSchema& schema, const std::string& csv) {
-  auto parsed = TableFromCsv(schema, csv);
+  CsvIngestStats stats;
+  auto parsed = TableFromCsvParallel(schema, csv, kOneChunk, &stats);
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_LE(stats.chunks, 1u);
   return std::move(parsed.value());
 }
 
-/// Asserts value-level and dictionary-code-level equality.
+/// Asserts schema-level, value-level and dictionary-code-level equality.
 void ExpectBitIdentical(const Table& expected, const Table& actual,
                         const std::string& what) {
+  ASSERT_EQ(actual.schema().ToString(), expected.schema().ToString()) << what;
   ASSERT_EQ(actual.num_rows(), expected.num_rows()) << what;
   for (size_t r = 0; r < expected.num_rows(); ++r) {
     ASSERT_EQ(actual.row(r), expected.row(r)) << what << " at row " << r;
@@ -116,6 +123,9 @@ TEST(CsvChunkScanTest, RecordCountsBoundReservations) {
 }
 
 TEST(CsvChunkScanTest, AutotuneClampsToSaneRange) {
+  // One thread: one chunk holding the whole body, at any size.
+  EXPECT_EQ(AutotuneCsvChunkBytes(1000, 1), 1000u);
+  EXPECT_EQ(AutotuneCsvChunkBytes(size_t{1} << 40, 1), size_t{1} << 40);
   // Tiny inputs: floor of 64 KiB keeps small files effectively serial.
   EXPECT_EQ(AutotuneCsvChunkBytes(1000, 4), 64u << 10);
   // Huge inputs: ceiling of 16 MiB bounds per-chunk table sizes.
@@ -149,6 +159,30 @@ TEST(CsvStreamTest, CarriageReturnOnlyFile) {
   schema.AddAttribute("a", ValueType::kInt);
   schema.AddAttribute("b", ValueType::kString);
   SweepAllChunkSizes(schema, "a,b\r1,x\r2,y\r3,z\r");
+}
+
+TEST(CsvStreamTest, BlankInteriorLinesAcrossChunkBoundaries) {
+  // An interior blank line is a record with one empty field — a NULL row
+  // here — even when it ends a chunk; only the blank line at the end of the
+  // text is the trailing newline.
+  TableSchema schema("t");
+  schema.AddAttribute("a", ValueType::kInt);
+  const std::string csv = "a\n1\n\n2\r\n\r\n3\r\r4\n\n";
+  ASSERT_EQ(SerialParse(schema, csv).num_rows(), 7u);
+  SweepAllChunkSizes(schema, csv);
+  // With two attributes the same blank line is an arity error at every
+  // chunk size.
+  TableSchema pair("p");
+  pair.AddAttribute("a", ValueType::kInt);
+  pair.AddAttribute("b", ValueType::kInt);
+  for (size_t chunk_bytes : {size_t{0}, size_t{1}, size_t{4}}) {
+    CsvIngestOptions options;
+    options.chunk_bytes = chunk_bytes;
+    options.threads = 2;
+    EXPECT_FALSE(
+        TableFromCsvParallel(pair, "a,b\n1,2\n\n3,4\n", options).ok())
+        << "chunk_bytes=" << chunk_bytes;
+  }
 }
 
 TEST(CsvStreamTest, Utf8CellsAcrossChunkBoundaries) {
@@ -202,20 +236,6 @@ TEST(CsvStreamTest, DictionaryCodesIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(CsvStreamTest, BorrowedPoolProducesSameTable) {
-  Table t = MakeTable("p", {"a", "b"},
-                      {{I(1), S("x")}, {I(2), S("y")}, {I(3), S("z")}});
-  const std::string csv = TableToCsv(t);
-  const Table expected = SerialParse(t.schema(), csv);
-  exec::ThreadPool pool(3);
-  CsvIngestOptions options;
-  options.pool = &pool;
-  options.chunk_bytes = 2;
-  auto parsed = TableFromCsvParallel(t.schema(), csv, options);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ExpectBitIdentical(expected, *parsed, "borrowed pool");
-}
-
 TEST(CsvStreamTest, HeaderOnlyTextYieldsEmptyTable) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
@@ -231,11 +251,11 @@ TEST(CsvStreamTest, HeaderOnlyTextYieldsEmptyTable) {
 TEST(CsvStreamTest, FirstErrorInTextOrderMatchesSerialParser) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
-  // Two bad records; the serial parser reports the *first* one.  The
+  // Two bad records; the one-chunk parse reports the *first* one.  The
   // chunked path must report the same error even when a later chunk (with
   // the second bad record) finishes first.
   const std::string csv = "a\n1\nbad_early\n3\nbad_late\n5\n";
-  const Status serial = TableFromCsv(schema, csv).status();
+  const Status serial = TableFromCsvParallel(schema, csv, kOneChunk).status();
   ASSERT_FALSE(serial.ok());
   for (size_t chunk_bytes : {size_t{1}, size_t{4}, size_t{1024}}) {
     CsvIngestOptions options;
@@ -313,26 +333,182 @@ TEST(CsvStreamFileTest, EmptyFileRejectedLikeSerialLoader) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
   const Status streaming = ReadCsvFileStreaming(schema, path).status();
-  const Status serial = ReadCsvFile(schema, path).status();
+  const Status serial = TableFromCsvParallel(schema, "", kOneChunk).status();
   EXPECT_FALSE(streaming.ok());
-  EXPECT_EQ(streaming.ok(), serial.ok());
+  EXPECT_EQ(streaming.message(), serial.message());
+  EXPECT_EQ(ReadCsvFileInferred("t", path).status().code(),
+            StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
-TEST(CsvStreamFileTest, InferredStreamingMatchesInferredLoader) {
-  const std::string csv =
-      "id,price,name\n1,9.5,ab\n2,1.25,cd\n3,7.0,ef\n4,2.5,gh\n";
-  const std::string path = WriteTempCsv("csm_stream_infer.csv", csv);
-  auto legacy = ReadCsvFileInferred("inv", path);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  CsvIngestStats stats;
-  auto streaming = ReadCsvFileInferredStreaming("inv", path, 2, {}, &stats);
-  ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
-  ExpectBitIdentical(*legacy, *streaming, "inferred streaming");
-  EXPECT_EQ(streaming->schema().attribute(0).type, ValueType::kInt);
-  EXPECT_EQ(streaming->schema().attribute(1).type, ValueType::kReal);
-  EXPECT_EQ(streaming->schema().attribute(2).type, ValueType::kString);
+// ------------------------------------------------------- type inference
+
+/// A temp file name unique to the running test: ctest runs each test of a
+/// binary as its own process, concurrently with the others.
+std::string TestCsvName() {
+  return std::string("csm_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".csv";
+}
+
+/// Writes `csv` to a temp file and reads it with inferred types.
+StatusOr<Table> ReadInferred(const std::string& csv,
+                             const CsvIngestOptions& options = {}) {
+  const std::string path = WriteTempCsv(TestCsvName(), csv);
+  auto table = ReadCsvFileInferred("t", path, options);
   std::remove(path.c_str());
+  return table;
+}
+
+/// Reads `csv` with inferred types at every chunk size in [1, csv.size()]
+/// and thread counts 1/2/4, and asserts each read is bit-identical —
+/// schema included — to the one-chunk read, which it returns.
+Table SweepInferredChunkSizes(const std::string& csv) {
+  const std::string path = WriteTempCsv(TestCsvName(), csv);
+  auto expected = ReadCsvFileInferred("t", path, kOneChunk);
+  EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+  if (!expected.ok()) return Table();
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t chunk_bytes = 1; chunk_bytes <= csv.size(); ++chunk_bytes) {
+      CsvIngestOptions options;
+      options.threads = threads;
+      options.chunk_bytes = chunk_bytes;
+      auto chunked = ReadCsvFileInferred("t", path, options);
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " chunk_bytes=" + std::to_string(chunk_bytes);
+      EXPECT_TRUE(chunked.ok()) << what << ": " << chunked.status().ToString();
+      if (chunked.ok()) ExpectBitIdentical(*expected, *chunked, what);
+    }
+  }
+  std::remove(path.c_str());
+  return std::move(expected.value());
+}
+
+TEST(CsvStreamFileTest, InferredReadIdenticalAtEveryChunkSize) {
+  const Table table = SweepInferredChunkSizes(
+      "id,price,name\n1,9.5,ab\n2,1.25,cd\n3,7.0,ef\n4,2.5,gh\n");
+  ASSERT_EQ(table.num_rows(), 4u);
+  EXPECT_EQ(table.schema().attribute(0).type, ValueType::kInt);
+  EXPECT_EQ(table.schema().attribute(1).type, ValueType::kReal);
+  EXPECT_EQ(table.schema().attribute(2).type, ValueType::kString);
+}
+
+TEST(CsvInferenceTest, ChunkMergeTakesWidestTypeInAnyRecordOrder) {
+  // Each 1-byte chunk holds one record, so the verdict is decided entirely
+  // by the merge: int, real and string cells must widen to string whatever
+  // chunk each lands in.
+  const char* cells[] = {"1", "2.5", "x"};
+  size_t order[] = {0, 1, 2};
+  do {
+    std::string csv = "v\n";
+    for (size_t i : order) csv += std::string(cells[i]) + "\n";
+    const Table table = SweepInferredChunkSizes(csv);
+    ASSERT_EQ(table.num_rows(), 3u) << csv;
+    EXPECT_EQ(table.schema().attribute(0).type, ValueType::kString) << csv;
+  } while (std::next_permutation(std::begin(order), std::end(order)));
+}
+
+TEST(CsvInferenceTest, Int64OverflowWidensToReal) {
+  for (const std::string csv :
+       {"v\n7\n99999999999999999999\n", "v\n99999999999999999999\n7\n"}) {
+    const Table table = SweepInferredChunkSizes(csv);
+    EXPECT_EQ(table.schema().attribute(0).type, ValueType::kReal) << csv;
+    EXPECT_EQ(table.ValueAt(0, "v").type(), ValueType::kReal) << csv;
+  }
+}
+
+TEST(CsvInferenceTest, ColumnEmptyInFirstChunkStillInfersInt) {
+  // Column b is empty for the first 1,500 of 2,000 records: at every chunk
+  // size and thread count the verdict comes from all of them.
+  std::string csv = "a,b\n";
+  for (int r = 0; r < 2000; ++r) {
+    csv += std::to_string(r) + "," + (r < 1500 ? "" : std::to_string(r)) +
+           "\n";
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (size_t chunk_bytes : {size_t{0}, size_t{1}, size_t{64}}) {
+      CsvIngestOptions options;
+      options.threads = threads;
+      options.chunk_bytes = chunk_bytes;
+      auto table = ReadInferred(csv, options);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      EXPECT_EQ(table->schema().attribute(1).type, ValueType::kInt)
+          << "threads=" << threads << " chunk_bytes=" << chunk_bytes;
+      EXPECT_TRUE(table->ValueAt(0, "b").is_null());
+      EXPECT_EQ(table->ValueAt(1999, "b"), I(1999));
+    }
+  }
+  SweepInferredChunkSizes("a,b\n1,\n2,\n3,4\n");
+}
+
+TEST(CsvInferenceTest, InfersIntRealString) {
+  auto table = ReadInferred("id,price,name\n1,2.5,abc\n2,3,def\n3,4.25,ghi\n");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->schema().attribute(0).type, ValueType::kInt);
+  EXPECT_EQ(table->schema().attribute(1).type, ValueType::kReal);
+  EXPECT_EQ(table->schema().attribute(2).type, ValueType::kString);
+  EXPECT_EQ(table->ValueAt(0, "id"), Value::Int(1));
+  EXPECT_EQ(table->ValueAt(1, "price"), Value::Real(3.0));
+}
+
+TEST(CsvInferenceTest, OneBadCellDemotesColumn) {
+  auto table = ReadInferred("x\n1\n2\noops\n");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->schema().attribute(0).type, ValueType::kString);
+  EXPECT_EQ(table->ValueAt(0, "x"), Value::String("1"));
+}
+
+TEST(CsvInferenceTest, EmptyCellsAreNullAndDoNotAffectType) {
+  auto table = ReadInferred("x\n1\n\n3\n");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->schema().attribute(0).type, ValueType::kInt);
+  EXPECT_TRUE(table->ValueAt(1, "x").is_null());
+}
+
+TEST(CsvInferenceTest, AllEmptyColumnDefaultsToString) {
+  auto table = ReadInferred("a,b\n1,\n2,\n");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table->schema().attribute(1).type, ValueType::kString);
+}
+
+TEST(CsvInferenceTest, RoundTripThroughWriter) {
+  Table original = MakeTable(
+      "roundtrip", {"n", "r", "s"},
+      {{Value::Int(1), Value::Real(1.5), Value::String("x,y")},
+       {Value::Int(2), Value::Real(2.5), Value::String("z")}});
+  auto parsed = ReadInferred(TableToCsv(original));
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->num_rows(), 2u);
+  EXPECT_EQ(parsed->ValueAt(0, "n"), Value::Int(1));
+  EXPECT_EQ(parsed->ValueAt(0, "r"), Value::Real(1.5));
+  EXPECT_EQ(parsed->ValueAt(0, "s"), Value::String("x,y"));
+}
+
+TEST(CsvInferenceTest, ArityMismatchRejected) {
+  EXPECT_FALSE(ReadInferred("a,b\n1\n").ok());
+}
+
+TEST(CsvInferenceTest, RepeatedHeaderNameRejected) {
+  // A repeated name cannot become a schema; it is bad input, not a crash.
+  auto repeated = ReadInferred("id,name,name\n1,a,b\n2,c,d\n");
+  EXPECT_EQ(repeated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(repeated.status().message().find("'name'"), std::string::npos)
+      << repeated.status().ToString();
+  EXPECT_EQ(ReadInferred(",\n1,2\n").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CsvInferenceTest, FileVariantReadsFromDisk) {
+  Table t = MakeTable("disk", {"v"}, {{Value::Int(9)}});
+  std::string path = ::testing::TempDir() + "/csm_infer_test.csv";
+  ASSERT_TRUE(WriteCsvFile(t, path).ok());
+  auto parsed = ReadCsvFileInferred("disk", path);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->ValueAt(0, "v"), Value::Int(9));
+  EXPECT_EQ(ReadCsvFileInferred("disk", "/nonexistent/file.csv")
+                .status()
+                .code(),
+            StatusCode::kIoError);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the extension features: target-side contextual matching
-// (Section 7 future work) and CSV schema inference (CLI tool substrate).
+// (Section 7 future work) and target-constraint validation.  CSV schema
+// inference is tested with the rest of CSV ingest in csv_stream_test.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,6 @@
 
 #include "core/match_engine.h"
 #include "datagen/retail_gen.h"
-#include "relational/csv.h"
 #include "tests/test_util.h"
 
 namespace csm {
@@ -99,65 +99,6 @@ TEST(TargetContextMatchTest, StandardMatchesAreNotFlaggedTargetConditioned) {
     EXPECT_TRUE(m.condition.is_true());
     EXPECT_FALSE(m.condition_on_target);
   }
-}
-
-// ------------------------------------------------------ CSV inference
-
-TEST(CsvInferenceTest, InfersIntRealString) {
-  auto table = TableFromCsvInferred(
-      "t", "id,price,name\n1,2.5,abc\n2,3,def\n3,4.25,ghi\n");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->schema().attribute(0).type, ValueType::kInt);
-  EXPECT_EQ(table->schema().attribute(1).type, ValueType::kReal);
-  EXPECT_EQ(table->schema().attribute(2).type, ValueType::kString);
-  EXPECT_EQ(table->ValueAt(0, "id"), Value::Int(1));
-  EXPECT_EQ(table->ValueAt(1, "price"), Value::Real(3.0));
-}
-
-TEST(CsvInferenceTest, OneBadCellDemotesColumn) {
-  auto table = TableFromCsvInferred("t", "x\n1\n2\noops\n");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->schema().attribute(0).type, ValueType::kString);
-  EXPECT_EQ(table->ValueAt(0, "x"), Value::String("1"));
-}
-
-TEST(CsvInferenceTest, EmptyCellsAreNullAndDoNotAffectType) {
-  auto table = TableFromCsvInferred("t", "x\n1\n\n3\n");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->schema().attribute(0).type, ValueType::kInt);
-  EXPECT_TRUE(table->ValueAt(1, "x").is_null());
-}
-
-TEST(CsvInferenceTest, AllEmptyColumnDefaultsToString) {
-  auto table = TableFromCsvInferred("t", "a,b\n1,\n2,\n");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->schema().attribute(1).type, ValueType::kString);
-}
-
-TEST(CsvInferenceTest, RoundTripThroughWriter) {
-  Table original = testing::MakeTable(
-      "roundtrip", {"n", "r", "s"},
-      {{Value::Int(1), Value::Real(1.5), Value::String("x,y")},
-       {Value::Int(2), Value::Real(2.5), Value::String("z")}});
-  auto parsed = TableFromCsvInferred("roundtrip", TableToCsv(original));
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->num_rows(), 2u);
-  EXPECT_EQ(parsed->ValueAt(0, "n"), Value::Int(1));
-  EXPECT_EQ(parsed->ValueAt(0, "r"), Value::Real(1.5));
-  EXPECT_EQ(parsed->ValueAt(0, "s"), Value::String("x,y"));
-}
-
-TEST(CsvInferenceTest, ArityMismatchRejected) {
-  EXPECT_FALSE(TableFromCsvInferred("t", "a,b\n1\n").ok());
-}
-
-TEST(CsvInferenceTest, FileVariantReadsFromDisk) {
-  Table t = testing::MakeTable("disk", {"v"}, {{Value::Int(9)}});
-  std::string path = ::testing::TempDir() + "/csm_infer_test.csv";
-  ASSERT_TRUE(WriteCsvFile(t, path).ok());
-  auto parsed = ReadCsvFileInferred("disk", path);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->ValueAt(0, "v"), Value::Int(9));
 }
 
 }  // namespace

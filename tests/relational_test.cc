@@ -571,7 +571,7 @@ TEST(SampleTest, DeriveTableSampleSeedIsStableAndTableDependent) {
 TEST(CsvTest, RoundTrip) {
   Table t = SampleInventory();
   std::string csv = TableToCsv(t);
-  auto parsed = TableFromCsv(t.schema(), csv);
+  auto parsed = TableFromCsvParallel(t.schema(), csv);
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->num_rows(), t.num_rows());
   for (size_t r = 0; r < t.num_rows(); ++r) {
@@ -585,7 +585,7 @@ TEST(CsvTest, QuotingSpecialCharacters) {
                        {S("has \"quotes\"")},
                        {S("has\nnewline")}});
   std::string csv = TableToCsv(t);
-  auto parsed = TableFromCsv(t.schema(), csv);
+  auto parsed = TableFromCsvParallel(t.schema(), csv);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->ValueAt(0, "text"), S("has,comma"));
   EXPECT_EQ(parsed->ValueAt(1, "text"), S("has \"quotes\""));
@@ -594,7 +594,7 @@ TEST(CsvTest, QuotingSpecialCharacters) {
 
 TEST(CsvTest, NullsRoundTripAsEmpty) {
   Table t = MakeTable("n", {"a", "b"}, {{I(1), N()}, {I(2), R(1.5)}});
-  auto parsed = TableFromCsv(t.schema(), TableToCsv(t));
+  auto parsed = TableFromCsvParallel(t.schema(), TableToCsv(t));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->ValueAt(0, "b").is_null());
   EXPECT_EQ(parsed->ValueAt(1, "b"), R(1.5));
@@ -607,33 +607,33 @@ TEST(CsvTest, HeaderMismatchRejected) {
   other.AddAttribute("type", ValueType::kString);
   other.AddAttribute("name", ValueType::kString);
   other.AddAttribute("price", ValueType::kReal);
-  EXPECT_FALSE(TableFromCsv(other, TableToCsv(t)).ok());
+  EXPECT_FALSE(TableFromCsvParallel(other, TableToCsv(t)).ok());
 }
 
 TEST(CsvTest, ArityMismatchRejected) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
   schema.AddAttribute("b", ValueType::kInt);
-  EXPECT_FALSE(TableFromCsv(schema, "a,b\n1\n").ok());
+  EXPECT_FALSE(TableFromCsvParallel(schema, "a,b\n1\n").ok());
 }
 
 TEST(CsvTest, BadCellTypeRejected) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
-  EXPECT_FALSE(TableFromCsv(schema, "a\nnot_an_int\n").ok());
+  EXPECT_FALSE(TableFromCsvParallel(schema, "a\nnot_an_int\n").ok());
 }
 
 TEST(CsvTest, UnterminatedQuoteRejected) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kString);
-  EXPECT_FALSE(TableFromCsv(schema, "a\n\"oops\n").ok());
+  EXPECT_FALSE(TableFromCsvParallel(schema, "a\n\"oops\n").ok());
 }
 
 TEST(CsvTest, FileRoundTrip) {
   Table t = SampleInventory();
   std::string path = ::testing::TempDir() + "/csm_csv_test.csv";
   ASSERT_TRUE(WriteCsvFile(t, path).ok());
-  auto parsed = ReadCsvFile(t.schema(), path);
+  auto parsed = ReadCsvFileStreaming(t.schema(), path);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->num_rows(), t.num_rows());
 }
@@ -641,8 +641,9 @@ TEST(CsvTest, FileRoundTrip) {
 TEST(CsvTest, MissingFileErrors) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
-  EXPECT_EQ(ReadCsvFile(schema, "/nonexistent/file.csv").status().code(),
-            StatusCode::kIoError);
+  EXPECT_EQ(
+      ReadCsvFileStreaming(schema, "/nonexistent/file.csv").status().code(),
+      StatusCode::kIoError);
 }
 
 // Regression: WriteCsvFile checked the stream before the final flush, so a
@@ -659,7 +660,7 @@ TEST(CsvTest, WriteReportsFailedFinalFlush) {
 TEST(CsvTest, BareCarriageReturnTerminatesRecord) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
-  auto parsed = TableFromCsv(schema, "a\r1\r2\r");
+  auto parsed = TableFromCsvParallel(schema, "a\r1\r2\r");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 2u);
   EXPECT_EQ(parsed->ValueAt(0, "a"), I(1));
@@ -669,7 +670,7 @@ TEST(CsvTest, BareCarriageReturnTerminatesRecord) {
 TEST(CsvTest, MixedLineEndingsParse) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
-  auto parsed = TableFromCsv(schema, "a\n1\r\n2\r3\n");
+  auto parsed = TableFromCsvParallel(schema, "a\n1\r\n2\r3\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 3u);
   EXPECT_EQ(parsed->ValueAt(0, "a"), I(1));
@@ -682,7 +683,7 @@ TEST(CsvTest, MixedLineEndingsParse) {
 // is what preserves it through a round trip.
 TEST(CsvTest, EmbeddedCarriageReturnRoundTrip) {
   Table t = MakeTable("t", {"text"}, {{S("line\rbreak")}, {S("dos\r\nend")}});
-  auto parsed = TableFromCsv(t.schema(), TableToCsv(t));
+  auto parsed = TableFromCsvParallel(t.schema(), TableToCsv(t));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->ValueAt(0, "text"), S("line\rbreak"));
   EXPECT_EQ(parsed->ValueAt(1, "text"), S("dos\r\nend"));
@@ -693,7 +694,7 @@ TEST(CsvTest, Utf8InQuotedFields) {
                       {{S("h\xc3\xa9llo, world")},
                        {S("\xe6\x97\xa5\xe6\x9c\xac\xe8\xaa\x9e")},
                        {S("\xf0\x9f\x99\x82 ok")}});
-  auto parsed = TableFromCsv(t.schema(), TableToCsv(t));
+  auto parsed = TableFromCsvParallel(t.schema(), TableToCsv(t));
   ASSERT_TRUE(parsed.ok());
   for (size_t r = 0; r < t.num_rows(); ++r) {
     EXPECT_EQ(parsed->row(r), t.row(r));
@@ -704,7 +705,7 @@ TEST(CsvTest, TrailingCommaIsEmptyField) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
   schema.AddAttribute("b", ValueType::kString);
-  auto parsed = TableFromCsv(schema, "a,b\n1,\n");
+  auto parsed = TableFromCsvParallel(schema, "a,b\n1,\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 1u);
   EXPECT_EQ(parsed->ValueAt(0, "a"), I(1));
@@ -714,7 +715,7 @@ TEST(CsvTest, TrailingCommaIsEmptyField) {
 TEST(CsvTest, QuotedFieldAtEofWithoutNewline) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kString);
-  auto parsed = TableFromCsv(schema, "a\n\"hi, there\"");
+  auto parsed = TableFromCsvParallel(schema, "a\n\"hi, there\"");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 1u);
   EXPECT_EQ(parsed->ValueAt(0, "a"), S("hi, there"));
@@ -723,11 +724,11 @@ TEST(CsvTest, QuotedFieldAtEofWithoutNewline) {
 TEST(CsvTest, EmptyFileRejectedHeaderOnlyAccepted) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
-  EXPECT_FALSE(TableFromCsv(schema, "").ok());
-  auto header_only = TableFromCsv(schema, "a\n");
+  EXPECT_FALSE(TableFromCsvParallel(schema, "").ok());
+  auto header_only = TableFromCsvParallel(schema, "a\n");
   ASSERT_TRUE(header_only.ok()) << header_only.status().ToString();
   EXPECT_EQ(header_only->num_rows(), 0u);
-  auto no_newline = TableFromCsv(schema, "a");
+  auto no_newline = TableFromCsvParallel(schema, "a");
   ASSERT_TRUE(no_newline.ok()) << no_newline.status().ToString();
   EXPECT_EQ(no_newline->num_rows(), 0u);
 }
@@ -740,7 +741,7 @@ TEST(CsvTest, SingleAttributeNullRowsRoundTrip) {
   Table t = MakeTable("t", {"a"}, {{N()}, {I(1)}, {N()}});
   const std::string csv = TableToCsv(t);
   EXPECT_NE(csv.find("\"\""), std::string::npos);
-  auto parsed = TableFromCsv(t.schema(), csv);
+  auto parsed = TableFromCsvParallel(t.schema(), csv);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), 3u);
   EXPECT_TRUE(parsed->ValueAt(0, "a").is_null());
