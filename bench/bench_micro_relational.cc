@@ -11,8 +11,8 @@
 //   view_materialize   row-at-a-time AddRow copy of the matching rows vs
 //                      TableView::ToTable column gather
 //   feature_extract    the ClusteredViewGen (label, evidence) pair walk
-//                      over boxed rows vs the dictionary-code reads of
-//                      RunCycle's coded fast path
+//                      over boxed rows vs dictionary-code reads of the
+//                      column segments
 //
 // The headline metric is scan_score (condition scan + per-attribute bag
 // reads — the candidate-view evaluation inner loop of MatchEngine
@@ -187,9 +187,9 @@ int main(int argc, char** argv) {
       }
       return n;
     });
-    // Mirrors ClusteredViewGen::RunCycle's coded fast path: string columns
-    // read dictionary codes (kNullCode == NULL) and resolve the label text
-    // through the dictionary; non-string columns fall back to boxed reads.
+    // Column-segment reads: string columns read dictionary codes
+    // (kNullCode == NULL) and resolve the label text through the
+    // dictionary; non-string columns fall back to boxed reads.
     g.feat_col = TimeBest(reps, &sink, [&] {
       size_t n = 0;
       const Column& label_column = table.column(label_col);

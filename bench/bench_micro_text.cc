@@ -11,9 +11,11 @@
 //   profile_build TokenProfile (std::map) accumulation vs
 //                 GramProfileBuilder -> flat sorted (id, count) entries
 //   nb_train      map-of-strings Naive Bayes training vs
-//                 NaiveBayesClassifier::TrainCoded (per-code token memo)
-//   nb_classify   per-call map NB scoring vs ClassifyCoded (finalized
-//                 models + per-distinct-input memo)
+//                 NaiveBayesClassifier::Train over the name column
+//                 (per-(dictionary, code) token memo)
+//   nb_classify   per-call map NB scoring vs NaiveBayesClassifier::Classify
+//                 over the name column (finalized models +
+//                 per-distinct-value memo)
 //
 // All kernel paths produce bit-identical scores to the baselines (enforced
 // by FuzzTokenKernelEquivalence); this bench records the time.  Writes
@@ -144,18 +146,18 @@ int main(int argc, char** argv) {
   const size_t exam_col = table.schema().AttributeIndex("examNum");
 
   // The RunCycle evidence stream: rendered name + exam-group label per
-  // non-null row, plus the aligned dictionary codes for the coded paths.
+  // non-null row, and the same rows as one name column (a gather sharing
+  // the table's dictionary) for the classifier paths.
   const Column& name_column = table.column(name_col);
-  const StringDictionary& dict = name_column.dictionary();
   std::vector<std::string> names, labels;
-  std::vector<uint32_t> codes;
+  PosList kept;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    const uint32_t code = name_column.codes()[r];
-    if (code == kNullCode || table.ValueAt(r, exam_col).is_null()) continue;
-    names.push_back(dict.value(code));
+    if (name_column.IsNull(r) || table.ValueAt(r, exam_col).is_null()) continue;
+    names.push_back(table.ValueAt(r, name_col).ToString());
     labels.push_back(table.ValueAt(r, exam_col).ToString());
-    codes.push_back(code);
+    kept.push_back(static_cast<RowId>(r));
   }
+  const Column evidence = name_column.Gather(kept);
   std::set<std::string> distinct(names.begin(), names.end());
   std::printf("grades workload: %zu rows, %zu distinct names, %zu labels\n",
               names.size(), distinct.size(),
@@ -201,24 +203,24 @@ int main(int argc, char** argv) {
     return nb.TrainingSize();
   });
   train.kernel = TimeBest(reps, &sink, [&] {
-    NaiveBayesClassifier nb(3);
-    for (size_t i = 0; i < codes.size(); ++i) {
-      nb.TrainCoded(dict, codes[i], labels[i]);
+    NaiveBayesClassifier nb;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      nb.Train(evidence, i, labels[i]);
     }
     return nb.TrainingSize();
   });
 
   // --- nb_classify --------------------------------------------------------
   // Both classifiers are trained once outside the timed region; the kernel
-  // side classifies through ClassifyCoded so repeated names hit the
-  // per-distinct-input memo, exactly as RunCycle's doTesting loop does.
+  // side classifies the name column's cells, so repeated names hit the
+  // per-distinct-value memo, exactly as RunCycle's doTesting loop does.
   StringMapNaiveBayes baseline_nb(3);
   for (size_t i = 0; i < names.size(); ++i) {
     baseline_nb.Train(names[i], labels[i]);
   }
-  NaiveBayesClassifier kernel_nb(3);
-  for (size_t i = 0; i < codes.size(); ++i) {
-    kernel_nb.TrainCoded(dict, codes[i], labels[i]);
+  NaiveBayesClassifier kernel_nb;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    kernel_nb.Train(evidence, i, labels[i]);
   }
   classify.baseline = TimeBest(reps, &sink, [&] {
     size_t n = 0;
@@ -229,8 +231,8 @@ int main(int argc, char** argv) {
   });
   classify.kernel = TimeBest(reps, &sink, [&] {
     size_t n = 0;
-    for (uint32_t code : codes) {
-      n += kernel_nb.ClassifyCoded(dict, code).size();
+    for (size_t i = 0; i < evidence.size(); ++i) {
+      n += kernel_nb.Classify(evidence, i).size();
     }
     return n;
   });

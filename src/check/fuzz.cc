@@ -688,10 +688,8 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
     table_options.min_rows = 1;
     const Table table = RandomHostileTable("fuzz", rng, table_options);
     const size_t cols = table.schema().num_attributes();
-    // Packed gram length for the profile checks; the classifier check
-    // sometimes uses q = 5 to exercise the interner fallback.
+    // Packed gram length for the profile checks.
     const size_t q = 1 + rng.NextBounded(kMaxPackedGramQ);
-    const size_t nb_q = rng.NextBounded(4) == 0 ? kMaxPackedGramQ + 1 : q;
 
     std::vector<std::vector<std::string>> texts(cols);
     for (size_t c = 0; c < cols; ++c) {
@@ -784,65 +782,44 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
       }
     }
 
-    // (3) Naive Bayes: boxed and coded kernel paths against the reference,
-    // labels = column names.  The coded classifier trains through the
-    // (dictionary, code) memo; classification must still be bit-identical.
-    ReferenceNaiveBayes reference(nb_q);
-    NaiveBayesClassifier boxed(nb_q);
-    NaiveBayesClassifier coded(nb_q);
+    // (3) Naive Bayes over the string columns against the reference, labels
+    // = column names.  The classifier reads cells through its (dictionary,
+    // code) memos; labels and log scores must still be bit-identical.
+    ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
+    NaiveBayesClassifier nb;
     for (size_t c = 0; c < cols; ++c) {
-      const std::string& label = table.schema().attribute(c).name;
       const Column& column = table.column(c);
-      if (column.type() == ValueType::kString) {
-        const StringDictionary& dict = column.dictionary();
-        for (uint32_t code : column.codes()) {
-          if (code == kNullCode) continue;
-          coded.TrainCoded(dict, code, label);
-        }
-      } else {
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          const Value v = table.ValueAt(r, c);
-          if (!v.is_null()) coded.Train(v, label);
-        }
+      if (column.type() != ValueType::kString) continue;
+      const std::string& label = table.schema().attribute(c).name;
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        if (!column.IsNull(r)) nb.Train(column, r, label);
       }
-      for (const std::string& text : texts[c]) {
-        reference.Train(text, label);
-        boxed.Train(Value::String(text), label);
-      }
+      for (const std::string& text : texts[c]) reference.Train(text, label);
     }
     for (size_t c = 0; c < cols; ++c) {
       const Column& column = table.column(c);
+      if (column.type() != ValueType::kString) continue;
       for (size_t r = 0; r < table.num_rows(); ++r) {
         const Value v = table.ValueAt(r, c);
         if (v.is_null()) continue;
         const std::string text = v.ToString();
         const std::string expected = reference.Classify(text);
-        const std::string from_boxed = boxed.Classify(Value::String(text));
-        // ClassifyCoded runs twice so the second call exercises the memo.
-        std::string from_coded;
-        if (column.type() == ValueType::kString) {
-          const StringDictionary& dict = column.dictionary();
-          const uint32_t code = column.codes()[r];
-          from_coded = coded.ClassifyCoded(dict, code);
-          if (coded.ClassifyCoded(dict, code) != from_coded) {
-            return Replay(options, i,
-                          Status::Internal("classify memo diverged on \"" +
-                                           text + "\""));
-          }
-        } else {
-          from_coded = coded.Classify(v);
+        // Classify runs twice so the second call exercises the memo.
+        const std::string got = nb.Classify(column, r);
+        if (nb.Classify(column, r) != got) {
+          return Replay(options, i,
+                        Status::Internal("classify memo diverged on \"" +
+                                         text + "\""));
         }
-        if (from_boxed != expected || from_coded != expected) {
-          return Replay(
-              options, i,
-              Status::Internal("NB classification diverged on \"" + text +
-                               "\": reference=" + expected +
-                               " boxed=" + from_boxed +
-                               " coded=" + from_coded));
+        if (got != expected) {
+          return Replay(options, i,
+                        Status::Internal("NB classification diverged on \"" +
+                                         text + "\": reference=" + expected +
+                                         " kernel=" + got));
         }
         for (size_t lc = 0; lc < cols; ++lc) {
           const std::string& label = table.schema().attribute(lc).name;
-          if (!BitEqual(boxed.LogScore(Value::String(text), label),
+          if (!BitEqual(nb.LogScore(column, r, label),
                         reference.LogScore(text, label))) {
             return Replay(options, i,
                           Status::Internal("NB log score diverged on \"" +

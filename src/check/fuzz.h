@@ -40,9 +40,10 @@
 //   * FuzzTokenKernelEquivalence
 //                            random hostile tables through the interned
 //                            token kernel (text/gram.h): packed gram ids,
-//                            flat profiles, TF-IDF weighted cosine and the
-//                            Naive Bayes classifier (boxed and coded paths)
-//                            and column-only AttributeSamples (whole
+//                            flat profiles, TF-IDF weighted cosine, the
+//                            column-reading Naive Bayes classifier (labels
+//                            and log scores over the string columns) and
+//                            column-only AttributeSamples (whole
 //                            columns and random row draws) against
 //                            map-of-strings / boxed-bag reference
 //                            implementations — every score bit-identical

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <optional>
-#include <set>
-#include <unordered_map>
 
 #include <chrono>
 
@@ -18,12 +15,30 @@
 #include "obs/trace.h"
 #include "relational/categorical.h"
 #include "relational/column.h"
+#include "relational/condition.h"
 #include "relational/sample.h"
 #include "stats/significance.h"
 #include "text/gram.h"
 
 namespace csm {
 namespace {
+
+/// Canonical token of a group of label values: member renderings joined by
+/// '\x1f', each byte '\x1b'..'\x1f' inside a rendering prefixed by '\x1b'.
+/// The escape makes the token injective, so no label value can forge a join
+/// (or a FamilyPartitionKey separator) and two groups never share a token;
+/// renderings without those bytes appear verbatim.
+std::string GroupToken(const std::vector<Value>& members) {
+  std::string out;
+  for (size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) out += '\x1f';
+    for (char c : members[i].ToString()) {
+      if (c >= '\x1b' && c <= '\x1f') out += '\x1b';
+      out += c;
+    }
+  }
+  return out;
+}
 
 /// Tracks the current grouping of label values; a "group" becomes one view
 /// of the family (a disjunct after merges).
@@ -37,25 +52,8 @@ class LabelGrouping {
 
   size_t num_groups() const { return groups_.size(); }
 
-  /// The group token (classifier label) for a label value; "" if unknown.
-  std::string TokenFor(const Value& value) const {
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      for (const Value& member : groups_[g]) {
-        if (member == value) return Token(g);
-      }
-    }
-    return "";
-  }
-
-  /// Canonical token of group `g`: member strings joined by '\x1f'.
-  std::string Token(size_t g) const {
-    std::string out;
-    for (const Value& member : groups_[g]) {
-      if (!out.empty()) out += '\x1f';
-      out += member.ToString();
-    }
-    return out;
-  }
+  /// The classifier label of group `g`.
+  std::string Token(size_t g) const { return GroupToken(groups_[g]); }
 
   /// Merges the groups whose tokens are `a` and `b`; returns false if
   /// either token is unknown or they are the same group.
@@ -75,20 +73,6 @@ class LabelGrouping {
   }
 
   const std::vector<std::vector<Value>>& groups() const { return groups_; }
-
-  /// Canonical serialization of the whole partition (dedup key).
-  std::string PartitionKey() const {
-    std::vector<std::string> tokens;
-    tokens.reserve(groups_.size());
-    for (size_t g = 0; g < groups_.size(); ++g) tokens.push_back(Token(g));
-    std::sort(tokens.begin(), tokens.end());
-    std::string out;
-    for (const auto& token : tokens) {
-      out += token;
-      out += '\x1e';
-    }
-    return out;
-  }
 
  private:
   std::vector<std::vector<Value>> groups_;
@@ -119,133 +103,59 @@ struct TrainTestOutcome {
   size_t train_count = 0;
 };
 
-/// Per-cycle typed reader state for one attribute: when the backing base
-/// column is a dictionary-encoded string column, rows are read as codes
-/// (kNullCode == NULL) and handed to the classifier's coded fast path;
-/// otherwise rows box through ValueAt exactly as before.  Both train and
-/// test views share the same base table, so one codec serves both loops.
-struct ColumnCodec {
-  const Column* column = nullptr;  // base segment (read through positions)
-  bool coded = false;
-
-  ColumnCodec(const TableView& view, size_t view_col) {
-    column = &view.column(view_col);
-    coded = column->type() == ValueType::kString;
-  }
-};
-
-/// One doTraining + doTesting cycle for (h, l) under `grouping`.  Reads
-/// both sides through zero-copy views; label-value -> group-token lookups
-/// go through a map built once per cycle (label values are unique across
-/// groups, so this is exactly LabelGrouping::TokenFor, minus the linear
-/// scan per row).  String-coded label and evidence columns skip Value
-/// boxing entirely: label tokens resolve by dictionary code, and evidence
-/// cells flow through TrainCoded/ClassifyCoded so the classifier can
-/// memoize per distinct value — the call sequence (and therefore every
-/// score) is identical to the boxed path.
+/// One doTraining + doTesting cycle for (h, l) under `grouping`.  Each base
+/// row's group is resolved once per cycle from the conditions the family's
+/// views carry (Condition::In(l, group) over the base table), so a row
+/// trains and tests under exactly the view that would select it.  Rows
+/// with no group (NULL or unseen label) or a NULL evidence cell are
+/// skipped; the classifier reads every other evidence cell straight off h's
+/// base column, train rows then test rows, in view order.
 TrainTestOutcome RunCycle(const TrainTestViewSplit& split, size_t h_col,
                           size_t l_col, const LabelGrouping& grouping,
-                          const ClassifierFactory& factory,
-                          ValueType h_type) {
+                          const ClassifierFactory& factory) {
   TrainTestOutcome out;
-  std::unique_ptr<ValueClassifier> classifier = factory(h_type);
+  const Column& h = split.train.column(h_col);
+  std::unique_ptr<ValueClassifier> classifier = factory(h.type());
   CSM_CHECK(classifier != nullptr);
 
-  std::map<Value, std::string> token_of;
-  for (size_t g = 0; g < grouping.groups().size(); ++g) {
-    const std::string token = grouping.Token(g);
-    for (const Value& member : grouping.groups()[g]) {
-      token_of.emplace(member, token);
+  const Table& base = split.train.base();
+  const std::string& l =
+      base.schema().attribute(split.train.base_column_index(l_col)).name;
+  constexpr size_t kNoGroup = static_cast<size_t>(-1);
+  std::vector<size_t> group_of(base.num_rows(), kNoGroup);
+  std::vector<std::string> tokens;
+  tokens.reserve(grouping.num_groups());
+  for (size_t g = 0; g < grouping.num_groups(); ++g) {
+    tokens.push_back(grouping.Token(g));
+    for (RowId pos :
+         Condition::In(l, grouping.groups()[g]).MatchingPositions(base)) {
+      group_of[pos] = g;
     }
   }
-  auto token_for = [&token_of](const Value& value) -> const std::string* {
-    auto it = token_of.find(value);
-    return it == token_of.end() ? nullptr : &it->second;
-  };
 
-  const ColumnCodec l_codec(split.train, l_col);
-  const ColumnCodec h_codec(split.train, h_col);
-
-  // Code -> group token for a coded label column.  Tokens cover exactly the
-  // values token_of covers: a grouping value missing from the dictionary
-  // never occurs in any row, so both lookups skip the same rows.
-  std::unordered_map<uint32_t, const std::string*> token_by_code;
-  if (l_codec.coded) {
-    token_by_code.reserve(token_of.size());
-    for (const auto& [value, token] : token_of) {
-      if (value.type() != ValueType::kString) continue;
-      std::optional<uint32_t> code = l_codec.column->CodeFor(value.AsString());
-      if (code.has_value()) token_by_code[*code] = &token;
-    }
-  }
-  const std::vector<uint32_t>& l_codes = l_codec.column->codes();
-  const std::vector<uint32_t>& h_codes = h_codec.column->codes();
-  const StringDictionary* h_dict =
-      h_codec.coded ? &h_codec.column->dictionary() : nullptr;
-
-  std::map<std::string, size_t> train_label_counts;
+  std::vector<size_t> train_group_counts(grouping.num_groups(), 0);
   const TableView& train = split.train;
   for (size_t r = 0; r < train.num_rows(); ++r) {
     const RowId pos = train.position(r);
-    const std::string* token = nullptr;
-    if (l_codec.coded) {
-      const uint32_t l_code = l_codes[pos];
-      if (l_code == kNullCode) continue;
-      auto it = token_by_code.find(l_code);
-      token = it == token_by_code.end() ? nullptr : it->second;
-    } else {
-      const Value l_value = train.ValueAt(r, l_col);
-      if (l_value.is_null()) continue;
-      token = token_for(l_value);
-    }
-    if (h_codec.coded) {
-      const uint32_t h_code = h_codes[pos];
-      if (h_code == kNullCode) continue;
-      if (token == nullptr) continue;  // value unseen when grouping was formed
-      classifier->TrainCoded(*h_dict, h_code, *token);
-    } else {
-      const Value h_value = train.ValueAt(r, h_col);
-      if (h_value.is_null()) continue;
-      if (token == nullptr) continue;  // value unseen when grouping was formed
-      classifier->Train(h_value, *token);
-    }
-    ++train_label_counts[*token];
+    const size_t g = group_of[pos];
+    if (g == kNoGroup || h.IsNull(pos)) continue;
+    classifier->Train(h, pos, tokens[g]);
+    ++train_group_counts[g];
     ++out.train_count;
   }
   if (out.train_count == 0) return out;
 
-  size_t most_common = 0;
-  for (const auto& [token, count] : train_label_counts) {
-    most_common = std::max(most_common, count);
-  }
+  const size_t most_common =
+      *std::max_element(train_group_counts.begin(), train_group_counts.end());
   out.most_common_fraction = static_cast<double>(most_common) /
                              static_cast<double>(out.train_count);
 
   const TableView& test = split.test;
   for (size_t r = 0; r < test.num_rows(); ++r) {
     const RowId pos = test.position(r);
-    const std::string* actual = nullptr;
-    if (l_codec.coded) {
-      const uint32_t l_code = l_codes[pos];
-      if (l_code == kNullCode) continue;
-      auto it = token_by_code.find(l_code);
-      actual = it == token_by_code.end() ? nullptr : it->second;
-    } else {
-      const Value l_value = test.ValueAt(r, l_col);
-      if (l_value.is_null()) continue;
-      actual = token_for(l_value);
-    }
-    if (h_codec.coded) {
-      const uint32_t h_code = h_codes[pos];
-      if (h_code == kNullCode) continue;
-      if (actual == nullptr) continue;
-      out.eval.Observe(*actual, classifier->ClassifyCoded(*h_dict, h_code));
-    } else {
-      const Value h_value = test.ValueAt(r, h_col);
-      if (h_value.is_null()) continue;
-      if (actual == nullptr) continue;
-      out.eval.Observe(*actual, classifier->Classify(h_value));
-    }
+    const size_t g = group_of[pos];
+    if (g == kNoGroup || h.IsNull(pos)) continue;
+    out.eval.Observe(tokens[g], classifier->Classify(h, pos));
   }
   return out;
 }
@@ -257,7 +167,6 @@ struct GridCell {
   const std::map<Value, size_t>* counts;
   const std::string* evidence;
   size_t h_col;
-  ValueType h_type;
 };
 
 /// Trains and evaluates one grid cell: the full LateDisjuncts cycle or the
@@ -277,8 +186,8 @@ std::vector<ViewFamily> RunGridCell(const TableView& source_sample,
   // Merge loop: one iteration for LateDisjuncts; repeated error-pair
   // merging under EarlyDisjuncts.
   for (;;) {
-    TrainTestOutcome outcome = RunCycle(split, cell.h_col, cell.l_col,
-                                        grouping, factory, cell.h_type);
+    TrainTestOutcome outcome =
+        RunCycle(split, cell.h_col, cell.l_col, grouping, factory);
     // The explicit total() == 0 clause keeps the empty-test case (all-NULL
     // columns, single-row samples) out of the significance gate even when a
     // caller sets min_test_size to 0.
@@ -314,20 +223,13 @@ std::vector<ViewFamily> RunGridCell(const TableView& source_sample,
   return emitted;
 }
 
-/// Dedup key of a family: its label attribute plus the partition it induces
-/// (reconstructed from the emitted views' conditions is unnecessary — the
-/// grouping's canonical PartitionKey is rebuilt from the view conditions'
-/// value lists).
+/// Dedup key of a family: its label attribute plus the partition its views'
+/// conditions induce (one GroupToken per view, sorted).
 std::string FamilyPartitionKey(const ViewFamily& family) {
   std::vector<std::string> tokens;
   tokens.reserve(family.views.size());
   for (const View& view : family.views) {
-    std::string token;
-    for (const Value& member : view.condition().clauses()[0].values) {
-      if (!token.empty()) token += '\x1f';
-      token += member.ToString();
-    }
-    tokens.push_back(std::move(token));
+    tokens.push_back(GroupToken(view.condition().clauses()[0].values));
   }
   std::sort(tokens.begin(), tokens.end());
   std::string out = family.label_attribute;
@@ -374,8 +276,7 @@ std::vector<ViewFamily> ClusteredViewGen(
     for (const std::string& h : evidence_attributes) {
       if (h == l) continue;
       const size_t h_col = source_sample.schema().AttributeIndex(h);
-      cells.push_back(GridCell{&l, l_col, &counts, &h, h_col,
-                               source_sample.schema().attribute(h_col).type});
+      cells.push_back(GridCell{&l, l_col, &counts, &h, h_col});
     }
   }
 

@@ -49,7 +49,7 @@ std::vector<CandidateView> SrcClassInfer::InferCandidateViews(
     if (evidence_type == ValueType::kInt || evidence_type == ValueType::kReal) {
       return std::make_unique<GaussianClassifier>();
     }
-    return std::make_unique<NaiveBayesClassifier>(/*q=*/3);
+    return std::make_unique<NaiveBayesClassifier>();
   };
   std::vector<ViewFamily> families = ClusteredViewGen(
       input.source_sample, factory, clustered_, categorical_,

@@ -10,40 +10,27 @@ namespace csm {
 
 std::unique_ptr<ValueClassifier> CreateTargetClassifier(
     ValueType type, const Database& target_sample) {
+  // The numeric classifier takes both int and real columns; the string
+  // classifier takes string columns only.
+  const bool numeric = type == ValueType::kInt || type == ValueType::kReal;
   std::unique_ptr<ValueClassifier> classifier;
-  if (type == ValueType::kInt || type == ValueType::kReal) {
+  if (numeric) {
     classifier = std::make_unique<GaussianClassifier>();
   } else {
-    classifier = std::make_unique<NaiveBayesClassifier>(/*q=*/3);
+    classifier = std::make_unique<NaiveBayesClassifier>();
   }
   bool trained_any = false;
   for (const Table& table : target_sample.tables()) {
     for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
       const AttributeDef& attr = table.schema().attribute(c);
-      // Numeric classifiers accept both int and real columns; the string
-      // classifier takes string columns only.
-      const bool numeric_type =
-          type == ValueType::kInt || type == ValueType::kReal;
       const bool numeric_attr =
           attr.type == ValueType::kInt || attr.type == ValueType::kReal;
-      if (numeric_type != numeric_attr) continue;
-      if (!numeric_type && attr.type != type) continue;
+      if (numeric ? !numeric_attr : attr.type != type) continue;
       const std::string label = table.name() + "." + attr.name;
-      if (attr.type == ValueType::kString) {
-        // Coded path: each distinct value is tokenized once by the
-        // classifier's (dictionary, code) training memo.
-        const Column& column = table.column(c);
-        const StringDictionary& dict = column.dictionary();
-        for (uint32_t code : column.codes()) {
-          if (code == kNullCode) continue;
-          classifier->TrainCoded(dict, code, label);
-          trained_any = true;
-        }
-        continue;
-      }
-      for (const Value& value : table.ValueBag(c)) {
-        if (value.is_null()) continue;
-        classifier->Train(value, label);
+      const Column& column = table.column(c);
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        if (column.IsNull(r)) continue;
+        classifier->Train(column, r, label);
         trained_any = true;
       }
     }
@@ -52,30 +39,15 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
   return classifier;
 }
 
-std::string TgtTagClassifier::Tag(const Value& input) const {
+std::string TgtTagClassifier::Tag(const Column& column, size_t row) const {
   if (tagger_ == nullptr) return "";
-  return tagger_->Classify(input);
+  return tagger_->Classify(column, row);
 }
 
-std::string TgtTagClassifier::TagCoded(const StringDictionary& dict,
-                                       uint32_t code) const {
-  if (tagger_ == nullptr) return "";
-  return tagger_->ClassifyCoded(dict, code);
-}
-
-void TgtTagClassifier::Train(const Value& input, const std::string& label) {
-  if (input.is_null()) return;
-  const std::string tag = Tag(input);
-  ++tbag_[{tag, label}];
-  ++tag_totals_[tag];
-  ++label_totals_[label];
-  ++total_;
-}
-
-void TgtTagClassifier::TrainCoded(const StringDictionary& dict, uint32_t code,
-                                  const std::string& label) {
-  if (code == kNullCode) return;
-  const std::string tag = TagCoded(dict, code);
+void TgtTagClassifier::Train(const Column& column, size_t row,
+                             const std::string& label) {
+  if (column.IsNull(row)) return;
+  const std::string tag = Tag(column, row);
   ++tbag_[{tag, label}];
   ++tag_totals_[tag];
   ++label_totals_[label];
@@ -113,15 +85,10 @@ std::string TgtTagClassifier::BestCat(const std::string& tag) const {
   return best;
 }
 
-std::string TgtTagClassifier::Classify(const Value& input) const {
-  if (total_ == 0 || input.is_null()) return "";
-  return BestCat(Tag(input));
-}
-
-std::string TgtTagClassifier::ClassifyCoded(const StringDictionary& dict,
-                                            uint32_t code) const {
-  if (total_ == 0 || code == kNullCode) return "";
-  return BestCat(TagCoded(dict, code));
+std::string TgtTagClassifier::Classify(const Column& column,
+                                       size_t row) const {
+  if (total_ == 0 || column.IsNull(row)) return "";
+  return BestCat(Tag(column, row));
 }
 
 std::vector<std::string> TgtTagClassifier::Labels() const {

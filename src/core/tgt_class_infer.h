@@ -33,20 +33,18 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
 /// categorical values, driven by a shared per-type target classifier.
 class TgtTagClassifier : public ValueClassifier {
  public:
-  /// `tagger` assigns target-column tags; shared across (h, l) pairs of the
-  /// same evidence type.  May be null (everything maps to the most common
-  /// label).
+  /// `tagger` assigns target-column tags to the cells this classifier is
+  /// given; shared across (h, l) pairs of the same evidence type.  May be
+  /// null (everything maps to the most common label).
   explicit TgtTagClassifier(std::shared_ptr<const ValueClassifier> tagger)
       : tagger_(std::move(tagger)) {}
 
-  void Train(const Value& input, const std::string& label) override;
-  std::string Classify(const Value& input) const override;
-  /// Coded fast paths: hand the dictionary code straight to the shared
-  /// tagger so its per-distinct-value memo is keyed without boxing.
-  void TrainCoded(const StringDictionary& dict, uint32_t code,
-                  const std::string& label) override;
-  std::string ClassifyCoded(const StringDictionary& dict,
-                            uint32_t code) const override;
+  /// Tags the cell with the shared tagger and counts (tag, label) in the
+  /// TBag.
+  void Train(const Column& column, size_t row,
+             const std::string& label) override;
+  /// bestCAT of the cell's tag.
+  std::string Classify(const Column& column, size_t row) const override;
   std::vector<std::string> Labels() const override;
   size_t TrainingSize() const override { return total_; }
 
@@ -57,8 +55,7 @@ class TgtTagClassifier : public ValueClassifier {
   double Score(const std::string& tag, const std::string& label) const;
 
  private:
-  std::string Tag(const Value& input) const;
-  std::string TagCoded(const StringDictionary& dict, uint32_t code) const;
+  std::string Tag(const Column& column, size_t row) const;
 
   std::shared_ptr<const ValueClassifier> tagger_;
   /// TBag counts: (tag, label) -> occurrences.

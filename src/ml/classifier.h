@@ -1,47 +1,36 @@
 // Single-label classifier interface used by ClusteredViewGen (Fig. 6).
 //
-// A classifier maps a scalar Value (a cell of the evidence attribute h) to
-// a label string.  For SrcClassInfer labels are the categorical values of
-// l; for TgtClassInfer's per-type target classifiers labels are target
-// column names ("Book.Title").
+// A classifier maps one cell of the evidence attribute h — a row of a
+// column segment — to a label string.  For SrcClassInfer labels are the
+// categorical values of l; for TgtClassInfer's per-type target classifiers
+// labels are target column names ("Book.Title").
 
 #ifndef CSM_ML_CLASSIFIER_H_
 #define CSM_ML_CLASSIFIER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "relational/column.h"
-#include "relational/value.h"
 
 namespace csm {
 
+/// Every example is a cell (`column`, `row`).  A classifier may key
+/// per-distinct-value memos by the address of a string column's dictionary
+/// (see NaiveBayesClassifier), so every column it reads must outlive it and
+/// stay unmodified while the classifier is in use.  Implementations CHECK
+/// that the column type is one they read.
 class ValueClassifier {
  public:
   virtual ~ValueClassifier() = default;
 
-  /// Adds one training example.  NULL inputs are ignored.
-  virtual void Train(const Value& input, const std::string& label) = 0;
+  /// Adds one training example.  NULL cells are ignored.
+  virtual void Train(const Column& column, size_t row,
+                     const std::string& label) = 0;
 
-  /// Classifies `input`.  Returns the empty string when the classifier has
-  /// seen no training data (or cannot score the input at all).
-  virtual std::string Classify(const Value& input) const = 0;
-
-  /// Coded fast path: the example is cell `code` of a dictionary-encoded
-  /// string column.  Semantically identical to boxing the cell into a Value
-  /// (kNullCode behaves as NULL); implementations may key per-distinct-value
-  /// memos on (dictionary, code).  Defaults fall back to the Value path.
-  virtual void TrainCoded(const StringDictionary& dict, uint32_t code,
-                          const std::string& label) {
-    if (code == kNullCode) return;
-    Train(Value::String(dict.value(code)), label);
-  }
-  virtual std::string ClassifyCoded(const StringDictionary& dict,
-                                    uint32_t code) const {
-    if (code == kNullCode) return Classify(Value::Null());
-    return Classify(Value::String(dict.value(code)));
-  }
+  /// Classifies the cell.  Returns the empty string for a NULL cell or
+  /// when the classifier has seen no training data.
+  virtual std::string Classify(const Column& column, size_t row) const = 0;
 
   /// Distinct labels seen during training, sorted.
   virtual std::vector<std::string> Labels() const = 0;

@@ -1,14 +1,34 @@
 #include "ml/gaussian_classifier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <optional>
+
+#include "common/logging.h"
 
 namespace csm {
+namespace {
 
-void GaussianClassifier::Train(const Value& input, const std::string& label) {
-  if (input.is_null() || !input.IsNumeric()) return;
-  labels_[label].Add(input.AsNumeric());
+/// The cell as a double (ints widen), or nullopt when it is NULL.
+std::optional<double> NumericCell(const Column& column, size_t row) {
+  CSM_CHECK(column.type() != ValueType::kString)
+      << "GaussianClassifier reads numeric columns, got string";
+  if (column.IsNull(row)) return std::nullopt;
+  if (column.type() == ValueType::kInt) {
+    return static_cast<double>(column.ints()[row]);
+  }
+  return column.reals()[row];
+}
+
+}  // namespace
+
+void GaussianClassifier::Train(const Column& column, size_t row,
+                               const std::string& label) {
+  const std::optional<double> x = NumericCell(column, row);
+  if (!x.has_value()) return;
+  labels_[label].Add(*x);
   ++total_examples_;
 }
 
@@ -20,31 +40,20 @@ double GaussianClassifier::LogScore(double x, const std::string& label) const {
   const DescriptiveStats& stats = it->second;
   const double prior = static_cast<double>(stats.count()) /
                        static_cast<double>(total_examples_);
-  const double stddev = std::max(stats.SampleStdDev(), min_stddev_);
+  const double stddev = std::max(stats.SampleStdDev(), kMinStdDev);
   const double z = (x - stats.Mean()) / stddev;
   return std::log(prior) - std::log(stddev) -
          0.5 * std::log(2.0 * std::numbers::pi) - 0.5 * z * z;
 }
 
-std::string GaussianClassifier::Classify(const Value& input) const {
-  if (labels_.empty() || input.is_null()) return "";
-  if (!input.IsNumeric()) {
-    // Fall back to the most frequent label.
-    std::string best;
-    size_t best_count = 0;
-    for (const auto& [label, stats] : labels_) {
-      if (stats.count() > best_count) {
-        best = label;
-        best_count = stats.count();
-      }
-    }
-    return best;
-  }
-  const double x = input.AsNumeric();
+std::string GaussianClassifier::Classify(const Column& column,
+                                         size_t row) const {
+  const std::optional<double> x = NumericCell(column, row);
+  if (labels_.empty() || !x.has_value()) return "";
   std::string best;
   double best_score = -std::numeric_limits<double>::infinity();
   for (const auto& [label, stats] : labels_) {
-    double score = LogScore(x, label);
+    double score = LogScore(*x, label);
     if (score > best_score) {
       best = label;
       best_score = score;

@@ -14,17 +14,18 @@
 namespace csm {
 
 /// Models each label's numeric inputs as a Gaussian and classifies by
-/// maximum posterior (Gaussian likelihood x label prior).  Non-numeric
-/// inputs fall back to the most frequent label.
+/// maximum posterior (Gaussian likelihood x label prior).  Reads kInt
+/// columns (ints widen to double), kReal columns and all-NULL kNull
+/// columns; CHECK-fails on any other column type.
 class GaussianClassifier : public ValueClassifier {
  public:
-  /// `min_stddev` floors each label's standard deviation to keep
-  /// single-point or constant labels from producing degenerate likelihoods.
-  explicit GaussianClassifier(double min_stddev = 1e-6)
-      : min_stddev_(min_stddev) {}
+  /// Floor on each label's standard deviation, which keeps single-point or
+  /// constant labels from producing degenerate likelihoods.
+  static constexpr double kMinStdDev = 1e-6;
 
-  void Train(const Value& input, const std::string& label) override;
-  std::string Classify(const Value& input) const override;
+  void Train(const Column& column, size_t row,
+             const std::string& label) override;
+  std::string Classify(const Column& column, size_t row) const override;
   std::vector<std::string> Labels() const override;
   size_t TrainingSize() const override { return total_examples_; }
 
@@ -32,7 +33,6 @@ class GaussianClassifier : public ValueClassifier {
   double LogScore(double x, const std::string& label) const;
 
  private:
-  double min_stddev_;
   size_t total_examples_ = 0;
   std::map<std::string, DescriptiveStats> labels_;
 };

@@ -4,16 +4,15 @@
 #include <cmath>
 #include <limits>
 
-#include "text/tokenizer.h"
+#include "common/logging.h"
 
 namespace csm {
 namespace {
 
-/// Per-thread tokenization scratch (normalized text / gram strings / ids),
-/// so the per-row training and classification loops allocate nothing.
+/// Per-thread tokenization scratch (normalized text / gram ids), so the
+/// per-row training and classification loops allocate nothing.
 struct TokenScratch {
   std::string padded;
-  std::vector<std::string> gram_strings;
   std::vector<GramId> ids;
 };
 
@@ -22,16 +21,27 @@ TokenScratch& LocalScratch() {
   return scratch;
 }
 
+/// Replaces `*out` with the packed gram ids of `text`.
+void Tokenize(std::string_view text, std::vector<GramId>* out) {
+  out->clear();
+  AppendPackedQGrams(text, NaiveBayesClassifier::kGramQ,
+                     &LocalScratch().padded, out);
+}
+
+void CheckTextColumn(const Column& column) {
+  CSM_CHECK(column.type() == ValueType::kString ||
+            column.type() == ValueType::kNull)
+      << "NaiveBayesClassifier reads string columns, got "
+      << ValueTypeToString(column.type());
+}
+
 }  // namespace
 
 NaiveBayesClassifier::NaiveBayesClassifier(
     NaiveBayesClassifier&& other) noexcept
-    : q_(other.q_),
-      smoothing_(other.smoothing_),
-      total_examples_(other.total_examples_),
+    : total_examples_(other.total_examples_),
       labels_(std::move(other.labels_)),
       vocabulary_(std::move(other.vocabulary_)),
-      gram_interner_(std::move(other.gram_interner_)),
       train_token_memo_(std::move(other.train_token_memo_)),
       finalized_(other.finalized_),
       models_(std::move(other.models_)),
@@ -40,51 +50,14 @@ NaiveBayesClassifier::NaiveBayesClassifier(
 NaiveBayesClassifier& NaiveBayesClassifier::operator=(
     NaiveBayesClassifier&& other) noexcept {
   if (this == &other) return *this;
-  q_ = other.q_;
-  smoothing_ = other.smoothing_;
   total_examples_ = other.total_examples_;
   labels_ = std::move(other.labels_);
   vocabulary_ = std::move(other.vocabulary_);
-  gram_interner_ = std::move(other.gram_interner_);
   train_token_memo_ = std::move(other.train_token_memo_);
   finalized_ = other.finalized_;
   models_ = std::move(other.models_);
   classify_memo_ = std::move(other.classify_memo_);
   return *this;
-}
-
-void NaiveBayesClassifier::TokenizeTrain(std::string_view text,
-                                         std::vector<GramId>* out) {
-  out->clear();
-  if (Packed()) {
-    AppendPackedQGrams(text, q_, &LocalScratch().padded, out);
-    return;
-  }
-  if (gram_interner_ == nullptr) {
-    gram_interner_ = std::make_unique<TokenInterner>();
-  }
-  std::vector<std::string>& grams = LocalScratch().gram_strings;
-  QGrams(text, q_, &grams);
-  out->reserve(grams.size());
-  for (const std::string& gram : grams) {
-    out->push_back(gram_interner_->GetOrAdd(gram));
-  }
-}
-
-void NaiveBayesClassifier::TokenizeLookup(std::string_view text,
-                                          std::vector<GramId>* out) const {
-  out->clear();
-  if (Packed()) {
-    AppendPackedQGrams(text, q_, &LocalScratch().padded, out);
-    return;
-  }
-  std::vector<std::string>& grams = LocalScratch().gram_strings;
-  QGrams(text, q_, &grams);
-  out->reserve(grams.size());
-  for (const std::string& gram : grams) {
-    out->push_back(gram_interner_ == nullptr ? kNoGramId
-                                             : gram_interner_->Find(gram));
-  }
 }
 
 void NaiveBayesClassifier::TrainTokens(const std::vector<GramId>& grams,
@@ -110,20 +83,14 @@ void NaiveBayesClassifier::TrainTokens(const std::vector<GramId>& grams,
   if (!classify_memo_.empty()) classify_memo_.clear();
 }
 
-void NaiveBayesClassifier::Train(const Value& input, const std::string& label) {
-  if (input.is_null()) return;
-  std::vector<GramId>& ids = LocalScratch().ids;
-  TokenizeTrain(input.ToString(), &ids);
-  TrainTokens(ids, label);
-}
-
-void NaiveBayesClassifier::TrainCoded(const StringDictionary& dict,
-                                      uint32_t code,
-                                      const std::string& label) {
-  if (code == kNullCode) return;
-  auto& per_dict = train_token_memo_[&dict];
-  auto [it, inserted] = per_dict.try_emplace(code);
-  if (inserted) TokenizeTrain(dict.value(code), &it->second);
+void NaiveBayesClassifier::Train(const Column& column, size_t row,
+                                 const std::string& label) {
+  CheckTextColumn(column);
+  if (column.IsNull(row)) return;
+  const StringDictionary& dict = column.dictionary();
+  const uint32_t code = column.codes()[row];
+  auto [it, inserted] = train_token_memo_[&dict].try_emplace(code);
+  if (inserted) Tokenize(dict.value(code), &it->second);
   TrainTokens(it->second, label);
 }
 
@@ -142,10 +109,10 @@ NaiveBayesClassifier::Finalized() const {
     // The exact expressions of the original per-call implementation, so the
     // precomputed doubles are bit-identical to recomputing them per row.
     model.log_prior = std::log(
-        (static_cast<double>(stats.example_count) + smoothing_) /
-        (static_cast<double>(total_examples_) + smoothing_ * num_labels));
-    const double denom = stats.token_total + smoothing_ * (vocab + 1.0);
-    model.log_unseen = std::log((0.0 + smoothing_) / denom);
+        (static_cast<double>(stats.example_count) + kSmoothing) /
+        (static_cast<double>(total_examples_) + kSmoothing * num_labels));
+    const double denom = stats.token_total + kSmoothing * (vocab + 1.0);
+    model.log_unseen = std::log((0.0 + kSmoothing) / denom);
     model.gram_ids.reserve(stats.token_counts.size());
     for (const auto& [gram, count] : stats.token_counts) {
       model.gram_ids.push_back(gram);
@@ -154,7 +121,7 @@ NaiveBayesClassifier::Finalized() const {
     model.gram_log_prob.reserve(model.gram_ids.size());
     for (GramId gram : model.gram_ids) {
       const double count = stats.token_counts.at(gram);
-      model.gram_log_prob.push_back(std::log((count + smoothing_) / denom));
+      model.gram_log_prob.push_back(std::log((count + kSmoothing) / denom));
     }
     models_.push_back(std::move(model));
   }
@@ -167,21 +134,20 @@ double NaiveBayesClassifier::ScoreTokens(
   double score = model.log_prior;
   for (GramId gram : grams) {
     double term = model.log_unseen;
-    if (gram != kNoGramId) {
-      auto it = std::lower_bound(model.gram_ids.begin(), model.gram_ids.end(),
-                                 gram);
-      if (it != model.gram_ids.end() && *it == gram) {
-        term = model.gram_log_prob[static_cast<size_t>(
-            it - model.gram_ids.begin())];
-      }
+    auto it = std::lower_bound(model.gram_ids.begin(), model.gram_ids.end(),
+                               gram);
+    if (it != model.gram_ids.end() && *it == gram) {
+      term = model.gram_log_prob[static_cast<size_t>(
+          it - model.gram_ids.begin())];
     }
     score += term;
   }
   return score;
 }
 
-double NaiveBayesClassifier::LogScore(const Value& input,
+double NaiveBayesClassifier::LogScore(const Column& column, size_t row,
                                       const std::string& label) const {
+  CheckTextColumn(column);
   auto it = labels_.find(label);
   if (it == labels_.end() || total_examples_ == 0) {
     return -std::numeric_limits<double>::infinity();
@@ -190,7 +156,10 @@ double NaiveBayesClassifier::LogScore(const Value& input,
   const size_t index =
       static_cast<size_t>(std::distance(labels_.begin(), it));
   std::vector<GramId>& ids = LocalScratch().ids;
-  TokenizeLookup(input.ToString(), &ids);
+  ids.clear();
+  if (!column.IsNull(row)) {
+    Tokenize(column.dictionary().value(column.codes()[row]), &ids);
+  }
   return ScoreTokens(models[index], ids);
 }
 
@@ -214,16 +183,12 @@ std::string NaiveBayesClassifier::ClassifyTokens(
   return best == nullptr ? "" : *best;
 }
 
-std::string NaiveBayesClassifier::Classify(const Value& input) const {
-  if (labels_.empty() || input.is_null()) return "";
-  std::vector<GramId>& ids = LocalScratch().ids;
-  TokenizeLookup(input.ToString(), &ids);
-  return ClassifyTokens(ids);
-}
-
-std::string NaiveBayesClassifier::ClassifyCoded(const StringDictionary& dict,
-                                                uint32_t code) const {
-  if (labels_.empty() || code == kNullCode) return "";
+std::string NaiveBayesClassifier::Classify(const Column& column,
+                                           size_t row) const {
+  CheckTextColumn(column);
+  if (labels_.empty() || column.IsNull(row)) return "";
+  const StringDictionary& dict = column.dictionary();
+  const uint32_t code = column.codes()[row];
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
     auto dict_it = classify_memo_.find(&dict);
@@ -239,7 +204,7 @@ std::string NaiveBayesClassifier::ClassifyCoded(const StringDictionary& dict,
   // Miss: compute outside the lock (a racing duplicate computes the same
   // deterministic label), then publish.
   std::vector<GramId>& ids = LocalScratch().ids;
-  TokenizeLookup(dict.value(code), &ids);
+  Tokenize(dict.value(code), &ids);
   std::string label = ClassifyTokens(ids);
   std::lock_guard<std::mutex> lock(memo_mu_);
   classify_memo_[&dict].emplace(code, label);

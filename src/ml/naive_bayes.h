@@ -3,25 +3,29 @@
 // values tokenized into 3-grams").
 //
 // Internally the classifier runs on the interned token kernel (text/gram.h):
-// grams are packed uint32 ids (q <= 4) or interned ids (larger q), per-label
-// counts live in hash maps during training, and the first classification
-// finalizes them into contiguous sorted (id, log-probability) arrays with
-// precomputed log-priors and smoothing denominators.  Scores are
-// bit-identical to the original map-of-strings implementation: every log
-// term is the same std::log((count + alpha) / denom) double, summed in the
-// same per-occurrence order.
+// grams are packed uint32 ids, per-label counts live in hash maps during
+// training, and the first classification finalizes them into contiguous
+// sorted (id, log-probability) arrays with precomputed log-priors and
+// smoothing denominators.  Scores are bit-identical to the original
+// map-of-strings implementation: every log term is the same
+// std::log((count + alpha) / denom) double, summed in the same
+// per-occurrence order.
+//
+// Cells are read straight off dictionary-encoded string columns, and both
+// the tokenization of a training cell and the label of a classified cell
+// are memoized per (dictionary address, code), so a repeated value pays
+// for tokenization and the log-sum once.  A column the classifier has read
+// must therefore outlive it (the ValueClassifier contract).
 //
 // Thread safety: training is single-writer (no concurrent reads), after
 // which any number of threads may classify concurrently — the lazy finalize
-// and the per-distinct-input memo of ClassifyCoded are mutex-guarded, which
-// is what lets TgtClassInfer share one trained tagger across all grid-cell
-// workers.
+// and the classification memo are mutex-guarded, which is what lets
+// TgtClassInfer share one trained tagger across all grid-cell workers.
 
 #ifndef CSM_ML_NAIVE_BAYES_H_
 #define CSM_ML_NAIVE_BAYES_H_
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -33,37 +37,33 @@
 
 namespace csm {
 
-/// Multinomial NB with Laplace smoothing.  Inputs are rendered to text
-/// (numerics via ToString) and tokenized into padded q-grams.
+/// Multinomial NB with Laplace smoothing over padded 3-grams of the cell
+/// text.  Reads kString columns and all-NULL kNull columns; CHECK-fails on
+/// any other column type.
 class NaiveBayesClassifier : public ValueClassifier {
  public:
-  /// `q` is the gram length (paper: 3).  `smoothing` is the Laplace alpha.
-  explicit NaiveBayesClassifier(size_t q = 3, double smoothing = 1.0)
-      : q_(q), smoothing_(smoothing) {}
+  /// Gram length (the paper's 3-grams) and Laplace smoothing alpha.
+  static constexpr size_t kGramQ = 3;
+  static constexpr double kSmoothing = 1.0;
+
+  NaiveBayesClassifier() = default;
 
   /// Movable (single-threaded by contract: no concurrent access to either
   /// side during the move); the mutexes of the destination start fresh.
   NaiveBayesClassifier(NaiveBayesClassifier&& other) noexcept;
   NaiveBayesClassifier& operator=(NaiveBayesClassifier&& other) noexcept;
 
-  void Train(const Value& input, const std::string& label) override;
-  std::string Classify(const Value& input) const override;
-
-  /// Coded fast path: tokenization is memoized per (dictionary, code), and
-  /// ClassifyCoded additionally memoizes the winning label per distinct
-  /// input, so a repeated evidence value pays the log-sum once.
-  void TrainCoded(const StringDictionary& dict, uint32_t code,
-                  const std::string& label) override;
-  std::string ClassifyCoded(const StringDictionary& dict,
-                            uint32_t code) const override;
-
+  void Train(const Column& column, size_t row,
+             const std::string& label) override;
+  std::string Classify(const Column& column, size_t row) const override;
   std::vector<std::string> Labels() const override;
   size_t TrainingSize() const override { return total_examples_; }
 
-  /// Log posterior (up to the shared evidence term) of `label` for `input`;
-  /// -inf for labels never seen.  Exposed for tests and for TgtClassInfer's
-  /// tie diagnostics.
-  double LogScore(const Value& input, const std::string& label) const;
+  /// Log posterior (up to the shared evidence term) of `label` for the
+  /// cell; -inf for labels never seen.  A NULL cell has no grams and scores
+  /// the label's log prior.  Exposed for tests and the differential fuzzer.
+  double LogScore(const Column& column, size_t row,
+                  const std::string& label) const;
 
  private:
   struct LabelStats {
@@ -82,16 +82,6 @@ class NaiveBayesClassifier : public ValueClassifier {
     std::vector<double> gram_log_prob;      // parallel to gram_ids
   };
 
-  bool Packed() const { return q_ <= kMaxPackedGramQ; }
-
-  /// Tokenizes `text` into gram ids, interning unseen word-grams in the
-  /// q > kMaxPackedGramQ fallback (training path, single-writer).
-  void TokenizeTrain(std::string_view text, std::vector<GramId>* out);
-
-  /// Lookup-only tokenization; unseen word-grams map to kNoGramId, which
-  /// ScoreTokens treats as unseen.  Safe for concurrent readers.
-  void TokenizeLookup(std::string_view text, std::vector<GramId>* out) const;
-
   void TrainTokens(const std::vector<GramId>& grams, const std::string& label);
 
   /// Builds models_ on first use after training; thread-safe.
@@ -103,18 +93,12 @@ class NaiveBayesClassifier : public ValueClassifier {
   /// Classify over pre-tokenized input (the shared tie-break loop).
   std::string ClassifyTokens(const std::vector<GramId>& grams) const;
 
-  size_t q_;
-  double smoothing_;
   size_t total_examples_ = 0;
   std::map<std::string, LabelStats> labels_;
   std::unordered_set<GramId> vocabulary_;
 
-  /// Interner for the q > kMaxPackedGramQ fallback (mutated during
-  /// training only).
-  std::unique_ptr<TokenInterner> gram_interner_;
-
-  /// Token memo for TrainCoded: (dictionary, code) -> gram ids.  Written
-  /// during single-writer training only.
+  /// Training token memo: (dictionary, code) -> gram ids.  Written during
+  /// single-writer training only.
   std::unordered_map<const StringDictionary*,
                      std::unordered_map<uint32_t, std::vector<GramId>>>
       train_token_memo_;

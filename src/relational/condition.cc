@@ -81,9 +81,16 @@ bool ConditionClause::Matches(const Value& v) const {
 }
 
 std::string ConditionClause::ToString() const {
+  // String literals are quoted SQL-style, embedded quotes doubled, so two
+  // different IN-lists never render (and key a view) the same.
   auto quote = [](const Value& v) {
-    if (v.type() == ValueType::kString) return "'" + v.ToString() + "'";
-    return v.ToString();
+    if (v.type() != ValueType::kString) return v.ToString();
+    std::string out = "'";
+    for (char c : v.AsString()) {
+      if (c == '\'') out += '\'';
+      out += c;
+    }
+    return out + "'";
   };
   if (values.size() == 1) {
     return attribute + " = " + quote(values[0]);

@@ -30,7 +30,8 @@ struct ConditionClause {
   /// True iff `v` is one of `values`.
   bool Matches(const Value& v) const;
 
-  /// "a = v" or "a in {v1, v2}".
+  /// "a = v" or "a in {v1, v2}"; string literals are single-quoted with
+  /// embedded quotes doubled ('it''s').
   std::string ToString() const;
 
   friend bool operator==(const ConditionClause& a, const ConditionClause& b) {

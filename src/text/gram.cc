@@ -89,11 +89,6 @@ GramId TokenInterner::GetOrAdd(std::string_view token) {
   return id;
 }
 
-GramId TokenInterner::Find(std::string_view token) const {
-  auto it = index_.find(token);
-  return it == index_.end() ? kNoGramId : it->second;
-}
-
 double GramProfile::Count(GramId id) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), id,

@@ -43,15 +43,11 @@
 
 namespace csm {
 
-/// A packed q-gram (q <= kMaxPackedGramQ) or an interned token id.
+/// A packed q-gram (q <= kMaxPackedGramQ) or an interned word-token id.
 using GramId = uint32_t;
 
 /// Largest q whose padded grams pack into a GramId.
 inline constexpr size_t kMaxPackedGramQ = 4;
-
-/// Sentinel for "no id" (lookup-mode tokenization of an unseen token).
-/// Never collides with a packed gram: normalized text bytes are < 0x80.
-inline constexpr GramId kNoGramId = 0xffffffffu;
 
 /// Process-wide kernel activity counters, surfaced as the
 /// `text.grams_interned` / `ml.nb_memo_hits` metrics.  Monotonic; readers
@@ -82,9 +78,6 @@ class TokenInterner {
  public:
   /// Returns the id of `token`, adding it if absent.
   GramId GetOrAdd(std::string_view token);
-
-  /// The id of `token`, or kNoGramId when never interned.
-  GramId Find(std::string_view token) const;
 
   const std::string& value(GramId id) const { return tokens_[id]; }
   size_t size() const { return tokens_.size(); }

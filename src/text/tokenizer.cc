@@ -66,33 +66,17 @@ void WordTokens(std::string_view text, std::vector<std::string>* out) {
 
 std::vector<std::string> QGrams(std::string_view text, size_t q) {
   std::vector<std::string> grams;
-  QGrams(text, q, &grams);
-  return grams;
-}
-
-void QGrams(std::string_view text, size_t q, std::vector<std::string>* out) {
-  size_t used = 0;
-  if (q == 0) {
-    out->resize(used);
-    return;
-  }
-  std::string normalized = NormalizeText(text);
-  if (normalized.empty()) {
-    out->resize(used);
-    return;
-  }
+  if (q == 0) return grams;
+  const std::string normalized = NormalizeText(text);
+  if (normalized.empty()) return grams;
   std::string padded(q - 1, '#');
   padded += normalized;
   padded.append(q - 1, '#');
-  if (padded.size() < q) {
-    out->resize(used);
-    return;
-  }
-  out->reserve(padded.size() - q + 1);
+  grams.reserve(padded.size() - q + 1);
   for (size_t i = 0; i + q <= padded.size(); ++i) {
-    EmitToken(out, &used, std::string_view(padded).substr(i, q));
+    grams.emplace_back(padded, i, q);
   }
-  out->resize(used);
+  return grams;
 }
 
 }  // namespace csm

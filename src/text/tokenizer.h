@@ -31,10 +31,6 @@ void WordTokens(std::string_view text, std::vector<std::string>* out);
 /// in order of occurrence (duplicates kept).
 std::vector<std::string> QGrams(std::string_view text, size_t q);
 
-/// Buffer-reusing overload: refills `*out` with QGrams(text, q), reusing
-/// vector and element capacity across calls.
-void QGrams(std::string_view text, size_t q, std::vector<std::string>* out);
-
 }  // namespace csm
 
 #endif  // CSM_TEXT_TOKENIZER_H_

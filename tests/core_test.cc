@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -25,7 +27,9 @@ namespace csm {
 namespace {
 
 using testing::I;
+using testing::MakeColumn;
 using testing::MakeTable;
+using testing::N;
 using testing::R;
 using testing::S;
 
@@ -50,7 +54,7 @@ ClassifierFactory SrcFactory() {
         evidence_type == ValueType::kReal) {
       return std::make_unique<GaussianClassifier>();
     }
-    return std::make_unique<NaiveBayesClassifier>(3);
+    return std::make_unique<NaiveBayesClassifier>();
   };
 }
 
@@ -166,6 +170,100 @@ TEST(ClusteredViewGenTest, DeterministicGivenSeed) {
   }
 }
 
+TEST(ClusteredViewGenTest, SeparatorByteInLabelKeepsGroupsApart) {
+  // "a" and "b" share their evidence, so EarlyDisjuncts merges them.  The
+  // merged group {a, b} must stay a different classifier label from the
+  // value "a\x1fb", whose rendering holds the byte that joins group members.
+  const Value joined = Value::String(std::string("a") + '\x1f' + "b");
+  Rng data_rng(31);
+  std::vector<Row> rows;
+  for (int i = 0; i < 120; ++i) {
+    const int k = i % 3;
+    rows.push_back({k == 2 ? joined : S(k == 0 ? "a" : "b"),
+                    Value::String(k == 2 ? MakeUpc(data_rng)
+                                         : MakeBookTitle(data_rng))});
+  }
+  Table t = MakeTable("t", {"label", "text"}, rows);
+  Rng rng(32);
+  auto families = ClusteredViewGen(t, SrcFactory(), {}, {}, true, rng);
+  const std::set<std::vector<Value>> expected = {{S("a"), S("b")}, {joined}};
+  bool found = false;
+  for (const ViewFamily& family : families) {
+    std::set<std::vector<Value>> groups;
+    for (const View& v : family.views) {
+      groups.insert(v.condition().clauses()[0].values);
+    }
+    if (groups == expected) found = true;
+  }
+  EXPECT_TRUE(found);
+}
+
+/// A label value as its integer rendering, whatever type stores it.
+std::string IntegerText(const Value& v) {
+  return v.IsNumeric() ? std::to_string(static_cast<int64_t>(v.AsNumeric()))
+                       : v.AsString();
+}
+
+TEST(ClusteredViewGenTest, LabelTypeDoesNotChangeFamilies) {
+  // One five-value label column stored as int, as real and as string.
+  // Values 4 and 5 share their evidence (string and real columns) and every
+  // seventh label is NULL.  Partitions, F1 and significance must not depend
+  // on the label type.
+  Rng data_rng(41);
+  std::vector<int> labels;
+  std::vector<std::string> texts;
+  std::vector<double> prices;
+  for (int i = 0; i < 250; ++i) {
+    const int label = i % 7 == 6 ? 0 : 1 + i % 5;  // 0 = NULL
+    const int kind = std::min(label, 4);
+    labels.push_back(label);
+    texts.push_back(kind == 1   ? MakeBookTitle(data_rng)
+                    : kind == 2 ? MakeUpc(data_rng)
+                    : kind == 3 ? MakeAlbumTitle(data_rng)
+                                : MakePersonName(data_rng));
+    prices.push_back(data_rng.NextGaussian(10.0 * kind, 2.0));
+  }
+  auto run = [&](ValueType label_type) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      const int l = labels[i];
+      const Value label = l == 0                          ? N()
+                          : label_type == ValueType::kInt ? I(l)
+                          : label_type == ValueType::kReal
+                              ? R(l)
+                              : Value::String(std::to_string(l));
+      rows.push_back({label, Value::String(texts[i]), R(prices[i])});
+    }
+    Table t = MakeTable("t", {"label", "text", "price"}, rows);
+    EXPECT_EQ(t.schema().attribute(0).type, label_type);
+    Rng rng(42);
+    std::vector<std::string> out;
+    for (const ViewFamily& family :
+         ClusteredViewGen(t, SrcFactory(), {}, {}, true, rng, {"label"},
+                          {"text", "price"})) {
+      std::string line = family.evidence_attribute + ":";
+      for (const View& view : family.views) {
+        line += " {";
+        for (const Value& v : view.condition().clauses()[0].values) {
+          line += IntegerText(v) + ",";
+        }
+        line += "}";
+      }
+      line += StrFormat(" f1=%.17g sig=%.17g", family.classifier_f1,
+                        family.significance);
+      out.push_back(line);
+    }
+    return out;
+  };
+  const std::vector<std::string> as_int = run(ValueType::kInt);
+  ASSERT_FALSE(as_int.empty());
+  EXPECT_TRUE(std::any_of(as_int.begin(), as_int.end(), [](const auto& line) {
+    return line.find("{4,5,}") != std::string::npos;
+  }));
+  EXPECT_EQ(run(ValueType::kReal), as_int);
+  EXPECT_EQ(run(ValueType::kString), as_int);
+}
+
 // ------------------------------------------------------------ NaiveInfer
 
 TEST(NaiveInferTest, EmitsEveryValueOfEveryCategoricalAttribute) {
@@ -271,35 +369,41 @@ TEST(SrcClassInferTest, ProposesOnlyInformativeFamilies) {
 }
 
 TEST(TgtTagClassifierTest, TBagScoreAndBestCat) {
+  const Column cells = MakeColumn(ValueType::kString,
+                                  {S("x"), S("y"), S("z"), S("anything")});
   TgtTagClassifier classifier(nullptr);  // every input tags as ""
-  classifier.Train(S("x"), "1");
-  classifier.Train(S("y"), "1");
-  classifier.Train(S("z"), "2");
+  classifier.Train(cells, 0, "1");
+  classifier.Train(cells, 1, "1");
+  classifier.Train(cells, 2, "2");
   // Tag "" was seen 3 times; label 1 twice, label 2 once.
   // score("", "1") = (2/3)*(2/2) = 0.667; score("", "2") = (1/3)*(1/1).
   EXPECT_NEAR(classifier.Score("", "1"), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(classifier.Score("", "2"), 1.0 / 3.0, 1e-12);
   EXPECT_EQ(classifier.BestCat(""), "1");
   EXPECT_EQ(classifier.BestCat("never_seen_tag"), "1");  // most common
-  EXPECT_EQ(classifier.Classify(S("anything")), "1");
+  EXPECT_EQ(classifier.Classify(cells, 3), "1");
 }
 
 TEST(TgtTagClassifierTest, DistinctTagsSeparateLabels) {
   // Hand-built tagger: a trained NB that maps book-ish text to "Book.Title"
-  // and digits to "Music.UPC".
-  auto tagger = std::make_shared<NaiveBayesClassifier>(3);
+  // and digits to "Music.UPC".  Even rows hold book titles, odd rows UPCs:
+  // rows 0..59 train the tagger, rows 60..119 the wrapper, 120..121 probe.
   Rng rng(25);
-  for (int i = 0; i < 30; ++i) {
-    tagger->Train(S(MakeBookTitle(rng).c_str()), "Book.Title");
-    tagger->Train(S(MakeUpc(rng).c_str()), "Music.UPC");
+  Column text(ValueType::kString);
+  for (int i = 0; i < 61; ++i) {
+    text.Append(Value::String(MakeBookTitle(rng)));
+    text.Append(Value::String(MakeUpc(rng)));
+  }
+  auto tagger = std::make_shared<NaiveBayesClassifier>();
+  for (size_t r = 0; r < 60; ++r) {
+    tagger->Train(text, r, r % 2 == 0 ? "Book.Title" : "Music.UPC");
   }
   TgtTagClassifier classifier(tagger);
-  for (int i = 0; i < 30; ++i) {
-    classifier.Train(S(MakeBookTitle(rng).c_str()), "book");
-    classifier.Train(S(MakeUpc(rng).c_str()), "cd");
+  for (size_t r = 60; r < 120; ++r) {
+    classifier.Train(text, r, r % 2 == 0 ? "book" : "cd");
   }
-  EXPECT_EQ(classifier.Classify(S(MakeBookTitle(rng).c_str())), "book");
-  EXPECT_EQ(classifier.Classify(S(MakeUpc(rng).c_str())), "cd");
+  EXPECT_EQ(classifier.Classify(text, 120), "book");
+  EXPECT_EQ(classifier.Classify(text, 121), "cd");
 }
 
 TEST(CreateTargetClassifierTest, TrainsOnMatchingTypeOnly) {
@@ -331,6 +435,15 @@ TEST(ViewInferenceTest, FactoryProducesRequestedKind) {
             "SrcClassInfer");
   EXPECT_EQ(MakeViewInference(ViewInferenceKind::kTgtClass, options)->Name(),
             "TgtClassInfer");
+}
+
+TEST(ViewInferenceTest, DeduplicateKeepsQuotedInListsApart) {
+  // The first IN-list holds the single value "a', 'b"; the two conditions
+  // select different rows and must both survive.
+  CandidateView quoted, plain;
+  quoted.view = View("v1", "t", Condition::In("x", {S("a', 'b"), S("c")}));
+  plain.view = View("v2", "t", Condition::In("x", {S("a"), S("b"), S("c")}));
+  EXPECT_EQ(DeduplicateCandidates({quoted, plain}).size(), 2u);
 }
 
 TEST(ViewInferenceTest, DeduplicateKeepsFirst) {

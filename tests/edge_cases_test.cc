@@ -30,7 +30,7 @@ ClassifierFactory SrcFactory() {
     if (type == ValueType::kInt || type == ValueType::kReal) {
       return std::make_unique<GaussianClassifier>();
     }
-    return std::make_unique<NaiveBayesClassifier>(3);
+    return std::make_unique<NaiveBayesClassifier>();
   };
 }
 

@@ -6,28 +6,67 @@
 #include "ml/evaluation.h"
 #include "ml/gaussian_classifier.h"
 #include "ml/naive_bayes.h"
+#include "tests/test_util.h"
 
 namespace csm {
 namespace {
 
+using testing::I;
+using testing::MakeColumn;
+using testing::N;
+using testing::R;
+using testing::S;
+
+/// Labeled training examples held in one column, the only input a
+/// classifier reads.  Declare it before the classifiers trained on it so it
+/// outlives them (classifiers may memoize by dictionary address).
+struct Examples {
+  explicit Examples(ValueType type) : column(type) {}
+
+  void Add(const Value& cell, std::string label) {
+    column.Append(cell);
+    labels.push_back(std::move(label));
+  }
+
+  void TrainInto(ValueClassifier& classifier) const {
+    for (size_t r = 0; r < labels.size(); ++r) {
+      classifier.Train(column, r, labels[r]);
+    }
+  }
+
+  Column column;
+  std::vector<std::string> labels;
+};
+
 // ------------------------------------------------------------ NaiveBayes
 
+const Examples& BookCdExamples() {
+  static const Examples* examples = [] {
+    auto* out = new Examples(ValueType::kString);
+    const char* books[] = {"the silent river", "a winter garden",
+                           "the lost kingdom", "history of light",
+                           "the paper ocean"};
+    const char* cds[] = {"velvet thunder", "neon wolves live", "cobalt drift",
+                         "static bloom remix", "echo parade"};
+    for (const char* b : books) out->Add(S(b), "book");
+    for (const char* c : cds) out->Add(S(c), "cd");
+    return out;
+  }();
+  return *examples;
+}
+
 NaiveBayesClassifier TrainedBookCdClassifier() {
-  NaiveBayesClassifier nb(3);
-  const char* books[] = {"the silent river", "a winter garden",
-                         "the lost kingdom", "history of light",
-                         "the paper ocean"};
-  const char* cds[] = {"velvet thunder", "neon wolves live", "cobalt drift",
-                       "static bloom remix", "echo parade"};
-  for (const char* b : books) nb.Train(Value::String(b), "book");
-  for (const char* c : cds) nb.Train(Value::String(c), "cd");
+  NaiveBayesClassifier nb;
+  BookCdExamples().TrainInto(nb);
   return nb;
 }
 
 TEST(NaiveBayesTest, ClassifiesTrainingLikeInputs) {
+  const Column probes = MakeColumn(
+      ValueType::kString, {S("the silent kingdom"), S("velvet drift")});
   NaiveBayesClassifier nb = TrainedBookCdClassifier();
-  EXPECT_EQ(nb.Classify(Value::String("the silent kingdom")), "book");
-  EXPECT_EQ(nb.Classify(Value::String("velvet drift")), "cd");
+  EXPECT_EQ(nb.Classify(probes, 0), "book");
+  EXPECT_EQ(nb.Classify(probes, 1), "cd");
 }
 
 TEST(NaiveBayesTest, LabelsAndTrainingSize) {
@@ -37,95 +76,72 @@ TEST(NaiveBayesTest, LabelsAndTrainingSize) {
 }
 
 TEST(NaiveBayesTest, UntrainedReturnsEmpty) {
+  const Column probes = MakeColumn(ValueType::kString, {S("anything")});
   NaiveBayesClassifier nb;
-  EXPECT_EQ(nb.Classify(Value::String("anything")), "");
+  EXPECT_EQ(nb.Classify(probes, 0), "");
   EXPECT_TRUE(nb.Labels().empty());
 }
 
 TEST(NaiveBayesTest, NullInputsIgnored) {
+  const Column cells = MakeColumn(ValueType::kString, {N(), S("abc")});
+  const Column all_null = MakeColumn(ValueType::kNull, {N()});
   NaiveBayesClassifier nb;
-  nb.Train(Value::Null(), "x");
+  nb.Train(cells, 0, "x");
+  nb.Train(all_null, 0, "x");
   EXPECT_EQ(nb.TrainingSize(), 0u);
-  nb.Train(Value::String("abc"), "x");
-  EXPECT_EQ(nb.Classify(Value::Null()), "");
+  nb.Train(cells, 1, "x");
+  EXPECT_EQ(nb.Classify(cells, 0), "");
+  EXPECT_EQ(nb.Classify(all_null, 0), "");
 }
 
 TEST(NaiveBayesTest, LogScoreOrdersLabels) {
+  const Column probes = MakeColumn(ValueType::kString, {S("the silent garden")});
   NaiveBayesClassifier nb = TrainedBookCdClassifier();
-  Value v = Value::String("the silent garden");
-  EXPECT_GT(nb.LogScore(v, "book"), nb.LogScore(v, "cd"));
-  EXPECT_EQ(nb.LogScore(v, "unknown_label"),
+  EXPECT_GT(nb.LogScore(probes, 0, "book"), nb.LogScore(probes, 0, "cd"));
+  EXPECT_EQ(nb.LogScore(probes, 0, "unknown_label"),
             -std::numeric_limits<double>::infinity());
 }
 
 TEST(NaiveBayesTest, UnseenInputGetsDeterministicTrainedLabel) {
+  Examples examples(ValueType::kString);
+  examples.Add(S("aaa"), "major");
+  examples.Add(S("aab"), "major");
+  examples.Add(S("aac"), "major");
+  examples.Add(S("zzz"), "minor");
+  const Column probes = MakeColumn(ValueType::kString, {S("qqq"), S("qqq")});
   NaiveBayesClassifier nb;
-  nb.Train(Value::String("aaa"), "major");
-  nb.Train(Value::String("aab"), "major");
-  nb.Train(Value::String("aac"), "major");
-  nb.Train(Value::String("zzz"), "minor");
+  examples.TrainInto(nb);
   // Input sharing no informative grams still classifies to some trained
-  // label, deterministically.
-  std::string first = nb.Classify(Value::String("qqq"));
+  // label, deterministically (row 1 is a second cell of the same value).
+  std::string first = nb.Classify(probes, 0);
   EXPECT_TRUE(first == "major" || first == "minor");
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(nb.Classify(Value::String("qqq")), first);
+    EXPECT_EQ(nb.Classify(probes, static_cast<size_t>(i % 2)), first);
   }
-}
-
-TEST(NaiveBayesTest, NumericInputsClassifiedViaRendering) {
-  NaiveBayesClassifier nb;
-  for (int i = 0; i < 5; ++i) {
-    nb.Train(Value::Int(1000 + i), "low");
-    nb.Train(Value::Int(999000 + i), "high");
-  }
-  EXPECT_EQ(nb.Classify(Value::Int(1007)), "low");
-  EXPECT_EQ(nb.Classify(Value::Int(999007)), "high");
 }
 
 TEST(NaiveBayesTest, DeterministicClassification) {
+  const Column probes = MakeColumn(
+      ValueType::kString, {S("river"), S("thunder"), S("x"), S("the the the")});
   NaiveBayesClassifier a = TrainedBookCdClassifier();
   NaiveBayesClassifier b = TrainedBookCdClassifier();
-  const char* probes[] = {"river", "thunder", "x", "the the the"};
-  for (const char* p : probes) {
-    EXPECT_EQ(a.Classify(Value::String(p)), b.Classify(Value::String(p)));
+  for (size_t r = 0; r < probes.size(); ++r) {
+    EXPECT_EQ(a.Classify(probes, r), b.Classify(probes, r));
   }
-}
-
-TEST(NaiveBayesTest, CodedPathMatchesBoxedPath) {
-  StringDictionary dict;
-  const char* books[] = {"the silent river", "a winter garden",
-                         "the lost kingdom"};
-  const char* cds[] = {"velvet thunder", "neon wolves live", "cobalt drift"};
-  NaiveBayesClassifier boxed(3), coded(3);
-  for (const char* b : books) {
-    boxed.Train(Value::String(b), "book");
-    coded.TrainCoded(dict, dict.GetOrAdd(b), "book");
-  }
-  for (const char* c : cds) {
-    boxed.Train(Value::String(c), "cd");
-    coded.TrainCoded(dict, dict.GetOrAdd(c), "cd");
-  }
-  EXPECT_EQ(boxed.TrainingSize(), coded.TrainingSize());
-  const char* probes[] = {"the silent kingdom", "velvet drift", "qqq"};
-  for (const char* p : probes) {
-    const uint32_t code = dict.GetOrAdd(p);
-    EXPECT_EQ(coded.ClassifyCoded(dict, code), boxed.Classify(Value::String(p)));
-  }
-  EXPECT_EQ(coded.ClassifyCoded(dict, kNullCode), "");
 }
 
 TEST(NaiveBayesTest, ClassifyCodedMemoizesPerDistinctValue) {
-  StringDictionary dict;
-  NaiveBayesClassifier nb(3);
-  nb.TrainCoded(dict, dict.GetOrAdd("aaa"), "a");
-  nb.TrainCoded(dict, dict.GetOrAdd("zzz"), "z");
-  const uint32_t probe = dict.GetOrAdd("aab");
-  const std::string first = nb.ClassifyCoded(dict, probe);
+  const Column cells =
+      MakeColumn(ValueType::kString, {S("aaa"), S("zzz"), S("aab"), S("aab")});
+  NaiveBayesClassifier nb;
+  nb.Train(cells, 0, "a");
+  nb.Train(cells, 1, "z");
+  const std::string first = nb.Classify(cells, 2);
   const uint64_t hits_before =
       GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(nb.ClassifyCoded(dict, probe), first);
+    // Row 3 holds the same value (same code) as row 2.
+    EXPECT_EQ(nb.Classify(cells, 2 + static_cast<size_t>(i % 2)), first);
   }
   const uint64_t hits_after =
       GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
@@ -133,103 +149,93 @@ TEST(NaiveBayesTest, ClassifyCodedMemoizesPerDistinctValue) {
 }
 
 TEST(NaiveBayesTest, TrainingAfterClassifyInvalidatesMemo) {
-  StringDictionary dict;
-  NaiveBayesClassifier nb(3);
-  const uint32_t aaa = dict.GetOrAdd("aaa");
-  const uint32_t probe = dict.GetOrAdd("aaz");
-  nb.TrainCoded(dict, aaa, "a");
-  EXPECT_EQ(nb.ClassifyCoded(dict, probe), "a");
-  // Flood a second label; the classifier must re-score, not replay the memo.
-  for (int i = 0; i < 20; ++i) {
-    nb.TrainCoded(dict, dict.GetOrAdd("aazq"), "z");
-  }
-  NaiveBayesClassifier fresh(3);
-  fresh.TrainCoded(dict, aaa, "a");
-  for (int i = 0; i < 20; ++i) {
-    fresh.TrainCoded(dict, dict.GetOrAdd("aazq"), "z");
-  }
-  EXPECT_EQ(nb.ClassifyCoded(dict, probe), fresh.ClassifyCoded(dict, probe));
-  EXPECT_EQ(nb.Classify(Value::String("aaz")), fresh.ClassifyCoded(dict, probe));
+  const Column cells = MakeColumn(ValueType::kString, {S("aaa"), S("aaz")});
+  NaiveBayesClassifier nb;
+  nb.Train(cells, 0, "a");
+  EXPECT_EQ(nb.Classify(cells, 1), "a");
+  // Flood a second label with the probe's own value; the classifier must
+  // re-score, not replay the memoized "a".
+  for (int i = 0; i < 20; ++i) nb.Train(cells, 1, "z");
+  NaiveBayesClassifier fresh;
+  fresh.Train(cells, 0, "a");
+  for (int i = 0; i < 20; ++i) fresh.Train(cells, 1, "z");
+  EXPECT_EQ(fresh.Classify(cells, 1), "z");
+  EXPECT_EQ(nb.Classify(cells, 1), fresh.Classify(cells, 1));
 }
 
-TEST(NaiveBayesTest, LargeQFallsBackToInternedWordGrams) {
-  // q > kMaxPackedGramQ routes through the TokenInterner fallback; the
-  // classifier contract is unchanged.
-  NaiveBayesClassifier nb(6);
-  nb.Train(Value::String("alpha beta gamma"), "greek");
-  nb.Train(Value::String("monday tuesday"), "days");
-  EXPECT_EQ(nb.Classify(Value::String("alpha gamma")), "greek");
-  EXPECT_EQ(nb.Classify(Value::String("monday")), "days");
+TEST(NaiveBayesTest, NonStringColumnDies) {
+  const Column numbers = MakeColumn(ValueType::kInt, {I(7)});
+  NaiveBayesClassifier nb;
+  EXPECT_DEATH(nb.Train(numbers, 0, "x"), "reads string columns");
 }
 
 // -------------------------------------------------------------- Gaussian
 
-GaussianClassifier TrainedGaussian(double sigma, Rng& rng) {
-  GaussianClassifier g;
+Examples GaussianExamples(double sigma, Rng& rng) {
+  Examples examples(ValueType::kReal);
   for (int i = 0; i < 200; ++i) {
-    g.Train(Value::Real(rng.NextGaussian(10.0, sigma)), "low");
-    g.Train(Value::Real(rng.NextGaussian(50.0, sigma)), "high");
+    examples.Add(R(rng.NextGaussian(10.0, sigma)), "low");
+    examples.Add(R(rng.NextGaussian(50.0, sigma)), "high");
   }
-  return g;
+  return examples;
 }
 
 TEST(GaussianTest, SeparatesWellSeparatedClasses) {
   Rng rng(17);
-  GaussianClassifier g = TrainedGaussian(3.0, rng);
-  EXPECT_EQ(g.Classify(Value::Real(11.0)), "low");
-  EXPECT_EQ(g.Classify(Value::Real(49.0)), "high");
-  EXPECT_EQ(g.Classify(Value::Int(9)), "low");  // ints widen
+  const Examples examples = GaussianExamples(3.0, rng);
+  const Column probes = MakeColumn(ValueType::kReal, {R(11.0), R(49.0)});
+  const Column int_probes = MakeColumn(ValueType::kInt, {I(9)});
+  GaussianClassifier g;
+  examples.TrainInto(g);
+  EXPECT_EQ(g.Classify(probes, 0), "low");
+  EXPECT_EQ(g.Classify(probes, 1), "high");
+  EXPECT_EQ(g.Classify(int_probes, 0), "low");  // ints widen
 }
 
 TEST(GaussianTest, MidpointGoesToCloserMean) {
   Rng rng(18);
-  GaussianClassifier g = TrainedGaussian(3.0, rng);
-  EXPECT_EQ(g.Classify(Value::Real(20.0)), "low");
-  EXPECT_EQ(g.Classify(Value::Real(40.0)), "high");
+  const Examples examples = GaussianExamples(3.0, rng);
+  const Column probes = MakeColumn(ValueType::kReal, {R(20.0), R(40.0)});
+  GaussianClassifier g;
+  examples.TrainInto(g);
+  EXPECT_EQ(g.Classify(probes, 0), "low");
+  EXPECT_EQ(g.Classify(probes, 1), "high");
 }
 
 TEST(GaussianTest, PriorsMatterForImbalancedData) {
-  GaussianClassifier g;
   Rng rng(19);
+  Examples examples(ValueType::kReal);
   for (int i = 0; i < 900; ++i) {
-    g.Train(Value::Real(rng.NextGaussian(0.0, 10.0)), "common");
+    examples.Add(R(rng.NextGaussian(0.0, 10.0)), "common");
   }
   for (int i = 0; i < 10; ++i) {
-    g.Train(Value::Real(rng.NextGaussian(5.0, 10.0)), "rare");
+    examples.Add(R(rng.NextGaussian(5.0, 10.0)), "rare");
   }
+  const Column probes = MakeColumn(ValueType::kReal, {R(2.5)});
+  GaussianClassifier g;
+  examples.TrainInto(g);
   // Near the rare mean but the common prior dominates at equal likelihood
   // distance.
-  EXPECT_EQ(g.Classify(Value::Real(2.5)), "common");
-}
-
-TEST(GaussianTest, NonNumericInputFallsBackToMostFrequent) {
-  GaussianClassifier g;
-  g.Train(Value::Real(1.0), "a");
-  g.Train(Value::Real(2.0), "a");
-  g.Train(Value::Real(100.0), "b");
-  EXPECT_EQ(g.Classify(Value::String("oops")), "a");
-}
-
-TEST(GaussianTest, StringTrainingIgnored) {
-  GaussianClassifier g;
-  g.Train(Value::String("nope"), "a");
-  EXPECT_EQ(g.TrainingSize(), 0u);
-  EXPECT_EQ(g.Classify(Value::Real(1.0)), "");
+  EXPECT_EQ(g.Classify(probes, 0), "common");
 }
 
 TEST(GaussianTest, ConstantClassHandledByStdDevFloor) {
-  GaussianClassifier g;
-  for (int i = 0; i < 10; ++i) g.Train(Value::Real(5.0), "const");
+  Examples examples(ValueType::kReal);
+  for (int i = 0; i < 10; ++i) examples.Add(R(5.0), "const");
   for (int i = 0; i < 10; ++i) {
-    g.Train(Value::Real(20.0 + static_cast<double>(i)), "spread");
+    examples.Add(R(20.0 + static_cast<double>(i)), "spread");
   }
-  EXPECT_EQ(g.Classify(Value::Real(5.0)), "const");
-  EXPECT_EQ(g.Classify(Value::Real(24.0)), "spread");
+  const Column probes = MakeColumn(ValueType::kReal, {R(5.0), R(24.0)});
+  GaussianClassifier g;
+  examples.TrainInto(g);
+  EXPECT_EQ(g.Classify(probes, 0), "const");
+  EXPECT_EQ(g.Classify(probes, 1), "spread");
 }
 
 TEST(GaussianTest, LogScoreUnknownLabelIsMinusInfinity) {
+  const Column cells = MakeColumn(ValueType::kReal, {R(1.0)});
   GaussianClassifier g;
-  g.Train(Value::Real(1.0), "a");
+  g.Train(cells, 0, "a");
   EXPECT_EQ(g.LogScore(1.0, "zzz"),
             -std::numeric_limits<double>::infinity());
 }
@@ -355,7 +361,6 @@ TEST_P(NaiveBayesOverlapTest, AccuracyAboveChance) {
     vocab_b.push_back(i < shared ? vocab_a[static_cast<size_t>(i)]
                                  : "wordb" + std::to_string(i));
   }
-  NaiveBayesClassifier nb(3);
   auto sentence = [&](const std::vector<std::string>& vocab) {
     std::string s;
     for (int w = 0; w < 3; ++w) {
@@ -363,14 +368,20 @@ TEST_P(NaiveBayesOverlapTest, AccuracyAboveChance) {
     }
     return s;
   };
+  Examples train(ValueType::kString), test(ValueType::kString);
   for (int i = 0; i < 60; ++i) {
-    nb.Train(Value::String(sentence(vocab_a)), "a");
-    nb.Train(Value::String(sentence(vocab_b)), "b");
+    train.Add(Value::String(sentence(vocab_a)), "a");
+    train.Add(Value::String(sentence(vocab_b)), "b");
   }
-  ClassifierEvaluation eval;
   for (int i = 0; i < 100; ++i) {
-    eval.Observe("a", nb.Classify(Value::String(sentence(vocab_a))));
-    eval.Observe("b", nb.Classify(Value::String(sentence(vocab_b))));
+    test.Add(Value::String(sentence(vocab_a)), "a");
+    test.Add(Value::String(sentence(vocab_b)), "b");
+  }
+  NaiveBayesClassifier nb;
+  train.TrainInto(nb);
+  ClassifierEvaluation eval;
+  for (size_t r = 0; r < test.labels.size(); ++r) {
+    eval.Observe(test.labels[r], nb.Classify(test.column, r));
   }
   // Even at 70% vocabulary overlap the classifier must beat chance.
   EXPECT_GT(eval.Accuracy(), 0.55) << "shared=" << shared;

@@ -149,22 +149,23 @@ TEST_P(SeededPropertyTest, TrainTestSplitIsExactPartition) {
 
 TEST_P(SeededPropertyTest, NaiveBayesTrainingOrderInvariant) {
   Rng rng(GetParam() ^ 8);
-  std::vector<std::pair<std::string, std::string>> examples;
+  // Even rows are book titles, odd rows UPCs; 20 probes follow.
+  Column text(ValueType::kString);
   for (int i = 0; i < 40; ++i) {
-    examples.emplace_back(MakeBookTitle(rng), "book");
-    examples.emplace_back(MakeUpc(rng), "cd");
+    text.Append(Value::String(MakeBookTitle(rng)));
+    text.Append(Value::String(MakeUpc(rng)));
   }
-  NaiveBayesClassifier forward(3), backward(3);
-  for (const auto& [text, label] : examples) {
-    forward.Train(Value::String(text), label);
-  }
-  for (auto it = examples.rbegin(); it != examples.rend(); ++it) {
-    backward.Train(Value::String(it->first), it->second);
-  }
+  const size_t num_examples = text.size();
   for (int i = 0; i < 20; ++i) {
-    Value probe = Value::String(rng.NextBernoulli(0.5) ? MakeBookTitle(rng)
-                                                       : MakeUpc(rng));
-    EXPECT_EQ(forward.Classify(probe), backward.Classify(probe));
+    text.Append(Value::String(rng.NextBernoulli(0.5) ? MakeBookTitle(rng)
+                                                     : MakeUpc(rng)));
+  }
+  auto label = [](size_t r) { return r % 2 == 0 ? "book" : "cd"; };
+  NaiveBayesClassifier forward, backward;
+  for (size_t r = 0; r < num_examples; ++r) forward.Train(text, r, label(r));
+  for (size_t r = num_examples; r-- > 0;) backward.Train(text, r, label(r));
+  for (size_t r = num_examples; r < text.size(); ++r) {
+    EXPECT_EQ(forward.Classify(text, r), backward.Classify(text, r));
   }
 }
 

@@ -319,6 +319,18 @@ TEST(ConditionTest, MentionedAttributes) {
 
 // ------------------------------------------------------------------ View
 
+TEST(ViewTest, ViewKeyKeepsQuotedInListsApart) {
+  // The first IN-list holds the single value "a', 'b".  The two conditions
+  // select different rows, so their renderings and view keys must differ.
+  const Condition quoted = Condition::In("x", {S("a', 'b"), S("c")});
+  const Condition plain = Condition::In("x", {S("a"), S("b"), S("c")});
+  Table t = MakeTable("t", {"x"}, {{S("a', 'b")}, {S("a")}, {S("b")}, {S("c")}});
+  EXPECT_EQ(quoted.MatchingPositions(t).size(), 2u);
+  EXPECT_EQ(plain.MatchingPositions(t).size(), 3u);
+  EXPECT_EQ(quoted.ToString(), "x in {'a'', ''b', 'c'}");
+  EXPECT_NE(ViewKey("t", quoted), ViewKey("t", plain));
+}
+
 TEST(ViewTest, SelectOnlyMaterialization) {
   Table t = SampleInventory();
   View v("books", "inv", Condition::Equals("type", S("book")));

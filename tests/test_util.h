@@ -1,4 +1,4 @@
-// Shared helpers for the csm test suite: compact table builders.
+// Shared helpers for the csm test suite: compact table and column builders.
 
 #ifndef CSM_TESTS_TEST_UTIL_H_
 #define CSM_TESTS_TEST_UTIL_H_
@@ -30,6 +30,13 @@ inline Table MakeTable(const std::string& name,
   Table table(schema);
   for (const Row& row : rows) table.AddRow(row);
   return table;
+}
+
+/// Builds a column of `type` holding `cells` in order.
+inline Column MakeColumn(ValueType type, const std::vector<Value>& cells) {
+  Column column(type);
+  for (const Value& cell : cells) column.Append(cell);
+  return column;
 }
 
 inline Value S(const char* s) { return Value::String(s); }
