@@ -18,6 +18,7 @@
 #include "check/differential.h"
 #include "check/fingerprint.h"
 #include "check/generators.h"
+#include "check/reference.h"
 #include "core/match_engine.h"
 #include "match/matcher.h"
 #include "ml/naive_bayes.h"
@@ -45,22 +46,9 @@ Status Replay(const FuzzOptions& options, size_t iteration, Status status) {
 
 // --------------------------------------------------------------------- CSV
 
-/// Writer-compatible quoting, duplicated here so the fuzzer can re-render
-/// a table with randomized record terminators (the library writer always
-/// emits "\n").
-std::string QuoteLikeWriter(const std::string& field) {
-  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
 /// Renders `table` as CSV with a random record terminator ("\n", "\r\n" or
-/// a bare "\r") per record; the final record keeps its terminator with
+/// a bare "\r") per record, quoting fields like the writer (the library
+/// writer always emits "\n"); the final record keeps its terminator with
 /// probability 1/2 (both are legal).
 std::string RenderCsvMixedLineEndings(const Table& table, Rng& rng) {
   const char* kTerminators[] = {"\n", "\r\n", "\r"};
@@ -70,7 +58,7 @@ std::string RenderCsvMixedLineEndings(const Table& table, Rng& rng) {
     std::string record;
     for (size_t c = 0; c < fields.size(); ++c) {
       if (c > 0) record += ',';
-      record += QuoteLikeWriter(fields[c]);
+      record += ReferenceQuoteField(fields[c]);
     }
     // Match the library writer: a would-be-empty line is written as `""`
     // so it cannot fuse with a preceding bare-"\r" terminator into "\r\n"
@@ -168,6 +156,20 @@ Status FuzzCsvRoundTrip(const FuzzOptions& options) {
     }
     CSM_RETURN_IF_ERROR(
         Replay(options, i, CompareTables(table, *parsed, "mixed-line-ending")));
+
+    // The columnar writer's bytes against the boxed writer, on this table
+    // and on one holding NaN, +-inf, -0.0 and lossy "%g" reals.
+    HostileTableOptions special_options;
+    special_options.special_reals = true;
+    const Table special = RandomHostileTable("fuzz", rng, special_options);
+    for (const Table* t : {&table, &special}) {
+      if (TableToCsv(*t) != ReferenceTableToCsv(*t)) {
+        return Replay(options, i,
+                      Status::Internal("TableToCsv bytes differ from the "
+                                       "boxed reference writer:\n" +
+                                       ReferenceTableToCsv(*t)));
+      }
+    }
   }
   return Status::Ok();
 }

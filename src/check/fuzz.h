@@ -12,7 +12,9 @@
 //                            TableToCsv -> one-chunk TableFromCsvParallel,
 //                            plus a re-rendered variant with randomized
 //                            \n / \r\n / \r record terminators through the
-//                            same parser
+//                            same parser; TableToCsv's bytes against the
+//                            boxed reference writer (check/reference.h),
+//                            also on tables holding NaN, +-inf and -0.0
 //   * FuzzCsvChunkedParse     random hostile tables rendered with mixed
 //                            record terminators through the chunked
 //                            parallel parser, and as files through
@@ -37,6 +39,16 @@
 //                            Condition::MatchingPositions and TableView
 //                            gather/reads against boxed row-at-a-time
 //                            ground truth (bit-identical fingerprints)
+//   * FuzzExecutorEquivalence
+//                            random source databases, select and SP views
+//                            and mapping queries (chains of 1-4 joins on
+//                            1-2 key attributes, join-3 filters, NULL and
+//                            cross-dictionary keys, rendering-equal reals,
+//                            Skolem terms, every coercion pair) through
+//                            ExecuteMapping(s) against the row-at-a-time
+//                            reference executor: statuses, schemas, row
+//                            order, every cell's type and bits, TableToCsv
+//                            bytes and output dictionaries
 //   * FuzzTokenKernelEquivalence
 //                            random hostile tables through the interned
 //                            token kernel (text/gram.h): packed gram ids,
@@ -74,6 +86,7 @@ Status FuzzPipeline(const FuzzOptions& options);
 Status FuzzDifferential(const FuzzOptions& options);
 Status FuzzRowColumnarEquivalence(const FuzzOptions& options);
 Status FuzzTokenKernelEquivalence(const FuzzOptions& options);
+Status FuzzExecutorEquivalence(const FuzzOptions& options);
 
 }  // namespace csm::check
 

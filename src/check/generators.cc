@@ -1,6 +1,8 @@
 #include "check/generators.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/logging.h"
@@ -29,6 +31,22 @@ const std::vector<std::string>& Utf8Runs() {
 std::string PickWord(Rng& rng) {
   const auto& words = HostileWords();
   return words[rng.NextBounded(words.size())];
+}
+
+double PickSpecialReal(Rng& rng) {
+  static const double kReals[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0,
+      0.1 + 0.2,
+      1234567.25,
+      1e15,
+      -999999999999999.0,
+      1e-300,
+      5e-324};
+  return kReals[rng.NextBounded(std::size(kReals))];
 }
 
 }  // namespace
@@ -111,6 +129,10 @@ Table RandomHostileTable(const std::string& name, Rng& rng,
           row.push_back(Value::Int(rng.NextInt(-100000, 100000)));
           break;
         case ValueType::kReal:
+          if (options.special_reals && rng.NextBounded(3) == 0) {
+            row.push_back(Value::Real(PickSpecialReal(rng)));
+            break;
+          }
           // Exact binary fractions (k/8) within +/-1000: at most 6
           // significant digits, so the "%g" rendering round trips
           // losslessly through text.

@@ -46,6 +46,10 @@ struct HostileTableOptions {
   size_t max_attributes = 6;
   /// Probability that any one cell is NULL.
   double null_probability = 0.1;
+  /// Draw about a third of the real cells from NaN, +-inf, -0.0 and values
+  /// whose "%g" rendering drops digits (their text no longer round trips,
+  /// so use these tables for writer checks, not parse round trips).
+  bool special_reals = false;
 };
 
 /// Random table mixing int / real / string columns; string cells come from

@@ -1,143 +1,434 @@
 #include "mapping/executor.h"
 
-#include <algorithm>
+#include <cstring>
 #include <map>
-#include <set>
+#include <unordered_map>
 
 #include "common/logging.h"
+#include "relational/table_view.h"
 
 namespace csm {
 namespace {
 
-/// A flat join result whose columns are qualified (relation, attribute)
-/// pairs.
-struct JoinedRows {
-  std::vector<std::pair<std::string, std::string>> columns;
-  std::vector<Row> rows;
-  std::set<std::string> relations;
+/// One relation of a join result: its bound view and, per joined row, the
+/// base row that feeds it (kNullRow where the outer join padded it).
+struct JoinedRelation {
+  std::string name;
+  TableView view;
+  PosList rows;
+};
 
-  std::optional<size_t> FindColumn(const std::string& relation,
-                                   const std::string& attribute) const {
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (columns[i].first == relation && columns[i].second == attribute) {
-        return i;
-      }
+/// A full outer join as one position list per joined relation; no cell is
+/// copied until the projection gathers it.
+struct JoinResult {
+  std::vector<JoinedRelation> relations;
+  size_t num_rows = 0;
+
+  std::optional<size_t> Find(const std::string& name) const {
+    for (size_t i = 0; i < relations.size(); ++i) {
+      if (relations[i].name == name) return i;
     }
     return std::nullopt;
   }
 };
 
-/// Wraps a materialized relation instance as a JoinedRows, boxing each row
-/// once.
-JoinedRows Wrap(const Table& instance, const std::string& relation) {
-  JoinedRows out;
-  for (const auto& attr : instance.schema().attributes()) {
-    out.columns.emplace_back(relation, attr.name);
-  }
-  out.rows.reserve(instance.num_rows());
-  for (size_t r = 0; r < instance.num_rows(); ++r) {
-    out.rows.push_back(instance.row(r));
-  }
-  out.relations.insert(relation);
-  return out;
+/// splitmix64's finalizer: spreads small atoms (codes, ids) over 64 bits.
+uint64_t Mix64(uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
-/// Appends `v` to `out` as "<type>:<length>:<rendering>".  The length
-/// prefix makes a sequence of encoded values injective: bytes inside a
-/// rendering (separators, digits, colons) can never shift the boundary
-/// between two cells, so equal encodings mean equal (type, rendering)
-/// sequences.  Join keys and duplicate-row fingerprints both use it.
-void AppendEncoded(const Value& v, std::string* out) {
-  const std::string rendering = v.ToString();
-  out->append(std::to_string(static_cast<int>(v.type())));
-  out->push_back(':');
-  out->append(std::to_string(rendering.size()));
-  out->push_back(':');
-  out->append(rendering);
-}
-
-/// Encodes the join-key values of one row into `key`; false when any key
-/// value is NULL (NULLs never join).
-bool KeyOf(const Row& row, const std::vector<size_t>& cols, std::string* key) {
-  key->clear();
-  for (size_t c : cols) {
-    if (row[c].is_null()) return false;
-    AppendEncoded(row[c], key);
+/// Dense ids of real renderings: two reals share an id iff RenderReal
+/// renders them the same, so 0.1+0.2 and 0.3 do while -0.0 and 0.0 do not.
+/// Each distinct bit pattern renders once.
+class RealRenderingIds {
+ public:
+  uint32_t Id(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    auto [it, inserted] = by_bits_.try_emplace(bits, 0);
+    if (inserted) {
+      const uint32_t next = static_cast<uint32_t>(by_rendering_.size());
+      it->second =
+          by_rendering_.try_emplace(std::string(RenderReal(d).view()), next)
+              .first->second;
+    }
+    return it->second;
   }
-  return true;
+
+ private:
+  std::unordered_map<uint64_t, uint32_t> by_bits_;
+  std::unordered_map<std::string, uint32_t> by_rendering_;
+};
+
+/// The atom of cell `p` of `col`, or false when the cell is NULL.  Within
+/// one column (and between two columns of one type, one string dictionary
+/// and one `reals`), atoms are equal iff the cells' (type, rendering) are:
+/// an int is its value, a string its dictionary code, a real the id of
+/// its rendering.
+bool CellAtom(const Column& col, RowId p, RealRenderingIds& reals,
+              uint64_t* atom) {
+  if (col.IsNull(p)) return false;
+  switch (col.type()) {
+    case ValueType::kNull:
+      return false;
+    case ValueType::kInt:
+      *atom = static_cast<uint64_t>(col.ints()[p]);
+      return true;
+    case ValueType::kReal:
+      *atom = reals.Id(col.reals()[p]);
+      return true;
+    case ValueType::kString:
+      *atom = col.codes()[p];
+      return true;
+  }
+  return false;
 }
 
-/// Full outer join of `left` with `right` on the given column equalities.
-JoinedRows FullOuterJoin(const JoinedRows& left, const JoinedRows& right,
-                         const std::vector<size_t>& left_cols,
-                         const std::vector<size_t>& right_cols) {
-  JoinedRows out;
-  out.columns = left.columns;
-  out.columns.insert(out.columns.end(), right.columns.begin(),
-                     right.columns.end());
-  out.relations = left.relations;
-  out.relations.insert(right.relations.begin(), right.relations.end());
-
-  std::map<std::string, std::vector<size_t>> right_index;
-  std::string key;
-  for (size_t r = 0; r < right.rows.size(); ++r) {
-    if (KeyOf(right.rows[r], right_cols, &key)) {
-      right_index[key].push_back(r);
+/// Maps the non-NULL cells of a probe and a build key column of one type
+/// into one space of 64-bit atoms: equal atoms iff equal (type, rendering).
+/// Strings compare dictionary codes; a probe column with another
+/// dictionary is remapped into the build one once per distinct string.
+class KeyAtoms {
+ public:
+  KeyAtoms(const Column& probe, const Column& build)
+      : probe_(probe), build_(build) {
+    if (probe.type() == ValueType::kString &&
+        build.type() == ValueType::kString &&
+        &probe.dictionary() != &build.dictionary()) {
+      remap_.assign(probe.dictionary().size(), kUnmapped);
     }
   }
 
-  std::vector<bool> right_matched(right.rows.size(), false);
-  for (const Row& lrow : left.rows) {
-    const std::vector<size_t>* partners = nullptr;
-    if (KeyOf(lrow, left_cols, &key)) {
-      auto it = right_index.find(key);
-      if (it != right_index.end()) partners = &it->second;
+  /// False for a NULL cell (NULLs never join).
+  bool Build(RowId p, uint64_t* atom) {
+    return CellAtom(build_, p, reals_, atom);
+  }
+
+  /// False for a padded row, a NULL cell, or a string the build column
+  /// never holds.
+  bool Probe(RowId p, uint64_t* atom) {
+    if (p == kNullRow || !CellAtom(probe_, p, reals_, atom)) return false;
+    if (remap_.empty()) return true;
+    int64_t& code = remap_[*atom];
+    if (code == kUnmapped) {
+      const std::optional<uint32_t> found =
+          build_.CodeFor(probe_.dictionary().values()[*atom]);
+      code = found.has_value() ? *found : kAbsent;
     }
-    if (partners == nullptr) {
-      Row combined = lrow;
-      combined.resize(lrow.size() + right.columns.size());  // NULL padding
-      out.rows.push_back(std::move(combined));
+    if (code == kAbsent) return false;
+    *atom = static_cast<uint64_t>(code);
+    return true;
+  }
+
+ private:
+  static constexpr int64_t kUnmapped = -1;
+  static constexpr int64_t kAbsent = -2;
+
+  const Column& probe_;
+  const Column& build_;
+  std::vector<int64_t> remap_;  // probe code -> build code (lazy)
+  RealRenderingIds reals_;
+};
+
+struct GroupKeyHash {
+  size_t operator()(const std::pair<uint32_t, uint64_t>& k) const {
+    return static_cast<size_t>(Mix64(k.second ^ Mix64(k.first)));
+  }
+};
+
+constexpr uint32_t kNoGroup = 0xffffffffu;
+
+/// One key attribute's level of the join index: interns (group of the key
+/// prefix, atom of this attribute) into the dense group of the longer
+/// prefix.  The first level of a string key has no prefix and its atoms are
+/// build-dictionary codes, so it indexes a vector instead of hashing.
+class GroupLevel {
+ public:
+  /// `dense_atoms` > 0 selects the vector for atoms below it.
+  explicit GroupLevel(size_t dense_atoms) : dense_(dense_atoms, kNoGroup) {}
+
+  uint32_t Intern(uint32_t prefix, uint64_t atom) {
+    if (!dense_.empty()) {
+      uint32_t& group = dense_[atom];
+      if (group == kNoGroup) group = size_++;
+      return group;
+    }
+    auto [it, inserted] = hashed_.try_emplace({prefix, atom}, size_);
+    if (inserted) ++size_;
+    return it->second;
+  }
+
+  /// The group, or kNoGroup when no build row has this key prefix.
+  uint32_t Find(uint32_t prefix, uint64_t atom) const {
+    if (!dense_.empty()) return dense_[atom];
+    auto it = hashed_.find({prefix, atom});
+    return it == hashed_.end() ? kNoGroup : it->second;
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  std::vector<uint32_t> dense_;
+  std::unordered_map<std::pair<uint32_t, uint64_t>, uint32_t, GroupKeyHash>
+      hashed_;
+  uint32_t size_ = 0;
+};
+
+/// Full outer join of `joined` with `incoming` on equal (type, rendering)
+/// of the key cells: probe_keys[i] (of joined.relations[probe]) against
+/// build_keys[i] (of `incoming`).  Rows come out as the row executor
+/// emitted them: each joined row with its partners in incoming order (or
+/// NULL-padded), then the unmatched incoming rows.
+JoinResult FullOuterJoin(JoinResult joined, size_t probe,
+                         const std::vector<size_t>& probe_keys,
+                         const std::string& incoming_name,
+                         const TableView& incoming,
+                         const std::vector<size_t>& build_keys) {
+  const JoinedRelation& probe_relation = joined.relations[probe];
+  const size_t num_keys = probe_keys.size();
+  const size_t build_rows = incoming.num_rows();
+  std::vector<KeyAtoms> atoms;
+  atoms.reserve(num_keys);
+  bool joinable = true;
+  for (size_t k = 0; k < num_keys; ++k) {
+    const Column& probe_col = probe_relation.view.column(probe_keys[k]);
+    const Column& build_col = incoming.column(build_keys[k]);
+    // Cells of different types never have equal (type, rendering).
+    if (probe_col.type() != build_col.type()) joinable = false;
+    atoms.emplace_back(probe_col, build_col);
+  }
+
+  // Build: a dense group per distinct key, its rows in incoming order.
+  std::vector<GroupLevel> index;
+  index.reserve(num_keys);
+  for (size_t k = 0; k < num_keys; ++k) {
+    const Column& build_col = incoming.column(build_keys[k]);
+    const bool dense = k == 0 && joinable &&
+                       build_col.type() == ValueType::kString;
+    index.emplace_back(dense ? build_col.dictionary().size() : 0);
+  }
+  std::vector<uint32_t> group_of(build_rows, kNoGroup);
+  for (size_t r = 0; joinable && r < build_rows; ++r) {
+    const RowId p = incoming.position(r);
+    uint32_t group = 0;
+    uint64_t atom = 0;
+    size_t k = 0;
+    for (; k < num_keys && atoms[k].Build(p, &atom); ++k) {
+      group = index[k].Intern(group, atom);
+    }
+    if (k == num_keys) group_of[r] = group;
+  }
+  const size_t num_groups = num_keys == 0 ? 1 : index.back().size();
+  std::vector<uint32_t> group_begin(num_groups + 1, 0);
+  for (uint32_t group : group_of) {
+    if (group != kNoGroup) ++group_begin[group + 1];
+  }
+  for (size_t g = 0; g < num_groups; ++g) group_begin[g + 1] += group_begin[g];
+  std::vector<uint32_t> group_rows(group_begin.back());
+  {
+    std::vector<uint32_t> fill(group_begin.begin(), group_begin.end() - 1);
+    for (size_t r = 0; r < build_rows; ++r) {
+      if (group_of[r] != kNoGroup) {
+        group_rows[fill[group_of[r]]++] = static_cast<uint32_t>(r);
+      }
+    }
+  }
+
+  // Probe in joined-row order.
+  PosList left, right;  // joined row / incoming view row per output row
+  left.reserve(joined.num_rows);
+  right.reserve(joined.num_rows);
+  std::vector<uint8_t> matched(build_rows, 0);
+  for (size_t j = 0; j < joined.num_rows; ++j) {
+    const RowId p = probe_relation.rows[j];
+    uint32_t group = 0;
+    bool found = joinable;
+    for (size_t k = 0; found && k < num_keys; ++k) {
+      uint64_t atom = 0;
+      found = atoms[k].Probe(p, &atom);
+      if (!found) break;
+      group = index[k].Find(group, atom);
+      found = group != kNoGroup;
+    }
+    const uint32_t begin = found ? group_begin[group] : 0;
+    const uint32_t end = found ? group_begin[group + 1] : 0;
+    if (begin == end) {
+      left.push_back(static_cast<RowId>(j));
+      right.push_back(kNullRow);
       continue;
     }
-    for (size_t r : *partners) {
-      right_matched[r] = true;
-      Row combined = lrow;
-      combined.insert(combined.end(), right.rows[r].begin(),
-                      right.rows[r].end());
-      out.rows.push_back(std::move(combined));
+    for (uint32_t i = begin; i < end; ++i) {
+      matched[group_rows[i]] = 1;
+      left.push_back(static_cast<RowId>(j));
+      right.push_back(group_rows[i]);
     }
   }
-  for (size_t r = 0; r < right.rows.size(); ++r) {
-    if (right_matched[r]) continue;
-    Row combined(left.columns.size());  // NULL padding on the left
-    combined.insert(combined.end(), right.rows[r].begin(),
-                    right.rows[r].end());
-    out.rows.push_back(std::move(combined));
+  for (size_t r = 0; r < build_rows; ++r) {
+    if (matched[r]) continue;
+    left.push_back(kNullRow);
+    right.push_back(static_cast<RowId>(r));
+  }
+  CSM_CHECK_LT(left.size(), static_cast<size_t>(kNullRow))
+      << "join of '" << incoming_name << "' exceeds the row capacity";
+
+  // Compose: every joined relation follows its row through `left`.
+  JoinResult out;
+  out.num_rows = left.size();
+  for (JoinedRelation& relation : joined.relations) {
+    PosList rows(left.size());
+    for (size_t i = 0; i < left.size(); ++i) {
+      rows[i] = left[i] == kNullRow ? kNullRow : relation.rows[left[i]];
+    }
+    out.relations.push_back(
+        {std::move(relation.name), std::move(relation.view), std::move(rows)});
+  }
+  PosList rows(right.size());
+  for (size_t i = 0; i < right.size(); ++i) {
+    rows[i] = right[i] == kNullRow ? kNullRow : incoming.position(right[i]);
+  }
+  out.relations.push_back({incoming_name, incoming, std::move(rows)});
+  return out;
+}
+
+/// A mapped source column: its segment and, per joined row, the segment
+/// position to read (kNullRow = NULL).
+struct SourceColumn {
+  const PosList* rows = nullptr;
+  const Column* column = nullptr;
+};
+
+bool IsNullCell(const Column& col, RowId p) {
+  return p == kNullRow || col.IsNull(p);
+}
+
+/// The int a real coerces to: its value when integral and inside int64's
+/// range, else nullopt (NULL).  The range test comes first because casting
+/// a NaN or out-of-range double to an integer is undefined behavior.
+std::optional<int64_t> RealToInt(double d) {
+  // [-2^63, 2^63); both bounds are exact doubles.
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    return std::nullopt;
+  }
+  const int64_t i = static_cast<int64_t>(d);
+  if (static_cast<double>(i) != d) return std::nullopt;
+  return i;
+}
+
+/// The target column of `type` that `source` projects to, with one
+/// coercion rule for the whole column: a same-typed source gathers
+/// (strings keep the source dictionary), ints and reals render into
+/// strings, ints widen to reals, integral reals narrow to ints, and every
+/// other pairing is all NULL.
+Column ProjectColumn(const SourceColumn& source, ValueType type, size_t rows) {
+  const Column* col = source.column;
+  if (col != nullptr && col->type() == type) {
+    return col->GatherPadded(*source.rows);
+  }
+  const ValueType from = col == nullptr ? ValueType::kNull : col->type();
+  Column out(type);
+  out.Reserve(rows);
+  auto coerce_each = [&](auto append) {
+    for (RowId p : *source.rows) {
+      if (IsNullCell(*col, p)) {
+        out.AppendNull();
+      } else {
+        append(p);
+      }
+    }
+  };
+  if (type == ValueType::kString &&
+      (from == ValueType::kInt || from == ValueType::kReal)) {
+    std::string rendering;
+    coerce_each([&](RowId p) {
+      rendering.clear();
+      col->AppendRendering(p, &rendering);
+      out.AppendString(rendering);
+    });
+  } else if (type == ValueType::kReal && from == ValueType::kInt) {
+    coerce_each([&](RowId p) {
+      out.Append(Value::Real(static_cast<double>(col->ints()[p])));
+    });
+  } else if (type == ValueType::kInt && from == ValueType::kReal) {
+    coerce_each([&](RowId p) {
+      const std::optional<int64_t> i = RealToInt(col->reals()[p]);
+      out.Append(i.has_value() ? Value::Int(*i) : Value::Null());
+    });
+  } else {
+    for (size_t j = 0; j < rows; ++j) out.AppendNull();
   }
   return out;
 }
 
-/// Coerces `value` to `type`; NULL when the coercion is lossy/meaningless.
-Value Coerce(const Value& value, ValueType type) {
-  if (value.is_null() || value.type() == type) return value;
-  switch (type) {
-    case ValueType::kString:
-      return Value::String(value.ToString());
-    case ValueType::kReal:
-      if (value.IsNumeric()) return Value::Real(value.AsNumeric());
-      return Value::Null();
-    case ValueType::kInt:
-      if (value.type() == ValueType::kReal) {
-        double d = value.AsReal();
-        if (d == static_cast<double>(static_cast<int64_t>(d))) {
-          return Value::Int(static_cast<int64_t>(d));
-        }
-      }
-      return Value::Null();
-    case ValueType::kNull:
-      return Value::Null();
+/// Skolem terms "sk_<table>_<attribute>(<args>)", where args joins the
+/// renderings of the row's non-NULL mapped cells with ',' (a leading empty
+/// string adds no comma, as in the row executor).
+Column SkolemColumn(const std::string& prefix,
+                    const std::vector<SourceColumn>& mapped, size_t rows) {
+  Column out(ValueType::kString);
+  out.Reserve(rows);
+  std::string term;
+  for (size_t j = 0; j < rows; ++j) {
+    term.assign(prefix);
+    const size_t args_begin = term.size();
+    for (const SourceColumn& source : mapped) {
+      const RowId p = (*source.rows)[j];
+      if (IsNullCell(*source.column, p)) continue;
+      if (term.size() > args_begin) term.push_back(',');
+      source.column->AppendRendering(p, &term);
+    }
+    term.push_back(')');
+    out.AppendString(term);
   }
-  return Value::Null();
+  return out;
+}
+
+/// Rows of `columns` (all `rows` long) to keep when exact duplicates
+/// collapse, the first occurrence surviving; cells are equal when their
+/// (type, rendering) are.  Empty when every row is distinct.
+PosList FirstOccurrences(const std::vector<Column>& columns, size_t rows) {
+  const size_t width = columns.size();
+  // Per cell an atom and a NULL flag: equal cells of one column have equal
+  // pairs (codes share the column's dictionary, reals intern renderings).
+  std::vector<uint64_t> atoms(rows * width, 0);
+  std::vector<uint8_t> nulls(rows * width, 1);
+  std::vector<uint64_t> hashes(rows, 0);
+  for (size_t c = 0; c < width; ++c) {
+    RealRenderingIds reals;
+    for (size_t j = 0; j < rows; ++j) {
+      uint64_t& atom = atoms[j * width + c];
+      const bool null =
+          !CellAtom(columns[c], static_cast<RowId>(j), reals, &atom);
+      nulls[j * width + c] = null;
+      hashes[j] = Mix64(hashes[j] ^ atom ^ (uint64_t{null} << 63));
+    }
+  }
+  auto same_row = [&](size_t a, size_t b) {
+    return std::memcmp(&atoms[a * width], &atoms[b * width],
+                       width * sizeof(uint64_t)) == 0 &&
+           std::memcmp(&nulls[a * width], &nulls[b * width], width) == 0;
+  };
+
+  size_t capacity = 16;
+  while (capacity < 2 * rows) capacity *= 2;
+  std::vector<uint32_t> slots(capacity, kNoGroup);
+  PosList keep;
+  keep.reserve(rows);
+  for (size_t j = 0; j < rows; ++j) {
+    for (size_t s = hashes[j] & (capacity - 1);; s = (s + 1) & (capacity - 1)) {
+      const uint32_t other = slots[s];
+      if (other == kNoGroup) {
+        slots[s] = static_cast<uint32_t>(j);
+        keep.push_back(static_cast<RowId>(j));
+        break;
+      }
+      if (hashes[other] == hashes[j] && same_row(other, j)) break;
+    }
+  }
+  if (keep.size() == rows) keep.clear();
+  return keep;
 }
 
 }  // namespace
@@ -150,11 +441,11 @@ StatusOr<Table> ExecuteMapping(const MappingQuery& query,
     return Status::InvalidArgument("mapping query has no source relations");
   }
 
-  // Materialize every relation of the logical table.
-  std::map<std::string, Table> instances;
+  // Bind every relation of the logical table (zero-copy).
+  std::map<std::string, TableView> bound;
   for (const std::string& relation : query.logical.relations) {
     if (const Table* base = source.FindTable(relation)) {
-      instances.emplace(relation, *base);
+      bound.emplace(relation, TableView(*base));
       continue;
     }
     bool found = false;
@@ -165,7 +456,7 @@ StatusOr<Table> ExecuteMapping(const MappingQuery& query,
         return Status::NotFound("view base table '" + view.base_table() +
                                 "' not in source");
       }
-      instances.emplace(relation, view.Materialize(*base));
+      bound.emplace(relation, view.Bind(*base));
       found = true;
       break;
     }
@@ -177,9 +468,13 @@ StatusOr<Table> ExecuteMapping(const MappingQuery& query,
 
   // Join along the spanning edges; repeatedly pick an edge with exactly one
   // side already joined.
-  JoinedRows joined =
-      Wrap(instances.at(query.logical.relations[0]),
-           query.logical.relations[0]);
+  JoinResult joined;
+  {
+    const std::string& first = query.logical.relations[0];
+    const TableView& view = bound.at(first);
+    joined.num_rows = view.num_rows();
+    joined.relations.push_back({first, view, view.Positions()});
+  }
   std::vector<const JoinEdge*> pending;
   for (const JoinEdge& edge : query.logical.joins) pending.push_back(&edge);
 
@@ -187,39 +482,40 @@ StatusOr<Table> ExecuteMapping(const MappingQuery& query,
     bool progress = false;
     for (auto it = pending.begin(); it != pending.end(); ++it) {
       const JoinEdge& edge = **it;
-      const bool left_in = joined.relations.count(edge.left) > 0;
-      const bool right_in = joined.relations.count(edge.right) > 0;
+      const bool left_in = joined.Find(edge.left).has_value();
+      const bool right_in = joined.Find(edge.right).has_value();
       if (left_in == right_in) continue;  // both or neither: defer/skip
 
-      const std::string& incoming = left_in ? edge.right : edge.left;
-      Table instance = instances.at(incoming);
+      const std::string& incoming_name = left_in ? edge.right : edge.left;
+      TableView incoming = bound.at(incoming_name);
       // (join 3) filter on the referenced side.
-      if (edge.filter_attribute.has_value() && incoming == edge.right &&
-          instance.schema().HasAttribute(*edge.filter_attribute)) {
+      if (edge.filter_attribute.has_value() && incoming_name == edge.right &&
+          incoming.schema().HasAttribute(*edge.filter_attribute)) {
         const Condition filter =
             Condition::Equals(*edge.filter_attribute, edge.filter_value);
-        instance = instance.SelectRows(filter.MatchingPositions(instance));
+        incoming = incoming.Select(filter.MatchingPositions(incoming));
       }
-      JoinedRows incoming_rows = Wrap(instance, incoming);
 
       const auto& joined_attrs =
           left_in ? edge.left_attributes : edge.right_attributes;
       const auto& incoming_attrs =
           left_in ? edge.right_attributes : edge.left_attributes;
-      const std::string& joined_rel = left_in ? edge.left : edge.right;
+      const size_t probe = *joined.Find(left_in ? edge.left : edge.right);
 
-      std::vector<size_t> jcols, icols;
+      std::vector<size_t> probe_keys, build_keys;
       for (size_t i = 0; i < joined_attrs.size(); ++i) {
-        auto jc = joined.FindColumn(joined_rel, joined_attrs[i]);
-        auto ic = incoming_rows.FindColumn(incoming, incoming_attrs[i]);
-        if (!jc.has_value() || !ic.has_value()) {
+        auto pk =
+            joined.relations[probe].view.schema().FindAttribute(joined_attrs[i]);
+        auto bk = incoming.schema().FindAttribute(incoming_attrs[i]);
+        if (!pk.has_value() || !bk.has_value()) {
           return Status::Internal("join attribute missing: " +
                                   edge.ToString());
         }
-        jcols.push_back(*jc);
-        icols.push_back(*ic);
+        probe_keys.push_back(*pk);
+        build_keys.push_back(*bk);
       }
-      joined = FullOuterJoin(joined, incoming_rows, jcols, icols);
+      joined = FullOuterJoin(std::move(joined), probe, probe_keys,
+                             incoming_name, incoming, build_keys);
       pending.erase(it);
       progress = true;
       break;
@@ -227,49 +523,51 @@ StatusOr<Table> ExecuteMapping(const MappingQuery& query,
     if (!progress) break;  // disconnected leftovers (shouldn't happen)
   }
 
-  // Project into the target schema.
-  Table result(target_schema);
-  std::set<std::string> seen_rows;
-  std::string fingerprint;
-  for (const Row& row : joined.rows) {
-    Row target_row;
-    target_row.reserve(target_schema.num_attributes());
-    // First pass: mapped values (also collected for Skolem arguments).
-    std::string skolem_args;
-    std::vector<Value> mapped(query.attr_mappings.size());
-    for (size_t i = 0; i < query.attr_mappings.size(); ++i) {
-      const TargetAttrMapping& m = query.attr_mappings[i];
-      if (!m.source.has_value()) continue;
-      auto col = joined.FindColumn(m.source->first, m.source->second);
-      if (!col.has_value()) continue;
-      mapped[i] = row[*col];
-      if (!mapped[i].is_null()) {
-        if (!skolem_args.empty()) skolem_args += ",";
-        skolem_args += mapped[i].ToString();
-      }
-    }
-    for (size_t i = 0; i < query.attr_mappings.size(); ++i) {
-      const TargetAttrMapping& m = query.attr_mappings[i];
-      size_t attr_index = target_schema.AttributeIndex(m.target_attribute);
-      ValueType type = target_schema.attribute(attr_index).type;
-      if (m.source.has_value()) {
-        target_row.push_back(Coerce(mapped[i], type));
-      } else if (m.skolem) {
-        target_row.push_back(Value::String(
-            "sk_" + query.target_table + "_" + m.target_attribute + "(" +
-            skolem_args + ")"));
-      } else {
-        target_row.push_back(Value::Null());
-      }
-    }
-    // Collapse exact duplicates.
-    fingerprint.clear();
-    for (const Value& v : target_row) AppendEncoded(v, &fingerprint);
-    if (seen_rows.insert(fingerprint).second) {
-      result.AddRow(std::move(target_row));
+  // Project into the target schema, one column per attribute mapping.  A
+  // query that joins no rows reads none of its mappings.
+  const size_t rows = joined.num_rows;
+  if (rows == 0) return Table(target_schema);
+  CSM_CHECK_EQ(query.attr_mappings.size(), target_schema.num_attributes())
+      << "mapping arity mismatch for '" << target_schema.name() << "'";
+  std::vector<SourceColumn> sources(query.attr_mappings.size());
+  std::vector<SourceColumn> mapped;  // Skolem arguments, in mapping order
+  for (size_t i = 0; i < query.attr_mappings.size(); ++i) {
+    const TargetAttrMapping& m = query.attr_mappings[i];
+    if (!m.source.has_value()) continue;
+    const std::optional<size_t> relation = joined.Find(m.source->first);
+    if (!relation.has_value()) continue;
+    const JoinedRelation& r = joined.relations[*relation];
+    auto col = r.view.schema().FindAttribute(m.source->second);
+    if (!col.has_value()) continue;
+    sources[i] = {&r.rows, &r.view.column(*col)};
+    mapped.push_back(sources[i]);
+  }
+  std::vector<Column> columns;
+  columns.reserve(query.attr_mappings.size());
+  for (size_t i = 0; i < query.attr_mappings.size(); ++i) {
+    const TargetAttrMapping& m = query.attr_mappings[i];
+    const ValueType type =
+        target_schema.attribute(target_schema.AttributeIndex(m.target_attribute))
+            .type;
+    if (!m.source.has_value() && m.skolem) {
+      CSM_CHECK(type == ValueType::kString)
+          << "Skolem term for non-string attribute '" << m.target_attribute
+          << "'";
+      columns.push_back(SkolemColumn(
+          "sk_" + query.target_table + "_" + m.target_attribute + "(", mapped,
+          rows));
+    } else {
+      columns.push_back(ProjectColumn(sources[i], type, rows));
     }
   }
-  return result;
+
+  // Collapse exact duplicates.
+  const PosList keep = FirstOccurrences(columns, rows);
+  if (keep.empty()) {
+    return Table::FromColumns(target_schema, std::move(columns), rows);
+  }
+  for (Column& col : columns) col = col.Gather(keep);
+  return Table::FromColumns(target_schema, std::move(columns), keep.size());
 }
 
 StatusOr<Database> ExecuteMappings(const std::vector<MappingQuery>& queries,
@@ -283,8 +581,8 @@ StatusOr<Database> ExecuteMappings(const std::vector<MappingQuery>& queries,
       if (query.target_table != table_schema.name()) continue;
       CSM_ASSIGN_OR_RETURN(Table part,
                            ExecuteMapping(query, source, views, table_schema));
-      // Re-encodes strings in row order: the dictionary codes a per-row
-      // AddRow loop would assign.
+      // Re-encodes strings in row order: each output dictionary holds the
+      // strings its rows reference, in first-seen order.
       merged.AppendRowsFrom(part);
     }
     out.AddTable(std::move(merged));

@@ -33,19 +33,17 @@ TableView ResolveRelation(const Database& instance,
   return TableView();
 }
 
-/// Type-tagged rendering of a projection for hashing; nullopt when any
-/// value is NULL (NULL never equals NULL for key purposes, and NULL FK
-/// values reference nothing).
+/// Length-prefixed (type, rendering) encoding of a projection
+/// (AppendValueKey), so distinct projections never share a key; nullopt
+/// when any value is NULL (NULL never equals NULL for key purposes, and
+/// NULL FK values reference nothing).
 std::optional<std::string> ProjectionKey(const TableView& table, size_t row,
                                          const std::vector<size_t>& cols) {
   std::string out;
   for (size_t c : cols) {
     const Value v = table.ValueAt(row, c);
     if (v.is_null()) return std::nullopt;
-    out += std::to_string(static_cast<int>(v.type()));
-    out += ':';
-    out += v.ToString();
-    out += '\x1f';
+    AppendValueKey(v, &out);
   }
   return out;
 }
@@ -157,9 +155,8 @@ std::vector<ConstraintViolation> CheckConstraints(
       }
     }
     // The referencing projection is [Y] augmented with the constant v.
-    std::string v_suffix = std::to_string(static_cast<int>(
-                               cfk.context_value.type())) +
-                           ':' + cfk.context_value.ToString() + '\x1f';
+    std::string v_suffix;
+    AppendValueKey(cfk.context_value, &v_suffix);
     size_t reported = 0;
     for (size_t r = 0; r < view_instance.num_rows() && reported < cap; ++r) {
       auto k = ProjectionKey(view_instance, r, *y_cols);

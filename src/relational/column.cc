@@ -1,5 +1,6 @@
 #include "relational/column.h"
 
+#include <algorithm>
 #include <charconv>
 #include <utility>
 
@@ -23,6 +24,11 @@ std::optional<uint32_t> StringDictionary::Find(std::string_view s) const {
   auto it = index_.find(s);
   if (it == index_.end()) return std::nullopt;
   return it->second;
+}
+
+void StringDictionary::Reserve(size_t n) {
+  values_.reserve(values_.size() + n);
+  index_.reserve(index_.size() + n);
 }
 
 const std::string& StringDictionary::value(uint32_t code) const {
@@ -143,6 +149,27 @@ uint64_t Column::CellHash(size_t i) const {
   return 0;
 }
 
+void Column::AppendRendering(size_t i, std::string* out) const {
+  if (IsNull(i)) return;
+  switch (type_) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt: {
+      char buf[24];
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), ints_[i]);
+      out->append(buf, r.ptr);
+      break;
+    }
+    case ValueType::kReal:
+      out->append(RenderReal(reals_[i]).view());
+      break;
+    case ValueType::kString:
+      out->append(dict_->values()[codes_[i]]);
+      break;
+  }
+}
+
 void Column::Append(const Value& v) {
   if (v.is_null()) {
     AppendNull();
@@ -167,6 +194,15 @@ void Column::Append(const Value& v) {
       codes_.push_back(dict_->GetOrAdd(v.AsString()));
       break;
   }
+  ++size_;
+}
+
+void Column::AppendString(std::string_view s) {
+  CSM_CHECK(type_ == ValueType::kString)
+      << "column type mismatch: expected " << ValueTypeToString(type_)
+      << ", got string";
+  EnsureOwnDictionary();
+  codes_.push_back(dict_->GetOrAdd(s));
   ++size_;
 }
 
@@ -259,6 +295,23 @@ void Column::PopBack() {
   --size_;
 }
 
+namespace {
+
+/// True when re-encoding `col`'s cells in row order into an empty
+/// dictionary would reproduce its dictionary exactly: each new code is the
+/// next unused one, and every entry is referenced.
+bool IsFirstSeenEncoding(const Column& col) {
+  uint32_t next = 0;
+  for (uint32_t code : col.codes()) {
+    if (code == kNullCode || code < next) continue;
+    if (code != next) return false;
+    ++next;
+  }
+  return next == col.dictionary().size();
+}
+
+}  // namespace
+
 void Column::AppendFrom(const Column& other) {
   CSM_CHECK(other.type_ == type_)
       << "column type mismatch: expected " << ValueTypeToString(type_)
@@ -276,8 +329,20 @@ void Column::AppendFrom(const Column& other) {
       nulls_.insert(nulls_.end(), other.nulls_.begin(), other.nulls_.end());
       break;
     case ValueType::kString: {
+      if (dict_->size() == 0 && IsFirstSeenEncoding(other)) {
+        codes_.insert(codes_.end(), other.codes_.begin(), other.codes_.end());
+        dict_ = other.dict_;
+        break;
+      }
       EnsureOwnDictionary();
       codes_.reserve(codes_.size() + other.codes_.size());
+      // Into an empty dictionary (ExecuteMappings' first part) reserve for
+      // every string `other` can add.  A growing one (a chunk merge) keeps
+      // the dictionary's own geometric growth: reserving exactly per call
+      // would rehash the whole index on every chunk.
+      if (dict_->size() == 0) {
+        dict_->Reserve(std::min(other.dict_->size(), other.codes_.size()));
+      }
       // Lazy per-row remap: other's values enter this dictionary in the
       // order other's *rows* first reference them, which is exactly the
       // order a serial parse of the concatenated rows would have assigned.
@@ -351,6 +416,47 @@ Column Column::Gather(const PosList& positions) const {
         out.codes_.push_back(codes_[p]);
       }
       // Share the encoding; a later Append to either column clones first.
+      out.dict_ = dict_;
+      break;
+  }
+  return out;
+}
+
+Column Column::GatherPadded(const PosList& positions) const {
+  Column out(type_);
+  out.size_ = positions.size();
+  auto valid = [this](RowId p) {
+    if (p == kNullRow) return false;
+    CSM_CHECK_LT(p, size_);
+    return true;
+  };
+  switch (type_) {
+    case ValueType::kNull:
+      out.nulls_.assign(positions.size(), 1);
+      break;
+    case ValueType::kInt:
+      out.ints_.reserve(positions.size());
+      out.nulls_.reserve(positions.size());
+      for (RowId p : positions) {
+        const bool present = valid(p);
+        out.ints_.push_back(present ? ints_[p] : 0);
+        out.nulls_.push_back(present ? nulls_[p] : 1);
+      }
+      break;
+    case ValueType::kReal:
+      out.reals_.reserve(positions.size());
+      out.nulls_.reserve(positions.size());
+      for (RowId p : positions) {
+        const bool present = valid(p);
+        out.reals_.push_back(present ? reals_[p] : 0.0);
+        out.nulls_.push_back(present ? nulls_[p] : 1);
+      }
+      break;
+    case ValueType::kString:
+      out.codes_.reserve(positions.size());
+      for (RowId p : positions) {
+        out.codes_.push_back(valid(p) ? codes_[p] : kNullCode);
+      }
       out.dict_ = dict_;
       break;
   }

@@ -36,6 +36,11 @@ using PosList = std::vector<RowId>;
 /// Dictionary code marking a NULL string cell.
 inline constexpr uint32_t kNullCode = 0xffffffffu;
 
+/// PosList entry naming no row: Column::GatherPadded yields a NULL cell for
+/// it (the padded side of an outer join).  Tables stay below 2^32-1 rows
+/// (CHECK-enforced on append), so no real position equals it.
+inline constexpr RowId kNullRow = 0xffffffffu;
+
 /// An append-only string dictionary: code -> string and string -> code.
 /// Codes are assigned in first-seen order, so the encoding of a table is a
 /// deterministic function of its content (thread-count independent).
@@ -50,6 +55,9 @@ class StringDictionary {
 
   const std::string& value(uint32_t code) const;
   size_t size() const { return values_.size(); }
+
+  /// Makes room for `n` more strings without rehashing.
+  void Reserve(size_t n);
 
   /// Direct code -> string storage for bulk scan loops.  Codes read out of
   /// a column segment are valid by construction (validated on append), so
@@ -101,6 +109,10 @@ class Column {
   /// Hash of cell `i`, identical to GetValue(i).Hash().
   uint64_t CellHash(size_t i) const;
 
+  /// Appends GetValue(i).ToString() to `out` without boxing the cell (a
+  /// NULL cell appends nothing).
+  void AppendRendering(size_t i, std::string* out) const;
+
   /// Appends GetValue(i) for every cell to `out`, with the type switch
   /// hoisted out of the row loop (the bulk boxing path of ValueBag).
   void BoxAllTo(std::vector<Value>* out) const;
@@ -112,6 +124,10 @@ class Column {
   void Append(const Value& v);
   void AppendNull();
 
+  /// Appends the string cell `s` without boxing it; CHECK-fails unless
+  /// type() is kString.
+  void AppendString(std::string_view s);
+
   /// Parses `text` directly into the segment with Value::Parse semantics
   /// (trimmed-empty parses as NULL; string cells keep the untrimmed text),
   /// without constructing an intermediate Value.
@@ -121,12 +137,15 @@ class Column {
   void PopBack();
 
   /// Appends every cell of `other` (same type; CHECK-enforced) — the merge
-  /// step of parallel CSV ingest.  String cells are re-encoded into this
-  /// column's dictionary lazily in `other`'s row order, so concatenating
-  /// freshly parsed chunk columns reproduces the exact first-seen
-  /// dictionary order (and therefore the exact codes) a single serial
-  /// parse of the concatenated rows would have produced.  Dictionary
-  /// entries of `other` that no row references are not copied.
+  /// step of parallel CSV ingest and of ExecuteMappings.  String cells are
+  /// re-encoded into this column's dictionary lazily in `other`'s row
+  /// order, so concatenating freshly parsed chunk columns reproduces the
+  /// exact first-seen dictionary order (and therefore the exact codes) a
+  /// single serial parse of the concatenated rows would have produced.
+  /// Dictionary entries of `other` that no row references are not copied.
+  /// When this dictionary is empty and `other`'s is already exactly that
+  /// re-encoding (every entry referenced, in first-seen order), the
+  /// dictionary is shared instead of rebuilt.
   void AppendFrom(const Column& other);
 
   void Reserve(size_t n);
@@ -134,6 +153,10 @@ class Column {
   /// New column with the cells at `positions`, in order.  String columns
   /// share this column's dictionary (no string copies).
   Column Gather(const PosList& positions) const;
+
+  /// Gather() that also accepts kNullRow entries, each yielding a NULL
+  /// cell.
+  Column GatherPadded(const PosList& positions) const;
 
   // Typed raw access for scan loops.  Only the vectors matching type() are
   // populated; see the class comment.

@@ -68,6 +68,38 @@ CompiledClause CompileClause(const ConditionClause& clause, const Column& col) {
   return out;
 }
 
+/// Row indices r in [0, n) whose cells satisfy every clause, in ascending
+/// order.  `column_of(c)` is the segment backing schema column c, and
+/// `position_of(r)` the segment position of row r.  The first clause scans
+/// every row; the rest filter its survivors.
+template <typename ColumnOf, typename PositionOf>
+PosList ScanClauses(const std::vector<ConditionClause>& clauses,
+                    const TableSchema& schema, size_t n, ColumnOf column_of,
+                    PositionOf position_of) {
+  PosList out;
+  if (clauses.empty()) {
+    out.resize(n);
+    std::iota(out.begin(), out.end(), RowId{0});
+    return out;
+  }
+  std::vector<CompiledClause> compiled;
+  compiled.reserve(clauses.size());
+  for (const auto& clause : clauses) {
+    const size_t col = schema.AttributeIndex(clause.attribute);
+    compiled.push_back(CompileClause(clause, column_of(col)));
+  }
+  for (RowId r = 0; r < n; ++r) {
+    if (compiled[0].Matches(position_of(r))) out.push_back(r);
+  }
+  for (size_t k = 1; k < compiled.size() && !out.empty(); ++k) {
+    const CompiledClause& cc = compiled[k];
+    out.erase(std::remove_if(out.begin(), out.end(),
+                             [&](RowId r) { return !cc.Matches(position_of(r)); }),
+              out.end());
+  }
+  return out;
+}
+
 }  // namespace
 
 void ConditionClause::Normalize() {
@@ -157,29 +189,19 @@ bool Condition::Evaluate(const TableSchema& schema, const Row& row) const {
 }
 
 PosList Condition::MatchingPositions(const Table& instance) const {
-  const size_t n = instance.num_rows();
-  PosList out;
-  if (clauses_.empty()) {
-    out.resize(n);
-    std::iota(out.begin(), out.end(), RowId{0});
-    return out;
-  }
-  std::vector<CompiledClause> compiled;
-  compiled.reserve(clauses_.size());
-  for (const auto& clause : clauses_) {
-    const size_t col = instance.schema().AttributeIndex(clause.attribute);
-    compiled.push_back(CompileClause(clause, instance.column(col)));
-  }
-  for (RowId p = 0; p < n; ++p) {
-    if (compiled[0].Matches(p)) out.push_back(p);
-  }
-  for (size_t k = 1; k < compiled.size() && !out.empty(); ++k) {
-    const CompiledClause& cc = compiled[k];
-    out.erase(std::remove_if(out.begin(), out.end(),
-                             [&cc](RowId p) { return !cc.Matches(p); }),
-              out.end());
-  }
-  return out;
+  return ScanClauses(clauses_, instance.schema(), instance.num_rows(),
+                     [&instance](size_t col) -> const Column& {
+                       return instance.column(col);
+                     },
+                     [](RowId r) { return r; });
+}
+
+PosList Condition::MatchingPositions(const TableView& view) const {
+  return ScanClauses(clauses_, view.schema(), view.num_rows(),
+                     [&view](size_t col) -> const Column& {
+                       return view.column(col);
+                     },
+                     [&view](RowId r) { return view.position(r); });
 }
 
 std::string Condition::ToString() const {

@@ -13,6 +13,7 @@
 
 #include "relational/schema.h"
 #include "relational/table.h"
+#include "relational/table_view.h"
 #include "relational/value.h"
 
 namespace csm {
@@ -88,6 +89,11 @@ class Condition {
   /// matches and a literal of a different type than the column cannot match.
   /// CHECK-fails if a mentioned attribute is absent from the schema.
   PosList MatchingPositions(const Table& instance) const;
+
+  /// The same scan over the rows of `view`: the result indexes *view* rows
+  /// (feed it to TableView::Select), and attributes resolve against the
+  /// view's schema.
+  PosList MatchingPositions(const TableView& view) const;
 
   /// SQL-ish rendering: "true", "type = 1", "type in {1, 3} and fiction = 0".
   std::string ToString() const;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
-#include <sstream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -26,20 +25,65 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-bool NeedsQuoting(const std::string& field) {
-  return field.find_first_of(",\"\n\r") != std::string::npos;
+/// Appends `field` to `out`, quoted (embedded quotes doubled) when it
+/// holds a comma, a quote, CR or LF.
+void AppendField(std::string_view field, std::string* out) {
+  bool special = false;
+  for (char c : field) {
+    special |= c == ',' || c == '"' || c == '\n' || c == '\r';
+  }
+  if (!special) {
+    out->append(field);
+    return;
+  }
+  out->push_back('"');
+  for (char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
-std::string QuoteField(const std::string& field) {
-  if (!NeedsQuoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
+/// Appends the CSV field of cell `r` of `col`: Value::ToString's rendering,
+/// quoted as needed.  NULL renders empty; int and real renderings never
+/// need quotes.
+void AppendCell(const Column& col, size_t r, std::string* out) {
+  if (col.type() != ValueType::kString) {
+    col.AppendRendering(r, out);
+  } else if (col.codes()[r] != kNullCode) {
+    AppendField(col.dictionary().values()[col.codes()[r]], out);
   }
-  out += "\"";
-  return out;
 }
+
+/// Renders `instance` as CSV into `out`, straight from its column segments,
+/// calling `after_row(out)` after the header and after each record (the
+/// file writer flushes full blocks there).
+template <typename AfterRow>
+void RenderCsv(const Table& instance, std::string* out, AfterRow after_row) {
+  const TableSchema& schema = instance.schema();
+  for (size_t c = 0; c < schema.num_attributes(); ++c) {
+    if (c > 0) out->push_back(',');
+    AppendField(schema.attribute(c).name, out);
+  }
+  out->push_back('\n');
+  after_row(out);
+  for (size_t r = 0; r < instance.num_rows(); ++r) {
+    const size_t line_begin = out->size();
+    for (size_t c = 0; c < schema.num_attributes(); ++c) {
+      if (c > 0) out->push_back(',');
+      AppendCell(instance.column(c), r, out);
+    }
+    // A single-attribute NULL row would render as an empty line, which a
+    // reader cannot tell apart from the file's trailing newline.  Quote it;
+    // "" parses back to one empty field and hence NULL.
+    if (out->size() == line_begin) out->append("\"\"");
+    out->push_back('\n');
+    after_row(out);
+  }
+}
+
+/// WriteCsvFile hands the file blocks of about this many bytes.
+constexpr size_t kCsvWriteBlockBytes = 1 << 20;
 
 /// Splits one logical CSV record starting at `pos` into `fields`, reusing
 /// their storage from the previous record; advances `pos` past the record's
@@ -172,32 +216,24 @@ void UpdateTypeInference(const std::vector<std::string>& record,
 }  // namespace
 
 std::string TableToCsv(const Table& instance) {
-  std::ostringstream os;
-  const TableSchema& schema = instance.schema();
-  for (size_t c = 0; c < schema.num_attributes(); ++c) {
-    if (c > 0) os << ',';
-    os << QuoteField(schema.attribute(c).name);
-  }
-  os << '\n';
-  for (size_t r = 0; r < instance.num_rows(); ++r) {
-    std::string line;
-    for (size_t c = 0; c < schema.num_attributes(); ++c) {
-      if (c > 0) line += ',';
-      line += QuoteField(instance.ValueAt(r, c).ToString());
-    }
-    // A single-attribute NULL row would render as an empty line, which a
-    // reader cannot tell apart from the file's trailing newline.  Quote it;
-    // "" parses back to one empty field and hence NULL.
-    if (line.empty()) line = "\"\"";
-    os << line << '\n';
-  }
-  return os.str();
+  std::string out;
+  RenderCsv(instance, &out, [](std::string*) {});
+  return out;
 }
 
 Status WriteCsvFile(const Table& instance, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
-  out << TableToCsv(instance);
+  std::string block;
+  block.reserve(2 * kCsvWriteBlockBytes);
+  auto write_block = [&out](std::string* buffer) {
+    out.write(buffer->data(), static_cast<std::streamsize>(buffer->size()));
+    buffer->clear();
+  };
+  RenderCsv(instance, &block, [&](std::string* buffer) {
+    if (buffer->size() >= kCsvWriteBlockBytes) write_block(buffer);
+  });
+  write_block(&block);
   // close() flushes the buffered tail; checking the stream before it would
   // miss a failed final write (a small table on a full disk).
   out.close();

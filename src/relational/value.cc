@@ -64,14 +64,8 @@ std::string Value::ToString() const {
       return "";
     case ValueType::kInt:
       return std::to_string(std::get<int64_t>(rep_));
-    case ValueType::kReal: {
-      double d = std::get<double>(rep_);
-      // Render integral doubles without a trailing ".000000".
-      if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15) {
-        return StrFormat("%.1f", d);
-      }
-      return StrFormat("%g", d);
-    }
+    case ValueType::kReal:
+      return std::string(RenderReal(std::get<double>(rep_)).view());
     case ValueType::kString:
       return std::get<std::string>(rep_);
   }
@@ -150,6 +144,29 @@ size_t Value::Hash() const {
 std::ostream& operator<<(std::ostream& os, const Value& value) {
   if (value.is_null()) return os << "NULL";
   return os << value.ToString();
+}
+
+RealRendering RenderReal(double d) {
+  RealRendering out;
+  char* const end = out.data + sizeof(out.data);
+  // Render integral doubles without a trailing ".000000".
+  const bool integral =
+      std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15;
+  const std::to_chars_result r =
+      integral ? std::to_chars(out.data, end, d, std::chars_format::fixed, 1)
+               : std::to_chars(out.data, end, d, std::chars_format::general, 6);
+  CSM_CHECK(r.ec == std::errc()) << "real rendering overflowed its buffer";
+  out.size = static_cast<size_t>(r.ptr - out.data);
+  return out;
+}
+
+void AppendValueKey(const Value& v, std::string* out) {
+  const std::string rendering = v.ToString();
+  out->append(std::to_string(static_cast<int>(v.type())));
+  out->push_back(':');
+  out->append(std::to_string(rendering.size()));
+  out->push_back(':');
+  out->append(rendering);
 }
 
 }  // namespace csm

@@ -90,6 +90,27 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& value);
 
+/// The rendering of a real cell, held inline (no allocation).
+struct RealRendering {
+  char data[32];
+  size_t size = 0;
+  std::string_view view() const { return {data, size}; }
+};
+
+/// Value::ToString's rendering of the real `d`: "%.1f" for finite integral
+/// values below 1e15 in magnitude, "%g" otherwise.  std::to_chars with
+/// fixed/1 and general/6 is defined as printf-equivalent, so this is the
+/// one rendering Value::ToString, the CSV writer and the mapping executor
+/// share, without parsing a format string per cell.
+RealRendering RenderReal(double d);
+
+/// Appends the rendering of `v` as "<type>:<length>:<rendering>".  The
+/// length prefix makes a sequence of encoded cells injective: bytes inside
+/// a rendering (separators, digits, colons) can never shift the boundary
+/// between two cells, so equal encodings mean equal (type, rendering)
+/// sequences.  Constraint validation keys projections with it.
+void AppendValueKey(const Value& v, std::string* out);
+
 /// std::hash adapter for unordered containers.
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }

@@ -176,6 +176,30 @@ TEST(ValidationTest, ContextualForeignKeyChecked) {
   EXPECT_EQ(CheckConstraints(db, wrong, views).size(), 2u);
 }
 
+// Joining "type:rendering\x1f" per cell without lengths gave these two
+// distinct rows the same key, so a key violation was reported.
+TEST(ValidationTest, KeyRenderingsHoldingSeparatorsDoNotCollide) {
+  Database db("d");
+  db.AddTable(MakeTable("t", {"a", "b"},
+                        {{S("p\x1f" "3:q"), S("r")},
+                         {S("p"), S("q\x1f" "3:r")}}));
+  ConstraintSet constraints;
+  constraints.Add(Key{"t", {"a", "b"}});
+  EXPECT_TRUE(CheckConstraints(db, constraints).empty());
+}
+
+// The same encoding of [Y] + v matched [X, B] of a different referent:
+// "p\x1f3:x" + c against "p" + "x\x1f3:c".
+TEST(ValidationTest, ContextualForeignKeyRenderingsDoNotCollide) {
+  Database db("d");
+  db.AddTable(MakeTable("src", {"y"}, {{S("p\x1f" "3:x")}}));
+  db.AddTable(MakeTable("tgt", {"x", "b"}, {{S("p"), S("x\x1f" "3:c")}}));
+  ConstraintSet constraints;
+  constraints.Add(ContextualForeignKey{"src", {"y"}, "a", S("c"), "tgt",
+                                       {"x"}, "b"});
+  EXPECT_EQ(CheckConstraints(db, constraints).size(), 1u);
+}
+
 TEST(ValidationTest, ViolationCapRespected) {
   Database db("d");
   std::vector<Row> rows;

@@ -62,6 +62,11 @@ TEST(FuzzSmokeTest, TokenKernelEquivalence) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, ExecutorEquivalence) {
+  const Status status = check::FuzzExecutorEquivalence(Options(300));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, DifferentialOracles) {
   const Status status = check::FuzzDifferential(Options(10));
   EXPECT_TRUE(status.ok()) << status.ToString();

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
+#include "check/reference.h"
+#include "common/random.h"
 #include "mapping/association.h"
 #include "mapping/clio.h"
 #include "mapping/constraint_mining.h"
@@ -12,6 +17,7 @@
 #include "mapping/executor.h"
 #include "mapping/propagation.h"
 #include "mapping/query_gen.h"
+#include "relational/csv.h"
 #include "tests/test_util.h"
 
 namespace csm {
@@ -677,6 +683,288 @@ TEST(ExecutorTest, JoinKeysWhoseRenderingsHoldSeparatorsDoNotCollide) {
   EXPECT_TRUE(result->ValueAt(1, "l").is_null());
   EXPECT_EQ(result->ValueAt(1, "r"), S("right"));
 }
+
+// Equality is (type, rendering): 0.1+0.2 and 0.3 both render "0.3", the two
+// large reals both render "1.23457e+06", and -0.0 renders "-0.0".  The first
+// of each collapsed pair survives with its own bits.
+TEST(ExecutorTest, RealsCollapseByRendering) {
+  Database db("src");
+  db.AddTable(MakeTable("t", {"v"},
+                        {{R(0.1 + 0.2)}, {R(0.3)}, {R(1234567.25)},
+                         {R(1234567.5)}, {R(-0.0)}, {R(0.0)}}));
+  TableSchema out("out");
+  out.AddAttribute("v", ValueType::kReal);
+  MappingQuery query;
+  query.target_table = "out";
+  query.logical.relations = {"t"};
+  query.attr_mappings = {MappedFrom("t", "v", "v")};
+  auto result = ExecuteMapping(query, db, {}, out);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->num_rows(), 4u);
+  EXPECT_EQ(result->ValueAt(0, "v").AsReal(), 0.1 + 0.2);
+  EXPECT_EQ(result->ValueAt(1, "v").AsReal(), 1234567.25);
+  EXPECT_TRUE(std::signbit(result->ValueAt(2, "v").AsReal()));
+  EXPECT_FALSE(std::signbit(result->ValueAt(3, "v").AsReal()));
+}
+
+// Casting a NaN or out-of-range double to int64 is undefined behavior; the
+// coercion tests the range first and yields NULL.
+TEST(ExecutorTest, RealsOutsideInt64CoerceToNull) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kTwo63 = 9223372036854775808.0;
+  const std::vector<double> reals = {
+      1e20, -1e20, kTwo63, std::numeric_limits<double>::quiet_NaN(), kInf,
+      -kInf, 3.0, -kTwo63};
+  std::vector<Row> rows;
+  for (size_t i = 0; i < reals.size(); ++i) {
+    rows.push_back({I(static_cast<int64_t>(i)), R(reals[i])});
+  }
+  Database db("src");
+  db.AddTable(MakeTable("t", {"id", "r"}, rows));
+  TableSchema out("out");
+  out.AddAttribute("id", ValueType::kInt);
+  out.AddAttribute("as_int", ValueType::kInt);
+  MappingQuery query;
+  query.target_table = "out";
+  query.logical.relations = {"t"};
+  query.attr_mappings = {MappedFrom("t", "id", "id"),
+                         MappedFrom("t", "r", "as_int")};
+  for (const bool reference : {false, true}) {
+    SCOPED_TRACE(reference ? "reference executor" : "columnar executor");
+    auto result = reference ? check::ReferenceExecuteMapping(query, db, {}, out)
+                            : ExecuteMapping(query, db, {}, out);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->num_rows(), reals.size());
+    for (size_t r = 0; r < 6; ++r) {
+      EXPECT_TRUE(result->ValueAt(r, "as_int").is_null()) << reals[r];
+    }
+    EXPECT_EQ(result->ValueAt(6, "as_int"), I(3));
+    EXPECT_EQ(result->ValueAt(7, "as_int"),
+              I(std::numeric_limits<int64_t>::min()));
+  }
+}
+
+// ------------------------------------------------- Join configuration matrix
+//
+// Every configuration runs through ExecuteMapping and ExecuteMappings and is
+// diffed against the row-at-a-time reference executor (check/reference.h),
+// in the manner of Hyrise's join test runner: input kinds x sizes x key
+// kinds x the join-3 filter.
+
+enum class JoinInput { kBaseTable, kSelectView, kSpView };
+enum class JoinKey {
+  kSameDictionaryString,
+  kCrossDictionaryString,
+  kInt,
+  kRenderingEqualReal,
+  kNullKeys,
+  kTwoAttributes,
+};
+
+std::string JoinInputName(JoinInput input) {
+  switch (input) {
+    case JoinInput::kBaseTable:
+      return "BaseTable";
+    case JoinInput::kSelectView:
+      return "SelectView";
+    case JoinInput::kSpView:
+      return "SpView";
+  }
+  return "";
+}
+
+std::string JoinKeyName(JoinKey key) {
+  switch (key) {
+    case JoinKey::kSameDictionaryString:
+      return "SameDictionaryString";
+    case JoinKey::kCrossDictionaryString:
+      return "CrossDictionaryString";
+    case JoinKey::kInt:
+      return "Int";
+    case JoinKey::kRenderingEqualReal:
+      return "RenderingEqualReal";
+    case JoinKey::kNullKeys:
+      return "NullKeys";
+    case JoinKey::kTwoAttributes:
+      return "TwoAttributes";
+  }
+  return "";
+}
+
+/// Base table `name` of `rows` rows.  Each row draws a key from about
+/// rows/3 values, so every key kind fans out about threefold: string key s,
+/// int key i (mostly the same key, so (s, i) pairs match too), real key r
+/// (the key halved, or a rendering-equal pair, -0.0 or 0.0), string key n
+/// (half NULL), the join-3 filter attribute tag, a payload, and an
+/// attribute SP views drop.
+Table JoinMatrixTable(const std::string& name, size_t rows, uint64_t seed) {
+  static const double kReals[] = {0.1 + 0.2, 0.3,  1234567.25, 1234567.5,
+                                  -0.0,      0.0};
+  Rng rng(seed);
+  const int64_t distinct = static_cast<int64_t>(rows / 3 + 1);
+  TableSchema schema(name);
+  schema.AddAttribute("s", ValueType::kString);
+  schema.AddAttribute("i", ValueType::kInt);
+  schema.AddAttribute("r", ValueType::kReal);
+  schema.AddAttribute("n", ValueType::kString);
+  schema.AddAttribute("tag", ValueType::kInt);
+  schema.AddAttribute("payload", ValueType::kString);
+  schema.AddAttribute("extra", ValueType::kInt);
+  Table table(schema);
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t key = rng.NextInt(0, distinct - 1);
+    const std::string k = std::to_string(key);
+    table.AddRow(
+        {Value::String("k" + k),
+         I(rng.NextBounded(5) == 0 ? rng.NextInt(0, distinct - 1) : key),
+         R(rng.NextBounded(10) == 0 ? kReals[rng.NextBounded(std::size(kReals))]
+                                    : static_cast<double>(key) / 2.0),
+         rng.NextBounded(2) == 0 ? N() : Value::String("n" + k),
+         I(rng.NextInt(0, 2)), Value::String(name + std::to_string(r)),
+         I(static_cast<int64_t>(r))});
+  }
+  return table;
+}
+
+/// Cell types and bits, row order, and TableToCsv bytes.
+void ExpectSameTable(const Table& expected, const Table& actual) {
+  ASSERT_EQ(actual.schema().ToString(), expected.schema().ToString());
+  ASSERT_EQ(actual.num_rows(), expected.num_rows());
+  for (size_t r = 0; r < expected.num_rows(); ++r) {
+    for (size_t c = 0; c < expected.schema().num_attributes(); ++c) {
+      const Value e = expected.ValueAt(r, c);
+      const Value a = actual.ValueAt(r, c);
+      ASSERT_EQ(a.type(), e.type()) << "row " << r << " col " << c;
+      if (e.type() == ValueType::kReal) {
+        const double ed = e.AsReal(), ad = a.AsReal();
+        ASSERT_EQ(std::memcmp(&ed, &ad, sizeof(ed)), 0)
+            << "row " << r << " col " << c;
+      } else {
+        ASSERT_EQ(a, e) << "row " << r << " col " << c;
+      }
+    }
+  }
+  EXPECT_EQ(TableToCsv(actual), TableToCsv(expected));
+}
+
+class JoinMatrixTest
+    : public ::testing::TestWithParam<
+          std::tuple<JoinInput, size_t, JoinKey, bool>> {};
+
+TEST_P(JoinMatrixTest, MatchesReferenceExecutor) {
+  const auto [input, rows, key, filter] = GetParam();
+  Database db("src");
+  db.AddTable(JoinMatrixTable("A", rows, 11 + rows));
+  db.AddTable(JoinMatrixTable("B", rows, 23 + rows));
+  const std::string right_base =
+      key == JoinKey::kSameDictionaryString ? "A" : "B";
+
+  // Left relation over A, right relation over A (same dictionary) or B.
+  std::vector<View> views;
+  auto relation = [&](const std::string& base, const std::string& name) {
+    switch (input) {
+      case JoinInput::kBaseTable:
+        if (name == "L" || base != "A") return base;
+        views.emplace_back(name, base, Condition::True());
+        return name;
+      case JoinInput::kSelectView:
+        views.emplace_back(name, base, Condition::In("tag", {I(0), I(1)}));
+        return name;
+      case JoinInput::kSpView:
+        views.emplace_back(
+            name, base, Condition::In("tag", {I(0), I(1)}),
+            std::vector<std::string>{"payload", "n", "r", "tag", "i", "s"});
+        return name;
+    }
+    return name;
+  };
+  const std::string left = relation("A", "L");
+  const std::string right = relation(right_base, "R");
+
+  JoinEdge edge;
+  edge.left = left;
+  edge.right = right;
+  switch (key) {
+    case JoinKey::kSameDictionaryString:
+    case JoinKey::kCrossDictionaryString:
+      edge.left_attributes = edge.right_attributes = {"s"};
+      break;
+    case JoinKey::kInt:
+      edge.left_attributes = edge.right_attributes = {"i"};
+      break;
+    case JoinKey::kRenderingEqualReal:
+      edge.left_attributes = edge.right_attributes = {"r"};
+      break;
+    case JoinKey::kNullKeys:
+      edge.left_attributes = edge.right_attributes = {"n"};
+      break;
+    case JoinKey::kTwoAttributes:
+      edge.left_attributes = edge.right_attributes = {"s", "i"};
+      break;
+  }
+  if (filter) {
+    edge.rule = JoinRuleKind::kJoin3;
+    edge.filter_attribute = "tag";
+    edge.filter_value = I(1);
+  }
+
+  Schema target("tgt");
+  TableSchema out("out");
+  out.AddAttribute("lp", ValueType::kString);
+  out.AddAttribute("rp", ValueType::kString);
+  out.AddAttribute("lk", ValueType::kString);
+  out.AddAttribute("rr", ValueType::kString);  // real rendered to string
+  out.AddAttribute("sk", ValueType::kString);
+  target.AddTable(out);
+  MappingQuery query;
+  query.target_table = "out";
+  query.logical.relations = {left, right};
+  query.logical.joins = {edge};
+  TargetAttrMapping skolem;
+  skolem.target_attribute = "sk";
+  skolem.skolem = true;
+  query.attr_mappings = {MappedFrom(left, "payload", "lp"),
+                         MappedFrom(right, "payload", "rp"),
+                         MappedFrom(left, edge.left_attributes[0], "lk"),
+                         MappedFrom(right, "r", "rr"), skolem};
+
+  auto expected = check::ReferenceExecuteMapping(query, db, views, out);
+  auto actual = ExecuteMapping(query, db, views, out);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  ExpectSameTable(*expected, *actual);
+
+  auto expected_db = check::ReferenceExecuteMappings({query}, db, views, target);
+  auto actual_db = ExecuteMappings({query}, db, views, target);
+  ASSERT_TRUE(expected_db.ok() && actual_db.ok());
+  const Table& e = expected_db->GetTable("out");
+  const Table& a = actual_db->GetTable("out");
+  ExpectSameTable(e, a);
+  for (size_t c = 0; c < e.schema().num_attributes(); ++c) {
+    EXPECT_EQ(a.column(c).codes(), e.column(c).codes()) << "col " << c;
+    EXPECT_EQ(a.column(c).dictionary().values(),
+              e.column(c).dictionary().values())
+        << "col " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configurations, JoinMatrixTest,
+    ::testing::Combine(
+        ::testing::Values(JoinInput::kBaseTable, JoinInput::kSelectView,
+                          JoinInput::kSpView),
+        ::testing::Values(size_t{0}, size_t{1}, size_t{17}, size_t{1000}),
+        ::testing::Values(JoinKey::kSameDictionaryString,
+                          JoinKey::kCrossDictionaryString, JoinKey::kInt,
+                          JoinKey::kRenderingEqualReal, JoinKey::kNullKeys,
+                          JoinKey::kTwoAttributes),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<JoinMatrixTest::ParamType>& info) {
+      return JoinInputName(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             JoinKeyName(std::get<2>(info.param)) +
+             (std::get<3>(info.param) ? "_Filtered" : "_Unfiltered");
+    });
 
 // ---------------------------------------------------------------- Facade
 

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
 
 #include "relational/categorical.h"
@@ -92,6 +97,25 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Real(2.0).ToString(), "2.0");
   EXPECT_EQ(Value::Real(2.25).ToString(), "2.25");
   EXPECT_EQ(Value::String("abc").ToString(), "abc");
+}
+
+// RenderReal is Value::ToString's real rendering ("%.1f" for integral
+// values below 1e15, "%g" otherwise), including the special values.
+TEST(ValueTest, RealRenderingMatchesPrintf) {
+  const double cases[] = {0.0, -0.0, 2.0, 2.25, 0.1 + 0.2, 1234567.25,
+                          1e15, -999999999999999.0, 1e-300, 5e-324,
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(),
+                          -std::numeric_limits<double>::quiet_NaN()};
+  for (double d : cases) {
+    char buf[64];
+    const bool integral =
+        std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15;
+    std::snprintf(buf, sizeof(buf), integral ? "%.1f" : "%g", d);
+    EXPECT_EQ(RenderReal(d).view(), buf);
+    EXPECT_EQ(Value::Real(d).ToString(), buf);
+  }
 }
 
 TEST(ValueTest, ParseInt) {
@@ -650,6 +674,28 @@ TEST(CsvTest, FileRoundTrip) {
   EXPECT_EQ(parsed->num_rows(), t.num_rows());
 }
 
+// The file writer hands the stream blocks; a table several blocks long
+// must write exactly TableToCsv's bytes.
+TEST(CsvTest, FileBytesEqualTableToCsvAcrossBlocks) {
+  TableSchema schema("t");
+  schema.AddAttribute("s", ValueType::kString);
+  schema.AddAttribute("r", ValueType::kReal);
+  Table t(schema);
+  for (int i = 0; i < 100000; ++i) {
+    t.AddRow({Value::String("cell, \"" + std::to_string(i) + "\"\n"),
+              i % 7 == 0 ? N() : R(i / 8.0)});
+  }
+  const std::string text = TableToCsv(t);
+  ASSERT_GT(text.size(), size_t{2} << 20);
+  const std::string path = ::testing::TempDir() + "/csm_csv_blocks.csv";
+  ASSERT_TRUE(WriteCsvFile(t, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, text);
+  std::filesystem::remove(path);
+}
+
 TEST(CsvTest, MissingFileErrors) {
   TableSchema schema("t");
   schema.AddAttribute("a", ValueType::kInt);
@@ -809,6 +855,52 @@ TEST(ColumnTest, GatherSharesDictionaryUntilMutation) {
   EXPECT_EQ(gathered.ValueAt(2, "s"), S("z"));
 }
 
+TEST(ColumnTest, GatherPaddedYieldsNullAtNullRow) {
+  Table t = MakeTable("t", {"s", "i", "r"},
+                      {{S("a"), I(1), R(0.5)}, {S("b"), N(), R(1.5)}});
+  const PosList positions = {1, kNullRow, 0};
+  for (size_t c = 0; c < 3; ++c) {
+    const Column padded = t.column(c).GatherPadded(positions);
+    ASSERT_EQ(padded.size(), 3u);
+    EXPECT_EQ(padded.GetValue(0), t.ValueAt(1, c));
+    EXPECT_TRUE(padded.IsNull(1));
+    EXPECT_EQ(padded.GetValue(2), t.ValueAt(0, c));
+  }
+  EXPECT_EQ(&t.column(0).GatherPadded(positions).dictionary(),
+            &t.column(0).dictionary());
+}
+
+TEST(ColumnTest, AppendStringEncodesLikeAppend) {
+  Column col(ValueType::kString);
+  col.AppendString("b");
+  col.AppendString("a");
+  col.AppendString("b");
+  EXPECT_EQ(col.codes(), (std::vector<uint32_t>{0, 1, 0}));
+  EXPECT_EQ(col.GetValue(1), S("a"));
+}
+
+// AppendFrom into an empty dictionary shares a source dictionary that is
+// already the first-seen re-encoding, and rebuilds any other; both give the
+// codes and entries a row-by-row re-encoding would.
+TEST(ColumnTest, AppendFromReencodesInFirstSeenOrder) {
+  Table t = MakeTable("t", {"s"}, {{S("a")}, {S("b")}, {S("c")}, {S("b")}});
+  const Column first_seen = t.column(0).Gather(PosList{0, 1, 0, 2});
+  const Column reordered = t.column(0).Gather(PosList{2, 1, 2});
+  Column shared(ValueType::kString);
+  shared.AppendFrom(first_seen);
+  EXPECT_EQ(&shared.dictionary(), &t.column(0).dictionary());
+  EXPECT_EQ(shared.codes(), (std::vector<uint32_t>{0, 1, 0, 2}));
+  Column rebuilt(ValueType::kString);
+  rebuilt.AppendFrom(reordered);
+  EXPECT_NE(&rebuilt.dictionary(), &t.column(0).dictionary());
+  EXPECT_EQ(rebuilt.codes(), (std::vector<uint32_t>{0, 1, 0}));
+  EXPECT_EQ(rebuilt.dictionary().values(),
+            (std::vector<std::string>{"c", "b"}));
+  // A later append to the shared column leaves the source encoding alone.
+  shared.AppendString("z");
+  EXPECT_EQ(t.column(0).dictionary().size(), 3u);
+}
+
 TEST(TableTest, AddRowFromTextRollsBackOnBadCell) {
   TableSchema schema("t");
   schema.AddAttribute("i", ValueType::kInt);
@@ -821,6 +913,21 @@ TEST(TableTest, AddRowFromTextRollsBackOnBadCell) {
   EXPECT_EQ(t.num_rows(), 2u);
   EXPECT_EQ(t.ValueAt(1, "i"), I(3));
   EXPECT_EQ(t.ValueAt(1, "s"), S("three"));
+}
+
+// On a view, the scan resolves attributes against the view's schema and
+// returns view-row indices.
+TEST(ConditionTest, MatchingPositionsOverViewIndexesViewRows) {
+  Table t = MakeTable("t", {"s", "i"},
+                      {{S("a"), I(1)}, {S("b"), I(2)}, {S("a"), I(3)},
+                       {N(), I(1)}});
+  const View projected("v", "t", Condition::True(), {"i", "s"});
+  const TableView bound = projected.Bind(t).Select(PosList{3, 2, 0});
+  EXPECT_EQ(Condition::Equals("s", S("a")).MatchingPositions(bound),
+            (PosList{1, 2}));
+  EXPECT_EQ(Condition::Equals("i", I(1)).MatchingPositions(bound),
+            (PosList{0, 2}));
+  EXPECT_EQ(Condition::True().MatchingPositions(bound), (PosList{0, 1, 2}));
 }
 
 TEST(ConditionTest, MatchingPositionsMatchesPerRowEvaluate) {
