@@ -36,9 +36,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "check/token_profile.h"
 #include "ml/naive_bayes.h"
 #include "text/gram.h"
-#include "text/profile.h"
 #include "text/tokenizer.h"
 
 namespace {
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
 
   // --- profile_build ------------------------------------------------------
   profile.baseline = TimeBest(reps, &sink, [&] {
-    TokenProfile p;
+    check::TokenProfile p;
     for (const std::string& name : names) p.AddAll(QGrams(name, 3));
     return p.num_distinct();
   });

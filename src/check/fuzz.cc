@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -19,8 +20,11 @@
 #include "check/fingerprint.h"
 #include "check/generators.h"
 #include "check/reference.h"
+#include "check/token_profile.h"
 #include "core/match_engine.h"
 #include "match/matcher.h"
+#include "match/matchers.h"
+#include "match/session.h"
 #include "ml/naive_bayes.h"
 #include "relational/csv.h"
 #include "relational/sample.h"
@@ -28,7 +32,6 @@
 #include "relational/view.h"
 #include "stats/descriptive.h"
 #include "text/gram.h"
-#include "text/profile.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
 
@@ -581,10 +584,11 @@ class ReferenceNaiveBayes {
 
 /// Reference semantics of an AttributeSample over `positions` of `column`,
 /// computed from boxed cells: per-row 3-gram and word tokenization of each
-/// rendering into map profiles, and the numeric cells folded in position
-/// order.
+/// rendering into map profiles, renderings counted by text, and the numeric
+/// cells folded in position order.
 struct BoxedBagReference {
   size_t non_null = 0;
+  std::map<std::string, double> renders;
   TokenProfile grams;
   TokenProfile words;
   DescriptiveStats numeric;
@@ -596,6 +600,7 @@ struct BoxedBagReference {
       if (v.is_null()) continue;
       ++non_null;
       const std::string text = v.ToString();
+      renders[text] += 1.0;
       grams.AddAll(QGrams(text, 3));
       words.AddAll(WordTokens(text));
       if (v.IsNumeric()) numeric.Add(v.AsNumeric());
@@ -603,10 +608,105 @@ struct BoxedBagReference {
   }
 };
 
-/// Samples every column of `table` twice — FromTable over the whole table
-/// and over a random row draw of 0..n rows — and checks each against its
-/// BoxedBagReference: exact counts, bit-equal profile aggregates and numeric
-/// moments, and bit-equal similarities between every pair of samples.
+/// Empty when `sample` equals `bag` — exact counts, the DistinctRenders
+/// multiset, every profile entry in reference order, bit-equal totals and
+/// norms, and bit-equal numeric moments — else what diverged.
+std::string DiffSampleAgainstBag(const AttributeSample& sample,
+                                 const BoxedBagReference& bag) {
+  if (sample.NonNullCount() != bag.non_null) return "non-null count";
+  std::map<std::string, double> renders;
+  for (const auto& [text, count] : sample.DistinctRenders()) {
+    renders[text] += count;
+  }
+  if (renders != bag.renders) return "DistinctRenders";
+
+  const GramProfile& grams = sample.QGramProfile();
+  if (grams.num_distinct() != bag.grams.num_distinct()) return "gram count";
+  auto ref_gram = bag.grams.counts().begin();
+  for (const GramProfile::Entry& e : grams.entries()) {
+    if (e.id != PackGram(ref_gram->first) ||
+        !BitEqual(e.count, ref_gram->second)) {
+      return "gram entry '" + ref_gram->first + "'";
+    }
+    ++ref_gram;
+  }
+  if (!BitEqual(grams.total(), bag.grams.total()) ||
+      !BitEqual(grams.Norm(), bag.grams.Norm())) {
+    return "gram total/norm";
+  }
+
+  const WordProfile& words = sample.WordProfile();
+  if (words.num_distinct() != bag.words.num_distinct()) return "word count";
+  auto ref_word = bag.words.counts().begin();
+  for (const WordProfile::Entry& e : words.entries()) {
+    if (e.token != ref_word->first || !BitEqual(e.count, ref_word->second)) {
+      return "word entry '" + ref_word->first + "'";
+    }
+    ++ref_word;
+  }
+  if (!BitEqual(words.total(), bag.words.total()) ||
+      !BitEqual(words.Norm(), bag.words.Norm())) {
+    return "word total/norm";
+  }
+
+  const DescriptiveStats& numeric = sample.NumericStats();
+  const bool mostly_numeric =
+      bag.non_null > 0 && static_cast<double>(bag.numeric.count()) >=
+                              0.5 * static_cast<double>(bag.non_null);
+  if (numeric.count() != bag.numeric.count() ||
+      !BitEqual(numeric.Mean(), bag.numeric.Mean()) ||
+      !BitEqual(numeric.PopulationStdDev(), bag.numeric.PopulationStdDev()) ||
+      sample.MostlyNumeric() != mostly_numeric) {
+    return "numeric moments";
+  }
+  return "";
+}
+
+/// Empty when every similarity of the production samples `a`, `b` equals
+/// the reference's on their bags `ra`, `rb` bit for bit, else its name.
+std::string DiffSimilarities(const AttributeSample& a,
+                             const AttributeSample& b,
+                             const BoxedBagReference& ra,
+                             const BoxedBagReference& rb,
+                             const TfIdfCorpus& corpus,
+                             const ReferenceTfIdfCorpus& ref_corpus) {
+  const GramProfile& ga = a.QGramProfile();
+  const GramProfile& gb = b.QGramProfile();
+  const WordProfile& wa = a.WordProfile();
+  const WordProfile& wb = b.WordProfile();
+  if (!BitEqual(CosineSimilarity(ga, gb),
+                CosineSimilarity(ra.grams, rb.grams))) {
+    return "gram cosine";
+  }
+  if (!BitEqual(DiceSimilarity(ga, gb), DiceSimilarity(ra.grams, rb.grams))) {
+    return "gram Dice";
+  }
+  if (!BitEqual(JaccardSimilarity(ga, gb),
+                JaccardSimilarity(ra.grams, rb.grams))) {
+    return "gram Jaccard";
+  }
+  if (!BitEqual(CosineSimilarity(wa, wb),
+                CosineSimilarity(ra.words, rb.words))) {
+    return "word cosine";
+  }
+  if (!BitEqual(DiceSimilarity(wa, wb), DiceSimilarity(ra.words, rb.words))) {
+    return "word Dice";
+  }
+  if (!BitEqual(JaccardSimilarity(wa, wb),
+                JaccardSimilarity(ra.words, rb.words))) {
+    return "word Jaccard";
+  }
+  if (!BitEqual(corpus.WeightedCosine(wa, wb),
+                ref_corpus.WeightedCosine(ra.words, rb.words))) {
+    return "TF-IDF weighted cosine";
+  }
+  return "";
+}
+
+/// Samples every column of `table` twice — the whole table (an Indexed
+/// sample) and its Restrict to a random row draw of 0..n rows — and checks
+/// each against its BoxedBagReference, plus bit-equal similarities between
+/// every pair of samples.
 Status CheckSamplesAgainstBoxedBags(const Table& table, Rng& rng) {
   PosList all(table.num_rows());
   std::iota(all.begin(), all.end(), RowId{0});
@@ -616,69 +716,120 @@ Status CheckSamplesAgainstBoxedBags(const Table& table, Rng& rng) {
     const std::string& name = table.schema().attribute(c).name;
     const PosList draw = SampleRowPositions(
         table.num_rows(), rng.NextBounded(table.num_rows() + 1), rng);
-    samples.push_back(AttributeSample::FromTable(table, name));
+    const AttributeSample whole = AttributeSample::Indexed(table, name);
+    samples.push_back(whole);
     bags.emplace_back(table.column(c), all);
-    samples.push_back(AttributeSample::FromTable(TableView(table, draw), name));
+    samples.push_back(whole.Restrict(draw));
     bags.emplace_back(table.column(c), draw);
   }
 
   for (size_t i = 0; i < samples.size(); ++i) {
-    const AttributeSample& sample = samples[i];
-    const BoxedBagReference& bag = bags[i];
-    const GramProfile& grams = sample.QGramProfile();
-    const WordProfile& words = sample.WordProfile();
-    const DescriptiveStats& numeric = sample.NumericStats();
-    const bool mostly_numeric =
-        bag.non_null > 0 && static_cast<double>(bag.numeric.count()) >=
-                                0.5 * static_cast<double>(bag.non_null);
-    if (sample.NonNullCount() != bag.non_null ||
-        grams.num_distinct() != bag.grams.num_distinct() ||
-        !BitEqual(grams.total(), bag.grams.total()) ||
-        !BitEqual(grams.Norm(), bag.grams.Norm()) ||
-        words.num_distinct() != bag.words.num_distinct() ||
-        !BitEqual(words.total(), bag.words.total()) ||
-        !BitEqual(words.Norm(), bag.words.Norm()) ||
-        numeric.count() != bag.numeric.count() ||
-        !BitEqual(numeric.Mean(), bag.numeric.Mean()) ||
-        !BitEqual(numeric.PopulationStdDev(),
-                  bag.numeric.PopulationStdDev()) ||
-        sample.MostlyNumeric() != mostly_numeric) {
+    const std::string diff = DiffSampleAgainstBag(samples[i], bags[i]);
+    if (!diff.empty()) {
       return Status::Internal(
-          "sample of " + sample.ref().ToString() +
+          "sample of " + samples[i].ref().ToString() +
           (i % 2 == 0 ? " (whole table)" : " (row draw)") +
-          " diverged from its boxed bag");
+          " diverged from its boxed bag: " + diff);
     }
   }
 
-  TfIdfCorpus sample_corpus, bag_corpus;
+  std::vector<const WordProfile*> documents;
+  ReferenceTfIdfCorpus bag_corpus;
   for (size_t i = 0; i < samples.size(); ++i) {
-    sample_corpus.AddDocument(samples[i].WordProfile());
+    documents.push_back(&samples[i].WordProfile());
     bag_corpus.AddDocument(bags[i].words);
   }
+  const TfIdfCorpus sample_corpus(documents);
   for (size_t a = 0; a < samples.size(); ++a) {
     for (size_t b = a; b < samples.size(); ++b) {
-      const AttributeSample& sa = samples[a];
-      const AttributeSample& sb = samples[b];
-      const bool ok =
-          BitEqual(CosineSimilarity(sa.QGramProfile(), sb.QGramProfile()),
-                   CosineSimilarity(bags[a].grams, bags[b].grams)) &&
-          BitEqual(DiceSimilarity(sa.QGramProfile(), sb.QGramProfile()),
-                   DiceSimilarity(bags[a].grams, bags[b].grams)) &&
-          BitEqual(CosineSimilarity(sa.WordProfile(), sb.WordProfile()),
-                   CosineSimilarity(bags[a].words, bags[b].words)) &&
-          BitEqual(DiceSimilarity(sa.WordProfile(), sb.WordProfile()),
-                   DiceSimilarity(bags[a].words, bags[b].words)) &&
-          BitEqual(sample_corpus.WeightedCosine(sa.WordProfile(),
-                                                sb.WordProfile()),
-                   bag_corpus.WeightedCosine(bags[a].words, bags[b].words));
-      if (!ok) {
-        return Status::Internal("sample similarity diverged from boxed bags "
-                                "on samples " +
+      const std::string diff = DiffSimilarities(
+          samples[a], samples[b], bags[a], bags[b], sample_corpus, bag_corpus);
+      if (!diff.empty()) {
+        return Status::Internal("sample " + diff +
+                                " diverged from boxed bags on samples " +
                                 std::to_string(a) + "/" + std::to_string(b));
       }
     }
   }
   return Status::Ok();
+}
+
+/// A table for FuzzViewProfileEquivalence: every column kind the per-code
+/// index groups differently, with values drawn from small pools so
+/// renderings repeat — strings holding ',', '"', bytes 0x1b-0x1f or no
+/// token at all, ints, reals including NaN, -NaN, +-inf, -0.0 and
+/// subnormals, all-NULL string columns and kNull columns — over 0-24 rows.
+Table RandomViewProfileTable(const std::string& name, Rng& rng) {
+  static const std::vector<std::string> kControlCells = {
+      "a\x1b" "b", "x\x1c", "\x1d\x1e\x1f", "p\x1fq\x1er",
+      "p,q", "\"r\"\"s\"", "", "!!!",
+      "Alpha beta", "ALPHA,beta", "beta alpha"};
+  static const double kReals[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0, 0.0, 0.1 + 0.2, 1e15, 5e-324, 2.5, -7.125};
+  const size_t num_rows = rng.NextBounded(5) == 0 ? 0 : rng.NextBounded(25);
+  const size_t num_attributes = 1 + rng.NextBounded(6);
+
+  TableSchema schema(name);
+  std::vector<std::vector<Value>> pools(num_attributes);
+  std::vector<double> null_probability(num_attributes);
+  for (size_t c = 0; c < num_attributes; ++c) {
+    const double probabilities[] = {0.0, 0.1, 0.5};
+    null_probability[c] = probabilities[rng.NextBounded(3)];
+    ValueType type = ValueType::kString;
+    const size_t pool_size = 1 + rng.NextBounded(6);
+    switch (rng.NextBounded(6)) {
+      case 0:
+        type = ValueType::kInt;
+        for (size_t k = 0; k < pool_size; ++k) {
+          pools[c].push_back(Value::Int(rng.NextInt(-20, 20)));
+        }
+        break;
+      case 1:
+        type = ValueType::kReal;
+        for (size_t k = 0; k < pool_size; ++k) {
+          pools[c].push_back(
+              Value::Real(kReals[rng.NextBounded(std::size(kReals))]));
+        }
+        break;
+      case 2:  // every cell NULL, declared string
+        null_probability[c] = 1.0;
+        break;
+      case 3:  // every cell NULL, declared kNull
+        type = ValueType::kNull;
+        null_probability[c] = 1.0;
+        break;
+      case 4:
+        for (size_t k = 0; k < pool_size; ++k) {
+          pools[c].push_back(Value::String(RandomHostileCell(rng)));
+        }
+        break;
+      default:
+        for (size_t k = 0; k < pool_size; ++k) {
+          pools[c].push_back(Value::String(
+              kControlCells[rng.NextBounded(kControlCells.size())]));
+        }
+        break;
+    }
+    schema.AddAttribute("a" + std::to_string(c), type);
+  }
+
+  Table out(schema);
+  for (size_t r = 0; r < num_rows; ++r) {
+    Row row;
+    for (size_t c = 0; c < num_attributes; ++c) {
+      if (pools[c].empty() || rng.NextDouble() < null_probability[c]) {
+        row.push_back(Value::Null());
+      } else {
+        row.push_back(pools[c][rng.NextBounded(pools[c].size())]);
+      }
+    }
+    out.AddRow(std::move(row));
+  }
+  return out;
 }
 
 }  // namespace
@@ -752,11 +903,13 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
                                        std::to_string(c)));
       }
     }
-    TfIdfCorpus ref_corpus, kernel_corpus;
+    ReferenceTfIdfCorpus ref_corpus;
+    std::vector<const WordProfile*> documents;
     for (size_t c = 0; c < cols; ++c) {
       ref_corpus.AddDocument(ref_words[c]);
-      kernel_corpus.AddDocument(kernel_words[c]);
+      documents.push_back(&kernel_words[c]);
     }
+    const TfIdfCorpus kernel_corpus(documents);
     for (size_t a = 0; a < cols; ++a) {
       for (size_t b = a; b < cols; ++b) {
         const bool ok =
@@ -835,6 +988,104 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
     // replaced.
     CSM_RETURN_IF_ERROR(
         Replay(options, i, CheckSamplesAgainstBoxedBags(table, rng)));
+  }
+  return Status::Ok();
+}
+
+Status FuzzViewProfileEquivalence(const FuzzOptions& options) {
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    const Table table = RandomViewProfileTable("src", rng);
+    const size_t n = table.num_rows();
+
+    // Position lists: random conditions' matching rows, Floyd placebo
+    // draws of random sizes, and the empty and full lists.
+    std::vector<PosList> lists;
+    for (size_t k = 0; k < 3; ++k) {
+      lists.push_back(RandomCondition(table, rng).MatchingPositions(table));
+      lists.push_back(
+          SampleRowPositions(n, rng.NextBounded(n + 1), rng));
+    }
+    lists.emplace_back();
+    lists.emplace_back(n);
+    std::iota(lists.back().begin(), lists.back().end(), RowId{0});
+
+    // Whole-table samples and references of every column, the targets of
+    // the similarity checks.
+    PosList all(n);
+    std::iota(all.begin(), all.end(), RowId{0});
+    std::vector<AttributeSample> wholes;
+    std::vector<BoxedBagReference> whole_bags;
+    std::vector<const WordProfile*> documents;
+    ReferenceTfIdfCorpus ref_corpus;
+    for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
+      wholes.push_back(
+          AttributeSample::Indexed(table, table.schema().attribute(c).name));
+      whole_bags.emplace_back(table.column(c), all);
+      documents.push_back(&wholes.back().WordProfile());
+      ref_corpus.AddDocument(whole_bags.back().words);
+    }
+    const TfIdfCorpus corpus(documents);
+
+    // Session-level equivalence runs against a random target database.
+    Database target("tgt");
+    target.AddTable(RandomViewProfileTable("t0", rng));
+    target.AddTable(RandomViewProfileTable("t1", rng));
+    const TableMatchSession session(table, target, DefaultMatcherSuite());
+
+    for (size_t c = 0; c < wholes.size(); ++c) {
+      const std::string& attr = table.schema().attribute(c).name;
+      for (size_t l = 0; l < lists.size(); ++l) {
+        const PosList& rows = lists[l];
+        const std::string where = attr + " at position list " +
+                                  std::to_string(l) + " (" +
+                                  std::to_string(rows.size()) + " rows)";
+        const AttributeSample restricted = wholes[c].Restrict(rows);
+        const BoxedBagReference bag(table.column(c), rows);
+
+        // (1) The restriction against its boxed bag.
+        if (restricted.size() != rows.size() ||
+            restricted.declared_type() != table.column(c).type()) {
+          return Replay(options, i,
+                        Status::Internal("Restrict shape diverged on " + where));
+        }
+        std::string diff = DiffSampleAgainstBag(restricted, bag);
+        if (!diff.empty()) {
+          return Replay(options, i,
+                        Status::Internal("Restrict diverged from its boxed bag "
+                                         "on " + where + ": " + diff));
+        }
+
+        // (2) Similarities against every column's whole-table sample.
+        for (size_t o = 0; o < wholes.size(); ++o) {
+          diff = DiffSimilarities(restricted, wholes[o], bag, whole_bags[o],
+                                  corpus, ref_corpus);
+          if (!diff.empty()) {
+            return Replay(options, i,
+                          Status::Internal(diff + " diverged on " + where +
+                                           " vs whole column " +
+                                           std::to_string(o)));
+          }
+        }
+
+        // (3) ScoreRestrictedSample on the restriction equals the same call
+        // on the view materialized as a table.
+        const AttributeSample materialized =
+            AttributeSample::FromTable(TableView(table, rows).ToTable(), attr);
+        for (const AttributeRef& ref : session.target_refs()) {
+          const MatchScore got = session.ScoreRestrictedSample(restricted, ref);
+          const MatchScore want =
+              session.ScoreRestrictedSample(materialized, ref);
+          if (got.matchers_used != want.matchers_used ||
+              !BitEqual(got.score, want.score) ||
+              !BitEqual(got.confidence, want.confidence)) {
+            return Replay(options, i,
+                          Status::Internal("ScoreRestrictedSample diverged on " +
+                                           where + " -> " + ref.ToString()));
+          }
+        }
+      }
+    }
   }
   return Status::Ok();
 }

@@ -59,6 +59,18 @@
 //                            columns and random row draws) against
 //                            map-of-strings / boxed-bag reference
 //                            implementations — every score bit-identical
+//   * FuzzViewProfileEquivalence
+//                            random tables of repeated renderings (control
+//                            bytes, quotes, NaN, +-inf, -0.0, NULL-only and
+//                            empty columns) restricted to random
+//                            conditions' rows, Floyd draws and the empty
+//                            and full lists: AttributeSample::Restrict's
+//                            merged profiles against boxed bags and the
+//                            map-of-strings reference (counts, renderings,
+//                            every profile entry, moments, cosine / Dice /
+//                            Jaccard / TF-IDF), and ScoreRestrictedSample
+//                            against the same call on the materialized
+//                            view — every double bit-identical
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_
@@ -87,6 +99,7 @@ Status FuzzDifferential(const FuzzOptions& options);
 Status FuzzRowColumnarEquivalence(const FuzzOptions& options);
 Status FuzzTokenKernelEquivalence(const FuzzOptions& options);
 Status FuzzExecutorEquivalence(const FuzzOptions& options);
+Status FuzzViewProfileEquivalence(const FuzzOptions& options);
 
 }  // namespace csm::check
 

@@ -1,9 +1,9 @@
-#include "text/profile.h"
+#include "check/token_profile.h"
 
 #include <algorithm>
 #include <cmath>
 
-namespace csm {
+namespace csm::check {
 
 void TokenProfile::Add(const std::string& token, double count) {
   counts_[token] += count;
@@ -81,4 +81,58 @@ double OverlapSimilarity(const TokenProfile& a, const TokenProfile& b) {
          static_cast<double>(smaller);
 }
 
-}  // namespace csm
+void ReferenceTfIdfCorpus::AddDocument(const TokenProfile& document) {
+  ++num_documents_;
+  for (const auto& [token, count] : document.counts()) {
+    ++document_frequency_[token];
+  }
+}
+
+double ReferenceTfIdfCorpus::Idf(std::string_view token) const {
+  auto it = document_frequency_.find(token);
+  const double df = it == document_frequency_.end()
+                        ? 0.0
+                        : static_cast<double>(it->second);
+  return std::log((1.0 + static_cast<double>(num_documents_)) / (1.0 + df)) +
+         1.0;
+}
+
+TokenProfile ReferenceTfIdfCorpus::Weight(const TokenProfile& document) const {
+  TokenProfile weighted;
+  for (const auto& [token, count] : document.counts()) {
+    weighted.Add(token, count * Idf(token));
+  }
+  return weighted;
+}
+
+double ReferenceTfIdfCorpus::WeightedCosine(const TokenProfile& a,
+                                            const TokenProfile& b) const {
+  // Evaluated inline (no materialized weighted profiles), term for term in
+  // the order CosineSimilarity(Weight(a), Weight(b)) used: norms iterate
+  // each map lexicographically, the dot iterates the smaller side and looks
+  // the token up in the larger (missing tokens contribute an explicit *0.0
+  // term, exactly as the weighted map's Count() did).
+  if (a.empty() || b.empty()) return 0.0;
+  auto weighted_norm = [this](const TokenProfile& p) {
+    double sum_sq = 0.0;
+    for (const auto& [token, count] : p.counts()) {
+      const double w = count * Idf(token);
+      sum_sq += w * w;
+    }
+    return std::sqrt(sum_sq);
+  };
+  const double denom = weighted_norm(a) * weighted_norm(b);
+  if (denom == 0.0) return 0.0;
+  const TokenProfile& small = a.num_distinct() <= b.num_distinct() ? a : b;
+  const TokenProfile& large = a.num_distinct() <= b.num_distinct() ? b : a;
+  double dot = 0.0;
+  for (const auto& [token, count] : small.counts()) {
+    auto it = large.counts().find(token);
+    const double wl = it == large.counts().end() ? 0.0
+                                                 : it->second * Idf(token);
+    dot += (count * Idf(token)) * wl;
+  }
+  return dot / denom;
+}
+
+}  // namespace csm::check

@@ -1,18 +1,23 @@
-// Token frequency profiles and set/bag similarity measures.
+// Map-of-strings token profiles and TF-IDF: the reference the interned
+// token kernel (text/gram.h) and the IDF table (text/tfidf.h) replaced.
 //
-// A TokenProfile is a multiset of tokens (q-grams or words) with counts;
-// the matchers compare attribute value-bags by building one profile per bag
-// and computing cosine / Jaccard / Dice / overlap similarity.
+// A TokenProfile is a multiset of tokens (q-grams or words) in a
+// std::map<std::string, double>; ReferenceTfIdfCorpus keeps document
+// frequencies in a std::map and takes the logarithm on every IDF lookup.
+// Nothing in the product links them: the fuzzers (fuzz.h), text_test,
+// property_test and bench_micro_text diff or time the production kernel
+// against them, so the reference shares no code with what it checks.
 
-#ifndef CSM_TEXT_PROFILE_H_
-#define CSM_TEXT_PROFILE_H_
+#ifndef CSM_CHECK_TOKEN_PROFILE_H_
+#define CSM_CHECK_TOKEN_PROFILE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
-namespace csm {
+namespace csm::check {
 
 /// A sparse token -> count map with the vector-space operations the
 /// similarity measures need.  Deterministic iteration (ordered map).
@@ -60,6 +65,28 @@ double DiceSimilarity(const TokenProfile& a, const TokenProfile& b);
 /// Overlap coefficient: |A∩B| / min(|A|, |B|).
 double OverlapSimilarity(const TokenProfile& a, const TokenProfile& b);
 
-}  // namespace csm
+/// TF-IDF over TokenProfile documents, registered one at a time.
+class ReferenceTfIdfCorpus {
+ public:
+  /// Registers a document (each distinct token counts once toward DF).
+  void AddDocument(const TokenProfile& document);
 
-#endif  // CSM_TEXT_PROFILE_H_
+  size_t num_documents() const { return num_documents_; }
+
+  /// log((1 + N) / (1 + df)) + 1, evaluated on every call.
+  double Idf(std::string_view token) const;
+
+  /// Returns the profile re-weighted by TF-IDF (tf = raw count).
+  TokenProfile Weight(const TokenProfile& document) const;
+
+  /// Cosine similarity of the two documents' TF-IDF vectors.
+  double WeightedCosine(const TokenProfile& a, const TokenProfile& b) const;
+
+ private:
+  std::map<std::string, size_t, std::less<>> document_frequency_;
+  size_t num_documents_ = 0;
+};
+
+}  // namespace csm::check
+
+#endif  // CSM_CHECK_TOKEN_PROFILE_H_

@@ -3,10 +3,10 @@
 //
 // Production code calls FaultInjector::Hit("site.name", index) at a few
 // well-known points (the thread pool's task dispatch, the classifier grid,
-// per-candidate view scoring, per-table session building).  The hook is
-// compiled in always but inert unless a test arms it: the unarmed fast
-// path is a single relaxed atomic load, so leaving the sites in release
-// builds costs nothing measurable.
+// per-attribute index building and per-candidate view scoring, per-table
+// session building).  The hook is compiled in always but inert unless a
+// test arms it: the unarmed fast path is a single relaxed atomic load, so
+// leaving the sites in release builds costs nothing measurable.
 //
 // Tests arm a site with an ArmSpec describing when to fire (a specific
 // logical index, or the first hit) and what to do:

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "check/invariants.h"
 #include "common/fault_injector.h"
@@ -45,6 +48,62 @@ struct ScoredFragment {
   MatchList view_matches;
 };
 
+/// The whole-table samples of one source table's rescored attributes, each
+/// carrying its per-code token index (AttributeSample::Indexed), keyed by
+/// attribute name.  Held by one pipeline run only: no index outlives its
+/// run, and the session cache never holds one.
+using IndexedSamples = std::map<std::string, AttributeSample>;
+
+/// Indexes every rescored attribute of each source table that `candidates`
+/// restrict and `indexed` does not hold yet, one attribute per task on
+/// `pool`.  Tasks poll `cancel` before they start, so a deadline overshoots
+/// by at most one attribute's build.  Returns false, leaving `indexed`
+/// unchanged, when a task was skipped.
+bool IndexRestrictedTables(const std::vector<SourceState>& states,
+                           const std::vector<CandidateView>& candidates,
+                           exec::ThreadPool* pool,
+                           const CancellationToken* cancel,
+                           std::vector<IndexedSamples>* indexed) {
+  struct Job {
+    size_t state;
+    const std::string* attribute;
+  };
+  std::vector<Job> jobs;
+  for (size_t s = 0; s < states.size(); ++s) {
+    if (!(*indexed)[s].empty()) continue;
+    const std::string& table = states[s].sample->name();
+    const bool restricted = std::any_of(
+        candidates.begin(), candidates.end(),
+        [&](const CandidateView& c) { return c.view.base_table() == table; });
+    if (!restricted) continue;
+    std::set<std::string_view> attributes;
+    for (const Match& m : *states[s].accepted) {
+      if (attributes.insert(m.source.attribute).second) {
+        jobs.push_back({s, &m.source.attribute});
+      }
+    }
+  }
+  std::vector<std::optional<AttributeSample>> built(jobs.size());
+  exec::ParallelFor(
+      pool, jobs.size(),
+      [&](size_t j) {
+        // Fault site "scoring.index" (index = build in job order; kCancel
+        // and kSleep only).
+        FaultInjector::Hit("scoring.index", j);
+        built[j] = AttributeSample::Indexed(*states[jobs[j].state].sample,
+                                            *jobs[j].attribute);
+      },
+      cancel);
+  for (const std::optional<AttributeSample>& sample : built) {
+    if (!sample.has_value()) return false;
+  }
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    (*indexed)[jobs[j].state].emplace(*jobs[j].attribute,
+                                      std::move(*built[j]));
+  }
+  return true;
+}
+
 /// Scores every accepted match of `state` against `candidate`.
 ///
 /// With placebo correction (see ContextMatchOptions), each pair is also
@@ -53,55 +112,57 @@ struct ScoredFragment {
 /// subtracted from the view's confidence, so only condition-specific
 /// effects remain.
 ///
-/// Pure function of (state, candidate, rng): touches no shared mutable
-/// state, so candidates can be scored concurrently.
-ScoredFragment ScoreCandidate(const SourceState& state, const View& candidate,
-                              bool placebo_correction, Rng& rng) {
+/// Pure function of (state, indexed, candidate, rng): touches no shared
+/// mutable state, so candidates can be scored concurrently.
+ScoredFragment ScoreCandidate(const SourceState& state,
+                              const IndexedSamples& indexed,
+                              const View& candidate, bool placebo_correction,
+                              Rng& rng) {
   ScoredFragment fragment;
   fragment.scored = true;
   // One restricted sample per source attribute, so each attribute's
-  // restriction — and its cached token profiles — is built once per view
+  // restriction — and its merged token profiles — is built once per view
   // no matter how many target attributes it is scored against.  A sample
-  // is the attribute's column gathered at the view's positions: codes and
-  // typed cells only, no boxed Values.
+  // counts the attribute's codes at the view's positions and merges the
+  // index's per-code partials: nothing is rendered or tokenized here.
   std::map<std::string, AttributeSample> samples;
   std::map<std::string, std::vector<AttributeSample>> placebo_samples;
 
   // Columnar scan: literal-vs-code comparison per row instead of per-row
   // Evaluate over boxed values.  Positions come back ascending, exactly the
   // order the row-at-a-time loop produced.
-  const TableView view(*state.sample,
-                       candidate.condition().MatchingPositions(*state.sample));
+  const PosList view_rows =
+      candidate.condition().MatchingPositions(*state.sample);
   // The placebo shift is averaged over a few independent draws: one random
   // subset is noisy enough that a spuriously merged view can land inside
   // selection's near-tie band on draw luck alone.  Each draw is a
   // bounded-cost Floyd's sample (relational/sample.h): O(|view|) work per
   // draw instead of the old O(|table|) iota + full shuffle per candidate.
   constexpr size_t kPlaceboDraws = 3;
-  std::vector<TableView> placebo_views;
+  std::vector<PosList> placebo_rows;
   if (placebo_correction) {
-    placebo_views.reserve(kPlaceboDraws);
+    placebo_rows.reserve(kPlaceboDraws);
     for (size_t d = 0; d < kPlaceboDraws; ++d) {
-      placebo_views.emplace_back(
-          *state.sample, SampleRowPositions(state.sample->num_rows(),
-                                            view.num_rows(), rng));
+      placebo_rows.push_back(SampleRowPositions(state.sample->num_rows(),
+                                                view_rows.size(), rng));
     }
   }
 
   // View row-count conservation: a condition can only restrict the sample.
-  CSM_INVARIANT_LE(view.num_rows(), state.sample->num_rows())
+  CSM_INVARIANT_LE(view_rows.size(), state.sample->num_rows())
       << candidate.ToString();
-  for (const TableView& placebo : placebo_views) {
-    CSM_INVARIANT_EQ(placebo.num_rows(), view.num_rows())
+  for (const PosList& placebo : placebo_rows) {
+    CSM_INVARIANT_EQ(placebo.size(), view_rows.size())
         << candidate.ToString();
   }
-  fragment.view_rows = view.num_rows();
+  fragment.view_rows = view_rows.size();
 
   for (const Match& base : *state.accepted) {
     const std::string& attr = base.source.attribute;
+    const AttributeSample& whole = indexed.at(attr);
     auto it = samples.find(attr);
     if (it == samples.end()) {
-      it = samples.emplace(attr, AttributeSample::FromTable(view, attr)).first;
+      it = samples.emplace(attr, whole.Restrict(view_rows)).first;
     }
     MatchScore ms =
         state.session->ScoreRestrictedSample(it->second, base.target);
@@ -111,9 +172,9 @@ ScoredFragment ScoreCandidate(const SourceState& state, const View& candidate,
       auto pit = placebo_samples.find(attr);
       if (pit == placebo_samples.end()) {
         std::vector<AttributeSample> attr_samples;
-        attr_samples.reserve(placebo_views.size());
-        for (const TableView& placebo : placebo_views) {
-          attr_samples.push_back(AttributeSample::FromTable(placebo, attr));
+        attr_samples.reserve(placebo_rows.size());
+        for (const PosList& placebo : placebo_rows) {
+          attr_samples.push_back(whole.Restrict(placebo));
         }
         pit = placebo_samples.emplace(attr, std::move(attr_samples)).first;
       }
@@ -532,6 +593,11 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
       stage_bases.push_back(StageBase{i, Condition::True()});
     }
 
+    // Per-code token indexes of the rescored attributes, one map per source
+    // table.  The first stage whose candidates restrict a table indexes it;
+    // later stages' views restrict the same table and reuse its map.
+    std::vector<IndexedSamples> indexed(states.size());
+
     SelectionResult selection;
     for (size_t stage = 0; cancelled_phase.empty() && stage < max_stages;
          ++stage) {
@@ -607,36 +673,42 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
         // so a degraded run's pool is the completed whole-chunk prefix —
         // the same prefix at any thread count.
         const uint64_t scoring_seed = rng.Next();
+        // Index the tables this stage restricts first.  A build cut short
+        // by run_cancel scores no candidate: an empty completed prefix.
         exec::ChunkedMapCut cut;
-        std::vector<ScoredFragment> fragments = exec::CancellableChunkedMap(
-            pool, stage_candidates.size(), kScoringChunk, &run_cancel, &cut,
-            [&](size_t i) {
-              const View& view = stage_candidates[i].view;
-              // Fault site "scoring.candidate" (index = candidate index in
-              // stage order).  A kFail arm leaves just this fragment
-              // unscored; the run itself continues.
-              if (FaultInjector::Hit("scoring.candidate", i)) {
-                return ScoredFragment{};
-              }
-              std::string span_name;
-              if (tracer != nullptr) span_name = "score:" + view.name();
-              // Implicit parent: the worker's pool-task span (itself under
-              // this scoring phase), or the phase span on the inline path.
-              obs::ScopedSpan span(tracer, span_name);
-              const auto view_start = Clock::now();
-              ScoredFragment fragment;
-              for (const SourceState& state : states) {
-                if (state.sample->name() != view.base_table()) continue;
-                Rng task_rng = exec::TaskRng(scoring_seed, i);
-                fragment = ScoreCandidate(state, view,
-                                          options_.placebo_correction,
-                                          task_rng);
-                break;
-              }
-              registry.Observe("scoring.view_seconds",
-                               SecondsSince(view_start));
-              return fragment;
-            });
+        std::vector<ScoredFragment> fragments;
+        if (IndexRestrictedTables(states, stage_candidates, pool, &run_cancel,
+                                  &indexed)) {
+          fragments = exec::CancellableChunkedMap(
+              pool, stage_candidates.size(), kScoringChunk, &run_cancel, &cut,
+              [&](size_t i) {
+                const View& view = stage_candidates[i].view;
+                // Fault site "scoring.candidate" (index = candidate index in
+                // stage order).  A kFail arm leaves just this fragment
+                // unscored; the run itself continues.
+                if (FaultInjector::Hit("scoring.candidate", i)) {
+                  return ScoredFragment{};
+                }
+                std::string span_name;
+                if (tracer != nullptr) span_name = "score:" + view.name();
+                // Implicit parent: the worker's pool-task span (itself under
+                // this scoring phase), or the phase span on the inline path.
+                obs::ScopedSpan span(tracer, span_name);
+                const auto view_start = Clock::now();
+                ScoredFragment fragment;
+                for (size_t s = 0; s < states.size(); ++s) {
+                  if (states[s].sample->name() != view.base_table()) continue;
+                  Rng task_rng = exec::TaskRng(scoring_seed, i);
+                  fragment = ScoreCandidate(states[s], indexed[s], view,
+                                            options_.placebo_correction,
+                                            task_rng);
+                  break;
+                }
+                registry.Observe("scoring.view_seconds",
+                                 SecondsSince(view_start));
+                return fragment;
+              });
+        }
         // Merge only the completed prefix; candidates past the cut are
         // neither scored nor recorded (counters stay thread-count
         // independent because the cut lands on a chunk boundary).

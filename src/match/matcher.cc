@@ -4,15 +4,33 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/logging.h"
 #include "text/tokenizer.h"
 
 namespace csm {
 
-AttributeSample AttributeSample::FromTable(const TableView& instance,
+AttributeSample AttributeSample::FromTable(const Table& instance,
                                            std::string_view attribute) {
   return AttributeSample(
       AttributeRef{instance.name(), std::string(attribute)},
-      instance.GatherColumn(instance.schema().AttributeIndex(attribute)));
+      instance.column(instance.schema().AttributeIndex(attribute)));
+}
+
+AttributeSample AttributeSample::Indexed(const Table& instance,
+                                         std::string_view attribute) {
+  AttributeSample sample = FromTable(instance, attribute);
+  sample.index_ = std::make_shared<const CodeTokenIndex>(sample.column_);
+  return sample;
+}
+
+AttributeSample AttributeSample::Restrict(const PosList& positions) const {
+  CSM_CHECK(index_ != nullptr && !code_counts_.has_value())
+      << "Restrict needs an Indexed whole-table sample of "
+      << ref_.ToString();
+  AttributeSample out(ref_, column_.Gather(positions));
+  out.index_ = index_;
+  out.code_counts_ = index_->Count(positions);
+  return out;
 }
 
 size_t AttributeSample::NonNullCount() const {
@@ -69,6 +87,10 @@ AttributeSample::DistinctRenders() const {
 
 const GramProfile& AttributeSample::QGramProfile() const {
   std::call_once(caches_->qgram_once, [this] {
+    if (code_counts_.has_value()) {
+      caches_->qgram_profile = index_->MergeQGrams(*code_counts_);
+      return;
+    }
     GramProfileBuilder builder;
     for (const auto& [text, count] : DistinctRenders()) {
       builder.AddText(text, 3, count);
@@ -80,6 +102,10 @@ const GramProfile& AttributeSample::QGramProfile() const {
 
 const csm::WordProfile& AttributeSample::WordProfile() const {
   std::call_once(caches_->word_once, [this] {
+    if (code_counts_.has_value()) {
+      caches_->word_profile = index_->MergeWords(*code_counts_);
+      return;
+    }
     WordProfileBuilder builder;
     for (const auto& [text, count] : DistinctRenders()) {
       builder.AddText(text, count);

@@ -13,9 +13,10 @@
 #include <utility>
 #include <vector>
 
+#include "match/code_index.h"
 #include "relational/column.h"
 #include "relational/schema.h"
-#include "relational/table_view.h"
+#include "relational/table.h"
 #include "stats/descriptive.h"
 #include "text/gram.h"
 
@@ -27,12 +28,16 @@ namespace csm {
 /// (e.g., a target attribute compared against many candidate views) pays
 /// the tokenization cost once.
 ///
-/// The bag is a Column segment: the attribute's column of a Table, or its
-/// Gather at a TableView's positions (a candidate view or placebo draw), in
-/// both cases sharing the string dictionary with no per-row boxing.  The
-/// profile builders tokenize each *distinct* rendered value once, scaled by
-/// its multiplicity — bit-identical to per-row tokenization because the
-/// counts are exact integers and the builders sort what they emit.
+/// The bag is a Column segment with no per-row boxing.  There are two ways
+/// to get one:
+///   * FromTable: a whole table's column.  Its profile builders tokenize
+///     each *distinct* rendered value once, scaled by its multiplicity.
+///   * Indexed(...).Restrict(positions): the column gathered at a candidate
+///     view's or placebo draw's rows, with the profiles merged from the
+///     whole column's per-code token index (match/code_index.h) instead of
+///     tokenized again.
+/// Both are bit-identical to per-row tokenization, because the counts are
+/// exact integers and every profile is emitted in sorted order.
 ///
 /// Thread safety: the lazy caches are built under std::call_once, so a
 /// sample shared across ParallelFor workers (a TableMatchSession's target
@@ -41,11 +46,26 @@ namespace csm {
 /// values are identical, so the derived profiles are too.
 class AttributeSample {
  public:
-  /// Builds a sample for one attribute of `instance`: the column itself
-  /// for a whole Table, else the column gathered at the view's positions
-  /// (in view-row order).
-  static AttributeSample FromTable(const TableView& instance,
+  /// Builds a sample for one attribute of `instance`: the column itself,
+  /// sharing the string dictionary.
+  static AttributeSample FromTable(const Table& instance,
                                    std::string_view attribute);
+
+  /// FromTable plus the column's per-code token index, which Restrict
+  /// reads.  The index holds every distinct value's tokens, so build it
+  /// only for the samples a run restricts and drop it with them.
+  static AttributeSample Indexed(const Table& instance,
+                                 std::string_view attribute);
+
+  /// The sample at `positions` (rows of the indexed table, e.g. a view's
+  /// MatchingPositions or a placebo draw): the column gathered at the
+  /// positions, so NumericStats folds values in position order and
+  /// DistinctRenders groups them as for a whole table, and the count of
+  /// each code at them, from which both token profiles merge the index's
+  /// per-code partials.  Equal, bit for bit, to FromTable over the rows at
+  /// `positions` materialized as a table.
+  /// CHECK-fails unless this sample was built by Indexed.
+  AttributeSample Restrict(const PosList& positions) const;
 
   const AttributeRef& ref() const { return ref_; }
   ValueType declared_type() const { return column_.type(); }
@@ -95,6 +115,11 @@ class AttributeSample {
   AttributeRef ref_;
   /// The bag (dictionary shared with the source table, copy-on-write).
   Column column_;
+  /// The whole column's per-code token index: set on Indexed samples and
+  /// on their restrictions.
+  std::shared_ptr<const CodeTokenIndex> index_;
+  /// Restrictions only: the code counts at their positions.
+  std::optional<CodeTokenIndex::CodeCounts> code_counts_;
   std::shared_ptr<Caches> caches_ = std::make_shared<Caches>();
 };
 

@@ -74,10 +74,12 @@ double QGramMatcher::Score(const AttributeSample& source,
 
 void TfIdfTokenMatcher::Prepare(
     const std::vector<const AttributeSample*>& targets) {
-  corpus_ = TfIdfCorpus();
+  std::vector<const WordProfile*> documents;
+  documents.reserve(targets.size());
   for (const AttributeSample* sample : targets) {
-    corpus_.AddDocument(sample->WordProfile());
+    documents.push_back(&sample->WordProfile());
   }
+  corpus_ = TfIdfCorpus(documents);
 }
 
 bool TfIdfTokenMatcher::Applicable(const AttributeSample& source,

@@ -102,7 +102,10 @@ TableMatchSession::TableMatchSession(
         double score =
             matchers_[m]->Score(source_samples_[s], target_samples_[t]);
         raw_scores_[m][s][t] = score;
-        distribution.Add(score);
+        // A NaN score (e.g., NumericMatcher over a bag holding NaN or
+        // +-inf) means inapplicable, exactly as ReplayDistributions and
+        // PairScore read it.
+        if (!std::isnan(score)) distribution.Add(score);
       }
       if (!distribution.empty()) {
         distributions_[DistributionKey{m, s}] = distribution;
@@ -164,6 +167,7 @@ MatchScore TableMatchSession::CombineForBag(const AttributeSample& sample,
       continue;
     }
     double raw = matchers_[m]->Score(sample, target);
+    if (std::isnan(raw)) continue;  // inapplicable, as in PairScore
     double weight = matchers_[m]->Weight();
     score_sum += weight * raw;
     confidence_sum += weight * Confidence(m, source_index, raw);

@@ -122,10 +122,11 @@ class TableMatchSession {
   /// against `target`, converting raw scores with the distributions
   /// recorded during construction, per the strawman discussion in Section
   /// 3.  The sample is a candidate view's (or placebo draw's) values of one
-  /// source attribute, built with AttributeSample::FromTable over a
-  /// TableView of the source table; its attribute name selects the
-  /// distributions.  Build it once per (view, attribute) — its token
-  /// profiles are cached inside — and call this once per target.
+  /// source attribute, built with AttributeSample::Restrict over the source
+  /// table's indexed sample; its attribute name selects the distributions.
+  /// Build it once per (view, attribute) — its token profiles are cached
+  /// inside — and call this once per target.  A matcher whose raw score is
+  /// NaN counts as inapplicable, here as everywhere in the session.
   MatchScore ScoreRestrictedSample(const AttributeSample& sample,
                                    const AttributeRef& target) const;
 

@@ -151,18 +151,16 @@ void GramProfileBuilder::AddText(std::string_view text, size_t q,
 }
 
 GramProfile GramProfileBuilder::Build() {
-  GramProfile profile;
-  profile.entries_.reserve(counts_.size());
-  for (const auto& [id, count] : counts_) {
-    profile.entries_.push_back({id, count});
-  }
-  std::sort(profile.entries_.begin(), profile.entries_.end(),
+  std::vector<GramProfile::Entry> entries;
+  entries.reserve(counts_.size());
+  for (const auto& [id, count] : counts_) entries.push_back({id, count});
+  std::sort(entries.begin(), entries.end(),
             [](const GramProfile::Entry& a, const GramProfile::Entry& b) {
               return a.id < b.id;
             });
-  profile.total_ = total_;
   GlobalTokenKernelStats().grams_interned.fetch_add(
-      profile.entries_.size(), std::memory_order_relaxed);
+      entries.size(), std::memory_order_relaxed);
+  GramProfile profile(std::move(entries), total_);
   counts_.clear();
   total_ = 0.0;
   return profile;
@@ -244,18 +242,16 @@ void WordProfileBuilder::AddText(std::string_view text, double count) {
 }
 
 WordProfile WordProfileBuilder::Build() {
-  WordProfile profile;
-  profile.entries_.reserve(interner_->size());
+  std::vector<WordProfile::Entry> entries;
+  entries.reserve(interner_->size());
   for (GramId id = 0; id < interner_->size(); ++id) {
-    profile.entries_.push_back({std::string_view(interner_->value(id)),
-                                counts_[id]});
+    entries.push_back({std::string_view(interner_->value(id)), counts_[id]});
   }
-  std::sort(profile.entries_.begin(), profile.entries_.end(),
+  std::sort(entries.begin(), entries.end(),
             [](const WordProfile::Entry& a, const WordProfile::Entry& b) {
               return a.token < b.token;
             });
-  profile.total_ = total_;
-  profile.interner_ = std::move(interner_);
+  WordProfile profile(std::move(interner_), std::move(entries), total_);
   // Reset for reuse: a fresh interner, empty counts.
   interner_ = std::make_shared<TokenInterner>();
   counts_.clear();

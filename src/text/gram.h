@@ -1,10 +1,11 @@
 // The interned token kernel: packed q-gram ids, first-seen token interning
 // and flat sorted count profiles.
 //
-// TokenProfile (profile.h) keeps every gram as a heap std::string inside a
-// std::map; fine as a reference implementation, but the hot scoring paths
-// tokenize the same strings millions of times.  This kernel replaces that
-// representation without changing a single score bit:
+// The map-based TokenProfile it replaced kept every gram as a heap
+// std::string inside a std::map; it survives only as the fuzzers' reference
+// (check/token_profile.h).  The hot scoring paths tokenize the same strings
+// millions of times, and this kernel does it without changing a single
+// score bit:
 //
 //   * Packed gram ids.  NormalizeText output is single-byte ([a-z0-9 ], plus
 //     the '#' padding QGrams adds), so a padded q-gram with q <= 4 is at most
@@ -39,6 +40,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace csm {
@@ -111,6 +113,11 @@ class GramProfile {
 
   GramProfile() = default;
 
+  /// Adopts `entries`, which must be sorted by strictly increasing id with
+  /// positive integer counts summing to `total`.
+  GramProfile(std::vector<Entry> entries, double total)
+      : entries_(std::move(entries)), total_(total) {}
+
   bool empty() const { return entries_.empty(); }
   size_t num_distinct() const { return entries_.size(); }
   double total() const { return total_; }
@@ -128,8 +135,6 @@ class GramProfile {
   size_t IntersectionSize(const GramProfile& other) const;
 
  private:
-  friend class GramProfileBuilder;
-
   std::vector<Entry> entries_;  // sorted by id
   double total_ = 0.0;
 };
@@ -166,6 +171,15 @@ class WordProfile {
 
   WordProfile() = default;
 
+  /// Adopts `entries`, which must be sorted by strictly increasing token
+  /// with positive integer counts summing to `total`; `interner` owns the
+  /// token bytes the entries view.
+  WordProfile(std::shared_ptr<const TokenInterner> interner,
+              std::vector<Entry> entries, double total)
+      : interner_(std::move(interner)),
+        entries_(std::move(entries)),
+        total_(total) {}
+
   bool empty() const { return entries_.empty(); }
   size_t num_distinct() const { return entries_.size(); }
   double total() const { return total_; }
@@ -178,8 +192,6 @@ class WordProfile {
   size_t IntersectionSize(const WordProfile& other) const;
 
  private:
-  friend class WordProfileBuilder;
-
   std::shared_ptr<const TokenInterner> interner_;  // owns the token bytes
   std::vector<Entry> entries_;                     // sorted by token
   double total_ = 0.0;
@@ -207,8 +219,8 @@ class WordProfileBuilder {
   std::string token_scratch_;
 };
 
-/// Similarity measures; formulas identical to the TokenProfile versions in
-/// profile.h, evaluated over the flat representations.
+/// Similarity measures over the flat representations; formulas identical
+/// to the map-based reference (check/token_profile.h).
 double CosineSimilarity(const GramProfile& a, const GramProfile& b);
 double JaccardSimilarity(const GramProfile& a, const GramProfile& b);
 double DiceSimilarity(const GramProfile& a, const GramProfile& b);

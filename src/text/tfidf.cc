@@ -3,81 +3,44 @@
 #include <cmath>
 
 namespace csm {
+namespace {
 
-void TfIdfCorpus::AddDocument(const TokenProfile& document) {
-  ++num_documents_;
-  for (const auto& [token, count] : document.counts()) {
-    ++document_frequency_[token];
-  }
+double SmoothedIdf(double num_documents, double df) {
+  return std::log((1.0 + num_documents) / (1.0 + df)) + 1.0;
 }
 
-void TfIdfCorpus::AddDocument(const WordProfile& document) {
-  ++num_documents_;
-  for (const WordProfile::Entry& e : document.entries()) {
-    // Heterogeneous find + insert-if-absent (no temporary std::string on
-    // the repeat path).
-    auto it = document_frequency_.find(e.token);
-    if (it == document_frequency_.end()) {
-      document_frequency_.emplace(std::string(e.token), 1);
-    } else {
-      ++it->second;
+}  // namespace
+
+TfIdfCorpus::TfIdfCorpus(const std::vector<const WordProfile*>& documents)
+    : num_documents_(documents.size()) {
+  // Document frequencies first (exact small integers in doubles), then
+  // each one replaced by its IDF in place.
+  for (const WordProfile* document : documents) {
+    for (const WordProfile::Entry& e : document->entries()) {
+      auto it = idf_.find(e.token);
+      if (it == idf_.end()) {
+        idf_.emplace(std::string(e.token), 1.0);
+      } else {
+        it->second += 1.0;
+      }
     }
   }
+  const double n = static_cast<double>(num_documents_);
+  for (auto& [token, value] : idf_) value = SmoothedIdf(n, value);
+  unseen_idf_ = SmoothedIdf(n, 0.0);
 }
 
 double TfIdfCorpus::Idf(std::string_view token) const {
-  auto it = document_frequency_.find(token);
-  const double df = it == document_frequency_.end()
-                        ? 0.0
-                        : static_cast<double>(it->second);
-  return std::log((1.0 + static_cast<double>(num_documents_)) / (1.0 + df)) +
-         1.0;
-}
-
-TokenProfile TfIdfCorpus::Weight(const TokenProfile& document) const {
-  TokenProfile weighted;
-  for (const auto& [token, count] : document.counts()) {
-    weighted.Add(token, count * Idf(token));
-  }
-  return weighted;
-}
-
-double TfIdfCorpus::WeightedCosine(const TokenProfile& a,
-                                   const TokenProfile& b) const {
-  // Evaluated inline (no materialized weighted profiles), term for term in
-  // the order CosineSimilarity(Weight(a), Weight(b)) used: norms iterate
-  // each map lexicographically, the dot iterates the smaller side and looks
-  // the token up in the larger (missing tokens contribute an explicit *0.0
-  // term, exactly as the weighted map's Count() did).
-  if (a.empty() || b.empty()) return 0.0;
-  auto weighted_norm = [this](const TokenProfile& p) {
-    double sum_sq = 0.0;
-    for (const auto& [token, count] : p.counts()) {
-      const double w = count * Idf(token);
-      sum_sq += w * w;
-    }
-    return std::sqrt(sum_sq);
-  };
-  const double denom = weighted_norm(a) * weighted_norm(b);
-  if (denom == 0.0) return 0.0;
-  const TokenProfile& small = a.num_distinct() <= b.num_distinct() ? a : b;
-  const TokenProfile& large = a.num_distinct() <= b.num_distinct() ? b : a;
-  double dot = 0.0;
-  for (const auto& [token, count] : small.counts()) {
-    auto it = large.counts().find(token);
-    const double wl = it == large.counts().end() ? 0.0
-                                                 : it->second * Idf(token);
-    dot += (count * Idf(token)) * wl;
-  }
-  return dot / denom;
+  auto it = idf_.find(token);
+  return it == idf_.end() ? unseen_idf_ : it->second;
 }
 
 double TfIdfCorpus::WeightedCosine(const WordProfile& a,
                                    const WordProfile& b) const {
-  // Linear merge over the lex-sorted flat entries.  Bit-identical to the
-  // TokenProfile overload: norms accumulate in the same lexicographic
-  // order, and the dot's skipped non-intersection terms are exact +0.0
-  // no-ops because profile counts (and hence weights) are positive.
+  // Linear merge over the lex-sorted flat entries.  Norms accumulate in
+  // lexicographic order, and the dot's skipped non-intersection terms are
+  // exact +0.0 no-ops because profile counts (and hence weights) are
+  // positive.
   if (a.empty() || b.empty()) return 0.0;
   auto weighted_norm = [this](const WordProfile& p) {
     double sum_sq = 0.0;

@@ -1,36 +1,40 @@
-// TF-IDF weighting over a corpus of token profiles.
+// TF-IDF weighting over a corpus of word profiles.
 //
 // The TF-IDF matcher treats each attribute's value bag as a document; IDF
-// is computed over the set of documents registered with the corpus, and
-// similarity is the cosine of the TF-IDF-weighted vectors.
+// is computed over the documents the corpus is built from, and similarity
+// is the cosine of the TF-IDF-weighted vectors.
 //
-// Both profile representations are accepted: the map-based TokenProfile
-// (reference) and the flat WordProfile of the token kernel (gram.h).  The
-// weighted cosine is evaluated as a lexicographic merge without
-// materializing weighted profiles; because WordProfile entries are sorted
-// by token string, the weighted sums accumulate in the exact order the
-// map-based path used, so both overloads produce bit-identical scores.
+// The corpus is built once from all of its documents and stores each
+// token's IDF in one hash table, so scoring pays one lookup per token and
+// no logarithm.  The weighted cosine is evaluated as a lexicographic merge
+// without materializing weighted profiles: WordProfile entries are sorted
+// by token string, so the weighted sums accumulate in exactly the order of
+// the map-based reference (check/token_profile.h), and the IDF values are
+// the same expression evaluated once instead of per lookup — every score is
+// bit-identical to the reference.
 
 #ifndef CSM_TEXT_TFIDF_H_
 #define CSM_TEXT_TFIDF_H_
 
-#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "text/gram.h"
-#include "text/profile.h"
 
 namespace csm {
 
-/// Accumulates document frequencies and produces TF-IDF-weighted profiles.
+/// Smoothed inverse document frequencies of a fixed document set.
 class TfIdfCorpus {
  public:
+  /// The empty corpus: every token is unseen.
   TfIdfCorpus() = default;
 
-  /// Registers a document (each distinct token counts once toward DF).
-  void AddDocument(const TokenProfile& document);
-  void AddDocument(const WordProfile& document);
+  /// Builds the IDF table of `documents` (each distinct token of a document
+  /// counts once toward its document frequency).  The profiles are read
+  /// only during construction.
+  explicit TfIdfCorpus(const std::vector<const WordProfile*>& documents);
 
   size_t num_documents() const { return num_documents_; }
 
@@ -38,16 +42,29 @@ class TfIdfCorpus {
   /// log((1 + N) / (1 + df)) + 1, so unseen tokens still get weight.
   double Idf(std::string_view token) const;
 
-  /// Returns the profile re-weighted by TF-IDF (tf = raw count).
-  TokenProfile Weight(const TokenProfile& document) const;
-
-  /// Cosine similarity of the two documents' TF-IDF vectors.
-  double WeightedCosine(const TokenProfile& a, const TokenProfile& b) const;
+  /// Cosine similarity of the two documents' TF-IDF vectors (tf = raw
+  /// count).
   double WeightedCosine(const WordProfile& a, const WordProfile& b) const;
 
  private:
-  std::map<std::string, size_t, std::less<>> document_frequency_;
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  struct Eq {
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const {
+      return a == b;
+    }
+  };
+
+  /// IDF of every token with df >= 1.
+  std::unordered_map<std::string, double, Hash, Eq> idf_;
   size_t num_documents_ = 0;
+  /// IDF of a token no document holds (df = 0); 1 for the empty corpus.
+  double unseen_idf_ = 1.0;
 };
 
 }  // namespace csm

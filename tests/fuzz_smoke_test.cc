@@ -67,6 +67,11 @@ TEST(FuzzSmokeTest, ExecutorEquivalence) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, ViewProfileEquivalence) {
+  const Status status = check::FuzzViewProfileEquivalence(Options(150));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, DifferentialOracles) {
   const Status status = check::FuzzDifferential(Options(10));
   EXPECT_TRUE(status.ok()) << status.ToString();

@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <numeric>
+
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datagen/wordlists.h"
 #include "match/matchers.h"
 #include "match/session.h"
+#include "relational/csv.h"
 #include "relational/sample.h"
 #include "tests/test_util.h"
 
@@ -282,10 +289,10 @@ TEST(SessionTest, RestrictedBagShiftsConfidence) {
     rows.push_back(static_cast<RowId>(r));
   }
   AttributeRef book_name{"books", "name"};
-  auto restricted = [&](PosList rows) {
-    AttributeSample sample = AttributeSample::FromTable(
-        TableView(fx.source, std::move(rows)), "title");
-    return session.ScoreRestrictedSample(sample, book_name).confidence;
+  const AttributeSample title = AttributeSample::Indexed(fx.source, "title");
+  auto restricted = [&](const PosList& rows) {
+    return session.ScoreRestrictedSample(title.Restrict(rows), book_name)
+        .confidence;
   };
   double base = session.PairScore("title", book_name).confidence;
   double restricted_good = restricted(books_only);
@@ -298,11 +305,93 @@ TEST(SessionTest, EmptyRestrictionScoresZero) {
   SessionFixture fx;
   TableMatchSession session(fx.source, fx.target, DefaultMatcherSuite());
   AttributeSample empty =
-      AttributeSample::FromTable(TableView(fx.source, PosList{}), "title");
+      AttributeSample::Indexed(fx.source, "title").Restrict(PosList{});
   MatchScore ms =
       session.ScoreRestrictedSample(empty, AttributeRef{"books", "name"});
   EXPECT_EQ(ms.matchers_used, 0u);
   EXPECT_DOUBLE_EQ(ms.confidence, 0.0);
+}
+
+bool BitEqual(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// A NaN raw score means "inapplicable" everywhere in the session.  A real
+// column holding nan / inf cells (std::from_chars accepts both, so the
+// inferred type stays real) makes NumericMatcher score NaN against every
+// target.  The scoring constructor must leave those scores out of the
+// (numeric, price) distribution exactly as the restore path's replay does,
+// and rescoring must skip a NaN raw score exactly as PairScore does —
+// otherwise a view that leaves the non-finite rows out gets a NaN
+// confidence from the fresh session and a finite one from the restored.
+TEST(SessionTest, NonFiniteCellsScoreAlikeFreshAndRestored) {
+  std::string csv = "price,qty\n";
+  for (int r = 0; r < 40; ++r) {
+    if (r == 25) {
+      csv += "nan";
+    } else if (r == 30) {
+      csv += "inf";
+    } else if (r == 35) {
+      csv += "-inf";
+    } else {
+      csv += std::to_string(10 + r % 7) + ".5";
+    }
+    csv += "," + std::to_string(r % 5) + "\n";
+  }
+  const std::string path = ::testing::TempDir() + "/csm_nonfinite.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << csv;
+  }
+  auto read = ReadCsvFileInferred("src", path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const Table& source = read.value();
+  ASSERT_EQ(source.column(0).type(), ValueType::kReal);
+
+  Rng rng(5);
+  std::vector<Row> rows;
+  for (int r = 0; r < 40; ++r) {
+    rows.push_back({R(10.0 + rng.NextDouble() * 8), R(rng.NextDouble() * 90),
+                    R(rng.NextDouble())});
+  }
+  Database target("tgt");
+  target.AddTable(MakeTable("items", {"cost", "weight", "tax"}, rows));
+
+  const TableMatchSession fresh(source, target, DefaultMatcherSuite());
+  std::string blob;
+  fresh.AppendSerializedScores(&blob);
+  size_t pos = 0;
+  auto parsed = TableMatchSession::ParseSerializedScores(blob, &pos);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TableMatchSession restored(source, target, DefaultMatcherSuite(),
+                                   MatchOptions{}, std::move(parsed.value()));
+
+  PosList first_rows(20);
+  std::iota(first_rows.begin(), first_rows.end(), RowId{0});
+  for (const char* attr : {"price", "qty"}) {
+    const AttributeSample view =
+        AttributeSample::Indexed(source, attr).Restrict(first_rows);
+    for (const AttributeRef& ref : fresh.target_refs()) {
+      const MatchScore a = fresh.ScoreRestrictedSample(view, ref);
+      const MatchScore b = restored.ScoreRestrictedSample(view, ref);
+      EXPECT_TRUE(std::isfinite(a.confidence)) << attr << " -> "
+                                               << ref.ToString();
+      EXPECT_TRUE(BitEqual(a.score, b.score)) << attr << " -> "
+                                              << ref.ToString();
+      EXPECT_TRUE(BitEqual(a.confidence, b.confidence))
+          << attr << " -> " << ref.ToString() << ": fresh " << a.confidence
+          << ", restored " << b.confidence;
+      EXPECT_EQ(a.matchers_used, b.matchers_used);
+    }
+  }
+  const MatchList fresh_matches = fresh.AcceptedMatches(0.0);
+  const MatchList restored_matches = restored.AcceptedMatches(0.0);
+  ASSERT_EQ(fresh_matches.size(), restored_matches.size());
+  for (size_t i = 0; i < fresh_matches.size(); ++i) {
+    EXPECT_TRUE(BitEqual(fresh_matches[i].confidence,
+                         restored_matches[i].confidence));
+  }
 }
 
 TEST(SessionTest, BlendAblationChangesConfidences) {

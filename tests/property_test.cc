@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 
+#include "check/token_profile.h"
 #include "common/random.h"
 #include "datagen/wordlists.h"
 #include "ml/naive_bayes.h"
@@ -13,7 +14,6 @@
 #include "relational/sample.h"
 #include "relational/view.h"
 #include "stats/distributions.h"
-#include "text/profile.h"
 #include "text/string_distance.h"
 #include "text/tokenizer.h"
 #include "tests/test_util.h"
@@ -50,7 +50,7 @@ TEST_P(SeededPropertyTest, QGramCountFormulaHolds) {
 TEST_P(SeededPropertyTest, CosineBoundedAndReflexive) {
   Rng rng(GetParam() ^ 1);
   for (int i = 0; i < 30; ++i) {
-    TokenProfile a, b;
+    check::TokenProfile a, b;
     for (int t = 0; t < 20; ++t) {
       a.Add(RandomWord(rng, 6));
       b.Add(RandomWord(rng, 6));

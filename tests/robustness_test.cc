@@ -155,6 +155,49 @@ TEST_F(RobustnessTest, InjectedDeadlineDuringScoringKeepsScoredPrefix) {
   }
 }
 
+TEST_F(RobustnessTest, CancelDuringIndexBuildScoresNoCandidate) {
+  RetailDataset data = Data();
+  const MatchRequest request{.source = BorrowDatabase(data.source),
+                             .target = BorrowDatabase(data.target)};
+  for (size_t threads : {1, 4}) {
+    MatchEngine clean_engine(NaiveOptions(threads));
+    ContextMatchResult clean = clean_engine.Execute(request).result;
+    ASSERT_TRUE(clean.status.ok());
+
+    CancellationToken token;
+    FaultInjector::Arm({.site = "scoring.index",
+                        .index = 0,
+                        .action = FaultInjector::Action::kCancel,
+                        .token = &token,
+                        .reason = CancelReason::kDeadline});
+    // A zero-length sleep on every build counts the builds that started.
+    FaultInjector::Arm({.site = "scoring.index",
+                        .action = FaultInjector::Action::kSleep,
+                        .fire_limit = 0});
+    MatchEngine engine(NaiveOptions(threads));
+    ContextMatchResult r = engine.Execute(request, &token).result;
+    // Builds poll the token before they start: on one thread, the build
+    // that cancels is the last one (its two fires: cancel and count).
+    if (threads == 1) {
+      EXPECT_EQ(FaultInjector::FireCount("scoring.index"), 2u);
+    } else {
+      EXPECT_GE(FaultInjector::FireCount("scoring.index"), 2u);
+    }
+    FaultInjector::DisarmAll();
+
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << r.status;
+    EXPECT_NE(r.status.message().find("scoring"), std::string::npos)
+        << r.status;
+    // A deadline that lands while the token indexes are built stops the
+    // phase before its first chunk: the baseline and nothing else.
+    EXPECT_EQ(r.completeness, MatchCompleteness::kBaselineOnly);
+    EXPECT_TRUE(r.pool.candidate_views.empty());
+    EXPECT_TRUE(r.pool.view_matches.empty());
+    EXPECT_EQ(r.pool.base_matches.size(), clean.pool.base_matches.size());
+    EXPECT_GE(r.phases.counters.at("cancelled.scoring"), 1u);
+  }
+}
+
 TEST_F(RobustnessTest, CancelDuringInferenceDiscardsTheStage) {
   RetailDataset data = Data();
   const MatchRequest request{.source = BorrowDatabase(data.source),

@@ -6,14 +6,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "check/token_profile.h"
 #include "text/gram.h"
-#include "text/profile.h"
 #include "text/string_distance.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
 
 namespace csm {
 namespace {
+
+// The map-based profiles and TF-IDF are the fuzzers' reference
+// (check/token_profile.h); the ProfileTest cases pin its semantics.
+using check::ReferenceTfIdfCorpus;
+using check::TokenProfile;
 
 // ------------------------------------------------------------- Tokenizer
 
@@ -178,22 +183,36 @@ TEST(StringDistanceTest, JaroWinklerBounded) {
 
 // ----------------------------------------------------------------- TFIDF
 
+WordProfile WordsOf(const std::vector<std::string>& tokens) {
+  WordProfileBuilder builder;
+  for (const std::string& token : tokens) builder.Add(token);
+  return builder.Build();
+}
+
 TEST(TfIdfTest, IdfDiscountsCommonTokens) {
-  TfIdfCorpus corpus;
-  TokenProfile d1, d2, d3;
-  d1.AddAll({"the", "cat"});
-  d2.AddAll({"the", "dog"});
-  d3.AddAll({"the", "fox"});
-  corpus.AddDocument(d1);
-  corpus.AddDocument(d2);
-  corpus.AddDocument(d3);
+  const WordProfile d1 = WordsOf({"the", "cat"});
+  const WordProfile d2 = WordsOf({"the", "dog"});
+  const WordProfile d3 = WordsOf({"the", "fox"});
+  const TfIdfCorpus corpus({&d1, &d2, &d3});
   EXPECT_EQ(corpus.num_documents(), 3u);
   EXPECT_LT(corpus.Idf("the"), corpus.Idf("cat"));
   EXPECT_GT(corpus.Idf("never_seen"), corpus.Idf("cat"));
+
+  // The IDF table holds exactly the reference's per-lookup logarithms.
+  ReferenceTfIdfCorpus reference;
+  for (const auto& tokens : std::vector<std::vector<std::string>>{
+           {"the", "cat"}, {"the", "dog"}, {"the", "fox"}}) {
+    TokenProfile d;
+    d.AddAll(tokens);
+    reference.AddDocument(d);
+  }
+  for (const char* token : {"the", "cat", "dog", "fox", "never_seen"}) {
+    EXPECT_EQ(corpus.Idf(token), reference.Idf(token)) << token;
+  }
 }
 
 TEST(TfIdfTest, WeightScalesCounts) {
-  TfIdfCorpus corpus;
+  ReferenceTfIdfCorpus corpus;
   TokenProfile d;
   d.AddAll({"rare", "common", "common"});
   corpus.AddDocument(d);
@@ -206,22 +225,19 @@ TEST(TfIdfTest, WeightedCosinePrefersDistinctiveOverlap) {
   // Documents share "the"; only d1/d2 share "cat".  The weighted cosine of
   // (d1, d2) must exceed that of (d1, d3) by more than the raw cosine does,
   // because "the" is discounted.
-  TfIdfCorpus corpus;
-  TokenProfile d1, d2, d3, d4;
-  d1.AddAll({"the", "cat", "sat"});
-  d2.AddAll({"the", "cat", "ran"});
-  d3.AddAll({"the", "dog", "ran"});
-  d4.AddAll({"the", "owl", "hid"});
-  for (const auto* d : {&d1, &d2, &d3, &d4}) corpus.AddDocument(*d);
+  const WordProfile d1 = WordsOf({"the", "cat", "sat"});
+  const WordProfile d2 = WordsOf({"the", "cat", "ran"});
+  const WordProfile d3 = WordsOf({"the", "dog", "ran"});
+  const WordProfile d4 = WordsOf({"the", "owl", "hid"});
+  const TfIdfCorpus corpus({&d1, &d2, &d3, &d4});
   double w12 = corpus.WeightedCosine(d1, d2);
   double w14 = corpus.WeightedCosine(d1, d4);
   EXPECT_GT(w12, w14);
 }
 
 TEST(TfIdfTest, EmptyCorpusStillWorks) {
-  TfIdfCorpus corpus;
-  TokenProfile d;
-  d.AddAll({"a"});
+  const TfIdfCorpus corpus;
+  const WordProfile d = WordsOf({"a"});
   EXPECT_GT(corpus.Idf("a"), 0.0);
   EXPECT_NEAR(corpus.WeightedCosine(d, d), 1.0, 1e-12);
 }
