@@ -1,9 +1,11 @@
 // The million-row scale sweep (DESIGN.md "Streaming ingest & sampling"):
 // generates a scale retail inventory, writes it as CSV, then measures
 //
-//   1. ingest  — streaming (mmap + chunked parallel parse) wall-clock per
-//                thread count, with rows/sec and speedup-vs-1-thread (one
-//                thread parses one chunk);
+//   1. ingest  — streaming (mmap + chunked parallel parse) per thread
+//                count: wall-clock, process CPU seconds and CPU/wall (how
+//                many cores the run got), rows/sec, MB/s, speedup vs one
+//                thread (one thread parses one chunk), and the reader's
+//                split into load / chunk scan / chunk parse / merge;
 //   2. chunks  — chunk-size sensitivity at the best thread count (the
 //                autotuned size should sit near the sweep's minimum);
 //   3. training — TableMatchSession build time at full table size vs a
@@ -38,6 +40,36 @@ using namespace csm::bench;
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// One timed streaming read: wall and process CPU seconds, and the
+/// reader's own counters and layer split.
+struct IngestSample {
+  double seconds = 0.0;
+  double cpu_seconds = 0.0;
+  CsvIngestStats stats;
+};
+
+/// The read of `path` with the smallest wall-clock out of `reps` (min
+/// absorbs scheduling noise better than mean).  Each read includes freeing
+/// its table.  Aborts unless it yields `rows` rows.
+IngestSample BestIngest(size_t reps, const TableSchema& schema,
+                        const std::string& path,
+                        const CsvIngestOptions& options, size_t rows) {
+  IngestSample best;
+  for (size_t r = 0; r < reps; ++r) {
+    IngestSample sample;
+    const double cpu0 = ProcessCpuSeconds();
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+      auto loaded = ReadCsvFileStreaming(schema, path, options, &sample.stats);
+      if (!loaded.ok() || loaded.value().num_rows() != rows) std::abort();
+    }
+    sample.seconds = Seconds(t0);
+    sample.cpu_seconds = ProcessCpuSeconds() - cpu0;
+    if (r == 0 || sample.seconds < best.seconds) best = sample;
+  }
+  return best;
 }
 
 /// Best-of-N wall-clock of `fn` (min absorbs scheduling noise better than
@@ -113,40 +145,41 @@ int main(int argc, char** argv) {
 
   ResultTable ingest_table(
       "Scale: streaming CSV ingest",
-      {"threads", "seconds", "rows_per_sec", "per_thread", "vs_1thread"});
+      {"threads", "seconds", "cpu_s", "cpu/wall", "MB/s", "vs_1thread",
+       "scan_s", "parse_s", "merge_s"});
   struct IngestRow {
     size_t threads;
-    double seconds, rows_per_sec, speedup_vs_serial;
-    size_t chunks;
-    size_t chunk_bytes;
+    IngestSample sample;
+    double rows_per_sec, mb_per_sec, speedup_vs_serial;
+    double chunk_parse_seconds;  // parse_seconds less scan and merge
   };
   std::vector<IngestRow> ingest_rows;
   double one_thread_seconds = 0.0;
   for (size_t threads : thread_counts) {
     CsvIngestOptions ingest;
     ingest.threads = threads;
-    CsvIngestStats stats;
-    const double seconds = BestOf(reps, [&] {
-      stats = CsvIngestStats();
-      auto loaded =
-          ReadCsvFileStreaming(inventory.schema(), csv_path, ingest, &stats);
-      if (!loaded.ok() || loaded.value().num_rows() != rows) std::abort();
-    });
-    if (threads == 1) one_thread_seconds = seconds;
     IngestRow row;
     row.threads = threads;
-    row.seconds = seconds;
+    row.sample = BestIngest(reps, inventory.schema(), csv_path, ingest, rows);
+    const double seconds = row.sample.seconds;
+    const CsvIngestStats& stats = row.sample.stats;
+    if (threads == 1) one_thread_seconds = seconds;
     row.rows_per_sec = seconds > 0 ? static_cast<double>(rows) / seconds : 0;
+    row.mb_per_sec =
+        seconds > 0 ? static_cast<double>(file_bytes) / 1e6 / seconds : 0;
     row.speedup_vs_serial = seconds > 0 ? one_thread_seconds / seconds : 0;
-    row.chunks = stats.chunks;
-    row.chunk_bytes = stats.chunk_bytes;
+    row.chunk_parse_seconds =
+        stats.parse_seconds - stats.scan_seconds - stats.merge_seconds;
     ingest_rows.push_back(row);
     ingest_table.AddRow(
-        {std::to_string(threads), ResultTable::Num(row.seconds),
-         ResultTable::Num(row.rows_per_sec, 0),
-         ResultTable::Num(row.rows_per_sec /
-                              static_cast<double>(threads), 0),
-         ResultTable::Num(row.speedup_vs_serial, 2)});
+        {std::to_string(threads), ResultTable::Num(seconds),
+         ResultTable::Num(row.sample.cpu_seconds),
+         ResultTable::Num(row.sample.cpu_seconds / seconds, 2),
+         ResultTable::Num(row.mb_per_sec, 1),
+         ResultTable::Num(row.speedup_vs_serial, 2),
+         ResultTable::Num(stats.scan_seconds),
+         ResultTable::Num(row.chunk_parse_seconds),
+         ResultTable::Num(stats.merge_seconds)});
   }
   ingest_table.Print();
   std::printf("\n");
@@ -154,10 +187,10 @@ int main(int argc, char** argv) {
   // ---- 2. Chunk-size sweep ---------------------------------------------
   const size_t sweep_threads = std::min<size_t>(hardware, 4);
   ResultTable chunk_table("Scale: chunk-size sensitivity",
-                          {"chunk_bytes", "seconds", "chunks"});
+                          {"chunk_bytes", "seconds", "cpu_s", "chunks"});
   struct ChunkRow {
     size_t chunk_bytes;
-    double seconds;
+    double seconds, cpu_seconds;
     size_t chunks;
     bool autotuned;
   };
@@ -168,19 +201,16 @@ int main(int argc, char** argv) {
     CsvIngestOptions ingest;
     ingest.threads = sweep_threads;
     ingest.chunk_bytes = chunk_bytes;
-    CsvIngestStats stats;
-    const double seconds = BestOf(reps, [&] {
-      stats = CsvIngestStats();
-      auto loaded =
-          ReadCsvFileStreaming(inventory.schema(), csv_path, ingest, &stats);
-      if (!loaded.ok()) std::abort();
-    });
-    chunk_rows.push_back(
-        {stats.chunk_bytes, seconds, stats.chunks, chunk_bytes == 0});
-    chunk_table.AddRow({std::to_string(stats.chunk_bytes) +
+    const IngestSample sample =
+        BestIngest(reps, inventory.schema(), csv_path, ingest, rows);
+    chunk_rows.push_back({sample.stats.chunk_bytes, sample.seconds,
+                          sample.cpu_seconds, sample.stats.chunks,
+                          chunk_bytes == 0});
+    chunk_table.AddRow({std::to_string(sample.stats.chunk_bytes) +
                             (chunk_bytes == 0 ? " (auto)" : ""),
-                        ResultTable::Num(seconds),
-                        std::to_string(stats.chunks)});
+                        ResultTable::Num(sample.seconds),
+                        ResultTable::Num(sample.cpu_seconds),
+                        std::to_string(sample.stats.chunks)});
   }
   chunk_table.Print();
   std::printf("\n");
@@ -224,14 +254,21 @@ int main(int argc, char** argv) {
                rows, file_bytes, reps, hardware, gen_seconds);
   for (size_t i = 0; i < ingest_rows.size(); ++i) {
     const IngestRow& r = ingest_rows[i];
+    const CsvIngestStats& stats = r.sample.stats;
     std::fprintf(out,
                  "    {\"threads\": %zu, \"seconds\": %.4f,"
+                 " \"cpu_seconds\": %.4f, \"cpu_over_wall\": %.3f,"
                  " \"rows_per_sec\": %.0f, \"rows_per_sec_per_thread\": %.0f,"
-                 " \"chunks\": %zu, \"chunk_bytes\": %zu,"
-                 " \"speedup_vs_1thread\": %.3f}%s\n",
-                 r.threads, r.seconds, r.rows_per_sec,
-                 r.rows_per_sec / static_cast<double>(r.threads), r.chunks,
-                 r.chunk_bytes, r.speedup_vs_serial,
+                 " \"mb_per_sec\": %.1f, \"chunks\": %zu,"
+                 " \"chunk_bytes\": %zu, \"speedup_vs_1thread\": %.3f,\n"
+                 "     \"load_seconds\": %.4f, \"scan_seconds\": %.4f,"
+                 " \"chunk_parse_seconds\": %.4f, \"merge_seconds\": %.4f}%s\n",
+                 r.threads, r.sample.seconds, r.sample.cpu_seconds,
+                 r.sample.cpu_seconds / r.sample.seconds, r.rows_per_sec,
+                 r.rows_per_sec / static_cast<double>(r.threads),
+                 r.mb_per_sec, stats.chunks, stats.chunk_bytes,
+                 r.speedup_vs_serial, stats.load_seconds, stats.scan_seconds,
+                 r.chunk_parse_seconds, stats.merge_seconds,
                  i + 1 < ingest_rows.size() ? "," : "");
   }
   std::fprintf(out,
@@ -243,8 +280,9 @@ int main(int argc, char** argv) {
     const ChunkRow& r = chunk_rows[i];
     std::fprintf(out,
                  "    {\"chunk_bytes\": %zu, \"seconds\": %.4f,"
-                 " \"chunks\": %zu, \"autotuned\": %s}%s\n",
-                 r.chunk_bytes, r.seconds, r.chunks,
+                 " \"cpu_seconds\": %.4f, \"chunks\": %zu,"
+                 " \"autotuned\": %s}%s\n",
+                 r.chunk_bytes, r.seconds, r.cpu_seconds, r.chunks,
                  r.autotuned ? "true" : "false",
                  i + 1 < chunk_rows.size() ? "," : "");
   }

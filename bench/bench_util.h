@@ -9,6 +9,8 @@
 #ifndef CSM_BENCH_BENCH_UTIL_H_
 #define CSM_BENCH_BENCH_UTIL_H_
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -163,6 +165,19 @@ inline bool SpeedupRecordWriteAllowed(const std::string& json_path,
                json_path.c_str(), recorded, hardware,
                hardware == 1 ? "" : "s", recorded);
   return false;
+}
+
+/// User plus system CPU seconds this process has used so far, over all its
+/// threads.  Recorded beside wall time, CPU/wall shows how many cores a
+/// multi-thread run actually got on a shared host.
+inline double ProcessCpuSeconds() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 /// Grades runs use the calibrated tau/omega for attribute normalization —

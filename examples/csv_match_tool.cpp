@@ -7,6 +7,7 @@
 // Options:
 //   --tau=F          StandardMatch confidence threshold   (default 0.5)
 //   --omega=F        view improvement threshold           (default 0.1)
+//                    (both in [0, 1])
 //   --infer=KIND     naive | src | tgt                    (default src)
 //   --select=POLICY  qualtable | multitable               (default qualtable)
 //   --late           LateDisjuncts (default EarlyDisjuncts)
@@ -40,11 +41,13 @@
 // and matches it, so the tool is runnable out of the box.
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
 #include "core/match_engine.h"
 #include "datagen/retail_gen.h"
@@ -64,14 +67,40 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
-/// Parses a count flag's value: a non-negative decimal integer, digits
-/// only (atoll would turn "-1" into SIZE_MAX workers and "abc" into 0).
-/// Prints the rejection and returns false on anything else.
-bool ParseCountFlag(const char* name, const std::string& value, size_t* out) {
+/// True when `value` is a whole non-negative decimal integer that fits
+/// `*out`, digits only (atoll would turn "-1" into SIZE_MAX workers, "abc"
+/// into 0 and "5x" into 5).
+template <typename Unsigned>
+bool ParseDigits(const std::string& value, Unsigned* out) {
+  static_assert(std::is_unsigned_v<Unsigned>);
   const char* end = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
-  if (ec == std::errc() && ptr == end) return true;
+  return ec == std::errc() && ptr == end;
+}
+
+/// Parses a count flag's value by ParseDigits' rule.  Prints the rejection
+/// and returns false on anything else.
+template <typename Unsigned>
+bool ParseCountFlag(const char* name, const std::string& value,
+                    Unsigned* out) {
+  if (ParseDigits(value, out)) return true;
   std::fprintf(stderr, "--%s needs a non-negative integer, got '%s'\n", name,
+               value.c_str());
+  return false;
+}
+
+/// Parses a threshold flag's value: a whole decimal number in [0, 1], so
+/// not NaN or infinite (atof would read "abc" as 0).  Prints the rejection
+/// and returns false on anything else.
+bool ParseUnitFlag(const char* name, const std::string& value, double* out) {
+  const char* end = value.data() + value.size();
+  double parsed = 0.0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec == std::errc() && ptr == end && parsed >= 0.0 && parsed <= 1.0) {
+    *out = parsed;
+    return true;
+  }
+  std::fprintf(stderr, "--%s needs a number in [0, 1], got '%s'\n", name,
                value.c_str());
   return false;
 }
@@ -136,22 +165,24 @@ int main(int argc, char** argv) {
   for (const std::string& arg : args) {
     std::string value;
     if (ParseFlag(arg, "tau", &value)) {
-      options.tau = std::atof(value.c_str());
+      if (!ParseUnitFlag("tau", value, &options.tau)) return 2;
     } else if (ParseFlag(arg, "omega", &value)) {
-      options.omega = std::atof(value.c_str());
+      if (!ParseUnitFlag("omega", value, &options.omega)) return 2;
     } else if (ParseFlag(arg, "seed", &value)) {
-      options.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      if (!ParseCountFlag("seed", value, &options.seed)) return 2;
     } else if (ParseFlag(arg, "stages", &value)) {
       if (!ParseCountFlag("stages", value, &stages)) return 2;
     } else if (ParseFlag(arg, "threads", &value)) {
       if (!ParseCountFlag("threads", value, &options.threads)) return 2;
     } else if (ParseFlag(arg, "deadline-ms", &value)) {
-      options.deadline_ms = std::atoll(value.c_str());
-      if (options.deadline_ms <= 0) {
+      uint64_t deadline_ms = 0;
+      if (!ParseDigits(value, &deadline_ms) || deadline_ms == 0 ||
+          deadline_ms > static_cast<uint64_t>(INT64_MAX)) {
         std::fprintf(stderr, "--deadline-ms needs a positive integer, got '%s'\n",
                      value.c_str());
         return 2;
       }
+      options.deadline_ms = static_cast<int64_t>(deadline_ms);
     } else if (ParseFlag(arg, "infer", &value)) {
       if (value == "naive") options.inference = ViewInferenceKind::kNaive;
       else if (value == "src") options.inference = ViewInferenceKind::kSrcClass;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -14,6 +15,8 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "check/differential.h"
@@ -276,6 +279,458 @@ Status FuzzCsvChunkedParse(const FuzzOptions& options) {
     }
   }
   std::remove(path.c_str());
+  return Status::Ok();
+}
+
+namespace {
+
+/// One byte, or one multi-byte UTF-8 character, that never ends an
+/// unquoted CSV run: letters, digits, space, '.', '-', NUL, 0x1b-0x1f.
+std::string RandomPlainCsvChar(Rng& rng) {
+  static const char* const kUtf8[] = {"\xc3\xa9", "\xe2\x82\xac",
+                                      "\xf0\x9d\x84\x9e", "\xe6\x97\xa5"};
+  switch (rng.NextBounded(8)) {
+    case 0:
+      return std::string(1, static_cast<char>('a' + rng.NextBounded(26)));
+    case 1:
+      return std::string(1, static_cast<char>('A' + rng.NextBounded(26)));
+    case 2:
+    case 3:
+      return std::string(1, static_cast<char>('0' + rng.NextBounded(10)));
+    case 4:
+      return std::string(1, " .-"[rng.NextBounded(3)]);
+    case 5:
+      return std::string(1, rng.NextBounded(3) == 0
+                                ? '\0'
+                                : static_cast<char>(0x1b + rng.NextBounded(5)));
+    default:
+      return kUtf8[rng.NextBounded(4)];
+  }
+}
+
+/// Any character of the scan fuzzer's alphabet, structural bytes included.
+std::string RandomCsvChar(Rng& rng) {
+  if (rng.NextBounded(3) != 0) return RandomPlainCsvChar(rng);
+  return std::string(1, ",\"\r\n"[rng.NextBounded(4)]);
+}
+
+std::string RandomCsvRun(Rng& rng, size_t max_chars, bool plain) {
+  std::string out;
+  const size_t n = rng.NextBounded(max_chars + 1);
+  for (size_t k = 0; k < n; ++k) {
+    out += plain ? RandomPlainCsvChar(rng) : RandomCsvChar(rng);
+  }
+  return out;
+}
+
+/// Number-like text: optional blanks and sign, digits, and for a real a
+/// fraction or exponent.  `wild` allows ints past int64 and fractions or
+/// exponents in ints, which the typed parse rejects.
+std::string RandomCsvNumber(Rng& rng, bool integer, bool wild) {
+  std::string out(rng.NextBounded(3), ' ');
+  if (rng.NextBounded(3) == 0) out += '-';
+  const size_t digits =
+      1 + rng.NextBounded(wild && rng.NextBounded(4) == 0 ? 22 : 6);
+  for (size_t k = 0; k < digits; ++k) {
+    out += static_cast<char>('0' + rng.NextBounded(10));
+  }
+  if (!integer || (wild && rng.NextBounded(4) == 0)) {
+    if (rng.NextBounded(2) == 0) {
+      out += '.' + std::to_string(rng.NextBounded(1000));
+    }
+    if (rng.NextBounded(6) == 0) {
+      out += "e" + std::to_string(rng.NextBounded(40));
+    }
+  }
+  out.append(rng.NextBounded(2), ' ');
+  return out;
+}
+
+/// `content` quoted, embedded quotes doubled.
+std::string QuotedCsv(const std::string& content) {
+  std::string out = "\"";
+  for (char c : content) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  return out + "\"";
+}
+
+/// One field's raw text for a column of `type`: empty, plain and
+/// number-like runs, quoted fields holding , " CR LF (so "" escapes),
+/// quotes in mid-field and quoted fields long enough to regrow the
+/// scanner's scratch buffer.  Int and real columns get numbers, sometimes
+/// quoted.  `wild` adds arbitrary bytes that can split or merge records,
+/// quotes left open, and non-numbers in numeric columns.
+std::string RandomCsvFieldText(Rng& rng, ValueType type, bool wild) {
+  if ((type == ValueType::kInt || type == ValueType::kReal) &&
+      (!wild || rng.NextBounded(8) != 0)) {
+    const std::string number =
+        RandomCsvNumber(rng, type == ValueType::kInt, wild);
+    return rng.NextBounded(6) == 0 ? QuotedCsv(number) : number;
+  }
+  switch (rng.NextBounded(10)) {
+    case 0:
+      return "";
+    case 1:
+    case 2:
+      return RandomCsvRun(rng, 8, /*plain=*/true);
+    case 3:
+      return RandomCsvNumber(rng, rng.NextBounded(2) == 0, wild);
+    case 4:
+      return QuotedCsv(RandomCsvRun(rng, 10, /*plain=*/false));
+    case 5:
+      // Quotes in mid-field: each toggles quoted state.
+      return RandomCsvRun(rng, 4, true) + "\"" + RandomCsvRun(rng, 6, false) +
+             "\"" + RandomCsvRun(rng, 4, true);
+    case 6: {
+      std::string content;
+      const size_t n =
+          16 + rng.NextBounded(rng.NextBounded(2) == 0 ? 64 : 2048);
+      while (content.size() < n) content += RandomCsvChar(rng);
+      return QuotedCsv(content);
+    }
+    case 7:
+      if (wild) return RandomCsvRun(rng, 12, /*plain=*/false);
+      return RandomCsvRun(rng, 8, /*plain=*/true);
+    case 8:
+      if (wild && rng.NextBounded(4) == 0) {
+        return RandomCsvRun(rng, 3, true) + "\"" + RandomCsvRun(rng, 6, true);
+      }
+      return RandomCsvRun(rng, 8, /*plain=*/true);
+    default:
+      return QuotedCsv(RandomCsvRun(rng, 6, true)) + RandomCsvRun(rng, 3, true);
+  }
+}
+
+/// Random CSV text for `schema`: a header, then records whose fields come
+/// from RandomCsvFieldText, ended by random "\n", "\r\n" or "\r", with
+/// blank interior and trailing lines, and the last terminator sometimes
+/// missing.  A wild text may also get a wrong header or a record of the
+/// wrong arity.
+std::string RandomCsvText(const TableSchema& schema, Rng& rng) {
+  static const char* const kTerminators[] = {"\n", "\r\n", "\r"};
+  auto terminator = [&] { return kTerminators[rng.NextBounded(3)]; };
+  // A quarter of the texts are wild (RandomCsvFieldText); most of those
+  // fail, at a point both readers must agree on.
+  const bool wild = rng.NextBounded(4) == 0;
+  std::string out;
+  std::vector<std::string> names;
+  for (const AttributeDef& attr : schema.attributes()) {
+    names.push_back(attr.name);
+  }
+  if (wild && rng.NextBounded(3) == 0) {
+    switch (rng.NextBounded(3)) {
+      case 0:
+        names.pop_back();
+        break;
+      case 1:
+        names.push_back("extra");
+        break;
+      default:
+        names[rng.NextBounded(names.size())] += "x";
+        break;
+    }
+  }
+  for (size_t c = 0; c < names.size(); ++c) {
+    if (c > 0) out += ',';
+    out += ReferenceQuoteField(names[c]);
+  }
+  const size_t records = rng.NextBounded(24);
+  for (size_t r = 0; r < records; ++r) {
+    out += terminator();
+    if (rng.NextBounded(40) == 0) out += terminator();  // blank line
+    size_t fields = schema.num_attributes();
+    if (wild && rng.NextBounded(8) == 0) {
+      fields = rng.NextBounded(2) == 0 ? fields + 1 : fields - 1;
+    }
+    for (size_t c = 0; c < fields; ++c) {
+      if (c > 0) out += ',';
+      out += RandomCsvFieldText(
+          rng,
+          c < schema.num_attributes() ? schema.attribute(c).type
+                                      : ValueType::kString,
+          wild);
+    }
+  }
+  switch (rng.NextBounded(4)) {
+    case 0:
+      break;  // no final terminator
+    case 1:
+      out += terminator();
+      out += terminator();  // trailing blank line
+      break;
+    default:
+      out += terminator();
+      break;
+  }
+  return out;
+}
+
+/// A random mixed-type schema of 1-5 attributes, every name unique and some
+/// holding bytes the header must quote.
+TableSchema RandomCsvSchema(Rng& rng) {
+  static const char* const kPrefixes[] = {"", "", "q\"", "a,b", "l\r\n",
+                                          " sp", "\xc3\xa9"};
+  static const ValueType kTypes[] = {ValueType::kString, ValueType::kString,
+                                     ValueType::kInt,    ValueType::kInt,
+                                     ValueType::kReal,   ValueType::kReal,
+                                     ValueType::kNull};
+  TableSchema schema("scan");
+  const size_t arity = 1 + rng.NextBounded(5);
+  for (size_t c = 0; c < arity; ++c) {
+    const std::string name =
+        kPrefixes[rng.NextBounded(std::size(kPrefixes))] + std::to_string(c);
+    schema.AddAttribute(name, kTypes[rng.NextBounded(std::size(kTypes))]);
+  }
+  return schema;
+}
+
+/// The first difference between two parsed tables, bit for bit: schema,
+/// row count, null masks, int values, real bit patterns, string codes and
+/// dictionary entries.  Also checks `actual`'s stored string hashes.
+/// Empty when they agree.
+std::string DiffTableBits(const Table& expected, const Table& actual) {
+  if (expected.schema().ToString() != actual.schema().ToString()) {
+    return "schema " + actual.schema().ToString() + ", expected " +
+           expected.schema().ToString();
+  }
+  if (expected.num_rows() != actual.num_rows()) {
+    return std::to_string(actual.num_rows()) + " rows, expected " +
+           std::to_string(expected.num_rows());
+  }
+  for (size_t c = 0; c < expected.schema().num_attributes(); ++c) {
+    const Column& e = expected.column(c);
+    const Column& a = actual.column(c);
+    const std::string where = " of column " + std::to_string(c);
+    if (e.null_mask() != a.null_mask()) return "null mask" + where;
+    if (e.ints() != a.ints()) return "int cells" + where;
+    if (e.reals().size() != a.reals().size() ||
+        (!e.reals().empty() &&
+         std::memcmp(e.reals().data(), a.reals().data(),
+                     e.reals().size() * sizeof(double)) != 0)) {
+      return "real bits" + where;
+    }
+    if (e.type() != ValueType::kString) continue;
+    if (e.codes() != a.codes()) return "dictionary codes" + where;
+    if (e.dictionary().values() != a.dictionary().values()) {
+      return "dictionary entries" + where;
+    }
+    const StringDictionary& dict = a.dictionary();
+    for (uint32_t code = 0; code < dict.size(); ++code) {
+      if (dict.hash(code) != std::hash<std::string_view>{}(dict.value(code))) {
+        return "stored hash of code " + std::to_string(code) + where;
+      }
+    }
+  }
+  return "";
+}
+
+/// Same status (code and message) and, when both parse, the same table
+/// bit for bit.
+Status CompareScan(const StatusOr<Table>& expected,
+                   const StatusOr<Table>& actual, const std::string& what) {
+  if (expected.ok() != actual.ok() ||
+      (!expected.ok() &&
+       (expected.status().code() != actual.status().code() ||
+        expected.status().message() != actual.status().message()))) {
+    return Status::Internal(what + ": status " + actual.status().ToString() +
+                            ", reference " + expected.status().ToString());
+  }
+  if (!expected.ok()) return Status::Ok();
+  const std::string diff = DiffTableBits(*expected, *actual);
+  if (!diff.empty()) return Status::Internal(what + ": " + diff);
+  return Status::Ok();
+}
+
+/// The model StringDictionary is checked against.
+struct DictionaryModel {
+  std::unordered_map<std::string, uint32_t> index;
+  std::vector<std::string> values;
+
+  uint32_t GetOrAdd(const std::string& s) {
+    const auto [it, added] =
+        index.emplace(s, static_cast<uint32_t>(values.size()));
+    if (added) values.push_back(s);
+    return it->second;
+  }
+};
+
+/// The first difference between `dict` and `model`, or empty.
+std::string DiffDictionary(const StringDictionary& dict,
+                           const DictionaryModel& model) {
+  if (dict.size() != model.values.size()) {
+    return "size " + std::to_string(dict.size()) + ", expected " +
+           std::to_string(model.values.size());
+  }
+  if (dict.values() != model.values) return "values() diverged";
+  for (uint32_t code = 0; code < dict.size(); ++code) {
+    if (dict.Find(model.values[code]) != std::optional<uint32_t>(code)) {
+      return "Find lost code " + std::to_string(code);
+    }
+    if (dict.hash(code) !=
+        std::hash<std::string_view>{}(model.values[code])) {
+      return "stored hash of code " + std::to_string(code);
+    }
+  }
+  return "";
+}
+
+/// Random GetOrAdd / GetOrAddFrom / Find / Reserve / copy sequences on a
+/// StringDictionary against the model, over strings that are empty, hold
+/// NUL bytes, exceed the small-string buffer and share long prefixes.  The
+/// whole dictionary is diffed each time its index has just grown.
+std::string CheckDictionaryAgainstModel(Rng& rng) {
+  std::vector<std::string> pool = {"", std::string(1, '\0'),
+                                   std::string("a\0b", 3)};
+  const size_t distinct = 4 + rng.NextBounded(rng.NextBounded(2) == 0 ? 40 : 700);
+  while (pool.size() < distinct) {
+    const std::string id = std::to_string(pool.size());
+    switch (rng.NextBounded(4)) {
+      case 0:
+        pool.push_back("shared-prefix-longer-than-sso-" + id);
+        break;
+      case 1:
+        pool.push_back(std::string(1 + rng.NextBounded(3), '\0') + id);
+        break;
+      case 2:
+        pool.push_back(RandomCsvRun(rng, 24, /*plain=*/false));
+        break;
+      default:
+        pool.push_back("k" + id);
+        break;
+    }
+  }
+  // A second dictionary to insert from, in its own first-seen order.
+  StringDictionary other;
+  for (size_t k = 0; k < pool.size(); ++k) {
+    other.GetOrAdd(pool[rng.NextBounded(pool.size())]);
+  }
+
+  StringDictionary dict;
+  DictionaryModel model;
+  auto expect = [](const std::string& op, std::optional<uint32_t> got,
+                   std::optional<uint32_t> want) -> std::string {
+    if (got == want) return "";
+    auto show = [](std::optional<uint32_t> v) {
+      return v.has_value() ? std::to_string(*v) : std::string("nullopt");
+    };
+    return op + " returned " + show(got) + ", expected " + show(want);
+  };
+  const size_t ops = 2 * pool.size() + rng.NextBounded(200);
+  for (size_t op = 0; op < ops; ++op) {
+    const std::string& s = pool[rng.NextBounded(pool.size())];
+    const size_t before = dict.size();
+    std::string diff;
+    switch (rng.NextBounded(16)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+      case 4:
+      case 5:
+        diff = expect("GetOrAdd", dict.GetOrAdd(s), model.GetOrAdd(s));
+        break;
+      case 6:
+      case 7:
+      case 8: {
+        const auto it = model.index.find(s);
+        diff = expect("Find", dict.Find(s),
+                      it == model.index.end()
+                          ? std::nullopt
+                          : std::optional<uint32_t>(it->second));
+        break;
+      }
+      case 9:
+      case 10:
+      case 11: {
+        const uint32_t code =
+            static_cast<uint32_t>(rng.NextBounded(other.size()));
+        diff = expect("GetOrAddFrom", dict.GetOrAddFrom(other, code),
+                      model.GetOrAdd(other.value(code)));
+        break;
+      }
+      case 12:
+      case 13:
+        dict.Reserve(rng.NextBounded(rng.NextBounded(2) == 0 ? 4 : 300));
+        break;
+      case 14: {
+        // A copy grows on its own; the original must not move.
+        StringDictionary copy = dict;
+        DictionaryModel copy_model = model;
+        for (size_t k = rng.NextBounded(40); k > 0 && diff.empty(); --k) {
+          const std::string& t = pool[rng.NextBounded(pool.size())];
+          diff = expect("GetOrAdd on a copy", copy.GetOrAdd(t),
+                        copy_model.GetOrAdd(t));
+        }
+        if (diff.empty()) {
+          diff = DiffDictionary(copy, copy_model);
+          if (!diff.empty()) diff = "its copy: " + diff;
+        }
+        if (diff.empty()) diff = DiffDictionary(dict, model);
+        break;
+      }
+      default:
+        diff = expect("Find of an absent string",
+                      dict.Find(s + std::string(1, '\0') + "absent"),
+                      std::nullopt);
+        break;
+    }
+    // Growth happens when an insert passes a power of two; diff right
+    // after it.
+    const size_t after = dict.size();
+    if (diff.empty() && after != before && after >= 2 &&
+        ((after - 1) & (after - 2)) == 0) {
+      diff = DiffDictionary(dict, model);
+    }
+    if (!diff.empty()) {
+      return "StringDictionary op " + std::to_string(op) + " (size " +
+             std::to_string(dict.size()) + "): " + diff;
+    }
+  }
+  return DiffDictionary(dict, model);
+}
+
+}  // namespace
+
+Status FuzzCsvScanEquivalence(const FuzzOptions& options) {
+  const std::vector<size_t> thread_counts =
+      options.thread_counts.empty() ? std::vector<size_t>{1}
+                                    : options.thread_counts;
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    const TableSchema typed = RandomCsvSchema(rng);
+    TableSchema strings(typed.name());
+    for (const AttributeDef& attr : typed.attributes()) {
+      strings.AddAttribute(attr.name, ValueType::kString);
+    }
+    const std::string csv = RandomCsvText(typed, rng);
+    const size_t chunk_sizes[] = {1 + rng.NextBounded(csv.size() + 1),
+                                  1 + rng.NextBounded(64)};
+    const TableSchema* const schemas[] = {&strings, &typed};
+    for (const TableSchema* schema : schemas) {
+      const StatusOr<Table> reference = ReferenceTableFromCsv(*schema, csv);
+      CSM_RETURN_IF_ERROR(Replay(
+          options, i,
+          CompareScan(reference, TableFromCsvParallel(*schema, csv, kOneChunk),
+                      "one-chunk parse of " + schema->ToString())));
+      for (size_t chunk_bytes : chunk_sizes) {
+        for (size_t threads : thread_counts) {
+          const CsvIngestOptions ingest{.threads = threads,
+                                        .chunk_bytes = chunk_bytes};
+          CSM_RETURN_IF_ERROR(Replay(
+              options, i,
+              CompareScan(reference,
+                          TableFromCsvParallel(*schema, csv, ingest),
+                          "parse of " + schema->ToString() + " (chunk_bytes=" +
+                              std::to_string(chunk_bytes) + ", threads=" +
+                              std::to_string(threads) + ")")));
+        }
+      }
+    }
+    const std::string diff = CheckDictionaryAgainstModel(rng);
+    if (!diff.empty()) return Replay(options, i, Status::Internal(diff));
+  }
   return Status::Ok();
 }
 

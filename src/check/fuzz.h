@@ -24,6 +24,19 @@
 //                            bit-identical tables (inferred schema
 //                            included) *and* dictionary code assignment
 //                            against the one-chunk parse / read
+//   * FuzzCsvScanEquivalence  random CSV text, not only writer output
+//                            (quotes in mid-field, "" escapes, open quotes,
+//                            CR-only and CRLF records, blank lines, long
+//                            quoted fields, NUL, 0x1b-0x1f and UTF-8),
+//                            through TableFromCsvParallel as one chunk and
+//                            at random chunk sizes x thread counts under an
+//                            all-string and a mixed typed schema, against
+//                            the std::string-field reference reader
+//                            (check/reference.h): same status and message,
+//                            cells bit for bit, same dictionary codes;
+//                            plus random GetOrAdd / GetOrAddFrom / Find /
+//                            Reserve / copy sequences on StringDictionary
+//                            against an unordered_map + vector model
 //   * FuzzConditionEvaluation random conditions: View::Materialize and
 //                            View::MatchingRows against per-row
 //                            Condition::Evaluate ground truth
@@ -93,6 +106,7 @@ struct FuzzOptions {
 
 Status FuzzCsvRoundTrip(const FuzzOptions& options);
 Status FuzzCsvChunkedParse(const FuzzOptions& options);
+Status FuzzCsvScanEquivalence(const FuzzOptions& options);
 Status FuzzConditionEvaluation(const FuzzOptions& options);
 Status FuzzPipeline(const FuzzOptions& options);
 Status FuzzDifferential(const FuzzOptions& options);

@@ -281,6 +281,111 @@ StatusOr<Database> ReferenceExecuteMappings(
   return out;
 }
 
+namespace {
+
+/// Splits one logical CSV record starting at `pos` into `fields`, reusing
+/// their storage from the previous record; advances `pos` past the record's
+/// trailing newline.  Handles quoted fields with embedded commas, quotes,
+/// and newlines.  A blank line at the very end of `text` yields no fields:
+/// it is the file's trailing newline, not a record.
+Status ParseRecord(std::string_view text, size_t& pos,
+                   std::vector<std::string>* fields) {
+  size_t count = 0;
+  auto next_field = [&]() -> std::string* {
+    if (count == fields->size()) fields->emplace_back();
+    std::string* field = &(*fields)[count++];
+    field->clear();
+    return field;
+  };
+  std::string* current = next_field();
+  bool in_quotes = false;
+  bool saw_any = false;
+  while (pos < text.size()) {
+    char c = text[pos];
+    if (in_quotes) {
+      if (c == '"') {
+        if (pos + 1 < text.size() && text[pos + 1] == '"') {
+          *current += '"';
+          ++pos;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        *current += c;
+      }
+      ++pos;
+      saw_any = true;
+      continue;
+    }
+    if (c == '"') {
+      in_quotes = true;
+      ++pos;
+      saw_any = true;
+      continue;
+    }
+    if (c == ',') {
+      current = next_field();
+      ++pos;
+      saw_any = true;
+      continue;
+    }
+    if (c == '\r') {
+      // Record terminator: "\r\n" (DOS) or a bare "\r" (classic Mac).
+      ++pos;
+      if (pos < text.size() && text[pos] == '\n') ++pos;
+      break;
+    }
+    if (c == '\n') {
+      ++pos;
+      break;
+    }
+    *current += c;
+    ++pos;
+    saw_any = true;
+  }
+  if (in_quotes) {
+    return Status::InvalidArgument("unterminated quoted CSV field");
+  }
+  fields->resize(!saw_any && pos >= text.size() ? 0 : count);
+  return Status::Ok();
+}
+
+}  // namespace
+
+StatusOr<Table> ReferenceTableFromCsv(const TableSchema& schema,
+                                      std::string_view csv) {
+  size_t pos = 0;
+  std::vector<std::string> fields;
+  CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &fields));
+  if (fields.size() != schema.num_attributes()) {
+    return Status::InvalidArgument("CSV header arity mismatch for table '" +
+                                   schema.name() + "'");
+  }
+  for (size_t c = 0; c < fields.size(); ++c) {
+    if (fields[c] != schema.attribute(c).name) {
+      return Status::InvalidArgument("CSV header mismatch: expected '" +
+                                     schema.attribute(c).name + "', got '" +
+                                     fields[c] + "'");
+    }
+  }
+  Table out(schema);
+  while (pos < csv.size()) {
+    CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &fields));
+    if (fields.empty()) continue;  // blank trailing line
+    if (fields.size() != schema.num_attributes()) {
+      return Status::InvalidArgument("CSV record arity mismatch in table '" +
+                                     schema.name() + "'");
+    }
+    Row row;
+    for (size_t c = 0; c < fields.size(); ++c) {
+      CSM_ASSIGN_OR_RETURN(Value v,
+                           Value::Parse(fields[c], schema.attribute(c).type));
+      row.push_back(std::move(v));
+    }
+    out.AddRow(std::move(row));
+  }
+  return out;
+}
 
 std::string ReferenceQuoteField(const std::string& field) {
   if (field.find_first_of(",\"\n\r") == std::string::npos) return field;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <functional>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,26 +10,81 @@
 
 namespace csm {
 
+namespace {
+
+/// Smallest non-empty index; a dictionary that never sees a string
+/// allocates none.
+constexpr size_t kMinSlots = 16;
+
+uint64_t HashString(std::string_view s) {
+  // Equal to std::hash<std::string> of the same bytes, which is what lets
+  // Column::CellHash read the stored hash.
+  return std::hash<std::string_view>{}(s);
+}
+
+}  // namespace
+
 uint32_t StringDictionary::GetOrAdd(std::string_view s) {
-  auto it = index_.find(s);
-  if (it != index_.end()) return it->second;
+  return Insert(s, HashString(s));
+}
+
+uint32_t StringDictionary::GetOrAddFrom(const StringDictionary& other,
+                                        uint32_t code) {
+  return Insert(other.value(code), other.hashes_[code]);
+}
+
+size_t StringDictionary::Probe(std::string_view s, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  size_t i = hash & mask;
+  while (slots_[i].code != kNullCode &&
+         (slots_[i].tag != tag || values_[slots_[i].code] != s)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+uint32_t StringDictionary::Insert(std::string_view s, uint64_t hash) {
+  if (slots_.empty()) Rehash(kMinSlots);
+  const size_t i = Probe(s, hash);
+  if (slots_[i].code != kNullCode) return slots_[i].code;
   CSM_CHECK_LT(values_.size(), static_cast<size_t>(kNullCode))
       << "string dictionary full";
-  uint32_t code = static_cast<uint32_t>(values_.size());
+  const uint32_t code = static_cast<uint32_t>(values_.size());
   values_.emplace_back(s);
-  index_.emplace(values_.back(), code);
+  hashes_.push_back(hash);
+  if (2 * values_.size() > slots_.size()) {
+    Rehash(2 * slots_.size());
+  } else {
+    slots_[i] = {static_cast<uint32_t>(hash >> 32), code};
+  }
   return code;
 }
 
+void StringDictionary::Rehash(size_t capacity) {
+  slots_.assign(capacity, Slot{});
+  const size_t mask = capacity - 1;
+  for (uint32_t code = 0; code < hashes_.size(); ++code) {
+    size_t i = hashes_[code] & mask;
+    while (slots_[i].code != kNullCode) i = (i + 1) & mask;
+    slots_[i] = {static_cast<uint32_t>(hashes_[code] >> 32), code};
+  }
+}
+
 std::optional<uint32_t> StringDictionary::Find(std::string_view s) const {
-  auto it = index_.find(s);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  if (slots_.empty()) return std::nullopt;
+  const size_t i = Probe(s, HashString(s));
+  if (slots_[i].code == kNullCode) return std::nullopt;
+  return slots_[i].code;
 }
 
 void StringDictionary::Reserve(size_t n) {
-  values_.reserve(values_.size() + n);
-  index_.reserve(index_.size() + n);
+  const size_t want = values_.size() + n;
+  values_.reserve(want);
+  hashes_.reserve(want);
+  size_t capacity = std::max(kMinSlots, slots_.size());
+  while (capacity < 2 * want) capacity *= 2;
+  if (capacity != slots_.size()) Rehash(capacity);
 }
 
 const std::string& StringDictionary::value(uint32_t code) const {
@@ -142,9 +198,8 @@ uint64_t Column::CellHash(size_t i) const {
     case ValueType::kReal:
       return nulls_[i] ? kNullHash : std::hash<double>{}(reals_[i]) * 3 + 2;
     case ValueType::kString:
-      return codes_[i] == kNullCode
-                 ? kNullHash
-                 : std::hash<std::string>{}(dict_->value(codes_[i])) * 3;
+      return codes_[i] == kNullCode ? kNullHash
+                                    : dict_->hash(codes_[i]) * 3;
   }
   return 0;
 }
@@ -346,6 +401,7 @@ void Column::AppendFrom(const Column& other) {
       // Lazy per-row remap: other's values enter this dictionary in the
       // order other's *rows* first reference them, which is exactly the
       // order a serial parse of the concatenated rows would have assigned.
+      // Each enters with other's stored hash, so no string is hashed twice.
       // kNullCode doubles as the "not yet remapped" sentinel because no
       // real code can equal it (GetOrAdd CHECKs the dictionary below it).
       std::vector<uint32_t> remap(other.dict_->size(), kNullCode);
@@ -355,7 +411,7 @@ void Column::AppendFrom(const Column& other) {
           continue;
         }
         if (remap[code] == kNullCode) {
-          remap[code] = dict_->GetOrAdd(other.dict_->value(code));
+          remap[code] = dict_->GetOrAddFrom(*other.dict_, code);
         }
         codes_.push_back(remap[code]);
       }

@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,10 +43,19 @@ inline constexpr RowId kNullRow = 0xffffffffu;
 /// An append-only string dictionary: code -> string and string -> code.
 /// Codes are assigned in first-seen order, so the encoding of a table is a
 /// deterministic function of its content (thread-count independent).
+///
+/// The strings live once, in values(); the string -> code index is an
+/// open-addressing table of (hash tag, code) slots over them, with linear
+/// probing at a load of at most 1/2.  Each code keeps its string's 64-bit
+/// hash, so growing the index and inserting another dictionary's entries
+/// (GetOrAddFrom) hash no string bytes.
 class StringDictionary {
  public:
   /// Returns the code of `s`, adding it if absent.
   uint32_t GetOrAdd(std::string_view s);
+
+  /// GetOrAdd(other.value(code)) that reuses `other`'s stored hash.
+  uint32_t GetOrAddFrom(const StringDictionary& other, uint32_t code);
 
   /// The code of `s`, or nullopt when the dictionary does not contain it
   /// (the cheap "this literal cannot match any cell" test).
@@ -56,7 +64,10 @@ class StringDictionary {
   const std::string& value(uint32_t code) const;
   size_t size() const { return values_.size(); }
 
-  /// Makes room for `n` more strings without rehashing.
+  /// std::hash<std::string_view> of value(code), stored at insertion.
+  uint64_t hash(uint32_t code) const { return hashes_[code]; }
+
+  /// Makes room for `n` more strings without regrowing the index.
   void Reserve(size_t n);
 
   /// Direct code -> string storage for bulk scan loops.  Codes read out of
@@ -65,21 +76,24 @@ class StringDictionary {
   const std::vector<std::string>& values() const { return values_; }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct Eq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
+  /// One index slot: the high 32 bits of the string's hash (compared before
+  /// any string bytes) and its code; kNullCode marks an empty slot.
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t code = kNullCode;
   };
 
+  /// The slot holding `s` (whose hash is `hash`), or the empty slot that
+  /// ends its probe sequence.  Requires a non-empty index.
+  size_t Probe(std::string_view s, uint64_t hash) const;
+  uint32_t Insert(std::string_view s, uint64_t hash);
+  /// Rebuilds the index with `capacity` slots (a power of two) from the
+  /// stored hashes.
+  void Rehash(size_t capacity);
+
   std::vector<std::string> values_;
-  std::unordered_map<std::string, uint32_t, Hash, Eq> index_;
+  std::vector<uint64_t> hashes_;  // parallel to values_
+  std::vector<Slot> slots_;       // empty, or a power of two >= 2 * size()
 };
 
 /// One attribute's segment: typed storage plus null handling.

@@ -1,7 +1,9 @@
 #include "relational/csv.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <memory>
 
@@ -85,77 +87,142 @@ void RenderCsv(const Table& instance, std::string* out, AfterRow after_row) {
 /// WriteCsvFile hands the file blocks of about this many bytes.
 constexpr size_t kCsvWriteBlockBytes = 1 << 20;
 
-/// Splits one logical CSV record starting at `pos` into `fields`, reusing
-/// their storage from the previous record; advances `pos` past the record's
-/// trailing newline.  Handles quoted fields with embedded commas, quotes,
-/// and newlines.  A blank line at the very end of `text` yields no fields:
-/// it is the file's trailing newline, not a record.
-Status ParseRecord(std::string_view text, size_t& pos,
-                   std::vector<std::string>* fields) {
-  size_t count = 0;
-  auto next_field = [&]() -> std::string* {
-    if (count == fields->size()) fields->emplace_back();
-    std::string* field = &(*fields)[count++];
-    field->clear();
-    return field;
+/// One record's fields, and the storage ParseRecord reuses from record to
+/// record within a chunk.
+struct CsvRecord {
+  /// Views into the CSV text, or into `scratch` for a field that holds a
+  /// quote.  Valid until the next ParseRecord call on this record.
+  std::vector<std::string_view> fields;
+  /// The unescaped bytes of the record's quote-holding fields.
+  std::string scratch;
+  /// Where each quote-holding field sits in `scratch`.  Its view is built
+  /// only once the record ends: `scratch` may reallocate mid-record.
+  struct Unescaped {
+    size_t field = 0;
+    size_t offset = 0;
+    size_t size = 0;
   };
-  std::string* current = next_field();
-  bool in_quotes = false;
-  bool saw_any = false;
-  while (pos < text.size()) {
-    char c = text[pos];
-    if (in_quotes) {
-      if (c == '"') {
-        if (pos + 1 < text.size() && text[pos + 1] == '"') {
-          *current += '"';
-          ++pos;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        *current += c;
-      }
-      ++pos;
-      saw_any = true;
-      continue;
+  std::vector<Unescaped> unescaped;
+};
+
+/// The first byte at or after `pos` that ends an unquoted run (one of
+/// , " \r \n), or `size`.
+size_t EndOfUnquotedRun(const char* data, size_t pos, size_t size) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // Eight bytes at a time.  A byte of word ^ (c * kOnes) is zero exactly
+    // where word holds c, and (v - kOnes) & ~v & kHighs sets the high bit
+    // of v's lowest zero byte (a borrow may also flag higher bytes), so the
+    // lowest flagged byte is the first stop.
+    constexpr uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr uint64_t kHighs = 0x8080808080808080ULL;
+    auto zero_bytes = [](uint64_t v) { return (v - kOnes) & ~v & kHighs; };
+    while (pos + sizeof(uint64_t) <= size) {
+      uint64_t word;
+      std::memcpy(&word, data + pos, sizeof(word));
+      const uint64_t stops =
+          zero_bytes(word ^ (kOnes * ',')) | zero_bytes(word ^ (kOnes * '"')) |
+          zero_bytes(word ^ (kOnes * '\r')) | zero_bytes(word ^ (kOnes * '\n'));
+      if (stops != 0) return pos + std::countr_zero(stops) / 8;
+      pos += sizeof(uint64_t);
     }
-    if (c == '"') {
-      in_quotes = true;
-      ++pos;
-      saw_any = true;
-      continue;
-    }
-    if (c == ',') {
-      current = next_field();
-      ++pos;
-      saw_any = true;
-      continue;
-    }
-    if (c == '\r') {
-      // Record terminator: "\r\n" (DOS) or a bare "\r" (classic Mac).
-      // Skipping the "\r" instead would both collapse a CR-only file into a
-      // single record and silently drop an unquoted embedded "\r".
-      ++pos;
-      if (pos < text.size() && text[pos] == '\n') ++pos;
-      break;
-    }
-    if (c == '\n') {
-      ++pos;
-      break;
-    }
-    *current += c;
+  }
+  // The tail, byte by byte.  Bit b of kStops is set for b in
+  // {'\n', '\r', '"', ','}: every byte above ',' costs one compare.
+  constexpr uint64_t kStops = (uint64_t{1} << '\n') | (uint64_t{1} << '\r') |
+                              (uint64_t{1} << '"') | (uint64_t{1} << ',');
+  while (pos < size) {
+    const unsigned char c = static_cast<unsigned char>(data[pos]);
+    if (c <= ',' && ((kStops >> c) & 1) != 0) break;
     ++pos;
-    saw_any = true;
+  }
+  return pos;
+}
+
+/// Unescapes the field that starts at `begin` and whose first quote is at
+/// `pos` into record->scratch, advancing `pos` to the byte that ends the
+/// field.  A quote toggles quoted state anywhere in a field, "" inside
+/// quotes is one literal quote, and quoted CR, LF and commas are data.
+Status UnescapeField(std::string_view text, size_t begin, size_t& pos,
+                     CsvRecord* record) {
+  const char* const data = text.data();
+  const size_t size = text.size();
+  std::string& out = record->scratch;
+  const size_t offset = out.size();
+  out.append(data + begin, pos - begin);
+  bool in_quotes = false;
+  while (pos < size) {
+    const char c = data[pos];
+    if (c == '"') {
+      if (in_quotes && pos + 1 < size && data[pos + 1] == '"') {
+        out.push_back('"');
+        pos += 2;
+      } else {
+        in_quotes = !in_quotes;
+        ++pos;
+      }
+      continue;
+    }
+    size_t end;
+    if (in_quotes) {
+      const void* quote = std::memchr(data + pos, '"', size - pos);
+      end = quote == nullptr ? size : static_cast<const char*>(quote) - data;
+    } else {
+      if (c == ',' || c == '\r' || c == '\n') break;
+      end = EndOfUnquotedRun(data, pos, size);
+    }
+    out.append(data + pos, end - pos);
+    pos = end;
   }
   if (in_quotes) {
     return Status::InvalidArgument("unterminated quoted CSV field");
   }
-  fields->resize(!saw_any && pos >= text.size() ? 0 : count);
+  record->unescaped.push_back(
+      {record->fields.size(), offset, out.size() - offset});
+  record->fields.emplace_back();
+  return Status::Ok();
+}
+
+/// Splits one logical CSV record starting at `pos` into record->fields and
+/// advances `pos` past the record's terminator.  An unquoted field is a
+/// view into `text`; only a field holding a quote is copied, unescaped,
+/// into record->scratch.  A blank line at the very end of `text` yields no
+/// fields: it is the file's trailing newline, not a record.
+Status ParseRecord(std::string_view text, size_t& pos, CsvRecord* record) {
+  record->fields.clear();
+  record->scratch.clear();
+  record->unescaped.clear();
+  const char* const data = text.data();
+  const size_t size = text.size();
+  const size_t start = pos;
+  for (;;) {
+    const size_t begin = pos;
+    pos = EndOfUnquotedRun(data, pos, size);
+    if (pos < size && data[pos] == '"') {
+      CSM_RETURN_IF_ERROR(UnescapeField(text, begin, pos, record));
+    } else {
+      record->fields.emplace_back(data + begin, pos - begin);
+    }
+    if (pos == size || data[pos] != ',') break;
+    ++pos;
+  }
+  const bool blank = pos == start;
+  if (pos < size) {
+    // Record terminator: "\r\n" (DOS), "\n", or a bare "\r" (classic
+    // Mac).  Skipping a bare "\r" instead would both collapse a CR-only
+    // file into a single record and silently drop an unquoted embedded
+    // "\r".
+    if (data[pos++] == '\r' && pos < size && data[pos] == '\n') ++pos;
+  }
+  const std::string_view scratch = record->scratch;
+  for (const CsvRecord::Unescaped& u : record->unescaped) {
+    record->fields[u.field] = scratch.substr(u.offset, u.size);
+  }
+  if (blank && pos >= size) record->fields.clear();
   return Status::Ok();
 }
 
 Status ValidateCsvHeader(const TableSchema& schema,
-                         const std::vector<std::string>& header) {
+                         const std::vector<std::string_view>& header) {
   if (header.size() != schema.num_attributes()) {
     return Status::InvalidArgument("CSV header arity mismatch for table '" +
                                    schema.name() + "'");
@@ -164,30 +231,31 @@ Status ValidateCsvHeader(const TableSchema& schema,
     if (header[c] != schema.attribute(c).name) {
       return Status::InvalidArgument("CSV header mismatch: expected '" +
                                      schema.attribute(c).name + "', got '" +
-                                     header[c] + "'");
+                                     std::string(header[c]) + "'");
     }
   }
   return Status::Ok();
 }
 
 /// The one record loop: parses each record of `csv` in [span.begin,
-/// span.end) and hands its `arity` fields to `visit`.  ParseRecord sees the
+/// span.end) and hands its `arity` field views to `visit`, which must not
+/// keep them past its return.  ParseRecord sees the
 /// whole text, so only a blank line at the end of the file — never one that
 /// merely ends a chunk — is skipped as the trailing newline.
 template <typename Visit>
 Status AppendCsvRecords(std::string_view csv, const CsvChunkSpan& span,
                         size_t arity, const std::string& table_name,
                         Visit&& visit) {
-  std::vector<std::string> fields;
+  CsvRecord record;
   size_t pos = span.begin;
   while (pos < span.end) {
-    CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &fields));
-    if (fields.empty()) continue;  // blank trailing line
-    if (fields.size() != arity) {
+    CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &record));
+    if (record.fields.empty()) continue;  // blank trailing line
+    if (record.fields.size() != arity) {
       return Status::InvalidArgument("CSV record arity mismatch in table '" +
                                      table_name + "'");
     }
-    CSM_RETURN_IF_ERROR(visit(fields));
+    CSM_RETURN_IF_ERROR(visit(record.fields));
   }
   return Status::Ok();
 }
@@ -197,7 +265,7 @@ Status AppendCsvRecords(std::string_view csv, const CsvChunkSpan& span,
 /// verdict is the widest of its cells' narrowest types, so chunks fold
 /// independently and merge exactly by taking the per-column maximum: every
 /// cell from_chars accepts as an int64 also parses as a double.
-void UpdateTypeInference(const std::vector<std::string>& record,
+void UpdateTypeInference(const std::vector<std::string_view>& record,
                          std::vector<ValueType>* types) {
   for (size_t c = 0; c < record.size(); ++c) {
     ValueType& type = (*types)[c];
@@ -301,6 +369,7 @@ struct CsvChunkPlan {
   size_t threads = 1;
   size_t chunk_bytes = 0;
   std::vector<CsvChunkSpan> spans;
+  double scan_seconds = 0.0;
   std::unique_ptr<exec::ThreadPool> pool;  // null: spans run on the caller
 };
 
@@ -312,7 +381,9 @@ CsvChunkPlan PlanCsvChunks(std::string_view csv, size_t pos,
       options.chunk_bytes != 0
           ? options.chunk_bytes
           : AutotuneCsvChunkBytes(csv.size() - pos, plan.threads);
+  const auto scan_start = std::chrono::steady_clock::now();
   plan.spans = ScanCsvChunks(csv, pos, plan.chunk_bytes);
+  plan.scan_seconds = SecondsSince(scan_start);
   if (plan.threads > 1 && plan.spans.size() > 1) {
     plan.pool = std::make_unique<exec::ThreadPool>(plan.threads);
   }
@@ -339,7 +410,7 @@ StatusOr<Table> ParseCsvChunks(const TableSchema& schema, std::string_view csv,
         result.table.Reserve(plan.spans[i].records);
         result.status = AppendCsvRecords(
             csv, plan.spans[i], schema.num_attributes(), schema.name(),
-            [&](const std::vector<std::string>& fields) {
+            [&](const std::vector<std::string_view>& fields) {
               return result.table.AddRowFromText(fields);
             });
         return result;
@@ -348,6 +419,7 @@ StatusOr<Table> ParseCsvChunks(const TableSchema& schema, std::string_view csv,
     if (!result.status.ok()) return result.status;
   }
 
+  const auto merge_start = std::chrono::steady_clock::now();
   Table out(schema);
   if (!parsed.empty()) {
     out = std::move(parsed.front().table);
@@ -369,6 +441,8 @@ StatusOr<Table> ParseCsvChunks(const TableSchema& schema, std::string_view csv,
     stats->chunk_bytes = plan.chunk_bytes;
     stats->chunks = plan.spans.size();
     stats->records = out.num_rows();
+    stats->scan_seconds = plan.scan_seconds;
+    stats->merge_seconds = SecondsSince(merge_start);
     stats->parse_seconds = SecondsSince(t0);
   }
   return out;
@@ -379,7 +453,7 @@ StatusOr<Table> ParseCsvChunks(const TableSchema& schema, std::string_view csv,
 /// column in text order.  `header` names the columns and must not repeat a
 /// name.
 StatusOr<TableSchema> InferCsvSchema(const std::string& table_name,
-                                     const std::vector<std::string>& header,
+                                     const std::vector<std::string_view>& header,
                                      std::string_view csv,
                                      const CsvChunkPlan& plan) {
   struct ChunkTypes {
@@ -392,7 +466,7 @@ StatusOr<TableSchema> InferCsvSchema(const std::string& table_name,
         fold.types.assign(header.size(), ValueType::kNull);
         fold.status = AppendCsvRecords(
             csv, plan.spans[i], header.size(), table_name,
-            [&](const std::vector<std::string>& fields) {
+            [&](const std::vector<std::string_view>& fields) {
               UpdateTypeInference(fields, &fold.types);
               return Status::Ok();
             });
@@ -409,9 +483,10 @@ StatusOr<TableSchema> InferCsvSchema(const std::string& table_name,
   for (size_t c = 0; c < header.size(); ++c) {
     if (schema.FindAttribute(header[c]).has_value()) {
       return Status::InvalidArgument("CSV header repeats column '" +
-                                     header[c] + "' in '" + table_name + "'");
+                                     std::string(header[c]) + "' in '" +
+                                     table_name + "'");
     }
-    schema.AddAttribute(header[c], types[c] == ValueType::kNull
+    schema.AddAttribute(std::string(header[c]), types[c] == ValueType::kNull
                                        ? ValueType::kString
                                        : types[c]);
   }
@@ -495,9 +570,9 @@ StatusOr<Table> TableFromCsvParallel(const TableSchema& schema,
                                      CsvIngestStats* stats) {
   const auto t0 = std::chrono::steady_clock::now();
   size_t pos = 0;
-  std::vector<std::string> header;
+  CsvRecord header;
   CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &header));
-  CSM_RETURN_IF_ERROR(ValidateCsvHeader(schema, header));
+  CSM_RETURN_IF_ERROR(ValidateCsvHeader(schema, header.fields));
   return ParseCsvChunks(schema, csv, PlanCsvChunks(csv, pos, options), t0,
                         stats);
 }
@@ -526,14 +601,14 @@ StatusOr<Table> ReadCsvFileInferred(const std::string& table_name,
   const auto parse_start = std::chrono::steady_clock::now();
   const std::string_view csv = buffer.view;
   size_t pos = 0;
-  std::vector<std::string> header;
+  CsvRecord header;
   CSM_RETURN_IF_ERROR(ParseRecord(csv, pos, &header));
-  if (header.empty()) {
+  if (header.fields.empty()) {
     return Status::InvalidArgument("CSV has no header row");
   }
   const CsvChunkPlan plan = PlanCsvChunks(csv, pos, options);
   CSM_ASSIGN_OR_RETURN(TableSchema schema,
-                       InferCsvSchema(table_name, header, csv, plan));
+                       InferCsvSchema(table_name, header.fields, csv, plan));
   return ParseCsvChunks(schema, csv, plan, parse_start, stats);
 }
 

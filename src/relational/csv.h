@@ -91,6 +91,8 @@ struct CsvIngestStats {
   size_t records = 0;       // data records parsed (header excluded)
   double load_seconds = 0.0;   // mmap / read time
   double parse_seconds = 0.0;  // scan + type inference + parse + merge time
+  double scan_seconds = 0.0;   // the chunk scan, part of parse_seconds
+  double merge_seconds = 0.0;  // the ordered chunk merge, part of parse_seconds
 };
 
 /// Parses CSV text into a table.  The header must match `schema`'s

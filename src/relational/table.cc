@@ -48,7 +48,7 @@ void Table::AddRow(Row row) {
   ++num_rows_;
 }
 
-Status Table::AddRowFromText(const std::vector<std::string>& fields) {
+Status Table::AddRowFromText(const std::vector<std::string_view>& fields) {
   if (fields.size() != schema_.num_attributes()) {
     return Status::InvalidArgument("record arity mismatch in table '" +
                                    name() + "'");

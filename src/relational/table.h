@@ -11,6 +11,7 @@
 #define CSM_RELATIONAL_TABLE_H_
 
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -47,9 +48,10 @@ class Table {
 
   /// Parses `fields` (one cell of raw text per attribute) directly into the
   /// column segments with Value::Parse semantics, skipping per-cell Value
-  /// boxing.  On a parse error no row is appended (partial cells are rolled
-  /// back) and the error is returned.
-  Status AddRowFromText(const std::vector<std::string>& fields);
+  /// boxing; a string cell is copied only when it enters a dictionary.  On a
+  /// parse error no row is appended (partial cells are rolled back) and the
+  /// error is returned.
+  Status AddRowFromText(const std::vector<std::string_view>& fields);
 
   /// Reserves capacity for `n` rows across all column segments.
   void Reserve(size_t n);

@@ -42,6 +42,11 @@ TEST(FuzzSmokeTest, CsvChunkedParse) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, CsvScanEquivalence) {
+  const Status status = check::FuzzCsvScanEquivalence(Options(150));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, ConditionEvaluation) {
   const Status status = check::FuzzConditionEvaluation(Options(400));
   EXPECT_TRUE(status.ok()) << status.ToString();

@@ -264,9 +264,20 @@ TEST_F(RobustnessTest, EngineCancelFromAnotherThread) {
   ContextMatchResult r;
   std::thread runner(
       [&] { r = engine.Execute(request).result; });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Cancel only once a grid cell has fired: the run has then registered
+  // its token, and with every cell sleeping 10 ms it is still inside the
+  // classifier grid when Cancel() lands, before the inference phase checks
+  // for cancellation.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (FaultInjector::FireCount("inference.cell") == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool in_grid = FaultInjector::FireCount("inference.cell") >= 1;
   engine.Cancel();
   runner.join();
+  ASSERT_TRUE(in_grid) << "the run never reached the classifier grid";
 
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << r.status;
   EXPECT_NE(r.completeness, MatchCompleteness::kComplete);
