@@ -4,18 +4,22 @@
 // the 200 distinct names five times — exactly the distinct-value reuse the
 // classifier memo exploits).
 //
-// Four operations are measured, each in two implementations:
+// Five operations are measured, each in two implementations:
 //
-//   tokenize      QGrams heap-string tokenization vs AppendPackedQGrams
-//                 (packed uint32 gram ids, zero per-gram allocations)
-//   profile_build TokenProfile (std::map) accumulation vs
-//                 GramProfileBuilder -> flat sorted (id, count) entries
-//   nb_train      map-of-strings Naive Bayes training vs
-//                 NaiveBayesClassifier::Train over the name column
-//                 (per-(dictionary, code) token memo)
-//   nb_classify   per-call map NB scoring vs NaiveBayesClassifier::Classify
-//                 over the name column (finalized models +
-//                 per-distinct-value memo)
+//   tokenize         QGrams heap-string tokenization vs AppendPackedQGrams
+//                    (packed uint32 gram ids, zero per-gram allocations)
+//   profile_build    TokenProfile (std::map) accumulation vs
+//                    GramProfileBuilder -> flat sorted (id, count) entries
+//   nb_train         map-of-strings Naive Bayes training vs
+//                    NaiveBayesClassifier::Train over the name column
+//                    (per-(dictionary, code) token memo)
+//   nb_classify      per-call map NB scoring vs
+//                    NaiveBayesClassifier::Classify over the name column
+//                    (memo-warm: every value was classified before)
+//   nb_classify_cold the same baseline vs Classify over a column rebuilt
+//                    with its own dictionary for each rep, so every
+//                    distinct value misses the memo once and runs the
+//                    gram-major scoring kernel, as in a fresh RunCycle
 //
 // All kernel paths produce bit-identical scores to the baselines (enforced
 // by FuzzTokenKernelEquivalence); this bench records the time.  Writes
@@ -46,19 +50,25 @@ namespace {
 using namespace csm;
 using namespace csm::bench;
 
-/// Best-of-`reps` wall-clock seconds for `op`; `op` returns a size_t that
-/// is accumulated into a sink so the work cannot be optimized away.
+/// Best-of-`reps` wall-clock seconds for `op(rep)`; `op` returns a size_t
+/// that is accumulated into a sink so the work cannot be optimized away.
 template <typename Op>
-double TimeBest(size_t reps, volatile size_t* sink, Op&& op) {
+double TimeBestOfReps(size_t reps, volatile size_t* sink, Op&& op) {
   double best = 1e300;
   for (size_t rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    *sink = *sink + op();
+    *sink = *sink + op(rep);
     const auto stop = std::chrono::steady_clock::now();
     best = std::min(best,
                     std::chrono::duration<double>(stop - start).count());
   }
   return best;
+}
+
+/// TimeBestOfReps for an `op()` that is the same in every rep.
+template <typename Op>
+double TimeBest(size_t reps, volatile size_t* sink, Op&& op) {
+  return TimeBestOfReps(reps, sink, [&](size_t) { return op(); });
 }
 
 /// The pre-kernel map-of-strings multinomial NB — per-label gram-string
@@ -164,7 +174,7 @@ int main(int argc, char** argv) {
               std::set<std::string>(labels.begin(), labels.end()).size());
 
   OpRow tokenize{"tokenize"}, profile{"profile_build"}, train{"nb_train"},
-      classify{"nb_classify"};
+      classify{"nb_classify"}, classify_cold{"nb_classify_cold"};
 
   // --- tokenize -----------------------------------------------------------
   tokenize.baseline = TimeBest(reps, &sink, [&] {
@@ -237,7 +247,27 @@ int main(int argc, char** argv) {
     return n;
   });
 
-  std::vector<OpRow*> ops = {&tokenize, &profile, &train, &classify};
+  // --- nb_classify_cold ---------------------------------------------------
+  // One name column per rep, each with its own dictionary, built before the
+  // timed region and kept alive: the memo is keyed by dictionary address, so
+  // a freed dictionary's address must not come back.  The map baseline has
+  // no memo, so its cold pass is the nb_classify baseline.
+  std::vector<Column> cold_columns(reps, Column(ValueType::kString));
+  for (Column& column : cold_columns) {
+    for (const std::string& name : names) column.AppendString(name);
+  }
+  classify_cold.baseline = classify.baseline;
+  classify_cold.kernel = TimeBestOfReps(reps, &sink, [&](size_t rep) {
+    const Column& column = cold_columns[rep];
+    size_t n = 0;
+    for (size_t i = 0; i < column.size(); ++i) {
+      n += kernel_nb.Classify(column, i).size();
+    }
+    return n;
+  });
+
+  std::vector<OpRow*> ops = {&tokenize, &profile, &train, &classify,
+                             &classify_cold};
   ResultTable out_table(
       "Micro: token kernel vs map-of-strings baselines (Grades, Fig 19)",
       {"op", "baseline_ms", "kernel_ms", "speedup"});

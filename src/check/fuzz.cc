@@ -1037,6 +1037,155 @@ class ReferenceNaiveBayes {
   std::set<std::string> vocabulary_;
 };
 
+/// Classifies every cell of the string column `cells` with the kernel and
+/// the reference and requires the same label (twice from the kernel: the
+/// second call replays its memo) and bit-equal LogScores for every label in
+/// `labels`.
+Status CompareNaiveBayes(const NaiveBayesClassifier& nb,
+                         const ReferenceNaiveBayes& reference,
+                         const Column& cells,
+                         const std::vector<std::string>& labels,
+                         const std::string& stage) {
+  for (size_t r = 0; r < cells.size(); ++r) {
+    if (cells.IsNull(r)) continue;
+    const std::string& text = cells.dictionary().value(cells.codes()[r]);
+    const std::string expected = reference.Classify(text);
+    const std::string got = nb.Classify(cells, r);
+    if (nb.Classify(cells, r) != got) {
+      return Status::Internal(stage + ": classify memo diverged on \"" +
+                              text + "\"");
+    }
+    if (got != expected) {
+      return Status::Internal(stage + ": NB classification diverged on \"" +
+                              text + "\": reference=" + expected +
+                              " kernel=" + got);
+    }
+    for (const std::string& label : labels) {
+      if (!BitEqual(nb.LogScore(cells, r, label),
+                    reference.LogScore(text, label))) {
+        return Status::Internal(stage + ": NB log score diverged on \"" +
+                                text + "\" label " + label);
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+/// Naive Bayes over the string columns of `table` against the reference.
+/// Labels are column names, some with a twin label trained on the same
+/// cells (equal scores and frequencies, so label order breaks the tie);
+/// the names of other columns are scored as labels never trained.
+/// Each cell is trained in a first batch, in a second batch after the first
+/// check (so the vocabulary grows after the model was finalized), or never
+/// (so its unseen grams score the unseen row).  Both checks classify every
+/// string cell of `table` and of `other`, whose columns hold their own
+/// dictionaries.
+Status CheckNaiveBayesAgainstReference(const Table& table, const Table& other,
+                                       Rng& rng) {
+  ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
+  NaiveBayesClassifier nb;
+  std::vector<std::string> labels;
+  struct Example {
+    size_t col, row;
+    std::vector<std::string> labels;
+  };
+  std::vector<Example> second_batch;
+  auto train = [&](const Example& example) {
+    const Column& column = table.column(example.col);
+    const std::string& text =
+        column.dictionary().value(column.codes()[example.row]);
+    for (const std::string& label : example.labels) {
+      nb.Train(column, example.row, label);
+      reference.Train(text, label);
+    }
+  };
+  for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
+    const Column& column = table.column(c);
+    std::vector<std::string> column_labels = {
+        table.schema().attribute(c).name};
+    if (column.type() != ValueType::kString) {
+      labels.push_back(column_labels[0]);  // never trained: -inf scores
+      continue;
+    }
+    if (rng.NextBernoulli(0.5)) {
+      column_labels.push_back(column_labels[0] + "#twin");
+    }
+    labels.insert(labels.end(), column_labels.begin(), column_labels.end());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (column.IsNull(r)) continue;
+      const Example example{c, r, column_labels};
+      switch (rng.NextBounded(3)) {
+        case 0: train(example); break;
+        case 1: second_batch.push_back(example); break;
+        default: break;  // held out
+      }
+    }
+  }
+  auto compare = [&](const std::string& stage) -> Status {
+    for (const Table* cells : {&table, &other}) {
+      for (size_t c = 0; c < cells->schema().num_attributes(); ++c) {
+        if (cells->column(c).type() != ValueType::kString) continue;
+        CSM_RETURN_IF_ERROR(CompareNaiveBayes(
+            nb, reference, cells->column(c), labels,
+            stage + (cells == &other ? ", other dictionary" : "")));
+      }
+    }
+    return Status::Ok();
+  };
+  CSM_RETURN_IF_ERROR(compare("first batch"));
+  for (const Example& example : second_batch) train(example);
+  return compare("second batch");
+}
+
+/// Two labels of different frequency whose scores are equal in exact
+/// arithmetic, so the tie rule (the more frequent label wins) is exercised
+/// whenever the doubles tie too, which 44 of the 72 possible draws do.
+/// Label "a" trains m_a cells "b" (3 grams each) and label "z" m_z cells
+/// "cde" (5 grams); both pad their example counts n_a, n_z with gram-free
+/// "!" cells.  The vocabulary holds V = 8 grams, so the denominators are
+/// 3 m_a + 9 and 5 m_z + 9 = c (3 m_a + 9).  A probe of k = length + 2
+/// grams outside the vocabulary scores log((n + 1) / (N + 2)) minus k
+/// times log(denominator), so the labels tie when n_z + 1 = c^k (n_a + 1).
+Status CheckNaiveBayesTies(Rng& rng) {
+  const size_t c = 2 + rng.NextBounded(2);
+  const size_t m_a = (c == 2 ? 1 : 3) + 5 * rng.NextBounded(3);
+  const size_t m_z = (c * (3 * m_a + 9) - 9) / 5;
+  const size_t n_a = m_a + rng.NextBounded(4);
+  const size_t probe_len = 1 + rng.NextBounded(3);
+  size_t ratio = 1;
+  for (size_t k = 0; k < probe_len + 2; ++k) ratio *= c;
+  const size_t n_z = ratio * (n_a + 1) - 1;
+
+  Column cells(ValueType::kString);
+  std::vector<std::string> cell_labels;
+  auto add = [&](const char* text, const char* label, size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      cells.AppendString(text);
+      cell_labels.push_back(label);
+    }
+  };
+  add("b", "a", m_a);
+  add("!", "a", n_a - m_a);
+  add("cde", "z", m_z);
+  add("!", "z", n_z - m_z);
+  ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
+  NaiveBayesClassifier nb;
+  for (size_t r = 0; r < cells.size(); ++r) {
+    nb.Train(cells, r, cell_labels[r]);
+    reference.Train(cells.dictionary().value(cells.codes()[r]),
+                    cell_labels[r]);
+  }
+  Column probes(ValueType::kString);
+  for (size_t k = 0; k < 4; ++k) {
+    std::string probe;
+    for (size_t j = 0; j < probe_len; ++j) {
+      probe += static_cast<char>('f' + rng.NextBounded(20));
+    }
+    probes.AppendString(probe);
+  }
+  return CompareNaiveBayes(nb, reference, probes, {"a", "z"}, "tie");
+}
+
 /// Reference semantics of an AttributeSample over `positions` of `column`,
 /// computed from boxed cells: per-row 3-gram and word tokenization of each
 /// rendering into map profiles, renderings counted by text, and the numeric
@@ -1392,52 +1541,13 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
       }
     }
 
-    // (3) Naive Bayes over the string columns against the reference, labels
-    // = column names.  The classifier reads cells through its (dictionary,
-    // code) memos; labels and log scores must still be bit-identical.
-    ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
-    NaiveBayesClassifier nb;
-    for (size_t c = 0; c < cols; ++c) {
-      const Column& column = table.column(c);
-      if (column.type() != ValueType::kString) continue;
-      const std::string& label = table.schema().attribute(c).name;
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (!column.IsNull(r)) nb.Train(column, r, label);
-      }
-      for (const std::string& text : texts[c]) reference.Train(text, label);
-    }
-    for (size_t c = 0; c < cols; ++c) {
-      const Column& column = table.column(c);
-      if (column.type() != ValueType::kString) continue;
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        const Value v = table.ValueAt(r, c);
-        if (v.is_null()) continue;
-        const std::string text = v.ToString();
-        const std::string expected = reference.Classify(text);
-        // Classify runs twice so the second call exercises the memo.
-        const std::string got = nb.Classify(column, r);
-        if (nb.Classify(column, r) != got) {
-          return Replay(options, i,
-                        Status::Internal("classify memo diverged on \"" +
-                                         text + "\""));
-        }
-        if (got != expected) {
-          return Replay(options, i,
-                        Status::Internal("NB classification diverged on \"" +
-                                         text + "\": reference=" + expected +
-                                         " kernel=" + got));
-        }
-        for (size_t lc = 0; lc < cols; ++lc) {
-          const std::string& label = table.schema().attribute(lc).name;
-          if (!BitEqual(nb.LogScore(column, r, label),
-                        reference.LogScore(text, label))) {
-            return Replay(options, i,
-                          Status::Internal("NB log score diverged on \"" +
-                                           text + "\" label " + label));
-          }
-        }
-      }
-    }
+    // (3) Naive Bayes against the reference: labels and log scores must be
+    // bit-identical on trained, held-out and foreign-dictionary cells,
+    // before and after the vocabulary grows, and on exact score ties.
+    const Table other = RandomHostileTable("other", rng, table_options);
+    CSM_RETURN_IF_ERROR(Replay(
+        options, i, CheckNaiveBayesAgainstReference(table, other, rng)));
+    CSM_RETURN_IF_ERROR(Replay(options, i, CheckNaiveBayesTies(rng)));
 
     // (4) Column-only attribute samples against the boxed bags they
     // replaced.

@@ -66,8 +66,12 @@
 //                            random hostile tables through the interned
 //                            token kernel (text/gram.h): packed gram ids,
 //                            flat profiles, TF-IDF weighted cosine, the
-//                            column-reading Naive Bayes classifier (labels
-//                            and log scores over the string columns) and
+//                            gram-major Naive Bayes classifier (labels and
+//                            log scores over trained, held-out and
+//                            second-dictionary string cells, before and
+//                            after a second training batch grows the
+//                            vocabulary, plus exact score ties between
+//                            labels of different frequency) and
 //                            column-only AttributeSamples (whole
 //                            columns and random row draws) against
 //                            map-of-strings / boxed-bag reference

@@ -107,9 +107,11 @@ struct TrainTestOutcome {
 /// row's group is resolved once per cycle from the conditions the family's
 /// views carry (Condition::In(l, group) over the base table), so a row
 /// trains and tests under exactly the view that would select it.  Rows
-/// with no group (NULL or unseen label) or a NULL evidence cell are
-/// skipped; the classifier reads every other evidence cell straight off h's
-/// base column, train rows then test rows, in view order.
+/// with no group (NULL or unseen label) or a missing evidence cell (NULL,
+/// NaN or +-inf: IsMissingCell) are skipped, so they count neither toward
+/// most_common_fraction nor as test errors; the classifier reads every
+/// other evidence cell straight off h's base column, train rows then test
+/// rows, in view order.
 TrainTestOutcome RunCycle(const TrainTestViewSplit& split, size_t h_col,
                           size_t l_col, const LabelGrouping& grouping,
                           const ClassifierFactory& factory) {
@@ -138,7 +140,7 @@ TrainTestOutcome RunCycle(const TrainTestViewSplit& split, size_t h_col,
   for (size_t r = 0; r < train.num_rows(); ++r) {
     const RowId pos = train.position(r);
     const size_t g = group_of[pos];
-    if (g == kNoGroup || h.IsNull(pos)) continue;
+    if (g == kNoGroup || IsMissingCell(h, pos)) continue;
     classifier->Train(h, pos, tokens[g]);
     ++train_group_counts[g];
     ++out.train_count;
@@ -154,7 +156,7 @@ TrainTestOutcome RunCycle(const TrainTestViewSplit& split, size_t h_col,
   for (size_t r = 0; r < test.num_rows(); ++r) {
     const RowId pos = test.position(r);
     const size_t g = group_of[pos];
-    if (g == kNoGroup || h.IsNull(pos)) continue;
+    if (g == kNoGroup || IsMissingCell(h, pos)) continue;
     out.eval.Observe(tokens[g], classifier->Classify(h, pos));
   }
   return out;

@@ -29,7 +29,7 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
       const std::string label = table.name() + "." + attr.name;
       const Column& column = table.column(c);
       for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (column.IsNull(r)) continue;
+        if (IsMissingCell(column, r)) continue;
         classifier->Train(column, r, label);
         trained_any = true;
       }
@@ -46,7 +46,7 @@ std::string TgtTagClassifier::Tag(const Column& column, size_t row) const {
 
 void TgtTagClassifier::Train(const Column& column, size_t row,
                              const std::string& label) {
-  if (column.IsNull(row)) return;
+  if (IsMissingCell(column, row)) return;
   const std::string tag = Tag(column, row);
   ++tbag_[{tag, label}];
   ++tag_totals_[tag];
@@ -87,7 +87,7 @@ std::string TgtTagClassifier::BestCat(const std::string& tag) const {
 
 std::string TgtTagClassifier::Classify(const Column& column,
                                        size_t row) const {
-  if (total_ == 0 || column.IsNull(row)) return "";
+  if (total_ == 0 || IsMissingCell(column, row)) return "";
   return BestCat(Tag(column, row));
 }
 

@@ -8,12 +8,22 @@
 #ifndef CSM_ML_CLASSIFIER_H_
 #define CSM_ML_CLASSIFIER_H_
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "relational/column.h"
 
 namespace csm {
+
+/// True when a classifier ignores the cell: NULL, or a non-finite real
+/// (NaN, +-inf), which would poison a label's running mean and variance.
+/// Train skips such a cell, Classify returns "" for it, and ClusteredViewGen
+/// neither trains nor tests on its row.
+inline bool IsMissingCell(const Column& column, size_t row) {
+  return column.IsNull(row) || (column.type() == ValueType::kReal &&
+                                !std::isfinite(column.reals()[row]));
+}
 
 /// Every example is a cell (`column`, `row`).  A classifier may key
 /// per-distinct-value memos by the address of a string column's dictionary
@@ -24,11 +34,11 @@ class ValueClassifier {
  public:
   virtual ~ValueClassifier() = default;
 
-  /// Adds one training example.  NULL cells are ignored.
+  /// Adds one training example.  Missing cells (IsMissingCell) are ignored.
   virtual void Train(const Column& column, size_t row,
                      const std::string& label) = 0;
 
-  /// Classifies the cell.  Returns the empty string for a NULL cell or
+  /// Classifies the cell.  Returns the empty string for a missing cell or
   /// when the classifier has seen no training data.
   virtual std::string Classify(const Column& column, size_t row) const = 0;
 

@@ -11,11 +11,12 @@
 namespace csm {
 namespace {
 
-/// The cell as a double (ints widen), or nullopt when it is NULL.
+/// The cell as a double (ints widen), or nullopt when it is missing: NULL,
+/// NaN or +-inf.
 std::optional<double> NumericCell(const Column& column, size_t row) {
   CSM_CHECK(column.type() != ValueType::kString)
       << "GaussianClassifier reads numeric columns, got string";
-  if (column.IsNull(row)) return std::nullopt;
+  if (IsMissingCell(column, row)) return std::nullopt;
   if (column.type() == ValueType::kInt) {
     return static_cast<double>(column.ints()[row]);
   }

@@ -16,7 +16,10 @@ namespace csm {
 /// Models each label's numeric inputs as a Gaussian and classifies by
 /// maximum posterior (Gaussian likelihood x label prior).  Reads kInt
 /// columns (ints widen to double), kReal columns and all-NULL kNull
-/// columns; CHECK-fails on any other column type.
+/// columns; CHECK-fails on any other column type.  A NaN or +-inf cell is
+/// missing, like NULL: training skips it, so one such cell cannot turn a
+/// label's mean and deviation into NaN and its score into a NaN that never
+/// wins.
 class GaussianClassifier : public ValueClassifier {
  public:
   /// Floor on each label's standard deviation, which keeps single-point or

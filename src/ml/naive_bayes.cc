@@ -1,7 +1,7 @@
 #include "ml/naive_bayes.h"
 
-#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.h"
@@ -9,11 +9,12 @@
 namespace csm {
 namespace {
 
-/// Per-thread tokenization scratch (normalized text / gram ids), so the
-/// per-row training and classification loops allocate nothing.
+/// Per-thread scratch (normalized text, gram ids, per-label score sums),
+/// so the per-row training and classification loops allocate nothing.
 struct TokenScratch {
   std::string padded;
   std::vector<GramId> ids;
+  std::vector<double> sums;
 };
 
 TokenScratch& LocalScratch() {
@@ -41,10 +42,10 @@ NaiveBayesClassifier::NaiveBayesClassifier(
     NaiveBayesClassifier&& other) noexcept
     : total_examples_(other.total_examples_),
       labels_(std::move(other.labels_)),
-      vocabulary_(std::move(other.vocabulary_)),
+      gram_index_(std::move(other.gram_index_)),
       train_token_memo_(std::move(other.train_token_memo_)),
       finalized_(other.finalized_),
-      models_(std::move(other.models_)),
+      model_(std::move(other.model_)),
       classify_memo_(std::move(other.classify_memo_)) {}
 
 NaiveBayesClassifier& NaiveBayesClassifier::operator=(
@@ -52,29 +53,26 @@ NaiveBayesClassifier& NaiveBayesClassifier::operator=(
   if (this == &other) return *this;
   total_examples_ = other.total_examples_;
   labels_ = std::move(other.labels_);
-  vocabulary_ = std::move(other.vocabulary_);
+  gram_index_ = std::move(other.gram_index_);
   train_token_memo_ = std::move(other.train_token_memo_);
   finalized_ = other.finalized_;
-  models_ = std::move(other.models_);
+  model_ = std::move(other.model_);
   classify_memo_ = std::move(other.classify_memo_);
   return *this;
 }
 
-void NaiveBayesClassifier::TrainTokens(const std::vector<GramId>& grams,
-                                       const std::string& label) {
+void NaiveBayesClassifier::TrainIndices(const std::vector<uint32_t>& indices,
+                                        const std::string& label) {
   LabelStats& stats = labels_[label];
   ++stats.example_count;
   ++total_examples_;
-  uint64_t fresh = 0;
-  for (GramId gram : grams) {
-    stats.token_counts[gram] += 1.0;
-    stats.token_total += 1.0;
-    if (vocabulary_.insert(gram).second) ++fresh;
+  if (stats.counts.size() < gram_index_.size()) {
+    stats.counts.resize(gram_index_.size(), 0.0);
   }
-  if (fresh > 0) {
-    GlobalTokenKernelStats().grams_interned.fetch_add(
-        fresh, std::memory_order_relaxed);
-  }
+  for (uint32_t d : indices) stats.counts[d] += 1.0;
+  // Adding 1.0 per occurrence is exact below 2^53, so one add of the
+  // occurrence count gives the same double.
+  stats.token_total += static_cast<double>(indices.size());
   {
     std::lock_guard<std::mutex> lock(model_mu_);
     finalized_ = false;
@@ -90,59 +88,71 @@ void NaiveBayesClassifier::Train(const Column& column, size_t row,
   const StringDictionary& dict = column.dictionary();
   const uint32_t code = column.codes()[row];
   auto [it, inserted] = train_token_memo_[&dict].try_emplace(code);
-  if (inserted) Tokenize(dict.value(code), &it->second);
-  TrainTokens(it->second, label);
+  if (inserted) {
+    std::vector<GramId>& ids = LocalScratch().ids;
+    Tokenize(dict.value(code), &ids);
+    std::vector<uint32_t>& indices = it->second;
+    indices.reserve(ids.size());
+    const size_t vocab_before = gram_index_.size();
+    for (GramId gram : ids) {
+      const uint32_t next = static_cast<uint32_t>(gram_index_.size());
+      indices.push_back(gram_index_.try_emplace(gram, next).first->second);
+    }
+    if (gram_index_.size() > vocab_before) {
+      GlobalTokenKernelStats().grams_interned.fetch_add(
+          gram_index_.size() - vocab_before, std::memory_order_relaxed);
+    }
+  }
+  TrainIndices(it->second, label);
 }
 
-const std::vector<NaiveBayesClassifier::LabelModel>&
-NaiveBayesClassifier::Finalized() const {
+const NaiveBayesClassifier::Model& NaiveBayesClassifier::Finalized() const {
   std::lock_guard<std::mutex> lock(model_mu_);
-  if (finalized_) return models_;
-  models_.clear();
-  models_.reserve(labels_.size());
-  const double num_labels = static_cast<double>(labels_.size());
-  const double vocab = static_cast<double>(vocabulary_.size());
+  if (finalized_) return model_;
+  const size_t num_labels = labels_.size();
+  const size_t vocab = gram_index_.size();
+  model_.labels.clear();
+  model_.example_counts.clear();
+  model_.log_priors.clear();
+  model_.log_prob.assign((vocab + 1) * num_labels, 0.0);
+  size_t l = 0;
   for (const auto& [label, stats] : labels_) {
-    LabelModel model;
-    model.label = &label;
-    model.example_count = stats.example_count;
+    model_.labels.push_back(&label);
+    model_.example_counts.push_back(stats.example_count);
     // The exact expressions of the original per-call implementation, so the
     // precomputed doubles are bit-identical to recomputing them per row.
-    model.log_prior = std::log(
+    model_.log_priors.push_back(std::log(
         (static_cast<double>(stats.example_count) + kSmoothing) /
-        (static_cast<double>(total_examples_) + kSmoothing * num_labels));
-    const double denom = stats.token_total + kSmoothing * (vocab + 1.0);
-    model.log_unseen = std::log((0.0 + kSmoothing) / denom);
-    model.gram_ids.reserve(stats.token_counts.size());
-    for (const auto& [gram, count] : stats.token_counts) {
-      model.gram_ids.push_back(gram);
+        (static_cast<double>(total_examples_) +
+         kSmoothing * static_cast<double>(num_labels))));
+    const double denom =
+        stats.token_total + kSmoothing * (static_cast<double>(vocab) + 1.0);
+    const double log_unseen = std::log((0.0 + kSmoothing) / denom);
+    for (size_t d = 0; d < vocab; ++d) {
+      const double count = d < stats.counts.size() ? stats.counts[d] : 0.0;
+      model_.log_prob[d * num_labels + l] =
+          count > 0.0 ? std::log((count + kSmoothing) / denom) : log_unseen;
     }
-    std::sort(model.gram_ids.begin(), model.gram_ids.end());
-    model.gram_log_prob.reserve(model.gram_ids.size());
-    for (GramId gram : model.gram_ids) {
-      const double count = stats.token_counts.at(gram);
-      model.gram_log_prob.push_back(std::log((count + kSmoothing) / denom));
-    }
-    models_.push_back(std::move(model));
+    model_.log_prob[vocab * num_labels + l] = log_unseen;
+    ++l;
   }
   finalized_ = true;
-  return models_;
+  return model_;
 }
 
-double NaiveBayesClassifier::ScoreTokens(
-    const LabelModel& model, const std::vector<GramId>& grams) const {
-  double score = model.log_prior;
+void NaiveBayesClassifier::ScoreAll(const Model& model,
+                                    const std::vector<GramId>& grams,
+                                    std::vector<double>* sums) const {
+  const size_t num_labels = model.labels.size();
+  const uint32_t unseen = static_cast<uint32_t>(gram_index_.size());
+  sums->assign(model.log_priors.begin(), model.log_priors.end());
+  double* out = sums->data();
   for (GramId gram : grams) {
-    double term = model.log_unseen;
-    auto it = std::lower_bound(model.gram_ids.begin(), model.gram_ids.end(),
-                               gram);
-    if (it != model.gram_ids.end() && *it == gram) {
-      term = model.gram_log_prob[static_cast<size_t>(
-          it - model.gram_ids.begin())];
-    }
-    score += term;
+    auto it = gram_index_.find(gram);
+    const uint32_t d = it == gram_index_.end() ? unseen : it->second;
+    const double* row = model.log_prob.data() + size_t{d} * num_labels;
+    for (size_t l = 0; l < num_labels; ++l) out[l] += row[l];
   }
-  return score;
 }
 
 double NaiveBayesClassifier::LogScore(const Column& column, size_t row,
@@ -152,32 +162,32 @@ double NaiveBayesClassifier::LogScore(const Column& column, size_t row,
   if (it == labels_.end() || total_examples_ == 0) {
     return -std::numeric_limits<double>::infinity();
   }
-  const std::vector<LabelModel>& models = Finalized();
-  const size_t index =
-      static_cast<size_t>(std::distance(labels_.begin(), it));
-  std::vector<GramId>& ids = LocalScratch().ids;
-  ids.clear();
+  const Model& model = Finalized();
+  TokenScratch& scratch = LocalScratch();
+  scratch.ids.clear();
   if (!column.IsNull(row)) {
-    Tokenize(column.dictionary().value(column.codes()[row]), &ids);
+    Tokenize(column.dictionary().value(column.codes()[row]), &scratch.ids);
   }
-  return ScoreTokens(models[index], ids);
+  ScoreAll(model, scratch.ids, &scratch.sums);
+  return scratch.sums[static_cast<size_t>(std::distance(labels_.begin(), it))];
 }
 
 std::string NaiveBayesClassifier::ClassifyTokens(
     const std::vector<GramId>& grams) const {
-  const std::vector<LabelModel>& models = Finalized();
+  const Model& model = Finalized();
+  std::vector<double>& sums = LocalScratch().sums;
+  ScoreAll(model, grams, &sums);
   const std::string* best = nullptr;
   double best_score = -std::numeric_limits<double>::infinity();
   size_t best_frequency = 0;
-  for (const LabelModel& model : models) {
-    const double score = ScoreTokens(model, grams);
+  for (size_t l = 0; l < sums.size(); ++l) {
     // Ties break toward the more frequent label, then lexicographically
     // (model order == label map order), for determinism.
-    if (score > best_score ||
-        (score == best_score && model.example_count > best_frequency)) {
-      best = model.label;
-      best_score = score;
-      best_frequency = model.example_count;
+    if (sums[l] > best_score ||
+        (sums[l] == best_score && model.example_counts[l] > best_frequency)) {
+      best = model.labels[l];
+      best_score = sums[l];
+      best_frequency = model.example_counts[l];
     }
   }
   return best == nullptr ? "" : *best;

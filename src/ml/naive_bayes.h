@@ -2,14 +2,18 @@
 // text attribute, a standard Naive Bayesian classifier is used, with the
 // values tokenized into 3-grams").
 //
-// Internally the classifier runs on the interned token kernel (text/gram.h):
-// grams are packed uint32 ids, per-label counts live in hash maps during
-// training, and the first classification finalizes them into contiguous
-// sorted (id, log-probability) arrays with precomputed log-priors and
-// smoothing denominators.  Scores are bit-identical to the original
-// map-of-strings implementation: every log term is the same
-// std::log((count + alpha) / denom) double, summed in the same
-// per-occurrence order.
+// Internally the classifier runs on the interned token kernel (text/gram.h)
+// and one dense vocabulary: every distinct training gram gets a dense index
+// in first-seen order, and each label counts its grams in a vector indexed
+// by it.  The first classification after training finalizes the counts into
+// one gram-major table of log-probabilities, log_prob[d * L + l] for dense
+// index d and label l, plus a row V (the vocabulary size) of each label's
+// unseen-gram term.  Scoring a text is then one vocabulary lookup per gram
+// occurrence and one contiguous row of L adds into L running sums, which
+// start at the labels' log priors.  Scores are bit-identical to the
+// original map-of-strings implementation: every log term is the same
+// std::log((count + alpha) / denom) double, and each label's sum still adds
+// its terms in per-occurrence order.
 //
 // Cells are read straight off dictionary-encoded string columns, and both
 // the tokenization of a training cell and the label of a classified cell
@@ -19,8 +23,9 @@
 //
 // Thread safety: training is single-writer (no concurrent reads), after
 // which any number of threads may classify concurrently — the lazy finalize
-// and the classification memo are mutex-guarded, which is what lets
-// TgtClassInfer share one trained tagger across all grid-cell workers.
+// and the classification memo are mutex-guarded and the scoring sums are
+// thread-local, which is what lets TgtClassInfer share one trained tagger
+// across all grid-cell workers.
 
 #ifndef CSM_ML_NAIVE_BAYES_H_
 #define CSM_ML_NAIVE_BAYES_H_
@@ -29,7 +34,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ml/classifier.h"
@@ -69,44 +73,51 @@ class NaiveBayesClassifier : public ValueClassifier {
   struct LabelStats {
     size_t example_count = 0;
     double token_total = 0.0;
-    std::unordered_map<GramId, double> token_counts;
+    /// Occurrences per dense gram index; indices past the end count zero.
+    std::vector<double> counts;
   };
 
-  /// Finalized per-label scoring model, in labels_ (lexicographic) order.
-  struct LabelModel {
-    const std::string* label = nullptr;
-    size_t example_count = 0;
-    double log_prior = 0.0;
-    double log_unseen = 0.0;                // log((0 + alpha) / denom)
-    std::vector<GramId> gram_ids;           // sorted
-    std::vector<double> gram_log_prob;      // parallel to gram_ids
+  /// The finalized scoring model; labels in labels_ (lexicographic) order.
+  struct Model {
+    std::vector<const std::string*> labels;
+    std::vector<size_t> example_counts;
+    std::vector<double> log_priors;
+    /// (V + 1) x L, gram-major: log_prob[d * L + l].  Row V holds each
+    /// label's log((0 + alpha) / denom), the term of a gram it never saw.
+    std::vector<double> log_prob;
   };
 
-  void TrainTokens(const std::vector<GramId>& grams, const std::string& label);
+  /// Counts one example of `label` over dense gram indices.
+  void TrainIndices(const std::vector<uint32_t>& indices,
+                    const std::string& label);
 
-  /// Builds models_ on first use after training; thread-safe.
-  const std::vector<LabelModel>& Finalized() const;
+  /// Builds model_ on first use after training; thread-safe.
+  const Model& Finalized() const;
 
-  double ScoreTokens(const LabelModel& model,
-                     const std::vector<GramId>& grams) const;
+  /// Leaves every label's log score of `grams` in `*sums`, in model order:
+  /// the shared pass of ClassifyTokens and LogScore.
+  void ScoreAll(const Model& model, const std::vector<GramId>& grams,
+                std::vector<double>* sums) const;
 
   /// Classify over pre-tokenized input (the shared tie-break loop).
   std::string ClassifyTokens(const std::vector<GramId>& grams) const;
 
   size_t total_examples_ = 0;
   std::map<std::string, LabelStats> labels_;
-  std::unordered_set<GramId> vocabulary_;
+  /// Gram -> dense index, assigned in first-seen training order; its size
+  /// is the vocabulary size V.
+  std::unordered_map<GramId, uint32_t> gram_index_;
 
-  /// Training token memo: (dictionary, code) -> gram ids.  Written during
-  /// single-writer training only.
+  /// Training token memo: (dictionary, code) -> dense gram indices.
+  /// Written during single-writer training only.
   std::unordered_map<const StringDictionary*,
-                     std::unordered_map<uint32_t, std::vector<GramId>>>
+                     std::unordered_map<uint32_t, std::vector<uint32_t>>>
       train_token_memo_;
 
   // Lazily finalized model + classification memo; see class comment.
   mutable std::mutex model_mu_;
   mutable bool finalized_ = false;  // guarded by model_mu_
-  mutable std::vector<LabelModel> models_;
+  mutable Model model_;
   mutable std::mutex memo_mu_;
   mutable std::unordered_map<const StringDictionary*,
                              std::unordered_map<uint32_t, std::string>>

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -167,6 +168,43 @@ TEST(ClusteredViewGenTest, DeterministicGivenSeed) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].ToString(), b[i].ToString());
     EXPECT_DOUBLE_EQ(a[i].significance, b[i].significance);
+  }
+}
+
+/// Three well-separated numeric clusters; `missing` replaces the evidence
+/// cell of every fifth "lo" row.
+Table NumericEvidenceFixture(const Value& missing) {
+  Rng rng(41);
+  const char* labels[] = {"lo", "mid", "hi"};
+  std::vector<Row> rows;
+  for (int i = 0; i < 240; ++i) {
+    const int k = i % 3;
+    Value x = R(rng.NextGaussian(10.0 + 40.0 * k, 2.0));
+    if (k == 0 && i % 5 == 0) x = missing;
+    rows.push_back({S(labels[k]), x});
+  }
+  return MakeTable("t", {"type", "x"}, rows);
+}
+
+TEST(ClusteredViewGenTest, NonFiniteEvidenceCellsActLikeNull) {
+  // A NaN evidence cell must be skipped like NULL.  Trained on, it would
+  // make its label's mean NaN, so the label would never be predicted; as
+  // a test row it would classify as "" and count as an error.
+  const Table with_nan =
+      NumericEvidenceFixture(R(std::numeric_limits<double>::quiet_NaN()));
+  const Table with_null = NumericEvidenceFixture(N());
+  for (bool early : {false, true}) {
+    Rng rng_nan(42), rng_null(42);
+    auto a = ClusteredViewGen(with_nan, SrcFactory(), {}, {}, early, rng_nan);
+    auto b =
+        ClusteredViewGen(with_null, SrcFactory(), {}, {}, early, rng_null);
+    ASSERT_FALSE(b.empty());
+    ASSERT_EQ(a.size(), b.size()) << "early=" << early;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].ToString(), b[i].ToString());
+      EXPECT_EQ(a[i].classifier_f1, b[i].classifier_f1);
+      EXPECT_EQ(a[i].significance, b[i].significance);
+    }
   }
 }
 

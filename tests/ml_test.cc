@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
 #include "ml/evaluation.h"
 #include "ml/gaussian_classifier.h"
@@ -238,6 +240,49 @@ TEST(GaussianTest, LogScoreUnknownLabelIsMinusInfinity) {
   g.Train(cells, 0, "a");
   EXPECT_EQ(g.LogScore(1.0, "zzz"),
             -std::numeric_limits<double>::infinity());
+}
+
+TEST(GaussianTest, NanTrainingCellDoesNotSilenceItsLabel) {
+  // A NaN among A's cells is skipped.  Folded into A's statistics it would
+  // make A score NaN, which never wins a comparison, so a probe in A's
+  // range would go to B.
+  Examples examples(ValueType::kReal);
+  for (double x : {1.0, 2.0, 3.0, std::numeric_limits<double>::quiet_NaN()}) {
+    examples.Add(R(x), "A");
+  }
+  for (double x : {10.0, 11.0, 12.0}) examples.Add(R(x), "B");
+  const Column probes = MakeColumn(ValueType::kReal, {R(2.0)});
+  GaussianClassifier g;
+  examples.TrainInto(g);
+  EXPECT_EQ(g.TrainingSize(), 6u);
+  EXPECT_EQ(g.Classify(probes, 0), "A");
+}
+
+TEST(GaussianTest, InfiniteTrainingCellDoesNotSilenceItsLabel) {
+  Examples examples(ValueType::kReal);
+  for (double x : {1.0, 2.0, 3.0}) examples.Add(R(x), "A");
+  for (double x : {10.0, 11.0, 12.0, std::numeric_limits<double>::infinity()}) {
+    examples.Add(R(x), "B");
+  }
+  const Column probes = MakeColumn(ValueType::kReal, {R(11.0)});
+  GaussianClassifier g;
+  examples.TrainInto(g);
+  EXPECT_EQ(g.TrainingSize(), 6u);
+  EXPECT_EQ(g.Classify(probes, 0), "B");
+}
+
+TEST(GaussianTest, NonFiniteCellClassifiesAsMissing) {
+  Examples examples(ValueType::kReal);
+  examples.Add(R(1.0), "A");
+  examples.Add(R(10.0), "B");
+  const Column probes = MakeColumn(
+      ValueType::kReal, {R(std::numeric_limits<double>::quiet_NaN()),
+                         R(-std::numeric_limits<double>::infinity()), N()});
+  GaussianClassifier g;
+  examples.TrainInto(g);
+  for (size_t r = 0; r < probes.size(); ++r) {
+    EXPECT_EQ(g.Classify(probes, r), "") << "row " << r;
+  }
 }
 
 // ------------------------------------------------------------ Evaluation
