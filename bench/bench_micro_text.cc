@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
   });
   profile.kernel = TimeBest(reps, &sink, [&] {
     GramProfileBuilder builder;
-    for (const std::string& name : names) builder.AddText(name, 3);
+    for (const std::string& name : names) builder.AddText(name);
     return builder.Build().num_distinct();
   });
 

@@ -1444,21 +1444,40 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
     HostileTableOptions table_options;
     table_options.min_rows = 1;
     const Table table = RandomHostileTable("fuzz", rng, table_options);
-    const size_t cols = table.schema().num_attributes();
-    // Packed gram length for the profile checks.
+    // Packed gram length for the pack/unpack checks; profiles use q = 3.
     const size_t q = 1 + rng.NextBounded(kMaxPackedGramQ);
 
-    std::vector<std::vector<std::string>> texts(cols);
-    for (size_t c = 0; c < cols; ++c) {
+    // One text list per table column, plus one of arbitrary bytes: a text
+    // holding every byte 0x00-0xff once in random order and random-byte
+    // texts, so the dense 3-gram ranks see every byte the normalizer must
+    // drop, fold or keep.
+    std::vector<std::vector<std::string>> texts(
+        table.schema().num_attributes());
+    for (size_t c = 0; c < texts.size(); ++c) {
       for (size_t r = 0; r < table.num_rows(); ++r) {
         const Value v = table.ValueAt(r, c);
         if (!v.is_null()) texts[c].push_back(v.ToString());
       }
     }
+    std::vector<std::string>& byte_texts = texts.emplace_back();
+    std::string every_byte(256, '\0');
+    for (size_t b = 0; b < 256; ++b) every_byte[b] = static_cast<char>(b);
+    for (size_t b = 255; b > 0; --b) {
+      std::swap(every_byte[b], every_byte[rng.NextBounded(b + 1)]);
+    }
+    byte_texts.push_back(every_byte);
+    for (size_t k = rng.NextBounded(4); k > 0; --k) {
+      std::string text(rng.NextBounded(24), '\0');
+      for (char& ch : text) ch = static_cast<char>(rng.NextBounded(256));
+      byte_texts.push_back(std::move(text));
+    }
+    const size_t cols = texts.size();
 
-    // (1) Packed ids match the string grams one-to-one and round-trip.
+    // (1) Packed ids match the string grams one-to-one and round-trip, and
+    // each 3-gram's dense rank is its packed id's, in the same order.
     std::string scratch;
     std::vector<GramId> ids;
+    std::vector<uint32_t> ranks;
     for (const auto& col_texts : texts) {
       for (const std::string& text : col_texts) {
         const std::vector<std::string> grams = QGrams(text, q);
@@ -1477,6 +1496,23 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
                                            grams[g] + "\""));
           }
         }
+        const std::vector<std::string> trigrams = QGrams(text, kProfileGramQ);
+        ranks.clear();
+        AppendQGramRanks(text, &scratch, &ranks);
+        if (ranks.size() != trigrams.size()) {
+          return Replay(options, i,
+                        Status::Internal("3-gram rank count diverged on \"" +
+                                         text + "\""));
+        }
+        for (size_t g = 0; g < trigrams.size(); ++g) {
+          const GramId id = PackGram(trigrams[g]);
+          if (ranks[g] >= kNumGramRanks || GramOfRank(ranks[g]) != id ||
+              GramRank(id) != ranks[g]) {
+            return Replay(options, i,
+                          Status::Internal("3-gram rank diverged on \"" +
+                                           trigrams[g] + "\""));
+          }
+        }
       }
     }
 
@@ -1489,9 +1525,9 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
     WordProfileBuilder word_builder;
     for (size_t c = 0; c < cols; ++c) {
       for (const std::string& text : texts[c]) {
-        ref_grams[c].AddAll(QGrams(text, q));
+        ref_grams[c].AddAll(QGrams(text, kProfileGramQ));
         ref_words[c].AddAll(WordTokens(text));
-        gram_builder.AddText(text, q);
+        gram_builder.AddText(text);
         word_builder.AddText(text);
       }
       kernel_grams[c] = gram_builder.Build();
@@ -1505,6 +1541,18 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
         return Replay(options, i,
                       Status::Internal("profile aggregate diverged on col " +
                                        std::to_string(c)));
+      }
+      auto ref_gram = ref_grams[c].counts().begin();
+      for (const GramProfile::Entry& e : kernel_grams[c].entries()) {
+        if (e.id != PackGram(ref_gram->first) ||
+            !BitEqual(e.count, ref_gram->second)) {
+          return Replay(options, i,
+                        Status::Internal("3-gram profile entry '" +
+                                         ref_gram->first +
+                                         "' diverged on col " +
+                                         std::to_string(c)));
+        }
+        ++ref_gram;
       }
     }
     ReferenceTfIdfCorpus ref_corpus;
@@ -1532,9 +1580,18 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
             BitEqual(kernel_corpus.WeightedCosine(kernel_words[a],
                                                   kernel_words[b]),
                      ref_corpus.WeightedCosine(ref_words[a], ref_words[b]));
-        if (!ok) {
+        // The same cosine with `a` copied out of the corpus: its side is
+        // computed from IDF lookups, `b`'s read from the stored document.
+        const WordProfile outside = kernel_words[a];
+        const bool outside_ok =
+            BitEqual(kernel_corpus.WeightedCosine(outside, kernel_words[b]),
+                     ref_corpus.WeightedCosine(ref_words[a], ref_words[b])) &&
+            BitEqual(kernel_corpus.WeightedNorm(outside),
+                     kernel_corpus.WeightedNorm(kernel_words[a]));
+        if (!ok || !outside_ok) {
+          const std::string what = ok ? "non-document TF-IDF" : "similarity";
           return Replay(options, i,
-                        Status::Internal("similarity diverged on cols " +
+                        Status::Internal(what + " diverged on cols " +
                                          std::to_string(a) + "/" +
                                          std::to_string(b)));
         }
@@ -1592,16 +1649,53 @@ Status FuzzViewProfileEquivalence(const FuzzOptions& options) {
     }
     const TfIdfCorpus corpus(documents);
 
-    // Session-level equivalence runs against a random target database.
-    Database target("tgt");
-    target.AddTable(RandomViewProfileTable("t0", rng));
-    target.AddTable(RandomViewProfileTable("t1", rng));
-    const TableMatchSession session(table, target, DefaultMatcherSuite());
+    // Session-level equivalence runs against two random target databases,
+    // so each index is aligned to the targets of two sessions (two IDF
+    // corpora).  The second also holds a table of tokens no source table
+    // draws, which every index vocabulary lacks.
+    Database target_a("tgt_a");
+    target_a.AddTable(RandomViewProfileTable("t0", rng));
+    target_a.AddTable(RandomViewProfileTable("t1", rng));
+    Database target_b("tgt_b");
+    target_b.AddTable(RandomViewProfileTable("t2", rng));
+    {
+      TableSchema schema("t3");
+      schema.AddAttribute("w", ValueType::kString);
+      Table unseen(schema);
+      for (const char* cell : {"alpha xqz7", "zulu9 beta", "ee ff ee", "!!!"}) {
+        unseen.AddRow({Value::String(cell)});
+      }
+      unseen.AddRow({Value::Null()});
+      target_b.AddTable(std::move(unseen));
+    }
+    const TableMatchSession session_a(table, target_a, DefaultMatcherSuite());
+    const TableMatchSession session_b(table, target_b, DefaultMatcherSuite());
+    const TableMatchSession* const sessions[] = {&session_a, &session_b};
 
     for (size_t c = 0; c < wholes.size(); ++c) {
       const std::string& attr = table.schema().attribute(c).name;
-      for (size_t l = 0; l < lists.size(); ++l) {
-        const PosList& rows = lists[l];
+      // Every target of both sessions laid over this column's index, once.
+      std::vector<std::vector<IndexAlignment>> alignments;
+      for (const TableMatchSession* session : sessions) {
+        std::vector<IndexAlignment>& per_target = alignments.emplace_back();
+        for (const AttributeRef& ref : session->target_refs()) {
+          per_target.push_back(session->AlignRestricted(wholes[c], ref));
+        }
+      }
+      // This column's lists: the shared ones, its NULL rows only, and one
+      // random row.
+      std::vector<PosList> column_lists = lists;
+      PosList& null_rows = column_lists.emplace_back();
+      for (size_t r = 0; r < n; ++r) {
+        if (table.column(c).IsNull(r)) {
+          null_rows.push_back(static_cast<RowId>(r));
+        }
+      }
+      if (n > 0) {
+        column_lists.push_back({static_cast<RowId>(rng.NextBounded(n))});
+      }
+      for (size_t l = 0; l < column_lists.size(); ++l) {
+        const PosList& rows = column_lists[l];
         const std::string where = attr + " at position list " +
                                   std::to_string(l) + " (" +
                                   std::to_string(rows.size()) + " rows)";
@@ -1633,20 +1727,35 @@ Status FuzzViewProfileEquivalence(const FuzzOptions& options) {
           }
         }
 
-        // (3) ScoreRestrictedSample on the restriction equals the same call
-        // on the view materialized as a table.
+        // (3) ScoreRestrictedSample on the restriction — scored in the
+        // index's vocabulary against each target's alignment, and through
+        // its merged profiles without one — equals the same call on the view
+        // materialized as a table, in both sessions.
         const AttributeSample materialized =
             AttributeSample::FromTable(TableView(table, rows).ToTable(), attr);
-        for (const AttributeRef& ref : session.target_refs()) {
-          const MatchScore got = session.ScoreRestrictedSample(restricted, ref);
-          const MatchScore want =
-              session.ScoreRestrictedSample(materialized, ref);
-          if (got.matchers_used != want.matchers_used ||
-              !BitEqual(got.score, want.score) ||
-              !BitEqual(got.confidence, want.confidence)) {
-            return Replay(options, i,
-                          Status::Internal("ScoreRestrictedSample diverged on " +
-                                           where + " -> " + ref.ToString()));
+        for (size_t k = 0; k < std::size(sessions); ++k) {
+          const TableMatchSession& session = *sessions[k];
+          for (size_t t = 0; t < session.target_refs().size(); ++t) {
+            const AttributeRef& ref = session.target_refs()[t];
+            const MatchScore want =
+                session.ScoreRestrictedSample(materialized, ref);
+            const MatchScore aligned = session.ScoreRestrictedSample(
+                restricted, ref, &alignments[k][t]);
+            const MatchScore merged =
+                session.ScoreRestrictedSample(restricted, ref);
+            for (const MatchScore* got : {&aligned, &merged}) {
+              if (got->matchers_used != want.matchers_used ||
+                  !BitEqual(got->score, want.score) ||
+                  !BitEqual(got->confidence, want.confidence)) {
+                return Replay(
+                    options, i,
+                    Status::Internal(
+                        std::string(got == &aligned ? "aligned" : "merged") +
+                        " ScoreRestrictedSample diverged on " + where +
+                        " -> " + ref.ToString() + " in session " +
+                        std::to_string(k)));
+              }
+            }
           }
         }
       }

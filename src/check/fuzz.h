@@ -63,9 +63,13 @@
 //                            order, every cell's type and bits, TableToCsv
 //                            bytes and output dictionaries
 //   * FuzzTokenKernelEquivalence
-//                            random hostile tables through the interned
+//                            random hostile tables, plus texts holding
+//                            every byte 0x00-0xff, through the interned
 //                            token kernel (text/gram.h): packed gram ids,
-//                            flat profiles, TF-IDF weighted cosine, the
+//                            dense 3-gram ranks, the q = 3 profile builder
+//                            (every entry in order), flat profiles, TF-IDF
+//                            weighted cosine (stored document side and
+//                            computed side), the
 //                            gram-major Naive Bayes classifier (labels and
 //                            log scores over trained, held-out and
 //                            second-dictionary string cells, before and
@@ -86,8 +90,12 @@
 //                            map-of-strings reference (counts, renderings,
 //                            every profile entry, moments, cosine / Dice /
 //                            Jaccard / TF-IDF), and ScoreRestrictedSample
-//                            against the same call on the materialized
-//                            view — every double bit-identical
+//                            (in the index's vocabulary against targets of
+//                            two sessions' alignments, one with tokens no
+//                            index holds, and through merged profiles; also
+//                            on each column's NULL-only and single-row
+//                            restrictions) against the same call on the
+//                            materialized view — every double bit-identical
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_

@@ -48,14 +48,20 @@ struct ScoredFragment {
   MatchList view_matches;
 };
 
-/// The whole-table samples of one source table's rescored attributes, each
-/// carrying its per-code token index (AttributeSample::Indexed), keyed by
-/// attribute name.  Held by one pipeline run only: no index outlives its
-/// run, and the session cache never holds one.
-using IndexedSamples = std::map<std::string, AttributeSample>;
+/// One source table's scoring state for one pipeline run: the whole-table
+/// samples of its rescored attributes, each carrying its per-code token
+/// index (AttributeSample::Indexed), keyed by attribute name, and every
+/// accepted match's target laid over its attribute's index, in accepted
+/// order.  No index or alignment outlives its run, and the session cache
+/// never holds one.  Read-only while candidates are scored.
+struct IndexedTable {
+  std::map<std::string, AttributeSample> samples;
+  std::vector<IndexAlignment> alignments;  // per accepted match
+};
 
 /// Indexes every rescored attribute of each source table that `candidates`
-/// restrict and `indexed` does not hold yet, one attribute per task on
+/// restrict and `indexed` does not hold yet, and aligns each of its
+/// accepted matches' targets to the index, one attribute per task on
 /// `pool`.  Tasks poll `cancel` before they start, so a deadline overshoots
 /// by at most one attribute's build.  Returns false, leaving `indexed`
 /// unchanged, when a task was skipped.
@@ -63,14 +69,14 @@ bool IndexRestrictedTables(const std::vector<SourceState>& states,
                            const std::vector<CandidateView>& candidates,
                            exec::ThreadPool* pool,
                            const CancellationToken* cancel,
-                           std::vector<IndexedSamples>* indexed) {
+                           std::vector<IndexedTable>* indexed) {
   struct Job {
     size_t state;
     const std::string* attribute;
   };
   std::vector<Job> jobs;
   for (size_t s = 0; s < states.size(); ++s) {
-    if (!(*indexed)[s].empty()) continue;
+    if (!(*indexed)[s].samples.empty()) continue;
     const std::string& table = states[s].sample->name();
     const bool restricted = std::any_of(
         candidates.begin(), candidates.end(),
@@ -83,23 +89,39 @@ bool IndexRestrictedTables(const std::vector<SourceState>& states,
       }
     }
   }
-  std::vector<std::optional<AttributeSample>> built(jobs.size());
+  struct Built {
+    AttributeSample sample;
+    std::vector<std::pair<size_t, IndexAlignment>> alignments;
+  };
+  std::vector<std::optional<Built>> built(jobs.size());
   exec::ParallelFor(
       pool, jobs.size(),
       [&](size_t j) {
         // Fault site "scoring.index" (index = build in job order; kCancel
         // and kSleep only).
         FaultInjector::Hit("scoring.index", j);
-        built[j] = AttributeSample::Indexed(*states[jobs[j].state].sample,
-                                            *jobs[j].attribute);
+        const SourceState& state = states[jobs[j].state];
+        Built b{AttributeSample::Indexed(*state.sample, *jobs[j].attribute),
+                {}};
+        for (size_t k = 0; k < state.accepted->size(); ++k) {
+          const Match& m = (*state.accepted)[k];
+          if (m.source.attribute != *jobs[j].attribute) continue;
+          b.alignments.emplace_back(
+              k, state.session->AlignRestricted(b.sample, m.target));
+        }
+        built[j] = std::move(b);
       },
       cancel);
-  for (const std::optional<AttributeSample>& sample : built) {
-    if (!sample.has_value()) return false;
+  for (const std::optional<Built>& b : built) {
+    if (!b.has_value()) return false;
   }
   for (size_t j = 0; j < jobs.size(); ++j) {
-    (*indexed)[jobs[j].state].emplace(*jobs[j].attribute,
-                                      std::move(*built[j]));
+    IndexedTable& table = (*indexed)[jobs[j].state];
+    table.alignments.resize(states[jobs[j].state].accepted->size());
+    for (auto& [k, alignment] : built[j]->alignments) {
+      table.alignments[k] = std::move(alignment);
+    }
+    table.samples.emplace(*jobs[j].attribute, std::move(built[j]->sample));
   }
   return true;
 }
@@ -115,16 +137,17 @@ bool IndexRestrictedTables(const std::vector<SourceState>& states,
 /// Pure function of (state, indexed, candidate, rng): touches no shared
 /// mutable state, so candidates can be scored concurrently.
 ScoredFragment ScoreCandidate(const SourceState& state,
-                              const IndexedSamples& indexed,
+                              const IndexedTable& indexed,
                               const View& candidate, bool placebo_correction,
                               Rng& rng) {
   ScoredFragment fragment;
   fragment.scored = true;
   // One restricted sample per source attribute, so each attribute's
-  // restriction — and its merged token profiles — is built once per view
-  // no matter how many target attributes it is scored against.  A sample
+  // restriction — and its merged token terms — is built once per view no
+  // matter how many target attributes it is scored against.  A sample
   // counts the attribute's codes at the view's positions and merges the
-  // index's per-code partials: nothing is rendered or tokenized here.
+  // index's per-code partials: nothing is rendered or tokenized here, and
+  // each target is scored against its alignment to the index.
   std::map<std::string, AttributeSample> samples;
   std::map<std::string, std::vector<AttributeSample>> placebo_samples;
 
@@ -157,15 +180,17 @@ ScoredFragment ScoreCandidate(const SourceState& state,
   }
   fragment.view_rows = view_rows.size();
 
-  for (const Match& base : *state.accepted) {
+  for (size_t k = 0; k < state.accepted->size(); ++k) {
+    const Match& base = (*state.accepted)[k];
+    const IndexAlignment& alignment = indexed.alignments[k];
     const std::string& attr = base.source.attribute;
-    const AttributeSample& whole = indexed.at(attr);
+    const AttributeSample& whole = indexed.samples.at(attr);
     auto it = samples.find(attr);
     if (it == samples.end()) {
       it = samples.emplace(attr, whole.Restrict(view_rows)).first;
     }
-    MatchScore ms =
-        state.session->ScoreRestrictedSample(it->second, base.target);
+    MatchScore ms = state.session->ScoreRestrictedSample(
+        it->second, base.target, &alignment);
     double confidence = ms.confidence;
 
     if (placebo_correction) {
@@ -181,7 +206,8 @@ ScoredFragment ScoreCandidate(const SourceState& state,
       double placebo_confidence = 0.0;
       for (const AttributeSample& sample : pit->second) {
         placebo_confidence +=
-            state.session->ScoreRestrictedSample(sample, base.target)
+            state.session
+                ->ScoreRestrictedSample(sample, base.target, &alignment)
                 .confidence;
       }
       placebo_confidence /= static_cast<double>(pit->second.size());
@@ -593,10 +619,11 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
       stage_bases.push_back(StageBase{i, Condition::True()});
     }
 
-    // Per-code token indexes of the rescored attributes, one map per source
-    // table.  The first stage whose candidates restrict a table indexes it;
-    // later stages' views restrict the same table and reuse its map.
-    std::vector<IndexedSamples> indexed(states.size());
+    // Per-code token indexes of the rescored attributes and their
+    // alignments, one per source table.  The first stage whose candidates
+    // restrict a table indexes it; later stages' views restrict the same
+    // table and reuse its state.
+    std::vector<IndexedTable> indexed(states.size());
 
     SelectionResult selection;
     for (size_t stage = 0; cancelled_phase.empty() && stage < max_stages;

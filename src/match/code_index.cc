@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -18,7 +19,7 @@ namespace {
 /// code's row into (index, count) terms sorted by index.
 template <typename Partial, typename ToIndex>
 void BuildPartials(const std::vector<uint32_t>& raw_offsets,
-                   const std::vector<GramId>& raw, ToIndex to_index,
+                   const std::vector<uint32_t>& raw, ToIndex to_index,
                    std::vector<uint32_t>* offsets,
                    std::vector<Partial>* partials) {
   offsets->assign(1, 0);
@@ -73,11 +74,12 @@ CodeTokenIndex::CodeTokenIndex(const Column& column)
   }
   representatives_ = column.Gather(first_rows);
 
-  // Tokenize each code's rendering once: raw gram ids and interned word
-  // ids, CSR over codes.
+  // Tokenize each code's rendering once: each gram's first-touch slot of
+  // its dense rank and interned word ids, CSR over codes.
+  GramRankSlots gram_slots;
   auto interner = std::make_shared<TokenInterner>();
   std::vector<uint32_t> raw_gram_offsets{0}, raw_word_offsets{0};
-  std::vector<GramId> raw_grams, raw_words;
+  std::vector<uint32_t> raw_grams, raw_words, ranks;
   std::string rendering, padded;
   std::vector<std::string> words;
   for (size_t c = 0; c < first_rows.size(); ++c) {
@@ -90,7 +92,9 @@ CodeTokenIndex::CodeTokenIndex(const Column& column)
       representatives_.AppendRendering(c, &rendering);
       text = rendering;
     }
-    AppendPackedQGrams(text, 3, &padded, &raw_grams);
+    ranks.clear();
+    AppendQGramRanks(text, &padded, &ranks);
+    for (uint32_t rank : ranks) raw_grams.push_back(gram_slots.Touch(rank));
     raw_gram_offsets.push_back(static_cast<uint32_t>(raw_grams.size()));
     WordTokens(text, &words);
     for (const std::string& word : words) {
@@ -100,17 +104,17 @@ CodeTokenIndex::CodeTokenIndex(const Column& column)
   }
 
   // Vocabularies in emission order, then partials over vocabulary indices.
-  gram_vocab_ = raw_grams;
-  std::sort(gram_vocab_.begin(), gram_vocab_.end());
-  gram_vocab_.erase(std::unique(gram_vocab_.begin(), gram_vocab_.end()),
-                    gram_vocab_.end());
+  // The gram vocabulary is the touched ranks walked in rank (= id) order;
+  // raw grams hold first-touch slots, renumbered to vocabulary indices.
+  std::vector<uint32_t> vocab_index(gram_slots.size());
+  gram_vocab_.reserve(gram_slots.size());
+  gram_slots.ForEachInRankOrder([&](uint32_t rank, uint32_t first_touch) {
+    vocab_index[first_touch] = static_cast<uint32_t>(gram_vocab_.size());
+    gram_vocab_.push_back(GramOfRank(rank));
+  });
   BuildPartials(
       raw_gram_offsets, raw_grams,
-      [&](GramId id) {
-        return static_cast<uint32_t>(
-            std::lower_bound(gram_vocab_.begin(), gram_vocab_.end(), id) -
-            gram_vocab_.begin());
-      },
+      [&](uint32_t first_touch) { return vocab_index[first_touch]; },
       &gram_offsets_, &gram_partials_);
 
   std::vector<GramId> by_token(interner->size());
@@ -144,47 +148,131 @@ CodeTokenIndex::CodeCounts CodeTokenIndex::Count(
   return out;
 }
 
-template <typename Emit>
-double CodeTokenIndex::Merge(const std::vector<uint32_t>& offsets,
-                             const std::vector<Partial>& partials,
-                             size_t vocab_size, const CodeCounts& counts,
-                             Emit&& emit) const {
+SlotTerms CodeTokenIndex::Merge(const std::vector<uint32_t>& offsets,
+                                const std::vector<Partial>& partials,
+                                size_t vocab_size,
+                                const CodeCounts& counts) const {
   std::vector<double> sums(vocab_size, 0.0);
   std::vector<uint64_t> touched((vocab_size + 63) / 64, 0);
-  double total = 0.0;
   for (const auto& [code, n] : counts) {
     const double weight = static_cast<double>(n);
     for (uint32_t k = offsets[code]; k < offsets[code + 1]; ++k) {
       const Partial& p = partials[k];
-      const double add = weight * static_cast<double>(p.count);
-      sums[p.index] += add;
+      sums[p.index] += weight * static_cast<double>(p.count);
       touched[p.index / 64] |= uint64_t{1} << (p.index % 64);
-      total += add;
     }
   }
+  SlotTerms terms;
   for (size_t w = 0; w < touched.size(); ++w) {
     for (uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
-      const size_t v = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-      emit(v, sums[v]);
+      const uint32_t v =
+          static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+      terms.push_back({v, sums[v]});
     }
   }
+  return terms;
+}
+
+SlotTerms CodeTokenIndex::MergeQGrams(const CodeCounts& counts) const {
+  return Merge(gram_offsets_, gram_partials_, gram_vocab_.size(), counts);
+}
+
+SlotTerms CodeTokenIndex::MergeWords(const CodeCounts& counts) const {
+  return Merge(word_offsets_, word_partials_, word_vocab_.size(), counts);
+}
+
+namespace {
+
+/// Sum of the terms' counts: exact integers below 2^53, so equal to the
+/// per-occurrence total of a built profile.
+double TotalOf(const SlotTerms& terms) {
+  double total = 0.0;
+  for (const SlotTerm& t : terms) total += t.count;
   return total;
 }
 
-GramProfile CodeTokenIndex::MergeQGrams(const CodeCounts& counts) const {
+}  // namespace
+
+GramProfile CodeTokenIndex::QGramProfileOf(const SlotTerms& terms) const {
   std::vector<GramProfile::Entry> entries;
-  const double total =
-      Merge(gram_offsets_, gram_partials_, gram_vocab_.size(), counts,
-            [&](size_t v, double n) { entries.push_back({gram_vocab_[v], n}); });
-  return GramProfile(std::move(entries), total);
+  entries.reserve(terms.size());
+  for (const SlotTerm& t : terms) {
+    entries.push_back({gram_vocab_[t.slot], t.count});
+  }
+  return GramProfile(std::move(entries), TotalOf(terms));
 }
 
-WordProfile CodeTokenIndex::MergeWords(const CodeCounts& counts) const {
+WordProfile CodeTokenIndex::WordProfileOf(const SlotTerms& terms) const {
   std::vector<WordProfile::Entry> entries;
-  const double total =
-      Merge(word_offsets_, word_partials_, word_vocab_.size(), counts,
-            [&](size_t v, double n) { entries.push_back({word_vocab_[v], n}); });
-  return WordProfile(words_, std::move(entries), total);
+  entries.reserve(terms.size());
+  for (const SlotTerm& t : terms) {
+    entries.push_back({word_vocab_[t.slot], t.count});
+  }
+  return WordProfile(words_, std::move(entries), TotalOf(terms));
+}
+
+void CodeTokenIndex::AlignQGrams(const GramProfile& target,
+                                 IndexAlignment* alignment) const {
+  CSM_CHECK(alignment->index == this);
+  alignment->gram_counts.assign(gram_vocab_.size(), 0.0);
+  auto e = target.entries().begin();
+  for (size_t v = 0; v < gram_vocab_.size(); ++v) {
+    while (e != target.entries().end() && e->id < gram_vocab_[v]) ++e;
+    if (e == target.entries().end()) break;
+    if (e->id == gram_vocab_[v]) alignment->gram_counts[v] = e->count;
+  }
+  alignment->gram_norm = target.Norm();
+}
+
+void CodeTokenIndex::AlignWords(const WordProfile& target,
+                                const TfIdfCorpus& corpus,
+                                IndexAlignment* alignment) const {
+  CSM_CHECK(alignment->index == this);
+  alignment->word_idf.resize(word_vocab_.size());
+  alignment->word_weights.assign(word_vocab_.size(), 0.0);
+  auto e = target.entries().begin();
+  for (size_t v = 0; v < word_vocab_.size(); ++v) {
+    const double idf = corpus.Idf(word_vocab_[v]);
+    alignment->word_idf[v] = idf;
+    while (e != target.entries().end() && e->token < word_vocab_[v]) ++e;
+    if (e != target.entries().end() && e->token == word_vocab_[v]) {
+      alignment->word_weights[v] = e->count * idf;
+    }
+  }
+  alignment->word_norm = corpus.WeightedNorm(target);
+}
+
+double IndexAlignment::GramCosine(const SlotTerms& terms) const {
+  // CosineSimilarity: 0 for an empty side (an empty target has norm 0;
+  // a nonempty one has every count >= 1), else Dot / (Norm * Norm) with
+  // both sums in id (= slot) order.  A slot the target lacks adds
+  // count x 0 = +0.0, an exact no-op on the non-negative dot.
+  if (terms.empty()) return 0.0;
+  double sum_sq = 0.0;
+  double dot = 0.0;
+  for (const SlotTerm& t : terms) {
+    sum_sq += t.count * t.count;
+    dot += t.count * gram_counts[t.slot];
+  }
+  const double denom = std::sqrt(sum_sq) * gram_norm;
+  if (denom == 0.0) return 0.0;
+  return dot / denom;
+}
+
+double IndexAlignment::WeightedCosine(const SlotTerms& terms) const {
+  // TfIdfCorpus::WeightedCosine with the subset as `a`: the same weights
+  // (count x IDF), squares and products, in token (= slot) order.
+  if (terms.empty()) return 0.0;
+  double sum_sq = 0.0;
+  double dot = 0.0;
+  for (const SlotTerm& t : terms) {
+    const double w = t.count * word_idf[t.slot];
+    sum_sq += w * w;
+    dot += w * word_weights[t.slot];
+  }
+  const double denom = std::sqrt(sum_sq) * word_norm;
+  if (denom == 0.0) return 0.0;
+  return dot / denom;
 }
 
 }  // namespace csm

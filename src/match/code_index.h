@@ -13,20 +13,28 @@
 // Codes are the distinct non-null values in first-seen row order: one per
 // string dictionary entry, int value or real bit pattern (the grouping
 // AttributeSample::DistinctRenders uses, so NaN payloads and -0.0 keep
-// their own codes).  Partials are CSR rows of (vocabulary index, count);
-// the q-gram vocabulary is sorted by GramId and the word vocabulary
-// lexicographically, so a merge emits entries in exactly the order the
-// profile builders sort them into.  Counts are exact integers below 2^53,
-// so merged profiles are bit-identical to built ones.
+// their own codes).  Partials are CSR rows of (vocabulary slot, count);
+// the q-gram vocabulary is sorted by GramId (built by dense 3-gram rank,
+// text/gram.h) and the word vocabulary lexicographically, so a merge emits
+// terms in exactly the order the profile builders sort their entries into.
+// Counts are exact integers below 2^53, so merged profiles are
+// bit-identical to built ones.
+//
+// A subset is scored without a profile: an IndexAlignment lays a target
+// attribute's profiles over the index's vocabularies once (its count, and
+// for words its TF-IDF weight, per slot), and a cosine is then one pass
+// over the subset's merged (slot, count) terms, adding the same doubles in
+// the same order as the profile cosines (DESIGN.md 6e).
 //
 // Immutable once built; concurrent readers need no lock.  See DESIGN.md
-// "Columnar storage & zero-copy views" for why an index lives only for one
-// pipeline run.
+// "Columnar storage & zero-copy views" for why an index (and its
+// alignments) lives only for one pipeline run.
 
 #ifndef CSM_MATCH_CODE_INDEX_H_
 #define CSM_MATCH_CODE_INDEX_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -34,8 +42,54 @@
 
 #include "relational/column.h"
 #include "text/gram.h"
+#include "text/tfidf.h"
 
 namespace csm {
+
+class CodeTokenIndex;
+
+/// One merged term of a subset's profile: a vocabulary slot and its summed
+/// count.  Terms of one subset are sorted by slot.
+struct SlotTerm {
+  uint32_t slot;
+  double count;
+};
+using SlotTerms = std::vector<SlotTerm>;
+
+/// A target attribute's whole-table profiles laid over one index's
+/// vocabularies, for scoring that index's subsets against the target: built
+/// once per (indexed source attribute, target attribute) pair for a run.
+/// Each matcher that scores subsets this way fills its part
+/// (AttributeMatcher::Align).  Read-only while scoring.
+struct IndexAlignment {
+  /// The index whose slots the vectors are laid over.
+  const CodeTokenIndex* index = nullptr;
+  /// The target attribute's position in the aligning session.
+  size_t target = std::numeric_limits<size_t>::max();
+
+  /// Name similarity of the attribute pair (a restriction keeps its name).
+  double name_score = 0.0;
+
+  /// Q-gram cosine: the target's count at each gram slot (0 where it lacks
+  /// the gram) and its whole profile's norm.
+  std::vector<double> gram_counts;
+  double gram_norm = 0.0;
+
+  /// TF-IDF cosine: each word slot's IDF in the target's corpus, the
+  /// target's count x IDF at each word slot (0 where it lacks the token),
+  /// and its whole IDF-weighted norm.
+  std::vector<double> word_idf;
+  std::vector<double> word_weights;
+  double word_norm = 0.0;
+
+  /// CosineSimilarity(subset q-gram profile, target q-gram profile), bit
+  /// for bit, from the subset's merged gram terms.
+  double GramCosine(const SlotTerms& terms) const;
+
+  /// TfIdfCorpus::WeightedCosine(subset word profile, target word profile),
+  /// bit for bit, from the subset's merged word terms.
+  double WeightedCosine(const SlotTerms& terms) const;
+};
 
 class CodeTokenIndex {
  public:
@@ -51,27 +105,37 @@ class CodeTokenIndex {
   /// skipped) with their multiplicities.
   CodeCounts Count(const PosList& positions) const;
 
-  /// The padded 3-gram profile of the counted rows.
-  GramProfile MergeQGrams(const CodeCounts& counts) const;
+  /// The padded 3-gram terms of the counted rows, sorted by slot.
+  SlotTerms MergeQGrams(const CodeCounts& counts) const;
 
-  /// The word-token profile of the counted rows; its token bytes live in
-  /// the index's interner, which the profile shares.
-  WordProfile MergeWords(const CodeCounts& counts) const;
+  /// The word-token terms of the counted rows, sorted by slot.
+  SlotTerms MergeWords(const CodeCounts& counts) const;
+
+  /// The profiles the terms stand for.  A word profile's token bytes live
+  /// in the index's interner, which the profile shares.
+  GramProfile QGramProfileOf(const SlotTerms& terms) const;
+  WordProfile WordProfileOf(const SlotTerms& terms) const;
+
+  /// Fills `alignment`'s q-gram part from the target's whole-table profile.
+  void AlignQGrams(const GramProfile& target, IndexAlignment* alignment) const;
+
+  /// Fills `alignment`'s TF-IDF part from the target's whole-table word
+  /// profile and the corpus it is scored in.
+  void AlignWords(const WordProfile& target, const TfIdfCorpus& corpus,
+                  IndexAlignment* alignment) const;
 
  private:
-  /// One (vocabulary index, count) term of a code's partial profile.
+  /// One (vocabulary slot, count) term of a code's partial profile.
   struct Partial {
     uint32_t index;
     uint32_t count;
   };
 
   /// Adds count x partial for every counted code into a dense accumulator
-  /// and calls emit(vocabulary index, summed count) for the touched entries
-  /// in vocabulary order; returns the profile total.
-  template <typename Emit>
-  double Merge(const std::vector<uint32_t>& offsets,
-               const std::vector<Partial>& partials, size_t vocab_size,
-               const CodeCounts& counts, Emit&& emit) const;
+  /// and returns the touched slots' sums in slot order.
+  SlotTerms Merge(const std::vector<uint32_t>& offsets,
+                  const std::vector<Partial>& partials, size_t vocab_size,
+                  const CodeCounts& counts) const;
 
   size_t num_codes() const { return representatives_.size(); }
 

@@ -85,15 +85,38 @@ AttributeSample::DistinctRenders() const {
   return *caches_->distinct;
 }
 
+const SlotTerms& AttributeSample::GramTerms() const {
+  CSM_CHECK(code_counts_.has_value())
+      << "GramTerms needs a restriction of " << ref_.ToString();
+  std::call_once(caches_->gram_terms_once, [this] {
+    caches_->gram_terms = index_->MergeQGrams(*code_counts_);
+  });
+  return *caches_->gram_terms;
+}
+
+const SlotTerms& AttributeSample::WordTerms() const {
+  CSM_CHECK(code_counts_.has_value())
+      << "WordTerms needs a restriction of " << ref_.ToString();
+  std::call_once(caches_->word_terms_once, [this] {
+    caches_->word_terms = index_->MergeWords(*code_counts_);
+  });
+  return *caches_->word_terms;
+}
+
+bool AttributeSample::HasWordTokens() const {
+  return code_counts_.has_value() ? !WordTerms().empty()
+                                  : !WordProfile().empty();
+}
+
 const GramProfile& AttributeSample::QGramProfile() const {
   std::call_once(caches_->qgram_once, [this] {
     if (code_counts_.has_value()) {
-      caches_->qgram_profile = index_->MergeQGrams(*code_counts_);
+      caches_->qgram_profile = index_->QGramProfileOf(GramTerms());
       return;
     }
     GramProfileBuilder builder;
     for (const auto& [text, count] : DistinctRenders()) {
-      builder.AddText(text, 3, count);
+      builder.AddText(text, count);
     }
     caches_->qgram_profile = builder.Build();
   });
@@ -103,7 +126,7 @@ const GramProfile& AttributeSample::QGramProfile() const {
 const csm::WordProfile& AttributeSample::WordProfile() const {
   std::call_once(caches_->word_once, [this] {
     if (code_counts_.has_value()) {
-      caches_->word_profile = index_->MergeWords(*code_counts_);
+      caches_->word_profile = index_->WordProfileOf(WordTerms());
       return;
     }
     WordProfileBuilder builder;

@@ -35,7 +35,9 @@ namespace csm {
 ///   * Indexed(...).Restrict(positions): the column gathered at a candidate
 ///     view's or placebo draw's rows, with the profiles merged from the
 ///     whole column's per-code token index (match/code_index.h) instead of
-///     tokenized again.
+///     tokenized again.  Scoring reads its merged slot terms against an
+///     IndexAlignment (AttributeMatcher::ScoreAligned) and never builds
+///     the profiles themselves.
 /// Both are bit-identical to per-row tokenization, because the counts are
 /// exact integers and every profile is emitted in sorted order.
 ///
@@ -86,6 +88,19 @@ class AttributeSample {
   /// Cached word-token profile over all non-null values.
   const csm::WordProfile& WordProfile() const;
 
+  /// Whether any non-null value holds a word token; a restriction answers
+  /// from its merged word terms, without building the profile.
+  bool HasWordTokens() const;
+
+  /// The per-code index of an Indexed sample or restriction, else null.
+  const CodeTokenIndex* index() const { return index_.get(); }
+
+  /// Restrictions only (CHECK-fails otherwise): the cached merged q-gram
+  /// and word terms in the index's vocabulary slots — the profiles' entries
+  /// before slots are mapped back to grams and tokens.
+  const SlotTerms& GramTerms() const;
+  const SlotTerms& WordTerms() const;
+
   /// Cached numeric stats over the numeric values in row order; empty
   /// accumulator when the attribute has no numeric values.
   const DescriptiveStats& NumericStats() const;
@@ -101,9 +116,13 @@ class AttributeSample {
     std::once_flag distinct_once;
     std::once_flag qgram_once;
     std::once_flag word_once;
+    std::once_flag gram_terms_once;
+    std::once_flag word_terms_once;
     std::once_flag numeric_once;
     size_t non_null_count = 0;
     std::optional<std::vector<std::pair<std::string, double>>> distinct;
+    std::optional<SlotTerms> gram_terms;
+    std::optional<SlotTerms> word_terms;
     std::optional<GramProfile> qgram_profile;
     std::optional<csm::WordProfile> word_profile;
     std::optional<DescriptiveStats> numeric_stats;
@@ -145,7 +164,8 @@ class AttributeMatcher {
   }
 
   /// Corpus-level preparation before a batch of Score() calls; the default
-  /// does nothing.  `targets` are all target attribute samples in play.
+  /// does nothing.  `targets` are all target attribute samples in play;
+  /// they must outlive the matcher's Score calls.
   virtual void Prepare(const std::vector<const AttributeSample*>& targets) {
     (void)targets;
   }
@@ -153,6 +173,26 @@ class AttributeMatcher {
   /// Raw similarity in [0, 1].
   virtual double Score(const AttributeSample& source,
                        const AttributeSample& target) const = 0;
+
+  /// Restrictions of one Indexed sample, scored in its index's vocabulary.
+  /// Align fills the part of `alignment` (laid over `indexed`'s index) this
+  /// matcher reads, from `target` — once per (source attribute, target
+  /// attribute) pair per run — and ScoreAligned then scores a restriction
+  /// of `indexed` against `target` from it, returning exactly Score's
+  /// double.  The defaults fill nothing and call Score.
+  virtual void Align(const AttributeSample& indexed,
+                     const AttributeSample& target,
+                     IndexAlignment* alignment) const {
+    (void)indexed;
+    (void)target;
+    (void)alignment;
+  }
+  virtual double ScoreAligned(const AttributeSample& restricted,
+                              const AttributeSample& target,
+                              const IndexAlignment& alignment) const {
+    (void)alignment;
+    return Score(restricted, target);
+  }
 };
 
 }  // namespace csm

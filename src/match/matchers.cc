@@ -6,6 +6,7 @@
 #include <set>
 #include <string_view>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "text/string_distance.h"
 #include "text/tokenizer.h"
@@ -51,15 +52,49 @@ double NameMatcher::Score(const AttributeSample& source,
   const std::string b = ToLower(target.ref().attribute);
   double edit_sim = JaroWinklerSimilarity(a, b);
 
-  WordProfileBuilder pa, pb;
-  for (const std::string& token : NameTokens(source.ref().attribute)) {
-    pa.Add(token);
+  // Dice over the distinct name tokens: 2 |A ∩ B| / (|A| + |B|), the ratio
+  // of integer counts DiceSimilarity takes over word profiles.
+  auto distinct_tokens = [](std::string_view name) {
+    std::vector<std::string> tokens = NameTokens(name);
+    std::sort(tokens.begin(), tokens.end());
+    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+    return tokens;
+  };
+  const std::vector<std::string> ta = distinct_tokens(source.ref().attribute);
+  const std::vector<std::string> tb = distinct_tokens(target.ref().attribute);
+  double token_sim = 0.0;
+  if (const size_t total = ta.size() + tb.size(); total > 0) {
+    size_t shared = 0;
+    for (auto ia = ta.begin(), ib = tb.begin();
+         ia != ta.end() && ib != tb.end();) {
+      if (*ia < *ib) {
+        ++ia;
+      } else if (*ib < *ia) {
+        ++ib;
+      } else {
+        ++shared;
+        ++ia;
+        ++ib;
+      }
+    }
+    token_sim = 2.0 * static_cast<double>(shared) / static_cast<double>(total);
   }
-  for (const std::string& token : NameTokens(target.ref().attribute)) {
-    pb.Add(token);
-  }
-  double token_sim = DiceSimilarity(pa.Build(), pb.Build());
   return std::max(edit_sim, token_sim);
+}
+
+void NameMatcher::Align(const AttributeSample& indexed,
+                        const AttributeSample& target,
+                        IndexAlignment* alignment) const {
+  alignment->name_score = Score(indexed, target);
+}
+
+double NameMatcher::ScoreAligned(const AttributeSample& restricted,
+                                 const AttributeSample& target,
+                                 const IndexAlignment& alignment) const {
+  (void)target;
+  CSM_CHECK(restricted.index() == alignment.index)
+      << "alignment of another index for " << restricted.ref().ToString();
+  return alignment.name_score;
 }
 
 bool QGramMatcher::Applicable(const AttributeSample& source,
@@ -70,6 +105,21 @@ bool QGramMatcher::Applicable(const AttributeSample& source,
 double QGramMatcher::Score(const AttributeSample& source,
                            const AttributeSample& target) const {
   return CosineSimilarity(source.QGramProfile(), target.QGramProfile());
+}
+
+void QGramMatcher::Align(const AttributeSample& indexed,
+                         const AttributeSample& target,
+                         IndexAlignment* alignment) const {
+  indexed.index()->AlignQGrams(target.QGramProfile(), alignment);
+}
+
+double QGramMatcher::ScoreAligned(const AttributeSample& restricted,
+                                  const AttributeSample& target,
+                                  const IndexAlignment& alignment) const {
+  (void)target;
+  CSM_CHECK(restricted.index() == alignment.index)
+      << "alignment of another index for " << restricted.ref().ToString();
+  return alignment.GramCosine(restricted.GramTerms());
 }
 
 void TfIdfTokenMatcher::Prepare(
@@ -84,12 +134,27 @@ void TfIdfTokenMatcher::Prepare(
 
 bool TfIdfTokenMatcher::Applicable(const AttributeSample& source,
                                    const AttributeSample& target) const {
-  return !source.WordProfile().empty() && !target.WordProfile().empty();
+  return source.HasWordTokens() && target.HasWordTokens();
 }
 
 double TfIdfTokenMatcher::Score(const AttributeSample& source,
                                 const AttributeSample& target) const {
   return corpus_.WeightedCosine(source.WordProfile(), target.WordProfile());
+}
+
+void TfIdfTokenMatcher::Align(const AttributeSample& indexed,
+                              const AttributeSample& target,
+                              IndexAlignment* alignment) const {
+  indexed.index()->AlignWords(target.WordProfile(), corpus_, alignment);
+}
+
+double TfIdfTokenMatcher::ScoreAligned(const AttributeSample& restricted,
+                                       const AttributeSample& target,
+                                       const IndexAlignment& alignment) const {
+  (void)target;
+  CSM_CHECK(restricted.index() == alignment.index)
+      << "alignment of another index for " << restricted.ref().ToString();
+  return alignment.WeightedCosine(restricted.WordTerms());
 }
 
 bool NumericMatcher::Applicable(const AttributeSample& source,

@@ -26,6 +26,13 @@ class NameMatcher : public AttributeMatcher {
   double Weight() const override { return weight_; }
   double Score(const AttributeSample& source,
                const AttributeSample& target) const override;
+  /// A restriction keeps its attribute name, so its score is the indexed
+  /// sample's: computed once per pair by Align.
+  void Align(const AttributeSample& indexed, const AttributeSample& target,
+             IndexAlignment* alignment) const override;
+  double ScoreAligned(const AttributeSample& restricted,
+                      const AttributeSample& target,
+                      const IndexAlignment& alignment) const override;
 
   /// Splits an attribute name into lowercase tokens on underscores, dashes,
   /// spaces, digit boundaries and camelCase humps ("ItemType" -> item,type).
@@ -47,6 +54,11 @@ class QGramMatcher : public AttributeMatcher {
                   const AttributeSample& target) const override;
   double Score(const AttributeSample& source,
                const AttributeSample& target) const override;
+  void Align(const AttributeSample& indexed, const AttributeSample& target,
+             IndexAlignment* alignment) const override;
+  double ScoreAligned(const AttributeSample& restricted,
+                      const AttributeSample& target,
+                      const IndexAlignment& alignment) const override;
 
  private:
   double weight_;
@@ -54,7 +66,8 @@ class QGramMatcher : public AttributeMatcher {
 
 /// TF-IDF-weighted cosine over word tokens.  Prepare() builds the IDF
 /// corpus from the target attributes, so tokens common to every target
-/// column (stopwords, boilerplate) are discounted.
+/// column (stopwords, boilerplate) are discounted; the corpus keeps each
+/// target's side of the cosine, so scoring looks up only source tokens.
 class TfIdfTokenMatcher : public AttributeMatcher {
  public:
   explicit TfIdfTokenMatcher(double weight = 1.0) : weight_(weight) {}
@@ -66,6 +79,11 @@ class TfIdfTokenMatcher : public AttributeMatcher {
                   const AttributeSample& target) const override;
   double Score(const AttributeSample& source,
                const AttributeSample& target) const override;
+  void Align(const AttributeSample& indexed, const AttributeSample& target,
+             IndexAlignment* alignment) const override;
+  double ScoreAligned(const AttributeSample& restricted,
+                      const AttributeSample& target,
+                      const IndexAlignment& alignment) const override;
 
  private:
   double weight_;

@@ -151,9 +151,9 @@ double TableMatchSession::Confidence(size_t matcher_index,
   return std::sqrt(relative * std::clamp(raw_score, 0.0, 1.0));
 }
 
-MatchScore TableMatchSession::CombineForBag(const AttributeSample& sample,
-                                            size_t source_index,
-                                            size_t target_index) const {
+MatchScore TableMatchSession::CombineForBag(
+    const AttributeSample& sample, size_t source_index, size_t target_index,
+    const IndexAlignment* alignment) const {
   MatchScore out;
   double weight_total = 0.0;
   double score_sum = 0.0;
@@ -166,7 +166,9 @@ MatchScore TableMatchSession::CombineForBag(const AttributeSample& sample,
         distributions_.end()) {
       continue;
     }
-    double raw = matchers_[m]->Score(sample, target);
+    double raw = alignment != nullptr
+                     ? matchers_[m]->ScoreAligned(sample, target, *alignment)
+                     : matchers_[m]->Score(sample, target);
     if (std::isnan(raw)) continue;  // inapplicable, as in PairScore
     double weight = matchers_[m]->Weight();
     score_sum += weight * raw;
@@ -222,13 +224,33 @@ MatchScore TableMatchSession::PairScore(std::string_view source_attribute,
 }
 
 MatchScore TableMatchSession::ScoreRestrictedSample(
-    const AttributeSample& sample, const AttributeRef& target) const {
+    const AttributeSample& sample, const AttributeRef& target,
+    const IndexAlignment* alignment) const {
   size_t s = SourceIndex(sample.ref().attribute);
   size_t t = TargetIndex(target);
+  if (alignment != nullptr) {
+    CSM_CHECK(alignment->target == t && alignment->index == sample.index())
+        << "alignment does not fit " << sample.ref().ToString() << " -> "
+        << target.ToString();
+  }
   if (sample.NonNullCount() < options_.min_non_null_values) {
     return MatchScore{};
   }
-  return CombineForBag(sample, s, t);
+  return CombineForBag(sample, s, t, alignment);
+}
+
+IndexAlignment TableMatchSession::AlignRestricted(
+    const AttributeSample& indexed, const AttributeRef& target) const {
+  CSM_CHECK(indexed.index() != nullptr)
+      << "AlignRestricted needs an Indexed sample of "
+      << indexed.ref().ToString();
+  IndexAlignment alignment;
+  alignment.index = indexed.index();
+  alignment.target = TargetIndex(target);
+  for (const auto& matcher : matchers_) {
+    matcher->Align(indexed, target_samples_[alignment.target], &alignment);
+  }
+  return alignment;
 }
 
 MatchList TableMatchSession::AcceptedMatches(double tau) const {

@@ -124,11 +124,24 @@ class TableMatchSession {
   /// 3.  The sample is a candidate view's (or placebo draw's) values of one
   /// source attribute, built with AttributeSample::Restrict over the source
   /// table's indexed sample; its attribute name selects the distributions.
-  /// Build it once per (view, attribute) — its token profiles are cached
-  /// inside — and call this once per target.  A matcher whose raw score is
-  /// NaN counts as inapplicable, here as everywhere in the session.
-  MatchScore ScoreRestrictedSample(const AttributeSample& sample,
-                                   const AttributeRef& target) const;
+  /// Build it once per (view, attribute) — its merged token terms are
+  /// cached inside — and call this once per target.  With `alignment`
+  /// (AlignRestricted of the sample's indexed source and `target`), the
+  /// matchers score the sample in the index's vocabulary; the result is
+  /// bit-identical either way.  A matcher whose raw score is NaN counts as
+  /// inapplicable, here as everywhere in the session.
+  MatchScore ScoreRestrictedSample(
+      const AttributeSample& sample, const AttributeRef& target,
+      const IndexAlignment* alignment = nullptr) const;
+
+  /// `target` laid over the vocabularies of `indexed` (an Indexed
+  /// whole-table sample of a source attribute) by every matcher, for
+  /// ScoreRestrictedSample on restrictions of `indexed`.  Build it once per
+  /// (source attribute, target) pair for one run; it holds copies, not
+  /// references, of the session's target state, but points at `indexed`'s
+  /// index, which must outlive it.
+  IndexAlignment AlignRestricted(const AttributeSample& indexed,
+                                 const AttributeRef& target) const;
 
   /// All target attribute refs the session scored against.
   const std::vector<AttributeRef>& target_refs() const { return target_refs_; }
@@ -166,7 +179,8 @@ class TableMatchSession {
                     double raw_score) const;
 
   MatchScore CombineForBag(const AttributeSample& source_sample,
-                           size_t source_index, size_t target_index) const;
+                           size_t source_index, size_t target_index,
+                           const IndexAlignment* alignment) const;
 
   size_t SourceIndex(std::string_view attribute) const;
   size_t TargetIndex(const AttributeRef& target) const;

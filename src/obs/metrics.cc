@@ -1,14 +1,19 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 
 namespace csm {
 namespace obs {
 namespace {
 
-/// First bucket upper bound: 100 nanoseconds.
-constexpr double kFirstBound = 1e-7;
+/// Bounds of the log-linear range: bucket 0 ends at kLowest, the overflow
+/// bucket starts at kHighest.
+const double kLowest = std::ldexp(1.0, Histogram::kMinExponent);
+const double kHighest =
+    std::ldexp(1.0, Histogram::kMinExponent + Histogram::kOctaves);
 
 /// Formats a double compactly for ToString/ToJson (%.9g keeps sub-second
 /// latencies exact enough while staying readable).
@@ -20,10 +25,24 @@ std::string Num(double v) {
 
 }  // namespace
 
+size_t Histogram::BucketIndex(double value) {
+  if (!(value >= kLowest)) return 0;  // also negatives and NaN
+  if (value >= kHighest) return kNumBuckets;
+  // A normal positive double: biased exponent in bits 52-62, the top four
+  // mantissa bits pick the sixteenth of the octave.
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  const int exponent = static_cast<int>(bits >> 52) - 1023;
+  const size_t sub = static_cast<size_t>(bits >> 48) & (kSubBuckets - 1);
+  return 1 + static_cast<size_t>(exponent - kMinExponent) * kSubBuckets + sub;
+}
+
 double Histogram::BucketBound(size_t b) {
-  double bound = kFirstBound;
-  for (size_t i = 0; i < b; ++i) bound *= 2.0;
-  return bound;
+  // Bucket b >= 1 spans [2^e (1 + s/16), 2^e (1 + (s+1)/16)) with
+  // e = kMinExponent + (b-1)/16 and s = (b-1) % 16; every bound is exact.
+  const size_t octave = b / kSubBuckets;
+  const size_t sub = b % kSubBuckets;
+  return std::ldexp(1.0 + static_cast<double>(sub) / kSubBuckets,
+                    kMinExponent + static_cast<int>(octave));
 }
 
 void Histogram::Observe(double value) {
@@ -35,13 +54,7 @@ void Histogram::Observe(double value) {
   }
   ++count_;
   sum_ += value;
-  size_t b = 0;
-  double bound = kFirstBound;
-  while (b < kNumBuckets && value > bound) {
-    bound *= 2.0;
-    ++b;
-  }
-  ++buckets_[b];  // b == kNumBuckets is the overflow bucket
+  ++buckets_[BucketIndex(value)];  // kNumBuckets is the overflow bucket
 }
 
 void Histogram::MergeFrom(const Histogram& other) {

@@ -36,14 +36,23 @@ struct HistogramSummary {
   double Mean() const { return count == 0 ? 0.0 : sum / count; }
 };
 
-/// Fixed-bucket histogram tuned for latencies in seconds: log-spaced
-/// (factor-2) bucket boundaries from 100ns to ~10^4 s, plus an overflow
-/// bucket.  Quantiles interpolate linearly inside the winning bucket and
-/// are clamped to the exact observed [min, max].  Not internally
-/// synchronized — MetricsRegistry guards it.
+/// Fixed-bucket histogram tuned for latencies in seconds, log-linear in
+/// the HdrHistogram manner: each octave [2^e, 2^(e+1)) from 2^-23 s
+/// (~119 ns) to 2^14 s (~4.5 h) splits into 16 equal sub-buckets, so a
+/// bucket is at most 1/16 of its lower bound wide.  Bucket 0 holds
+/// [0, 2^-23) (and negatives and NaN), and one overflow bucket holds the
+/// rest.  Observe finds the bucket from the value's exponent and top four
+/// mantissa bits, in O(1).  Quantiles interpolate linearly inside the
+/// bucket that holds the nearest-rank sample and are clamped to the exact
+/// observed [min, max], so they lie within one bucket of that sample.  Not
+/// internally synchronized — MetricsRegistry guards it.
 class Histogram {
  public:
-  static constexpr size_t kNumBuckets = 38;
+  static constexpr int kMinExponent = -23;
+  static constexpr int kOctaves = 37;
+  static constexpr size_t kSubBuckets = 16;
+  /// Bounded buckets: bucket 0 plus kOctaves x kSubBuckets.
+  static constexpr size_t kNumBuckets = 1 + kOctaves * kSubBuckets;
 
   void Observe(double value);
   void MergeFrom(const Histogram& other);
@@ -51,8 +60,12 @@ class Histogram {
   uint64_t count() const { return count_; }
   HistogramSummary Summary() const;
 
-  /// Upper bound of bucket `b` (the last bucket is unbounded and reports
-  /// the observed max).
+  /// Bucket of `value`: kNumBuckets is the overflow bucket.
+  static size_t BucketIndex(double value);
+
+  /// Upper bound of bucket `b` < kNumBuckets, which is also the lower bound
+  /// of bucket b + 1 (the overflow bucket is unbounded and reports the
+  /// observed max).
   static double BucketBound(size_t b);
 
  private:

@@ -1,20 +1,51 @@
 #include "text/gram.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
+#include "text/tokenizer.h"
 
 namespace csm {
 namespace {
 
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
+/// The padded gram alphabet in byte order: its index is a symbol's digit.
+constexpr std::string_view kGramAlphabet =
+    " #0123456789abcdefghijklmnopqrstuvwxyz";
+static_assert(kGramAlphabet.size() == kGramSymbols);
 
-char ToLowerChar(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+/// Digit of each byte in kGramAlphabet; kNotSymbol for every other byte.
+constexpr uint8_t kNotSymbol = 0xff;
+constexpr std::array<uint8_t, 256> kSymbolOf = [] {
+  std::array<uint8_t, 256> table{};
+  table.fill(kNotSymbol);
+  for (size_t d = 0; d < kGramAlphabet.size(); ++d) {
+    table[static_cast<uint8_t>(kGramAlphabet[d])] = static_cast<uint8_t>(d);
+  }
+  return table;
+}();
+
+/// Fills `*scratch` with (q-1) '#', NormalizeText(text), (q-1) '#' in one
+/// pass; false (no grams, the QGrams contract) when the text has no word
+/// character.
+bool PadNormalized(std::string_view text, size_t q, std::string* scratch) {
+  scratch->assign(q - 1, '#');
+  bool pending_space = false;
+  bool any = false;
+  for (char c : text) {
+    if (IsWordChar(c)) {
+      if (pending_space && any) *scratch += ' ';
+      pending_space = false;
+      *scratch += ToLowerChar(c);
+      any = true;
+    } else {
+      pending_space = true;
+    }
+  }
+  if (!any) return false;
+  scratch->append(q - 1, '#');
+  return true;
 }
 
 }  // namespace
@@ -47,23 +78,7 @@ void AppendPackedQGrams(std::string_view text, size_t q, std::string* scratch,
                         std::vector<GramId>* out) {
   if (q == 0) return;
   CSM_CHECK_LE(q, kMaxPackedGramQ);
-  // Build the padded normalized text: (q-1) '#', NormalizeText(text),
-  // (q-1) '#' — one pass, no intermediate string.
-  scratch->assign(q - 1, '#');
-  bool pending_space = false;
-  bool any = false;
-  for (char c : text) {
-    if (IsWordChar(c)) {
-      if (pending_space && any) *scratch += ' ';
-      pending_space = false;
-      *scratch += ToLowerChar(c);
-      any = true;
-    } else {
-      pending_space = true;
-    }
-  }
-  if (!any) return;  // NormalizeText empty -> no grams (QGrams contract)
-  scratch->append(q - 1, '#');
+  if (!PadNormalized(text, q, scratch)) return;
 
   const char* data = scratch->data();
   const size_t n = scratch->size();
@@ -76,6 +91,69 @@ void AppendPackedQGrams(std::string_view text, size_t q, std::string* scratch,
     id = ((id << 8) | static_cast<uint8_t>(data[i])) & mask;
     if (i + 1 >= q) out->push_back(id);
   }
+}
+
+uint32_t GramRank(GramId id) {
+  uint32_t rank = 0;
+  for (int shift = 16; shift >= 0; shift -= 8) {
+    const uint8_t digit = kSymbolOf[(id >> shift) & 0xffu];
+    CSM_CHECK(digit != kNotSymbol && (id >> 24) == 0)
+        << "not a padded 3-gram: " << id;
+    rank = rank * kGramSymbols + digit;
+  }
+  return rank;
+}
+
+GramId GramOfRank(uint32_t rank) {
+  CSM_CHECK_LT(rank, kNumGramRanks);
+  const auto byte = [](uint32_t digit) {
+    return static_cast<GramId>(static_cast<uint8_t>(kGramAlphabet[digit]));
+  };
+  return byte(rank / (kGramSymbols * kGramSymbols)) << 16 |
+         byte(rank / kGramSymbols % kGramSymbols) << 8 |
+         byte(rank % kGramSymbols);
+}
+
+void AppendQGramRanks(std::string_view text, std::string* scratch,
+                      std::vector<uint32_t>* out) {
+  if (!PadNormalized(text, kProfileGramQ, scratch)) return;
+  // Every padded byte is in the alphabet (IsWordChar is ASCII), so each
+  // digit lookup hits.
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(scratch->data());
+  const size_t n = scratch->size();
+  out->reserve(out->size() + (n - 2));
+  for (size_t i = 0; i + 2 < n; ++i) {
+    const uint32_t a = kSymbolOf[data[i]];
+    const uint32_t b = kSymbolOf[data[i + 1]];
+    const uint32_t c = kSymbolOf[data[i + 2]];
+    out->push_back((a * kGramSymbols + b) * kGramSymbols + c);
+  }
+}
+
+GramRankSlots::GramRankSlots() {
+  thread_local Table thread_table;
+  table_ = &thread_table;
+  if (table_->borrowed) {
+    own_ = std::make_unique<Table>();
+    table_ = own_.get();
+  }
+  table_->borrowed = true;
+}
+
+GramRankSlots::~GramRankSlots() {
+  Clear();
+  table_->borrowed = false;
+}
+
+void GramRankSlots::Clear() {
+  if (size_ == 0) return;
+  for (size_t w = 0; w < table_->touched.size(); ++w) {
+    for (uint64_t bits = table_->touched[w]; bits != 0; bits &= bits - 1) {
+      table_->slot_plus_one[w * 64 + std::countr_zero(bits)] = 0;
+    }
+    table_->touched[w] = 0;
+  }
+  size_ = 0;
 }
 
 GramId TokenInterner::GetOrAdd(std::string_view token) {
@@ -96,10 +174,11 @@ double GramProfile::Count(GramId id) const {
   return it != entries_.end() && it->id == id ? it->count : 0.0;
 }
 
-double GramProfile::Norm() const {
+GramProfile::GramProfile(std::vector<Entry> entries, double total)
+    : entries_(std::move(entries)), total_(total) {
   double sum_sq = 0.0;
   for (const Entry& e : entries_) sum_sq += e.count * e.count;
-  return std::sqrt(sum_sq);
+  norm_ = std::sqrt(sum_sq);
 }
 
 double GramProfile::Dot(const GramProfile& other) const {
@@ -138,29 +217,27 @@ size_t GramProfile::IntersectionSize(const GramProfile& other) const {
   return n;
 }
 
-void GramProfileBuilder::Add(GramId id, double count) {
-  counts_[id] += count;
-  total_ += count;
-}
-
-void GramProfileBuilder::AddText(std::string_view text, size_t q,
-                                 double count) {
-  ids_.clear();
-  AppendPackedQGrams(text, q, &scratch_, &ids_);
-  for (GramId id : ids_) Add(id, count);
+void GramProfileBuilder::AddText(std::string_view text, double count) {
+  ranks_.clear();
+  AppendQGramRanks(text, &scratch_, &ranks_);
+  for (uint32_t rank : ranks_) {
+    const uint32_t slot = slots_.Touch(rank);
+    if (slot == counts_.size()) counts_.push_back(0.0);
+    counts_[slot] += count;
+    total_ += count;
+  }
 }
 
 GramProfile GramProfileBuilder::Build() {
   std::vector<GramProfile::Entry> entries;
   entries.reserve(counts_.size());
-  for (const auto& [id, count] : counts_) entries.push_back({id, count});
-  std::sort(entries.begin(), entries.end(),
-            [](const GramProfile::Entry& a, const GramProfile::Entry& b) {
-              return a.id < b.id;
-            });
+  slots_.ForEachInRankOrder([&](uint32_t rank, uint32_t slot) {
+    entries.push_back({GramOfRank(rank), counts_[slot]});
+  });
   GlobalTokenKernelStats().grams_interned.fetch_add(
       entries.size(), std::memory_order_relaxed);
   GramProfile profile(std::move(entries), total_);
+  slots_.Clear();
   counts_.clear();
   total_ = 0.0;
   return profile;

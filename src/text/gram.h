@@ -14,6 +14,13 @@
 //     equal lexicographic gram order, so iterating a sorted flat profile
 //     visits grams exactly as iterating the old std::map did.
 //
+//   * Dense 3-gram ranks.  That padded alphabet has 38 symbols (' ', '#',
+//     '0'-'9', 'a'-'z', in byte order), so a padded 3-gram is also a
+//     base-38 number below 38^3 = 54,872 whose order is its GramId's.
+//     Profile and vocabulary builds count through a 16-bit rank -> slot
+//     table per thread (GramRankSlots) and emit in id order by walking a
+//     touched-rank bitset: no hash aggregation and no sort.
+//
 //   * TokenInterner.  Word tokens (unbounded length) intern to dense ids in
 //     first-seen order — the same determinism contract as StringDictionary:
 //     the ids assigned to a token stream are a function of the stream alone.
@@ -33,6 +40,7 @@
 #define CSM_TEXT_GRAM_H_
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -72,6 +80,89 @@ std::string UnpackGram(GramId id, size_t q);
 /// normalized+padded text.  Requires q <= kMaxPackedGramQ.
 void AppendPackedQGrams(std::string_view text, size_t q, std::string* scratch,
                         std::vector<GramId>* out);
+
+/// The q of every gram profile (QGramProfile and the per-code index):
+/// padded 3-grams.
+inline constexpr size_t kProfileGramQ = 3;
+
+/// Number of symbols of the padded gram alphabet, and of dense 3-gram
+/// ranks (38^3).
+inline constexpr uint32_t kGramSymbols = 38;
+inline constexpr uint32_t kNumGramRanks =
+    kGramSymbols * kGramSymbols * kGramSymbols;
+
+/// Dense rank of a packed padded 3-gram: its three symbols as a base-38
+/// number.  Monotone in the GramId; CHECK-fails on a byte outside the
+/// alphabet.
+uint32_t GramRank(GramId id);
+
+/// Inverse of GramRank: the packed 3-gram of `rank` < kNumGramRanks.
+GramId GramOfRank(uint32_t rank);
+
+/// Appends the ranks of the padded 3-grams of `text` (the grams of
+/// AppendPackedQGrams(text, 3, ...), same order) to `*out`.
+void AppendQGramRanks(std::string_view text, std::string* scratch,
+                      std::vector<uint32_t>* out);
+
+/// Compact scratch over dense 3-gram ranks.  Touch gives each distinct rank
+/// a slot in first-touch order; ForEachInRankOrder then visits the touched
+/// ranks in increasing rank (= GramId) order by walking a bitset.  Borrows
+/// the calling thread's 16-bit rank -> slot table (107 KiB plus a 6.7 KiB
+/// bitset, allocated on the thread's first use) and clears what it touched
+/// on destruction, so a build costs O(distinct ranks + bitset words), not
+/// O(kNumGramRanks).  A second borrower on the same thread (e.g. two
+/// builders alive at once) gets a private table instead.  Use on the thread
+/// that created it.
+class GramRankSlots {
+ public:
+  GramRankSlots();
+  ~GramRankSlots();
+  GramRankSlots(const GramRankSlots&) = delete;
+  GramRankSlots& operator=(const GramRankSlots&) = delete;
+
+  /// The slot of `rank`, assigning the next one (== size()) on first touch.
+  uint32_t Touch(uint32_t rank) {
+    uint16_t& slot = table_->slot_plus_one[rank];
+    if (slot == 0) {
+      slot = static_cast<uint16_t>(++size_);
+      table_->touched[rank / 64] |= uint64_t{1} << (rank % 64);
+    }
+    return slot - 1u;
+  }
+
+  /// Number of distinct ranks touched.
+  size_t size() const { return size_; }
+
+  /// Calls visit(rank, slot) for every touched rank, ranks ascending.
+  template <typename Visit>
+  void ForEachInRankOrder(Visit&& visit) const {
+    for (size_t w = 0; w < table_->touched.size(); ++w) {
+      for (uint64_t bits = table_->touched[w]; bits != 0; bits &= bits - 1) {
+        const uint32_t rank =
+            static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+        visit(rank, table_->slot_plus_one[rank] - 1u);
+      }
+    }
+  }
+
+  /// Forgets every touched rank.
+  void Clear();
+
+ private:
+  /// Slot + 1 per rank (0 = untouched; 16 bits hold every slot, since
+  /// kNumGramRanks < 2^16) and the touched-rank bitset.
+  struct Table {
+    std::vector<uint16_t> slot_plus_one =
+        std::vector<uint16_t>(kNumGramRanks, 0);
+    std::vector<uint64_t> touched =
+        std::vector<uint64_t>((kNumGramRanks + 63) / 64, 0);
+    bool borrowed = false;
+  };
+
+  Table* table_;
+  std::unique_ptr<Table> own_;  // set when the thread's table was in use
+  size_t size_ = 0;
+};
 
 /// An append-only token -> dense id map; ids are assigned in first-seen
 /// order, so the encoding of a token stream is a deterministic function of
@@ -114,9 +205,8 @@ class GramProfile {
   GramProfile() = default;
 
   /// Adopts `entries`, which must be sorted by strictly increasing id with
-  /// positive integer counts summing to `total`.
-  GramProfile(std::vector<Entry> entries, double total)
-      : entries_(std::move(entries)), total_(total) {}
+  /// positive integer counts summing to `total`, and computes the norm.
+  GramProfile(std::vector<Entry> entries, double total);
 
   bool empty() const { return entries_.empty(); }
   size_t num_distinct() const { return entries_.size(); }
@@ -125,8 +215,9 @@ class GramProfile {
 
   double Count(GramId id) const;
 
-  /// Euclidean norm of the count vector.
-  double Norm() const;
+  /// Euclidean norm of the count vector (squares summed in id order),
+  /// computed once at construction.
+  double Norm() const { return norm_; }
 
   /// Dot product (linear merge over the sorted entries).
   double Dot(const GramProfile& other) const;
@@ -137,26 +228,28 @@ class GramProfile {
  private:
   std::vector<Entry> entries_;  // sorted by id
   double total_ = 0.0;
+  double norm_ = 0.0;
 };
 
-/// Accumulates gram counts (hash aggregation) and emits sorted profiles.
-/// Reusable: Build() resets the builder.
+/// Accumulates padded 3-gram counts by dense rank (GramRankSlots) and emits
+/// profiles sorted by id.  Each gram's count sums its occurrences' weights
+/// in the order they were added.  Reusable: Build() resets the builder.
+/// Use on one thread.
 class GramProfileBuilder {
  public:
-  void Add(GramId id, double count = 1.0);
-
-  /// Tokenizes `text` into padded q-grams and adds each occurrence with
+  /// Tokenizes `text` into padded 3-grams and adds each occurrence with
   /// weight `count` — bit-identical totals to adding the text `count`
   /// times, because the counts are exact integers.
-  void AddText(std::string_view text, size_t q, double count = 1.0);
+  void AddText(std::string_view text, double count = 1.0);
 
   GramProfile Build();
 
  private:
-  std::unordered_map<GramId, double> counts_;
+  GramRankSlots slots_;
+  std::vector<double> counts_;  // by slot
   double total_ = 0.0;
   std::string scratch_;
-  std::vector<GramId> ids_;
+  std::vector<uint32_t> ranks_;
 };
 
 /// A flat word-token multiset.  Entries are sorted by token string

@@ -28,6 +28,18 @@ TfIdfCorpus::TfIdfCorpus(const std::vector<const WordProfile*>& documents)
   const double n = static_cast<double>(num_documents_);
   for (auto& [token, value] : idf_) value = SmoothedIdf(n, value);
   unseen_idf_ = SmoothedIdf(n, 0.0);
+
+  documents_.reserve(documents.size());
+  for (const WordProfile* document : documents) {
+    Document state;
+    state.idf.reserve(document->num_distinct());
+    for (const WordProfile::Entry& e : document->entries()) {
+      state.idf.push_back(Idf(e.token));
+    }
+    state.norm = NormOf(*document, [&](size_t k) { return state.idf[k]; });
+    document_of_.try_emplace(document, documents_.size());
+    documents_.push_back(std::move(state));
+  }
 }
 
 double TfIdfCorpus::Idf(std::string_view token) const {
@@ -35,22 +47,38 @@ double TfIdfCorpus::Idf(std::string_view token) const {
   return it == idf_.end() ? unseen_idf_ : it->second;
 }
 
+const TfIdfCorpus::Document* TfIdfCorpus::Find(const WordProfile& p) const {
+  auto it = document_of_.find(&p);
+  return it == document_of_.end() ? nullptr : &documents_[it->second];
+}
+
+template <typename IdfOf>
+double TfIdfCorpus::NormOf(const WordProfile& p, IdfOf&& idf) {
+  double sum_sq = 0.0;
+  for (size_t k = 0; k < p.entries().size(); ++k) {
+    const double w = p.entries()[k].count * idf(k);
+    sum_sq += w * w;
+  }
+  return std::sqrt(sum_sq);
+}
+
+double TfIdfCorpus::WeightedNorm(const WordProfile& p) const {
+  if (const Document* document = Find(p)) return document->norm;
+  return NormOf(p, [&](size_t k) { return Idf(p.entries()[k].token); });
+}
+
 double TfIdfCorpus::WeightedCosine(const WordProfile& a,
                                    const WordProfile& b) const {
   // Linear merge over the lex-sorted flat entries.  Norms accumulate in
   // lexicographic order, and the dot's skipped non-intersection terms are
   // exact +0.0 no-ops because profile counts (and hence weights) are
-  // positive.
+  // positive.  A shared token's IDF is read from b's stored entry IDFs when
+  // b is a document: the same table value Idf() returns.
   if (a.empty() || b.empty()) return 0.0;
-  auto weighted_norm = [this](const WordProfile& p) {
-    double sum_sq = 0.0;
-    for (const WordProfile::Entry& e : p.entries()) {
-      const double w = e.count * Idf(e.token);
-      sum_sq += w * w;
-    }
-    return std::sqrt(sum_sq);
-  };
-  const double denom = weighted_norm(a) * weighted_norm(b);
+  const Document* b_document = Find(b);
+  const double denom = WeightedNorm(a) *
+                       (b_document != nullptr ? b_document->norm
+                                              : WeightedNorm(b));
   if (denom == 0.0) return 0.0;
   double dot = 0.0;
   auto ia = a.entries().begin();
@@ -61,7 +89,10 @@ double TfIdfCorpus::WeightedCosine(const WordProfile& a,
     } else if (ib->token < ia->token) {
       ++ib;
     } else {
-      const double idf = Idf(ia->token);
+      const double idf =
+          b_document != nullptr
+              ? b_document->idf[static_cast<size_t>(ib - b.entries().begin())]
+              : Idf(ia->token);
       dot += (ia->count * idf) * (ib->count * idf);
       ++ia;
       ++ib;

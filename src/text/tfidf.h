@@ -6,11 +6,14 @@
 //
 // The corpus is built once from all of its documents and stores each
 // token's IDF in one hash table, so scoring pays one lookup per token and
-// no logarithm.  The weighted cosine is evaluated as a lexicographic merge
-// without materializing weighted profiles: WordProfile entries are sorted
-// by token string, so the weighted sums accumulate in exactly the order of
-// the map-based reference (check/token_profile.h), and the IDF values are
-// the same expression evaluated once instead of per lookup — every score is
+// no logarithm.  It also keeps each document's side of the cosine — the IDF
+// of every entry and the IDF-weighted norm — so a cosine against a document
+// (a session's target attribute) looks up only the other side's tokens.
+// The weighted cosine is evaluated as a lexicographic merge without
+// materializing weighted profiles: WordProfile entries are sorted by token
+// string, so the weighted sums accumulate in exactly the order of the
+// map-based reference (check/token_profile.h), and the IDF values are the
+// same expression evaluated once instead of per lookup — every score is
 // bit-identical to the reference.
 
 #ifndef CSM_TEXT_TFIDF_H_
@@ -32,8 +35,10 @@ class TfIdfCorpus {
   TfIdfCorpus() = default;
 
   /// Builds the IDF table of `documents` (each distinct token of a document
-  /// counts once toward its document frequency).  The profiles are read
-  /// only during construction.
+  /// counts once toward its document frequency) and each document's entry
+  /// IDFs and weighted norm.  The documents must outlive the corpus: a
+  /// profile passed to WeightedNorm or WeightedCosine is recognized as a
+  /// document by its address.
   explicit TfIdfCorpus(const std::vector<const WordProfile*>& documents);
 
   size_t num_documents() const { return num_documents_; }
@@ -42,11 +47,28 @@ class TfIdfCorpus {
   /// log((1 + N) / (1 + df)) + 1, so unseen tokens still get weight.
   double Idf(std::string_view token) const;
 
-  /// Cosine similarity of the two documents' TF-IDF vectors (tf = raw
-  /// count).
+  /// Euclidean norm of `p`'s TF-IDF vector (squares summed in token order);
+  /// a document's was computed at construction.
+  double WeightedNorm(const WordProfile& p) const;
+
+  /// Cosine similarity of the two profiles' TF-IDF vectors (tf = raw
+  /// count).  A document side reads its stored IDFs and norm.
   double WeightedCosine(const WordProfile& a, const WordProfile& b) const;
 
  private:
+  /// A document's side of every cosine.
+  struct Document {
+    std::vector<double> idf;  // per entry, in entry order
+    double norm = 0.0;
+  };
+
+  /// The stored state of `p` if it is one of the documents, else null.
+  const Document* Find(const WordProfile& p) const;
+
+  /// Weighted norm of `p` whose entries have IDFs `idf(k)`.
+  template <typename IdfOf>
+  static double NormOf(const WordProfile& p, IdfOf&& idf);
+
   struct Hash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const {
@@ -62,6 +84,8 @@ class TfIdfCorpus {
 
   /// IDF of every token with df >= 1.
   std::unordered_map<std::string, double, Hash, Eq> idf_;
+  std::vector<Document> documents_;
+  std::unordered_map<const WordProfile*, size_t> document_of_;
   size_t num_documents_ = 0;
   /// IDF of a token no document holds (df = 0); 1 for the empty corpus.
   double unseen_idf_ = 1.0;

@@ -1,13 +1,7 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace csm {
 namespace {
-
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
 
 /// Reuses the element strings of `*out` past `used` slots; grows otherwise.
 void EmitToken(std::vector<std::string>* out, size_t* used,
@@ -36,7 +30,7 @@ void NormalizeText(std::string_view text, std::string* out) {
     if (IsWordChar(c)) {
       if (pending_space && !out->empty()) *out += ' ';
       pending_space = false;
-      *out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      *out += ToLowerChar(c);
     } else {
       pending_space = true;
     }
@@ -54,7 +48,7 @@ void WordTokens(std::string_view text, std::vector<std::string>* out) {
   std::string current;
   for (char c : text) {
     if (IsWordChar(c)) {
-      current += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      current += ToLowerChar(c);
     } else if (!current.empty()) {
       EmitToken(out, &used, current);
       current.clear();

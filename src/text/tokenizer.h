@@ -10,6 +10,22 @@
 
 namespace csm {
 
+/// The word characters of every tokenizer here: ASCII [0-9A-Za-z].  Explicit
+/// rather than std::isalnum, which follows the process locale, so a token
+/// (and every padded q-gram, see text/gram.h) is built from 7-bit bytes
+/// whatever the locale; under the C locale the two agree on all 256 bytes.
+inline bool IsWordChar(char c) {
+  const unsigned char b = static_cast<unsigned char>(c);
+  return (b >= '0' && b <= '9') || (b >= 'A' && b <= 'Z') ||
+         (b >= 'a' && b <= 'z');
+}
+
+/// ASCII lowercase: 'A'-'Z' map to 'a'-'z', every other byte is unchanged
+/// (std::tolower under the C locale, but locale-independent).
+inline char ToLowerChar(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Lowercases and squeezes runs of non-alphanumerics to single spaces;
 /// trims the ends.  "Lance Armstrong's War!" -> "lance armstrong s war".
 std::string NormalizeText(std::string_view text);

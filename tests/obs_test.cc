@@ -4,6 +4,7 @@
 // MatchEngine run.
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/match_engine.h"
 #include "datagen/retail_gen.h"
 #include "exec/parallel.h"
@@ -47,10 +49,83 @@ TEST(HistogramTest, QuantilesOrderedAndWithinRange) {
   EXPECT_LE(s.p50, s.p95);
   EXPECT_LE(s.p95, s.p99);
   EXPECT_LE(s.p99, s.max);
-  // Buckets are factor-2 wide, so the p50 estimate for a uniform 1..100ms
-  // spread must land within a bucket of the true median (50.5ms).
-  EXPECT_GT(s.p50, 0.025);
-  EXPECT_LT(s.p50, 0.1);
+  // Buckets are at most 1/16 of their lower bound wide, so the p50
+  // estimate lands within a bucket of the nearest-rank median (50ms).
+  EXPECT_NEAR(s.p50, 0.050, 0.050 / 16);
+}
+
+/// Checks p50/p95/p99 of `samples` through a Histogram against the exact
+/// nearest-rank values of the sorted samples: each estimate must lie
+/// within the width of the bucket holding the exact value.
+void ExpectQuantilesWithinOneBucket(std::vector<double> samples) {
+  obs::Histogram h;
+  for (double v : samples) h.Observe(v);
+  std::sort(samples.begin(), samples.end());
+  const obs::HistogramSummary s = h.Summary();
+  const std::pair<double, double> quantiles[] = {
+      {0.50, s.p50}, {0.95, s.p95}, {0.99, s.p99}};
+  for (const auto& [q, estimate] : quantiles) {
+    const double rank = std::ceil(q * static_cast<double>(samples.size()));
+    const double exact =
+        samples[static_cast<size_t>(std::max(rank, 1.0)) - 1];
+    const size_t b = obs::Histogram::BucketIndex(exact);
+    ASSERT_LT(b, obs::Histogram::kNumBuckets) << exact;
+    const double lo = b == 0 ? 0.0 : obs::Histogram::BucketBound(b - 1);
+    const double hi = obs::Histogram::BucketBound(b);
+    ASSERT_LE(lo, exact);
+    ASSERT_LT(exact, hi);
+    EXPECT_LE(std::abs(estimate - exact), hi - lo)
+        << "q=" << q << " exact=" << exact << " estimate=" << estimate;
+    EXPECT_LE(hi - lo, lo / 16 + 1e-300) << "sub-bucket wider than 1/16";
+  }
+}
+
+TEST(HistogramTest, QuantilesOfSkewedDataWithinOneSubBucket) {
+  // Log-normal latencies around 1ms with a long right tail (median 1ms,
+  // p99 about 100ms).
+  Rng rng(20);
+  std::vector<double> samples;
+  for (int i = 0; i < 20000; ++i) {
+    samples.push_back(1e-3 * std::exp(2.0 * rng.NextGaussian()));
+  }
+  ExpectQuantilesWithinOneBucket(samples);
+}
+
+TEST(HistogramTest, QuantilesOfBimodalDataWithinOneSubBucket) {
+  // 92% fast requests near 2ms and 8% slow ones near 0.8s: p50 sits in the
+  // fast mode, p95 and p99 in the slow one, and they must differ (the
+  // factor-2 buckets reported p95 == p99 == max here).
+  Rng rng(21);
+  std::vector<double> samples;
+  for (int i = 0; i < 10000; ++i) {
+    samples.push_back(rng.NextBernoulli(0.92) ? rng.NextDouble(1.5e-3, 2.5e-3)
+                                              : rng.NextDouble(0.6, 1.0));
+  }
+  ExpectQuantilesWithinOneBucket(samples);
+  obs::Histogram h;
+  for (double v : samples) h.Observe(v);
+  const obs::HistogramSummary s = h.Summary();
+  EXPECT_LT(s.p50, 0.01);
+  EXPECT_LT(s.p95, s.p99);
+  EXPECT_LT(s.p99, s.max);
+}
+
+TEST(HistogramTest, BucketIndexEdges) {
+  using obs::Histogram;
+  EXPECT_EQ(Histogram::BucketIndex(0.0), 0u);
+  EXPECT_EQ(Histogram::BucketIndex(-1.0), 0u);
+  EXPECT_EQ(Histogram::BucketIndex(std::nan("")), 0u);
+  EXPECT_EQ(Histogram::BucketIndex(Histogram::BucketBound(0)), 1u);
+  EXPECT_EQ(Histogram::BucketIndex(1e9), Histogram::kNumBuckets);
+  EXPECT_EQ(Histogram::BucketIndex(HUGE_VAL), Histogram::kNumBuckets);
+  // Every bound starts the next bucket, and the bounds rise.
+  for (size_t b = 0; b + 1 < Histogram::kNumBuckets; ++b) {
+    EXPECT_EQ(Histogram::BucketIndex(Histogram::BucketBound(b)), b + 1);
+    EXPECT_LT(Histogram::BucketBound(b), Histogram::BucketBound(b + 1));
+  }
+  EXPECT_EQ(Histogram::BucketIndex(
+                Histogram::BucketBound(Histogram::kNumBuckets - 1)),
+            Histogram::kNumBuckets);
 }
 
 TEST(HistogramTest, MergeFromCombinesCounts) {

@@ -30,6 +30,31 @@ TEST(TokenizerTest, NormalizeText) {
   EXPECT_EQ(NormalizeText("abc123"), "abc123");
 }
 
+TEST(TokenizerTest, WordCharactersAreAsciiForEveryByte) {
+  // The class and lowercase of all 256 bytes, whatever the process locale:
+  // exactly [0-9A-Za-z] are word characters and only 'A'-'Z' change case.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool upper = b >= 'A' && b <= 'Z';
+    const bool word = (b >= '0' && b <= '9') || upper || (b >= 'a' && b <= 'z');
+    EXPECT_EQ(IsWordChar(c), word) << "byte " << b;
+    EXPECT_EQ(ToLowerChar(c), upper ? static_cast<char>(b - 'A' + 'a') : c)
+        << "byte " << b;
+    // Every tokenizer follows the same class: one lowercase token or none.
+    const std::string text(1, c);
+    const std::string lowered(1, ToLowerChar(c));
+    EXPECT_EQ(NormalizeText(text), word ? lowered : "") << "byte " << b;
+    EXPECT_EQ(WordTokens(text),
+              word ? std::vector<std::string>{lowered}
+                   : std::vector<std::string>{})
+        << "byte " << b;
+    std::string scratch;
+    std::vector<uint32_t> ranks;
+    AppendQGramRanks(text, &scratch, &ranks);
+    EXPECT_EQ(ranks.size(), word ? 3u : 0u) << "byte " << b;
+  }
+}
+
 TEST(TokenizerTest, WordTokens) {
   EXPECT_EQ(WordTokens("The Quick, Brown Fox."),
             (std::vector<std::string>{"the", "quick", "brown", "fox"}));
@@ -303,6 +328,53 @@ TEST(GramKernelTest, MultiByteUtf8ActsAsSeparator) {
   EXPECT_EQ(ids, ascii_ids);
 }
 
+TEST(GramKernelTest, DenseRanksKeepGramIdOrder) {
+  // Every rank round-trips, and rank order is packed-id (= lexicographic)
+  // order over the whole 38-symbol alphabet.
+  GramId previous = 0;
+  for (uint32_t rank = 0; rank < kNumGramRanks; ++rank) {
+    const GramId id = GramOfRank(rank);
+    ASSERT_EQ(GramRank(id), rank);
+    if (rank > 0) {
+      ASSERT_LT(previous, id) << rank;
+    }
+    previous = id;
+  }
+  EXPECT_EQ(GramOfRank(0), PackGram("   "));
+  EXPECT_EQ(GramOfRank(kNumGramRanks - 1), PackGram("zzz"));
+
+  std::string scratch;
+  std::vector<uint32_t> ranks;
+  AppendQGramRanks("Ab 9", &scratch, &ranks);
+  const std::vector<std::string> grams = QGrams("Ab 9", 3);
+  ASSERT_EQ(ranks.size(), grams.size());
+  for (size_t g = 0; g < grams.size(); ++g) {
+    EXPECT_EQ(GramOfRank(ranks[g]), PackGram(grams[g])) << grams[g];
+  }
+}
+
+TEST(GramKernelTest, RankSlotsVisitInRankOrderAndNest) {
+  GramRankSlots outer;
+  EXPECT_EQ(outer.Touch(500), 0u);
+  EXPECT_EQ(outer.Touch(7), 1u);
+  EXPECT_EQ(outer.Touch(500), 0u);
+  {
+    // A second borrower on this thread gets its own table.
+    GramRankSlots inner;
+    EXPECT_EQ(inner.Touch(7), 0u);
+    EXPECT_EQ(inner.size(), 1u);
+  }
+  EXPECT_EQ(outer.Touch(kNumGramRanks - 1), 2u);
+  std::vector<std::pair<uint32_t, uint32_t>> visited;
+  outer.ForEachInRankOrder(
+      [&](uint32_t rank, uint32_t slot) { visited.emplace_back(rank, slot); });
+  EXPECT_EQ(visited, (std::vector<std::pair<uint32_t, uint32_t>>{
+                         {7, 1}, {500, 0}, {kNumGramRanks - 1, 2}}));
+  outer.Clear();
+  EXPECT_EQ(outer.size(), 0u);
+  EXPECT_EQ(outer.Touch(500), 0u);
+}
+
 TEST(GramKernelTest, TokenInternerFirstSeenOrder) {
   TokenInterner interner;
   EXPECT_EQ(interner.GetOrAdd("beta"), 0u);
@@ -321,7 +393,7 @@ TEST(GramKernelTest, FlatProfilesMatchMapProfiles) {
   for (const std::string& text : texts) {
     ref_q.AddAll(QGrams(text, 3));
     ref_w.AddAll(WordTokens(text));
-    gram_builder.AddText(text, 3);
+    gram_builder.AddText(text);
     word_builder.AddText(text);
   }
   const GramProfile gp = gram_builder.Build();
@@ -339,8 +411,8 @@ TEST(GramKernelTest, FlatProfilesMatchMapProfiles) {
 TEST(GramKernelTest, WeightedProfileCountsScale) {
   // AddText(text, count) must equal adding the text `count` times.
   GramProfileBuilder once_builder, scaled_builder;
-  for (int rep = 0; rep < 5; ++rep) once_builder.AddText("abc", 3);
-  scaled_builder.AddText("abc", 3, 5.0);
+  for (int rep = 0; rep < 5; ++rep) once_builder.AddText("abc");
+  scaled_builder.AddText("abc", 5.0);
   const GramProfile repeated = once_builder.Build();
   const GramProfile scaled = scaled_builder.Build();
   EXPECT_EQ(repeated.total(), scaled.total());
