@@ -92,10 +92,10 @@
 //                            Jaccard / TF-IDF), and ScoreRestrictedSample
 //                            (in the index's vocabulary against targets of
 //                            two sessions' alignments, one with tokens no
-//                            index holds, and through merged profiles; also
-//                            on each column's NULL-only and single-row
-//                            restrictions) against the same call on the
-//                            materialized view — every double bit-identical
+//                            index holds; also on each column's NULL-only
+//                            and single-row restrictions) against the same
+//                            call on the materialized view — every double
+//                            bit-identical
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_

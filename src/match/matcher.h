@@ -92,6 +92,9 @@ class AttributeSample {
   /// from its merged word terms, without building the profile.
   bool HasWordTokens() const;
 
+  /// Whether this sample was built by Restrict.
+  bool restricted() const { return code_counts_.has_value(); }
+
   /// The per-code index of an Indexed sample or restriction, else null.
   const CodeTokenIndex* index() const { return index_.get(); }
 
@@ -177,9 +180,11 @@ class AttributeMatcher {
   /// Restrictions of one Indexed sample, scored in its index's vocabulary.
   /// Align fills the part of `alignment` (laid over `indexed`'s index) this
   /// matcher reads, from `target` — once per (source attribute, target
-  /// attribute) pair per run — and ScoreAligned then scores a restriction
-  /// of `indexed` against `target` from it, returning exactly Score's
-  /// double.  The defaults fill nothing and call Score.
+  /// attribute) pair per run; `indexed` is the Indexed sample or any
+  /// restriction of it, which share the name and the index.  ScoreAligned
+  /// then scores a restriction of that index against `target` from it,
+  /// returning exactly Score's double.  The defaults fill nothing and call
+  /// Score.
   virtual void Align(const AttributeSample& indexed,
                      const AttributeSample& target,
                      IndexAlignment* alignment) const {

@@ -6,7 +6,6 @@
 #include <set>
 #include <string_view>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "text/string_distance.h"
 #include "text/tokenizer.h"
@@ -52,33 +51,14 @@ double NameMatcher::Score(const AttributeSample& source,
   const std::string b = ToLower(target.ref().attribute);
   double edit_sim = JaroWinklerSimilarity(a, b);
 
-  // Dice over the distinct name tokens: 2 |A ∩ B| / (|A| + |B|), the ratio
-  // of integer counts DiceSimilarity takes over word profiles.
-  auto distinct_tokens = [](std::string_view name) {
-    std::vector<std::string> tokens = NameTokens(name);
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    return tokens;
-  };
-  const std::vector<std::string> ta = distinct_tokens(source.ref().attribute);
-  const std::vector<std::string> tb = distinct_tokens(target.ref().attribute);
-  double token_sim = 0.0;
-  if (const size_t total = ta.size() + tb.size(); total > 0) {
-    size_t shared = 0;
-    for (auto ia = ta.begin(), ib = tb.begin();
-         ia != ta.end() && ib != tb.end();) {
-      if (*ia < *ib) {
-        ++ia;
-      } else if (*ib < *ia) {
-        ++ib;
-      } else {
-        ++shared;
-        ++ia;
-        ++ib;
-      }
-    }
-    token_sim = 2.0 * static_cast<double>(shared) / static_cast<double>(total);
+  WordProfileBuilder pa, pb;
+  for (const std::string& token : NameTokens(source.ref().attribute)) {
+    pa.Add(token);
   }
+  for (const std::string& token : NameTokens(target.ref().attribute)) {
+    pb.Add(token);
+  }
+  double token_sim = DiceSimilarity(pa.Build(), pb.Build());
   return std::max(edit_sim, token_sim);
 }
 
@@ -91,9 +71,8 @@ void NameMatcher::Align(const AttributeSample& indexed,
 double NameMatcher::ScoreAligned(const AttributeSample& restricted,
                                  const AttributeSample& target,
                                  const IndexAlignment& alignment) const {
+  (void)restricted;
   (void)target;
-  CSM_CHECK(restricted.index() == alignment.index)
-      << "alignment of another index for " << restricted.ref().ToString();
   return alignment.name_score;
 }
 
@@ -117,8 +96,6 @@ double QGramMatcher::ScoreAligned(const AttributeSample& restricted,
                                   const AttributeSample& target,
                                   const IndexAlignment& alignment) const {
   (void)target;
-  CSM_CHECK(restricted.index() == alignment.index)
-      << "alignment of another index for " << restricted.ref().ToString();
   return alignment.GramCosine(restricted.GramTerms());
 }
 
@@ -152,8 +129,6 @@ double TfIdfTokenMatcher::ScoreAligned(const AttributeSample& restricted,
                                        const AttributeSample& target,
                                        const IndexAlignment& alignment) const {
   (void)target;
-  CSM_CHECK(restricted.index() == alignment.index)
-      << "alignment of another index for " << restricted.ref().ToString();
   return alignment.WeightedCosine(restricted.WordTerms());
 }
 

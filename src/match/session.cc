@@ -166,6 +166,8 @@ MatchScore TableMatchSession::CombineForBag(
         distributions_.end()) {
       continue;
     }
+    // A restriction (the only kind with an alignment) scores in its
+    // index's vocabulary, a whole-table sample through its own profiles.
     double raw = alignment != nullptr
                      ? matchers_[m]->ScoreAligned(sample, target, *alignment)
                      : matchers_[m]->Score(sample, target);
@@ -228,7 +230,11 @@ MatchScore TableMatchSession::ScoreRestrictedSample(
     const IndexAlignment* alignment) const {
   size_t s = SourceIndex(sample.ref().attribute);
   size_t t = TargetIndex(target);
-  if (alignment != nullptr) {
+  if (!sample.restricted()) {
+    CSM_CHECK(alignment == nullptr)
+        << "an alignment scores restrictions only, not "
+        << sample.ref().ToString();
+  } else if (alignment != nullptr) {
     CSM_CHECK(alignment->target == t && alignment->index == sample.index())
         << "alignment does not fit " << sample.ref().ToString() << " -> "
         << target.ToString();
@@ -236,13 +242,17 @@ MatchScore TableMatchSession::ScoreRestrictedSample(
   if (sample.NonNullCount() < options_.min_non_null_values) {
     return MatchScore{};
   }
+  if (sample.restricted() && alignment == nullptr) {
+    const IndexAlignment own = AlignRestricted(sample, target);
+    return CombineForBag(sample, s, t, &own);
+  }
   return CombineForBag(sample, s, t, alignment);
 }
 
 IndexAlignment TableMatchSession::AlignRestricted(
     const AttributeSample& indexed, const AttributeRef& target) const {
   CSM_CHECK(indexed.index() != nullptr)
-      << "AlignRestricted needs an Indexed sample of "
+      << "AlignRestricted needs an Indexed sample or a restriction of "
       << indexed.ref().ToString();
   IndexAlignment alignment;
   alignment.index = indexed.index();

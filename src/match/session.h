@@ -122,24 +122,29 @@ class TableMatchSession {
   /// against `target`, converting raw scores with the distributions
   /// recorded during construction, per the strawman discussion in Section
   /// 3.  The sample is a candidate view's (or placebo draw's) values of one
-  /// source attribute, built with AttributeSample::Restrict over the source
-  /// table's indexed sample; its attribute name selects the distributions.
-  /// Build it once per (view, attribute) — its merged token terms are
-  /// cached inside — and call this once per target.  With `alignment`
-  /// (AlignRestricted of the sample's indexed source and `target`), the
-  /// matchers score the sample in the index's vocabulary; the result is
-  /// bit-identical either way.  A matcher whose raw score is NaN counts as
+  /// source attribute: a whole-table sample of the view materialized as a
+  /// table, scored like the session's own samples, or a restriction
+  /// (AttributeSample::Restrict over the source table's Indexed sample),
+  /// scored by the matchers in its index's vocabulary (ScoreAligned) — the
+  /// same doubles either way.  The sample's attribute name selects the
+  /// distributions.  A restriction is scored against `alignment`, which
+  /// must be AlignRestricted of its index and `target`; without one, this
+  /// call aligns the pair itself.  Callers scoring many restrictions of
+  /// one attribute align each target once and pass the alignment; build
+  /// each restriction once per (view, attribute) — its merged token terms
+  /// are cached inside.  A matcher whose raw score is NaN counts as
   /// inapplicable, here as everywhere in the session.
   MatchScore ScoreRestrictedSample(
       const AttributeSample& sample, const AttributeRef& target,
       const IndexAlignment* alignment = nullptr) const;
 
   /// `target` laid over the vocabularies of `indexed` (an Indexed
-  /// whole-table sample of a source attribute) by every matcher, for
-  /// ScoreRestrictedSample on restrictions of `indexed`.  Build it once per
-  /// (source attribute, target) pair for one run; it holds copies, not
-  /// references, of the session's target state, but points at `indexed`'s
-  /// index, which must outlive it.
+  /// whole-table sample of a source attribute, or a restriction of one —
+  /// they share the index) by every matcher, for ScoreRestrictedSample on
+  /// restrictions of that index.  Build it once per (source attribute,
+  /// target) pair for one run; it holds copies, not references, of the
+  /// session's target state, but points at the index, which must outlive
+  /// it.
   IndexAlignment AlignRestricted(const AttributeSample& indexed,
                                  const AttributeRef& target) const;
 

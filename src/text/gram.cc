@@ -93,17 +93,6 @@ void AppendPackedQGrams(std::string_view text, size_t q, std::string* scratch,
   }
 }
 
-uint32_t GramRank(GramId id) {
-  uint32_t rank = 0;
-  for (int shift = 16; shift >= 0; shift -= 8) {
-    const uint8_t digit = kSymbolOf[(id >> shift) & 0xffu];
-    CSM_CHECK(digit != kNotSymbol && (id >> 24) == 0)
-        << "not a padded 3-gram: " << id;
-    rank = rank * kGramSymbols + digit;
-  }
-  return rank;
-}
-
 GramId GramOfRank(uint32_t rank) {
   CSM_CHECK_LT(rank, kNumGramRanks);
   const auto byte = [](uint32_t digit) {

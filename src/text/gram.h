@@ -91,12 +91,9 @@ inline constexpr uint32_t kGramSymbols = 38;
 inline constexpr uint32_t kNumGramRanks =
     kGramSymbols * kGramSymbols * kGramSymbols;
 
-/// Dense rank of a packed padded 3-gram: its three symbols as a base-38
-/// number.  Monotone in the GramId; CHECK-fails on a byte outside the
-/// alphabet.
-uint32_t GramRank(GramId id);
-
-/// Inverse of GramRank: the packed 3-gram of `rank` < kNumGramRanks.
+/// The packed padded 3-gram of dense rank `rank` < kNumGramRanks: a rank
+/// is the gram's three alphabet symbols as a base-38 number, so rank order
+/// is GramId order.
 GramId GramOfRank(uint32_t rank);
 
 /// Appends the ranks of the padded 3-grams of `text` (the grams of

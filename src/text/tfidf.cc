@@ -62,9 +62,13 @@ double TfIdfCorpus::NormOf(const WordProfile& p, IdfOf&& idf) {
   return std::sqrt(sum_sq);
 }
 
+double TfIdfCorpus::LookedUpNorm(const WordProfile& p) const {
+  return NormOf(p, [&](size_t k) { return Idf(p.entries()[k].token); });
+}
+
 double TfIdfCorpus::WeightedNorm(const WordProfile& p) const {
   if (const Document* document = Find(p)) return document->norm;
-  return NormOf(p, [&](size_t k) { return Idf(p.entries()[k].token); });
+  return LookedUpNorm(p);
 }
 
 double TfIdfCorpus::WeightedCosine(const WordProfile& a,
@@ -72,13 +76,14 @@ double TfIdfCorpus::WeightedCosine(const WordProfile& a,
   // Linear merge over the lex-sorted flat entries.  Norms accumulate in
   // lexicographic order, and the dot's skipped non-intersection terms are
   // exact +0.0 no-ops because profile counts (and hence weights) are
-  // positive.  A shared token's IDF is read from b's stored entry IDFs when
-  // b is a document: the same table value Idf() returns.
+  // positive.  When b is a document, its norm and a shared token's IDF are
+  // read from its stored state: the same values Idf() and LookedUpNorm
+  // give.  a (a source attribute in a session) is looked up.
   if (a.empty() || b.empty()) return 0.0;
   const Document* b_document = Find(b);
-  const double denom = WeightedNorm(a) *
+  const double denom = LookedUpNorm(a) *
                        (b_document != nullptr ? b_document->norm
-                                              : WeightedNorm(b));
+                                              : LookedUpNorm(b));
   if (denom == 0.0) return 0.0;
   double dot = 0.0;
   auto ia = a.entries().begin();

@@ -37,8 +37,8 @@ class TfIdfCorpus {
   /// Builds the IDF table of `documents` (each distinct token of a document
   /// counts once toward its document frequency) and each document's entry
   /// IDFs and weighted norm.  The documents must outlive the corpus: a
-  /// profile passed to WeightedNorm or WeightedCosine is recognized as a
-  /// document by its address.
+  /// profile passed to WeightedNorm, or as WeightedCosine's `b`, is
+  /// recognized as a document by its address.
   explicit TfIdfCorpus(const std::vector<const WordProfile*>& documents);
 
   size_t num_documents() const { return num_documents_; }
@@ -52,7 +52,8 @@ class TfIdfCorpus {
   double WeightedNorm(const WordProfile& p) const;
 
   /// Cosine similarity of the two profiles' TF-IDF vectors (tf = raw
-  /// count).  A document side reads its stored IDFs and norm.
+  /// count).  `b`, when it is a document, reads its stored IDFs and norm;
+  /// `a`'s are always looked up.
   double WeightedCosine(const WordProfile& a, const WordProfile& b) const;
 
  private:
@@ -68,6 +69,9 @@ class TfIdfCorpus {
   /// Weighted norm of `p` whose entries have IDFs `idf(k)`.
   template <typename IdfOf>
   static double NormOf(const WordProfile& p, IdfOf&& idf);
+
+  /// Weighted norm of `p` from IDF table lookups.
+  double LookedUpNorm(const WordProfile& p) const;
 
   struct Hash {
     using is_transparent = void;

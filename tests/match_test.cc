@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include "relational/csv.h"
 #include "relational/sample.h"
 #include "tests/test_util.h"
-#include "text/string_distance.h"
 
 namespace csm {
 namespace {
@@ -97,27 +95,6 @@ TEST(NameMatcherTest, RepeatedTokensCountOnce) {
   auto a = StringSample("s", "item_item_type", {"x"});
   auto b = StringSample("t", "TypeItem", {"y"});
   EXPECT_EQ(m.Score(a, b), 1.0);
-}
-
-TEST(NameMatcherTest, ScoreKeepsTheWordProfileDiceFormula) {
-  // The token Dice is the ratio DiceSimilarity takes over word profiles of
-  // the name tokens, bit for bit.
-  NameMatcher m;
-  const std::pair<const char*, const char*> names[] = {
-      {"ItemType", "item_type"}, {"bk_title2", "Title"},
-      {"year_published", "PublishedYear"}, {"x", "y"}, {"a_b_a", "b_c"},
-      {"CDTitle", "title_cd"}, {"price", "cost"}};
-  for (const auto& [x, y] : names) {
-    WordProfileBuilder px, py;
-    for (const std::string& t : NameMatcher::NameTokens(x)) px.Add(t);
-    for (const std::string& t : NameMatcher::NameTokens(y)) py.Add(t);
-    const double want =
-        std::max(JaroWinklerSimilarity(ToLower(x), ToLower(y)),
-                 DiceSimilarity(px.Build(), py.Build()));
-    EXPECT_EQ(m.Score(StringSample("s", x, {"v"}), StringSample("t", y, {"v"})),
-              want)
-        << x << " / " << y;
-  }
 }
 
 TEST(NameMatcherTest, SharedTokenScoresHigh) {

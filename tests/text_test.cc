@@ -329,12 +329,11 @@ TEST(GramKernelTest, MultiByteUtf8ActsAsSeparator) {
 }
 
 TEST(GramKernelTest, DenseRanksKeepGramIdOrder) {
-  // Every rank round-trips, and rank order is packed-id (= lexicographic)
-  // order over the whole 38-symbol alphabet.
+  // Rank order is packed-id (= lexicographic) order over the whole
+  // 38-symbol alphabet, so GramOfRank is injective.
   GramId previous = 0;
   for (uint32_t rank = 0; rank < kNumGramRanks; ++rank) {
     const GramId id = GramOfRank(rank);
-    ASSERT_EQ(GramRank(id), rank);
     if (rank > 0) {
       ASSERT_LT(previous, id) << rank;
     }
