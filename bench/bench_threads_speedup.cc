@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   for (size_t threads : thread_counts) {
     match.threads = threads;
     AggregatedMetrics m = RunRepeated(reps, 900, [&](uint64_t seed) {
-      return RetailTrial(data, match, seed);
+      return MatchTrial(MakeRetailDataset, "retail", data, match, seed);
     });
     Row row;
     row.threads = threads;

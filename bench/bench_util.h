@@ -1,4 +1,4 @@
-// Shared trial runners for the figure benches: one ContextMatch run over a
+// Shared trial runners for the benches: one ContextMatch run over a
 // generated data set, reporting the Section 5 quality metrics plus phase
 // timings and per-unit latency quantiles from the run's PhaseReport.
 //
@@ -31,85 +31,45 @@ namespace bench {
 // Environment knobs come from the shared BenchConfig (harness/experiment.h)
 // — use GlobalBenchConfig() instead of reading CSM_BENCH_* directly.
 
-/// Folds a run's PhaseReport into the trial metrics under the legacy bench
-/// JSON key names, plus per-unit latency quantiles from the histograms.
-inline void AddPhaseMetrics(const ContextMatchResult& result,
-                            MetricMap& metrics) {
-  metrics["match_seconds"] = result.TotalSeconds();
-  metrics["standard_match_seconds"] = result.phases.Seconds("standard_match");
-  metrics["inference_seconds"] = result.phases.Seconds("inference");
-  metrics["scoring_seconds"] = result.phases.Seconds("scoring");
-  metrics["selection_seconds"] = result.phases.Seconds("selection");
-  metrics["threads"] = static_cast<double>(result.threads_used);
-  const obs::HistogramSummary scoring =
-      result.phases.Histogram("scoring.view_seconds");
-  metrics["scoring_view_p50_seconds"] = scoring.p50;
-  metrics["scoring_view_p95_seconds"] = scoring.p95;
-  const obs::HistogramSummary cells =
-      result.phases.Histogram("inference.cell_seconds");
-  metrics["inference_cell_p50_seconds"] = cells.p50;
-  metrics["inference_cell_p95_seconds"] = cells.p95;
-}
-
-/// One engine run with optional CSM_BENCH_TRACE trace export.
-inline ContextMatchResult RunEngineTrial(const Database& source,
-                                         const Database& target,
-                                         const ContextMatchOptions& options,
-                                         const std::string& dataset,
-                                         uint64_t seed) {
-  MatchEngine engine(options);
+/// One ContextMatch run on the data set `make` (MakeRetailDataset or
+/// MakeGradesDataset) builds from `data_options` at `seed`: its quality,
+/// phase seconds and per-unit p95 latencies.  With CSM_BENCH_TRACE set, it
+/// writes the run's Chrome trace to "<prefix>-<name>-<seed>.json".
+template <typename Make, typename Options>
+MetricMap MatchTrial(Make make, const std::string& name, Options data_options,
+                     ContextMatchOptions match_options, uint64_t seed) {
+  data_options.seed = seed;
+  match_options.seed = seed ^ 0x9e3779b97f4a7c15ULL;
+  const auto data = make(data_options);
+  MatchEngine engine(match_options);
   obs::Tracer tracer;
   const char* trace_prefix = GlobalBenchConfig().TracePrefix();
   if (trace_prefix != nullptr) engine.set_tracer(&tracer);
   MatchRequest request;
-  request.source = BorrowDatabase(source);
-  request.target = BorrowDatabase(target);
-  ContextMatchResult result = std::move(engine.Execute(request).result);
+  request.source = BorrowDatabase(data.source);
+  request.target = BorrowDatabase(data.target);
+  const ContextMatchResult result = std::move(engine.Execute(request).result);
   if (trace_prefix != nullptr) {
-    tracer.WriteChromeTrace(std::string(trace_prefix) + "-" + dataset + "-" +
+    tracer.WriteChromeTrace(std::string(trace_prefix) + "-" + name + "-" +
                             std::to_string(seed) + ".json");
   }
-  return result;
-}
-
-/// Runs ContextMatch on a Retail data set and returns the quality metrics.
-inline MetricMap RetailTrial(RetailOptions data_options,
-                             ContextMatchOptions match_options,
-                             uint64_t seed) {
-  data_options.seed = seed;
-  match_options.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-  RetailDataset data = MakeRetailDataset(data_options);
-  ContextMatchResult result =
-      RunEngineTrial(data.source, data.target, match_options, "retail", seed);
-  MatchQuality quality = EvaluateMatches(data.truth, result.matches);
-  MetricMap metrics;
-  metrics["fmeasure"] = quality.fmeasure;
-  metrics["accuracy"] = quality.accuracy;
-  metrics["precision"] = quality.precision;
-  metrics["views"] = static_cast<double>(result.pool.candidate_views.size());
-  metrics["selected"] = static_cast<double>(result.selected_views.size());
-  AddPhaseMetrics(result, metrics);
-  return metrics;
-}
-
-/// Same for the Grades data set.
-inline MetricMap GradesTrial(GradesOptions data_options,
-                             ContextMatchOptions match_options,
-                             uint64_t seed) {
-  data_options.seed = seed;
-  match_options.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-  GradesDataset data = MakeGradesDataset(data_options);
-  ContextMatchResult result =
-      RunEngineTrial(data.source, data.target, match_options, "grades", seed);
-  MatchQuality quality = EvaluateMatches(data.truth, result.matches);
-  MetricMap metrics;
-  metrics["fmeasure"] = quality.fmeasure;
-  metrics["accuracy"] = quality.accuracy;
-  metrics["precision"] = quality.precision;
-  metrics["views"] = static_cast<double>(result.pool.candidate_views.size());
-  metrics["selected"] = static_cast<double>(result.selected_views.size());
-  AddPhaseMetrics(result, metrics);
-  return metrics;
+  const MatchQuality quality = EvaluateMatches(data.truth, result.matches);
+  const obs::PhaseReport& phases = result.phases;
+  return {{"fmeasure", quality.fmeasure},
+          {"accuracy", quality.accuracy},
+          {"precision", quality.precision},
+          {"views", static_cast<double>(result.pool.candidate_views.size())},
+          {"selected", static_cast<double>(result.selected_views.size())},
+          {"match_seconds", result.TotalSeconds()},
+          {"standard_match_seconds", phases.Seconds("standard_match")},
+          {"inference_seconds", phases.Seconds("inference")},
+          {"scoring_seconds", phases.Seconds("scoring")},
+          {"selection_seconds", phases.Seconds("selection")},
+          {"threads", static_cast<double>(result.threads_used)},
+          {"scoring_view_p95_seconds",
+           phases.Histogram("scoring.view_seconds").p95},
+          {"inference_cell_p95_seconds",
+           phases.Histogram("inference.cell_seconds").p95}};
 }
 
 /// Baseline retail configuration used across the figures (gamma = 4,
@@ -178,23 +138,6 @@ inline double ProcessCpuSeconds() {
            static_cast<double>(tv.tv_usec) * 1e-6;
   };
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
-}
-
-/// Grades runs use the calibrated tau/omega for attribute normalization —
-/// the grades base matches are more tenuous than Retail's (Section 5.8), so
-/// tau sits at the low edge of the Fig 21 plateau and omega is small enough
-/// that the shrinking per-view improvement margin at high sigma decays
-/// gradually (see EXPERIMENTS.md) — and LateDisjuncts so one view per exam
-/// survives selection.
-inline ContextMatchOptions DefaultGradesMatch() {
-  ContextMatchOptions options;
-  options.tau = 0.45;
-  options.omega = 0.025;
-  options.inference = ViewInferenceKind::kSrcClass;
-  options.selection = SelectionPolicy::kQualTable;
-  options.early_disjuncts = false;
-  options.threads = GlobalBenchConfig().Threads(/*default_threads=*/1);
-  return options;
 }
 
 }  // namespace bench

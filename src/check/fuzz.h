@@ -38,7 +38,7 @@
 //                            Reserve / copy sequences on StringDictionary
 //                            against an unordered_map + vector model
 //   * FuzzConditionEvaluation random conditions: View::Materialize and
-//                            View::MatchingRows against per-row
+//                            View::Positions against per-row
 //                            Condition::Evaluate ground truth
 //   * FuzzPipeline           random database pairs through MatchEngine;
 //                            checks result invariants (confidence bounds,
@@ -67,7 +67,9 @@
 //                            every byte 0x00-0xff, through the interned
 //                            token kernel (text/gram.h): packed gram ids,
 //                            dense 3-gram ranks, the q = 3 profile builder
-//                            (every entry in order), flat profiles, TF-IDF
+//                            (every entry in order), flat profiles (every
+//                            gram and word entry, q-gram cosine, word
+//                            Dice), TF-IDF
 //                            weighted cosine (stored document side and
 //                            computed side), the
 //                            gram-major Naive Bayes classifier (labels and
@@ -88,8 +90,8 @@
 //                            and full lists: AttributeSample::Restrict's
 //                            merged profiles against boxed bags and the
 //                            map-of-strings reference (counts, renderings,
-//                            every profile entry, moments, cosine / Dice /
-//                            Jaccard / TF-IDF), and ScoreRestrictedSample
+//                            every profile entry, moments, q-gram cosine /
+//                            word Dice / TF-IDF), and ScoreRestrictedSample
 //                            (in the index's vocabulary against targets of
 //                            two sessions' alignments, one with tokens no
 //                            index holds; also on each column's NULL-only

@@ -1,6 +1,5 @@
 #include "check/token_profile.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace csm::check {
@@ -59,26 +58,11 @@ double CosineSimilarity(const TokenProfile& a, const TokenProfile& b) {
   return a.Dot(b) / denom;
 }
 
-double JaccardSimilarity(const TokenProfile& a, const TokenProfile& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  size_t inter = a.IntersectionSize(b);
-  size_t uni = a.num_distinct() + b.num_distinct() - inter;
-  if (uni == 0) return 0.0;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 double DiceSimilarity(const TokenProfile& a, const TokenProfile& b) {
   size_t total = a.num_distinct() + b.num_distinct();
   if (total == 0) return 0.0;
   return 2.0 * static_cast<double>(a.IntersectionSize(b)) /
          static_cast<double>(total);
-}
-
-double OverlapSimilarity(const TokenProfile& a, const TokenProfile& b) {
-  size_t smaller = std::min(a.num_distinct(), b.num_distinct());
-  if (smaller == 0) return 0.0;
-  return static_cast<double>(a.IntersectionSize(b)) /
-         static_cast<double>(smaller);
 }
 
 void ReferenceTfIdfCorpus::AddDocument(const TokenProfile& document) {

@@ -56,14 +56,8 @@ class TokenProfile {
 /// Cosine similarity of the count vectors; 0 when either is empty.
 double CosineSimilarity(const TokenProfile& a, const TokenProfile& b);
 
-/// Jaccard similarity of the distinct-token sets; 0 when both empty.
-double JaccardSimilarity(const TokenProfile& a, const TokenProfile& b);
-
 /// Dice coefficient of the distinct-token sets.
 double DiceSimilarity(const TokenProfile& a, const TokenProfile& b);
-
-/// Overlap coefficient: |A∩B| / min(|A|, |B|).
-double OverlapSimilarity(const TokenProfile& a, const TokenProfile& b);
 
 /// TF-IDF over TokenProfile documents, registered one at a time.
 class ReferenceTfIdfCorpus {

@@ -45,9 +45,10 @@ struct ContextMatchOptions {
   /// StandardMatch confidence threshold (tau).
   double tau = 0.5;
   /// Improvement threshold (omega) used by SelectContextualMatches.  The
-  /// paper's default is 0.5 on its own confidence scale; on this library's
-  /// scale the calibrated optimal plateau is roughly [0.05, 0.25] (see
-  /// bench_fig08_10_omega), so 0.15 is the default.
+  /// paper's default is 0.5 on its own confidence scale.  On the Retail
+  /// targets of this library, LateDisjuncts reaches its best F-measure over
+  /// about omega in [0.1, 0.2] and EarlyDisjuncts only at 0.2-0.25
+  /// (`bench_paper fig08 fig09 fig10`, EXPERIMENTS.md); 0.15 is the default.
   double omega = 0.15;
   /// EarlyDisjuncts vs LateDisjuncts (Section 3.3).
   bool early_disjuncts = true;

@@ -1,5 +1,6 @@
 #include "harness/experiment.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace csm {
@@ -34,12 +35,17 @@ namespace {
 
 /// Parses a non-negative size knob; `min` rejects values below it (so REPS
 /// treats 0 as unset while THREADS keeps it as "all hardware threads").
+/// The whole value must be a decimal number that fits a long: "5x" or a
+/// 20-digit value reads as unset, not as its prefix or LONG_MAX.
 bool ReadSizeEnv(const char* name, long min, size_t* out) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return false;
   char* end = nullptr;
+  errno = 0;
   long parsed = std::strtol(env, &end, 10);
-  if (end == env || parsed < min) return false;
+  if (end == env || *end != '\0' || errno == ERANGE || parsed < min) {
+    return false;
+  }
   *out = static_cast<size_t>(parsed);
   return true;
 }

@@ -23,9 +23,6 @@ struct AggregatedMetrics {
 
   double Mean(const std::string& name) const;
   double StdDev(const std::string& name) const;
-  bool Has(const std::string& name) const {
-    return metrics.find(name) != metrics.end();
-  }
 };
 
 /// Runs `trial` `repetitions` times with seeds base_seed+1 ... and merges
@@ -43,7 +40,6 @@ class Stopwatch {
                                          start_)
         .count();
   }
-  void Reset() { start_ = std::chrono::steady_clock::now(); }
 
  private:
   std::chrono::steady_clock::time_point start_;

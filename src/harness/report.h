@@ -1,6 +1,5 @@
-// Aligned-table / CSV reporting for the experiment benches: every bench
-// prints one ResultTable whose rows are the series of the paper figure it
-// regenerates.
+// Aligned-table / CSV reporting for the benches: bench_paper prints one
+// ResultTable per paper figure, its rows the figure's grid points.
 
 #ifndef CSM_HARNESS_REPORT_H_
 #define CSM_HARNESS_REPORT_H_
@@ -13,8 +12,6 @@ namespace csm {
 class ResultTable {
  public:
   ResultTable(std::string title, std::vector<std::string> columns);
-
-  const std::string& title() const { return title_; }
 
   void AddRow(std::vector<std::string> cells);
 
@@ -32,8 +29,6 @@ class ResultTable {
   void Print() const;
 
   size_t num_rows() const { return rows_.size(); }
-  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
-  const std::vector<std::string>& columns() const { return columns_; }
 
  private:
   std::string title_;

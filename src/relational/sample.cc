@@ -7,15 +7,12 @@
 #include "common/logging.h"
 
 namespace csm {
-namespace {
 
-/// Shared index selection: shuffles 0..n-1, clamps the train size, and
-/// returns both sides sorted ascending.  Both split flavors call this so
-/// their row selection is draw-for-draw identical.
-std::pair<PosList, PosList> SplitPositions(size_t n, double train_fraction,
-                                           Rng& rng) {
+TrainTestViewSplit SplitTrainTestView(const TableView& instance,
+                                      double train_fraction, Rng& rng) {
   CSM_CHECK_GE(train_fraction, 0.0);
   CSM_CHECK_LE(train_fraction, 1.0);
+  const size_t n = instance.num_rows();
   PosList indices(n);
   std::iota(indices.begin(), indices.end(), RowId{0});
   rng.Shuffle(indices);
@@ -34,20 +31,6 @@ std::pair<PosList, PosList> SplitPositions(size_t n, double train_fraction,
   // downstream order-sensitive consumers.
   std::sort(train.begin(), train.end());
   std::sort(test.begin(), test.end());
-  return {std::move(train), std::move(test)};
-}
-
-}  // namespace
-
-TrainTestSplit SplitTrainTest(const Table& instance, double train_fraction,
-                              Rng& rng) {
-  auto [train, test] = SplitPositions(instance.num_rows(), train_fraction, rng);
-  return TrainTestSplit{instance.SelectRows(train), instance.SelectRows(test)};
-}
-
-TrainTestViewSplit SplitTrainTestView(const TableView& instance,
-                                      double train_fraction, Rng& rng) {
-  auto [train, test] = SplitPositions(instance.num_rows(), train_fraction, rng);
   return TrainTestViewSplit{instance.Select(std::move(train)),
                             instance.Select(std::move(test))};
 }

@@ -19,15 +19,8 @@
 
 namespace csm {
 
-/// A train/test split of one table's rows.
-struct TrainTestSplit {
-  Table train;
-  Table test;
-};
-
 /// A zero-copy train/test split: two position-list views over the same base
-/// table.  Row selection is identical to SplitTrainTest for the same rng
-/// state (same shuffle sequence, same clamping, same ascending order).
+/// table, each side in ascending row order.
 struct TrainTestViewSplit {
   TableView train;
   TableView test;
@@ -35,12 +28,8 @@ struct TrainTestViewSplit {
 
 /// Randomly partitions `instance` rows into train/test with `train_fraction`
 /// of rows (rounded, at least 1 of each when the table has >= 2 rows) going
-/// to train.  Deterministic given `rng`.
-TrainTestSplit SplitTrainTest(const Table& instance, double train_fraction,
-                              Rng& rng);
-
-/// View-based variant of SplitTrainTest: no rows are copied.  `instance`'s
-/// base table must outlive the returned views.
+/// to train.  No rows are copied; `instance`'s base table must outlive the
+/// returned views.  Deterministic given `rng`.
 TrainTestViewSplit SplitTrainTestView(const TableView& instance,
                                       double train_fraction, Rng& rng);
 

@@ -27,11 +27,6 @@ PosList View::Positions(const Table& base_instance) const {
   return condition_.MatchingPositions(base_instance);
 }
 
-std::vector<size_t> View::MatchingRows(const Table& base_instance) const {
-  const PosList positions = Positions(base_instance);
-  return std::vector<size_t>(positions.begin(), positions.end());
-}
-
 TableView View::Bind(const Table& base_instance) const {
   PosList positions = Positions(base_instance);
   TableSchema view_schema = ViewSchema(base_instance.schema());

@@ -64,9 +64,6 @@ class View {
   /// scan; ascending).
   PosList Positions(const Table& base_instance) const;
 
-  /// Row indices of `base_instance` satisfying the condition.
-  std::vector<size_t> MatchingRows(const Table& base_instance) const;
-
   /// "name := select * from R where c".
   std::string ToString() const;
 

@@ -156,13 +156,6 @@ GramId TokenInterner::GetOrAdd(std::string_view token) {
   return id;
 }
 
-double GramProfile::Count(GramId id) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), id,
-      [](const Entry& e, GramId target) { return e.id < target; });
-  return it != entries_.end() && it->id == id ? it->count : 0.0;
-}
-
 GramProfile::GramProfile(std::vector<Entry> entries, double total)
     : entries_(std::move(entries)), total_(total) {
   double sum_sq = 0.0;
@@ -186,24 +179,6 @@ double GramProfile::Dot(const GramProfile& other) const {
     }
   }
   return dot;
-}
-
-size_t GramProfile::IntersectionSize(const GramProfile& other) const {
-  size_t n = 0;
-  auto a = entries_.begin();
-  auto b = other.entries_.begin();
-  while (a != entries_.end() && b != other.entries_.end()) {
-    if (a->id < b->id) {
-      ++a;
-    } else if (b->id < a->id) {
-      ++b;
-    } else {
-      ++n;
-      ++a;
-      ++b;
-    }
-  }
-  return n;
 }
 
 void GramProfileBuilder::AddText(std::string_view text, double count) {
@@ -230,37 +205,6 @@ GramProfile GramProfileBuilder::Build() {
   counts_.clear();
   total_ = 0.0;
   return profile;
-}
-
-double WordProfile::Count(std::string_view token) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), token,
-      [](const Entry& e, std::string_view target) { return e.token < target; });
-  return it != entries_.end() && it->token == token ? it->count : 0.0;
-}
-
-double WordProfile::Norm() const {
-  double sum_sq = 0.0;
-  for (const Entry& e : entries_) sum_sq += e.count * e.count;
-  return std::sqrt(sum_sq);
-}
-
-double WordProfile::Dot(const WordProfile& other) const {
-  double dot = 0.0;
-  auto a = entries_.begin();
-  auto b = other.entries_.begin();
-  while (a != entries_.end() && b != other.entries_.end()) {
-    if (a->token < b->token) {
-      ++a;
-    } else if (b->token < a->token) {
-      ++b;
-    } else {
-      dot += a->count * b->count;
-      ++a;
-      ++b;
-    }
-  }
-  return dot;
 }
 
 size_t WordProfile::IntersectionSize(const WordProfile& other) const {
@@ -325,67 +269,18 @@ WordProfile WordProfileBuilder::Build() {
   return profile;
 }
 
-namespace {
-
-template <typename Profile>
-double CosineImpl(const Profile& a, const Profile& b) {
+double CosineSimilarity(const GramProfile& a, const GramProfile& b) {
   if (a.empty() || b.empty()) return 0.0;
   double denom = a.Norm() * b.Norm();
   if (denom == 0.0) return 0.0;
   return a.Dot(b) / denom;
 }
 
-template <typename Profile>
-double JaccardImpl(const Profile& a, const Profile& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  size_t inter = a.IntersectionSize(b);
-  size_t uni = a.num_distinct() + b.num_distinct() - inter;
-  if (uni == 0) return 0.0;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-template <typename Profile>
-double DiceImpl(const Profile& a, const Profile& b) {
+double DiceSimilarity(const WordProfile& a, const WordProfile& b) {
   size_t total = a.num_distinct() + b.num_distinct();
   if (total == 0) return 0.0;
   return 2.0 * static_cast<double>(a.IntersectionSize(b)) /
          static_cast<double>(total);
-}
-
-template <typename Profile>
-double OverlapImpl(const Profile& a, const Profile& b) {
-  size_t smaller = std::min(a.num_distinct(), b.num_distinct());
-  if (smaller == 0) return 0.0;
-  return static_cast<double>(a.IntersectionSize(b)) /
-         static_cast<double>(smaller);
-}
-
-}  // namespace
-
-double CosineSimilarity(const GramProfile& a, const GramProfile& b) {
-  return CosineImpl(a, b);
-}
-double JaccardSimilarity(const GramProfile& a, const GramProfile& b) {
-  return JaccardImpl(a, b);
-}
-double DiceSimilarity(const GramProfile& a, const GramProfile& b) {
-  return DiceImpl(a, b);
-}
-double OverlapSimilarity(const GramProfile& a, const GramProfile& b) {
-  return OverlapImpl(a, b);
-}
-
-double CosineSimilarity(const WordProfile& a, const WordProfile& b) {
-  return CosineImpl(a, b);
-}
-double JaccardSimilarity(const WordProfile& a, const WordProfile& b) {
-  return JaccardImpl(a, b);
-}
-double DiceSimilarity(const WordProfile& a, const WordProfile& b) {
-  return DiceImpl(a, b);
-}
-double OverlapSimilarity(const WordProfile& a, const WordProfile& b) {
-  return OverlapImpl(a, b);
 }
 
 }  // namespace csm

@@ -26,10 +26,11 @@
 //     the ids assigned to a token stream are a function of the stream alone.
 //
 //   * Flat profiles.  GramProfile / WordProfile store sorted (id, count) /
-//     (token, count) vectors; Dot, IntersectionSize and the derived
-//     similarity measures run as linear merges.  Counts are exact integers
-//     (bag multiplicities), so every sum below 2^53 is order-independent and
-//     the merges reproduce the map-based results bit for bit; WordProfile
+//     (token, count) vectors; the q-gram cosine (Dot) and the word Dice
+//     coefficient (IntersectionSize) run as linear merges.  Counts are
+//     exact integers (bag multiplicities), so every sum below 2^53 is
+//     order-independent and the merges reproduce the map-based results bit
+//     for bit; WordProfile
 //     additionally keeps its entries in token-lexicographic order so that
 //     the TF-IDF weighted sums (non-integer terms) accumulate in the exact
 //     order the std::map iteration used.
@@ -210,17 +211,12 @@ class GramProfile {
   double total() const { return total_; }
   const std::vector<Entry>& entries() const { return entries_; }
 
-  double Count(GramId id) const;
-
   /// Euclidean norm of the count vector (squares summed in id order),
   /// computed once at construction.
   double Norm() const { return norm_; }
 
   /// Dot product (linear merge over the sorted entries).
   double Dot(const GramProfile& other) const;
-
-  /// Number of distinct gram ids in common.
-  size_t IntersectionSize(const GramProfile& other) const;
 
  private:
   std::vector<Entry> entries_;  // sorted by id
@@ -275,10 +271,7 @@ class WordProfile {
   double total() const { return total_; }
   const std::vector<Entry>& entries() const { return entries_; }
 
-  double Count(std::string_view token) const;
-
-  double Norm() const;
-  double Dot(const WordProfile& other) const;
+  /// Number of distinct tokens in common (linear merge).
   size_t IntersectionSize(const WordProfile& other) const;
 
  private:
@@ -309,17 +302,11 @@ class WordProfileBuilder {
   std::string token_scratch_;
 };
 
-/// Similarity measures over the flat representations; formulas identical
-/// to the map-based reference (check/token_profile.h).
+/// The two similarity measures the matchers use (QGramMatcher's cosine,
+/// NameMatcher's word Dice); formulas identical to the map-based reference
+/// (check/token_profile.h).
 double CosineSimilarity(const GramProfile& a, const GramProfile& b);
-double JaccardSimilarity(const GramProfile& a, const GramProfile& b);
-double DiceSimilarity(const GramProfile& a, const GramProfile& b);
-double OverlapSimilarity(const GramProfile& a, const GramProfile& b);
-
-double CosineSimilarity(const WordProfile& a, const WordProfile& b);
-double JaccardSimilarity(const WordProfile& a, const WordProfile& b);
 double DiceSimilarity(const WordProfile& a, const WordProfile& b);
-double OverlapSimilarity(const WordProfile& a, const WordProfile& b);
 
 }  // namespace csm
 

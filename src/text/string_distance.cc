@@ -5,31 +5,6 @@
 
 namespace csm {
 
-size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  // a is the shorter string; one rolling row.
-  std::vector<size_t> row(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) row[i] = i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    size_t prev_diag = row[0];
-    row[0] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      size_t prev = row[i];
-      size_t substitute = prev_diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      row[i] = std::min({row[i] + 1, row[i - 1] + 1, substitute});
-      prev_diag = prev;
-    }
-  }
-  return row[a.size()];
-}
-
-double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) /
-                   static_cast<double>(longest);
-}
-
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;

@@ -7,13 +7,6 @@
 
 namespace csm {
 
-/// Levenshtein edit distance (insert/delete/substitute, unit costs).
-size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-/// Normalized edit similarity in [0,1]: 1 - distance / max(|a|,|b|);
-/// 1.0 when both strings are empty.
-double LevenshteinSimilarity(std::string_view a, std::string_view b);
-
 /// Jaro similarity in [0,1].
 double JaroSimilarity(std::string_view a, std::string_view b);
 

@@ -84,7 +84,7 @@ TEST(ClusteredViewGenTest, FamilyPartitionsAllLabelValues) {
   const ViewFamily& family = families[0];
   size_t covered = 0;
   for (const View& v : family.views) {
-    covered += v.MatchingRows(t).size();
+    covered += v.Positions(t).size();
   }
   EXPECT_EQ(covered, t.num_rows());
 }

@@ -1,10 +1,13 @@
 // Tests for src/datagen: wordlists, ground-truth evaluation, retail and
-// grades generators, and src/harness: reporting + repetition.
+// grades generators; src/harness: reporting + repetition; and the figure
+// claim predicates of bench/paper_claims.h on hand-built series.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
+#include "bench/paper_claims.h"
 #include "datagen/grades_gen.h"
 #include "datagen/ground_truth.h"
 #include "datagen/retail_gen.h"
@@ -350,8 +353,8 @@ TEST(ExperimentTest, RunRepeatedAggregates) {
   EXPECT_DOUBLE_EQ(agg.Mean("seed_derived"), 3.0);  // mean of 1..5
   EXPECT_DOUBLE_EQ(agg.Mean("constant"), 7.0);
   EXPECT_DOUBLE_EQ(agg.StdDev("constant"), 0.0);
-  EXPECT_TRUE(agg.Has("seconds"));
-  EXPECT_FALSE(agg.Has("nope"));
+  EXPECT_EQ(agg.metrics.count("seconds"), 1u);
+  EXPECT_EQ(agg.metrics.count("nope"), 0u);
   EXPECT_DOUBLE_EQ(agg.Mean("nope"), 0.0);
 }
 
@@ -360,7 +363,6 @@ TEST(ExperimentTest, StopwatchMeasuresElapsed) {
   volatile double sink = 0;
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(watch.Seconds(), 0.0);
-  watch.Reset();
   EXPECT_LT(watch.Seconds(), 1.0);
 }
 
@@ -397,11 +399,95 @@ TEST(ExperimentTest, BenchConfigFromEnv) {
   EXPECT_EQ(config.Repetitions(8), 8u);
   EXPECT_FALSE(config.threads_set);
 
+  // So do a trailing suffix and a value that overflows a long.
+  setenv("CSM_BENCH_REPS", "5x", 1);
+  setenv("CSM_BENCH_THREADS", "99999999999999999999", 1);
+  config = BenchConfig::FromEnv();
+  EXPECT_EQ(config.Repetitions(8), 8u);
+  EXPECT_FALSE(config.threads_set);
+  EXPECT_EQ(config.Threads(1), 1u);
+
   unsetenv("CSM_BENCH_REPS");
   unsetenv("CSM_BENCH_THREADS");
   unsetenv("CSM_BENCH_TRACE");
   unsetenv("CSM_BENCH_CLIENTS");
   unsetenv("CSM_BENCH_REQUESTS");
+}
+
+// ---------------------------------------------------------- Paper claims
+
+using bench::Series;
+
+TEST(PaperClaimsTest, OnePointPlateauIsNarrowerThanFourPoints) {
+  const Series xs = {0.0, 0.1, 0.2, 0.3, 0.4, 0.5};
+  // One point at the maximum (its neighbours sit 0.02 below, outside the
+  // tolerance) against four adjacent points within 0.01 of theirs.
+  const Series one = {0.80, 0.80, 0.93, 0.95, 0.93, 0.50};
+  const Series four = {0.70, 0.945, 0.95, 0.95, 0.941, 0.60};
+  const bench::Plateau p1 = bench::MaxPlateau(xs, one, 0.01);
+  const bench::Plateau p4 = bench::MaxPlateau(xs, four, 0.01);
+  EXPECT_DOUBLE_EQ(p1.lo, 0.3);
+  EXPECT_DOUBLE_EQ(p1.width(), 0.0);
+  EXPECT_DOUBLE_EQ(p4.lo, 0.1);
+  EXPECT_DOUBLE_EQ(p4.hi, 0.4);
+  EXPECT_GE(p4.width(), p1.width());
+  EXPECT_FALSE(p1.width() >= p4.width());
+}
+
+TEST(PaperClaimsTest, TieAtTheMaximumTakesTheLongestThenLowestRun) {
+  const Series xs = {1, 2, 3, 4, 5, 6, 7};
+  // Two runs reach the maximum: the longer one is the plateau...
+  EXPECT_DOUBLE_EQ(bench::MaxPlateau(xs, {1, 1, 0, 1, 1, 1, 0}, 0.0).lo, 4);
+  // ...and of two equally long runs, the lower-x one.
+  const bench::Plateau tie =
+      bench::MaxPlateau(xs, {1, 1, 0, 0, 0, 1, 1}, 0.0);
+  EXPECT_DOUBLE_EQ(tie.lo, 1);
+  EXPECT_DOUBLE_EQ(tie.hi, 2);
+  // A tie between two series at their maximum is neither a win nor a loss.
+  EXPECT_EQ(bench::Wins({0.9, 0.9}, {0.9, 0.5}), 1u);
+  EXPECT_TRUE(bench::Dominates({0.9, 0.9}, {0.9, 0.5}));
+}
+
+TEST(PaperClaimsTest, NonMonotoneRatioDoesNotClimb) {
+  EXPECT_TRUE(bench::Climbs({1.3, 2.0, 4.4, 15.0, 48.0}, 0.0));
+  EXPECT_FALSE(bench::Climbs({0.94, 0.88, 0.94, 0.80, 1.00}, 0.0));
+  // A dip within the tolerance still climbs; a flat series does not.
+  EXPECT_TRUE(bench::Climbs({0.0, 0.0, 0.78, 0.9, 0.895}, 0.01));
+  EXPECT_FALSE(bench::Climbs({0.9, 0.9, 0.9}, 0.01));
+}
+
+TEST(PaperClaimsTest, DominatingAllButOnePointIsNotDominance) {
+  const Series early = {0.95, 0.95, 0.95, 0.78, 0.44, 0.08};
+  const Series late = {0.95, 0.89, 0.73, 0.40, 0.37, 0.39};
+  EXPECT_FALSE(bench::Dominates(early, late));  // late ahead at the last
+  EXPECT_EQ(bench::Wins(late, early), 1u);
+  EXPECT_TRUE(bench::Dominates({0.95, 0.95, 0.79}, {0.95, 0.89, 0.40}));
+  // "Ahead on most points": 2 of 3 is most, 1 of 3 is not.
+  EXPECT_EQ(bench::Wins({0.44, 0.13, 0.53}, {0.33, 0.24, 0.36}), 2u);
+  EXPECT_EQ(bench::Wins({0.33, 0.24, 0.36}, {0.44, 0.13, 0.53}), 1u);
+}
+
+TEST(PaperClaimsTest, EndsLowerAndFirstDrop) {
+  const Series xs = {0.0, 0.2, 0.4, 0.6, 0.8};
+  EXPECT_TRUE(bench::EndsLower({0.95, 0.57, 0.51, 0.35}, 0.01));
+  EXPECT_FALSE(bench::EndsLower({0.87, 0.93, 0.92, 0.93}, 0.01));
+  EXPECT_FALSE(bench::EndsLower({0.95, 0.5, 0.945}, 0.01));
+  EXPECT_DOUBLE_EQ(bench::FirstDrop(xs, {0.95, 0.95, 0.95, 0.78, 0.4}, 0.01),
+                   0.6);
+  EXPECT_DOUBLE_EQ(bench::FirstDrop(xs, {0.95, 0.89, 0.73, 0.4, 0.4}, 0.01),
+                   0.2);
+  EXPECT_EQ(bench::FirstDrop(xs, {0.5, 0.6, 0.495, 0.7, 0.5}, 0.01),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(PaperClaimsTest, CollapsesAboveTheCut) {
+  const Series xs = {0.3, 0.5, 0.6, 0.7, 0.8};
+  EXPECT_TRUE(bench::CollapsesAbove(xs, {0.73, 1.0, 0.75, 0.38, 0.10}, 0.65));
+  // One late recovery above the lowest point below the cut breaks it.
+  EXPECT_FALSE(bench::CollapsesAbove(xs, {0.85, 0.95, 0.67, 0.46, 0.72},
+                                     0.65));
+  // Without a point on both sides of the cut nothing collapses.
+  EXPECT_FALSE(bench::CollapsesAbove(xs, {1, 1, 1, 0, 0}, 0.9));
 }
 
 }  // namespace

@@ -272,7 +272,7 @@ TEST(IntegrationTest, SelectedViewsPartitionTheirLabelSlices) {
   const Table& inv = data.source.GetTable("inventory");
   std::set<size_t> claimed;
   for (const View& v : r.selected_views) {
-    for (size_t row : v.MatchingRows(inv)) {
+    for (RowId row : v.Positions(inv)) {
       EXPECT_TRUE(claimed.insert(row).second)
           << "row " << row << " claimed twice";
     }

@@ -14,7 +14,6 @@
 #include "relational/sample.h"
 #include "relational/view.h"
 #include "stats/distributions.h"
-#include "text/string_distance.h"
 #include "text/tokenizer.h"
 #include "tests/test_util.h"
 
@@ -63,19 +62,6 @@ TEST_P(SeededPropertyTest, CosineBoundedAndReflexive) {
   }
 }
 
-TEST_P(SeededPropertyTest, LevenshteinMetricAxioms) {
-  Rng rng(GetParam() ^ 2);
-  for (int i = 0; i < 20; ++i) {
-    std::string a = RandomWord(rng), b = RandomWord(rng), c = RandomWord(rng);
-    EXPECT_EQ(LevenshteinDistance(a, a), 0u);
-    EXPECT_EQ(LevenshteinDistance(a, b), LevenshteinDistance(b, a));
-    EXPECT_LE(LevenshteinDistance(a, c),
-              LevenshteinDistance(a, b) + LevenshteinDistance(b, c));
-    // Distance bounded by the longer string.
-    EXPECT_LE(LevenshteinDistance(a, b), std::max(a.size(), b.size()));
-  }
-}
-
 TEST_P(SeededPropertyTest, NormalCdfQuantileInverse) {
   Rng rng(GetParam() ^ 3);
   for (int i = 0; i < 50; ++i) {
@@ -99,7 +85,7 @@ TEST_P(SeededPropertyTest, ViewFamilyFromAnyCategoricalPartitions) {
   size_t covered = 0;
   std::set<size_t> seen_rows;
   for (const View& v : family.views) {
-    for (size_t r : v.MatchingRows(t)) {
+    for (RowId r : v.Positions(t)) {
       EXPECT_TRUE(seen_rows.insert(r).second);
       ++covered;
     }
@@ -135,7 +121,7 @@ TEST_P(SeededPropertyTest, TrainTestSplitIsExactPartition) {
   Table t = MakeTable("t", {"id"}, rows);
   Rng split_rng(GetParam() ^ 7);
   double fraction = data_rng.NextDouble();
-  TrainTestSplit split = SplitTrainTest(t, fraction, split_rng);
+  TrainTestViewSplit split = SplitTrainTestView(t, fraction, split_rng);
   EXPECT_EQ(split.train.num_rows() + split.test.num_rows(), n);
   std::set<int64_t> ids;
   for (size_t r = 0; r < split.train.num_rows(); ++r) {

@@ -378,7 +378,7 @@ TEST(ViewTest, ProjectionMaterialization) {
 TEST(ViewTest, MatchingRows) {
   Table t = SampleInventory();
   View v("cds", "inv", Condition::Equals("type", S("cd")));
-  EXPECT_EQ(v.MatchingRows(t), (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(v.Positions(t), (PosList{1, 3}));
 }
 
 TEST(ViewTest, TrueConditionKeepsEverything) {
@@ -502,7 +502,7 @@ TEST(CategoricalTest, IntLabelsWork) {
 TEST(SampleTest, SplitSizesAndDisjointness) {
   Table t = CategoricalFixture(20, 3, 0);  // 60 rows
   Rng rng(5);
-  TrainTestSplit split = SplitTrainTest(t, 0.5, rng);
+  TrainTestViewSplit split = SplitTrainTestView(t, 0.5, rng);
   EXPECT_EQ(split.train.num_rows() + split.test.num_rows(), 60u);
   EXPECT_NEAR(static_cast<double>(split.train.num_rows()), 30.0, 1.0);
   // Disjoint: every "unique" value appears exactly once across both sides.
@@ -519,20 +519,18 @@ TEST(SampleTest, SplitSizesAndDisjointness) {
 TEST(SampleTest, SplitIsDeterministicGivenSeed) {
   Table t = CategoricalFixture(20, 3, 0);
   Rng rng1(5), rng2(5);
-  TrainTestSplit a = SplitTrainTest(t, 0.6, rng1);
-  TrainTestSplit b = SplitTrainTest(t, 0.6, rng2);
-  ASSERT_EQ(a.train.num_rows(), b.train.num_rows());
-  for (size_t r = 0; r < a.train.num_rows(); ++r) {
-    EXPECT_EQ(a.train.row(r), b.train.row(r));
-  }
+  TrainTestViewSplit a = SplitTrainTestView(t, 0.6, rng1);
+  TrainTestViewSplit b = SplitTrainTestView(t, 0.6, rng2);
+  EXPECT_EQ(a.train.Positions(), b.train.Positions());
+  EXPECT_EQ(a.test.Positions(), b.test.Positions());
 }
 
 TEST(SampleTest, SplitAlwaysKeepsBothSidesNonEmpty) {
   Table t = CategoricalFixture(2, 2, 0);  // 4 rows
   Rng rng(1);
-  TrainTestSplit lo = SplitTrainTest(t, 0.0, rng);
+  TrainTestViewSplit lo = SplitTrainTestView(t, 0.0, rng);
   EXPECT_GE(lo.train.num_rows(), 1u);
-  TrainTestSplit hi = SplitTrainTest(t, 1.0, rng);
+  TrainTestViewSplit hi = SplitTrainTestView(t, 1.0, rng);
   EXPECT_GE(hi.test.num_rows(), 1u);
 }
 
@@ -1019,12 +1017,18 @@ TEST(TableViewTest, ViewBindMatchesMaterialize) {
 }
 
 TEST(SampleTest, ViewSplitSelectsSameRowsAsTableSplit) {
+  // Splitting a view draws positions relative to the view, so it selects
+  // the same rows as splitting a table holding just the view's rows.
   Table t = MakeTable("t", {"i"},
-                      {{I(0)}, {I(1)}, {I(2)}, {I(3)}, {I(4)}, {I(5)}});
+                      {{I(0)}, {I(1)}, {I(2)}, {I(3)}, {I(4)}, {I(5)},
+                       {I(6)}, {I(7)}});
+  const TableView odd = TableView(t).Select({1, 3, 5, 7});
+  const Table odd_table =
+      MakeTable("t", {"i"}, {{I(1)}, {I(3)}, {I(5)}, {I(7)}});
   Rng rng_a(99);
   Rng rng_b(99);
-  const TrainTestSplit tables = SplitTrainTest(t, 0.5, rng_a);
-  const TrainTestViewSplit views = SplitTrainTestView(t, 0.5, rng_b);
+  const TrainTestViewSplit tables = SplitTrainTestView(odd_table, 0.5, rng_a);
+  const TrainTestViewSplit views = SplitTrainTestView(odd, 0.5, rng_b);
   ASSERT_EQ(views.train.num_rows(), tables.train.num_rows());
   ASSERT_EQ(views.test.num_rows(), tables.test.num_rows());
   for (size_t r = 0; r < tables.train.num_rows(); ++r) {
