@@ -119,11 +119,12 @@ Status CancelledPrefixAgainstFull(const Database& source,
     CSM_RETURN_IF_ERROR(CheckMatchListPrefix(degraded.pool.view_matches,
                                              full.pool.view_matches,
                                              "view_matches"));
-    for (const auto& [key, rows] : degraded.pool.view_row_counts) {
-      auto it = full.pool.view_row_counts.find(key);
+    for (const auto& [id, rows] : degraded.pool.view_row_counts) {
+      auto it = full.pool.view_row_counts.find(id);
       if (it == full.pool.view_row_counts.end() || it->second != rows) {
-        return Status::Internal("view_row_counts['" + key +
-                                "'] missing or different in the full run");
+        return Status::Internal("view_row_counts[" + id.base_table +
+                                " where " + id.condition.ToString() +
+                                "] missing or different in the full run");
       }
     }
 

@@ -1,5 +1,9 @@
 #include "check/fingerprint.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace csm::check {
 
 std::string FingerprintResult(const ContextMatchResult& r) {
@@ -19,9 +23,17 @@ std::string FingerprintResult(const ContextMatchResult& r) {
   for (const View& v : r.pool.candidate_views) {
     out += "  " + v.base_table() + "|" + v.condition().ToString() + "\n";
   }
+  // Each entry prints as "<table>\x1d<condition>=<rows>", sorted by that
+  // rendering: the text the goldens were recorded with.
+  std::vector<std::pair<std::string, size_t>> row_counts;
+  for (const auto& [id, count] : r.pool.view_row_counts) {
+    row_counts.emplace_back(id.base_table + '\x1d' + id.condition.ToString(),
+                            count);
+  }
+  std::sort(row_counts.begin(), row_counts.end());
   out += "view_row_counts:\n";
-  for (const auto& [key, count] : r.pool.view_row_counts) {
-    out += "  " + key + "=" + std::to_string(count) + "\n";
+  for (const auto& [rendering, count] : row_counts) {
+    out += "  " + rendering + "=" + std::to_string(count) + "\n";
   }
   return out;
 }

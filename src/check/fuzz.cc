@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include "check/reference.h"
 #include "check/token_profile.h"
 #include "core/match_engine.h"
+#include "core/view_inference.h"
 #include "match/matcher.h"
 #include "match/matchers.h"
 #include "match/session.h"
@@ -779,6 +781,267 @@ Status FuzzConditionEvaluation(const FuzzOptions& options) {
   return Status::Ok();
 }
 
+namespace {
+
+// ------------------------------------------------------------ View identity
+
+/// Attribute names holding rendering syntax: "a = 'x' and b" = 'y' renders
+/// like the two clauses a = 'x' and b = 'y'.
+const char* const kIdentityAttributes[] = {
+    "a", "b", "k", "a = 'x' and b", "x {", "it's", "p and q", "w"};
+
+/// A value for FuzzViewIdentity, drawn per type from small pools so values
+/// repeat: strings holding quotes and each byte 0x1b-0x1f, ints around a
+/// rendering-order flip (9 vs 10) and 2^53, reals that render alike
+/// ("0.123456"), +-0.0, NaNs of different payloads and +-inf.
+Value RandomIdentityValue(ValueType type, Rng& rng) {
+  static const char* const kStrings[] = {
+      "x", "y", "'", "a', 'b", "it''s", "\x1b", "\x1c", "\x1d", "\x1e",
+      "\x1f", "p\x1fq", "t\x1dx = 1", "} and {"};
+  static const int64_t kInts[] = {-1, 0, 1, 9, 10, int64_t{1} << 53,
+                                  (int64_t{1} << 53) + 1};
+  static const double kReals[] = {
+      0.1234561, 0.1234564, -0.0, 0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(uint64_t{0x7ff8000000000001}),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), 1.0, 9.0, 10.0};
+  switch (type) {
+    case ValueType::kInt:
+      return Value::Int(kInts[rng.NextBounded(std::size(kInts))]);
+    case ValueType::kReal:
+      return Value::Real(kReals[rng.NextBounded(std::size(kReals))]);
+    default:
+      return Value::String(kStrings[rng.NextBounded(std::size(kStrings))]);
+  }
+}
+
+/// 0-3 clauses on distinct attributes in random order; each clause holds
+/// 1-3 values of one type, or (one clause in eight) of mixed types.
+ViewId RandomViewId(Rng& rng) {
+  static const char* const kTables[] = {"t", "u", "t\x1dx"};
+  ViewId id{kTables[rng.NextBounded(std::size(kTables))], Condition()};
+  std::vector<std::string> attributes(std::begin(kIdentityAttributes),
+                                      std::end(kIdentityAttributes));
+  rng.Shuffle(attributes);
+  const size_t clauses = rng.NextBounded(4);
+  for (size_t c = 0; c < clauses; ++c) {
+    const bool mixed = rng.NextBounded(8) == 0;
+    const ValueType types[] = {ValueType::kString, ValueType::kInt,
+                               ValueType::kReal};
+    ValueType type = types[rng.NextBounded(3)];
+    std::vector<Value> values;
+    const size_t n = 1 + rng.NextBounded(3);
+    for (size_t v = 0; v < n; ++v) {
+      if (mixed) type = types[rng.NextBounded(3)];
+      values.push_back(RandomIdentityValue(type, rng));
+    }
+    id.condition.AddClause(attributes[c], std::move(values));
+  }
+  return id;
+}
+
+/// The same view rebuilt with other bits for equal values: zeros flip sign
+/// and NaNs change payload.
+ViewId WithOtherBits(const ViewId& id) {
+  ViewId out{id.base_table, Condition()};
+  for (const ConditionClause& clause : id.condition.clauses()) {
+    std::vector<Value> values;
+    for (const Value& v : clause.values) {
+      if (v.type() == ValueType::kReal && v.AsReal() == 0.0) {
+        values.push_back(Value::Real(std::signbit(v.AsReal()) ? 0.0 : -0.0));
+      } else if (v.type() == ValueType::kReal && std::isnan(v.AsReal())) {
+        values.push_back(
+            Value::Real(std::bit_cast<double>(uint64_t{0xfff8000000000007})));
+      } else {
+        values.push_back(v);
+      }
+    }
+    out.condition.AddClause(clause.attribute, std::move(values));
+  }
+  return out;
+}
+
+/// `id` with one value of one clause redrawn from the same type's pool: a
+/// near twin that differs in at most that value.
+ViewId WithOneValueRedrawn(const ViewId& id, Rng& rng) {
+  if (id.condition.is_true()) return id;
+  const auto& clauses = id.condition.clauses();
+  const size_t c = rng.NextBounded(clauses.size());
+  const size_t v = rng.NextBounded(clauses[c].values.size());
+  ViewId out{id.base_table, Condition()};
+  for (size_t i = 0; i < clauses.size(); ++i) {
+    std::vector<Value> values = clauses[i].values;
+    if (i == c) values[v] = RandomIdentityValue(values[v].type(), rng);
+    out.condition.AddClause(clauses[i].attribute, std::move(values));
+  }
+  return out;
+}
+
+/// The same clauses in reverse order: another conjunction, since a
+/// Condition's clause order is part of its value.
+ViewId WithClausesReversed(const ViewId& id) {
+  ViewId out{id.base_table, Condition()};
+  const auto& clauses = id.condition.clauses();
+  for (auto it = clauses.rbegin(); it != clauses.rend(); ++it) {
+    out.condition.AddClause(it->attribute, it->values);
+  }
+  return out;
+}
+
+/// Reference equality of two cells: same type and the same int, string or
+/// real (every NaN alike, -0.0 == 0.0), decided without Value's operators.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return a.AsInt() == b.AsInt();
+    case ValueType::kReal:
+      return a.AsReal() == b.AsReal() ||
+             (std::isnan(a.AsReal()) && std::isnan(b.AsReal()));
+    case ValueType::kString:
+      return a.AsString() == b.AsString();
+  }
+  return false;
+}
+
+/// Every value of `a` has a SameCell partner in `b`.
+bool CoveredBy(const std::vector<Value>& a, const std::vector<Value>& b) {
+  return std::all_of(a.begin(), a.end(), [&](const Value& x) {
+    return std::any_of(b.begin(), b.end(),
+                       [&](const Value& y) { return SameCell(x, y); });
+  });
+}
+
+/// Reference view equality: same table, and clause by clause the same
+/// attribute and the same set of cells.
+bool SameView(const ViewId& a, const ViewId& b) {
+  if (a.base_table != b.base_table) return false;
+  const auto& ca = a.condition.clauses();
+  const auto& cb = b.condition.clauses();
+  if (ca.size() != cb.size()) return false;
+  for (size_t i = 0; i < ca.size(); ++i) {
+    if (ca[i].attribute != cb[i].attribute ||
+        !CoveredBy(ca[i].values, cb[i].values) ||
+        !CoveredBy(cb[i].values, ca[i].values)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Typed dump for failure messages: renderings can coincide, so reals
+/// print as hex floats and control bytes as \xNN.
+std::string DescribeViewId(const ViewId& id) {
+  auto escape = [](const std::string& text) {
+    std::string out;
+    for (unsigned char c : text) {
+      if (c < 0x20 || c == 0x7f) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\x%02x", c);
+        out += buf;
+      } else {
+        out += static_cast<char>(c);
+      }
+    }
+    return out;
+  };
+  std::string out = "[" + escape(id.base_table) + "]";
+  for (const ConditionClause& clause : id.condition.clauses()) {
+    out += " [" + escape(clause.attribute) + "] in {";
+    for (size_t i = 0; i < clause.values.size(); ++i) {
+      const Value& v = clause.values[i];
+      if (i > 0) out += ", ";
+      out += ValueTypeToString(v.type());
+      out += ':';
+      if (v.type() == ValueType::kReal) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%a", v.AsReal());
+        out += buf;
+      } else {
+        out += escape(v.ToString());
+      }
+    }
+    out += "}";
+  }
+  return out;
+}
+
+}  // namespace
+
+Status FuzzViewIdentity(const FuzzOptions& options) {
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    std::vector<ViewId> ids;
+    for (size_t d = 0; d < 10; ++d) ids.push_back(RandomViewId(rng));
+    // Equal views spelled with other bits, reordered conjunctions, and
+    // near twins that differ in one value.
+    for (size_t d = 0; d < 3; ++d) {
+      ids.push_back(WithOtherBits(ids[rng.NextBounded(10)]));
+      ids.push_back(WithClausesReversed(ids[rng.NextBounded(10)]));
+      ids.push_back(WithOneValueRedrawn(ids[rng.NextBounded(10)], rng));
+    }
+    auto fail = [&](const std::string& what, size_t a, size_t b) {
+      return Replay(options, i,
+                    Status::Internal(what + ": " + DescribeViewId(ids[a]) +
+                                     " vs " + DescribeViewId(ids[b])));
+    };
+    const size_t n = ids.size();
+    for (size_t a = 0; a < n; ++a) {
+      if (ids[a] < ids[a]) return fail("ViewId < is not irreflexive", a, a);
+      for (size_t b = 0; b < n; ++b) {
+        const bool same = SameView(ids[a], ids[b]);
+        if ((ids[a] == ids[b]) != same) {
+          return fail(same ? "ViewId == splits equal views"
+                           : "ViewId == joins distinct views",
+                      a, b);
+        }
+        const bool ab = ids[a] < ids[b];
+        const bool ba = ids[b] < ids[a];
+        if (ab && ba) return fail("ViewId < is not asymmetric", a, b);
+        if ((!ab && !ba) != same) {
+          return fail("ViewId < equivalence disagrees with equality", a, b);
+        }
+        if (!ab) continue;
+        for (size_t c = 0; c < n; ++c) {
+          if (ids[b] < ids[c] && !(ids[a] < ids[c])) {
+            return fail("ViewId < is not transitive through " +
+                            DescribeViewId(ids[b]),
+                        a, c);
+          }
+        }
+      }
+    }
+    // DeduplicateCandidates keeps exactly the first of each equal group.
+    std::vector<CandidateView> candidates(n);
+    std::vector<size_t> expected;
+    for (size_t a = 0; a < n; ++a) {
+      candidates[a].view = View("v" + std::to_string(a), ids[a].base_table,
+                                ids[a].condition);
+      bool first = true;
+      for (size_t b = 0; b < a && first; ++b) first = !SameView(ids[a], ids[b]);
+      if (first) expected.push_back(a);
+    }
+    const std::vector<CandidateView> kept =
+        DeduplicateCandidates(std::move(candidates));
+    std::vector<size_t> kept_index;
+    for (const CandidateView& c : kept) {
+      kept_index.push_back(std::stoul(c.view.name().substr(1)));
+    }
+    if (kept_index != expected) {
+      return Replay(options, i,
+                    Status::Internal(
+                        "DeduplicateCandidates kept " +
+                        std::to_string(kept_index.size()) + " views, " +
+                        std::to_string(expected.size()) + " are distinct"));
+    }
+  }
+  return Status::Ok();
+}
+
 Status FuzzPipeline(const FuzzOptions& options) {
   for (size_t i = 0; i < options.iterations; ++i) {
     Rng rng(IterationSeed(options.seed, i));
@@ -824,14 +1087,13 @@ Status FuzzPipeline(const FuzzOptions& options) {
       }
     }
     // Selection picks only scored views.
-    std::vector<std::string> candidate_keys;
+    std::vector<ViewId> candidate_ids;
     for (const View& v : result.pool.candidate_views) {
-      candidate_keys.push_back(ViewKey(v.base_table(), v.condition()));
+      candidate_ids.push_back(ViewId::Of(v));
     }
     for (const View& v : result.selected_views) {
-      const std::string key = ViewKey(v.base_table(), v.condition());
-      if (std::find(candidate_keys.begin(), candidate_keys.end(), key) ==
-          candidate_keys.end()) {
+      if (std::find(candidate_ids.begin(), candidate_ids.end(),
+                    ViewId::Of(v)) == candidate_ids.end()) {
         return fail("selected view was never scored: " + v.ToString());
       }
     }
@@ -842,8 +1104,7 @@ Status FuzzPipeline(const FuzzOptions& options) {
         return fail("candidate view over unknown base table " +
                     v.base_table());
       }
-      auto it = result.pool.view_row_counts.find(
-          ViewKey(v.base_table(), v.condition()));
+      auto it = result.pool.view_row_counts.find(ViewId::Of(v));
       if (it != result.pool.view_row_counts.end() &&
           it->second > base->num_rows()) {
         return fail("view row count exceeds base table rows for " +

@@ -40,6 +40,17 @@
 //   * FuzzConditionEvaluation random conditions: View::Materialize and
 //                            View::Positions against per-row
 //                            Condition::Evaluate ground truth
+//   * FuzzViewIdentity       random view identities (tables holding 0x1d;
+//                            attribute names holding " = ", " and ", "{",
+//                            "'"; strings holding quotes and each byte
+//                            0x1b-0x1f; ints; reals that render alike;
+//                            +-0.0 and NaNs of other bits; conjunctions
+//                            in both clause orders): ViewId == against a
+//                            typed reference equality, < irreflexive,
+//                            asymmetric and transitive over every drawn
+//                            triple with equivalence == equality, and
+//                            DeduplicateCandidates keeping the first of
+//                            each equal group
 //   * FuzzPipeline           random database pairs through MatchEngine;
 //                            checks result invariants (confidence bounds,
 //                            row-count conservation, selection contracts)
@@ -122,6 +133,7 @@ Status FuzzCsvRoundTrip(const FuzzOptions& options);
 Status FuzzCsvChunkedParse(const FuzzOptions& options);
 Status FuzzCsvScanEquivalence(const FuzzOptions& options);
 Status FuzzConditionEvaluation(const FuzzOptions& options);
+Status FuzzViewIdentity(const FuzzOptions& options);
 Status FuzzPipeline(const FuzzOptions& options);
 Status FuzzDifferential(const FuzzOptions& options);
 Status FuzzRowColumnarEquivalence(const FuzzOptions& options);

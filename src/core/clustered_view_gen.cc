@@ -23,6 +23,9 @@
 namespace csm {
 namespace {
 
+/// Fraction of the sample used for doTraining (the rest goes to doTesting).
+constexpr double kTrainFraction = 0.5;
+
 /// Canonical token of a group of label values: member renderings joined by
 /// '\x1f', each byte '\x1b'..'\x1f' inside a rendering prefixed by '\x1b'.
 /// The escape makes the token injective, so no label value can forge a join
@@ -182,7 +185,7 @@ std::vector<ViewFamily> RunGridCell(const TableView& source_sample,
                                     bool early_disjuncts, Rng& rng) {
   std::vector<ViewFamily> emitted;
   TrainTestViewSplit split =
-      SplitTrainTestView(source_sample, options.train_fraction, rng);
+      SplitTrainTestView(source_sample, kTrainFraction, rng);
   LabelGrouping grouping(*cell.counts);
 
   // Merge loop: one iteration for LateDisjuncts; repeated error-pair

@@ -29,8 +29,6 @@ const char* SelectionPolicyToString(SelectionPolicy policy);
 
 /// Options for ClusteredViewGen (Fig. 6) and its disjunctive extension.
 struct ClusteredViewGenOptions {
-  /// Fraction of the sample used for doTraining (rest goes to doTesting).
-  double train_fraction = 0.5;
   /// Acceptance threshold T on the significance of the classifier score
   /// against the random-label null (paper: 95%).
   double significance_threshold = 0.95;
@@ -56,9 +54,6 @@ struct ContextMatchOptions {
   SelectionPolicy selection = SelectionPolicy::kQualTable;
   /// Seed for the train/test partitioning (experiments average over seeds).
   uint64_t seed = 1;
-  /// Largest categorical cardinality NaiveInfer will expand into
-  /// disjunctive subset conditions under EarlyDisjuncts (2^n blow-up guard).
-  size_t naive_disjunct_limit = 12;
   /// Size-matched placebo correction (see DESIGN.md): when rescoring a
   /// candidate view, each pair is also scored on a *random* row subset of
   /// the same cardinality, and the confidence shift induced by mere

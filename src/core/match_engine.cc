@@ -608,7 +608,7 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
 
     // Phase 2 (per stage): infer candidate views, then score the
     // conditional version of every accepted match.
-    std::set<std::string> scored_keys;  // views already scored (any stage)
+    std::set<ViewId> scored_ids;  // views already scored (any stage)
     // Stage 1 bases: the source tables themselves (condition "true").
     struct StageBase {
       size_t state_index;
@@ -672,10 +672,7 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
                   base.condition.Conjoin(candidate.view.condition()));
               candidate.view = conjoined;
             }
-            if (scored_keys
-                    .insert(ViewKey(candidate.view.base_table(),
-                                    candidate.view.condition()))
-                    .second) {
+            if (scored_ids.insert(ViewId::Of(candidate.view)).second) {
               stage_candidates.push_back(std::move(candidate));
             }
           }
@@ -744,8 +741,8 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
           ScoredFragment& fragment = fragments[i];
           const View& view = stage_candidates[i].view;
           if (fragment.scored) {
-            result.pool.view_row_counts[ViewKey(
-                view.base_table(), view.condition())] = fragment.view_rows;
+            result.pool.view_row_counts[ViewId::Of(view)] =
+                fragment.view_rows;
             registry.AddCounter("view_matches", fragment.view_matches.size());
             for (Match& m : fragment.view_matches) {
               result.pool.view_matches.push_back(std::move(m));
@@ -806,20 +803,17 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
     // actually scored as candidates, and every recorded view row count is
     // conserved (bounded by its base table's sample size).
     if constexpr (check::kInvariantsEnabled) {
-      std::set<std::string> candidate_keys;
+      std::set<ViewId> candidate_ids;
       for (const View& v : result.pool.candidate_views) {
-        candidate_keys.insert(ViewKey(v.base_table(), v.condition()));
+        candidate_ids.insert(ViewId::Of(v));
       }
       for (const View& v : result.selected_views) {
-        CSM_INVARIANT(
-            candidate_keys.count(ViewKey(v.base_table(), v.condition())) == 1)
-            << v.ToString();
+        CSM_INVARIANT(candidate_ids.count(ViewId::Of(v)) == 1) << v.ToString();
       }
       for (const SourceState& state : states) {
         for (const View& v : result.pool.candidate_views) {
           if (v.base_table() != state.sample->name()) continue;
-          auto rows_it = result.pool.view_row_counts.find(
-              ViewKey(v.base_table(), v.condition()));
+          auto rows_it = result.pool.view_row_counts.find(ViewId::Of(v));
           if (rows_it == result.pool.view_row_counts.end()) continue;
           CSM_INVARIANT_LE(rows_it->second, state.sample->num_rows())
               << v.ToString();

@@ -1,7 +1,7 @@
 // NaiveInfer (Section 3.2.1): propose a view for every value of every
 // categorical attribute; under EarlyDisjuncts additionally propose
 // disjunctive subset conditions (exponential in the cardinality, guarded by
-// ContextMatchOptions::naive_disjunct_limit).
+// the disjunct limit; MakeViewInference passes 12).
 
 #ifndef CSM_CORE_NAIVE_INFER_H_
 #define CSM_CORE_NAIVE_INFER_H_

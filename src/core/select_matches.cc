@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "check/invariants.h"
@@ -11,9 +12,9 @@
 namespace csm {
 namespace {
 
-/// Key of the candidate view a view match was scored on.
-std::string ViewKey(const Match& match) {
-  return ViewKey(match.source.table, match.condition);
+/// The candidate view a view match was scored on.
+ViewId ScoredView(const Match& match) {
+  return {match.source.table, match.condition};
 }
 
 /// Confidence of the base (standard) match per (source, target) attribute
@@ -72,15 +73,13 @@ SelectionResult SelectMultiTable(const ScoredPool& pool, double omega) {
     }
   }
   SelectionResult result;
-  std::set<std::string> selected_keys;
+  std::set<ViewId> selected;
   for (const auto& [target, match] : best) {
     result.matches.push_back(*match);
-    if (!match->condition.is_true()) {
-      selected_keys.insert(ViewKey(*match));
-    }
+    if (!match->condition.is_true()) selected.insert(ScoredView(*match));
   }
   for (const View& view : pool.candidate_views) {
-    if (selected_keys.count(ViewKey(view.base_table(), view.condition()))) {
+    if (selected.count(ViewId::Of(view))) {
       result.selected_views.push_back(view);
     }
   }
@@ -104,7 +103,7 @@ SelectionResult SelectQualTable(const ScoredPool& pool, double omega,
   std::set<std::string> target_tables;
   for (const Match& m : pool.base_matches) target_tables.insert(m.target.table);
 
-  std::set<std::string> selected_keys;
+  std::set<ViewId> selected;
   for (const std::string& target_table : target_tables) {
     // Table-level confidence totals are best-assignment sums: each SOURCE
     // attribute contributes the confidence of its best match into this
@@ -135,25 +134,22 @@ SelectionResult SelectQualTable(const ScoredPool& pool, double omega,
 
     // (b) Total confidence of each candidate view of that source table
     // against this target table.
-    std::map<std::string, std::map<std::string, double>> view_best;
+    std::map<ViewId, std::map<std::string, double>> view_best;
     for (const Match& vm : pool.view_matches) {
       if (vm.source.table != best_source || vm.target.table != target_table) {
         continue;
       }
-      double& best = view_best[ViewKey(vm)][vm.source.attribute];
+      double& best = view_best[ScoredView(vm)][vm.source.attribute];
       best = std::max(best, vm.confidence);
     }
-    std::map<std::string, double> view_totals;  // view key -> total
-    for (const auto& [key, per_attr] : view_best) {
+
+    // (c) Views improving the base total by at least omega; exact ties
+    // fall to ViewId order.
+    std::vector<std::pair<ViewId, double>> improving;
+    for (const auto& [id, per_attr] : view_best) {
       double total = 0.0;
       for (const auto& [attr, conf] : per_attr) total += conf;
-      view_totals[key] = total;
-    }
-
-    // (c) Views improving the base total by at least omega.
-    std::vector<std::pair<std::string, double>> improving;
-    for (const auto& [key, total] : view_totals) {
-      if (total >= base_total + omega) improving.emplace_back(key, total);
+      if (total >= base_total + omega) improving.emplace_back(id, total);
     }
     std::sort(improving.begin(), improving.end(),
               [](const auto& a, const auto& b) {
@@ -167,24 +163,18 @@ SelectionResult SelectQualTable(const ScoredPool& pool, double omega,
       // size bias is corrected, but the merged view maps more of the data.
       // Only views conditioned on the *same attributes* as the top view
       // compete in the tie-break: a broadly merged view on an unrelated
-      // attribute must not win on coverage alone.
-      std::map<std::string, std::string> condition_attrs;
-      for (const View& view : pool.candidate_views) {
-        std::string attrs;
-        for (const std::string& a : view.condition().MentionedAttributes()) {
-          attrs += a;
-          attrs += '\x1f';
-        }
-        condition_attrs[ViewKey(view.base_table(), view.condition())] =
-            std::move(attrs);
-      }
+      // attribute must not win on coverage alone.  Exact ties (same total,
+      // same rows) keep the sort's ViewId order.
       const double tie_floor = improving[0].second * 0.95;
-      const std::string top_attrs = condition_attrs[improving[0].first];
+      const std::vector<std::string> top_attrs =
+          improving[0].first.condition.MentionedAttributes();
       size_t pick = 0;
       size_t best_rows = 0;
       for (size_t i = 0; i < improving.size(); ++i) {
         if (improving[i].second < tie_floor) break;
-        if (condition_attrs[improving[i].first] != top_attrs) continue;
+        if (improving[i].first.condition.MentionedAttributes() != top_attrs) {
+          continue;
+        }
         auto rows_it = pool.view_row_counts.find(improving[i].first);
         size_t rows =
             rows_it == pool.view_row_counts.end() ? 0 : rows_it->second;
@@ -207,23 +197,24 @@ SelectionResult SelectQualTable(const ScoredPool& pool, double omega,
       continue;
     }
 
-    std::set<std::string> chosen;
-    for (const auto& [key, total] : improving) {
-      chosen.insert(key);
-      selected_keys.insert(key);
+    std::set<ViewId> chosen;
+    for (const auto& [id, total] : improving) {
+      chosen.insert(id);
+      selected.insert(id);
     }
     // (d) Emit the selected views' matches: consistent with the
     // assignment-based totals, each source attribute contributes its best
     // target attribute per view, re-filtered by tau.
-    std::map<std::pair<std::string, std::string>, const Match*> best_emit;
+    std::map<std::pair<ViewId, std::string>, const Match*> best_emit;
     for (const Match& vm : pool.view_matches) {
       if (vm.source.table != best_source || vm.target.table != target_table) {
         continue;
       }
-      if (chosen.count(ViewKey(vm)) == 0) continue;
+      ViewId id = ScoredView(vm);
+      if (chosen.count(id) == 0) continue;
       if (vm.confidence < tau) continue;
-      auto key = std::make_pair(ViewKey(vm), vm.source.attribute);
-      auto [it, inserted] = best_emit.try_emplace(key, &vm);
+      auto [it, inserted] =
+          best_emit.try_emplace({std::move(id), vm.source.attribute}, &vm);
       if (!inserted && vm.confidence > it->second->confidence) {
         it->second = &vm;
       }
@@ -234,7 +225,7 @@ SelectionResult SelectQualTable(const ScoredPool& pool, double omega,
   }
 
   for (const View& view : pool.candidate_views) {
-    if (selected_keys.count(ViewKey(view.base_table(), view.condition()))) {
+    if (selected.count(ViewId::Of(view))) {
       result.selected_views.push_back(view);
     }
   }
@@ -245,7 +236,7 @@ SelectionResult SelectQualTable(const ScoredPool& pool, double omega,
   // dedup key), re-filtered by tau.
   if constexpr (check::kInvariantsEnabled) {
     std::map<std::string, std::string> source_of;
-    std::set<std::string> emitted;
+    std::set<std::tuple<std::string, ViewId, std::string>> emitted;
     for (const Match& m : result.matches) {
       auto [it, inserted] =
           source_of.try_emplace(m.target.table, m.source.table);
@@ -254,10 +245,9 @@ SelectionResult SelectQualTable(const ScoredPool& pool, double omega,
           << it->second << " and " << m.source.table;
       if (m.condition.is_true()) continue;  // base fallback path
       CSM_INVARIANT(m.confidence >= tau) << m.ToString();
-      CSM_INVARIANT(emitted
-                        .insert(m.target.table + "\x1e" + ViewKey(m) +
-                                "\x1e" + m.source.attribute)
-                        .second)
+      CSM_INVARIANT(
+          emitted.emplace(m.target.table, ScoredView(m), m.source.attribute)
+              .second)
           << "duplicate (target table, view, source attribute) emission "
           << m.ToString();
     }

@@ -32,12 +32,12 @@ struct ScoredPool {
   MatchList view_matches;
   /// The candidate views that produced `view_matches`.
   std::vector<View> candidate_views;
-  /// Rows each candidate view selects, keyed by ViewKey (relational/view.h).
+  /// Rows each candidate view selects.
   /// Used to break near-ties between equally confident views toward the
   /// one with larger coverage (two equally pure conditions — a merged
   /// disjunct vs one of its halves — score alike once size bias is
   /// corrected, but the larger one maps more of the data).
-  std::map<std::string, size_t> view_row_counts;
+  std::map<ViewId, size_t> view_row_counts;
 };
 
 /// Result: the selected matches plus the views they originate from.

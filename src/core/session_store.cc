@@ -1,6 +1,5 @@
 #include "core/session_store.h"
 
-#include <bit>
 #include <cstdio>
 
 namespace csm {
@@ -43,7 +42,6 @@ uint64_t FingerprintDatabase(const Database& db) {
 
 uint64_t FingerprintMatchOptions(const MatchOptions& options) {
   uint64_t h = 0x6d617463686f7074ULL;  // "matchopt"
-  h = MixFingerprint(h, std::bit_cast<uint64_t>(options.min_score_stddev));
   h = MixFingerprint(h, options.min_non_null_values);
   h = MixFingerprint(h, options.blend_raw_score ? 1 : 0);
   // The training cap changes the bags a session trains on, so cold blobs

@@ -33,10 +33,13 @@ const char* SelectionPolicyToString(SelectionPolicy policy) {
 
 std::unique_ptr<ViewInference> MakeViewInference(
     ViewInferenceKind kind, const ContextMatchOptions& options) {
+  // Largest categorical cardinality NaiveInfer expands into disjunctive
+  // subset conditions under EarlyDisjuncts (2^n blow-up guard).
+  constexpr size_t kNaiveDisjunctLimit = 12;
   switch (kind) {
     case ViewInferenceKind::kNaive:
       return std::make_unique<NaiveInfer>(
-          options.categorical, options.naive_disjunct_limit,
+          options.categorical, kNaiveDisjunctLimit,
           options.clustered.max_label_cardinality);
     case ViewInferenceKind::kSrcClass:
       return std::make_unique<SrcClassInfer>(options.clustered,
@@ -51,13 +54,11 @@ std::unique_ptr<ViewInference> MakeViewInference(
 
 std::vector<CandidateView> DeduplicateCandidates(
     std::vector<CandidateView> candidates) {
-  std::set<std::string> seen;
+  std::set<ViewId> seen;
   std::vector<CandidateView> out;
   out.reserve(candidates.size());
   for (auto& candidate : candidates) {
-    if (seen.insert(ViewKey(candidate.view.base_table(),
-                            candidate.view.condition()))
-            .second) {
+    if (seen.insert(ViewId::Of(candidate.view)).second) {
       out.push_back(std::move(candidate));
     }
   }

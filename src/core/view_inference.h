@@ -84,8 +84,8 @@ class ViewInference {
 std::unique_ptr<ViewInference> MakeViewInference(
     ViewInferenceKind kind, const ContextMatchOptions& options);
 
-/// Removes candidates whose (base table, condition) duplicates an earlier
-/// candidate, keeping the first (highest-evidence) occurrence.
+/// Removes candidates whose ViewId (base table, condition) duplicates an
+/// earlier candidate's, keeping the first (highest-evidence) occurrence.
 std::vector<CandidateView> DeduplicateCandidates(
     std::vector<CandidateView> candidates);
 

@@ -16,6 +16,12 @@
 namespace csm {
 namespace {
 
+/// Rows (retail) and students (grades; the narrow table gets num_exams rows
+/// per student) generated per independently seeded chunk.  Part of the
+/// output's identity: changing either changes the deterministic instance.
+constexpr size_t kRowsPerChunk = 65536;
+constexpr size_t kStudentsPerChunk = 65536;
+
 /// Seed of chunk `chunk` of stream `tag`: folds the tag and index into the
 /// dataset seed so every chunk draws an independent reproducible stream
 /// regardless of which worker generates it.
@@ -128,8 +134,7 @@ RetailDataset MakeScaleRetailDataset(const ScaleRetailOptions& options) {
                                  ? options.target_rows_per_table
                                  : std::max<size_t>(1, options.source_rows / 2);
   const size_t source_chunks =
-      (options.source_rows + options.rows_per_chunk - 1) /
-      options.rows_per_chunk;
+      (options.source_rows + kRowsPerChunk - 1) / kRowsPerChunk;
   PoolHandle pool =
       ResolvePool(options.pool, options.threads, source_chunks);
 
@@ -147,7 +152,7 @@ RetailDataset MakeScaleRetailDataset(const ScaleRetailOptions& options) {
   static constexpr const char* kStockLevels[] = {"Low", "Normal", "High"};
 
   Table source_table = GenerateChunked(
-      source_schema, options.source_rows, options.rows_per_chunk,
+      source_schema, options.source_rows, kRowsPerChunk,
       options.seed, "inventory", pool.pool,
       [&](Table* chunk, size_t first, size_t rows, Rng& rng) {
         for (size_t r = 0; r < rows; ++r) {
@@ -183,7 +188,7 @@ RetailDataset MakeScaleRetailDataset(const ScaleRetailOptions& options) {
     schema.AddAttribute(attrs[4], ValueType::kString);
     schema.AddAttribute(attrs[5], ValueType::kInt);
     return GenerateChunked(
-        schema, target_rows, options.rows_per_chunk, options.seed, table_name,
+        schema, target_rows, kRowsPerChunk, options.seed, table_name,
         pool.pool, [&](Table* chunk, size_t first, size_t rows, Rng& rng) {
           for (size_t r = 0; r < rows; ++r) {
             ItemFields fields = books ? MakeBook(rng) : MakeCd(rng);
@@ -227,8 +232,7 @@ GradesDataset MakeScaleGradesDataset(const ScaleGradesOptions& options) {
   GradesDataset out;
 
   const size_t student_chunks =
-      (options.num_students + options.students_per_chunk - 1) /
-      options.students_per_chunk;
+      (options.num_students + kStudentsPerChunk - 1) / kStudentsPerChunk;
   PoolHandle pool =
       ResolvePool(options.pool, options.threads, student_chunks);
 
@@ -246,8 +250,7 @@ GradesDataset MakeScaleGradesDataset(const ScaleGradesOptions& options) {
 
   // Chunk unit = one student (num_exams rows), so a chunk's row count is
   // students_in_chunk * num_exams.
-  const size_t narrow_chunk_rows =
-      options.students_per_chunk * options.num_exams;
+  const size_t narrow_chunk_rows = kStudentsPerChunk * options.num_exams;
   Table narrow = GenerateChunked(
       narrow_schema, options.num_students * options.num_exams,
       narrow_chunk_rows, options.seed, "grades_narrow", pool.pool,
@@ -275,7 +278,7 @@ GradesDataset MakeScaleGradesDataset(const ScaleGradesOptions& options) {
     wide_schema.AddAttribute(StrFormat("grade%zu", exam), ValueType::kReal);
   }
   Table wide = GenerateChunked(
-      wide_schema, options.num_students, options.students_per_chunk,
+      wide_schema, options.num_students, kStudentsPerChunk,
       options.seed, "grades_wide", pool.pool,
       [&](Table* chunk, size_t first, size_t rows, Rng& rng) {
         for (size_t s = 0; s < rows; ++s) {

@@ -39,9 +39,6 @@ struct ScaleRetailOptions {
   size_t threads = 0;
   /// Optional borrowed pool (overrides `threads`).
   exec::ThreadPool* pool = nullptr;
-  /// Rows generated per independently seeded chunk.  Part of the output's
-  /// identity: changing it changes the (deterministic) instance.
-  size_t rows_per_chunk = 65536;
 };
 
 struct ScaleGradesOptions {
@@ -51,20 +48,17 @@ struct ScaleGradesOptions {
   uint64_t seed = 1;
   size_t threads = 0;
   exec::ThreadPool* pool = nullptr;
-  /// Students generated per independently seeded chunk (the narrow table
-  /// gets num_exams rows per student).
-  size_t students_per_chunk = 65536;
 };
 
 /// Generates a scale retail instance (Ryan_Eyers target variant).
-/// Deterministic given (options.seed, options.rows_per_chunk) at every
-/// thread count.
+/// Deterministic given options.seed at every thread count: rows come in
+/// independently seeded chunks of a fixed size (scale_gen.cc).
 RetailDataset MakeScaleRetailDataset(const ScaleRetailOptions& options);
 
 /// Generates a scale grades instance.  Student names are made unique with a
 /// "#<index>" suffix instead of the small generator's global collision set,
-/// so chunks need no shared state.  Deterministic given (options.seed,
-/// options.students_per_chunk) at every thread count.
+/// so chunks need no shared state.  Deterministic given options.seed at
+/// every thread count.
 GradesDataset MakeScaleGradesDataset(const ScaleGradesOptions& options);
 
 /// Writes every table of `source` and `target` as "<dir>/<table>.csv" plus

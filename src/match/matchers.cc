@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <set>
 #include <string_view>
 
 #include "common/string_util.h"
@@ -174,29 +173,6 @@ double NumericMatcher::Score(const AttributeSample& source,
 
   const double location = 0.5 * interval_overlap + 0.5 * mean_closeness;
   return std::clamp(location * (0.7 + 0.3 * spread_sim), 0.0, 1.0);
-}
-
-bool ValueOverlapMatcher::Applicable(const AttributeSample& source,
-                                     const AttributeSample& target) const {
-  return source.NonNullCount() > 0 && target.NonNullCount() > 0;
-}
-
-double ValueOverlapMatcher::Score(const AttributeSample& source,
-                                  const AttributeSample& target) const {
-  std::set<std::string_view> target_values;
-  for (const auto& render : target.DistinctRenders()) {
-    target_values.insert(render.first);
-  }
-  std::set<std::string_view> source_values;
-  for (const auto& render : source.DistinctRenders()) {
-    source_values.insert(render.first);
-  }
-  if (source_values.empty()) return 0.0;
-  size_t hits = 0;
-  for (std::string_view v : source_values) {
-    if (target_values.count(v) > 0) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(source_values.size());
 }
 
 std::vector<std::unique_ptr<AttributeMatcher>> DefaultMatcherSuite() {

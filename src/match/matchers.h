@@ -109,26 +109,6 @@ class NumericMatcher : public AttributeMatcher {
   double weight_;
 };
 
-/// Exact-value overlap: the fraction of the source's distinct non-null
-/// values that also occur in the target's bag.  Strong signal for key-like
-/// and code-like columns whose instances actually intersect; useless for
-/// independently sampled text, which is why it is NOT in the default suite
-/// (the paper's experiments draw source and target instances independently).
-class ValueOverlapMatcher : public AttributeMatcher {
- public:
-  explicit ValueOverlapMatcher(double weight = 1.0) : weight_(weight) {}
-
-  std::string Name() const override { return "overlap"; }
-  double Weight() const override { return weight_; }
-  bool Applicable(const AttributeSample& source,
-                  const AttributeSample& target) const override;
-  double Score(const AttributeSample& source,
-               const AttributeSample& target) const override;
-
- private:
-  double weight_;
-};
-
 /// The default matcher suite: name (weight 0.5), q-gram, TF-IDF, numeric.
 std::vector<std::unique_ptr<AttributeMatcher>> DefaultMatcherSuite();
 

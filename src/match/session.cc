@@ -17,6 +17,10 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/// Floor on the per-(matcher, source attribute) score stddev, so a nearly
+/// constant score row does not produce saturated z-scores.
+constexpr double kMinScoreStddev = 0.05;
+
 }  // namespace
 
 void TableMatchSession::BuildSamples(const Table& source,
@@ -145,7 +149,7 @@ double TableMatchSession::Confidence(size_t matcher_index,
   auto it = distributions_.find(DistributionKey{matcher_index, source_index});
   if (it == distributions_.end()) return 0.0;
   const DescriptiveStats& d = it->second;
-  double stddev = std::max(d.PopulationStdDev(), options_.min_score_stddev);
+  double stddev = std::max(d.PopulationStdDev(), kMinScoreStddev);
   double relative = NormalCdf(ZScore(raw_score, d.Mean(), stddev));
   if (!options_.blend_raw_score) return relative;
   return std::sqrt(relative * std::clamp(raw_score, 0.0, 1.0));

@@ -27,9 +27,6 @@ namespace csm {
 
 /// Tuning knobs for a match session.
 struct MatchOptions {
-  /// Floor on the per-(matcher, source attribute) score stddev, so a nearly
-  /// constant score row does not produce saturated z-scores.
-  double min_score_stddev = 0.05;
   /// Attributes whose bags have fewer non-null values than this never
   /// produce matches (too little evidence).
   size_t min_non_null_values = 1;

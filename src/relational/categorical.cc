@@ -5,6 +5,11 @@ namespace csm {
 bool IsCategoricalAttribute(const TableView& instance,
                             std::string_view attribute,
                             const CategoricalOptions& options) {
+  // The paper's fixed thresholds: 10% of the values, and 2 values of 2
+  // tuples each for small samples.
+  constexpr double kValueFraction = 0.10;
+  constexpr size_t kMinFrequentValues = 2;
+  constexpr size_t kMinTuplesPerValue = 2;
   const std::map<Value, size_t> counts = instance.ValueCounts(attribute);
   if (counts.empty()) return false;
 
@@ -12,7 +17,7 @@ bool IsCategoricalAttribute(const TableView& instance,
   for (const auto& [value, count] : counts) total_tuples += count;
   if (total_tuples == 0) return false;
 
-  // Main rule: more than `value_fraction` of the distinct values must each
+  // Main rule: more than kValueFraction of the distinct values must each
   // cover more than `tuple_fraction` of the tuples.
   const double tuple_threshold =
       options.tuple_fraction * static_cast<double>(total_tuples);
@@ -20,16 +25,16 @@ bool IsCategoricalAttribute(const TableView& instance,
   size_t values_with_min_tuples = 0;
   for (const auto& [value, count] : counts) {
     if (static_cast<double>(count) > tuple_threshold) ++frequent_values;
-    if (count >= options.min_tuples_per_value) ++values_with_min_tuples;
+    if (count >= kMinTuplesPerValue) ++values_with_min_tuples;
   }
   const double frequent_fraction = static_cast<double>(frequent_values) /
                                    static_cast<double>(counts.size());
-  if (frequent_fraction <= options.value_fraction) return false;
+  if (frequent_fraction <= kValueFraction) return false;
 
   // Small-sample guard (always applied; for large samples it is implied in
-  // practice): at least `min_frequent_values` values each associated with at
-  // least `min_tuples_per_value` tuples.
-  return values_with_min_tuples >= options.min_frequent_values;
+  // practice): at least kMinFrequentValues values each associated with at
+  // least kMinTuplesPerValue tuples.
+  return values_with_min_tuples >= kMinFrequentValues;
 }
 
 std::vector<std::string> CategoricalAttributes(

@@ -16,17 +16,12 @@
 
 namespace csm {
 
-/// Tunable thresholds for the categorical rule; defaults follow the paper.
+/// Tunable threshold for the categorical rule; the default follows the
+/// paper.  The rule's other thresholds are fixed (categorical.cc).
 struct CategoricalOptions {
-  /// Fraction of distinct values that must be "frequent" (paper: 10%).
-  double value_fraction = 0.10;
   /// A value is "frequent" when it covers more than this fraction of the
   /// sample's tuples (paper: 1%).
   double tuple_fraction = 0.01;
-  /// Small-sample guard: at least this many values must each be associated
-  /// with at least `min_tuples_per_value` tuples (paper: 2 and 2).
-  size_t min_frequent_values = 2;
-  size_t min_tuples_per_value = 2;
 };
 
 /// Applies the rule to one attribute of `instance`.  Attributes with no

@@ -196,7 +196,7 @@ uint64_t Column::CellHash(size_t i) const {
     case ValueType::kInt:
       return nulls_[i] ? kNullHash : std::hash<int64_t>{}(ints_[i]) * 3 + 1;
     case ValueType::kReal:
-      return nulls_[i] ? kNullHash : std::hash<double>{}(reals_[i]) * 3 + 2;
+      return nulls_[i] ? kNullHash : Value::Real(reals_[i]).Hash();
     case ValueType::kString:
       return codes_[i] == kNullCode ? kNullHash
                                     : dict_->hash(codes_[i]) * 3;

@@ -1,6 +1,7 @@
 #include "relational/condition.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
@@ -16,7 +17,8 @@ namespace {
 struct CompiledClause {
   const Column* col = nullptr;
   std::vector<int64_t> ints;
-  std::vector<double> reals;
+  std::vector<double> reals;  // never NaN
+  bool nan = false;           // a NaN literal matches NaN cells only
   std::vector<uint32_t> codes;
 
   bool Matches(RowId p) const {
@@ -26,9 +28,13 @@ struct CompiledClause {
       case ValueType::kInt:
         return !col->null_mask()[p] &&
                std::binary_search(ints.begin(), ints.end(), col->ints()[p]);
-      case ValueType::kReal:
-        return !col->null_mask()[p] &&
-               std::binary_search(reals.begin(), reals.end(), col->reals()[p]);
+      case ValueType::kReal: {
+        if (col->null_mask()[p]) return false;
+        const double cell = col->reals()[p];
+        return std::isnan(cell)
+                   ? nan
+                   : std::binary_search(reals.begin(), reals.end(), cell);
+      }
       case ValueType::kString: {
         const uint32_t code = col->codes()[p];
         return code != kNullCode &&
@@ -62,6 +68,8 @@ CompiledClause CompileClause(const ConditionClause& clause, const Column& col) {
         break;
     }
   }
+  out.nan =
+      std::erase_if(out.reals, [](double d) { return std::isnan(d); }) > 0;
   std::sort(out.ints.begin(), out.ints.end());
   std::sort(out.reals.begin(), out.reals.end());
   std::sort(out.codes.begin(), out.codes.end());
@@ -113,8 +121,10 @@ bool ConditionClause::Matches(const Value& v) const {
 }
 
 std::string ConditionClause::ToString() const {
-  // String literals are quoted SQL-style, embedded quotes doubled, so two
-  // different IN-lists never render (and key a view) the same.
+  // String literals are quoted SQL-style, embedded quotes doubled, so a
+  // string value cannot spell a list separator.  Distinct clauses can still
+  // render alike (reals, -0.0 and 0.0, attribute names holding " = "):
+  // ViewId (relational/view.h), not this text, identifies a view.
   auto quote = [](const Value& v) {
     if (v.type() != ValueType::kString) return v.ToString();
     std::string out = "'";

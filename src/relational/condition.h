@@ -32,11 +32,17 @@ struct ConditionClause {
   bool Matches(const Value& v) const;
 
   /// "a = v" or "a in {v1, v2}"; string literals are single-quoted with
-  /// embedded quotes doubled ('it''s').
+  /// embedded quotes doubled ('it''s').  A display rendering, not an
+  /// identity: distinct clauses can render alike (see the definition).
   std::string ToString() const;
 
   friend bool operator==(const ConditionClause& a, const ConditionClause& b) {
     return a.attribute == b.attribute && a.values == b.values;
+  }
+  /// By attribute name, then the values under Value's order.
+  friend bool operator<(const ConditionClause& a, const ConditionClause& b) {
+    if (a.attribute != b.attribute) return a.attribute < b.attribute;
+    return a.values < b.values;
   }
 };
 
@@ -100,6 +106,10 @@ class Condition {
 
   friend bool operator==(const Condition& a, const Condition& b) {
     return a.clauses_ == b.clauses_;
+  }
+  /// Clause by clause; a condition orders before its own extensions.
+  friend bool operator<(const Condition& a, const Condition& b) {
+    return a.clauses_ < b.clauses_;
   }
 
  private:

@@ -2,11 +2,14 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace csm {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 const char* ValueTypeToString(ValueType type) {
   switch (type) {
@@ -105,7 +108,11 @@ StatusOr<Value> Value::Parse(std::string_view text, ValueType type) {
   return Status::InvalidArgument("unknown value type");
 }
 
-bool operator==(const Value& a, const Value& b) { return a.rep_ == b.rep_; }
+bool operator==(const Value& a, const Value& b) {
+  const double* da = std::get_if<double>(&a.rep_);
+  const double* db = std::get_if<double>(&b.rep_);
+  return a.rep_ == b.rep_ || (da && db && std::isnan(*da) && std::isnan(*db));
+}
 
 bool operator<(const Value& a, const Value& b) {
   const ValueType ta = a.type();
@@ -117,8 +124,14 @@ bool operator<(const Value& a, const Value& b) {
   const bool na = a.IsNumeric();
   const bool nb = b.IsNumeric();
   if (na && nb) {
-    double da = a.AsNumeric();
-    double db = b.AsNumeric();
+    // Ints compare exactly: above 2^53 two ints can widen to one double.
+    if (ta == ValueType::kInt && tb == ValueType::kInt) {
+      return a.AsInt() < b.AsInt();
+    }
+    const double da = a.AsNumeric();
+    const double db = b.AsNumeric();
+    if (std::isnan(db)) return !std::isnan(da);  // one NaN, after +inf
+    if (std::isnan(da)) return false;
     if (da != db) return da < db;
     // Numerically equal but maybe different types: int < real for stability.
     return ta < tb;
@@ -133,8 +146,11 @@ size_t Value::Hash() const {
       return 0x9e3779b97f4a7c15ULL;
     case ValueType::kInt:
       return std::hash<int64_t>{}(std::get<int64_t>(rep_)) * 3 + 1;
-    case ValueType::kReal:
-      return std::hash<double>{}(std::get<double>(rep_)) * 3 + 2;
+    case ValueType::kReal: {
+      // std::hash<double> hashes both zeros alike but NaNs by their bits.
+      const double d = std::get<double>(rep_);
+      return std::hash<double>{}(std::isnan(d) ? kNaN : d) * 3 + 2;
+    }
     case ValueType::kString:
       return std::hash<std::string>{}(std::get<std::string>(rep_)) * 3;
   }

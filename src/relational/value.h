@@ -32,10 +32,11 @@ const char* ValueTypeToString(ValueType type);
 
 /// A scalar cell value: NULL, 64-bit integer, double, or string.
 ///
-/// Values order NULL < ints/reals (numerically, cross-type) < strings
-/// (lexicographic), which gives a deterministic total order usable as a map
-/// key.  Equality is exact (an int never equals a real, so bags keyed by
-/// Value stay type-stable).
+/// Values order NULL < ints/reals (numerically, cross-type) < NaN < strings
+/// (lexicographic), which gives a deterministic strict weak order usable as
+/// a map key.  Equality is exact (an int never equals a real, so bags keyed
+/// by Value stay type-stable), except that every NaN is one value and -0.0
+/// equals 0.0; two values are equal exactly when neither orders first.
 class Value {
  public:
   /// NULL value.
@@ -81,7 +82,7 @@ class Value {
   friend bool operator<=(const Value& a, const Value& b) { return !(b < a); }
   friend bool operator>=(const Value& a, const Value& b) { return !(a < b); }
 
-  /// Hash consistent with operator==.
+  /// Hash consistent with operator== (every NaN hashes alike).
   size_t Hash() const;
 
  private:
@@ -110,11 +111,6 @@ RealRendering RenderReal(double d);
 /// between two cells, so equal encodings mean equal (type, rendering)
 /// sequences.  Constraint validation keys projections with it.
 void AppendValueKey(const Value& v, std::string* out);
-
-/// std::hash adapter for unordered containers.
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
 
 }  // namespace csm
 

@@ -79,13 +79,6 @@ std::string View::ToString() const {
          condition_.ToString();
 }
 
-std::string ViewKey(std::string_view base_table, const Condition& condition) {
-  std::string key(base_table);
-  key += '\x1d';
-  key += condition.ToString();
-  return key;
-}
-
 bool ViewFamily::IsWellFormed() const {
   std::set<Value> seen;
   for (const View& v : views) {

@@ -13,6 +13,7 @@
 
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "relational/condition.h"
@@ -79,11 +80,25 @@ class View {
   std::vector<std::string> projection_;
 };
 
-/// Identity of the select-only view over `base_table` with `condition`:
-/// "<base_table>\x1d<condition>".  The engine keys ScoredPool's view row
-/// counts by it, and selection and the result oracles look them up with
-/// it, so every side must build it here.
-std::string ViewKey(std::string_view base_table, const Condition& condition);
+/// Identity of the select-only view σ_condition(base_table) (Section 2.2)
+/// for dedup, scoring and selection.  Equal exactly when the tables and
+/// Conditions are; ordered by table, then clause by clause (attribute name,
+/// then values under Value's order).  View names and condition renderings
+/// are display strings: distinct conditions can render alike.
+struct ViewId {
+  std::string base_table;
+  Condition condition;
+
+  static ViewId Of(const View& view) {
+    return {view.base_table(), view.condition()};
+  }
+
+  friend bool operator==(const ViewId&, const ViewId&) = default;
+  friend bool operator<(const ViewId& a, const ViewId& b) {
+    return std::tie(a.base_table, a.condition) <
+           std::tie(b.base_table, b.condition);
+  }
+};
 
 /// A view family F = (R, l, {V_i}): select-only views over base table R
 /// whose conditions partition rows by the categorical attribute l

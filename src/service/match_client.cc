@@ -6,11 +6,17 @@
 #include <utility>
 
 namespace csm {
+namespace {
+
+/// Retry-budget tokens each first-attempt success earns back.
+constexpr double kRetryBudgetRefill = 0.1;
+
+}  // namespace
 
 MatchClient::MatchClient(MatchService& service, MatchClientOptions options)
     : service_(service),
       options_(std::move(options)),
-      budget_(options_.retry_budget_capacity, options_.retry_budget_refill),
+      budget_(options_.retry_budget_capacity, kRetryBudgetRefill),
       breaker_(options_.breaker),
       rng_(options_.seed) {}
 

@@ -46,9 +46,10 @@ namespace csm {
 struct MatchClientOptions {
   /// Backoff shape and attempt cap (attempts include the first call).
   RetryPolicy retry;
-  /// Retry-storm control; capacity <= 0 disables the budget.
+  /// Retry-storm control; capacity <= 0 disables the budget.  Each
+  /// first-attempt success refills kRetryBudgetRefill tokens
+  /// (match_client.cc).
   double retry_budget_capacity = 10.0;
-  double retry_budget_refill = 0.1;
   /// Client-side breaker over end-to-end outcomes.  Disabled by default
   /// (failure_threshold = 0): the service has its own backend breaker.
   CircuitBreakerOptions breaker = DisabledBreakerOptions();

@@ -371,6 +371,27 @@ TEST(NaiveInferTest, DisjunctLimitGuardsExponentialBlowup) {
   EXPECT_EQ(limited.InferCandidateViews(input, rng).size(), 8u);
 }
 
+TEST(NaiveInferTest, KeepsRealViewsThatRenderAlike) {
+  // Both values render as "0.123456"; they are two values and two views.
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    rows.push_back({R(i % 2 == 0 ? 0.1234561 : 0.1234564)});
+  }
+  Table t = MakeTable("t", {"w"}, rows);
+  NaiveInfer infer({}, 12, 50);
+  MatchList matches(1);
+  InferenceInput input;
+  input.source_sample = t;
+  input.matches = &matches;
+  Rng rng(23);
+  const auto candidates = infer.InferCandidateViews(input, rng);
+  ASSERT_EQ(candidates.size(), 2u);
+  EXPECT_EQ(candidates[0].view.condition().ToString(),
+            candidates[1].view.condition().ToString());
+  EXPECT_EQ(candidates[0].view.Positions(t).size(), 20u);
+  EXPECT_EQ(candidates[1].view.Positions(t).size(), 20u);
+}
+
 TEST(NaiveInferTest, ExcludedAttributesSkipped) {
   Table t = ClusteredFixture(200, 21);
   NaiveInfer infer({}, 12, 50);
@@ -484,6 +505,25 @@ TEST(ViewInferenceTest, DeduplicateKeepsQuotedInListsApart) {
   EXPECT_EQ(DeduplicateCandidates({quoted, plain}).size(), 2u);
 }
 
+TEST(ViewInferenceTest, DeduplicateKeepsRealsThatRenderAlike) {
+  CandidateView a, b;
+  a.view = View("v1", "t", Condition::Equals("w", R(0.1234561)));
+  b.view = View("v2", "t", Condition::Equals("w", R(0.1234564)));
+  ASSERT_EQ(a.view.condition().ToString(), b.view.condition().ToString());
+  EXPECT_EQ(DeduplicateCandidates({a, b}).size(), 2u);
+}
+
+TEST(ViewInferenceTest, DeduplicateMergesSignedZeros) {
+  // -0.0 == 0.0: one condition, rendered two ways.
+  CandidateView a, b;
+  a.view = View("v1", "t", Condition::Equals("x", R(-0.0)));
+  b.view = View("v2", "t", Condition::Equals("x", R(0.0)));
+  ASSERT_NE(a.view.condition().ToString(), b.view.condition().ToString());
+  const auto out = DeduplicateCandidates({a, b});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].view.name(), "v1");
+}
+
 TEST(ViewInferenceTest, DeduplicateKeepsFirst) {
   CandidateView a, b, c;
   a.view = View("v1", "t", Condition::Equals("x", I(1)));
@@ -573,6 +613,24 @@ TEST(SelectMatchesTest, QualTableEarlySelectsSingleBestView) {
   EXPECT_EQ(early.selected_views[0].name(), "v1");
   SelectionResult late = SelectQualTable(pool, 0.15, false, 0.5);
   EXPECT_EQ(late.selected_views.size(), 2u);
+}
+
+TEST(SelectMatchesTest, QualTableEarlyExactTieFallsToViewIdOrder) {
+  // Same total, same rows: the typed order picks k = 9, which renders
+  // after "k = 10".
+  ScoredPool pool;
+  pool.base_matches.push_back(MkMatch("s", "a", "t", "x", 0.5));
+  for (int64_t k : {10, 9}) {
+    Condition cond = Condition::Equals("k", I(k));
+    pool.view_matches.push_back(MkMatch("s", "a", "t", "x", 0.9, cond));
+    pool.candidate_views.emplace_back("v" + std::to_string(k), "s", cond);
+    pool.view_row_counts[ViewId{"s", cond}] = 12;
+  }
+  SelectionResult r = SelectQualTable(pool, 0.15, true, 0.5);
+  ASSERT_EQ(r.selected_views.size(), 1u);
+  EXPECT_EQ(r.selected_views[0].name(), "v9");
+  ASSERT_EQ(r.matches.size(), 1u);
+  EXPECT_EQ(r.matches[0].condition, Condition::Equals("k", I(9)));
 }
 
 TEST(SelectMatchesTest, QualTableEmitsBestTargetPerSourceAttribute) {

@@ -52,6 +52,11 @@ TEST(FuzzSmokeTest, ConditionEvaluation) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, ViewIdentity) {
+  const Status status = check::FuzzViewIdentity(Options(150));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, Pipeline) {
   const Status status = check::FuzzPipeline(Options(40));
   EXPECT_TRUE(status.ok()) << status.ToString();

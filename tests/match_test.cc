@@ -504,43 +504,3 @@ TEST(MatchTypesTest, ToStringAndCorrespondence) {
 
 }  // namespace
 }  // namespace csm
-
-namespace csm {
-namespace {
-
-// Appended: ValueOverlapMatcher coverage.
-TEST(ValueOverlapMatcherTest, FractionOfSharedDistinctValues) {
-  ValueOverlapMatcher m;
-  auto a = StringSample("s", "a", {"x", "y", "z", "x"});
-  auto b = StringSample("t", "b", {"y", "z", "q"});
-  // Distinct source {x,y,z}; {y,z} appear in target -> 2/3.
-  EXPECT_NEAR(m.Score(a, b), 2.0 / 3.0, 1e-12);
-  // Asymmetric by design: target {y,z,q}, {y,z} in source -> 2/3 too here.
-  EXPECT_NEAR(m.Score(b, a), 2.0 / 3.0, 1e-12);
-}
-
-TEST(ValueOverlapMatcherTest, DisjointAndIdenticalExtremes) {
-  ValueOverlapMatcher m;
-  auto a = StringSample("s", "a", {"1", "2"});
-  auto b = StringSample("t", "b", {"3", "4"});
-  EXPECT_DOUBLE_EQ(m.Score(a, b), 0.0);
-  EXPECT_DOUBLE_EQ(m.Score(a, a), 1.0);
-}
-
-TEST(ValueOverlapMatcherTest, ApplicabilityNeedsValues) {
-  ValueOverlapMatcher m;
-  AttributeSample empty = ColumnSample("t", "e", ValueType::kString, {});
-  auto a = StringSample("s", "a", {"x"});
-  EXPECT_FALSE(m.Applicable(a, empty));
-  EXPECT_TRUE(m.Applicable(a, a));
-}
-
-TEST(ValueOverlapMatcherTest, CrossTypeValuesCompareByRendering) {
-  ValueOverlapMatcher m;
-  AttributeSample ints = ColumnSample("s", "i", ValueType::kInt, {I(1), I(2)});
-  auto strings = StringSample("t", "s", {"1", "9"});
-  EXPECT_NEAR(m.Score(ints, strings), 0.5, 1e-12);
-}
-
-}  // namespace
-}  // namespace csm

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "relational/categorical.h"
@@ -68,6 +69,8 @@ TEST(ValueTest, TotalOrder) {
   EXPECT_LT(Value::Int(1), Value::Real(1.5));
   EXPECT_LT(Value::Real(0.5), Value::Int(1));
   EXPECT_LT(Value::String("a"), Value::String("b"));
+  // Ints above 2^53 that widen to one double still compare exactly.
+  EXPECT_LT(Value::Int(int64_t{1} << 53), Value::Int((int64_t{1} << 53) + 1));
 }
 
 TEST(ValueTest, OrderIsStrictWeak) {
@@ -81,6 +84,25 @@ TEST(ValueTest, OrderIsStrictWeak) {
   EXPECT_EQ(values[3], Value::Int(2));
   EXPECT_EQ(values[4], Value::String("a"));
   EXPECT_EQ(values[5], Value::String("b"));
+}
+
+TEST(ValueTest, EveryNaNIsOneValueAfterInfinity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Value a = Value::Real(nan);
+  const Value b = Value::Real(-nan);  // another sign bit
+  EXPECT_EQ(a, a);
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_LT(Value::Real(inf), a);
+  EXPECT_LT(Value::Int(std::numeric_limits<int64_t>::max()), a);
+  EXPECT_LT(a, Value::String(""));
+  EXPECT_NE(a, Value::Real(1.0));
+  // Zeros of either sign are one value too.
+  EXPECT_EQ(Value::Real(-0.0), Value::Real(0.0));
+  EXPECT_EQ(Value::Real(-0.0).Hash(), Value::Real(0.0).Hash());
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {
@@ -235,6 +257,18 @@ TEST(TableTest, ValueCountsSkipsNulls) {
   EXPECT_EQ(t.ValueCounts("price").size(), 3u);  // NULL not counted
 }
 
+TEST(TableTest, ValueCountsFilesEveryNaNUnderOneKey) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t = MakeTable(
+      "t", {"x"},
+      {{R(1.0)}, {R(2.0)}, {R(nan)}, {R(2.0)}, {R(-nan)}, {N()}});
+  const std::map<Value, size_t> counts = t.ValueCounts("x");
+  ASSERT_EQ(counts.size(), 3u);
+  EXPECT_EQ(counts.at(R(1.0)), 1u);
+  EXPECT_EQ(counts.at(R(2.0)), 2u);
+  EXPECT_EQ(counts.at(R(nan)), 2u);
+}
+
 TEST(TableTest, SelectRows) {
   Table t = SampleInventory();
   Table subset = t.SelectRows(std::vector<size_t>{0, 2});
@@ -328,6 +362,25 @@ TEST(ConditionTest, NullNeverMatches) {
   EXPECT_FALSE(c.Evaluate(t.schema(), t.row(3)));  // NULL price
 }
 
+TEST(ConditionTest, NaNLiteralMatchesNaNCellsOnly) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table t = MakeTable(
+      "t", {"x"},
+      {{R(1.0)}, {R(2.0)}, {R(nan)}, {R(2.0)}, {R(-nan)}, {N()}});
+  const Condition is_nan = Condition::Equals("x", R(nan));
+  EXPECT_EQ(is_nan.MatchingPositions(t), (PosList{2, 4}));
+  PosList evaluated;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    if (is_nan.Evaluate(t.schema(), t.row(r))) {
+      evaluated.push_back(static_cast<RowId>(r));
+    }
+  }
+  EXPECT_EQ(evaluated, (PosList{2, 4}));
+  // A NaN beside other literals adds the NaN cells to theirs.
+  const Condition two_or_nan = Condition::In("x", {R(2.0), R(nan)});
+  EXPECT_EQ(two_or_nan.MatchingPositions(t), (PosList{1, 2, 3, 4}));
+}
+
 TEST(ConditionTest, DuplicateAttributeInConjunctionDies) {
   Condition c = Condition::Equals("a", I(1));
   EXPECT_DEATH(c.AddClause("a", {I(2)}), "already mentions");
@@ -345,14 +398,49 @@ TEST(ConditionTest, MentionedAttributes) {
 
 TEST(ViewTest, ViewKeyKeepsQuotedInListsApart) {
   // The first IN-list holds the single value "a', 'b".  The two conditions
-  // select different rows, so their renderings and view keys must differ.
+  // select different rows, so their renderings and ViewIds must differ.
   const Condition quoted = Condition::In("x", {S("a', 'b"), S("c")});
   const Condition plain = Condition::In("x", {S("a"), S("b"), S("c")});
   Table t = MakeTable("t", {"x"}, {{S("a', 'b")}, {S("a")}, {S("b")}, {S("c")}});
   EXPECT_EQ(quoted.MatchingPositions(t).size(), 2u);
   EXPECT_EQ(plain.MatchingPositions(t).size(), 3u);
   EXPECT_EQ(quoted.ToString(), "x in {'a'', ''b', 'c'}");
-  EXPECT_NE(ViewKey("t", quoted), ViewKey("t", plain));
+  const ViewId a{"t", quoted};
+  const ViewId b{"t", plain};
+  EXPECT_FALSE(a == b);
+  EXPECT_NE(a < b, b < a);
+}
+
+TEST(ViewTest, ViewIdKeepsRenderingSyntaxInAttributeNamesApart) {
+  // One clause on the attribute named "a = 'x' and b" renders exactly like
+  // the two clauses a = 'x' and b = 'y'.
+  const Condition one = Condition::Equals("a = 'x' and b", S("y"));
+  const Condition two =
+      Condition::Equals("a", S("x")).Conjoin(Condition::Equals("b", S("y")));
+  ASSERT_EQ(one.ToString(), two.ToString());
+  const ViewId a{"t", one};
+  const ViewId b{"t", two};
+  EXPECT_FALSE(a == b);
+  EXPECT_NE(a < b, b < a);
+}
+
+TEST(ViewTest, ViewIdOrdersByTableThenTypedClauses) {
+  // Typed order, not rendering order: k = 9 before k = 10.
+  EXPECT_LT((ViewId{"t", Condition::Equals("k", I(9))}),
+            (ViewId{"t", Condition::Equals("k", I(10))}));
+  EXPECT_LT((ViewId{"s", Condition::Equals("k", I(10))}),
+            (ViewId{"t", Condition::Equals("k", I(9))}));
+  // Attribute name first, then values; a condition before its extensions.
+  EXPECT_LT((ViewId{"t", Condition::Equals("a", I(9))}),
+            (ViewId{"t", Condition::Equals("b", I(1))}));
+  const Condition k9 = Condition::Equals("k", I(9));
+  EXPECT_LT((ViewId{"t", k9}),
+            (ViewId{"t", k9.Conjoin(Condition::Equals("m", I(1)))}));
+  // Equal conditions spelled with other bits are one id.
+  EXPECT_EQ((ViewId{"t", Condition::Equals("x", R(-0.0))}),
+            (ViewId{"t", Condition::Equals("x", R(0.0))}));
+  EXPECT_FALSE((ViewId{"t", Condition::Equals("x", R(0.1234561))}) ==
+               (ViewId{"t", Condition::Equals("x", R(0.1234564))}));
 }
 
 TEST(ViewTest, SelectOnlyMaterialization) {
@@ -827,8 +915,13 @@ TEST(ColumnTest, NullStringCellUsesReservedCode) {
 }
 
 TEST(ColumnTest, CellHashMatchesValueHash) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   Table t = MakeTable("t", {"s", "i", "r"},
-                      {{S("x"), I(7), R(2.5)}, {N(), N(), N()}});
+                      {{S("x"), I(7), R(2.5)},
+                       {N(), N(), N()},
+                       {S("y"), I(8), R(nan)},
+                       {S("z"), I(9), R(-nan)},
+                       {S("w"), I(0), R(-0.0)}});
   for (size_t c = 0; c < 3; ++c) {
     for (size_t r = 0; r < t.num_rows(); ++r) {
       EXPECT_EQ(t.column(c).CellHash(r),
