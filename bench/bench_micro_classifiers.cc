@@ -24,9 +24,9 @@ RetailDataset& SharedData() {
 }
 
 /// Each classifier bench reads one column built outside the timed loop:
-/// even training rows are labeled kLabels[0] and odd rows kLabels[1]; a
-/// classify bench's probe is the last row.
-const std::string kLabels[] = {"book", "cd"};
+/// even training rows are labeled 0 and odd rows 1; a classify bench's
+/// probe is the last row.
+LabelId LabelOfRow(size_t r) { return static_cast<LabelId>(r % 2); }
 
 void BM_NaiveBayesTrain(benchmark::State& state) {
   Rng rng(5);
@@ -38,9 +38,9 @@ void BM_NaiveBayesTrain(benchmark::State& state) {
   for (auto _ : state) {
     NaiveBayesClassifier nb;
     for (size_t r = 0; r < titles.size(); ++r) {
-      nb.Train(titles, r, kLabels[r % 2]);
+      nb.Train(titles, r, LabelOfRow(r));
     }
-    benchmark::DoNotOptimize(nb.TrainingSize());
+    benchmark::DoNotOptimize(nb);
   }
 }
 BENCHMARK(BM_NaiveBayesTrain);
@@ -57,7 +57,7 @@ void BM_NaiveBayesClassify(benchmark::State& state) {
   titles.Append(Value::String(MakeBookTitle(rng)));  // the probe
   const size_t probe = titles.size() - 1;
   NaiveBayesClassifier nb;
-  for (size_t r = 0; r < probe; ++r) nb.Train(titles, r, kLabels[r % 2]);
+  for (size_t r = 0; r < probe; ++r) nb.Train(titles, r, LabelOfRow(r));
   for (auto _ : state) {
     benchmark::DoNotOptimize(nb.Classify(titles, probe));
   }
@@ -74,7 +74,7 @@ void BM_GaussianClassify(benchmark::State& state) {
   prices.Append(Value::Real(17.0));  // the probe
   const size_t probe = prices.size() - 1;
   GaussianClassifier g;
-  for (size_t r = 0; r < probe; ++r) g.Train(prices, r, kLabels[r % 2]);
+  for (size_t r = 0; r < probe; ++r) g.Train(prices, r, LabelOfRow(r));
   for (auto _ : state) {
     benchmark::DoNotOptimize(g.Classify(prices, probe));
   }

@@ -25,6 +25,7 @@
 #include "check/generators.h"
 #include "check/reference.h"
 #include "check/token_profile.h"
+#include "core/clustered_view_gen.h"
 #include "core/match_engine.h"
 #include "core/view_inference.h"
 #include "match/matcher.h"
@@ -1042,6 +1043,260 @@ Status FuzzViewIdentity(const FuzzOptions& options) {
   return Status::Ok();
 }
 
+namespace {
+
+/// A label atom for FuzzLabelOrder: ints around the rendering-order flips
+/// at 9/10 and 99/100 and negatives, reals that render alike ("0.123456"),
+/// +-0.0, NaN and +-inf, and strings holding quotes, prefixes of one
+/// another, "" and (one string in six) any byte 0x01-0x1f.
+Value RandomLabelAtom(ValueType type, Rng& rng) {
+  static const int64_t kInts[] = {-100, -10, -9, -1, 0,  1,   2,   9,
+                                  10,   11,  19, 99, 100, 101, 1000};
+  static const double kReals[] = {
+      0.1234561, 0.1234564, -0.0, 0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), -1.5, 0.5, 9.0, 10.0,
+      100.0, 1e20};
+  static const char* const kStrings[] = {
+      "", "a", "ab", "abc", "b", "ba", "'", "it's", "\"q\"", "a'b", "10",
+      "9", "\x01", "a\x01", "a\x1b" "b", "\x1d", "a\x1e", "x\x1f" "y",
+      "\x1f"};
+  switch (type) {
+    case ValueType::kInt:
+      return Value::Int(kInts[rng.NextBounded(std::size(kInts))]);
+    case ValueType::kReal:
+      return Value::Real(kReals[rng.NextBounded(std::size(kReals))]);
+    default:
+      if (rng.NextBounded(6) == 0) {
+        std::string text = rng.NextBernoulli(0.5) ? "a" : "";
+        text += static_cast<char>(1 + rng.NextBounded(0x1f));
+        return Value::String(std::move(text));
+      }
+      return Value::String(kStrings[rng.NextBounded(std::size(kStrings))]);
+  }
+}
+
+/// Distinct atoms, ascending in Value order, as a label attribute's
+/// ValueCounts holds them: of one type, or (one draw in eight) mixed.
+std::vector<Value> RandomLabelAtoms(Rng& rng) {
+  const ValueType types[] = {ValueType::kInt, ValueType::kReal,
+                             ValueType::kString};
+  const bool mixed = rng.NextBounded(8) == 0;
+  ValueType type = types[rng.NextBounded(3)];
+  std::set<Value> atoms;
+  const size_t draws = 1 + rng.NextBounded(8);
+  for (size_t d = 0; d < draws; ++d) {
+    if (mixed) type = types[rng.NextBounded(3)];
+    atoms.insert(RandomLabelAtom(type, rng));
+  }
+  return {atoms.begin(), atoms.end()};
+}
+
+/// A random non-empty subset of `n` atoms, ascending.
+AtomGroup RandomAtomGroup(size_t n, Rng& rng) {
+  AtomGroup group;
+  for (AtomId a = 0; a < n; ++a) {
+    if (rng.NextBernoulli(0.4)) group.push_back(a);
+  }
+  if (group.empty()) group.push_back(static_cast<AtomId>(rng.NextBounded(n)));
+  return group;
+}
+
+/// A random partition of `n` atoms into groups, in random group order.
+std::vector<AtomGroup> RandomPartition(size_t n, Rng& rng) {
+  std::vector<AtomGroup> groups(1 + rng.NextBounded(n));
+  for (AtomId a = 0; a < n; ++a) {
+    groups[rng.NextBounded(groups.size())].push_back(a);
+  }
+  std::erase_if(groups, [](const AtomGroup& g) { return g.empty(); });
+  rng.Shuffle(groups);
+  return groups;
+}
+
+/// Reference partition identity: the groups as a set of atom sets.
+std::set<std::set<AtomId>> PartitionSets(const std::vector<AtomGroup>& groups) {
+  std::set<std::set<AtomId>> out;
+  for (const AtomGroup& g : groups) out.emplace(g.begin(), g.end());
+  return out;
+}
+
+std::vector<Value> GroupValues(const std::vector<Value>& atoms,
+                               const AtomGroup& group) {
+  std::vector<Value> values;
+  for (AtomId a : group) values.push_back(atoms[a]);
+  return values;
+}
+
+/// True when the string-keyed reference orders like the typed keys: no
+/// rendering holds a byte <= 0x1f (the token's separators and escape) and
+/// no two atoms render alike (they would share a token).
+bool TokensOrderLikeKeys(const std::vector<Value>& atoms) {
+  std::set<std::string> renderings;
+  for (const Value& v : atoms) {
+    const std::string text = v.ToString();
+    const auto control = [](char c) {
+      return static_cast<unsigned char>(c) <= 0x1f;
+    };
+    if (std::any_of(text.begin(), text.end(), control)) return false;
+    if (!renderings.insert(text).second) return false;
+  }
+  return true;
+}
+
+/// Checks that `less` is a strict weak order over the items 0..n-1 whose
+/// equivalence is `same`; empty when it is, else what failed and where.
+template <typename Less, typename Same>
+std::string CheckStrictWeakOrder(size_t n, Less less, Same same) {
+  auto at = [](size_t a, size_t b) {
+    return " at " + std::to_string(a) + ", " + std::to_string(b);
+  };
+  for (size_t a = 0; a < n; ++a) {
+    if (less(a, a)) return "not irreflexive" + at(a, a);
+    for (size_t b = 0; b < n; ++b) {
+      const bool ab = less(a, b);
+      const bool ba = less(b, a);
+      if (ab && ba) return "not asymmetric" + at(a, b);
+      if ((!ab && !ba) != same(a, b)) {
+        return "equivalence is not set equality" + at(a, b);
+      }
+      if (!ab) continue;
+      for (size_t c = 0; c < n; ++c) {
+        if (less(b, c) && !less(a, c)) {
+          return "not transitive through " + std::to_string(b) + at(a, c);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+Status FuzzLabelOrder(const FuzzOptions& options) {
+  static const char* const kLabels[] = {"l", "l2", "m"};
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    const std::vector<Value> values = RandomLabelAtoms(rng);
+    const LabelAtoms atoms(values);
+    const size_t n = values.size();
+    const bool tokens_order = TokensOrderLikeKeys(values);
+    auto describe = [&](const AtomGroup& group) {
+      return DescribeViewId(
+          ViewId{"", Condition::In("l", GroupValues(values, group))});
+    };
+    auto fail = [&](const std::string& what) {
+      return Replay(options, i, Status::Internal(what));
+    };
+
+    // Groups: random atom sets, some drawn twice.
+    std::vector<AtomGroup> groups;
+    for (size_t d = 0; d < 10; ++d) groups.push_back(RandomAtomGroup(n, rng));
+    for (size_t d = 0; d < 3; ++d) {
+      groups.push_back(groups[rng.NextBounded(10)]);
+    }
+    std::vector<GroupKey> keys;
+    for (const AtomGroup& g : groups) keys.push_back(atoms.Key(g));
+    for (size_t a = 0; a < keys.size(); ++a) {
+      for (size_t b = 0; b < keys.size(); ++b) {
+        if ((keys[a] == keys[b]) != (groups[a] == groups[b])) {
+          return fail("GroupKey == disagrees with set equality: " +
+                      describe(groups[a]) + " vs " + describe(groups[b]));
+        }
+        if (!tokens_order) continue;
+        const bool by_token = GroupToken(GroupValues(values, groups[a])) <
+                              GroupToken(GroupValues(values, groups[b]));
+        if ((keys[a] < keys[b]) != by_token) {
+          return fail("group order differs from GroupToken order: " +
+                      describe(groups[a]) + " vs " + describe(groups[b]));
+        }
+      }
+    }
+    const std::string group_order = CheckStrictWeakOrder(
+        groups.size(), [&](size_t a, size_t b) { return keys[a] < keys[b]; },
+        [&](size_t a, size_t b) { return groups[a] == groups[b]; });
+    if (!group_order.empty()) return fail("group order " + group_order);
+
+    // Families: random partitions under a few label attributes, some
+    // spelled again in another group order.
+    struct Family {
+      std::string label;
+      std::vector<AtomGroup> groups;
+    };
+    std::vector<Family> families;
+    for (size_t d = 0; d < 6; ++d) {
+      families.push_back({kLabels[rng.NextBounded(std::size(kLabels))],
+                          RandomPartition(n, rng)});
+    }
+    for (size_t d = 0; d < 2; ++d) {
+      Family again = families[rng.NextBounded(6)];
+      rng.Shuffle(again.groups);
+      families.push_back(std::move(again));
+    }
+    std::vector<FamilyKey> family_keys;
+    std::vector<std::string> reference_keys;
+    for (const Family& family : families) {
+      family_keys.push_back(MakeFamilyKey(family.label, atoms, family.groups));
+      ViewFamily views;
+      views.label_attribute = family.label;
+      for (const AtomGroup& g : family.groups) {
+        views.views.emplace_back(
+            "v", "t", Condition::In(family.label, GroupValues(values, g)));
+      }
+      reference_keys.push_back(FamilyPartitionKey(views));
+
+      // Each group's classifier label is its rank in group order.
+      const std::vector<LabelId> labels = NumberGroups(atoms, family.groups);
+      std::vector<LabelId> sorted = labels;
+      std::sort(sorted.begin(), sorted.end());
+      for (size_t g = 0; g < sorted.size(); ++g) {
+        if (sorted[g] != g) {
+          return fail("NumberGroups is not a permutation of 0.." +
+                      std::to_string(sorted.size() - 1));
+        }
+      }
+      if (!tokens_order) continue;
+      for (size_t a = 0; a < family.groups.size(); ++a) {
+        for (size_t b = 0; b < family.groups.size(); ++b) {
+          const bool by_token =
+              GroupToken(GroupValues(values, family.groups[a])) <
+              GroupToken(GroupValues(values, family.groups[b]));
+          if ((labels[a] < labels[b]) != by_token) {
+            return fail("NumberGroups differs from GroupToken order: " +
+                        describe(family.groups[a]) + " vs " +
+                        describe(family.groups[b]));
+          }
+        }
+      }
+    }
+    auto same_family = [&](size_t a, size_t b) {
+      return families[a].label == families[b].label &&
+             PartitionSets(families[a].groups) ==
+                 PartitionSets(families[b].groups);
+    };
+    for (size_t a = 0; a < families.size(); ++a) {
+      for (size_t b = 0; b < families.size(); ++b) {
+        if ((family_keys[a] == family_keys[b]) != same_family(a, b)) {
+          return fail("FamilyKey == disagrees with partition equality at " +
+                      std::to_string(a) + ", " + std::to_string(b));
+        }
+        if (tokens_order && (family_keys[a] < family_keys[b]) !=
+                                (reference_keys[a] < reference_keys[b])) {
+          return fail("family-key order differs from FamilyPartitionKey "
+                      "order at " + std::to_string(a) + ", " +
+                      std::to_string(b));
+        }
+      }
+    }
+    const std::string family_order = CheckStrictWeakOrder(
+        families.size(),
+        [&](size_t a, size_t b) { return family_keys[a] < family_keys[b]; },
+        same_family);
+    if (!family_order.empty()) return fail("family-key order " + family_order);
+  }
+  return Status::Ok();
+}
+
 Status FuzzPipeline(const FuzzOptions& options) {
   for (size_t i = 0; i < options.iterations; ++i) {
     Rng rng(IterationSeed(options.seed, i));
@@ -1298,31 +1553,45 @@ class ReferenceNaiveBayes {
   std::set<std::string> vocabulary_;
 };
 
+/// The kernel's label ids: each label's rank among `labels` in string
+/// order, the reference's label order, so the lower id of an exact tie is
+/// the label the reference's map visits first.
+std::map<std::string, LabelId> LabelRanks(std::vector<std::string> labels) {
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  std::map<std::string, LabelId> ids;
+  for (const std::string& label : labels) {
+    ids.emplace(label, static_cast<LabelId>(ids.size()));
+  }
+  return ids;
+}
+
 /// Classifies every cell of the string column `cells` with the kernel and
 /// the reference and requires the same label (twice from the kernel: the
 /// second call replays its memo) and bit-equal LogScores for every label in
-/// `labels`.
+/// `ids`.
 Status CompareNaiveBayes(const NaiveBayesClassifier& nb,
                          const ReferenceNaiveBayes& reference,
                          const Column& cells,
-                         const std::vector<std::string>& labels,
+                         const std::map<std::string, LabelId>& ids,
                          const std::string& stage) {
   for (size_t r = 0; r < cells.size(); ++r) {
     if (cells.IsNull(r)) continue;
     const std::string& text = cells.dictionary().value(cells.codes()[r]);
     const std::string expected = reference.Classify(text);
-    const std::string got = nb.Classify(cells, r);
+    const LabelId expected_id = expected.empty() ? kNoLabel : ids.at(expected);
+    const LabelId got = nb.Classify(cells, r);
     if (nb.Classify(cells, r) != got) {
       return Status::Internal(stage + ": classify memo diverged on \"" +
                               text + "\"");
     }
-    if (got != expected) {
+    if (got != expected_id) {
       return Status::Internal(stage + ": NB classification diverged on \"" +
                               text + "\": reference=" + expected +
-                              " kernel=" + got);
+                              " kernel=" + std::to_string(got));
     }
-    for (const std::string& label : labels) {
-      if (!BitEqual(nb.LogScore(cells, r, label),
+    for (const auto& [label, id] : ids) {
+      if (!BitEqual(nb.LogScore(cells, r, id),
                     reference.LogScore(text, label))) {
         return Status::Internal(stage + ": NB log score diverged on \"" +
                                 text + "\" label " + label);
@@ -1343,23 +1612,12 @@ Status CompareNaiveBayes(const NaiveBayesClassifier& nb,
 /// dictionaries.
 Status CheckNaiveBayesAgainstReference(const Table& table, const Table& other,
                                        Rng& rng) {
-  ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
-  NaiveBayesClassifier nb;
   std::vector<std::string> labels;
   struct Example {
     size_t col, row;
     std::vector<std::string> labels;
   };
-  std::vector<Example> second_batch;
-  auto train = [&](const Example& example) {
-    const Column& column = table.column(example.col);
-    const std::string& text =
-        column.dictionary().value(column.codes()[example.row]);
-    for (const std::string& label : example.labels) {
-      nb.Train(column, example.row, label);
-      reference.Train(text, label);
-    }
-  };
+  std::vector<Example> first_batch, second_batch;
   for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
     const Column& column = table.column(c);
     std::vector<std::string> column_labels = {
@@ -1376,23 +1634,36 @@ Status CheckNaiveBayesAgainstReference(const Table& table, const Table& other,
       if (column.IsNull(r)) continue;
       const Example example{c, r, column_labels};
       switch (rng.NextBounded(3)) {
-        case 0: train(example); break;
+        case 0: first_batch.push_back(example); break;
         case 1: second_batch.push_back(example); break;
         default: break;  // held out
       }
     }
   }
+  const std::map<std::string, LabelId> ids = LabelRanks(labels);
+  ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
+  NaiveBayesClassifier nb;
+  auto train = [&](const Example& example) {
+    const Column& column = table.column(example.col);
+    const std::string& text =
+        column.dictionary().value(column.codes()[example.row]);
+    for (const std::string& label : example.labels) {
+      nb.Train(column, example.row, ids.at(label));
+      reference.Train(text, label);
+    }
+  };
   auto compare = [&](const std::string& stage) -> Status {
     for (const Table* cells : {&table, &other}) {
       for (size_t c = 0; c < cells->schema().num_attributes(); ++c) {
         if (cells->column(c).type() != ValueType::kString) continue;
         CSM_RETURN_IF_ERROR(CompareNaiveBayes(
-            nb, reference, cells->column(c), labels,
+            nb, reference, cells->column(c), ids,
             stage + (cells == &other ? ", other dictionary" : "")));
       }
     }
     return Status::Ok();
   };
+  for (const Example& example : first_batch) train(example);
   CSM_RETURN_IF_ERROR(compare("first batch"));
   for (const Example& example : second_batch) train(example);
   return compare("second batch");
@@ -1429,10 +1700,11 @@ Status CheckNaiveBayesTies(Rng& rng) {
   add("!", "a", n_a - m_a);
   add("cde", "z", m_z);
   add("!", "z", n_z - m_z);
+  const std::map<std::string, LabelId> ids = LabelRanks({"a", "z"});
   ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
   NaiveBayesClassifier nb;
   for (size_t r = 0; r < cells.size(); ++r) {
-    nb.Train(cells, r, cell_labels[r]);
+    nb.Train(cells, r, ids.at(cell_labels[r]));
     reference.Train(cells.dictionary().value(cells.codes()[r]),
                     cell_labels[r]);
   }
@@ -1444,7 +1716,7 @@ Status CheckNaiveBayesTies(Rng& rng) {
     }
     probes.AppendString(probe);
   }
-  return CompareNaiveBayes(nb, reference, probes, {"a", "z"}, "tie");
+  return CompareNaiveBayes(nb, reference, probes, ids, "tie");
 }
 
 /// Reference semantics of an AttributeSample over `positions` of `column`,

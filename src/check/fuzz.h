@@ -51,6 +51,19 @@
 //                            triple with equivalence == equality, and
 //                            DeduplicateCandidates keeping the first of
 //                            each equal group
+//   * FuzzLabelOrder         random label atoms (ints around 9/10 and
+//                            99/100, negatives, reals that render alike,
+//                            +-0.0, NaN, +-inf, strings holding quotes,
+//                            prefixes of one another, "" and bytes
+//                            0x01-0x1f) in random groups and partitions:
+//                            GroupKey and FamilyKey (core/clustered_view_
+//                            gen.h) are strict weak orders whose
+//                            equivalence is set / partition equality, and
+//                            where no rendering holds a byte <= 0x1f and
+//                            none repeats, the group order, NumberGroups'
+//                            labels and the family-key order equal the
+//                            string order of the reference GroupToken /
+//                            FamilyPartitionKey (check/reference.h)
 //   * FuzzPipeline           random database pairs through MatchEngine;
 //                            checks result invariants (confidence bounds,
 //                            row-count conservation, selection contracts)
@@ -134,6 +147,7 @@ Status FuzzCsvChunkedParse(const FuzzOptions& options);
 Status FuzzCsvScanEquivalence(const FuzzOptions& options);
 Status FuzzConditionEvaluation(const FuzzOptions& options);
 Status FuzzViewIdentity(const FuzzOptions& options);
+Status FuzzLabelOrder(const FuzzOptions& options);
 Status FuzzPipeline(const FuzzOptions& options);
 Status FuzzDifferential(const FuzzOptions& options);
 Status FuzzRowColumnarEquivalence(const FuzzOptions& options);

@@ -1,5 +1,6 @@
 #include "check/reference.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -416,6 +417,34 @@ std::string ReferenceTableToCsv(const Table& instance) {
     os << line << '\n';
   }
   return os.str();
+}
+
+std::string GroupToken(const std::vector<Value>& members) {
+  std::string out;
+  for (size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) out += '\x1f';
+    for (char c : members[i].ToString()) {
+      if (c >= '\x1b' && c <= '\x1f') out += '\x1b';
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string FamilyPartitionKey(const ViewFamily& family) {
+  std::vector<std::string> tokens;
+  tokens.reserve(family.views.size());
+  for (const View& view : family.views) {
+    tokens.push_back(GroupToken(view.condition().clauses()[0].values));
+  }
+  std::sort(tokens.begin(), tokens.end());
+  std::string out = family.label_attribute;
+  out += '\x1d';
+  for (const auto& token : tokens) {
+    out += token;
+    out += '\x1e';
+  }
+  return out;
 }
 
 }  // namespace csm::check

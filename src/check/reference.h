@@ -1,12 +1,15 @@
-// Row-at-a-time reference implementations of columnar production paths.
+// Row-at-a-time and string-keyed reference implementations of production
+// paths.
 //
-// Each function here is the boxed implementation a columnar path replaced,
+// Each function here is the implementation a production path replaced,
 // kept only so a differential fuzzer (fuzz.h) can diff the production path
 // against it: the mapping executor that boxed every joined row into Values
 // and keyed joins and duplicate rows on rendered strings, the CSV writer
-// that boxed every cell with ValueAt, and the CSV reader that split each
-// record into std::string fields and boxed every cell with Value::Parse.
-// Nothing in the product links them.
+// that boxed every cell with ValueAt, the CSV reader that split each
+// record into std::string fields and boxed every cell with Value::Parse,
+// and the escaped group tokens that once labelled ClusteredViewGen's
+// classifiers and keyed its family dedup.  Nothing in the product links
+// them.
 
 #ifndef CSM_CHECK_REFERENCE_H_
 #define CSM_CHECK_REFERENCE_H_
@@ -48,6 +51,17 @@ std::string ReferenceTableToCsv(const Table& instance);
 /// The boxed writer's quoting of one field: wrapped in quotes, embedded
 /// quotes doubled, when it holds a comma, a quote, CR or LF.
 std::string ReferenceQuoteField(const std::string& field);
+
+/// Canonical token of a group of label values: member renderings joined by
+/// '\x1f', each byte '\x1b'..'\x1f' inside a rendering prefixed by '\x1b'.
+/// The escape makes the token injective, so no label value can forge a join
+/// (or a FamilyPartitionKey separator) and two groups never share a token;
+/// renderings without those bytes appear verbatim.
+std::string GroupToken(const std::vector<Value>& members);
+
+/// Dedup key of a family: its label attribute plus the partition its views'
+/// conditions induce (one GroupToken per view, sorted).
+std::string FamilyPartitionKey(const ViewFamily& family);
 
 }  // namespace csm::check
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-
 #include <chrono>
+#include <map>
+#include <numeric>
 
 #include "common/fault_injector.h"
 #include "common/logging.h"
@@ -26,141 +26,111 @@ namespace {
 /// Fraction of the sample used for doTraining (the rest goes to doTesting).
 constexpr double kTrainFraction = 0.5;
 
-/// Canonical token of a group of label values: member renderings joined by
-/// '\x1f', each byte '\x1b'..'\x1f' inside a rendering prefixed by '\x1b'.
-/// The escape makes the token injective, so no label value can forge a join
-/// (or a FamilyPartitionKey separator) and two groups never share a token;
-/// renderings without those bytes appear verbatim.
-std::string GroupToken(const std::vector<Value>& members) {
-  std::string out;
-  for (size_t i = 0; i < members.size(); ++i) {
-    if (i > 0) out += '\x1f';
-    for (char c : members[i].ToString()) {
-      if (c >= '\x1b' && c <= '\x1f') out += '\x1b';
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Tracks the current grouping of label values; a "group" becomes one view
-/// of the family (a disjunct after merges).
-class LabelGrouping {
- public:
-  explicit LabelGrouping(const std::map<Value, size_t>& value_counts) {
-    for (const auto& [value, count] : value_counts) {
-      groups_.push_back({value});
-    }
-  }
-
-  size_t num_groups() const { return groups_.size(); }
-
-  /// The classifier label of group `g`.
-  std::string Token(size_t g) const { return GroupToken(groups_[g]); }
-
-  /// Merges the groups whose tokens are `a` and `b`; returns false if
-  /// either token is unknown or they are the same group.
-  bool MergeByTokens(const std::string& a, const std::string& b) {
-    int ga = -1, gb = -1;
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      if (Token(g) == a) ga = static_cast<int>(g);
-      if (Token(g) == b) gb = static_cast<int>(g);
-    }
-    if (ga < 0 || gb < 0 || ga == gb) return false;
-    auto& dst = groups_[static_cast<size_t>(std::min(ga, gb))];
-    auto& src = groups_[static_cast<size_t>(std::max(ga, gb))];
-    dst.insert(dst.end(), src.begin(), src.end());
-    std::sort(dst.begin(), dst.end());
-    groups_.erase(groups_.begin() + std::max(ga, gb));
-    return true;
-  }
-
-  const std::vector<std::vector<Value>>& groups() const { return groups_; }
-
- private:
-  std::vector<std::vector<Value>> groups_;
-};
-
-/// Builds the view family for a grouping of label attribute `l` on `table`.
-ViewFamily FamilyFromGrouping(const TableView& table, const std::string& l,
-                              const LabelGrouping& grouping) {
+/// Builds the view family for `groups` of label attribute `l` on `table`:
+/// one view `l IN group` per group, in group vector order.
+ViewFamily FamilyFromGroups(const TableView& table, const std::string& l,
+                            const LabelAtoms& atoms,
+                            const std::vector<AtomGroup>& groups) {
   ViewFamily family;
   family.base_table = table.name();
   family.label_attribute = l;
-  for (const auto& group : grouping.groups()) {
+  for (const AtomGroup& group : groups) {
     std::string view_name = table.name() + "[" + l + "=";
+    std::vector<Value> values;
     for (size_t i = 0; i < group.size(); ++i) {
       if (i > 0) view_name += "|";
-      view_name += group[i].ToString();
+      view_name += atoms.value(group[i]).ToString();
+      values.push_back(atoms.value(group[i]));
     }
     view_name += "]";
     family.views.emplace_back(view_name, table.name(),
-                              Condition::In(l, group));
+                              Condition::In(l, std::move(values)));
   }
   return family;
+}
+
+/// Merges the groups at indices `a` and `b`: the lower index keeps the
+/// union, in Value order, and the higher one is erased.
+void MergeGroups(size_t a, size_t b, std::vector<AtomGroup>* groups) {
+  AtomGroup& dst = (*groups)[std::min(a, b)];
+  const AtomGroup& src = (*groups)[std::max(a, b)];
+  dst.insert(dst.end(), src.begin(), src.end());
+  std::sort(dst.begin(), dst.end());
+  groups->erase(groups->begin() + static_cast<ptrdiff_t>(std::max(a, b)));
+}
+
+/// A row a cycle trains or tests on: its base position and its atom.
+struct AtomRow {
+  RowId pos;
+  AtomId atom;
+};
+
+/// The train and test rows of a cell, resolved once: rows no atom selects
+/// (NULL label) and rows whose evidence cell is missing (NULL, NaN or
+/// +-inf: IsMissingCell) are left out, so they count neither toward
+/// most_common_fraction nor as test errors.
+struct CellRows {
+  std::vector<AtomRow> train;
+  std::vector<AtomRow> test;
+};
+
+/// Resolves each base row's atom through Condition::In(l, {atom}) over the
+/// base table.  An IN over a group matches exactly the union of its atoms'
+/// rows, so every row trains and tests under the view that would select it.
+CellRows ResolveCellRows(const TrainTestViewSplit& split, size_t h_col,
+                         size_t l_col, const LabelAtoms& atoms) {
+  const Table& base = split.train.base();
+  const std::string& l =
+      base.schema().attribute(split.train.base_column_index(l_col)).name;
+  constexpr AtomId kNoAtom = static_cast<AtomId>(-1);
+  std::vector<AtomId> atom_of(base.num_rows(), kNoAtom);
+  for (AtomId a = 0; a < atoms.size(); ++a) {
+    const Condition is_atom = Condition::In(l, {atoms.value(a)});
+    for (RowId pos : is_atom.MatchingPositions(base)) atom_of[pos] = a;
+  }
+  const Column& h = split.train.column(h_col);
+  auto collect = [&](const TableView& side) {
+    std::vector<AtomRow> rows;
+    for (size_t r = 0; r < side.num_rows(); ++r) {
+      const RowId pos = side.position(r);
+      if (atom_of[pos] == kNoAtom || IsMissingCell(h, pos)) continue;
+      rows.push_back({pos, atom_of[pos]});
+    }
+    return rows;
+  };
+  return CellRows{collect(split.train), collect(split.test)};
 }
 
 struct TrainTestOutcome {
   ClassifierEvaluation eval;
   double most_common_fraction = 0.0;
-  size_t train_count = 0;
 };
 
-/// One doTraining + doTesting cycle for (h, l) under `grouping`.  Each base
-/// row's group is resolved once per cycle from the conditions the family's
-/// views carry (Condition::In(l, group) over the base table), so a row
-/// trains and tests under exactly the view that would select it.  Rows
-/// with no group (NULL or unseen label) or a missing evidence cell (NULL,
-/// NaN or +-inf: IsMissingCell) are skipped, so they count neither toward
-/// most_common_fraction nor as test errors; the classifier reads every
-/// other evidence cell straight off h's base column, train rows then test
-/// rows, in view order.
-TrainTestOutcome RunCycle(const TrainTestViewSplit& split, size_t h_col,
-                          size_t l_col, const LabelGrouping& grouping,
+/// One doTraining + doTesting cycle for (h, l) with each atom labelled
+/// `atom_label[atom]` (its group's number), over at least one train row.
+/// The classifier reads every evidence cell straight off h's base column,
+/// train rows then test rows, in view order.
+TrainTestOutcome RunCycle(const Column& h, const CellRows& rows,
+                          const std::vector<LabelId>& atom_label,
+                          size_t num_labels,
                           const ClassifierFactory& factory) {
   TrainTestOutcome out;
-  const Column& h = split.train.column(h_col);
   std::unique_ptr<ValueClassifier> classifier = factory(h.type());
   CSM_CHECK(classifier != nullptr);
 
-  const Table& base = split.train.base();
-  const std::string& l =
-      base.schema().attribute(split.train.base_column_index(l_col)).name;
-  constexpr size_t kNoGroup = static_cast<size_t>(-1);
-  std::vector<size_t> group_of(base.num_rows(), kNoGroup);
-  std::vector<std::string> tokens;
-  tokens.reserve(grouping.num_groups());
-  for (size_t g = 0; g < grouping.num_groups(); ++g) {
-    tokens.push_back(grouping.Token(g));
-    for (RowId pos :
-         Condition::In(l, grouping.groups()[g]).MatchingPositions(base)) {
-      group_of[pos] = g;
-    }
+  std::vector<size_t> train_label_counts(num_labels, 0);
+  for (const AtomRow& row : rows.train) {
+    const LabelId label = atom_label[row.atom];
+    classifier->Train(h, row.pos, label);
+    ++train_label_counts[label];
   }
-
-  std::vector<size_t> train_group_counts(grouping.num_groups(), 0);
-  const TableView& train = split.train;
-  for (size_t r = 0; r < train.num_rows(); ++r) {
-    const RowId pos = train.position(r);
-    const size_t g = group_of[pos];
-    if (g == kNoGroup || IsMissingCell(h, pos)) continue;
-    classifier->Train(h, pos, tokens[g]);
-    ++train_group_counts[g];
-    ++out.train_count;
-  }
-  if (out.train_count == 0) return out;
-
   const size_t most_common =
-      *std::max_element(train_group_counts.begin(), train_group_counts.end());
+      *std::max_element(train_label_counts.begin(), train_label_counts.end());
   out.most_common_fraction = static_cast<double>(most_common) /
-                             static_cast<double>(out.train_count);
+                             static_cast<double>(rows.train.size());
 
-  const TableView& test = split.test;
-  for (size_t r = 0; r < test.num_rows(); ++r) {
-    const RowId pos = test.position(r);
-    const size_t g = group_of[pos];
-    if (g == kNoGroup || IsMissingCell(h, pos)) continue;
-    out.eval.Observe(tokens[g], classifier->Classify(h, pos));
+  for (const AtomRow& row : rows.test) {
+    out.eval.Observe(atom_label[row.atom], classifier->Classify(h, row.pos));
   }
   return out;
 }
@@ -169,34 +139,52 @@ TrainTestOutcome RunCycle(const TrainTestViewSplit& split, size_t h_col,
 struct GridCell {
   const std::string* label;
   size_t l_col;
-  const std::map<Value, size_t>* counts;
+  const LabelAtoms* atoms;
   const std::string* evidence;
   size_t h_col;
+};
+
+/// An emitted family with its dedup key.
+struct KeyedFamily {
+  FamilyKey key;
+  ViewFamily family;
 };
 
 /// Trains and evaluates one grid cell: the full LateDisjuncts cycle or the
 /// EarlyDisjuncts merge loop for (l, h), emitting every grouping that
 /// passes the significance gate in merge order.  Runs on a worker thread;
 /// everything it touches besides `rng` is shared read-only state.
-std::vector<ViewFamily> RunGridCell(const TableView& source_sample,
-                                    const GridCell& cell,
-                                    const ClassifierFactory& factory,
-                                    const ClusteredViewGenOptions& options,
-                                    bool early_disjuncts, Rng& rng) {
-  std::vector<ViewFamily> emitted;
+std::vector<KeyedFamily> RunGridCell(const TableView& source_sample,
+                                     const GridCell& cell,
+                                     const ClassifierFactory& factory,
+                                     const ClusteredViewGenOptions& options,
+                                     bool early_disjuncts, Rng& rng) {
+  std::vector<KeyedFamily> emitted;
   TrainTestViewSplit split =
       SplitTrainTestView(source_sample, kTrainFraction, rng);
-  LabelGrouping grouping(*cell.counts);
+  const LabelAtoms& atoms = *cell.atoms;
+  const CellRows rows = ResolveCellRows(split, cell.h_col, cell.l_col, atoms);
+  if (rows.train.empty()) return emitted;
+  const Column& h = split.train.column(cell.h_col);
+  std::vector<AtomGroup> groups;
+  for (AtomId a = 0; a < atoms.size(); ++a) groups.push_back({a});
 
   // Merge loop: one iteration for LateDisjuncts; repeated error-pair
   // merging under EarlyDisjuncts.
   for (;;) {
+    const std::vector<LabelId> group_label = NumberGroups(atoms, groups);
+    std::vector<LabelId> atom_label(atoms.size());
+    std::vector<size_t> group_of_label(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      for (AtomId a : groups[g]) atom_label[a] = group_label[g];
+      group_of_label[group_label[g]] = g;
+    }
     TrainTestOutcome outcome =
-        RunCycle(split, cell.h_col, cell.l_col, grouping, factory);
+        RunCycle(h, rows, atom_label, groups.size(), factory);
     // The explicit total() == 0 clause keeps the empty-test case (all-NULL
     // columns, single-row samples) out of the significance gate even when a
     // caller sets min_test_size to 0.
-    if (outcome.train_count == 0 || outcome.eval.total() == 0 ||
+    if (outcome.eval.total() == 0 ||
         outcome.eval.total() < options.min_test_size) {
       break;
     }
@@ -204,49 +192,76 @@ std::vector<ViewFamily> RunGridCell(const TableView& source_sample,
         ClassifierSignificance(outcome.eval.correct(), outcome.eval.total(),
                                outcome.most_common_fraction);
     if (sig.significance > options.significance_threshold &&
-        grouping.num_groups() >= 2) {
-      ViewFamily family =
-          FamilyFromGrouping(source_sample, *cell.label, grouping);
-      family.classifier_f1 = outcome.eval.MicroF(1.0);
-      family.significance = sig.significance;
-      family.evidence_attribute = *cell.evidence;
-      emitted.push_back(std::move(family));
+        groups.size() >= 2) {
+      KeyedFamily keyed{MakeFamilyKey(*cell.label, atoms, groups),
+                        FamilyFromGroups(source_sample, *cell.label, atoms,
+                                         groups)};
+      keyed.family.classifier_f1 = outcome.eval.F1();
+      keyed.family.significance = sig.significance;
+      keyed.family.evidence_attribute = *cell.evidence;
+      emitted.push_back(std::move(keyed));
     }
     if (!early_disjuncts) break;
-    if (outcome.eval.error_pairs().empty()) break;
-    if (grouping.num_groups() <= 2) break;
-    const auto ranked = outcome.eval.NormalizedErrorPairs();
-    bool merged = false;
-    for (const auto& [pair, weight] : ranked) {
-      if (grouping.MergeByTokens(pair.first, pair.second)) {
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) break;
+    if (groups.size() <= 2) break;
+    const auto ranked = outcome.eval.RankedPairs();
+    if (ranked.empty()) break;
+    const LabelPair& pair = ranked.front().first;
+    MergeGroups(group_of_label[pair.first], group_of_label[pair.second],
+                &groups);
   }
   return emitted;
 }
 
-/// Dedup key of a family: its label attribute plus the partition its views'
-/// conditions induce (one GroupToken per view, sorted).
-std::string FamilyPartitionKey(const ViewFamily& family) {
-  std::vector<std::string> tokens;
-  tokens.reserve(family.views.size());
-  for (const View& view : family.views) {
-    tokens.push_back(GroupToken(view.condition().clauses()[0].values));
+}  // namespace
+
+LabelAtoms::LabelAtoms(std::vector<Value> values) : values_(std::move(values)) {
+  std::vector<std::string> renderings;
+  renderings.reserve(values_.size());
+  for (const Value& v : values_) renderings.push_back(v.ToString());
+  std::vector<std::string> distinct = renderings;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  render_ranks_.reserve(values_.size());
+  for (const std::string& rendering : renderings) {
+    render_ranks_.push_back(static_cast<uint32_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), rendering) -
+        distinct.begin()));
   }
-  std::sort(tokens.begin(), tokens.end());
-  std::string out = family.label_attribute;
-  out += '\x1d';
-  for (const auto& token : tokens) {
-    out += token;
-    out += '\x1e';
-  }
-  return out;
 }
 
-}  // namespace
+GroupKey LabelAtoms::Key(const AtomGroup& group) const {
+  GroupKey key;
+  key.render_ranks.reserve(group.size());
+  for (AtomId atom : group) key.render_ranks.push_back(render_ranks_[atom]);
+  key.atoms = group;
+  return key;
+}
+
+std::vector<LabelId> NumberGroups(const LabelAtoms& atoms,
+                                  const std::vector<AtomGroup>& groups) {
+  std::vector<GroupKey> keys;
+  keys.reserve(groups.size());
+  for (const AtomGroup& group : groups) keys.push_back(atoms.Key(group));
+  std::vector<size_t> order(groups.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return keys[a] < keys[b]; });
+  std::vector<LabelId> label(groups.size());
+  for (size_t rank = 0; rank < order.size(); ++rank) {
+    label[order[rank]] = static_cast<LabelId>(rank);
+  }
+  return label;
+}
+
+FamilyKey MakeFamilyKey(std::string label_attribute, const LabelAtoms& atoms,
+                        const std::vector<AtomGroup>& groups) {
+  FamilyKey key{std::move(label_attribute), {}};
+  key.groups.reserve(groups.size());
+  for (const AtomGroup& group : groups) key.groups.push_back(atoms.Key(group));
+  std::sort(key.groups.begin(), key.groups.end());
+  return key;
+}
 
 std::vector<ViewFamily> ClusteredViewGen(
     const TableView& source_sample, const ClassifierFactory& factory,
@@ -268,20 +283,23 @@ std::vector<ViewFamily> ClusteredViewGen(
   // Lay out the (l, h) grid up front: one cell per admissible pair, in the
   // same nested order the sequential loop used, so the merge below visits
   // results in the legacy order regardless of which worker ran which cell.
-  std::vector<std::map<Value, size_t>> label_counts(label_attributes.size());
+  std::vector<LabelAtoms> label_atoms;
+  label_atoms.reserve(label_attributes.size());
   std::vector<GridCell> cells;
-  for (size_t li = 0; li < label_attributes.size(); ++li) {
-    const std::string& l = label_attributes[li];
-    label_counts[li] = source_sample.ValueCounts(l);
-    const auto& counts = label_counts[li];
-    if (counts.size() < 2 || counts.size() > options.max_label_cardinality) {
+  for (const std::string& l : label_attributes) {
+    std::vector<Value> values;
+    for (auto& [value, count] : source_sample.ValueCounts(l)) {
+      values.push_back(value);
+    }
+    const LabelAtoms& atoms = label_atoms.emplace_back(std::move(values));
+    if (atoms.size() < 2 || atoms.size() > options.max_label_cardinality) {
       continue;
     }
     const size_t l_col = source_sample.schema().AttributeIndex(l);
     for (const std::string& h : evidence_attributes) {
       if (h == l) continue;
       const size_t h_col = source_sample.schema().AttributeIndex(h);
-      cells.push_back(GridCell{&l, l_col, &counts, &h, h_col});
+      cells.push_back(GridCell{&l, l_col, &atoms, &h, h_col});
     }
   }
 
@@ -298,14 +316,14 @@ std::vector<ViewFamily> ClusteredViewGen(
       kernel_stats.nb_memo_hits.load(std::memory_order_relaxed);
   const uint64_t grams_before =
       kernel_stats.grams_interned.load(std::memory_order_relaxed);
-  std::vector<std::vector<ViewFamily>> cell_results = exec::ParallelMap(
+  std::vector<std::vector<KeyedFamily>> cell_results = exec::ParallelMap(
       pool, cells.size(),
       [&](size_t i) {
         // Fault site "inference.cell" (index = grid cell index).  A kFail
         // arm drops just this cell's families; kCancel arms cancel the
         // caller-owned token, which the surrounding ParallelMap drains on.
         if (FaultInjector::Hit("inference.cell", i)) {
-          return std::vector<ViewFamily>{};
+          return std::vector<KeyedFamily>{};
         }
         std::string span_name;
         if (obs.tracer != nullptr) {
@@ -319,7 +337,7 @@ std::vector<ViewFamily> ClusteredViewGen(
         obs::ScopedSpan span(obs.tracer, span_name, parent);
         const auto cell_start = std::chrono::steady_clock::now();
         Rng cell_rng = exec::TaskRng(grid_seed, i);
-        std::vector<ViewFamily> families = RunGridCell(
+        std::vector<KeyedFamily> families = RunGridCell(
             source_sample, cells[i], factory, options, early_disjuncts,
             cell_rng);
         if (obs.metrics != nullptr) {
@@ -344,15 +362,15 @@ std::vector<ViewFamily> ClusteredViewGen(
     if (grams > 0) obs.metrics->AddCounter("text.grams_interned", grams);
   }
 
-  // Merge in grid order: best accepted family per (label, partition).
-  std::map<std::string, ViewFamily> accepted;
-  for (std::vector<ViewFamily>& families : cell_results) {
-    for (ViewFamily& family : families) {
-      std::string key = FamilyPartitionKey(family);
-      auto it = accepted.find(key);
-      if (it == accepted.end() ||
-          it->second.significance < family.significance) {
-        accepted[key] = std::move(family);
+  // Merge in grid order: best accepted family per FamilyKey.
+  std::map<FamilyKey, ViewFamily> accepted;
+  for (std::vector<KeyedFamily>& families : cell_results) {
+    for (KeyedFamily& keyed : families) {
+      auto it = accepted.find(keyed.key);
+      if (it == accepted.end()) {
+        accepted.emplace(std::move(keyed.key), std::move(keyed.family));
+      } else if (it->second.significance < keyed.family.significance) {
+        it->second = std::move(keyed.family);
       }
     }
   }

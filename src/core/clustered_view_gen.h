@@ -14,10 +14,16 @@
 // train/test cycle repeats, emitting every grouping that passes the
 // significance gate, until testing is error-free or no values remain to
 // merge.
+//
+// Groups are typed: an atom is one distinct value of l, a group a set of
+// atoms, and the classifier labels of a cycle number its groups in the
+// label order GroupKey defines.
 
 #ifndef CSM_CORE_CLUSTERED_VIEW_GEN_H_
 #define CSM_CORE_CLUSTERED_VIEW_GEN_H_
 
+#include <compare>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,6 +41,60 @@
 
 namespace csm {
 
+/// Numbers a label attribute's distinct values ("atoms") in Value order.
+using AtomId = uint32_t;
+
+/// A set of atoms, ascending (its members in Value order): one view
+/// `l IN group` of a family.
+using AtomGroup = std::vector<AtomId>;
+
+/// A group's place in the label order: its members' rendering ranks, then
+/// its atom ids, each compared element by element with a prefix first.  So
+/// groups order by their members' renderings (Value::ToString, byte order),
+/// and groups whose renderings are all equal fall back to Value order.  Two
+/// keys are equal exactly when their groups are.
+struct GroupKey {
+  std::vector<uint32_t> render_ranks;
+  AtomGroup atoms;
+
+  auto operator<=>(const GroupKey&) const = default;
+};
+
+/// The atoms of one label attribute and the rank of each one's rendering
+/// among the distinct renderings (atoms that render alike share a rank).
+class LabelAtoms {
+ public:
+  /// `values`: distinct values, ascending in Value order.
+  explicit LabelAtoms(std::vector<Value> values);
+
+  size_t size() const { return values_.size(); }
+  const Value& value(AtomId atom) const { return values_[atom]; }
+
+  /// The group's key under this attribute's rendering ranks.
+  GroupKey Key(const AtomGroup& group) const;
+
+ private:
+  std::vector<Value> values_;
+  std::vector<uint32_t> render_ranks_;  // by atom id
+};
+
+/// Each group's classifier label: its rank in GroupKey order.
+std::vector<LabelId> NumberGroups(const LabelAtoms& atoms,
+                                  const std::vector<AtomGroup>& groups);
+
+/// Dedup key of a view family: its label attribute, then its groups' keys
+/// in group order.  Equal exactly when two families partition the same
+/// attribute's atoms into the same groups.
+struct FamilyKey {
+  std::string label_attribute;
+  std::vector<GroupKey> groups;  // ascending
+
+  auto operator<=>(const FamilyKey&) const = default;
+};
+
+FamilyKey MakeFamilyKey(std::string label_attribute, const LabelAtoms& atoms,
+                        const std::vector<AtomGroup>& groups);
+
 /// Builds a fresh classifier suited to evidence attribute values of
 /// `evidence_type` (SrcClassInfer: NB for strings, Gaussian for numerics;
 /// TgtClassInfer: the tag-and-bestCAT wrapper).
@@ -44,7 +104,7 @@ using ClassifierFactory =
 /// Runs ClusteredViewGen over every (h, l) pair of `source_sample` — a
 /// zero-copy TableView (a Table converts implicitly) — and
 /// returns the accepted well-clustered view families, deduplicated by
-/// (label attribute, partition) keeping the most significant evidence.
+/// FamilyKey keeping the most significant evidence.
 ///
 /// `label_attributes` / `evidence_attributes` default (when empty) to the
 /// categorical / non-categorical attributes of the sample under

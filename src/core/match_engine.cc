@@ -384,35 +384,8 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
   if (cold_store_ != nullptr) {
     std::string blob;
     if (cold_store_->Load(cold_key, &blob)) {
-      auto parsed = ParseSessionScores(blob, source);
-      bool usable = parsed.ok();
-      if (usable) {
-        // Validate dimensions before constructing: the restore constructor
-        // CHECK-fails on a mismatch, and a cold blob is untrusted input.
-        const size_t matchers = DefaultMatcherSuite().size();
-        size_t target_attrs = 0;
-        for (const Table& t : target.tables()) {
-          target_attrs += t.schema().num_attributes();
-        }
-        for (size_t i = 0; i < tables.size() && usable; ++i) {
-          const auto& raw = parsed.value()[i].raw;
-          if (raw.size() != matchers) usable = false;
-          for (const auto& per_source : raw) {
-            if (per_source.size() != tables[i].schema().num_attributes()) {
-              usable = false;
-              break;
-            }
-            for (const auto& per_target : per_source) {
-              if (per_target.size() != target_attrs) {
-                usable = false;
-                break;
-              }
-            }
-            if (!usable) break;
-          }
-        }
-      }
-      if (usable) {
+      auto parsed = ParseSessionScores(blob, source, target);
+      if (parsed.ok()) {
         // Restore serially (cheap: no scoring loop), honoring the same
         // cancellation and fault-injection surface as a build so degraded
         // runs behave identically whichever tier answers.

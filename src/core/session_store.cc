@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "match/matchers.h"
+
 namespace csm {
 namespace {
 
@@ -68,7 +70,7 @@ std::string SerializeSessionScores(
 }
 
 StatusOr<std::vector<TableMatchSession::RestoredScores>> ParseSessionScores(
-    const std::string& blob, const Database& source) {
+    const std::string& blob, const Database& source, const Database& target) {
   auto fail = [](const char* msg) {
     return Status::InvalidArgument(std::string("session blob: ") + msg);
   };
@@ -95,17 +97,39 @@ StatusOr<std::vector<TableMatchSession::RestoredScores>> ParseSessionScores(
     return fail("table count does not match the source database");
   }
 
+  // The grid shape a session over (source table, target) holds; the
+  // restore constructor CHECK-fails on any other.
+  const size_t matchers = DefaultMatcherSuite().size();
+  size_t target_attrs = 0;
+  for (const Table& t : target.tables()) {
+    target_attrs += t.schema().num_attributes();
+  }
   std::vector<TableMatchSession::RestoredScores> out;
   out.reserve(tables);
   for (size_t i = 0; i < tables; ++i) {
+    const Table& table = source.tables()[i];
     if (!read_line(&line) || line.rfind("table ", 0) != 0) {
       return fail("missing table header");
     }
-    if (line.substr(6) != source.tables()[i].name()) {
+    if (line.substr(6) != table.name()) {
       return fail("table name does not match the source database");
     }
     auto scores = TableMatchSession::ParseSerializedScores(blob, &pos);
     if (!scores.ok()) return scores.status();
+    const auto& raw = scores.value().raw;
+    if (raw.size() != matchers) {
+      return fail("matcher count does not match the matcher suite");
+    }
+    for (const auto& per_source : raw) {
+      if (per_source.size() != table.schema().num_attributes()) {
+        return fail("score grid does not fit the source schema");
+      }
+      for (const auto& per_target : per_source) {
+        if (per_target.size() != target_attrs) {
+          return fail("score grid does not fit the target schema");
+        }
+      }
+    }
     out.push_back(std::move(scores).value());
   }
   return out;

@@ -74,10 +74,12 @@ std::string SerializeSessionScores(
     const std::vector<std::unique_ptr<TableMatchSession>>& sessions);
 
 /// Parses a SerializeSessionScores blob against `source`'s tables (count
-/// and order must line up).  Returns one RestoredScores per table, ready to
-/// feed the TableMatchSession restore constructor.
+/// and order must line up) and `target`: each table's grid must hold one
+/// row per DefaultMatcherSuite matcher, one per source attribute and one
+/// score per target attribute.  Returns one RestoredScores per table, ready
+/// to feed the TableMatchSession restore constructor.
 StatusOr<std::vector<TableMatchSession::RestoredScores>> ParseSessionScores(
-    const std::string& blob, const Database& source);
+    const std::string& blob, const Database& source, const Database& target);
 
 }  // namespace csm
 

@@ -1,5 +1,8 @@
 #include "core/tgt_class_infer.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.h"
 #include "core/clustered_view_gen.h"
 #include "core/src_class_infer.h"
@@ -13,6 +16,22 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
   // The numeric classifier takes both int and real columns; the string
   // classifier takes string columns only.
   const bool numeric = type == ValueType::kInt || type == ValueType::kReal;
+  std::vector<std::pair<std::string, const Column*>> columns;
+  for (const Table& table : target_sample.tables()) {
+    for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
+      const AttributeDef& attr = table.schema().attribute(c);
+      const bool numeric_attr =
+          attr.type == ValueType::kInt || attr.type == ValueType::kReal;
+      if (numeric ? !numeric_attr : attr.type != type) continue;
+      columns.emplace_back(table.name() + "." + attr.name, &table.column(c));
+    }
+  }
+  // Label ids rank the columns by name, so the lower id of an exact score
+  // tie is the smaller name; coinciding names keep table order.  Neither
+  // classifier's model depends on the order its labels train in.
+  std::stable_sort(
+      columns.begin(), columns.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
   std::unique_ptr<ValueClassifier> classifier;
   if (numeric) {
     classifier = std::make_unique<GaussianClassifier>();
@@ -20,61 +39,61 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
     classifier = std::make_unique<NaiveBayesClassifier>();
   }
   bool trained_any = false;
-  for (const Table& table : target_sample.tables()) {
-    for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
-      const AttributeDef& attr = table.schema().attribute(c);
-      const bool numeric_attr =
-          attr.type == ValueType::kInt || attr.type == ValueType::kReal;
-      if (numeric ? !numeric_attr : attr.type != type) continue;
-      const std::string label = table.name() + "." + attr.name;
-      const Column& column = table.column(c);
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (IsMissingCell(column, r)) continue;
-        classifier->Train(column, r, label);
-        trained_any = true;
-      }
+  for (LabelId label = 0; label < columns.size(); ++label) {
+    const Column& column = *columns[label].second;
+    for (size_t r = 0; r < column.size(); ++r) {
+      if (IsMissingCell(column, r)) continue;
+      classifier->Train(column, r, label);
+      trained_any = true;
     }
   }
   if (!trained_any) return nullptr;
   return classifier;
 }
 
-std::string TgtTagClassifier::Tag(const Column& column, size_t row) const {
-  if (tagger_ == nullptr) return "";
+LabelId TgtTagClassifier::Tag(const Column& column, size_t row) const {
+  if (tagger_ == nullptr) return kNoLabel;
   return tagger_->Classify(column, row);
 }
 
 void TgtTagClassifier::Train(const Column& column, size_t row,
-                             const std::string& label) {
+                             LabelId label) {
+  CSM_CHECK(label != kNoLabel) << "kNoLabel is not a trainable label";
   if (IsMissingCell(column, row)) return;
-  const std::string tag = Tag(column, row);
-  ++tbag_[{tag, label}];
-  ++tag_totals_[tag];
+  TagCounts& tag = tbag_[Tag(column, row)];
+  if (label >= tag.per_label.size()) tag.per_label.resize(size_t{label} + 1);
+  ++tag.per_label[label];
+  ++tag.total;
+  if (label >= label_totals_.size()) label_totals_.resize(size_t{label} + 1);
   ++label_totals_[label];
   ++total_;
 }
 
-double TgtTagClassifier::Score(const std::string& tag,
-                               const std::string& label) const {
-  auto it = tbag_.find({tag, label});
-  if (it == tbag_.end()) return 0.0;
-  const double joint = static_cast<double>(it->second);
+double TgtTagClassifier::Score(LabelId tag, LabelId label) const {
+  auto it = tbag_.find(tag);
+  if (it == tbag_.end() || label >= it->second.per_label.size() ||
+      it->second.per_label[label] == 0) {
+    return 0.0;
+  }
+  const double joint = static_cast<double>(it->second.per_label[label]);
   const double tag_total =
-      static_cast<double>(tag_totals_.at(tag));        // P(v|g) denominator
+      static_cast<double>(it->second.total);          // P(v|g) denominator
   const double label_total =
-      static_cast<double>(label_totals_.at(label));    // P(g|v) denominator
+      static_cast<double>(label_totals_[label]);      // P(g|v) denominator
   return (joint / tag_total) * (joint / label_total);
 }
 
-std::string TgtTagClassifier::BestCat(const std::string& tag) const {
-  std::string best;
+LabelId TgtTagClassifier::BestCat(LabelId tag) const {
+  LabelId best = kNoLabel;
   double best_score = -1.0;
   size_t best_frequency = 0;
-  bool tag_seen = tag_totals_.count(tag) > 0;
-  for (const auto& [label, frequency] : label_totals_) {
-    double score = tag_seen ? Score(tag, label) : 0.0;
+  const bool tag_seen = tbag_.count(tag) > 0;
+  for (LabelId label = 0; label < label_totals_.size(); ++label) {
+    const size_t frequency = label_totals_[label];
+    if (frequency == 0) continue;
+    const double score = tag_seen ? Score(tag, label) : 0.0;
     // Ties (including the unseen-tag case where all scores are 0) break
-    // toward the more common label, then map order for determinism.
+    // toward the more common label, then the lower id, for determinism.
     if (score > best_score ||
         (score == best_score && frequency > best_frequency)) {
       best = label;
@@ -85,17 +104,9 @@ std::string TgtTagClassifier::BestCat(const std::string& tag) const {
   return best;
 }
 
-std::string TgtTagClassifier::Classify(const Column& column,
-                                       size_t row) const {
-  if (total_ == 0 || IsMissingCell(column, row)) return "";
+LabelId TgtTagClassifier::Classify(const Column& column, size_t row) const {
+  if (total_ == 0 || IsMissingCell(column, row)) return kNoLabel;
   return BestCat(Tag(column, row));
-}
-
-std::vector<std::string> TgtTagClassifier::Labels() const {
-  std::vector<std::string> out;
-  out.reserve(label_totals_.size());
-  for (const auto& [label, count] : label_totals_) out.push_back(label);
-  return out;
 }
 
 std::vector<CandidateView> TgtClassInfer::InferCandidateViews(

@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "core/view_inference.h"
 #include "ml/classifier.h"
@@ -24,8 +25,10 @@ namespace csm {
 
 /// Trains the per-type target classifier C_D over the sample of the target
 /// database: every non-null value of every attribute of type `type` becomes
-/// a training example labeled with its column name.  Returns nullptr when
-/// the target has no attribute of that type.
+/// a training example labeled with its column.  Label ids rank the columns
+/// by their "table.attr" names; columns whose names coincide keep distinct
+/// ids, in table and attribute order.  Returns nullptr when the target has
+/// no attribute of that type.
 std::unique_ptr<ValueClassifier> CreateTargetClassifier(
     ValueType type, const Database& target_sample);
 
@@ -35,33 +38,35 @@ class TgtTagClassifier : public ValueClassifier {
  public:
   /// `tagger` assigns target-column tags to the cells this classifier is
   /// given; shared across (h, l) pairs of the same evidence type.  May be
-  /// null (everything maps to the most common label).
+  /// null (every cell tags as kNoLabel, so everything maps to the most
+  /// common label).
   explicit TgtTagClassifier(std::shared_ptr<const ValueClassifier> tagger)
       : tagger_(std::move(tagger)) {}
 
   /// Tags the cell with the shared tagger and counts (tag, label) in the
   /// TBag.
-  void Train(const Column& column, size_t row,
-             const std::string& label) override;
+  void Train(const Column& column, size_t row, LabelId label) override;
   /// bestCAT of the cell's tag.
-  std::string Classify(const Column& column, size_t row) const override;
-  std::vector<std::string> Labels() const override;
-  size_t TrainingSize() const override { return total_; }
+  LabelId Classify(const Column& column, size_t row) const override;
 
-  /// bestCAT for a raw tag (exposed for tests).
-  std::string BestCat(const std::string& tag) const;
+  /// bestCAT for a raw tag (exposed for tests); kNoLabel when untrained.
+  LabelId BestCat(LabelId tag) const;
 
   /// score(g, v) = P(v|g) * P(g|v); 0 when unseen.
-  double Score(const std::string& tag, const std::string& label) const;
+  double Score(LabelId tag, LabelId label) const;
 
  private:
-  std::string Tag(const Column& column, size_t row) const;
+  LabelId Tag(const Column& column, size_t row) const;
+
+  /// One tag's row of the TBag: its (tag, label) counts by label id.
+  struct TagCounts {
+    size_t total = 0;
+    std::vector<size_t> per_label;
+  };
 
   std::shared_ptr<const ValueClassifier> tagger_;
-  /// TBag counts: (tag, label) -> occurrences.
-  std::map<std::pair<std::string, std::string>, size_t> tbag_;
-  std::map<std::string, size_t> tag_totals_;
-  std::map<std::string, size_t> label_totals_;
+  std::map<LabelId, TagCounts> tbag_;
+  std::vector<size_t> label_totals_;  // indexed by label id
   size_t total_ = 0;
 };
 

@@ -1,8 +1,35 @@
 #include "mapping/clio.h"
 
+#include <set>
+#include <string>
+
 #include "core/match_engine.h"
 
 namespace csm {
+namespace {
+
+/// `views` with every repeated name made distinct: the second view named n
+/// becomes "n#2", the third "n#3" (skipping names any view already holds),
+/// so each relation the mapping layer resolves by name is one view.  Views
+/// whose names are already unique keep them.
+std::vector<View> DistinctlyNamedViews(std::vector<View> views) {
+  std::set<std::string> taken;
+  for (const View& view : views) taken.insert(view.name());
+  std::set<std::string> seen;
+  for (View& view : views) {
+    if (seen.insert(view.name()).second) continue;
+    size_t k = 2;
+    std::string name = view.name() + "#2";
+    while (taken.count(name) > 0) {
+      name = view.name() + "#" + std::to_string(++k);
+    }
+    taken.insert(name);
+    view = View(name, view.base_table(), view.condition(), view.projection());
+  }
+  return views;
+}
+
+}  // namespace
 
 SchemaMappingResult BuildSchemaMapping(const Database& source,
                                        const Schema& target_schema,
@@ -11,7 +38,7 @@ SchemaMappingResult BuildSchemaMapping(const Database& source,
                                        const ConstraintSet& declared,
                                        const MiningOptions& mining) {
   SchemaMappingResult result;
-  result.views = selected_views;
+  result.views = DistinctlyNamedViews(selected_views);
   result.matches = matches;
 
   // Declared constraints + mined base constraints.
@@ -20,7 +47,7 @@ SchemaMappingResult BuildSchemaMapping(const Database& source,
 
   // Method (a): mine keys directly on view instances (zero-copy PosList
   // views over the base table; nothing is materialized).
-  for (const View& view : selected_views) {
+  for (const View& view : result.views) {
     const Table* base = source.FindTable(view.base_table());
     if (base == nullptr) continue;
     for (Key& key : MineKeys(view.Bind(*base), mining)) {
@@ -31,12 +58,12 @@ SchemaMappingResult BuildSchemaMapping(const Database& source,
 
   // Method (b): sound propagation rules.
   PropagationInput propagation;
-  propagation.views = selected_views;
+  propagation.views = result.views;
   propagation.base_constraints = result.constraints;
   propagation.source_sample = &source;
   result.constraints.Merge(PropagateConstraints(propagation));
 
-  result.queries = GenerateMappings(target_schema, matches, selected_views,
+  result.queries = GenerateMappings(target_schema, matches, result.views,
                                     result.constraints);
   return result;
 }

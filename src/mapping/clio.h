@@ -35,6 +35,11 @@ struct SchemaMappingResult {
 /// and FKs are additionally mined from `source` samples, view constraints
 /// are mined on materialized views and derived with the propagation rules,
 /// and the join rules of Section 4.3 assemble the logical tables.
+///
+/// The mapping layer names relations by view name, and two selected views
+/// can share one (reals that render alike).  So every repeated name is made
+/// distinct first ("n#2", "n#3", ...); the result's `views` carry those
+/// names, and queries must execute against them.
 SchemaMappingResult BuildSchemaMapping(const Database& source,
                                        const Schema& target_schema,
                                        const MatchList& matches,

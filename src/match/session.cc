@@ -83,8 +83,11 @@ TableMatchSession::TableMatchSession(
   CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
   BuildSamples(source, target);
 
-  // Score every applicable (matcher, source, target) triple and record the
-  // per-(matcher, source) score distribution across targets.
+  // Score every applicable (matcher, source, target) triple; the
+  // per-(matcher, source) score distributions across targets are then the
+  // restore constructor's replay of the same grid.  A NaN score (e.g.,
+  // NumericMatcher over a bag holding NaN or +-inf) means inapplicable,
+  // exactly as ReplayDistributions and PairScore read it.
   raw_scores_.assign(matchers_.size(), {});
   for (size_t m = 0; m < matchers_.size(); ++m) {
     raw_scores_[m].assign(source_samples_.size(),
@@ -93,29 +96,19 @@ TableMatchSession::TableMatchSession(
       if (source_samples_[s].NonNullCount() < options_.min_non_null_values) {
         continue;
       }
-      DescriptiveStats distribution;
       for (size_t t = 0; t < target_samples_.size(); ++t) {
         if (target_samples_[t].NonNullCount() <
-            options_.min_non_null_values) {
-          continue;
-        }
-        if (!matchers_[m]->Applicable(source_samples_[s],
+                options_.min_non_null_values ||
+            !matchers_[m]->Applicable(source_samples_[s],
                                       target_samples_[t])) {
           continue;
         }
-        double score =
+        raw_scores_[m][s][t] =
             matchers_[m]->Score(source_samples_[s], target_samples_[t]);
-        raw_scores_[m][s][t] = score;
-        // A NaN score (e.g., NumericMatcher over a bag holding NaN or
-        // +-inf) means inapplicable, exactly as ReplayDistributions and
-        // PairScore read it.
-        if (!std::isnan(score)) distribution.Add(score);
-      }
-      if (!distribution.empty()) {
-        distributions_[DistributionKey{m, s}] = distribution;
       }
     }
   }
+  ReplayDistributions();
 }
 
 TableMatchSession::TableMatchSession(

@@ -169,10 +169,10 @@ class TableMatchSession {
   /// target attribute, then matcher Prepare over the target samples.
   void BuildSamples(const Table& source, const Database& target);
 
-  /// Rebuilds distributions_ from raw_scores_ by adding the non-NaN scores
-  /// of each (matcher, source) row in target order — the exact sequence of
-  /// DescriptiveStats::Add calls the scoring loop performs, so the replayed
-  /// accumulators are bit-identical to the originals.
+  /// Builds distributions_ from raw_scores_ by adding the non-NaN scores of
+  /// each (matcher, source) row in target order.  Both constructors end
+  /// with it, so a restored session's accumulators are bit-identical to
+  /// the scored one's by construction.
   void ReplayDistributions();
 
   /// Converts a raw score into a confidence using the stored distribution

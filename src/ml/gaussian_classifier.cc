@@ -26,19 +26,20 @@ std::optional<double> NumericCell(const Column& column, size_t row) {
 }  // namespace
 
 void GaussianClassifier::Train(const Column& column, size_t row,
-                               const std::string& label) {
+                               LabelId label) {
+  CSM_CHECK(label != kNoLabel) << "kNoLabel is not a trainable label";
   const std::optional<double> x = NumericCell(column, row);
   if (!x.has_value()) return;
+  if (label >= labels_.size()) labels_.resize(size_t{label} + 1);
   labels_[label].Add(*x);
   ++total_examples_;
 }
 
-double GaussianClassifier::LogScore(double x, const std::string& label) const {
-  auto it = labels_.find(label);
-  if (it == labels_.end() || total_examples_ == 0) {
+double GaussianClassifier::LogScore(double x, LabelId label) const {
+  if (label >= labels_.size() || labels_[label].empty()) {
     return -std::numeric_limits<double>::infinity();
   }
-  const DescriptiveStats& stats = it->second;
+  const DescriptiveStats& stats = labels_[label];
   const double prior = static_cast<double>(stats.count()) /
                        static_cast<double>(total_examples_);
   const double stddev = std::max(stats.SampleStdDev(), kMinStdDev);
@@ -47,27 +48,20 @@ double GaussianClassifier::LogScore(double x, const std::string& label) const {
          0.5 * std::log(2.0 * std::numbers::pi) - 0.5 * z * z;
 }
 
-std::string GaussianClassifier::Classify(const Column& column,
-                                         size_t row) const {
+LabelId GaussianClassifier::Classify(const Column& column, size_t row) const {
   const std::optional<double> x = NumericCell(column, row);
-  if (labels_.empty() || !x.has_value()) return "";
-  std::string best;
+  if (!x.has_value()) return kNoLabel;
+  LabelId best = kNoLabel;
   double best_score = -std::numeric_limits<double>::infinity();
-  for (const auto& [label, stats] : labels_) {
-    double score = LogScore(*x, label);
+  for (LabelId label = 0; label < labels_.size(); ++label) {
+    if (labels_[label].empty()) continue;
+    const double score = LogScore(*x, label);
     if (score > best_score) {
       best = label;
       best_score = score;
     }
   }
   return best;
-}
-
-std::vector<std::string> GaussianClassifier::Labels() const {
-  std::vector<std::string> out;
-  out.reserve(labels_.size());
-  for (const auto& [label, stats] : labels_) out.push_back(label);
-  return out;
 }
 
 }  // namespace csm

@@ -5,8 +5,7 @@
 #ifndef CSM_ML_GAUSSIAN_CLASSIFIER_H_
 #define CSM_ML_GAUSSIAN_CLASSIFIER_H_
 
-#include <map>
-#include <string>
+#include <vector>
 
 #include "ml/classifier.h"
 #include "stats/descriptive.h"
@@ -19,25 +18,25 @@ namespace csm {
 /// columns; CHECK-fails on any other column type.  A NaN or +-inf cell is
 /// missing, like NULL: training skips it, so one such cell cannot turn a
 /// label's mean and deviation into NaN and its score into a NaN that never
-/// wins.
+/// wins.  Exact ties go to the lower id; a cell on which every label scores
+/// -inf or NaN classifies as kNoLabel.
 class GaussianClassifier : public ValueClassifier {
  public:
   /// Floor on each label's standard deviation, which keeps single-point or
   /// constant labels from producing degenerate likelihoods.
   static constexpr double kMinStdDev = 1e-6;
 
-  void Train(const Column& column, size_t row,
-             const std::string& label) override;
-  std::string Classify(const Column& column, size_t row) const override;
-  std::vector<std::string> Labels() const override;
-  size_t TrainingSize() const override { return total_examples_; }
+  void Train(const Column& column, size_t row, LabelId label) override;
+  LabelId Classify(const Column& column, size_t row) const override;
 
-  /// Log posterior (up to the evidence term) of `label` for numeric `x`.
-  double LogScore(double x, const std::string& label) const;
+  /// Log posterior (up to the evidence term) of `label` for numeric `x`;
+  /// -inf for labels never seen.
+  double LogScore(double x, LabelId label) const;
 
  private:
   size_t total_examples_ = 0;
-  std::map<std::string, DescriptiveStats> labels_;
+  /// Indexed by label id; an empty entry is a label never trained.
+  std::vector<DescriptiveStats> labels_;
 };
 
 }  // namespace csm

@@ -1,7 +1,7 @@
 #include "ml/naive_bayes.h"
 
+#include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
 
 #include "common/logging.h"
@@ -62,7 +62,8 @@ NaiveBayesClassifier& NaiveBayesClassifier::operator=(
 }
 
 void NaiveBayesClassifier::TrainIndices(const std::vector<uint32_t>& indices,
-                                        const std::string& label) {
+                                        LabelId label) {
+  if (label >= labels_.size()) labels_.resize(size_t{label} + 1);
   LabelStats& stats = labels_[label];
   ++stats.example_count;
   ++total_examples_;
@@ -82,8 +83,9 @@ void NaiveBayesClassifier::TrainIndices(const std::vector<uint32_t>& indices,
 }
 
 void NaiveBayesClassifier::Train(const Column& column, size_t row,
-                                 const std::string& label) {
+                                 LabelId label) {
   CheckTextColumn(column);
+  CSM_CHECK(label != kNoLabel) << "kNoLabel is not a trainable label";
   if (column.IsNull(row)) return;
   const StringDictionary& dict = column.dictionary();
   const uint32_t code = column.codes()[row];
@@ -109,15 +111,19 @@ void NaiveBayesClassifier::Train(const Column& column, size_t row,
 const NaiveBayesClassifier::Model& NaiveBayesClassifier::Finalized() const {
   std::lock_guard<std::mutex> lock(model_mu_);
   if (finalized_) return model_;
-  const size_t num_labels = labels_.size();
+  const size_t num_labels = static_cast<size_t>(
+      std::count_if(labels_.begin(), labels_.end(),
+                    [](const LabelStats& s) { return s.example_count > 0; }));
   const size_t vocab = gram_index_.size();
   model_.labels.clear();
   model_.example_counts.clear();
   model_.log_priors.clear();
   model_.log_prob.assign((vocab + 1) * num_labels, 0.0);
   size_t l = 0;
-  for (const auto& [label, stats] : labels_) {
-    model_.labels.push_back(&label);
+  for (LabelId label = 0; label < labels_.size(); ++label) {
+    const LabelStats& stats = labels_[label];
+    if (stats.example_count == 0) continue;
+    model_.labels.push_back(label);
     model_.example_counts.push_back(stats.example_count);
     // The exact expressions of the original per-call implementation, so the
     // precomputed doubles are bit-identical to recomputing them per row.
@@ -156,10 +162,9 @@ void NaiveBayesClassifier::ScoreAll(const Model& model,
 }
 
 double NaiveBayesClassifier::LogScore(const Column& column, size_t row,
-                                      const std::string& label) const {
+                                      LabelId label) const {
   CheckTextColumn(column);
-  auto it = labels_.find(label);
-  if (it == labels_.end() || total_examples_ == 0) {
+  if (label >= labels_.size() || labels_[label].example_count == 0) {
     return -std::numeric_limits<double>::infinity();
   }
   const Model& model = Finalized();
@@ -169,20 +174,22 @@ double NaiveBayesClassifier::LogScore(const Column& column, size_t row,
     Tokenize(column.dictionary().value(column.codes()[row]), &scratch.ids);
   }
   ScoreAll(model, scratch.ids, &scratch.sums);
-  return scratch.sums[static_cast<size_t>(std::distance(labels_.begin(), it))];
+  const auto it =
+      std::lower_bound(model.labels.begin(), model.labels.end(), label);
+  return scratch.sums[static_cast<size_t>(it - model.labels.begin())];
 }
 
-std::string NaiveBayesClassifier::ClassifyTokens(
+LabelId NaiveBayesClassifier::ClassifyTokens(
     const std::vector<GramId>& grams) const {
   const Model& model = Finalized();
   std::vector<double>& sums = LocalScratch().sums;
   ScoreAll(model, grams, &sums);
-  const std::string* best = nullptr;
+  LabelId best = kNoLabel;
   double best_score = -std::numeric_limits<double>::infinity();
   size_t best_frequency = 0;
   for (size_t l = 0; l < sums.size(); ++l) {
-    // Ties break toward the more frequent label, then lexicographically
-    // (model order == label map order), for determinism.
+    // Ties break toward the more frequent label, then the lower id (model
+    // order), for determinism.
     if (sums[l] > best_score ||
         (sums[l] == best_score && model.example_counts[l] > best_frequency)) {
       best = model.labels[l];
@@ -190,13 +197,13 @@ std::string NaiveBayesClassifier::ClassifyTokens(
       best_frequency = model.example_counts[l];
     }
   }
-  return best == nullptr ? "" : *best;
+  return best;
 }
 
-std::string NaiveBayesClassifier::Classify(const Column& column,
-                                           size_t row) const {
+LabelId NaiveBayesClassifier::Classify(const Column& column,
+                                       size_t row) const {
   CheckTextColumn(column);
-  if (labels_.empty() || column.IsNull(row)) return "";
+  if (total_examples_ == 0 || column.IsNull(row)) return kNoLabel;
   const StringDictionary& dict = column.dictionary();
   const uint32_t code = column.codes()[row];
   {
@@ -215,17 +222,10 @@ std::string NaiveBayesClassifier::Classify(const Column& column,
   // deterministic label), then publish.
   std::vector<GramId>& ids = LocalScratch().ids;
   Tokenize(dict.value(code), &ids);
-  std::string label = ClassifyTokens(ids);
+  const LabelId label = ClassifyTokens(ids);
   std::lock_guard<std::mutex> lock(memo_mu_);
   classify_memo_[&dict].emplace(code, label);
   return label;
-}
-
-std::vector<std::string> NaiveBayesClassifier::Labels() const {
-  std::vector<std::string> out;
-  out.reserve(labels_.size());
-  for (const auto& [label, stats] : labels_) out.push_back(label);
-  return out;
 }
 
 }  // namespace csm

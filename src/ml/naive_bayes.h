@@ -30,7 +30,6 @@
 #ifndef CSM_ML_NAIVE_BAYES_H_
 #define CSM_ML_NAIVE_BAYES_H_
 
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -57,17 +56,13 @@ class NaiveBayesClassifier : public ValueClassifier {
   NaiveBayesClassifier(NaiveBayesClassifier&& other) noexcept;
   NaiveBayesClassifier& operator=(NaiveBayesClassifier&& other) noexcept;
 
-  void Train(const Column& column, size_t row,
-             const std::string& label) override;
-  std::string Classify(const Column& column, size_t row) const override;
-  std::vector<std::string> Labels() const override;
-  size_t TrainingSize() const override { return total_examples_; }
+  void Train(const Column& column, size_t row, LabelId label) override;
+  LabelId Classify(const Column& column, size_t row) const override;
 
   /// Log posterior (up to the shared evidence term) of `label` for the
   /// cell; -inf for labels never seen.  A NULL cell has no grams and scores
   /// the label's log prior.  Exposed for tests and the differential fuzzer.
-  double LogScore(const Column& column, size_t row,
-                  const std::string& label) const;
+  double LogScore(const Column& column, size_t row, LabelId label) const;
 
  private:
   struct LabelStats {
@@ -77,9 +72,9 @@ class NaiveBayesClassifier : public ValueClassifier {
     std::vector<double> counts;
   };
 
-  /// The finalized scoring model; labels in labels_ (lexicographic) order.
+  /// The finalized scoring model over the trained labels, in id order.
   struct Model {
-    std::vector<const std::string*> labels;
+    std::vector<LabelId> labels;
     std::vector<size_t> example_counts;
     std::vector<double> log_priors;
     /// (V + 1) x L, gram-major: log_prob[d * L + l].  Row V holds each
@@ -88,8 +83,7 @@ class NaiveBayesClassifier : public ValueClassifier {
   };
 
   /// Counts one example of `label` over dense gram indices.
-  void TrainIndices(const std::vector<uint32_t>& indices,
-                    const std::string& label);
+  void TrainIndices(const std::vector<uint32_t>& indices, LabelId label);
 
   /// Builds model_ on first use after training; thread-safe.
   const Model& Finalized() const;
@@ -100,10 +94,11 @@ class NaiveBayesClassifier : public ValueClassifier {
                 std::vector<double>* sums) const;
 
   /// Classify over pre-tokenized input (the shared tie-break loop).
-  std::string ClassifyTokens(const std::vector<GramId>& grams) const;
+  LabelId ClassifyTokens(const std::vector<GramId>& grams) const;
 
   size_t total_examples_ = 0;
-  std::map<std::string, LabelStats> labels_;
+  /// Indexed by label id; a label with example_count 0 was never trained.
+  std::vector<LabelStats> labels_;
   /// Gram -> dense index, assigned in first-seen training order; its size
   /// is the vocabulary size V.
   std::unordered_map<GramId, uint32_t> gram_index_;
@@ -120,7 +115,7 @@ class NaiveBayesClassifier : public ValueClassifier {
   mutable Model model_;
   mutable std::mutex memo_mu_;
   mutable std::unordered_map<const StringDictionary*,
-                             std::unordered_map<uint32_t, std::string>>
+                             std::unordered_map<uint32_t, LabelId>>
       classify_memo_;  // guarded by memo_mu_
 };
 

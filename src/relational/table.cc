@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "relational/table_view.h"
 
 namespace csm {
 
@@ -122,45 +123,7 @@ std::vector<Value> Table::ValueBag(size_t col_index) const {
 }
 
 std::map<Value, size_t> Table::ValueCounts(std::string_view attribute) const {
-  size_t col_index = schema_.AttributeIndex(attribute);
-  const Column& col = columns_[col_index];
-  std::map<Value, size_t> counts;
-  switch (col.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt: {
-      const auto& ints = col.ints();
-      const auto& nulls = col.null_mask();
-      for (size_t r = 0; r < num_rows_; ++r) {
-        if (!nulls[r]) ++counts[Value::Int(ints[r])];
-      }
-      break;
-    }
-    case ValueType::kReal: {
-      const auto& reals = col.reals();
-      const auto& nulls = col.null_mask();
-      for (size_t r = 0; r < num_rows_; ++r) {
-        if (!nulls[r]) ++counts[Value::Real(reals[r])];
-      }
-      break;
-    }
-    case ValueType::kString: {
-      // Count per dictionary code first (O(1) per row), then box only the
-      // distinct values.
-      std::vector<size_t> per_code(col.dictionary().size(), 0);
-      for (uint32_t code : col.codes()) {
-        if (code != kNullCode) ++per_code[code];
-      }
-      for (uint32_t code = 0; code < per_code.size(); ++code) {
-        if (per_code[code] > 0) {
-          counts.emplace(Value::String(col.dictionary().value(code)),
-                         per_code[code]);
-        }
-      }
-      break;
-    }
-  }
-  return counts;
+  return TableView(*this).ValueCounts(attribute);
 }
 
 Table Table::SelectRows(const std::vector<size_t>& indices) const {

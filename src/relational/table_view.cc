@@ -78,9 +78,16 @@ std::vector<Value> TableView::ValueBag(size_t col_index) const {
 }
 
 std::map<Value, size_t> TableView::ValueCounts(std::string_view attribute) const {
-  const size_t col_index = schema().AttributeIndex(attribute);
-  const Column& col = column(col_index);
-  const size_t n = num_rows();
+  const Column& col = column(schema().AttributeIndex(attribute));
+  // Visits each viewed row's base position; the identity view reads rows
+  // directly.
+  auto for_each_position = [&](auto&& visit) {
+    if (identity_) {
+      for (size_t p = 0; p < BaseRows(); ++p) visit(p);
+    } else {
+      for (RowId p : positions_) visit(p);
+    }
+  };
   std::map<Value, size_t> counts;
   switch (col.type()) {
     case ValueType::kNull:
@@ -88,28 +95,27 @@ std::map<Value, size_t> TableView::ValueCounts(std::string_view attribute) const
     case ValueType::kInt: {
       const auto& ints = col.ints();
       const auto& nulls = col.null_mask();
-      for (size_t r = 0; r < n; ++r) {
-        const RowId p = position(r);
+      for_each_position([&](size_t p) {
         if (!nulls[p]) ++counts[Value::Int(ints[p])];
-      }
+      });
       break;
     }
     case ValueType::kReal: {
       const auto& reals = col.reals();
       const auto& nulls = col.null_mask();
-      for (size_t r = 0; r < n; ++r) {
-        const RowId p = position(r);
+      for_each_position([&](size_t p) {
         if (!nulls[p]) ++counts[Value::Real(reals[p])];
-      }
+      });
       break;
     }
     case ValueType::kString: {
+      // Count per dictionary code first (O(1) per row), then box only the
+      // distinct values.
       std::vector<size_t> per_code(col.dictionary().size(), 0);
       const auto& codes = col.codes();
-      for (size_t r = 0; r < n; ++r) {
-        const uint32_t code = codes[position(r)];
-        if (code != kNullCode) ++per_code[code];
-      }
+      for_each_position([&](size_t p) {
+        if (codes[p] != kNullCode) ++per_code[codes[p]];
+      });
       for (uint32_t code = 0; code < per_code.size(); ++code) {
         if (per_code[code] > 0) {
           counts.emplace(Value::String(col.dictionary().value(code)),

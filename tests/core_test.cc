@@ -302,6 +302,68 @@ TEST(ClusteredViewGenTest, LabelTypeDoesNotChangeFamilies) {
   EXPECT_EQ(run(ValueType::kString), as_int);
 }
 
+TEST(ClusteredViewGenTest, RealsThatRenderAlikeAreTwoLabels) {
+  // 0.1234561 and 0.1234564 both render "0.123456" but are two values of
+  // l.  They share their evidence (book titles), so the classifier confuses
+  // them and EarlyDisjuncts merges them into one view; 0.5 (UPCs) stays
+  // apart.  Were the two one classifier label, they would never be
+  // confused and never merged.
+  const Value lo = R(0.1234561), hi = R(0.1234564), half = R(0.5);
+  ASSERT_EQ(lo.ToString(), hi.ToString());
+  Rng data_rng(33);
+  std::vector<Row> rows;
+  for (int i = 0; i < 240; ++i) {
+    const int k = i % 3;
+    rows.push_back({k == 0 ? lo : k == 1 ? hi : half,
+                    Value::String(k == 2 ? MakeUpc(data_rng)
+                                         : MakeBookTitle(data_rng))});
+  }
+  Table t = MakeTable("t", {"w", "text"}, rows);
+  Rng rng(34);
+  auto families = ClusteredViewGen(t, SrcFactory(), {}, {}, true, rng);
+  const std::set<std::vector<Value>> expected = {{lo, hi}, {half}};
+  bool found = false;
+  for (const ViewFamily& family : families) {
+    std::set<std::vector<Value>> groups;
+    for (const View& v : family.views) {
+      groups.insert(v.condition().clauses()[0].values);
+    }
+    if (groups == expected) found = true;
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(ClusteredViewGenTest, ExactTieBetweenNineAndTenGoesToTen) {
+  // Groups are numbered by their members' renderings: "10" < "9", so {10}
+  // gets the lower label and wins an exact classifier tie, although 9
+  // precedes 10 in Value order (atom 0).
+  const LabelAtoms atoms({I(9), I(10)});
+  const std::vector<AtomGroup> groups = {{0}, {1}};
+  const std::vector<LabelId> labels = NumberGroups(atoms, groups);
+  EXPECT_EQ(labels, (std::vector<LabelId>{1, 0}));
+  const Column cells = MakeColumn(ValueType::kString, {S("same")});
+  NaiveBayesClassifier nb;
+  for (size_t g = 0; g < groups.size(); ++g) nb.Train(cells, 0, labels[g]);
+  const LabelId winner = nb.Classify(cells, 0);
+  ASSERT_EQ(winner, labels[1]);
+  EXPECT_EQ(atoms.value(groups[1][0]), I(10));
+}
+
+TEST(ClusteredViewGenTest, GroupOrderFollowsRenderingsThenValues) {
+  // Renderings order element by element with a prefix first; groups whose
+  // renderings are all equal fall back to Value order.
+  const LabelAtoms atoms({R(0.1234561), R(0.1234564), I(1), I(9), I(10)});
+  EXPECT_LT(atoms.Key({2}), atoms.Key({2, 3}));  // "1" before "1","9"
+  EXPECT_LT(atoms.Key({2, 3}), atoms.Key({4}));  // "1" before "10"
+  EXPECT_LT(atoms.Key({4}), atoms.Key({3}));     // "10" before "9"
+  EXPECT_LT(atoms.Key({0}), atoms.Key({1}));     // alike: Value order
+  EXPECT_EQ(atoms.Key({0, 1}), atoms.Key({0, 1}));
+  EXPECT_EQ(MakeFamilyKey("l", atoms, {{3}, {2, 4}}),
+            MakeFamilyKey("l", atoms, {{2, 4}, {3}}));
+  EXPECT_LT(MakeFamilyKey("l", atoms, {{2}, {3, 4}}),
+            MakeFamilyKey("l", atoms, {{2, 4}, {3}}));
+}
+
 // ------------------------------------------------------------ NaiveInfer
 
 TEST(NaiveInferTest, EmitsEveryValueOfEveryCategoricalAttribute) {
@@ -430,23 +492,33 @@ TEST(SrcClassInferTest, ProposesOnlyInformativeFamilies) {
 TEST(TgtTagClassifierTest, TBagScoreAndBestCat) {
   const Column cells = MakeColumn(ValueType::kString,
                                   {S("x"), S("y"), S("z"), S("anything")});
-  TgtTagClassifier classifier(nullptr);  // every input tags as ""
-  classifier.Train(cells, 0, "1");
-  classifier.Train(cells, 1, "1");
-  classifier.Train(cells, 2, "2");
-  // Tag "" was seen 3 times; label 1 twice, label 2 once.
-  // score("", "1") = (2/3)*(2/2) = 0.667; score("", "2") = (1/3)*(1/1).
-  EXPECT_NEAR(classifier.Score("", "1"), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(classifier.Score("", "2"), 1.0 / 3.0, 1e-12);
-  EXPECT_EQ(classifier.BestCat(""), "1");
-  EXPECT_EQ(classifier.BestCat("never_seen_tag"), "1");  // most common
-  EXPECT_EQ(classifier.Classify(cells, 3), "1");
+  TgtTagClassifier classifier(nullptr);  // every input tags as kNoLabel
+  classifier.Train(cells, 0, 1);
+  classifier.Train(cells, 1, 1);
+  classifier.Train(cells, 2, 2);
+  // The tag was seen 3 times; label 1 twice, label 2 once.
+  // score(tag, 1) = (2/3)*(2/2) = 0.667; score(tag, 2) = (1/3)*(1/1).
+  EXPECT_NEAR(classifier.Score(kNoLabel, 1), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(classifier.Score(kNoLabel, 2), 1.0 / 3.0, 1e-12);
+  EXPECT_EQ(classifier.Score(kNoLabel, 0), 0.0);
+  EXPECT_EQ(classifier.BestCat(kNoLabel), 1u);
+  EXPECT_EQ(classifier.BestCat(7), 1u);  // unseen tag: most common
+  EXPECT_EQ(classifier.Classify(cells, 3), 1u);
+}
+
+TEST(TgtTagClassifierTest, UnseenTagTieGoesToLowerId) {
+  const Column cells = MakeColumn(ValueType::kString, {S("x")});
+  TgtTagClassifier classifier(nullptr);
+  EXPECT_EQ(classifier.Classify(cells, 0), kNoLabel);  // untrained
+  for (LabelId label : {6u, 4u, 6u, 4u}) classifier.Train(cells, 0, label);
+  EXPECT_EQ(classifier.BestCat(3), 4u);
 }
 
 TEST(TgtTagClassifierTest, DistinctTagsSeparateLabels) {
-  // Hand-built tagger: a trained NB that maps book-ish text to "Book.Title"
-  // and digits to "Music.UPC".  Even rows hold book titles, odd rows UPCs:
-  // rows 0..59 train the tagger, rows 60..119 the wrapper, 120..121 probe.
+  // Hand-built tagger: a trained NB that tags book-ish text 0 and digits 1.
+  // Even rows hold book titles, odd rows UPCs: rows 0..59 train the
+  // tagger, rows 60..119 the wrapper, 120..121 probe.
+  constexpr LabelId kBook = 0, kCd = 1;
   Rng rng(25);
   Column text(ValueType::kString);
   for (int i = 0; i < 61; ++i) {
@@ -454,30 +526,57 @@ TEST(TgtTagClassifierTest, DistinctTagsSeparateLabels) {
     text.Append(Value::String(MakeUpc(rng)));
   }
   auto tagger = std::make_shared<NaiveBayesClassifier>();
-  for (size_t r = 0; r < 60; ++r) {
-    tagger->Train(text, r, r % 2 == 0 ? "Book.Title" : "Music.UPC");
-  }
+  for (size_t r = 0; r < 60; ++r) tagger->Train(text, r, r % 2);
   TgtTagClassifier classifier(tagger);
   for (size_t r = 60; r < 120; ++r) {
-    classifier.Train(text, r, r % 2 == 0 ? "book" : "cd");
+    classifier.Train(text, r, r % 2 == 0 ? kBook : kCd);
   }
-  EXPECT_EQ(classifier.Classify(text, 120), "book");
-  EXPECT_EQ(classifier.Classify(text, 121), "cd");
+  EXPECT_EQ(classifier.Classify(text, 120), kBook);
+  EXPECT_EQ(classifier.Classify(text, 121), kCd);
 }
 
 TEST(CreateTargetClassifierTest, TrainsOnMatchingTypeOnly) {
+  // Labels rank the columns of each type family by "table.attr":
+  // albums.name (0) < books.title (1), albums.year (0) < books.cost (1).
   Database target("tgt");
   target.AddTable(MakeTable("books", {"title", "cost"},
                             {{S("the silent river"), R(12.0)},
                              {S("a winter garden"), R(15.0)}}));
+  target.AddTable(MakeTable("albums", {"name", "year"},
+                            {{S("velvet thunder"), I(1990)},
+                             {S("neon wolves"), I(1994)}}));
+  const Column texts = MakeColumn(
+      ValueType::kString, {S("the silent garden"), S("velvet wolves")});
+  const Column numbers = MakeColumn(ValueType::kReal, {R(13.0), R(1992.0)});
   auto string_classifier = CreateTargetClassifier(ValueType::kString, target);
   ASSERT_NE(string_classifier, nullptr);
-  EXPECT_EQ(string_classifier->Labels(),
-            (std::vector<std::string>{"books.title"}));
+  EXPECT_EQ(string_classifier->Classify(texts, 0), 1u);
+  EXPECT_EQ(string_classifier->Classify(texts, 1), 0u);
   auto numeric_classifier = CreateTargetClassifier(ValueType::kReal, target);
   ASSERT_NE(numeric_classifier, nullptr);
-  EXPECT_EQ(numeric_classifier->Labels(),
-            (std::vector<std::string>{"books.cost"}));
+  EXPECT_EQ(numeric_classifier->Classify(numbers, 0), 1u);
+  EXPECT_EQ(numeric_classifier->Classify(numbers, 1), 0u);
+}
+
+TEST(CreateTargetClassifierTest, ColumnsWhoseNamesCoincideAreTwoLabels) {
+  // "a.b" + "c" and "a" + "b.c" both name "a.b.c"; they stay two labels,
+  // numbered in table order.
+  Rng rng(26);
+  std::vector<Row> titles, upcs;
+  for (int i = 0; i < 30; ++i) {
+    titles.push_back({Value::String(MakeBookTitle(rng))});
+    upcs.push_back({Value::String(MakeUpc(rng))});
+  }
+  Database target("tgt");
+  target.AddTable(MakeTable("a.b", {"c"}, titles));
+  target.AddTable(MakeTable("a", {"b.c"}, upcs));
+  const Column probes = MakeColumn(
+      ValueType::kString,
+      {Value::String(MakeBookTitle(rng)), Value::String(MakeUpc(rng))});
+  auto classifier = CreateTargetClassifier(ValueType::kString, target);
+  ASSERT_NE(classifier, nullptr);
+  EXPECT_EQ(classifier->Classify(probes, 0), 0u);
+  EXPECT_EQ(classifier->Classify(probes, 1), 1u);
 }
 
 TEST(CreateTargetClassifierTest, NullWhenNoAttributeOfType) {

@@ -57,6 +57,11 @@ TEST(FuzzSmokeTest, ViewIdentity) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, LabelOrder) {
+  const Status status = check::FuzzLabelOrder(Options(150));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, Pipeline) {
   const Status status = check::FuzzPipeline(Options(40));
   EXPECT_TRUE(status.ok()) << status.ToString();

@@ -980,5 +980,45 @@ TEST(ClioTest, BuildSchemaMappingMinesPropagatesAndGenerates) {
   EXPECT_EQ(result.queries[0].logical.relations.size(), 2u);
 }
 
+TEST(ClioTest, ViewsThatShareANameBindAsTwoRelations) {
+  // 0.1234561 and 0.1234564 both render "0.123456", so both selected views
+  // are named t[w=0.123456].  The mapping must still read each view's own
+  // rows: the second relation is renamed, not bound to the first view.
+  Database db("src");
+  db.AddTable(MakeTable("t", {"w", "name"},
+                        {{R(0.1234561), S("ann")},
+                         {R(0.1234564), S("bob")},
+                         {R(0.5), S("cy")}}));
+  const std::vector<View> views = {
+      View("t[w=0.123456]", "t", Condition::Equals("w", R(0.1234561))),
+      View("t[w=0.123456]", "t", Condition::Equals("w", R(0.1234564)))};
+  Schema target("tgt");
+  TableSchema out("out");
+  out.AddAttribute("name", ValueType::kString);
+  target.AddTable(out);
+  MatchList matches;
+  for (const View& view : views) {
+    Match m;
+    m.source = {"t", "name"};
+    m.target = {"out", "name"};
+    m.condition = view.condition();
+    m.confidence = 0.9;
+    matches.push_back(m);
+  }
+  const SchemaMappingResult mapping =
+      BuildSchemaMapping(db, target, matches, views);
+  ASSERT_EQ(mapping.views.size(), 2u);
+  EXPECT_EQ(mapping.views[0].name(), "t[w=0.123456]");
+  EXPECT_EQ(mapping.views[1].name(), "t[w=0.123456]#2");
+  auto executed = ExecuteMappings(mapping.queries, db, mapping.views, target);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  std::set<std::string> names;
+  const Table& rows = executed->GetTable("out");
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    names.insert(rows.ValueAt(r, 0).ToString());
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"ann", "bob"}));
+}
+
 }  // namespace
 }  // namespace csm

@@ -25,9 +25,9 @@ using testing::S;
 struct Examples {
   explicit Examples(ValueType type) : column(type) {}
 
-  void Add(const Value& cell, std::string label) {
+  void Add(const Value& cell, LabelId label) {
     column.Append(cell);
-    labels.push_back(std::move(label));
+    labels.push_back(label);
   }
 
   void TrainInto(ValueClassifier& classifier) const {
@@ -37,10 +37,13 @@ struct Examples {
   }
 
   Column column;
-  std::vector<std::string> labels;
+  std::vector<LabelId> labels;
 };
 
 // ------------------------------------------------------------ NaiveBayes
+
+constexpr LabelId kBook = 0;
+constexpr LabelId kCd = 1;
 
 const Examples& BookCdExamples() {
   static const Examples* examples = [] {
@@ -50,8 +53,8 @@ const Examples& BookCdExamples() {
                            "the paper ocean"};
     const char* cds[] = {"velvet thunder", "neon wolves live", "cobalt drift",
                          "static bloom remix", "echo parade"};
-    for (const char* b : books) out->Add(S(b), "book");
-    for (const char* c : cds) out->Add(S(c), "cd");
+    for (const char* b : books) out->Add(S(b), kBook);
+    for (const char* c : cds) out->Add(S(c), kCd);
     return out;
   }();
   return *examples;
@@ -67,56 +70,65 @@ TEST(NaiveBayesTest, ClassifiesTrainingLikeInputs) {
   const Column probes = MakeColumn(
       ValueType::kString, {S("the silent kingdom"), S("velvet drift")});
   NaiveBayesClassifier nb = TrainedBookCdClassifier();
-  EXPECT_EQ(nb.Classify(probes, 0), "book");
-  EXPECT_EQ(nb.Classify(probes, 1), "cd");
-}
-
-TEST(NaiveBayesTest, LabelsAndTrainingSize) {
-  NaiveBayesClassifier nb = TrainedBookCdClassifier();
-  EXPECT_EQ(nb.Labels(), (std::vector<std::string>{"book", "cd"}));
-  EXPECT_EQ(nb.TrainingSize(), 10u);
+  EXPECT_EQ(nb.Classify(probes, 0), kBook);
+  EXPECT_EQ(nb.Classify(probes, 1), kCd);
 }
 
 TEST(NaiveBayesTest, UntrainedReturnsEmpty) {
   const Column probes = MakeColumn(ValueType::kString, {S("anything")});
   NaiveBayesClassifier nb;
-  EXPECT_EQ(nb.Classify(probes, 0), "");
-  EXPECT_TRUE(nb.Labels().empty());
+  EXPECT_EQ(nb.Classify(probes, 0), kNoLabel);
 }
 
 TEST(NaiveBayesTest, NullInputsIgnored) {
   const Column cells = MakeColumn(ValueType::kString, {N(), S("abc")});
   const Column all_null = MakeColumn(ValueType::kNull, {N()});
   NaiveBayesClassifier nb;
-  nb.Train(cells, 0, "x");
-  nb.Train(all_null, 0, "x");
-  EXPECT_EQ(nb.TrainingSize(), 0u);
-  nb.Train(cells, 1, "x");
-  EXPECT_EQ(nb.Classify(cells, 0), "");
-  EXPECT_EQ(nb.Classify(all_null, 0), "");
+  nb.Train(cells, 0, 0);
+  nb.Train(all_null, 0, 0);
+  EXPECT_EQ(nb.Classify(cells, 1), kNoLabel) << "NULL cells trained nothing";
+  nb.Train(cells, 1, 0);
+  EXPECT_EQ(nb.Classify(cells, 1), 0u);
+  EXPECT_EQ(nb.Classify(cells, 0), kNoLabel);
+  EXPECT_EQ(nb.Classify(all_null, 0), kNoLabel);
 }
 
 TEST(NaiveBayesTest, LogScoreOrdersLabels) {
   const Column probes = MakeColumn(ValueType::kString, {S("the silent garden")});
   NaiveBayesClassifier nb = TrainedBookCdClassifier();
-  EXPECT_GT(nb.LogScore(probes, 0, "book"), nb.LogScore(probes, 0, "cd"));
-  EXPECT_EQ(nb.LogScore(probes, 0, "unknown_label"),
+  EXPECT_GT(nb.LogScore(probes, 0, kBook), nb.LogScore(probes, 0, kCd));
+  EXPECT_EQ(nb.LogScore(probes, 0, 7),
+            -std::numeric_limits<double>::infinity());
+}
+
+TEST(NaiveBayesTest, ExactTieGoesToLowerId) {
+  // Labels 5 and 3 train on the same two cells, so they score alike on
+  // every probe, and both beat label 1 (one cell) on the trained text; the
+  // lower id wins.  Ids 0, 2 and 4 were never trained and are no labels.
+  const Column cells = MakeColumn(ValueType::kString, {S("same")});
+  NaiveBayesClassifier nb;
+  for (LabelId label : {5u, 3u, 1u, 5u, 3u}) nb.Train(cells, 0, label);
+  EXPECT_EQ(nb.Classify(cells, 0), 3u);
+  EXPECT_EQ(nb.LogScore(cells, 0, 3), nb.LogScore(cells, 0, 5));
+  EXPECT_GT(nb.LogScore(cells, 0, 3), nb.LogScore(cells, 0, 1));
+  EXPECT_EQ(nb.LogScore(cells, 0, 4),
             -std::numeric_limits<double>::infinity());
 }
 
 TEST(NaiveBayesTest, UnseenInputGetsDeterministicTrainedLabel) {
   Examples examples(ValueType::kString);
-  examples.Add(S("aaa"), "major");
-  examples.Add(S("aab"), "major");
-  examples.Add(S("aac"), "major");
-  examples.Add(S("zzz"), "minor");
+  constexpr LabelId kMajor = 0, kMinor = 1;
+  examples.Add(S("aaa"), kMajor);
+  examples.Add(S("aab"), kMajor);
+  examples.Add(S("aac"), kMajor);
+  examples.Add(S("zzz"), kMinor);
   const Column probes = MakeColumn(ValueType::kString, {S("qqq"), S("qqq")});
   NaiveBayesClassifier nb;
   examples.TrainInto(nb);
   // Input sharing no informative grams still classifies to some trained
   // label, deterministically (row 1 is a second cell of the same value).
-  std::string first = nb.Classify(probes, 0);
-  EXPECT_TRUE(first == "major" || first == "minor");
+  const LabelId first = nb.Classify(probes, 0);
+  EXPECT_TRUE(first == kMajor || first == kMinor);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(nb.Classify(probes, static_cast<size_t>(i % 2)), first);
   }
@@ -136,9 +148,9 @@ TEST(NaiveBayesTest, ClassifyCodedMemoizesPerDistinctValue) {
   const Column cells =
       MakeColumn(ValueType::kString, {S("aaa"), S("zzz"), S("aab"), S("aab")});
   NaiveBayesClassifier nb;
-  nb.Train(cells, 0, "a");
-  nb.Train(cells, 1, "z");
-  const std::string first = nb.Classify(cells, 2);
+  nb.Train(cells, 0, 0);
+  nb.Train(cells, 1, 1);
+  const LabelId first = nb.Classify(cells, 2);
   const uint64_t hits_before =
       GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
   for (int i = 0; i < 10; ++i) {
@@ -152,32 +164,36 @@ TEST(NaiveBayesTest, ClassifyCodedMemoizesPerDistinctValue) {
 
 TEST(NaiveBayesTest, TrainingAfterClassifyInvalidatesMemo) {
   const Column cells = MakeColumn(ValueType::kString, {S("aaa"), S("aaz")});
+  constexpr LabelId kA = 0, kZ = 1;
   NaiveBayesClassifier nb;
-  nb.Train(cells, 0, "a");
-  EXPECT_EQ(nb.Classify(cells, 1), "a");
+  nb.Train(cells, 0, kA);
+  EXPECT_EQ(nb.Classify(cells, 1), kA);
   // Flood a second label with the probe's own value; the classifier must
-  // re-score, not replay the memoized "a".
-  for (int i = 0; i < 20; ++i) nb.Train(cells, 1, "z");
+  // re-score, not replay the memoized kA.
+  for (int i = 0; i < 20; ++i) nb.Train(cells, 1, kZ);
   NaiveBayesClassifier fresh;
-  fresh.Train(cells, 0, "a");
-  for (int i = 0; i < 20; ++i) fresh.Train(cells, 1, "z");
-  EXPECT_EQ(fresh.Classify(cells, 1), "z");
+  fresh.Train(cells, 0, kA);
+  for (int i = 0; i < 20; ++i) fresh.Train(cells, 1, kZ);
+  EXPECT_EQ(fresh.Classify(cells, 1), kZ);
   EXPECT_EQ(nb.Classify(cells, 1), fresh.Classify(cells, 1));
 }
 
 TEST(NaiveBayesTest, NonStringColumnDies) {
   const Column numbers = MakeColumn(ValueType::kInt, {I(7)});
   NaiveBayesClassifier nb;
-  EXPECT_DEATH(nb.Train(numbers, 0, "x"), "reads string columns");
+  EXPECT_DEATH(nb.Train(numbers, 0, 0), "reads string columns");
 }
 
 // -------------------------------------------------------------- Gaussian
 
+constexpr LabelId kLow = 0;
+constexpr LabelId kHigh = 1;
+
 Examples GaussianExamples(double sigma, Rng& rng) {
   Examples examples(ValueType::kReal);
   for (int i = 0; i < 200; ++i) {
-    examples.Add(R(rng.NextGaussian(10.0, sigma)), "low");
-    examples.Add(R(rng.NextGaussian(50.0, sigma)), "high");
+    examples.Add(R(rng.NextGaussian(10.0, sigma)), kLow);
+    examples.Add(R(rng.NextGaussian(50.0, sigma)), kHigh);
   }
   return examples;
 }
@@ -189,9 +205,9 @@ TEST(GaussianTest, SeparatesWellSeparatedClasses) {
   const Column int_probes = MakeColumn(ValueType::kInt, {I(9)});
   GaussianClassifier g;
   examples.TrainInto(g);
-  EXPECT_EQ(g.Classify(probes, 0), "low");
-  EXPECT_EQ(g.Classify(probes, 1), "high");
-  EXPECT_EQ(g.Classify(int_probes, 0), "low");  // ints widen
+  EXPECT_EQ(g.Classify(probes, 0), kLow);
+  EXPECT_EQ(g.Classify(probes, 1), kHigh);
+  EXPECT_EQ(g.Classify(int_probes, 0), kLow);  // ints widen
 }
 
 TEST(GaussianTest, MidpointGoesToCloserMean) {
@@ -200,88 +216,104 @@ TEST(GaussianTest, MidpointGoesToCloserMean) {
   const Column probes = MakeColumn(ValueType::kReal, {R(20.0), R(40.0)});
   GaussianClassifier g;
   examples.TrainInto(g);
-  EXPECT_EQ(g.Classify(probes, 0), "low");
-  EXPECT_EQ(g.Classify(probes, 1), "high");
+  EXPECT_EQ(g.Classify(probes, 0), kLow);
+  EXPECT_EQ(g.Classify(probes, 1), kHigh);
 }
 
 TEST(GaussianTest, PriorsMatterForImbalancedData) {
   Rng rng(19);
+  constexpr LabelId kCommon = 0, kRare = 1;
   Examples examples(ValueType::kReal);
   for (int i = 0; i < 900; ++i) {
-    examples.Add(R(rng.NextGaussian(0.0, 10.0)), "common");
+    examples.Add(R(rng.NextGaussian(0.0, 10.0)), kCommon);
   }
   for (int i = 0; i < 10; ++i) {
-    examples.Add(R(rng.NextGaussian(5.0, 10.0)), "rare");
+    examples.Add(R(rng.NextGaussian(5.0, 10.0)), kRare);
   }
   const Column probes = MakeColumn(ValueType::kReal, {R(2.5)});
   GaussianClassifier g;
   examples.TrainInto(g);
   // Near the rare mean but the common prior dominates at equal likelihood
   // distance.
-  EXPECT_EQ(g.Classify(probes, 0), "common");
+  EXPECT_EQ(g.Classify(probes, 0), kCommon);
 }
 
 TEST(GaussianTest, ConstantClassHandledByStdDevFloor) {
+  constexpr LabelId kConst = 0, kSpread = 1;
   Examples examples(ValueType::kReal);
-  for (int i = 0; i < 10; ++i) examples.Add(R(5.0), "const");
+  for (int i = 0; i < 10; ++i) examples.Add(R(5.0), kConst);
   for (int i = 0; i < 10; ++i) {
-    examples.Add(R(20.0 + static_cast<double>(i)), "spread");
+    examples.Add(R(20.0 + static_cast<double>(i)), kSpread);
   }
   const Column probes = MakeColumn(ValueType::kReal, {R(5.0), R(24.0)});
   GaussianClassifier g;
   examples.TrainInto(g);
-  EXPECT_EQ(g.Classify(probes, 0), "const");
-  EXPECT_EQ(g.Classify(probes, 1), "spread");
+  EXPECT_EQ(g.Classify(probes, 0), kConst);
+  EXPECT_EQ(g.Classify(probes, 1), kSpread);
 }
 
 TEST(GaussianTest, LogScoreUnknownLabelIsMinusInfinity) {
   const Column cells = MakeColumn(ValueType::kReal, {R(1.0)});
   GaussianClassifier g;
-  g.Train(cells, 0, "a");
-  EXPECT_EQ(g.LogScore(1.0, "zzz"),
-            -std::numeric_limits<double>::infinity());
+  g.Train(cells, 0, 2);
+  EXPECT_EQ(g.LogScore(1.0, 0), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(g.LogScore(1.0, 9), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(g.Classify(cells, 0), 2u);
+}
+
+TEST(GaussianTest, ExactTieGoesToLowerId) {
+  // Labels 4 and 1 hold the same cells, so they score alike everywhere;
+  // the lower id wins.
+  const Column cells = MakeColumn(ValueType::kReal, {R(1.0), R(3.0)});
+  GaussianClassifier g;
+  for (LabelId label : {4u, 1u}) {
+    g.Train(cells, 0, label);
+    g.Train(cells, 1, label);
+  }
+  EXPECT_EQ(g.Classify(cells, 0), 1u);
+  EXPECT_EQ(g.Classify(cells, 1), 1u);
 }
 
 TEST(GaussianTest, NanTrainingCellDoesNotSilenceItsLabel) {
   // A NaN among A's cells is skipped.  Folded into A's statistics it would
   // make A score NaN, which never wins a comparison, so a probe in A's
   // range would go to B.
+  constexpr LabelId kA = 0, kB = 1;
   Examples examples(ValueType::kReal);
   for (double x : {1.0, 2.0, 3.0, std::numeric_limits<double>::quiet_NaN()}) {
-    examples.Add(R(x), "A");
+    examples.Add(R(x), kA);
   }
-  for (double x : {10.0, 11.0, 12.0}) examples.Add(R(x), "B");
+  for (double x : {10.0, 11.0, 12.0}) examples.Add(R(x), kB);
   const Column probes = MakeColumn(ValueType::kReal, {R(2.0)});
   GaussianClassifier g;
   examples.TrainInto(g);
-  EXPECT_EQ(g.TrainingSize(), 6u);
-  EXPECT_EQ(g.Classify(probes, 0), "A");
+  EXPECT_EQ(g.Classify(probes, 0), kA);
 }
 
 TEST(GaussianTest, InfiniteTrainingCellDoesNotSilenceItsLabel) {
+  constexpr LabelId kA = 0, kB = 1;
   Examples examples(ValueType::kReal);
-  for (double x : {1.0, 2.0, 3.0}) examples.Add(R(x), "A");
+  for (double x : {1.0, 2.0, 3.0}) examples.Add(R(x), kA);
   for (double x : {10.0, 11.0, 12.0, std::numeric_limits<double>::infinity()}) {
-    examples.Add(R(x), "B");
+    examples.Add(R(x), kB);
   }
   const Column probes = MakeColumn(ValueType::kReal, {R(11.0)});
   GaussianClassifier g;
   examples.TrainInto(g);
-  EXPECT_EQ(g.TrainingSize(), 6u);
-  EXPECT_EQ(g.Classify(probes, 0), "B");
+  EXPECT_EQ(g.Classify(probes, 0), kB);
 }
 
 TEST(GaussianTest, NonFiniteCellClassifiesAsMissing) {
   Examples examples(ValueType::kReal);
-  examples.Add(R(1.0), "A");
-  examples.Add(R(10.0), "B");
+  examples.Add(R(1.0), 0);
+  examples.Add(R(10.0), 1);
   const Column probes = MakeColumn(
       ValueType::kReal, {R(std::numeric_limits<double>::quiet_NaN()),
                          R(-std::numeric_limits<double>::infinity()), N()});
   GaussianClassifier g;
   examples.TrainInto(g);
   for (size_t r = 0; r < probes.size(); ++r) {
-    EXPECT_EQ(g.Classify(probes, r), "") << "row " << r;
+    EXPECT_EQ(g.Classify(probes, r), kNoLabel) << "row " << r;
   }
 }
 
@@ -289,37 +321,27 @@ TEST(GaussianTest, NonFiniteCellClassifiesAsMissing) {
 
 TEST(EvaluationTest, AccuracyAndCounts) {
   ClassifierEvaluation e;
-  e.Observe("a", "a");
-  e.Observe("a", "b");
-  e.Observe("b", "b");
-  e.Observe("b", "b");
+  e.Observe(0, 0);
+  e.Observe(0, 1);
+  e.Observe(1, 1);
+  e.Observe(1, 1);
   EXPECT_EQ(e.total(), 4u);
   EXPECT_EQ(e.correct(), 3u);
-  EXPECT_DOUBLE_EQ(e.Accuracy(), 0.75);
+  EXPECT_EQ(e.actual_count(0), 2u);
+  EXPECT_EQ(e.actual_count(1), 2u);
+  EXPECT_EQ(e.actual_count(7), 0u);
 }
 
 TEST(EvaluationTest, MicroAveragesEqualAccuracyForSingleLabel) {
-  // Single-label multi-class: micro P == micro R == accuracy.
+  // Single-label multi-class: micro P == micro R == accuracy, so F1 is
+  // the accuracy too.
   ClassifierEvaluation e;
-  e.Observe("a", "a");
-  e.Observe("a", "b");
-  e.Observe("b", "a");
-  e.Observe("c", "c");
-  EXPECT_DOUBLE_EQ(e.MicroPrecision(), e.Accuracy());
-  EXPECT_DOUBLE_EQ(e.MicroRecall(), e.Accuracy());
-  EXPECT_DOUBLE_EQ(e.MicroF(1.0), e.Accuracy());
-}
-
-TEST(EvaluationTest, PerLabelPrecisionRecall) {
-  ClassifierEvaluation e;
-  e.Observe("a", "a");  // a: TP
-  e.Observe("a", "b");  // a: FN, b: FP
-  e.Observe("b", "b");  // b: TP
-  EXPECT_DOUBLE_EQ(e.LabelPrecision("a"), 1.0);
-  EXPECT_DOUBLE_EQ(e.LabelRecall("a"), 0.5);
-  EXPECT_DOUBLE_EQ(e.LabelPrecision("b"), 0.5);
-  EXPECT_DOUBLE_EQ(e.LabelRecall("b"), 1.0);
-  EXPECT_DOUBLE_EQ(e.LabelPrecision("zzz"), 0.0);
+  e.Observe(0, 0);
+  e.Observe(0, 1);
+  e.Observe(1, 0);
+  e.Observe(2, 2);
+  EXPECT_DOUBLE_EQ(e.F1(), 0.5);
+  EXPECT_EQ(e.F1(), FBeta(0.5, 0.5));
 }
 
 TEST(EvaluationTest, FBetaFormula) {
@@ -330,67 +352,79 @@ TEST(EvaluationTest, FBetaFormula) {
   EXPECT_GT(FBeta(0.5, 1.0, 2.0), FBeta(1.0, 0.5, 2.0));
 }
 
-TEST(EvaluationTest, MacroFAveragesLabels) {
-  ClassifierEvaluation e;
-  e.Observe("a", "a");
-  e.Observe("b", "a");
-  // a: P=0.5, R=1 -> F=2/3; b: P=0, R=0 -> F=0.
-  EXPECT_NEAR(e.MacroF(1.0), (2.0 / 3.0) / 2.0, 1e-12);
-}
-
 TEST(EvaluationTest, ErrorPairsAreUnordered) {
   ClassifierEvaluation e;
-  e.Observe("x", "y");
-  e.Observe("y", "x");
-  e.Observe("x", "z");
+  e.Observe(5, 3);
+  e.Observe(3, 5);
+  e.Observe(5, 9);
   const auto& pairs = e.error_pairs();
   EXPECT_EQ(pairs.size(), 2u);
-  EXPECT_EQ(pairs.at(MakeErrorPair("y", "x")), 2u);
-  EXPECT_EQ(pairs.at(MakeErrorPair("x", "z")), 1u);
+  EXPECT_EQ(pairs.at(LabelPair{3, 5}), 2u);
+  EXPECT_EQ(pairs.at(LabelPair{5, 9}), 1u);
 }
 
-TEST(EvaluationTest, MakeErrorPairCanonicalizes) {
-  EXPECT_EQ(MakeErrorPair("b", "a"), MakeErrorPair("a", "b"));
-  EXPECT_EQ(MakeErrorPair("a", "b").first, "a");
+TEST(EvaluationTest, NoLabelPredictionIsAnErrorButNoPair) {
+  ClassifierEvaluation e;
+  e.Observe(0, kNoLabel);
+  e.Observe(0, 0);
+  EXPECT_EQ(e.total(), 2u);
+  EXPECT_EQ(e.correct(), 1u);
+  EXPECT_TRUE(e.error_pairs().empty());
+  EXPECT_TRUE(e.RankedPairs().empty());
 }
 
 TEST(EvaluationTest, NormalizedErrorPairsRankByRelativeConfusion) {
+  constexpr LabelId kBig1 = 0, kBig2 = 1, kSmall1 = 2, kSmall2 = 3;
   ClassifierEvaluation e;
-  // "big1"/"big2": 100 observations each, 10 confusions -> 10/200 = 0.05.
+  // big1/big2: 100 observations each, 10 confusions -> 10/200 = 0.05.
   for (int i = 0; i < 90; ++i) {
-    e.Observe("big1", "big1");
-    e.Observe("big2", "big2");
+    e.Observe(kBig1, kBig1);
+    e.Observe(kBig2, kBig2);
   }
   for (int i = 0; i < 10; ++i) {
-    e.Observe("big1", "big2");
-    e.Observe("big2", "big2");
+    e.Observe(kBig1, kBig2);
+    e.Observe(kBig2, kBig2);
   }
-  // "small1"/"small2": 5 observations each, 3 confusions -> 3/10 = 0.3.
+  // small1/small2: 5 observations each, 3 confusions -> 3/10 = 0.3.
   for (int i = 0; i < 2; ++i) {
-    e.Observe("small1", "small1");
-    e.Observe("small2", "small2");
+    e.Observe(kSmall1, kSmall1);
+    e.Observe(kSmall2, kSmall2);
   }
   for (int i = 0; i < 3; ++i) {
-    e.Observe("small1", "small2");
-    e.Observe("small2", "small1");
+    e.Observe(kSmall1, kSmall2);
+    e.Observe(kSmall2, kSmall1);
   }
-  auto ranked = e.NormalizedErrorPairs();
-  ASSERT_FALSE(ranked.empty());
-  EXPECT_EQ(ranked[0].first, MakeErrorPair("small1", "small2"));
+  auto ranked = e.RankedPairs();
+  ASSERT_EQ(ranked.size(), 2u);
+  EXPECT_EQ(ranked[0].first, (LabelPair{kSmall1, kSmall2}));
+  EXPECT_DOUBLE_EQ(ranked[0].second, 0.6);
+  EXPECT_EQ(ranked[1].first, (LabelPair{kBig1, kBig2}));
+}
+
+TEST(EvaluationTest, NormalizedErrorPairTiesGoToTheLowerPair) {
+  ClassifierEvaluation e;
+  e.Observe(4, 6);
+  e.Observe(1, 2);
+  e.Observe(6, 4);
+  e.Observe(2, 1);
+  auto ranked = e.RankedPairs();
+  ASSERT_EQ(ranked.size(), 2u);
+  EXPECT_EQ(ranked[0].first, (LabelPair{1, 2}));
+  EXPECT_EQ(ranked[1].first, (LabelPair{4, 6}));
 }
 
 TEST(EvaluationTest, NoErrorsMeansEmptyPairs) {
   ClassifierEvaluation e;
-  e.Observe("a", "a");
+  e.Observe(0, 0);
   EXPECT_TRUE(e.error_pairs().empty());
-  EXPECT_TRUE(e.NormalizedErrorPairs().empty());
+  EXPECT_TRUE(e.RankedPairs().empty());
 }
 
 TEST(EvaluationTest, EmptyEvaluationIsZero) {
   ClassifierEvaluation e;
-  EXPECT_DOUBLE_EQ(e.Accuracy(), 0.0);
-  EXPECT_DOUBLE_EQ(e.MicroF(1.0), 0.0);
-  EXPECT_TRUE(e.Labels().empty());
+  EXPECT_EQ(e.total(), 0u);
+  EXPECT_DOUBLE_EQ(e.F1(), 0.0);
+  EXPECT_TRUE(e.error_pairs().empty());
 }
 
 // Parameterized sweep: NB accuracy should degrade gracefully as the two
@@ -415,12 +449,12 @@ TEST_P(NaiveBayesOverlapTest, AccuracyAboveChance) {
   };
   Examples train(ValueType::kString), test(ValueType::kString);
   for (int i = 0; i < 60; ++i) {
-    train.Add(Value::String(sentence(vocab_a)), "a");
-    train.Add(Value::String(sentence(vocab_b)), "b");
+    train.Add(Value::String(sentence(vocab_a)), 0);
+    train.Add(Value::String(sentence(vocab_b)), 1);
   }
   for (int i = 0; i < 100; ++i) {
-    test.Add(Value::String(sentence(vocab_a)), "a");
-    test.Add(Value::String(sentence(vocab_b)), "b");
+    test.Add(Value::String(sentence(vocab_a)), 0);
+    test.Add(Value::String(sentence(vocab_b)), 1);
   }
   NaiveBayesClassifier nb;
   train.TrainInto(nb);
@@ -429,7 +463,10 @@ TEST_P(NaiveBayesOverlapTest, AccuracyAboveChance) {
     eval.Observe(test.labels[r], nb.Classify(test.column, r));
   }
   // Even at 70% vocabulary overlap the classifier must beat chance.
-  EXPECT_GT(eval.Accuracy(), 0.55) << "shared=" << shared;
+  EXPECT_GT(static_cast<double>(eval.correct()) /
+                static_cast<double>(eval.total()),
+            0.55)
+      << "shared=" << shared;
 }
 
 INSTANTIATE_TEST_SUITE_P(OverlapSweep, NaiveBayesOverlapTest,

@@ -146,7 +146,7 @@ TEST_P(SeededPropertyTest, NaiveBayesTrainingOrderInvariant) {
     text.Append(Value::String(rng.NextBernoulli(0.5) ? MakeBookTitle(rng)
                                                      : MakeUpc(rng)));
   }
-  auto label = [](size_t r) { return r % 2 == 0 ? "book" : "cd"; };
+  auto label = [](size_t r) { return static_cast<LabelId>(r % 2); };
   NaiveBayesClassifier forward, backward;
   for (size_t r = 0; r < num_examples; ++r) forward.Train(text, r, label(r));
   for (size_t r = num_examples; r-- > 0;) backward.Train(text, r, label(r));

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -20,6 +21,7 @@
 
 #include "check/fingerprint.h"
 #include "core/match_engine.h"
+#include "core/session_store.h"
 #include "datagen/retail_gen.h"
 #include "service/disk_store.h"
 #include "service/match_service.h"
@@ -379,6 +381,71 @@ TEST(ColdStoreTest, CorruptBlobFallsBackToFreshBuild) {
   EXPECT_GE(metrics.Counter("engine.session_cold_invalid"), 1u);
   // The fallback build re-stored a good blob over the corrupt one.
   EXPECT_EQ(reader.session_cold_stores(), 1u);
+
+  std::filesystem::remove_all(dir);
+}
+
+/// `blob` with the last target attribute's score dropped from every row of
+/// every session grid: still well framed, but one target attribute short.
+std::string DropLastTargetScore(const std::string& blob) {
+  std::string out;
+  size_t pos = 0;
+  while (pos < blob.size()) {
+    const size_t end = blob.find('\n', pos);
+    std::string line = blob.substr(pos, end - pos);
+    pos = end + 1;
+    size_t matchers = 0, sources = 0, targets = 0;
+    if (std::sscanf(line.c_str(), "scores %zu %zu %zu", &matchers, &sources,
+                    &targets) == 3) {
+      line = "scores " + std::to_string(matchers) + " " +
+             std::to_string(sources) + " " + std::to_string(targets - 1);
+    } else if (line.rfind("csm-sessions", 0) != 0 &&
+               line.rfind("table", 0) != 0) {
+      line.erase(line.rfind(' '));  // a score row
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+TEST(ColdStoreTest, BlobShortOfATargetAttributeFallsBackToFreshBuild) {
+  const std::string dir = FreshSpoolDir("short_grid");
+  RetailDataset data = SmallRetail(5);
+  DiskSessionStore store(dir);
+
+  MatchEngine writer(FastEngine());
+  writer.set_cold_store(&store);
+  const std::string fresh =
+      check::FingerprintResult(writer.Execute(RequestOver(data, 0)).result);
+
+  std::vector<uint64_t> keys;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".csmss") continue;
+    keys.push_back(std::stoull(entry.path().stem().string(), nullptr, 16));
+  }
+  ASSERT_GT(keys.size(), 0u);
+  for (uint64_t key : keys) {
+    std::string blob;
+    ASSERT_TRUE(store.Load(key, &blob));
+    const std::string short_blob = DropLastTargetScore(blob);
+    const auto parsed =
+        ParseSessionScores(short_blob, data.source, data.target);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("fit the target schema"),
+              std::string::npos)
+        << parsed.status().ToString();
+    ASSERT_TRUE(store.Store(key, short_blob));
+  }
+
+  obs::MetricsRegistry metrics;
+  MatchEngine reader(FastEngine());
+  reader.set_cold_store(&store);
+  reader.set_metrics(&metrics);
+  const std::string rebuilt =
+      check::FingerprintResult(reader.Execute(RequestOver(data, 0)).result);
+  EXPECT_EQ(fresh, rebuilt);
+  EXPECT_EQ(reader.session_cold_hits(), 0u);
+  EXPECT_EQ(metrics.Counter("engine.session_cold_invalid"), 1u);
 
   std::filesystem::remove_all(dir);
 }
