@@ -1,12 +1,15 @@
 #include "check/golden.h"
 
+#include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "check/fingerprint.h"
 #include "common/fault_injector.h"
 #include "common/logging.h"
 #include "core/match_engine.h"
+#include "core/view_inference.h"
 #include "datagen/grades_gen.h"
 #include "datagen/retail_gen.h"
 #include "mapping/clio.h"
@@ -191,6 +194,48 @@ std::string RunGradesTransform() {
   return TransformToCsv(data.source, data.target, o);
 }
 
+std::string HexFloat(double x) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%a", x);
+  return buffer;
+}
+
+/// ClusteredViewGen's merge loop at Retail gamma 8 under EarlyDisjuncts:
+/// every candidate `kind` proposes on each source table, with the family's
+/// evidence attribute, F1 and significance as hexfloats.  ItemType's eight
+/// values merge several times per cell, over text and numeric evidence.
+std::string InferEarlyFamilies(ViewInferenceKind kind, uint64_t data_seed,
+                               uint64_t rng_seed) {
+  const RetailDataset data = Retail(400, 8, data_seed);
+  ContextMatchOptions o;
+  o.early_disjuncts = true;
+  const std::unique_ptr<ViewInference> inference = MakeViewInference(kind, o);
+  const MatchList matches(1);  // inference runs only after some match
+  std::string out;
+  for (const Table& table : data.source.tables()) {
+    InferenceInput input;
+    input.source_sample = table;
+    input.target_sample = &data.target;
+    input.matches = &matches;
+    input.early_disjuncts = true;
+    Rng rng(rng_seed);
+    for (const CandidateView& c : inference->InferCandidateViews(input, rng)) {
+      out += c.view.name() + "|" + c.view.condition().ToString() + "|" +
+             c.evidence_attribute + "|f1=" + HexFloat(c.family_f1) +
+             "|significance=" + HexFloat(c.family_significance) + "\n";
+    }
+  }
+  return out;
+}
+
+std::string RunRetailSrcClassEarlyFamilies() {
+  return InferEarlyFamilies(ViewInferenceKind::kSrcClass, 17, 18);
+}
+
+std::string RunRetailTgtClassEarlyFamilies() {
+  return InferEarlyFamilies(ViewInferenceKind::kTgtClass, 19, 20);
+}
+
 struct GoldenCase {
   const char* name;
   std::string (*run)();
@@ -206,6 +251,8 @@ constexpr GoldenCase kCases[] = {
     {"retail_target_context", &RunRetailTargetContext},
     {"retail_transform", &RunRetailTransform},
     {"grades_transform", &RunGradesTransform},
+    {"retail_srcclass_early_families", &RunRetailSrcClassEarlyFamilies},
+    {"retail_tgtclass_early_families", &RunRetailTgtClassEarlyFamilies},
 };
 
 std::string FirstDiffLine(const std::string& expected,
