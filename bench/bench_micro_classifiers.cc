@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "core/clustered_view_gen.h"
+#include "core/src_class_infer.h"
 #include "datagen/retail_gen.h"
 #include "datagen/wordlists.h"
 #include "ml/gaussian_classifier.h"
@@ -83,13 +84,7 @@ BENCHMARK(BM_GaussianClassify);
 
 void BM_ClusteredViewGen(benchmark::State& state) {
   const Table& inv = SharedData().source.GetTable("inventory");
-  ClassifierFactory factory =
-      [](ValueType type) -> std::unique_ptr<ValueClassifier> {
-    if (type == ValueType::kInt || type == ValueType::kReal) {
-      return std::make_unique<GaussianClassifier>();
-    }
-    return std::make_unique<NaiveBayesClassifier>();
-  };
+  const ClassifierFactory factory = SrcClassifierFactory();
   bool early = state.range(0) != 0;
   for (auto _ : state) {
     Rng rng(9);

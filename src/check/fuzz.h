@@ -122,6 +122,26 @@
 //                            and single-row restrictions) against the same
 //                            call on the materialized view — every double
 //                            bit-identical
+//   * FuzzEarlyDisjunctsEquivalence
+//                            random tables of string, int and real
+//                            evidence (NULL, NaN, +-inf, "" and evidence
+//                            shared across labels) over label attributes
+//                            of 2 to max_label_cardinality atoms (rare
+//                            atoms hold one row or no train row), with
+//                            random target databases for TgtClassInfer's
+//                            taggers: every cell's per-cell model
+//                            (SrcClassInfer and TgtClassInfer) against a
+//                            classifier retrained on every cycle's
+//                            grouping — each test item's score of every
+//                            label and its predicted label bit for bit,
+//                            the weighted evaluation against one
+//                            observation per row — plus an exact Naive
+//                            Bayes tie after a merge; and
+//                            ClusteredViewGen's families, Late and Early
+//                            at every thread count, against the
+//                            retrain-per-cycle reference loop
+//                            (check/reference.h): order, views, evidence
+//                            attribute, F1 and significance bits
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_
@@ -130,7 +150,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "check/reference.h"
 #include "common/status.h"
+#include "core/clustered_view_gen.h"
 
 namespace csm::check {
 
@@ -154,6 +176,20 @@ Status FuzzRowColumnarEquivalence(const FuzzOptions& options);
 Status FuzzTokenKernelEquivalence(const FuzzOptions& options);
 Status FuzzExecutorEquivalence(const FuzzOptions& options);
 Status FuzzViewProfileEquivalence(const FuzzOptions& options);
+Status FuzzEarlyDisjunctsEquivalence(const FuzzOptions& options);
+
+/// Drives one grid cell's merge loop through the model `models` fits and,
+/// at every cycle, through a classifier from `reference` trained afresh on
+/// the cell's train rows under that cycle's labels.  Fails at the first
+/// test item whose score of some group or whose predicted label differs in
+/// bits, or the first cycle whose weighted evaluation differs from one
+/// observation per test row.  Merges follow the top error pair; without
+/// `early_disjuncts` one cycle runs.
+Status CompareCellModelCycles(const Column& h, const CellRows& rows,
+                              const LabelAtoms& atoms,
+                              const ClassifierFactory& models,
+                              const ReferenceClassifierFactory& reference,
+                              bool early_disjuncts);
 
 }  // namespace csm::check
 

@@ -7,20 +7,28 @@
 // and keyed joins and duplicate rows on rendered strings, the CSV writer
 // that boxed every cell with ValueAt, the CSV reader that split each
 // record into std::string fields and boxed every cell with Value::Parse,
-// and the escaped group tokens that once labelled ClusteredViewGen's
-// classifiers and keyed its family dedup.  Nothing in the product links
-// them.
+// the escaped group tokens that once labelled ClusteredViewGen's
+// classifiers and keyed its family dedup, and ClusteredViewGen's merge loop
+// that retrained a fresh classifier every cycle, with TgtClassInfer's TBag
+// classifier.  Nothing in the product links them.
 
 #ifndef CSM_CHECK_REFERENCE_H_
 #define CSM_CHECK_REFERENCE_H_
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/random.h"
 #include "common/status.h"
+#include "core/context_options.h"
 #include "mapping/query_gen.h"
+#include "ml/classifier.h"
 #include "relational/table.h"
+#include "relational/table_view.h"
 #include "relational/view.h"
 
 namespace csm::check {
@@ -62,6 +70,74 @@ std::string GroupToken(const std::vector<Value>& members);
 /// Dedup key of a family: its label attribute plus the partition its views'
 /// conditions induce (one GroupToken per view, sorted).
 std::string FamilyPartitionKey(const ViewFamily& family);
+
+/// TgtClassInfer's TBag / bestCAT classifier as a ValueClassifier whose
+/// labels are groups of categorical values, driven by a shared per-type
+/// target classifier: the classifier the merge loop retrained every cycle
+/// before BestCatCellModel (core/tgt_class_infer.h).
+class TgtTagClassifier : public ValueClassifier {
+ public:
+  /// `tagger` assigns target-column tags to the cells this classifier is
+  /// given.  May be null (every cell tags as kNoLabel, so everything maps
+  /// to the most common label).
+  explicit TgtTagClassifier(std::shared_ptr<const ValueClassifier> tagger)
+      : tagger_(std::move(tagger)) {}
+
+  /// Tags the cell with the shared tagger and counts (tag, label) in the
+  /// TBag.
+  void Train(const Column& column, size_t row, LabelId label) override;
+  /// bestCAT of the cell's tag.
+  LabelId Classify(const Column& column, size_t row) const override;
+
+  /// bestCAT for a raw tag; kNoLabel when untrained.
+  LabelId BestCat(LabelId tag) const;
+
+  /// score(g, v) = P(v|g) * P(g|v); 0 when unseen.
+  double Score(LabelId tag, LabelId label) const;
+
+  /// The tag the shared tagger gives the cell.
+  LabelId Tag(const Column& column, size_t row) const;
+
+ private:
+  /// One tag's row of the TBag: its (tag, label) counts by label id.
+  struct TagCounts {
+    size_t total = 0;
+    std::vector<size_t> per_label;
+  };
+
+  std::shared_ptr<const ValueClassifier> tagger_;
+  std::map<LabelId, TagCounts> tbag_;
+  std::vector<size_t> label_totals_;  // indexed by label id
+  size_t total_ = 0;
+};
+
+/// Builds a fresh classifier for evidence values of `evidence_type`.
+using ReferenceClassifierFactory =
+    std::function<std::unique_ptr<ValueClassifier>(ValueType evidence_type)>;
+
+/// SrcClassInfer's classifiers: NaiveBayesClassifier for text evidence,
+/// GaussianClassifier for numeric evidence.
+ReferenceClassifierFactory ReferenceSrcClassifiers();
+
+/// TgtClassInfer's: a TgtTagClassifier over `numeric_tagger` for numeric
+/// evidence and over `string_tagger` otherwise (either may be null).
+ReferenceClassifierFactory ReferenceTgtClassifiers(
+    std::shared_ptr<const ValueClassifier> string_tagger,
+    std::shared_ptr<const ValueClassifier> numeric_tagger);
+
+/// ClusteredViewGen (core/clustered_view_gen.h), serial, as it ran before
+/// per-cell models: every cell resolves its rows' atoms through its own
+/// Condition::In scans, and every cycle of its merge loop trains a fresh
+/// classifier from `factory` on every train row under that cycle's labels
+/// and classifies every test row.  The grid, the cells' RNG streams, the
+/// gate, the merge rule, the dedup and the output order are
+/// ClusteredViewGen's.
+std::vector<ViewFamily> ReferenceClusteredViewGen(
+    const TableView& source_sample, const ReferenceClassifierFactory& factory,
+    const ClusteredViewGenOptions& options,
+    const CategoricalOptions& categorical, bool early_disjuncts, Rng& rng,
+    std::vector<std::string> label_attributes = {},
+    std::vector<std::string> evidence_attributes = {});
 
 }  // namespace csm::check
 

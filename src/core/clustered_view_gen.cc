@@ -16,7 +16,6 @@
 #include "relational/categorical.h"
 #include "relational/column.h"
 #include "relational/condition.h"
-#include "relational/sample.h"
 #include "stats/significance.h"
 #include "text/gram.h"
 
@@ -26,120 +25,32 @@ namespace {
 /// Fraction of the sample used for doTraining (the rest goes to doTesting).
 constexpr double kTrainFraction = 0.5;
 
-/// Builds the view family for `groups` of label attribute `l` on `table`:
-/// one view `l IN group` per group, in group vector order.
-ViewFamily FamilyFromGroups(const TableView& table, const std::string& l,
-                            const LabelAtoms& atoms,
-                            const std::vector<AtomGroup>& groups) {
-  ViewFamily family;
-  family.base_table = table.name();
-  family.label_attribute = l;
-  for (const AtomGroup& group : groups) {
-    std::string view_name = table.name() + "[" + l + "=";
-    std::vector<Value> values;
-    for (size_t i = 0; i < group.size(); ++i) {
-      if (i > 0) view_name += "|";
-      view_name += atoms.value(group[i]).ToString();
-      values.push_back(atoms.value(group[i]));
-    }
-    view_name += "]";
-    family.views.emplace_back(view_name, table.name(),
-                              Condition::In(l, std::move(values)));
-  }
-  return family;
-}
-
-/// Merges the groups at indices `a` and `b`: the lower index keeps the
-/// union, in Value order, and the higher one is erased.
-void MergeGroups(size_t a, size_t b, std::vector<AtomGroup>* groups) {
-  AtomGroup& dst = (*groups)[std::min(a, b)];
-  const AtomGroup& src = (*groups)[std::max(a, b)];
-  dst.insert(dst.end(), src.begin(), src.end());
-  std::sort(dst.begin(), dst.end());
-  groups->erase(groups->begin() + static_cast<ptrdiff_t>(std::max(a, b)));
-}
-
-/// A row a cycle trains or tests on: its base position and its atom.
-struct AtomRow {
-  RowId pos;
-  AtomId atom;
-};
-
-/// The train and test rows of a cell, resolved once: rows no atom selects
-/// (NULL label) and rows whose evidence cell is missing (NULL, NaN or
-/// +-inf: IsMissingCell) are left out, so they count neither toward
-/// most_common_fraction nor as test errors.
-struct CellRows {
-  std::vector<AtomRow> train;
-  std::vector<AtomRow> test;
-};
-
-/// Resolves each base row's atom through Condition::In(l, {atom}) over the
-/// base table.  An IN over a group matches exactly the union of its atoms'
-/// rows, so every row trains and tests under the view that would select it.
-CellRows ResolveCellRows(const TrainTestViewSplit& split, size_t h_col,
-                         size_t l_col, const LabelAtoms& atoms) {
-  const Table& base = split.train.base();
-  const std::string& l =
-      base.schema().attribute(split.train.base_column_index(l_col)).name;
-  constexpr AtomId kNoAtom = static_cast<AtomId>(-1);
-  std::vector<AtomId> atom_of(base.num_rows(), kNoAtom);
-  for (AtomId a = 0; a < atoms.size(); ++a) {
-    const Condition is_atom = Condition::In(l, {atoms.value(a)});
-    for (RowId pos : is_atom.MatchingPositions(base)) atom_of[pos] = a;
-  }
-  const Column& h = split.train.column(h_col);
-  auto collect = [&](const TableView& side) {
-    std::vector<AtomRow> rows;
-    for (size_t r = 0; r < side.num_rows(); ++r) {
-      const RowId pos = side.position(r);
-      if (atom_of[pos] == kNoAtom || IsMissingCell(h, pos)) continue;
-      rows.push_back({pos, atom_of[pos]});
-    }
-    return rows;
-  };
-  return CellRows{collect(split.train), collect(split.test)};
-}
-
-struct TrainTestOutcome {
+/// One doTesting pass of a cycle: every distinct test item classified once
+/// under the groups' labels, its rows observed with their true groups'
+/// labels as weights.
+ClassifierEvaluation EvaluateCycle(const CellModel& model,
+                                   const std::vector<LabelId>& atom_label,
+                                   const std::vector<size_t>& label_order) {
+  std::vector<LabelId> predicted;
+  model.PredictAll(label_order, &predicted);
   ClassifierEvaluation eval;
-  double most_common_fraction = 0.0;
-};
-
-/// One doTraining + doTesting cycle for (h, l) with each atom labelled
-/// `atom_label[atom]` (its group's number), over at least one train row.
-/// The classifier reads every evidence cell straight off h's base column,
-/// train rows then test rows, in view order.
-TrainTestOutcome RunCycle(const Column& h, const CellRows& rows,
-                          const std::vector<LabelId>& atom_label,
-                          size_t num_labels,
-                          const ClassifierFactory& factory) {
-  TrainTestOutcome out;
-  std::unique_ptr<ValueClassifier> classifier = factory(h.type());
-  CSM_CHECK(classifier != nullptr);
-
-  std::vector<size_t> train_label_counts(num_labels, 0);
-  for (const AtomRow& row : rows.train) {
-    const LabelId label = atom_label[row.atom];
-    classifier->Train(h, row.pos, label);
-    ++train_label_counts[label];
+  for (const ItemAtomRows& count : model.test_counts()) {
+    eval.Observe(atom_label[count.atom], predicted[count.item], count.rows);
   }
-  const size_t most_common =
-      *std::max_element(train_label_counts.begin(), train_label_counts.end());
-  out.most_common_fraction = static_cast<double>(most_common) /
-                             static_cast<double>(rows.train.size());
-
-  for (const AtomRow& row : rows.test) {
-    out.eval.Observe(atom_label[row.atom], classifier->Classify(h, row.pos));
-  }
-  return out;
+  return eval;
 }
+
+/// A label attribute of the grid: its atoms and each base row's atom,
+/// resolved once for every cell that partitions on it.
+struct GridLabel {
+  const std::string* name;
+  LabelAtoms atoms;
+  std::vector<AtomId> atom_of;
+};
 
 /// One (label attribute, evidence attribute) cell of the classifier grid.
 struct GridCell {
-  const std::string* label;
-  size_t l_col;
-  const LabelAtoms* atoms;
+  const GridLabel* label;
   const std::string* evidence;
   size_t h_col;
 };
@@ -152,7 +63,8 @@ struct KeyedFamily {
 
 /// Trains and evaluates one grid cell: the full LateDisjuncts cycle or the
 /// EarlyDisjuncts merge loop for (l, h), emitting every grouping that
-/// passes the significance gate in merge order.  Runs on a worker thread;
+/// passes the significance gate in merge order.  The cell's model is fitted
+/// once and merges its groups as the loop does.  Runs on a worker thread;
 /// everything it touches besides `rng` is shared read-only state.
 std::vector<KeyedFamily> RunGridCell(const TableView& source_sample,
                                      const GridCell& cell,
@@ -160,14 +72,18 @@ std::vector<KeyedFamily> RunGridCell(const TableView& source_sample,
                                      const ClusteredViewGenOptions& options,
                                      bool early_disjuncts, Rng& rng) {
   std::vector<KeyedFamily> emitted;
-  TrainTestViewSplit split =
+  const TrainTestViewSplit split =
       SplitTrainTestView(source_sample, kTrainFraction, rng);
-  const LabelAtoms& atoms = *cell.atoms;
-  const CellRows rows = ResolveCellRows(split, cell.h_col, cell.l_col, atoms);
-  if (rows.train.empty()) return emitted;
   const Column& h = split.train.column(cell.h_col);
+  const CellRows rows = CollectCellRows(split, h, cell.label->atom_of);
+  if (rows.train.empty()) return emitted;
+  const LabelAtoms& atoms = cell.label->atoms;
+  const std::unique_ptr<CellModel> model = factory(h, rows, atoms.size());
+  CSM_CHECK(model != nullptr);
   std::vector<AtomGroup> groups;
+  std::vector<size_t> train_rows(atoms.size(), 0);  // by group
   for (AtomId a = 0; a < atoms.size(); ++a) groups.push_back({a});
+  for (const AtomRow& row : rows.train) ++train_rows[row.atom];
 
   // Merge loop: one iteration for LateDisjuncts; repeated error-pair
   // merging under EarlyDisjuncts.
@@ -179,35 +95,41 @@ std::vector<KeyedFamily> RunGridCell(const TableView& source_sample,
       for (AtomId a : groups[g]) atom_label[a] = group_label[g];
       group_of_label[group_label[g]] = g;
     }
-    TrainTestOutcome outcome =
-        RunCycle(h, rows, atom_label, groups.size(), factory);
+    const ClassifierEvaluation eval =
+        EvaluateCycle(*model, atom_label, group_of_label);
     // The explicit total() == 0 clause keeps the empty-test case (all-NULL
     // columns, single-row samples) out of the significance gate even when a
     // caller sets min_test_size to 0.
-    if (outcome.eval.total() == 0 ||
-        outcome.eval.total() < options.min_test_size) {
-      break;
-    }
-    SignificanceResult sig =
-        ClassifierSignificance(outcome.eval.correct(), outcome.eval.total(),
-                               outcome.most_common_fraction);
+    if (eval.total() == 0 || eval.total() < options.min_test_size) break;
+    const double most_common_fraction =
+        static_cast<double>(
+            *std::max_element(train_rows.begin(), train_rows.end())) /
+        static_cast<double>(rows.train.size());
+    SignificanceResult sig = ClassifierSignificance(
+        eval.correct(), eval.total(), most_common_fraction);
     if (sig.significance > options.significance_threshold &&
         groups.size() >= 2) {
-      KeyedFamily keyed{MakeFamilyKey(*cell.label, atoms, groups),
-                        FamilyFromGroups(source_sample, *cell.label, atoms,
-                                         groups)};
-      keyed.family.classifier_f1 = outcome.eval.F1();
+      KeyedFamily keyed{MakeFamilyKey(*cell.label->name, atoms, groups),
+                        FamilyFromGroups(source_sample, *cell.label->name,
+                                         atoms, groups)};
+      keyed.family.classifier_f1 = eval.F1();
       keyed.family.significance = sig.significance;
       keyed.family.evidence_attribute = *cell.evidence;
       emitted.push_back(std::move(keyed));
     }
     if (!early_disjuncts) break;
     if (groups.size() <= 2) break;
-    const auto ranked = outcome.eval.RankedPairs();
+    const auto ranked = eval.RankedPairs();
     if (ranked.empty()) break;
     const LabelPair& pair = ranked.front().first;
-    MergeGroups(group_of_label[pair.first], group_of_label[pair.second],
-                &groups);
+    const size_t a = std::min(group_of_label[pair.first],
+                              group_of_label[pair.second]);
+    const size_t b = std::max(group_of_label[pair.first],
+                              group_of_label[pair.second]);
+    MergeGroups(a, b, &groups);
+    model->Merge(a, b);
+    train_rows[a] += train_rows[b];
+    train_rows.erase(train_rows.begin() + static_cast<ptrdiff_t>(b));
   }
   return emitted;
 }
@@ -263,6 +185,59 @@ FamilyKey MakeFamilyKey(std::string label_attribute, const LabelAtoms& atoms,
   return key;
 }
 
+std::vector<AtomId> ResolveAtoms(const Table& base, const std::string& l,
+                                 const LabelAtoms& atoms) {
+  std::vector<AtomId> atom_of(base.num_rows(), kNoAtom);
+  for (AtomId a = 0; a < atoms.size(); ++a) {
+    const Condition is_atom = Condition::In(l, {atoms.value(a)});
+    for (RowId pos : is_atom.MatchingPositions(base)) atom_of[pos] = a;
+  }
+  return atom_of;
+}
+
+CellRows CollectCellRows(const TrainTestViewSplit& split, const Column& h,
+                         const std::vector<AtomId>& atom_of) {
+  auto collect = [&](const TableView& side) {
+    std::vector<AtomRow> rows;
+    for (size_t r = 0; r < side.num_rows(); ++r) {
+      const RowId pos = side.position(r);
+      if (atom_of[pos] == kNoAtom || IsMissingCell(h, pos)) continue;
+      rows.push_back({pos, atom_of[pos]});
+    }
+    return rows;
+  };
+  return CellRows{collect(split.train), collect(split.test)};
+}
+
+void MergeGroups(size_t a, size_t b, std::vector<AtomGroup>* groups) {
+  AtomGroup& dst = (*groups)[std::min(a, b)];
+  const AtomGroup& src = (*groups)[std::max(a, b)];
+  dst.insert(dst.end(), src.begin(), src.end());
+  std::sort(dst.begin(), dst.end());
+  groups->erase(groups->begin() + static_cast<ptrdiff_t>(std::max(a, b)));
+}
+
+ViewFamily FamilyFromGroups(const TableView& table, const std::string& l,
+                            const LabelAtoms& atoms,
+                            const std::vector<AtomGroup>& groups) {
+  ViewFamily family;
+  family.base_table = table.name();
+  family.label_attribute = l;
+  for (const AtomGroup& group : groups) {
+    std::string view_name = table.name() + "[" + l + "=";
+    std::vector<Value> values;
+    for (size_t i = 0; i < group.size(); ++i) {
+      if (i > 0) view_name += "|";
+      view_name += atoms.value(group[i]).ToString();
+      values.push_back(atoms.value(group[i]));
+    }
+    view_name += "]";
+    family.views.emplace_back(view_name, table.name(),
+                              Condition::In(l, std::move(values)));
+  }
+  return family;
+}
+
 std::vector<ViewFamily> ClusteredViewGen(
     const TableView& source_sample, const ClassifierFactory& factory,
     const ClusteredViewGenOptions& options,
@@ -283,23 +258,27 @@ std::vector<ViewFamily> ClusteredViewGen(
   // Lay out the (l, h) grid up front: one cell per admissible pair, in the
   // same nested order the sequential loop used, so the merge below visits
   // results in the legacy order regardless of which worker ran which cell.
-  std::vector<LabelAtoms> label_atoms;
-  label_atoms.reserve(label_attributes.size());
+  // Each admissible label attribute's atoms are resolved here, once.
+  std::vector<GridLabel> labels;
+  labels.reserve(label_attributes.size());
   std::vector<GridCell> cells;
   for (const std::string& l : label_attributes) {
     std::vector<Value> values;
     for (auto& [value, count] : source_sample.ValueCounts(l)) {
       values.push_back(value);
     }
-    const LabelAtoms& atoms = label_atoms.emplace_back(std::move(values));
+    LabelAtoms atoms(std::move(values));
     if (atoms.size() < 2 || atoms.size() > options.max_label_cardinality) {
       continue;
     }
-    const size_t l_col = source_sample.schema().AttributeIndex(l);
+    std::vector<AtomId> atom_of =
+        ResolveAtoms(source_sample.base(), l, atoms);
+    const GridLabel& label =
+        labels.emplace_back(GridLabel{&l, std::move(atoms), std::move(atom_of)});
     for (const std::string& h : evidence_attributes) {
       if (h == l) continue;
       const size_t h_col = source_sample.schema().AttributeIndex(h);
-      cells.push_back(GridCell{&l, l_col, &atoms, &h, h_col});
+      cells.push_back(GridCell{&label, &h, h_col});
     }
   }
 
@@ -327,7 +306,8 @@ std::vector<ViewFamily> ClusteredViewGen(
         }
         std::string span_name;
         if (obs.tracer != nullptr) {
-          span_name = "cell:" + *cells[i].label + "/" + *cells[i].evidence;
+          span_name =
+              "cell:" + *cells[i].label->name + "/" + *cells[i].evidence;
         }
         // Prefer the thread's current span (the pool-task span on workers,
         // the caller's span inline); the explicit hook parent is the

@@ -17,7 +17,9 @@
 //
 // Groups are typed: an atom is one distinct value of l, a group a set of
 // atoms, and the classifier labels of a cycle number its groups in the
-// label order GroupKey defines.
+// label order GroupKey defines.  Each grid cell fits one CellModel
+// (ml/classifier.h) to its train and test rows and merges its groups in
+// place, so a cycle re-scores the distinct test items without retraining.
 
 #ifndef CSM_CORE_CLUSTERED_VIEW_GEN_H_
 #define CSM_CORE_CLUSTERED_VIEW_GEN_H_
@@ -36,13 +38,11 @@
 #include "ml/classifier.h"
 #include "obs/hooks.h"
 #include "relational/table.h"
+#include "relational/sample.h"
 #include "relational/table_view.h"
 #include "relational/view.h"
 
 namespace csm {
-
-/// Numbers a label attribute's distinct values ("atoms") in Value order.
-using AtomId = uint32_t;
 
 /// A set of atoms, ascending (its members in Value order): one view
 /// `l IN group` of a family.
@@ -95,11 +95,37 @@ struct FamilyKey {
 FamilyKey MakeFamilyKey(std::string label_attribute, const LabelAtoms& atoms,
                         const std::vector<AtomGroup>& groups);
 
-/// Builds a fresh classifier suited to evidence attribute values of
-/// `evidence_type` (SrcClassInfer: NB for strings, Gaussian for numerics;
-/// TgtClassInfer: the tag-and-bestCAT wrapper).
-using ClassifierFactory =
-    std::function<std::unique_ptr<ValueClassifier>(ValueType evidence_type)>;
+/// Fits one grid cell's model over evidence column `h` (a base column, read
+/// at the rows' positions), the cell's train and test rows, and the label
+/// attribute's atom count (SrcClassInfer: NaiveBayesCellModel for text,
+/// GaussianCellModel for numerics; TgtClassInfer: BestCatCellModel).
+using ClassifierFactory = std::function<std::unique_ptr<CellModel>(
+    const Column& h, const CellRows& rows, size_t num_atoms)>;
+
+/// Each base row's atom of label attribute `l`, or kNoAtom for a row no
+/// atom selects (NULL label), resolved through Condition::In(l, {atom}).
+/// An IN over a group matches exactly the union of its atoms' rows, so
+/// every row trains and tests under the view that would select it.
+inline constexpr AtomId kNoAtom = static_cast<AtomId>(-1);
+std::vector<AtomId> ResolveAtoms(const Table& base, const std::string& l,
+                                 const LabelAtoms& atoms);
+
+/// A cell's train and test rows: the split's rows in view order, less rows
+/// no atom selects and rows whose evidence cell (column `h` of the base) is
+/// missing, so such rows count neither toward most_common_fraction nor as
+/// test errors.
+CellRows CollectCellRows(const TrainTestViewSplit& split, const Column& h,
+                         const std::vector<AtomId>& atom_of);
+
+/// Merges the groups at indices `a` and `b`: the lower index keeps the
+/// union, in Value order, and the higher one is erased.
+void MergeGroups(size_t a, size_t b, std::vector<AtomGroup>* groups);
+
+/// The view family for `groups` of label attribute `l` on `table`: one
+/// view `l IN group` per group, in group order.
+ViewFamily FamilyFromGroups(const TableView& table, const std::string& l,
+                            const LabelAtoms& atoms,
+                            const std::vector<AtomGroup>& groups);
 
 /// Runs ClusteredViewGen over every (h, l) pair of `source_sample` — a
 /// zero-copy TableView (a Table converts implicitly) — and
@@ -109,6 +135,10 @@ using ClassifierFactory =
 /// `label_attributes` / `evidence_attributes` default (when empty) to the
 /// categorical / non-categorical attributes of the sample under
 /// `categorical`.
+///
+/// Each label attribute's atoms are resolved once per call; each cell splits
+/// the sample, collects its rows and fits one model, which the merge loop
+/// re-scores every cycle.
 ///
 /// When `pool` is non-null the (l, h) classifier grid is trained and
 /// evaluated concurrently, one task per cell.  Each cell derives its own

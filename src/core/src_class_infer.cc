@@ -2,12 +2,21 @@
 
 #include <algorithm>
 
-#include "core/clustered_view_gen.h"
 #include "ml/gaussian_classifier.h"
 #include "ml/naive_bayes.h"
 #include "relational/categorical.h"
 
 namespace csm {
+
+ClassifierFactory SrcClassifierFactory() {
+  return [](const Column& h, const CellRows& rows,
+            size_t num_atoms) -> std::unique_ptr<CellModel> {
+    if (h.type() == ValueType::kInt || h.type() == ValueType::kReal) {
+      return std::make_unique<GaussianCellModel>(h, rows, num_atoms);
+    }
+    return std::make_unique<NaiveBayesCellModel>(h, rows, num_atoms);
+  };
+}
 
 std::vector<CandidateView> CandidatesFromFamilies(
     const std::vector<ViewFamily>& families) {
@@ -44,15 +53,8 @@ std::vector<CandidateView> SrcClassInfer::InferCandidateViews(
   }
   std::vector<std::string> labels = FilteredLabelAttributes(input, categorical_);
   if (labels.empty()) return {};
-  ClassifierFactory factory =
-      [](ValueType evidence_type) -> std::unique_ptr<ValueClassifier> {
-    if (evidence_type == ValueType::kInt || evidence_type == ValueType::kReal) {
-      return std::make_unique<GaussianClassifier>();
-    }
-    return std::make_unique<NaiveBayesClassifier>();
-  };
   std::vector<ViewFamily> families = ClusteredViewGen(
-      input.source_sample, factory, clustered_, categorical_,
+      input.source_sample, SrcClassifierFactory(), clustered_, categorical_,
       input.early_disjuncts, rng, std::move(labels), {}, input.pool,
       input.obs, input.cancel);
   return CandidatesFromFamilies(families);

@@ -5,6 +5,7 @@
 #ifndef CSM_CORE_SRC_CLASS_INFER_H_
 #define CSM_CORE_SRC_CLASS_INFER_H_
 
+#include "core/clustered_view_gen.h"
 #include "core/view_inference.h"
 
 namespace csm {
@@ -24,6 +25,10 @@ class SrcClassInfer : public ViewInference {
   ClusteredViewGenOptions clustered_;
   CategoricalOptions categorical_;
 };
+
+/// SrcClassInfer's per-cell models: NaiveBayesCellModel for text (and
+/// all-NULL) evidence, GaussianCellModel for numeric evidence.
+ClassifierFactory SrcClassifierFactory();
 
 /// Converts accepted families into the flat candidate list (shared with
 /// TgtClassInfer).

@@ -1,6 +1,7 @@
 #include "core/tgt_class_infer.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -51,62 +52,89 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
   return classifier;
 }
 
-LabelId TgtTagClassifier::Tag(const Column& column, size_t row) const {
-  if (tagger_ == nullptr) return kNoLabel;
-  return tagger_->Classify(column, row);
-}
-
-void TgtTagClassifier::Train(const Column& column, size_t row,
-                             LabelId label) {
-  CSM_CHECK(label != kNoLabel) << "kNoLabel is not a trainable label";
-  if (IsMissingCell(column, row)) return;
-  TagCounts& tag = tbag_[Tag(column, row)];
-  if (label >= tag.per_label.size()) tag.per_label.resize(size_t{label} + 1);
-  ++tag.per_label[label];
-  ++tag.total;
-  if (label >= label_totals_.size()) label_totals_.resize(size_t{label} + 1);
-  ++label_totals_[label];
-  ++total_;
-}
-
-double TgtTagClassifier::Score(LabelId tag, LabelId label) const {
-  auto it = tbag_.find(tag);
-  if (it == tbag_.end() || label >= it->second.per_label.size() ||
-      it->second.per_label[label] == 0) {
-    return 0.0;
+BestCatCellModel::BestCatCellModel(const ValueClassifier* tagger,
+                                   const Column& h, const CellRows& rows,
+                                   size_t num_atoms)
+    : groups_(num_atoms) {
+  auto tag_of = [&](const AtomRow& row) {
+    return tagger == nullptr ? kNoLabel : tagger->Classify(h, row.pos);
+  };
+  // Train tags numbered in first-seen order; kNoLabel is a tag like any
+  // other.
+  std::unordered_map<LabelId, uint32_t> train_tag;
+  std::vector<uint32_t> row_tag;
+  row_tag.reserve(rows.train.size());
+  for (const AtomRow& row : rows.train) {
+    const auto [it, inserted] = train_tag.try_emplace(
+        tag_of(row), static_cast<uint32_t>(tag_totals_.size()));
+    if (inserted) tag_totals_.push_back(0);
+    ++tag_totals_[it->second];
+    row_tag.push_back(it->second);
   }
-  const double joint = static_cast<double>(it->second.per_label[label]);
-  const double tag_total =
-      static_cast<double>(it->second.total);          // P(v|g) denominator
-  const double label_total =
-      static_cast<double>(label_totals_[label]);      // P(g|v) denominator
-  return (joint / tag_total) * (joint / label_total);
-}
-
-LabelId TgtTagClassifier::BestCat(LabelId tag) const {
-  LabelId best = kNoLabel;
-  double best_score = -1.0;
-  size_t best_frequency = 0;
-  const bool tag_seen = tbag_.count(tag) > 0;
-  for (LabelId label = 0; label < label_totals_.size(); ++label) {
-    const size_t frequency = label_totals_[label];
-    if (frequency == 0) continue;
-    const double score = tag_seen ? Score(tag, label) : 0.0;
-    // Ties (including the unseen-tag case where all scores are 0) break
-    // toward the more common label, then the lower id, for determinism.
-    if (score > best_score ||
-        (score == best_score && frequency > best_frequency)) {
-      best = label;
-      best_score = score;
-      best_frequency = frequency;
+  for (size_t r = 0; r < rows.train.size(); ++r) {
+    Group& group = groups_[rows.train[r].atom];
+    if (group.joint.empty()) group.joint.assign(tag_totals_.size(), 0);
+    ++group.joint[row_tag[r]];
+    ++group.total;
+  }
+  std::unordered_map<LabelId, uint32_t> item_of_tag;
+  for (const AtomRow& row : rows.test) {
+    const LabelId tag = tag_of(row);
+    const auto [it, inserted] = item_of_tag.try_emplace(
+        tag, static_cast<uint32_t>(item_tag_.size()));
+    if (inserted) {
+      const auto seen = train_tag.find(tag);
+      item_tag_.push_back(seen == train_tag.end() ? kUnseenTag
+                                                  : seen->second);
     }
+    AddTestRow(it->second, row);
   }
-  return best;
+  FinishTestRows();
 }
 
-LabelId TgtTagClassifier::Classify(const Column& column, size_t row) const {
-  if (total_ == 0 || IsMissingCell(column, row)) return kNoLabel;
-  return BestCat(Tag(column, row));
+double BestCatCellModel::Score(uint32_t item, size_t group) const {
+  const uint32_t tag = item_tag_[item];
+  const Group& g = groups_[group];
+  if (tag == kUnseenTag || g.total == 0) return 0.0;
+  return BestCatScore(g.joint[tag], tag_totals_[tag], g.total);
+}
+
+void BestCatCellModel::PredictAll(const std::vector<size_t>& label_order,
+                                  std::vector<LabelId>* predicted) const {
+  predicted->resize(num_items());
+  for (uint32_t item = 0; item < num_items(); ++item) {
+    LabelId best = kNoLabel;
+    double best_score = -1.0;
+    size_t best_frequency = 0;
+    for (LabelId label = 0; label < label_order.size(); ++label) {
+      const size_t frequency = groups_[label_order[label]].total;
+      if (frequency == 0) continue;
+      const double score = Score(item, label_order[label]);
+      if (BeatsBest(score, frequency, best_score, best_frequency)) {
+        best = label;
+        best_score = score;
+        best_frequency = frequency;
+      }
+    }
+    (*predicted)[item] = best;
+  }
+}
+
+void BestCatCellModel::Merge(size_t a, size_t b) {
+  CSM_CHECK(a < b && b < groups_.size());
+  Group& into = groups_[a];
+  Group& from = groups_[b];
+  if (from.total > 0) {
+    if (into.joint.empty()) {
+      into.joint = std::move(from.joint);
+    } else {
+      for (size_t t = 0; t < into.joint.size(); ++t) {
+        into.joint[t] += from.joint[t];
+      }
+    }
+    into.total += from.total;
+  }
+  groups_.erase(groups_.begin() + static_cast<ptrdiff_t>(b));
 }
 
 std::vector<CandidateView> TgtClassInfer::InferCandidateViews(
@@ -121,18 +149,18 @@ std::vector<CandidateView> TgtClassInfer::InferCandidateViews(
   if (labels.empty()) return {};
 
   // One shared target classifier per basic type family.
-  auto string_tagger = std::shared_ptr<const ValueClassifier>(
-      CreateTargetClassifier(ValueType::kString, *input.target_sample));
-  auto numeric_tagger = std::shared_ptr<const ValueClassifier>(
-      CreateTargetClassifier(ValueType::kReal, *input.target_sample));
+  const std::unique_ptr<ValueClassifier> string_tagger =
+      CreateTargetClassifier(ValueType::kString, *input.target_sample);
+  const std::unique_ptr<ValueClassifier> numeric_tagger =
+      CreateTargetClassifier(ValueType::kReal, *input.target_sample);
 
-  ClassifierFactory factory =
-      [&](ValueType evidence_type) -> std::unique_ptr<ValueClassifier> {
-    if (evidence_type == ValueType::kInt ||
-        evidence_type == ValueType::kReal) {
-      return std::make_unique<TgtTagClassifier>(numeric_tagger);
-    }
-    return std::make_unique<TgtTagClassifier>(string_tagger);
+  ClassifierFactory factory = [&](const Column& h, const CellRows& rows,
+                                  size_t num_atoms) {
+    const bool numeric =
+        h.type() == ValueType::kInt || h.type() == ValueType::kReal;
+    return std::make_unique<BestCatCellModel>(
+        numeric ? numeric_tagger.get() : string_tagger.get(), h, rows,
+        num_atoms);
   };
   std::vector<ViewFamily> families = ClusteredViewGen(
       input.source_sample, factory, clustered_, categorical_,

@@ -14,7 +14,6 @@
 #ifndef CSM_CORE_TGT_CLASS_INFER_H_
 #define CSM_CORE_TGT_CLASS_INFER_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -32,42 +31,48 @@ namespace csm {
 std::unique_ptr<ValueClassifier> CreateTargetClassifier(
     ValueType type, const Database& target_sample);
 
-/// The TBag / bestCAT wrapper: a ValueClassifier whose labels are
-/// categorical values, driven by a shared per-type target classifier.
-class TgtTagClassifier : public ValueClassifier {
+/// bestCAT's score(g, v) = P(v|g) * P(g|v) from TBag counts: `joint`
+/// (tag g, label v) pairs among the tag's `tag_total` and the label's
+/// `label_total` train rows; 0 when the pair never occurs.  The one copy
+/// of the expression, for BestCatCellModel and the reference TBag
+/// classifier the fuzzers diff it against.
+inline double BestCatScore(size_t joint, size_t tag_total,
+                           size_t label_total) {
+  if (joint == 0) return 0.0;
+  const double pairs = static_cast<double>(joint);
+  return (pairs / static_cast<double>(tag_total)) *
+         (pairs / static_cast<double>(label_total));
+}
+
+/// The TBag / bestCAT classifier fitted once to a grid cell (CellModel).
+/// `tagger` (shared by every cell of the evidence type, possibly null: every
+/// cell then tags as kNoLabel) tags each train and test row once.  A group
+/// keeps its (tag, group) counts by train tag and its train-row total, so a
+/// merge adds two groups' counts.  Test items are distinct tags; bestCAT of
+/// a tag no train row holds scores 0 for every label, so it goes to the
+/// most frequent group.  Ties go to the more frequent group, then the
+/// lower label (BeatsBest).
+class BestCatCellModel : public CellModel {
  public:
-  /// `tagger` assigns target-column tags to the cells this classifier is
-  /// given; shared across (h, l) pairs of the same evidence type.  May be
-  /// null (every cell tags as kNoLabel, so everything maps to the most
-  /// common label).
-  explicit TgtTagClassifier(std::shared_ptr<const ValueClassifier> tagger)
-      : tagger_(std::move(tagger)) {}
+  BestCatCellModel(const ValueClassifier* tagger, const Column& h,
+                   const CellRows& rows, size_t num_atoms);
 
-  /// Tags the cell with the shared tagger and counts (tag, label) in the
-  /// TBag.
-  void Train(const Column& column, size_t row, LabelId label) override;
-  /// bestCAT of the cell's tag.
-  LabelId Classify(const Column& column, size_t row) const override;
-
-  /// bestCAT for a raw tag (exposed for tests); kNoLabel when untrained.
-  LabelId BestCat(LabelId tag) const;
-
-  /// score(g, v) = P(v|g) * P(g|v); 0 when unseen.
-  double Score(LabelId tag, LabelId label) const;
+  double Score(uint32_t item, size_t group) const override;
+  void PredictAll(const std::vector<size_t>& label_order,
+                  std::vector<LabelId>* predicted) const override;
+  void Merge(size_t a, size_t b) override;
 
  private:
-  LabelId Tag(const Column& column, size_t row) const;
+  static constexpr uint32_t kUnseenTag = static_cast<uint32_t>(-1);
 
-  /// One tag's row of the TBag: its (tag, label) counts by label id.
-  struct TagCounts {
+  struct Group {
     size_t total = 0;
-    std::vector<size_t> per_label;
+    std::vector<size_t> joint;  // by train tag
   };
 
-  std::shared_ptr<const ValueClassifier> tagger_;
-  std::map<LabelId, TagCounts> tbag_;
-  std::vector<size_t> label_totals_;  // indexed by label id
-  size_t total_ = 0;
+  std::vector<size_t> tag_totals_;  // by train tag
+  std::vector<uint32_t> item_tag_;  // train tag, or kUnseenTag
+  std::vector<Group> groups_;
 };
 
 class TgtClassInfer : public ViewInference {

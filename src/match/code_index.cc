@@ -41,6 +41,23 @@ void BuildPartials(const std::vector<uint32_t>& raw_offsets,
   }
 }
 
+/// Merge's dense accumulator, borrowed per thread as GramRankSlots borrows
+/// its rank table: each slot's sum and the touched-slot bitset, all zero
+/// between calls, grown to the largest vocabulary the thread has merged.
+struct MergeScratch {
+  std::vector<double> sums;
+  std::vector<uint64_t> touched;
+};
+
+MergeScratch& LocalMergeScratch(size_t vocab_size) {
+  thread_local MergeScratch scratch;
+  if (scratch.sums.size() < vocab_size) {
+    scratch.sums.resize(vocab_size, 0.0);
+    scratch.touched.resize((vocab_size + 63) / 64, 0);
+  }
+  return scratch;
+}
+
 }  // namespace
 
 CodeTokenIndex::CodeTokenIndex(const Column& column)
@@ -152,8 +169,9 @@ SlotTerms CodeTokenIndex::Merge(const std::vector<uint32_t>& offsets,
                                 const std::vector<Partial>& partials,
                                 size_t vocab_size,
                                 const CodeCounts& counts) const {
-  std::vector<double> sums(vocab_size, 0.0);
-  std::vector<uint64_t> touched((vocab_size + 63) / 64, 0);
+  MergeScratch& scratch = LocalMergeScratch(vocab_size);
+  double* sums = scratch.sums.data();
+  uint64_t* touched = scratch.touched.data();
   for (const auto& [code, n] : counts) {
     const double weight = static_cast<double>(n);
     for (uint32_t k = offsets[code]; k < offsets[code + 1]; ++k) {
@@ -162,13 +180,18 @@ SlotTerms CodeTokenIndex::Merge(const std::vector<uint32_t>& offsets,
       touched[p.index / 64] |= uint64_t{1} << (p.index % 64);
     }
   }
+  // Emit in slot order, returning each touched slot and bitset word to 0.
   SlotTerms terms;
-  for (size_t w = 0; w < touched.size(); ++w) {
+  const size_t words = (vocab_size + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    if (touched[w] == 0) continue;
     for (uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
       const uint32_t v =
           static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
       terms.push_back({v, sums[v]});
+      sums[v] = 0.0;
     }
+    touched[w] = 0;
   }
   return terms;
 }

@@ -131,8 +131,10 @@ class CodeTokenIndex {
     uint32_t count;
   };
 
-  /// Adds count x partial for every counted code into a dense accumulator
-  /// and returns the touched slots' sums in slot order.
+  /// Adds count x partial for every counted code into the thread's dense
+  /// accumulator and returns the touched slots' sums in slot order, leaving
+  /// the accumulator zero again (only the touched slots and bitset words
+  /// are written).
   SlotTerms Merge(const std::vector<uint32_t>& offsets,
                   const std::vector<Partial>& partials, size_t vocab_size,
                   const CodeCounts& counts) const;

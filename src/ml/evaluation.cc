@@ -13,17 +13,18 @@ double FBeta(double precision, double recall, double beta) {
   return (1.0 + b2) * precision * recall / denom;
 }
 
-void ClassifierEvaluation::Observe(LabelId actual, LabelId predicted) {
+void ClassifierEvaluation::Observe(LabelId actual, LabelId predicted,
+                                   size_t weight) {
   CSM_CHECK(actual != kNoLabel) << "an observation needs an actual label";
-  ++total_;
+  total_ += weight;
   if (actual >= actual_counts_.size()) {
     actual_counts_.resize(size_t{actual} + 1, 0);
   }
-  ++actual_counts_[actual];
+  actual_counts_[actual] += weight;
   if (actual == predicted) {
-    ++correct_;
+    correct_ += weight;
   } else if (predicted != kNoLabel) {
-    ++error_pairs_[std::minmax(actual, predicted)];
+    error_pairs_[std::minmax(actual, predicted)] += weight;
   }
 }
 

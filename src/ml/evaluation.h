@@ -21,9 +21,10 @@ using LabelPair = std::pair<LabelId, LabelId>;
 /// Accumulates (actual, predicted) observations and reports quality.
 class ClassifierEvaluation {
  public:
-  /// `actual` is a label; `predicted` may be kNoLabel, which counts as an
-  /// error but forms no error pair.
-  void Observe(LabelId actual, LabelId predicted);
+  /// Counts `weight` test rows of label `actual` predicted as `predicted`,
+  /// which may be kNoLabel: an error that forms no error pair.  Counts are
+  /// integers, so one observation of weight w equals w of weight 1.
+  void Observe(LabelId actual, LabelId predicted, size_t weight = 1);
 
   size_t total() const { return total_; }
   size_t correct() const { return correct_; }

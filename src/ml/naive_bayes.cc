@@ -127,17 +127,15 @@ const NaiveBayesClassifier::Model& NaiveBayesClassifier::Finalized() const {
     model_.example_counts.push_back(stats.example_count);
     // The exact expressions of the original per-call implementation, so the
     // precomputed doubles are bit-identical to recomputing them per row.
-    model_.log_priors.push_back(std::log(
-        (static_cast<double>(stats.example_count) + kSmoothing) /
-        (static_cast<double>(total_examples_) +
-         kSmoothing * static_cast<double>(num_labels))));
+    model_.log_priors.push_back(NaiveBayesTerms::LogPrior(
+        stats.example_count, total_examples_, num_labels));
     const double denom =
-        stats.token_total + kSmoothing * (static_cast<double>(vocab) + 1.0);
-    const double log_unseen = std::log((0.0 + kSmoothing) / denom);
+        NaiveBayesTerms::Denominator(stats.token_total, vocab);
+    const double log_unseen = NaiveBayesTerms::LogTerm(0.0, denom);
     for (size_t d = 0; d < vocab; ++d) {
       const double count = d < stats.counts.size() ? stats.counts[d] : 0.0;
       model_.log_prob[d * num_labels + l] =
-          count > 0.0 ? std::log((count + kSmoothing) / denom) : log_unseen;
+          count > 0.0 ? NaiveBayesTerms::LogTerm(count, denom) : log_unseen;
     }
     model_.log_prob[vocab * num_labels + l] = log_unseen;
     ++l;
@@ -188,10 +186,10 @@ LabelId NaiveBayesClassifier::ClassifyTokens(
   double best_score = -std::numeric_limits<double>::infinity();
   size_t best_frequency = 0;
   for (size_t l = 0; l < sums.size(); ++l) {
-    // Ties break toward the more frequent label, then the lower id (model
-    // order), for determinism.
-    if (sums[l] > best_score ||
-        (sums[l] == best_score && model.example_counts[l] > best_frequency)) {
+    // Model order is id order, so ties go to the more frequent label, then
+    // the lower id.
+    if (BeatsBest(sums[l], model.example_counts[l], best_score,
+                  best_frequency)) {
       best = model.labels[l];
       best_score = sums[l];
       best_frequency = model.example_counts[l];
@@ -226,6 +224,207 @@ LabelId NaiveBayesClassifier::Classify(const Column& column,
   std::lock_guard<std::mutex> lock(memo_mu_);
   classify_memo_[&dict].emplace(code, label);
   return label;
+}
+
+NaiveBayesCellModel::NaiveBayesCellModel(const Column& h,
+                                         const CellRows& rows,
+                                         size_t num_atoms)
+    : groups_(num_atoms) {
+  CheckTextColumn(h);
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  // Each distinct train code's dense gram indices, tokenized once; the
+  // vocabulary is every gram of the train rows, numbered in first-seen
+  // order by dense 3-gram rank (the grams of Tokenize, in its order).
+  GramRankSlots vocabulary;
+  std::vector<uint32_t> train_slot;  // by code; kNone when not a train code
+  std::vector<std::vector<uint32_t>> train_indices;
+  TokenScratch& scratch = LocalScratch();
+  std::vector<uint32_t> ranks;
+  auto tokenize = [&](uint32_t code) {
+    ranks.clear();
+    AppendQGramRanks(h.dictionary().value(code), &scratch.padded, &ranks);
+  };
+  for (const AtomRow& row : rows.train) {
+    const uint32_t code = h.codes()[row.pos];
+    if (code >= train_slot.size()) train_slot.resize(code + 1, kNone);
+    if (train_slot[code] != kNone) continue;
+    train_slot[code] = static_cast<uint32_t>(train_indices.size());
+    tokenize(code);
+    std::vector<uint32_t>& indices = train_indices.emplace_back();
+    indices.reserve(ranks.size());
+    for (uint32_t rank : ranks) indices.push_back(vocabulary.Touch(rank));
+  }
+  vocab_ = vocabulary.size();
+  GlobalTokenKernelStats().grams_interned.fetch_add(vocab_,
+                                                    std::memory_order_relaxed);
+  total_examples_ = rows.train.size();
+  // Each atom's integer counts, its group's at the start.
+  for (const AtomRow& row : rows.train) {
+    const std::vector<uint32_t>& indices =
+        train_indices[train_slot[h.codes()[row.pos]]];
+    Group& group = groups_[row.atom];
+    if (group.counts.empty()) group.counts.assign(vocab_, 0);
+    ++group.example_count;
+    group.token_total += indices.size();
+    for (uint32_t d : indices) ++group.counts[d];
+  }
+  // Each distinct test code's dense indices: a train code's own, otherwise
+  // its grams' indices, V for a gram outside the vocabulary.
+  std::vector<uint32_t> item_of_code;
+  item_offsets_.push_back(0);
+  for (const AtomRow& row : rows.test) {
+    const uint32_t code = h.codes()[row.pos];
+    if (code >= item_of_code.size()) item_of_code.resize(code + 1, kNone);
+    if (item_of_code[code] == kNone) {
+      item_of_code[code] = static_cast<uint32_t>(item_offsets_.size() - 1);
+      if (code < train_slot.size() && train_slot[code] != kNone) {
+        const std::vector<uint32_t>& indices =
+            train_indices[train_slot[code]];
+        item_grams_.insert(item_grams_.end(), indices.begin(), indices.end());
+      } else {
+        tokenize(code);
+        for (uint32_t rank : ranks) item_grams_.push_back(vocabulary.Find(rank));
+      }
+      item_offsets_.push_back(static_cast<uint32_t>(item_grams_.size()));
+    }
+    AddTestRow(item_of_code[code], row);
+  }
+  FinishTestRows();
+  NumberColumns();
+  const size_t num_columns = log_priors_.size();
+  log_prob_.assign((vocab_ + 1) * num_columns, 0.0);
+  std::vector<double> column(vocab_ + 1);
+  for (const Group& group : groups_) {
+    if (group.column == kNoColumn) continue;
+    ComputeColumn(group, column.data());
+    for (size_t d = 0; d <= vocab_; ++d) {
+      log_prob_[d * num_columns + group.column] = column[d];
+    }
+  }
+}
+
+void NaiveBayesCellModel::ComputeColumn(const Group& group,
+                                        double* column) const {
+  const double denom = NaiveBayesTerms::Denominator(
+      static_cast<double>(group.token_total), vocab_);
+  // A term depends only on the count, and most grams count once or a few
+  // times, so each small count's log is taken once per column.
+  constexpr uint32_t kMemoCounts = 64;
+  double memo[kMemoCounts];
+  memo[0] = NaiveBayesTerms::LogTerm(0.0, denom);
+  uint32_t memo_size = 1;
+  for (size_t d = 0; d < vocab_; ++d) {
+    const uint32_t count = group.counts[d];
+    if (count >= kMemoCounts) {
+      column[d] = NaiveBayesTerms::LogTerm(count, denom);
+      continue;
+    }
+    for (; memo_size <= count; ++memo_size) {
+      memo[memo_size] = NaiveBayesTerms::LogTerm(memo_size, denom);
+    }
+    column[d] = memo[count];
+  }
+  column[vocab_] = memo[0];
+}
+
+void NaiveBayesCellModel::NumberColumns() {
+  size_t num_columns = 0;
+  for (Group& group : groups_) {
+    group.column = group.example_count > 0 ? num_columns++ : kNoColumn;
+  }
+  log_priors_.resize(num_columns);
+  for (const Group& group : groups_) {
+    if (group.column == kNoColumn) continue;
+    log_priors_[group.column] = NaiveBayesTerms::LogPrior(
+        group.example_count, total_examples_, num_columns);
+  }
+}
+
+void NaiveBayesCellModel::Merge(size_t a, size_t b) {
+  CSM_CHECK(a < b && b < groups_.size());
+  Group& into = groups_[a];
+  Group& from = groups_[b];
+  if (from.example_count == 0) {
+    // Group b has no column, so no column, count or prior moves.
+    groups_.erase(groups_.begin() + static_cast<ptrdiff_t>(b));
+    return;
+  }
+  if (into.counts.empty()) {
+    into.counts = std::move(from.counts);
+  } else {
+    for (size_t d = 0; d < vocab_; ++d) into.counts[d] += from.counts[d];
+  }
+  into.example_count += from.example_count;
+  into.token_total += from.token_total;
+  groups_.erase(groups_.begin() + static_cast<ptrdiff_t>(b));
+  // The new table copies every other trained group's column from the old
+  // one and takes a fresh column for the merged group.
+  const size_t old_columns = log_priors_.size();
+  std::vector<size_t> old_column;
+  old_column.reserve(groups_.size());
+  for (const Group& group : groups_) old_column.push_back(group.column);
+  NumberColumns();
+  const size_t num_columns = log_priors_.size();
+  std::vector<double> fresh(vocab_ + 1);
+  ComputeColumn(groups_[a], fresh.data());
+  std::vector<size_t> copy_from(num_columns, kNoColumn);
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    if (g != a && groups_[g].column != kNoColumn) {
+      copy_from[groups_[g].column] = old_column[g];
+    }
+  }
+  std::vector<double> table((vocab_ + 1) * num_columns);
+  for (size_t d = 0; d <= vocab_; ++d) {
+    const double* old_row = log_prob_.data() + d * old_columns;
+    double* row = table.data() + d * num_columns;
+    for (size_t c = 0; c < num_columns; ++c) {
+      row[c] = copy_from[c] == kNoColumn ? fresh[d] : old_row[copy_from[c]];
+    }
+  }
+  log_prob_ = std::move(table);
+}
+
+void NaiveBayesCellModel::SumItem(uint32_t item,
+                                  std::vector<double>* sums) const {
+  const size_t num_columns = log_priors_.size();
+  sums->assign(log_priors_.begin(), log_priors_.end());
+  double* out = sums->data();
+  for (uint32_t k = item_offsets_[item]; k < item_offsets_[item + 1]; ++k) {
+    const double* row = log_prob_.data() + size_t{item_grams_[k]} * num_columns;
+    for (size_t c = 0; c < num_columns; ++c) out[c] += row[c];
+  }
+}
+
+double NaiveBayesCellModel::Score(uint32_t item, size_t group) const {
+  if (groups_[group].column == kNoColumn) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  std::vector<double> sums;
+  SumItem(item, &sums);
+  return sums[groups_[group].column];
+}
+
+void NaiveBayesCellModel::PredictAll(const std::vector<size_t>& label_order,
+                                     std::vector<LabelId>* predicted) const {
+  std::vector<double>& sums = LocalScratch().sums;
+  predicted->resize(num_items());
+  for (uint32_t item = 0; item < num_items(); ++item) {
+    SumItem(item, &sums);
+    LabelId best = kNoLabel;
+    double best_score = -std::numeric_limits<double>::infinity();
+    size_t best_frequency = 0;
+    for (LabelId label = 0; label < label_order.size(); ++label) {
+      const Group& group = groups_[label_order[label]];
+      if (group.column == kNoColumn) continue;
+      if (BeatsBest(sums[group.column], group.example_count, best_score,
+                    best_frequency)) {
+        best = label;
+        best_score = sums[group.column];
+        best_frequency = group.example_count;
+      }
+    }
+    (*predicted)[item] = best;
+  }
 }
 
 }  // namespace csm

@@ -30,6 +30,7 @@
 #ifndef CSM_ML_NAIVE_BAYES_H_
 #define CSM_ML_NAIVE_BAYES_H_
 
+#include <cmath>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -40,14 +41,43 @@
 
 namespace csm {
 
+/// Naive Bayes's arithmetic, one copy of each expression for
+/// NaiveBayesClassifier and NaiveBayesCellModel, so both give the same
+/// doubles from the same counts.
+struct NaiveBayesTerms {
+  /// Gram length (the paper's 3-grams) and Laplace smoothing alpha.
+  static constexpr size_t kGramQ = 3;
+  static constexpr double kSmoothing = 1.0;
+
+  /// A label's log prior: its example count among `total_examples`, over
+  /// `num_labels` trained labels.
+  static double LogPrior(size_t example_count, size_t total_examples,
+                         size_t num_labels) {
+    return std::log((static_cast<double>(example_count) + kSmoothing) /
+                    (static_cast<double>(total_examples) +
+                     kSmoothing * static_cast<double>(num_labels)));
+  }
+
+  /// A label's smoothed gram denominator over a vocabulary of `vocab` grams
+  /// (plus one slot for every gram outside it).
+  static double Denominator(double token_total, size_t vocab) {
+    return token_total + kSmoothing * (static_cast<double>(vocab) + 1.0);
+  }
+
+  /// The log probability of a gram the label counted `count` times; count 0
+  /// gives the label's unseen-gram term.
+  static double LogTerm(double count, double denominator) {
+    return std::log((count + kSmoothing) / denominator);
+  }
+};
+
 /// Multinomial NB with Laplace smoothing over padded 3-grams of the cell
 /// text.  Reads kString columns and all-NULL kNull columns; CHECK-fails on
 /// any other column type.
 class NaiveBayesClassifier : public ValueClassifier {
  public:
-  /// Gram length (the paper's 3-grams) and Laplace smoothing alpha.
-  static constexpr size_t kGramQ = 3;
-  static constexpr double kSmoothing = 1.0;
+  static constexpr size_t kGramQ = NaiveBayesTerms::kGramQ;
+  static constexpr double kSmoothing = NaiveBayesTerms::kSmoothing;
 
   NaiveBayesClassifier() = default;
 
@@ -117,6 +147,59 @@ class NaiveBayesClassifier : public ValueClassifier {
   mutable std::unordered_map<const StringDictionary*,
                              std::unordered_map<uint32_t, LabelId>>
       classify_memo_;  // guarded by memo_mu_
+};
+
+/// NaiveBayesClassifier fitted once to a grid cell (CellModel).  Each
+/// distinct train code is tokenized once into one dense vocabulary of V
+/// grams (the train rows' grams); a group keeps integer sufficient
+/// statistics — example count, token total and a count per gram — so a
+/// merge adds two groups' counts exactly and equals a retrain.  Each
+/// distinct test code is tokenized once into dense indices (V for a gram
+/// outside the vocabulary).  The log-probability table is gram-major over
+/// the trained groups in group order, as NaiveBayesClassifier's; a merge
+/// recomputes only the merged group's column and copies the others, and
+/// every prior, since each holds the trained-group count.  Reads kString
+/// columns.
+class NaiveBayesCellModel : public CellModel {
+ public:
+  NaiveBayesCellModel(const Column& h, const CellRows& rows, size_t num_atoms);
+
+  double Score(uint32_t item, size_t group) const override;
+  void PredictAll(const std::vector<size_t>& label_order,
+                  std::vector<LabelId>* predicted) const override;
+  void Merge(size_t a, size_t b) override;
+
+ private:
+  static constexpr size_t kNoColumn = static_cast<size_t>(-1);
+
+  struct Group {
+    size_t example_count = 0;
+    uint64_t token_total = 0;
+    /// Occurrences by dense gram index; empty for a group without examples.
+    std::vector<uint32_t> counts;
+    /// Column in the log-probability table; kNoColumn when untrained.
+    size_t column = kNoColumn;
+  };
+
+  /// Writes `group`'s log-probability column, V + 1 doubles.
+  void ComputeColumn(const Group& group, double* column) const;
+
+  /// Numbers the trained groups' columns and recomputes every log prior.
+  void NumberColumns();
+
+  /// Every trained group's score of `item` by column, into `sums`.
+  void SumItem(uint32_t item, std::vector<double>* sums) const;
+
+  size_t vocab_ = 0;
+  size_t total_examples_ = 0;
+  std::vector<Group> groups_;
+  /// Concatenated dense gram indices of every item; item i's are
+  /// [item_offsets_[i], item_offsets_[i + 1]).
+  std::vector<uint32_t> item_grams_;
+  std::vector<uint32_t> item_offsets_;
+  /// By column: log priors, and the (V + 1) x L gram-major table.
+  std::vector<double> log_priors_;
+  std::vector<double> log_prob_;
 };
 
 }  // namespace csm

@@ -128,6 +128,12 @@ class GramRankSlots {
     return slot - 1u;
   }
 
+  /// The slot of `rank`, or size() when it was never touched.
+  uint32_t Find(uint32_t rank) const {
+    const uint16_t slot = table_->slot_plus_one[rank];
+    return slot == 0 ? static_cast<uint32_t>(size_) : slot - 1u;
+  }
+
   /// Number of distinct ranks touched.
   size_t size() const { return size_; }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "check/reference.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/clustered_view_gen.h"
@@ -49,15 +50,7 @@ Table ClusteredFixture(size_t rows, uint64_t seed) {
   return MakeTable("inv", {"type", "text", "noise"}, out);
 }
 
-ClassifierFactory SrcFactory() {
-  return [](ValueType evidence_type) -> std::unique_ptr<ValueClassifier> {
-    if (evidence_type == ValueType::kInt ||
-        evidence_type == ValueType::kReal) {
-      return std::make_unique<GaussianClassifier>();
-    }
-    return std::make_unique<NaiveBayesClassifier>();
-  };
-}
+ClassifierFactory SrcFactory() { return SrcClassifierFactory(); }
 
 // ------------------------------------------------------ ClusteredViewGen
 
@@ -492,7 +485,7 @@ TEST(SrcClassInferTest, ProposesOnlyInformativeFamilies) {
 TEST(TgtTagClassifierTest, TBagScoreAndBestCat) {
   const Column cells = MakeColumn(ValueType::kString,
                                   {S("x"), S("y"), S("z"), S("anything")});
-  TgtTagClassifier classifier(nullptr);  // every input tags as kNoLabel
+  check::TgtTagClassifier classifier(nullptr);  // every input tags as kNoLabel
   classifier.Train(cells, 0, 1);
   classifier.Train(cells, 1, 1);
   classifier.Train(cells, 2, 2);
@@ -508,7 +501,7 @@ TEST(TgtTagClassifierTest, TBagScoreAndBestCat) {
 
 TEST(TgtTagClassifierTest, UnseenTagTieGoesToLowerId) {
   const Column cells = MakeColumn(ValueType::kString, {S("x")});
-  TgtTagClassifier classifier(nullptr);
+  check::TgtTagClassifier classifier(nullptr);
   EXPECT_EQ(classifier.Classify(cells, 0), kNoLabel);  // untrained
   for (LabelId label : {6u, 4u, 6u, 4u}) classifier.Train(cells, 0, label);
   EXPECT_EQ(classifier.BestCat(3), 4u);
@@ -527,7 +520,7 @@ TEST(TgtTagClassifierTest, DistinctTagsSeparateLabels) {
   }
   auto tagger = std::make_shared<NaiveBayesClassifier>();
   for (size_t r = 0; r < 60; ++r) tagger->Train(text, r, r % 2);
-  TgtTagClassifier classifier(tagger);
+  check::TgtTagClassifier classifier(tagger);
   for (size_t r = 60; r < 120; ++r) {
     classifier.Train(text, r, r % 2 == 0 ? kBook : kCd);
   }

@@ -9,11 +9,10 @@
 #include "common/string_util.h"
 #include "core/clustered_view_gen.h"
 #include "core/match_engine.h"
+#include "core/src_class_infer.h"
 #include "datagen/retail_gen.h"
 #include "datagen/wordlists.h"
 #include "mapping/executor.h"
-#include "ml/gaussian_classifier.h"
-#include "ml/naive_bayes.h"
 #include "relational/categorical.h"
 #include "tests/test_util.h"
 
@@ -25,14 +24,7 @@ using testing::MakeTable;
 using testing::R;
 using testing::S;
 
-ClassifierFactory SrcFactory() {
-  return [](ValueType type) -> std::unique_ptr<ValueClassifier> {
-    if (type == ValueType::kInt || type == ValueType::kReal) {
-      return std::make_unique<GaussianClassifier>();
-    }
-    return std::make_unique<NaiveBayesClassifier>();
-  };
-}
+ClassifierFactory SrcFactory() { return SrcClassifierFactory(); }
 
 /// A table where `type` clusters `text` with an adjustable noise fraction:
 /// `noise_fraction` of the rows get the wrong-kind text.

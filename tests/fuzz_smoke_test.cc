@@ -62,6 +62,11 @@ TEST(FuzzSmokeTest, LabelOrder) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, EarlyDisjunctsEquivalence) {
+  const Status status = check::FuzzEarlyDisjunctsEquivalence(Options(60));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, Pipeline) {
   const Status status = check::FuzzPipeline(Options(40));
   EXPECT_TRUE(status.ok()) << status.ToString();
