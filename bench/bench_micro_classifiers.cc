@@ -46,8 +46,8 @@ void BM_NaiveBayesTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_NaiveBayesTrain);
 
-/// Memo-warm after the first iteration: RunCycle's doTesting cost for a
-/// repeated evidence value.
+/// Memo-warm after the first iteration: a TgtClassInfer tagger's cost for
+/// a repeated evidence value.
 void BM_NaiveBayesClassify(benchmark::State& state) {
   Rng rng(6);
   Column titles(ValueType::kString);

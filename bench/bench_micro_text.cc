@@ -19,7 +19,7 @@
 //   nb_classify_cold the same baseline vs Classify over a column rebuilt
 //                    with its own dictionary for each rep, so every
 //                    distinct value misses the memo once and runs the
-//                    gram-major scoring kernel, as in a fresh RunCycle
+//                    gram-major scoring kernel, as a fresh tagger does
 //
 // All kernel paths produce bit-identical scores to the baselines (enforced
 // by FuzzTokenKernelEquivalence); this bench records the time.  Writes
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   const size_t name_col = table.schema().AttributeIndex("name");
   const size_t exam_col = table.schema().AttributeIndex("examNum");
 
-  // The RunCycle evidence stream: rendered name + exam-group label per
+  // A grid cell's evidence stream: rendered name + exam-group label per
   // non-null row, and the same rows as one name column (a gather sharing
   // the table's dictionary) for the classifier paths.
   const Column& name_column = table.column(name_col);
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   // --- nb_classify --------------------------------------------------------
   // Both classifiers are trained once outside the timed region; the kernel
   // side classifies the name column's cells, so repeated names hit the
-  // per-distinct-value memo, exactly as RunCycle's doTesting loop does.
+  // per-distinct-value memo, as TgtClassInfer's taggers do.
   StringMapNaiveBayes baseline_nb(3);
   for (size_t i = 0; i < names.size(); ++i) {
     baseline_nb.Train(names[i], labels[i]);

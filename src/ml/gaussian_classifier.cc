@@ -37,19 +37,23 @@ void GaussianClassifier::Train(const Column& column, size_t row,
   ++total_examples_;
 }
 
-GaussianLabel::GaussianLabel(const DescriptiveStats& stats,
-                             size_t total_examples)
-    : mean(stats.Mean()),
-      stddev(std::max(stats.SampleStdDev(), kMinStdDev)),
-      log_norm(std::log(static_cast<double>(stats.count()) /
-                        static_cast<double>(total_examples)) -
-               std::log(stddev) - 0.5 * std::log(2.0 * std::numbers::pi)) {}
+GaussianLabel GaussianLabel::Of(const DescriptiveStats& stats,
+                               size_t total_examples) {
+  GaussianLabel label;
+  label.mean = stats.Mean();
+  label.stddev = std::max(stats.SampleStdDev(), kMinStdDev);
+  const double prior = static_cast<double>(stats.count()) /
+                       static_cast<double>(total_examples);
+  label.log_norm = std::log(prior) - std::log(label.stddev) -
+                   0.5 * std::log(2.0 * std::numbers::pi);
+  return label;
+}
 
 double GaussianClassifier::LogScore(double x, LabelId label) const {
   if (label >= labels_.size() || labels_[label].empty()) {
     return -std::numeric_limits<double>::infinity();
   }
-  return GaussianLabel(labels_[label], total_examples_).LogScore(x);
+  return GaussianLabel::Of(labels_[label], total_examples_).LogScore(x);
 }
 
 LabelId GaussianClassifier::Classify(const Column& column, size_t row) const {
@@ -97,7 +101,7 @@ GaussianCellModel::GaussianCellModel(const Column& h, const CellRows& rows,
 void GaussianCellModel::Fit(Group* group) const {
   DescriptiveStats stats;
   for (uint32_t r : group->rows) stats.Add(train_values_[r]);
-  group->label = GaussianLabel(stats, train_values_.size());
+  group->label = GaussianLabel::Of(stats, train_values_.size());
 }
 
 double GaussianCellModel::Score(uint32_t item, size_t group) const {

@@ -23,7 +23,8 @@ struct GaussianLabel {
 
   /// `stats` folds the label's train values; the prior is its count among
   /// `total_examples`.
-  GaussianLabel(const DescriptiveStats& stats, size_t total_examples);
+  static GaussianLabel Of(const DescriptiveStats& stats,
+                          size_t total_examples);
 
   /// The log posterior (up to the evidence term) of `x`: log_norm minus half
   /// the squared z-score, the same double as the whole expression.
@@ -32,9 +33,9 @@ struct GaussianLabel {
     return log_norm - 0.5 * z * z;
   }
 
-  double mean;
-  double stddev;
-  double log_norm;
+  double mean = 0.0;
+  double stddev = 0.0;
+  double log_norm = 0.0;
 };
 
 /// Models each label's numeric inputs as a Gaussian and classifies by
@@ -82,7 +83,7 @@ class GaussianCellModel : public CellModel {
   struct Group {
     /// Indices into train_values_, ascending; empty when untrained.
     std::vector<uint32_t> rows;
-    GaussianLabel label{DescriptiveStats(), 1};
+    GaussianLabel label;
   };
 
   /// Folds `group`'s values in row order into its label.

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "check/fuzz.h"
 #include "check/reference.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -355,6 +357,221 @@ TEST(ClusteredViewGenTest, GroupOrderFollowsRenderingsThenValues) {
             MakeFamilyKey("l", atoms, {{2, 4}, {3}}));
   EXPECT_LT(MakeFamilyKey("l", atoms, {{2}, {3, 4}}),
             MakeFamilyKey("l", atoms, {{2, 4}, {3}}));
+}
+
+// ------------------------------------------- per-cell models (CellModel)
+
+/// A hand-built cell over one evidence column: cells appended in order,
+/// each a train or test row of an atom.
+struct HandCell {
+  Column h;
+  CellRows rows;
+
+  explicit HandCell(ValueType type) : h(type) {}
+
+  void Add(const Value& cell, AtomId atom, bool train, size_t copies = 1) {
+    for (size_t k = 0; k < copies; ++k) {
+      (train ? rows.train : rows.test)
+          .push_back({static_cast<RowId>(h.size()), atom});
+      h.Append(cell);
+    }
+  }
+};
+
+ClassifierFactory TgtModelsWithoutTagger() {
+  return [](const Column& h, const CellRows& rows, size_t num_atoms) {
+    return std::make_unique<BestCatCellModel>(nullptr, h, rows, num_atoms);
+  };
+}
+
+TEST(CellModelTest, GroupWithoutTrainRowsHasNoModelEntry) {
+  // Atom 1 ("m") shows up only in test rows: it gets no Naive Bayes column
+  // and no share of the prior's label count (two trained groups, not
+  // three), no Gaussian and no bestCAT frequency, so no test row is ever
+  // predicted as it; every cycle matches a classifier retrained on the
+  // same rows.
+  const LabelAtoms atoms({S("a"), S("m"), S("z")});
+  HandCell text(ValueType::kString);
+  text.Add(S("apple pie"), 0, true, 3);
+  text.Add(S("zebra"), 2, true, 2);
+  text.Add(S("apple"), 1, false, 2);
+  text.Add(S("zebra crossing"), 1, false);
+  text.Add(S("apple pie"), 0, false);
+  text.Add(S("zebra"), 2, false);
+  HandCell numbers(ValueType::kReal);
+  numbers.Add(R(1.5), 0, true);
+  numbers.Add(R(2.5), 0, true);
+  numbers.Add(R(9.0), 2, true);
+  numbers.Add(R(8.5), 1, false);
+  numbers.Add(R(2.0), 0, false);
+  for (const HandCell* cell : {&text, &numbers}) {
+    const std::unique_ptr<CellModel> model =
+        SrcClassifierFactory()(cell->h, cell->rows, atoms.size());
+    std::vector<LabelId> predicted;
+    model->PredictAll({0, 1, 2}, &predicted);
+    for (uint32_t item = 0; item < model->num_items(); ++item) {
+      EXPECT_EQ(model->Score(item, 1),
+                -std::numeric_limits<double>::infinity());
+      EXPECT_NE(predicted[item], 1u);
+    }
+    const Status status = check::CompareCellModelCycles(
+        cell->h, cell->rows, atoms, SrcClassifierFactory(),
+        check::ReferenceSrcClassifiers(), true);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    const Status tags = check::CompareCellModelCycles(
+        cell->h, cell->rows, atoms, TgtModelsWithoutTagger(),
+        check::ReferenceTgtClassifiers(nullptr, nullptr), true);
+    EXPECT_TRUE(tags.ok()) << tags.ToString();
+  }
+  // The prior of "a" counts two trained labels: log((3 + 1) / (5 + 2)).
+  NaiveBayesClassifier nb;
+  for (const AtomRow& row : text.rows.train) {
+    nb.Train(text.h, row.pos, row.atom == 0 ? 0 : 1);
+  }
+  const std::unique_ptr<CellModel> model =
+      SrcClassifierFactory()(text.h, text.rows, atoms.size());
+  EXPECT_EQ(model->Score(0, 0), nb.LogScore(text.h, model->item_row(0), 0));
+}
+
+TEST(CellModelTest, EvidenceOnlyMissingAtomMatchesTheReferenceLoop) {
+  // Every "c" row's evidence is NULL, so "c" trains and tests nowhere; the
+  // emitted families equal the retrain-per-cycle loop's, Late and Early.
+  std::vector<Row> rows;
+  for (int i = 0; i < 60; ++i) {
+    const char* label = i % 3 == 0 ? "a" : i % 3 == 1 ? "b" : "c";
+    rows.push_back({S(label),
+                    i % 3 == 2 ? N() : S(StrFormat("%s%d", label, i % 4).c_str()),
+                    i % 3 == 2 ? N() : R(i % 3 + 0.25 * (i % 5))});
+  }
+  const Table t = MakeTable("t", {"l", "text", "x"}, rows);
+  for (bool early : {false, true}) {
+    Rng rng(5);
+    Rng reference_rng(5);
+    const auto families = ClusteredViewGen(t, SrcClassifierFactory(), {}, {},
+                                           early, rng, {"l"}, {"text", "x"});
+    const auto expected = check::ReferenceClusteredViewGen(
+        t, check::ReferenceSrcClassifiers(), {}, {}, early, reference_rng,
+        {"l"}, {"text", "x"});
+    ASSERT_EQ(families.size(), expected.size());
+    for (size_t f = 0; f < families.size(); ++f) {
+      EXPECT_EQ(families[f].evidence_attribute,
+                expected[f].evidence_attribute);
+      EXPECT_EQ(families[f].views.size(), expected[f].views.size());
+      EXPECT_EQ(std::bit_cast<uint64_t>(families[f].classifier_f1),
+                std::bit_cast<uint64_t>(expected[f].classifier_f1));
+      EXPECT_EQ(std::bit_cast<uint64_t>(families[f].significance),
+                std::bit_cast<uint64_t>(expected[f].significance));
+    }
+  }
+}
+
+TEST(CellModelTest, MergedTieGoesToTheMoreFrequentGroup) {
+  // "a1" (no train row) and "a2" (one "b") merge first: a1's "b" test rows
+  // go to a2.  The merged group {a1, a2} (label 0: 1 example, "b") and "z"
+  // (label 1: 3 "cde" and 12 gram-free "!" examples) then score alike on
+  // one-letter probes (3 unseen grams): log(2/17) - 3 log 12 equals
+  // log(16/17) - 3 log 24.  The tie goes to the more frequent "z".
+  const LabelAtoms atoms({S("a1"), S("a2"), S("z")});
+  HandCell cell(ValueType::kString);
+  cell.Add(S("b"), 1, true);
+  cell.Add(S("cde"), 2, true, 3);
+  cell.Add(S("!"), 2, true, 12);
+  cell.Add(S("b"), 0, false, 3);
+  cell.Add(S("cde"), 2, false);
+  cell.Add(S("f"), 0, false);
+  cell.Add(S("g"), 2, false);
+  const Status status = check::CompareCellModelCycles(
+      cell.h, cell.rows, atoms, SrcClassifierFactory(),
+      check::ReferenceSrcClassifiers(), true);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  const std::unique_ptr<CellModel> model =
+      SrcClassifierFactory()(cell.h, cell.rows, atoms.size());
+  model->Merge(0, 1);  // the merge the loop makes: {a1, a2}, {z}
+  const uint32_t probe = model->num_items() - 2;
+  ASSERT_EQ(cell.h.GetValue(model->item_row(probe)), S("f"));
+  EXPECT_EQ(model->Score(probe, 0), model->Score(probe, 1));
+  std::vector<LabelId> predicted;
+  model->PredictAll({0, 1}, &predicted);
+  EXPECT_EQ(predicted[probe], 1u);
+}
+
+TEST(CellModelTest, MergedTieOfEqualGroupsGoesToTheLowerGroupKey) {
+  // Atoms 9, 10, 11 render "9" last, so the labels are 10 -> 0, 11 -> 1,
+  // 9 -> 2.  9 and 11 each train one "y" and tie, so 9's test row goes to
+  // 11 and {9, 11} merges at group index 0, leaving {10} at index 1.  The
+  // two groups then tie exactly (two 3-gram examples each) on an unseen
+  // probe, and the tie goes to {10}: the lower GroupKey rank (label 0),
+  // though the higher group index.
+  const LabelAtoms atoms({I(9), I(10), I(11)});
+  HandCell cell(ValueType::kString);
+  cell.Add(S("y"), 0, true);
+  cell.Add(S("x"), 1, true, 2);
+  cell.Add(S("y"), 2, true);
+  cell.Add(S("y"), 0, false);
+  cell.Add(S("y"), 2, false);
+  cell.Add(S("x"), 1, false);
+  cell.Add(S("z"), 0, false);
+  const Status status = check::CompareCellModelCycles(
+      cell.h, cell.rows, atoms, SrcClassifierFactory(),
+      check::ReferenceSrcClassifiers(), true);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::vector<AtomGroup> groups = {{0}, {1}, {2}};
+  MergeGroups(0, 2, &groups);
+  EXPECT_EQ(NumberGroups(atoms, groups), (std::vector<LabelId>{1, 0}));
+  const std::unique_ptr<CellModel> model =
+      SrcClassifierFactory()(cell.h, cell.rows, atoms.size());
+  model->Merge(0, 2);
+  const uint32_t probe = model->num_items() - 1;
+  EXPECT_EQ(model->Score(probe, 0), model->Score(probe, 1));
+  std::vector<LabelId> predicted;
+  model->PredictAll({1, 0}, &predicted);  // label 0 is group 1, {10}
+  EXPECT_EQ(predicted[probe], 0u);
+}
+
+TEST(CellModelTest, GaussianMergeRefoldsRowsInTrainOrder) {
+  // Atoms 0 and 1 interleave in train-row order.  Folding the merged
+  // group's values in that order (what a retrained classifier does) gives
+  // other bits than DescriptiveStats::Merge of the two atoms' folds; the
+  // model refolds, so its scores equal the retrained classifier's.
+  const double values[] = {0.1, 0.1, 0.1, 0.3, 1.1, 0.35};
+  const AtomId atom_of[] = {0, 1, 0, 1, 0, 2};
+  HandCell cell(ValueType::kReal);
+  DescriptiveStats parts[2];
+  DescriptiveStats refold;
+  for (size_t k = 0; k < std::size(values); ++k) {
+    cell.Add(R(values[k]), atom_of[k], true);
+    if (atom_of[k] < 2) {
+      parts[atom_of[k]].Add(values[k]);
+      refold.Add(values[k]);
+    }
+  }
+  cell.Add(R(0.5), 0, false);
+  cell.Add(R(0.4), 2, false);
+  DescriptiveStats merged = parts[0];
+  merged.Merge(parts[1]);
+  EXPECT_NE(std::bit_cast<uint64_t>(merged.SampleStdDev()),
+            std::bit_cast<uint64_t>(refold.SampleStdDev()));
+  EXPECT_NE(std::bit_cast<uint64_t>(merged.Mean()),
+            std::bit_cast<uint64_t>(refold.Mean()));
+
+  const std::unique_ptr<CellModel> model =
+      SrcClassifierFactory()(cell.h, cell.rows, 3);
+  model->Merge(0, 1);
+  GaussianClassifier retrained;
+  for (const AtomRow& row : cell.rows.train) {
+    retrained.Train(cell.h, row.pos, row.atom < 2 ? 0 : 1);
+  }
+  for (uint32_t item = 0; item < model->num_items(); ++item) {
+    const double x = cell.h.reals()[model->item_row(item)];
+    for (LabelId group = 0; group < 2; ++group) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(model->Score(item, group)),
+                std::bit_cast<uint64_t>(retrained.LogScore(x, group)));
+    }
+    const double merged_score =
+        GaussianLabel::Of(merged, cell.rows.train.size()).LogScore(x);
+    EXPECT_NE(std::bit_cast<uint64_t>(model->Score(item, 0)),
+              std::bit_cast<uint64_t>(merged_score));
+  }
 }
 
 // ------------------------------------------------------------ NaiveInfer
