@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
       s.scoring.push_back(phases.Seconds("scoring"));
       s.selection.push_back(phases.Seconds("selection"));
       s.cell_max.push_back(phases.Histogram("inference.cell_seconds").max);
-      s.fmeasure.push_back(EvaluateMatches(pair.truth, result.matches).fmeasure);
+      s.fmeasure.push_back(
+          EvaluateMatches(pair.truth, result.matches).fmeasure);
     }
   }
 
@@ -119,7 +120,8 @@ int main(int argc, char** argv) {
     return r.match_seconds > 0 ? r.cpu_seconds / r.match_seconds : 0.0;
   };
   for (const Row& r : rows) {
-    table.AddRow({std::to_string(r.threads), ResultTable::Num(r.match_seconds, 4),
+    table.AddRow({std::to_string(r.threads),
+                  ResultTable::Num(r.match_seconds, 4),
                   ResultTable::Num(r.standard, 4),
                   ResultTable::Num(r.inference, 4),
                   ResultTable::Num(r.cell_max, 4),

@@ -1,9 +1,10 @@
 // FuzzEarlyDisjunctsEquivalence: ClusteredViewGen's per-cell models against
 // the retrain-per-cycle merge loop (check/reference.h).
 
+#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -248,7 +249,8 @@ Status CompareFamilies(const std::vector<ViewFamily>& expected,
     const ViewFamily& e = expected[f];
     const ViewFamily& a = actual[f];
     const std::string at = where + ", family " + std::to_string(f);
-    if (e.base_table != a.base_table || e.label_attribute != a.label_attribute ||
+    if (e.base_table != a.base_table ||
+        e.label_attribute != a.label_attribute ||
         e.evidence_attribute != a.evidence_attribute) {
       return Status::Internal(at + ": " + a.label_attribute + "/" +
                               a.evidence_attribute + ", reference " +

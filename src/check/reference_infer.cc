@@ -2,10 +2,11 @@
 // classifier, kept as the reference of FuzzEarlyDisjunctsEquivalence
 // (check/fuzz.h).
 
+#include "check/reference.h"
+
 #include <algorithm>
 #include <map>
 
-#include "check/reference.h"
 #include "common/logging.h"
 #include "core/clustered_view_gen.h"
 #include "core/tgt_class_infer.h"

@@ -273,8 +273,8 @@ std::vector<ViewFamily> ClusteredViewGen(
     }
     std::vector<AtomId> atom_of =
         ResolveAtoms(source_sample.base(), l, atoms);
-    const GridLabel& label =
-        labels.emplace_back(GridLabel{&l, std::move(atoms), std::move(atom_of)});
+    const GridLabel& label = labels.emplace_back(
+        GridLabel{&l, std::move(atoms), std::move(atom_of)});
     for (const std::string& h : evidence_attributes) {
       if (h == l) continue;
       const size_t h_col = source_sample.schema().AttributeIndex(h);

@@ -37,8 +37,8 @@
 #include "exec/thread_pool.h"
 #include "ml/classifier.h"
 #include "obs/hooks.h"
-#include "relational/table.h"
 #include "relational/sample.h"
+#include "relational/table.h"
 #include "relational/table_view.h"
 #include "relational/view.h"
 

@@ -283,60 +283,59 @@ NaiveBayesCellModel::NaiveBayesCellModel(const Column& h,
         item_grams_.insert(item_grams_.end(), indices.begin(), indices.end());
       } else {
         tokenize(code);
-        for (uint32_t rank : ranks) item_grams_.push_back(vocabulary.Find(rank));
+        for (uint32_t rank : ranks) {
+          item_grams_.push_back(vocabulary.Find(rank));
+        }
       }
       item_offsets_.push_back(static_cast<uint32_t>(item_grams_.size()));
     }
     AddTestRow(item_of_code[code], row);
   }
   FinishTestRows();
-  NumberColumns();
-  const size_t num_columns = log_priors_.size();
-  log_prob_.assign((vocab_ + 1) * num_columns, 0.0);
-  std::vector<double> column(vocab_ + 1);
-  for (const Group& group : groups_) {
-    if (group.column == kNoColumn) continue;
-    ComputeColumn(group, column.data());
-    for (size_t d = 0; d <= vocab_; ++d) {
-      log_prob_[d * num_columns + group.column] = column[d];
-    }
+  for (Group& group : groups_) {
+    if (group.example_count > 0) ComputeColumn(&group);
   }
+  Tabulate();
 }
 
-void NaiveBayesCellModel::ComputeColumn(const Group& group,
-                                        double* column) const {
+void NaiveBayesCellModel::ComputeColumn(Group* group) const {
   const double denom = NaiveBayesTerms::Denominator(
-      static_cast<double>(group.token_total), vocab_);
+      static_cast<double>(group->token_total), vocab_);
   // A term depends only on the count, and most grams count once or a few
   // times, so each small count's log is taken once per column.
   constexpr uint32_t kMemoCounts = 64;
   double memo[kMemoCounts];
   memo[0] = NaiveBayesTerms::LogTerm(0.0, denom);
   uint32_t memo_size = 1;
+  group->log_column.resize(vocab_ + 1);
   for (size_t d = 0; d < vocab_; ++d) {
-    const uint32_t count = group.counts[d];
+    const uint32_t count = group->counts[d];
     if (count >= kMemoCounts) {
-      column[d] = NaiveBayesTerms::LogTerm(count, denom);
+      group->log_column[d] = NaiveBayesTerms::LogTerm(count, denom);
       continue;
     }
     for (; memo_size <= count; ++memo_size) {
       memo[memo_size] = NaiveBayesTerms::LogTerm(memo_size, denom);
     }
-    column[d] = memo[count];
+    group->log_column[d] = memo[count];
   }
-  column[vocab_] = memo[0];
+  group->log_column[vocab_] = memo[0];
 }
 
-void NaiveBayesCellModel::NumberColumns() {
+void NaiveBayesCellModel::Tabulate() {
   size_t num_columns = 0;
   for (Group& group : groups_) {
     group.column = group.example_count > 0 ? num_columns++ : kNoColumn;
   }
   log_priors_.resize(num_columns);
+  log_prob_.resize((vocab_ + 1) * num_columns);
   for (const Group& group : groups_) {
     if (group.column == kNoColumn) continue;
     log_priors_[group.column] = NaiveBayesTerms::LogPrior(
         group.example_count, total_examples_, num_columns);
+    for (size_t d = 0; d <= vocab_; ++d) {
+      log_prob_[d * num_columns + group.column] = group.log_column[d];
+    }
   }
 }
 
@@ -356,32 +355,9 @@ void NaiveBayesCellModel::Merge(size_t a, size_t b) {
   }
   into.example_count += from.example_count;
   into.token_total += from.token_total;
+  ComputeColumn(&into);
   groups_.erase(groups_.begin() + static_cast<ptrdiff_t>(b));
-  // The new table copies every other trained group's column from the old
-  // one and takes a fresh column for the merged group.
-  const size_t old_columns = log_priors_.size();
-  std::vector<size_t> old_column;
-  old_column.reserve(groups_.size());
-  for (const Group& group : groups_) old_column.push_back(group.column);
-  NumberColumns();
-  const size_t num_columns = log_priors_.size();
-  std::vector<double> fresh(vocab_ + 1);
-  ComputeColumn(groups_[a], fresh.data());
-  std::vector<size_t> copy_from(num_columns, kNoColumn);
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    if (g != a && groups_[g].column != kNoColumn) {
-      copy_from[groups_[g].column] = old_column[g];
-    }
-  }
-  std::vector<double> table((vocab_ + 1) * num_columns);
-  for (size_t d = 0; d <= vocab_; ++d) {
-    const double* old_row = log_prob_.data() + d * old_columns;
-    double* row = table.data() + d * num_columns;
-    for (size_t c = 0; c < num_columns; ++c) {
-      row[c] = copy_from[c] == kNoColumn ? fresh[d] : old_row[copy_from[c]];
-    }
-  }
-  log_prob_ = std::move(table);
+  Tabulate();
 }
 
 void NaiveBayesCellModel::SumItem(uint32_t item,

@@ -155,11 +155,12 @@ class NaiveBayesClassifier : public ValueClassifier {
 /// statistics — example count, token total and a count per gram — so a
 /// merge adds two groups' counts exactly and equals a retrain.  Each
 /// distinct test code is tokenized once into dense indices (V for a gram
-/// outside the vocabulary).  The log-probability table is gram-major over
-/// the trained groups in group order, as NaiveBayesClassifier's; a merge
-/// recomputes only the merged group's column and copies the others, and
-/// every prior, since each holds the trained-group count.  Reads kString
-/// columns.
+/// outside the vocabulary).  A group also keeps its log-probability
+/// column, which only its own counts and V decide, so a merge recomputes
+/// the merged group's column alone; the gram-major table over the trained
+/// groups (NaiveBayesClassifier's layout) and every prior, whose
+/// denominator holds the trained-group count, are rebuilt from the
+/// columns.  Reads kString columns.
 class NaiveBayesCellModel : public CellModel {
  public:
   NaiveBayesCellModel(const Column& h, const CellRows& rows, size_t num_atoms);
@@ -177,15 +178,19 @@ class NaiveBayesCellModel : public CellModel {
     uint64_t token_total = 0;
     /// Occurrences by dense gram index; empty for a group without examples.
     std::vector<uint32_t> counts;
+    /// Log probability by dense gram index, then the unseen-gram term;
+    /// empty for a group without examples.
+    std::vector<double> log_column;
     /// Column in the log-probability table; kNoColumn when untrained.
     size_t column = kNoColumn;
   };
 
-  /// Writes `group`'s log-probability column, V + 1 doubles.
-  void ComputeColumn(const Group& group, double* column) const;
+  /// Recomputes `group`'s log column from its counts.
+  void ComputeColumn(Group* group) const;
 
-  /// Numbers the trained groups' columns and recomputes every log prior.
-  void NumberColumns();
+  /// Numbers the trained groups' columns and rebuilds the table and every
+  /// log prior from them.
+  void Tabulate();
 
   /// Every trained group's score of `item` by column, into `sums`.
   void SumItem(uint32_t item, std::vector<double>* sums) const;

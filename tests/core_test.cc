@@ -439,9 +439,10 @@ TEST(CellModelTest, EvidenceOnlyMissingAtomMatchesTheReferenceLoop) {
   std::vector<Row> rows;
   for (int i = 0; i < 60; ++i) {
     const char* label = i % 3 == 0 ? "a" : i % 3 == 1 ? "b" : "c";
+    const bool missing = i % 3 == 2;
     rows.push_back({S(label),
-                    i % 3 == 2 ? N() : S(StrFormat("%s%d", label, i % 4).c_str()),
-                    i % 3 == 2 ? N() : R(i % 3 + 0.25 * (i % 5))});
+                    missing ? N() : S(StrFormat("%s%d", label, i % 4).c_str()),
+                    missing ? N() : R(i % 3 + 0.25 * (i % 5))});
   }
   const Table t = MakeTable("t", {"l", "text", "x"}, rows);
   for (bool early : {false, true}) {
