@@ -260,7 +260,7 @@ std::vector<ViewFamily> ClusteredViewGen(
   // results in the legacy order regardless of which worker ran which cell.
   // Each admissible label attribute's atoms are resolved here, once.
   std::vector<GridLabel> labels;
-  labels.reserve(label_attributes.size());
+  labels.reserve(label_attributes.size());  // cells point into it
   std::vector<GridCell> cells;
   for (const std::string& l : label_attributes) {
     std::vector<Value> values;
