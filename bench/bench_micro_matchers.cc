@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): matcher scoring throughput, session
-// construction, restricted-bag rescoring, and the confidence-blend
-// ablation called out in DESIGN.md.
+// construction, restricted-bag rescoring, placebo draws, per-code index
+// builds, and the confidence-blend ablation called out in DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +8,7 @@
 #include "datagen/retail_gen.h"
 #include "match/matchers.h"
 #include "match/session.h"
+#include "relational/sample.h"
 
 namespace csm {
 namespace {
@@ -96,6 +97,42 @@ void BM_ScoreRestricted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreRestricted);
+
+// The match_batch shape's source table: 800 Retail items.
+const Table& BatchInventory() {
+  static const RetailDataset* data = [] {
+    RetailOptions options;
+    options.num_items = 800;
+    options.seed = 77;
+    return new RetailDataset(MakeRetailDataset(options));
+  }();
+  return data->source.GetTable("inventory");
+}
+
+// One placebo draw: arg 0 = table rows, arg 1 = picks.  222 of 800 is a
+// view's draw on the match_batch shape; 64 of 3e9 shows the cost does not
+// grow with the table.
+void BM_SampleRowPositions(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t picks = static_cast<size_t>(state.range(1));
+  Rng rng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SampleRowPositions(rows, picks, rng));
+  }
+}
+BENCHMARK(BM_SampleRowPositions)
+    ->Args({800, 222})
+    ->Args({3'000'000'000, 64});
+
+// The per-code token index of the 800-item inventory's Title column, as
+// each pipeline run builds it once per rescored attribute.
+void BM_CodeTokenIndexBuild(benchmark::State& state) {
+  const Table& inv = BatchInventory();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AttributeSample::Indexed(inv, "Title"));
+  }
+}
+BENCHMARK(BM_CodeTokenIndexBuild);
 
 }  // namespace
 }  // namespace csm

@@ -25,9 +25,11 @@
 #include "check/generators.h"
 #include "check/reference.h"
 #include "check/token_profile.h"
+#include "common/logging.h"
 #include "core/clustered_view_gen.h"
 #include "core/match_engine.h"
 #include "core/view_inference.h"
+#include "match/code_index.h"
 #include "match/matcher.h"
 #include "match/matchers.h"
 #include "match/session.h"
@@ -1873,6 +1875,80 @@ Status CheckSamplesAgainstBoxedBags(const Table& table, Rng& rng) {
   return Status::Ok();
 }
 
+/// Interns every word token of `texts`, every text whole (arbitrary
+/// bytes, NUL and "" included) and random re-adds through TokenInterner
+/// and the node-based reference: the same id for every add, and after the
+/// last add the same size and the same bytes for every id.
+Status CheckInterner(const std::vector<std::vector<std::string>>& texts,
+                     Rng& rng) {
+  std::vector<std::string> stream;
+  for (const auto& col_texts : texts) {
+    for (const std::string& text : col_texts) {
+      for (const std::string& word : WordTokens(text)) stream.push_back(word);
+      stream.push_back(text);
+    }
+  }
+  for (size_t k = stream.size(); k > 0 && rng.NextBounded(2) == 0; --k) {
+    stream.push_back(stream[rng.NextBounded(stream.size())]);
+  }
+  TokenInterner interner;
+  ReferenceTokenInterner reference;
+  for (const std::string& token : stream) {
+    const GramId got = interner.GetOrAdd(token);
+    const uint32_t want = reference.GetOrAdd(token);
+    if (got != want) {
+      return Status::Internal("interned id of \"" + token + "\" is " +
+                              std::to_string(got) + ", reference " +
+                              std::to_string(want));
+    }
+  }
+  if (interner.size() != reference.size()) {
+    return Status::Internal("interner size diverged");
+  }
+  for (GramId id = 0; id < interner.size(); ++id) {
+    if (interner.value(id) != reference.value(id)) {
+      return Status::Internal("interned bytes of id " + std::to_string(id) +
+                              " diverged");
+    }
+  }
+  return Status::Ok();
+}
+
+/// Random CSR rows of vocabulary indices (empty rows, repeats, one-index
+/// vocabularies) through BuildCodePartials and the sorting reference: per
+/// code the same (index, count) terms, compared in index order.
+Status CheckCodePartials(Rng& rng) {
+  const size_t vocab_size = 1 + rng.NextBounded(40);
+  std::vector<uint32_t> raw_offsets{0};
+  std::vector<uint32_t> raw;
+  for (size_t c = rng.NextBounded(12); c > 0; --c) {
+    for (size_t k = rng.NextBounded(20); k > 0; --k) {
+      raw.push_back(static_cast<uint32_t>(rng.NextBounded(vocab_size)));
+    }
+    raw_offsets.push_back(static_cast<uint32_t>(raw.size()));
+  }
+  std::vector<uint32_t> offsets, want_offsets;
+  std::vector<CodePartial> partials;
+  std::vector<std::pair<uint32_t, uint32_t>> want;
+  BuildCodePartials(raw_offsets, raw, vocab_size, &offsets, &partials);
+  ReferenceCodePartials(raw_offsets, raw, &want_offsets, &want);
+  if (offsets != want_offsets) {
+    return Status::Internal("code partial offsets diverged");
+  }
+  for (size_t c = 0; c + 1 < offsets.size(); ++c) {
+    std::vector<std::pair<uint32_t, uint32_t>> got;
+    for (uint32_t k = offsets[c]; k < offsets[c + 1]; ++k) {
+      got.emplace_back(partials[k].index, partials[k].count);
+    }
+    std::sort(got.begin(), got.end());
+    if (!std::equal(got.begin(), got.end(), want.begin() + offsets[c])) {
+      return Status::Internal("code partials of code " + std::to_string(c) +
+                              " diverged");
+    }
+  }
+  return Status::Ok();
+}
+
 /// A table for FuzzViewProfileEquivalence: every column kind the per-code
 /// index groups differently, with values drawn from small pools so
 /// renderings repeat — strings holding ',', '"', bytes 0x1b-0x1f or no
@@ -2124,9 +2200,14 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
     CSM_RETURN_IF_ERROR(Replay(options, i, CheckNaiveBayesTies(rng)));
 
     // (4) Column-only attribute samples against the boxed bags they
-    // replaced.
+    // replaced; restrictions merge the stamped index's partials.
     CSM_RETURN_IF_ERROR(
         Replay(options, i, CheckSamplesAgainstBoxedBags(table, rng)));
+
+    // (5) The flat interner against the node-based one, and the stamped
+    // partial builder against the sorting one.
+    CSM_RETURN_IF_ERROR(Replay(options, i, CheckInterner(texts, rng)));
+    CSM_RETURN_IF_ERROR(Replay(options, i, CheckCodePartials(rng)));
   }
   return Status::Ok();
 }
@@ -2267,6 +2348,236 @@ Status FuzzViewProfileEquivalence(const FuzzOptions& options) {
                                 std::to_string(k)));
             }
           }
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+namespace {
+
+/// RandomViewProfileTable's cells under attribute names drawn without
+/// repetition from a pool of camelCase, underscored, dashed, digit-bearing
+/// and case-variant names, so name scores separate Jaro-Winkler from the
+/// token Dice.
+Table RandomNamedTable(const std::string& name, Rng& rng) {
+  static const std::vector<std::string> kNames = {
+      "ItemType", "item_type", "type",      "Title",          "BookTitle",
+      "book_title2", "title2", "price",     "PriceUSD",       "usd_price",
+      "name",     "Name",      "x",         "ab_cd",          "cdAb",
+      "AB-cd 3",  "year_published", "PublishedYear", "yr", "Code"};
+  const Table cells = RandomViewProfileTable(name, rng);
+  std::vector<std::string> names = kNames;
+  for (size_t k = names.size(); k > 1; --k) {
+    std::swap(names[k - 1], names[rng.NextBounded(k)]);
+  }
+  TableSchema schema(name);
+  for (size_t c = 0; c < cells.schema().num_attributes(); ++c) {
+    schema.AddAttribute(names[c], cells.schema().attribute(c).type);
+  }
+  Table out(schema);
+  for (size_t r = 0; r < cells.num_rows(); ++r) {
+    Row row;
+    for (size_t c = 0; c < cells.schema().num_attributes(); ++c) {
+      row.push_back(cells.ValueAt(r, c));
+    }
+    out.AddRow(std::move(row));
+  }
+  return out;
+}
+
+/// `table` as the session trains on it: all of it, or under a training cap
+/// the rows the hash-set sampler draws for it.
+Table ReferenceCapped(const Table& table, const MatchOptions& options) {
+  if (options.max_training_rows == 0 ||
+      table.num_rows() <= options.max_training_rows) {
+    return table;
+  }
+  Rng rng(DeriveTableSampleSeed(options.training_sample_seed, table.name()));
+  return table.SelectRows(ReferenceSampleRowPositions(
+      table.num_rows(), options.max_training_rows, rng));
+}
+
+/// A session's raw score matrix, read back through its serialized form.
+std::vector<std::vector<std::vector<double>>> RawScores(
+    const TableMatchSession& session) {
+  std::string blob;
+  session.AppendSerializedScores(&blob);
+  size_t pos = 0;
+  StatusOr<TableMatchSession::RestoredScores> parsed =
+      TableMatchSession::ParseSerializedScores(blob, &pos);
+  CSM_CHECK(parsed.ok()) << parsed.status().ToString();
+  return std::move(parsed.value().raw);
+}
+
+/// The default suite's raw scores of every (source attribute, target
+/// attribute) pair, each computed on its own from boxed bags and map
+/// profiles: both names tokenized per pair, the q-gram cosine of map
+/// profiles, the TF-IDF cosine of the map reference corpus over the target
+/// bags (both norms summed per pair), and the numeric matcher on fresh
+/// samples; NaN where the session's applicability rules skip the pair.
+std::vector<std::vector<std::vector<double>>> ReferenceRawScores(
+    const Table& source, const Database& target, const MatchOptions& options) {
+  struct Side {
+    std::string attribute;
+    AttributeSample sample;
+    BoxedBagReference bag;
+  };
+  auto sides_of = [&](const Table& table, std::vector<Side>* out) {
+    const Table capped = ReferenceCapped(table, options);
+    PosList all(capped.num_rows());
+    std::iota(all.begin(), all.end(), RowId{0});
+    for (size_t c = 0; c < capped.schema().num_attributes(); ++c) {
+      const std::string& name = capped.schema().attribute(c).name;
+      out->push_back({name, AttributeSample::FromTable(capped, name),
+                      BoxedBagReference(capped.column(c), all)});
+    }
+  };
+  std::vector<Side> sources, targets;
+  sides_of(source, &sources);
+  for (const Table& table : target.tables()) sides_of(table, &targets);
+  ReferenceTfIdfCorpus corpus;
+  for (const Side& t : targets) corpus.AddDocument(t.bag.words);
+
+  auto mostly_numeric = [](const BoxedBagReference& bag) {
+    return bag.non_null > 0 && static_cast<double>(bag.numeric.count()) >=
+                                   0.5 * static_cast<double>(bag.non_null);
+  };
+  const NumericMatcher numeric;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<std::vector<double>>> raw(
+      4, std::vector<std::vector<double>>(
+             sources.size(), std::vector<double>(targets.size(), kNaN)));
+  for (size_t s = 0; s < sources.size(); ++s) {
+    const BoxedBagReference& a = sources[s].bag;
+    if (a.non_null < options.min_non_null_values) continue;
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const BoxedBagReference& b = targets[t].bag;
+      if (b.non_null < options.min_non_null_values) continue;
+      raw[0][s][t] =
+          ReferenceNameScore(sources[s].attribute, targets[t].attribute);
+      if (a.non_null > 0 && b.non_null > 0) {
+        raw[1][s][t] = CosineSimilarity(a.grams, b.grams);
+      }
+      if (!a.words.empty() && !b.words.empty()) {
+        raw[2][s][t] = corpus.WeightedCosine(a.words, b.words);
+      }
+      if (mostly_numeric(a) && mostly_numeric(b)) {
+        raw[3][s][t] = numeric.Score(sources[s].sample, targets[t].sample);
+      }
+    }
+  }
+  return raw;
+}
+
+/// Bit equality that also equates any two NaNs (a serialized NaN reads
+/// back as the positive quiet NaN).
+bool SameScore(double a, double b) {
+  return BitEqual(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
+bool SameMatchScore(const MatchScore& a, const MatchScore& b) {
+  return a.matchers_used == b.matchers_used && BitEqual(a.score, b.score) &&
+         BitEqual(a.confidence, b.confidence);
+}
+
+}  // namespace
+
+Status FuzzSessionScoreEquivalence(const FuzzOptions& options) {
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    auto fail = [&](const std::string& what) {
+      return Replay(options, i, Status::Internal(what));
+    };
+    const Table source = RandomNamedTable("src", rng);
+    Database target("tgt");
+    for (size_t k = 1 + rng.NextBounded(2); k > 0; --k) {
+      target.AddTable(RandomNamedTable("t" + std::to_string(k), rng));
+    }
+    MatchOptions match_options;
+    match_options.min_non_null_values = 1 + rng.NextBounded(3);
+    match_options.blend_raw_score = rng.NextBounded(2) == 0;
+    match_options.max_training_rows =
+        rng.NextBounded(3) == 0 ? 1 + rng.NextBounded(12) : 0;
+
+    // (1) The scoring constructor's raw matrix against the per-pair
+    // reference, every matcher, bit for bit.
+    const TableMatchSession fresh(source, target, DefaultMatcherSuite(),
+                                  match_options);
+    const auto raw = RawScores(fresh);
+    const auto want = ReferenceRawScores(source, target, match_options);
+    static const char* const kMatchers[] = {"name", "qgram", "tfidf",
+                                            "numeric"};
+    if (raw.size() != want.size()) return fail("matcher count diverged");
+    for (size_t m = 0; m < raw.size(); ++m) {
+      for (size_t s = 0; s < raw[m].size(); ++s) {
+        for (size_t t = 0; t < raw[m][s].size(); ++t) {
+          if (!SameScore(raw[m][s][t], want[m][s][t])) {
+            char buf[96];
+            std::snprintf(buf, sizeof(buf), ": %a, per-pair reference %a",
+                          raw[m][s][t], want[m][s][t]);
+            return fail(std::string("raw ") + kMatchers[m] + " score of " +
+                        fresh.source_attributes()[s] + " -> " +
+                        fresh.target_refs()[t].ToString() + buf);
+          }
+        }
+      }
+    }
+
+    // (2) The restore constructor over those scores: the same matrix,
+    // pair scores, accepted matches, and restricted-sample scores, with
+    // either session's alignment or none.
+    std::string blob;
+    fresh.AppendSerializedScores(&blob);
+    size_t pos = 0;
+    StatusOr<TableMatchSession::RestoredScores> parsed =
+        TableMatchSession::ParseSerializedScores(blob, &pos);
+    if (!parsed.ok()) return fail(parsed.status().ToString());
+    const TableMatchSession restored(source, target, DefaultMatcherSuite(),
+                                     match_options, std::move(parsed.value()));
+    std::string restored_blob;
+    restored.AppendSerializedScores(&restored_blob);
+    if (restored_blob != blob) return fail("restored raw scores diverged");
+    const double tau = rng.NextDouble();
+    const MatchList fresh_matches = fresh.AcceptedMatches(tau);
+    const MatchList restored_matches = restored.AcceptedMatches(tau);
+    if (fresh_matches.size() != restored_matches.size()) {
+      return fail("restored accepted matches diverged");
+    }
+    for (size_t k = 0; k < fresh_matches.size(); ++k) {
+      if (fresh_matches[k].source != restored_matches[k].source ||
+          fresh_matches[k].target != restored_matches[k].target ||
+          !BitEqual(fresh_matches[k].confidence,
+                    restored_matches[k].confidence)) {
+        return fail("restored accepted match " + std::to_string(k) +
+                    " diverged");
+      }
+    }
+    for (const std::string& attribute : fresh.source_attributes()) {
+      const AttributeSample indexed =
+          AttributeSample::Indexed(source, attribute);
+      const AttributeSample restricted = indexed.Restrict(SampleRowPositions(
+          source.num_rows(), rng.NextBounded(source.num_rows() + 1), rng));
+      for (const AttributeRef& ref : fresh.target_refs()) {
+        if (!SameMatchScore(restored.PairScore(attribute, ref),
+                            fresh.PairScore(attribute, ref))) {
+          return fail("restored pair score of " + attribute + " -> " +
+                      ref.ToString() + " diverged");
+        }
+        const IndexAlignment fresh_alignment =
+            fresh.AlignRestricted(indexed, ref);
+        const IndexAlignment restored_alignment =
+            restored.AlignRestricted(indexed, ref);
+        const MatchScore want_score =
+            fresh.ScoreRestrictedSample(restricted, ref, &fresh_alignment);
+        if (!SameMatchScore(restored.ScoreRestrictedSample(
+                                restricted, ref, &restored_alignment),
+                            want_score) ||
+            !SameMatchScore(restored.ScoreRestrictedSample(restricted, ref),
+                            want_score)) {
+          return fail("restored restricted score of " + attribute + " -> " +
+                      ref.ToString() + " diverged");
         }
       }
     }

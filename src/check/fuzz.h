@@ -105,7 +105,12 @@
 //                            column-only AttributeSamples (whole
 //                            columns and random row draws) against
 //                            map-of-strings / boxed-bag reference
-//                            implementations — every score bit-identical
+//                            implementations — every score bit-identical;
+//                            plus the flat TokenInterner against the
+//                            node-based reference (every id, then every
+//                            token's bytes) and BuildCodePartials against
+//                            the sorting partial builder (check/
+//                            token_profile.h)
 //   * FuzzViewProfileEquivalence
 //                            random tables of repeated renderings (control
 //                            bytes, quotes, NaN, +-inf, -0.0, NULL-only and
@@ -142,6 +147,26 @@
 //                            retrain-per-cycle reference loop
 //                            (check/reference.h): order, views, evidence
 //                            attribute, F1 and significance bits
+//   * FuzzSamplerEquivalence SampleRowPositions against the hash-set Floyd
+//                            sampler (check/reference.h): positions and
+//                            the next RNG draw at n = 0, 1, 2, on both
+//                            sides of 2^8, 2^16 and 2^24, at 3e9 and 2^32
+//                            and at random n, with k = 0, 1, n - 1, n,
+//                            n + 1 and random k, on 1 thread and
+//                            concurrently on pools of each thread count
+//   * FuzzSessionScoreEquivalence
+//                            random source tables and target databases
+//                            (camelCase, underscored and digit-bearing
+//                            attribute names; random non-null floors,
+//                            blending and training caps): a
+//                            TableMatchSession's raw score matrix against
+//                            per-pair scoring with both names tokenized and
+//                            both TF-IDF norms summed on every pair, every
+//                            matcher bit for bit; then a session restored
+//                            from those scores against the fresh one (the
+//                            matrix, pair scores, accepted matches and
+//                            restricted-sample scores with either
+//                            session's alignment or none)
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_
@@ -177,6 +202,8 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options);
 Status FuzzExecutorEquivalence(const FuzzOptions& options);
 Status FuzzViewProfileEquivalence(const FuzzOptions& options);
 Status FuzzEarlyDisjunctsEquivalence(const FuzzOptions& options);
+Status FuzzSamplerEquivalence(const FuzzOptions& options);
+Status FuzzSessionScoreEquivalence(const FuzzOptions& options);
 
 /// Drives one grid cell's merge loop through the model `models` fits and,
 /// at every cycle, through a classifier from `reference` trained afresh on

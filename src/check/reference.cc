@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
+#include <unordered_set>
 
+#include "check/token_profile.h"
 #include "common/logging.h"
+#include "common/string_util.h"
+#include "text/string_distance.h"
+#include "text/tokenizer.h"
 
 namespace csm::check {
 namespace {
@@ -417,6 +423,66 @@ std::string ReferenceTableToCsv(const Table& instance) {
     os << line << '\n';
   }
   return os.str();
+}
+
+PosList ReferenceSampleRowPositions(size_t num_rows, size_t sample_size,
+                                    Rng& rng) {
+  CSM_CHECK_LE(num_rows, static_cast<size_t>(RowId{0} - 1) + 1);
+  if (sample_size >= num_rows) {
+    PosList all(num_rows);
+    std::iota(all.begin(), all.end(), RowId{0});
+    return all;
+  }
+  PosList out;
+  out.reserve(sample_size);
+  std::unordered_set<RowId> chosen;
+  chosen.reserve(sample_size * 2);
+  for (size_t j = num_rows - sample_size; j < num_rows; ++j) {
+    const RowId t = static_cast<RowId>(rng.NextBounded(j + 1));
+    if (chosen.insert(t).second) {
+      out.push_back(t);
+    } else {
+      chosen.insert(static_cast<RowId>(j));
+      out.push_back(static_cast<RowId>(j));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool ReferenceIsCategoricalAttribute(const TableView& instance,
+                                     std::string_view attribute,
+                                     const CategoricalOptions& options) {
+  constexpr double kValueFraction = 0.10;
+  constexpr size_t kMinFrequentValues = 2;
+  constexpr size_t kMinTuplesPerValue = 2;
+  const std::map<Value, size_t> counts = instance.ValueCounts(attribute);
+  if (counts.empty()) return false;
+  size_t total_tuples = 0;
+  for (const auto& [value, count] : counts) total_tuples += count;
+  if (total_tuples == 0) return false;
+  const double tuple_threshold =
+      options.tuple_fraction * static_cast<double>(total_tuples);
+  size_t frequent_values = 0;
+  size_t values_with_min_tuples = 0;
+  for (const auto& [value, count] : counts) {
+    if (static_cast<double>(count) > tuple_threshold) ++frequent_values;
+    if (count >= kMinTuplesPerValue) ++values_with_min_tuples;
+  }
+  const double frequent_fraction = static_cast<double>(frequent_values) /
+                                   static_cast<double>(counts.size());
+  if (frequent_fraction <= kValueFraction) return false;
+  return values_with_min_tuples >= kMinFrequentValues;
+}
+
+double ReferenceNameScore(std::string_view source_attribute,
+                          std::string_view target_attribute) {
+  const double edit_sim = JaroWinklerSimilarity(ToLower(source_attribute),
+                                                ToLower(target_attribute));
+  TokenProfile a, b;
+  for (const std::string& token : NameTokens(source_attribute)) a.Add(token);
+  for (const std::string& token : NameTokens(target_attribute)) b.Add(token);
+  return std::max(edit_sim, DiceSimilarity(a, b));
 }
 
 std::string GroupToken(const std::vector<Value>& members) {

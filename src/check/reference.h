@@ -8,9 +8,11 @@
 // that boxed every cell with ValueAt, the CSV reader that split each
 // record into std::string fields and boxed every cell with Value::Parse,
 // the escaped group tokens that once labelled ClusteredViewGen's
-// classifiers and keyed its family dedup, and ClusteredViewGen's merge loop
+// classifiers and keyed its family dedup, ClusteredViewGen's merge loop
 // that retrained a fresh classifier every cycle, with TgtClassInfer's TBag
-// classifier.  Nothing in the product links them.
+// classifier, the hash-set Floyd sampler, the ordered-map categorical rule
+// and NameMatcher's per-pair name tokenizing.  Nothing in the product links
+// them.
 
 #ifndef CSM_CHECK_REFERENCE_H_
 #define CSM_CHECK_REFERENCE_H_
@@ -27,6 +29,7 @@
 #include "core/context_options.h"
 #include "mapping/query_gen.h"
 #include "ml/classifier.h"
+#include "relational/categorical.h"
 #include "relational/table.h"
 #include "relational/table_view.h"
 #include "relational/view.h"
@@ -59,6 +62,25 @@ std::string ReferenceTableToCsv(const Table& instance);
 /// The boxed writer's quoting of one field: wrapped in quotes, embedded
 /// quotes doubled, when it holds a comma, a quote, CR or LF.
 std::string ReferenceQuoteField(const std::string& field);
+
+/// SampleRowPositions (relational/sample.h) as it was: Floyd's draws with
+/// the picks in a std::unordered_set, then a std::sort.  The same draws,
+/// positions and RNG state afterwards.
+PosList ReferenceSampleRowPositions(size_t num_rows, size_t sample_size,
+                                    Rng& rng);
+
+/// IsCategoricalAttribute (relational/categorical.h) over the ordered
+/// std::map<Value, size_t> of TableView::ValueCounts.
+bool ReferenceIsCategoricalAttribute(const TableView& instance,
+                                     std::string_view attribute,
+                                     const CategoricalOptions& options = {});
+
+/// NameMatcher::Score (match/matchers.h) of two attribute names, with both
+/// names lowercased and tokenized on every call and the token Dice taken
+/// over map profiles: the per-pair path a sample's cached NameForm
+/// replaced.
+double ReferenceNameScore(std::string_view source_attribute,
+                          std::string_view target_attribute);
 
 /// Canonical token of a group of label values: member renderings joined by
 /// '\x1f', each byte '\x1b'..'\x1f' inside a rendering prefixed by '\x1b'.

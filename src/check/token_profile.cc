@@ -1,5 +1,6 @@
 #include "check/token_profile.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace csm::check {
@@ -117,6 +118,36 @@ double ReferenceTfIdfCorpus::WeightedCosine(const TokenProfile& a,
     dot += (count * Idf(token)) * wl;
   }
   return dot / denom;
+}
+
+uint32_t ReferenceTokenInterner::GetOrAdd(std::string_view token) {
+  auto it = index_.find(token);
+  if (it != index_.end()) return it->second;
+  const uint32_t id = static_cast<uint32_t>(tokens_.size());
+  tokens_.emplace_back(token);
+  index_.emplace(std::string_view(tokens_.back()), id);
+  return id;
+}
+
+void ReferenceCodePartials(
+    const std::vector<uint32_t>& raw_offsets, const std::vector<uint32_t>& raw,
+    std::vector<uint32_t>* offsets,
+    std::vector<std::pair<uint32_t, uint32_t>>* partials) {
+  offsets->assign(1, 0);
+  partials->clear();
+  std::vector<uint32_t> indices;
+  for (size_t c = 0; c + 1 < raw_offsets.size(); ++c) {
+    indices.assign(raw.begin() + raw_offsets[c],
+                   raw.begin() + raw_offsets[c + 1]);
+    std::sort(indices.begin(), indices.end());
+    for (size_t k = 0; k < indices.size();) {
+      size_t run = k + 1;
+      while (run < indices.size() && indices[run] == indices[k]) ++run;
+      partials->emplace_back(indices[k], static_cast<uint32_t>(run - k));
+      k = run;
+    }
+    offsets->push_back(static_cast<uint32_t>(partials->size()));
+  }
 }
 
 }  // namespace csm::check

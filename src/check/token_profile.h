@@ -4,6 +4,9 @@
 // A TokenProfile is a multiset of tokens (q-grams or words) in a
 // std::map<std::string, double>; ReferenceTfIdfCorpus keeps document
 // frequencies in a std::map and takes the logarithm on every IDF lookup.
+// ReferenceTokenInterner is the node-based interner the flat one replaced,
+// and ReferenceCodePartials the sorting partial builder of the per-code
+// token index (match/code_index.h).
 // Nothing in the product links them: the fuzzers (fuzz.h), text_test,
 // property_test and bench_micro_text diff or time the production kernel
 // against them, so the reference shares no code with what it checks.
@@ -12,9 +15,13 @@
 #define CSM_CHECK_TOKEN_PROFILE_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace csm::check {
@@ -80,6 +87,27 @@ class ReferenceTfIdfCorpus {
   std::map<std::string, size_t, std::less<>> document_frequency_;
   size_t num_documents_ = 0;
 };
+
+/// TokenInterner (text/gram.h) as it was: a std::deque of token strings
+/// and a std::unordered_map from views of them to first-seen ids.
+class ReferenceTokenInterner {
+ public:
+  uint32_t GetOrAdd(std::string_view token);
+  const std::string& value(uint32_t id) const { return tokens_[id]; }
+  size_t size() const { return tokens_.size(); }
+
+ private:
+  std::deque<std::string> tokens_;  // stable addresses; index == id
+  std::unordered_map<std::string_view, uint32_t> index_;
+};
+
+/// BuildCodePartials (match/code_index.h) as it was: each code's row of
+/// vocabulary indices sorted, then run-length encoded into (index, count)
+/// pairs in increasing index order, CSR over codes by `*offsets`.
+void ReferenceCodePartials(
+    const std::vector<uint32_t>& raw_offsets, const std::vector<uint32_t>& raw,
+    std::vector<uint32_t>* offsets,
+    std::vector<std::pair<uint32_t, uint32_t>>* partials);
 
 }  // namespace csm::check
 

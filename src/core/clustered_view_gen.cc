@@ -248,11 +248,15 @@ std::vector<ViewFamily> ClusteredViewGen(
   // Nothing to split into train/test: no cell could pass the significance
   // gate, so skip the grid entirely.
   if (source_sample.num_rows() < 2) return {};
-  if (label_attributes.empty()) {
-    label_attributes = CategoricalAttributes(source_sample, categorical);
-  }
-  if (evidence_attributes.empty()) {
-    evidence_attributes = NonCategoricalAttributes(source_sample, categorical);
+  if (label_attributes.empty() || evidence_attributes.empty()) {
+    CategoricalSplit split =
+        SplitCategoricalAttributes(source_sample, categorical);
+    if (label_attributes.empty()) {
+      label_attributes = std::move(split.categorical);
+    }
+    if (evidence_attributes.empty()) {
+      evidence_attributes = std::move(split.non_categorical);
+    }
   }
 
   // Lay out the (l, h) grid up front: one cell per admissible pair, in the

@@ -34,15 +34,15 @@ std::vector<CandidateView> CandidatesFromFamilies(
   return DeduplicateCandidates(std::move(out));
 }
 
-std::vector<std::string> FilteredLabelAttributes(
-    const InferenceInput& input, const CategoricalOptions& categorical) {
-  std::vector<std::string> labels =
-      CategoricalAttributes(input.source_sample, categorical);
+CategoricalSplit InferenceAttributes(const InferenceInput& input,
+                                     const CategoricalOptions& categorical) {
+  CategoricalSplit split =
+      SplitCategoricalAttributes(input.source_sample, categorical);
   const auto& excluded = input.excluded_partition_attributes;
-  std::erase_if(labels, [&](const std::string& name) {
+  std::erase_if(split.categorical, [&](const std::string& name) {
     return std::find(excluded.begin(), excluded.end(), name) != excluded.end();
   });
-  return labels;
+  return split;
 }
 
 std::vector<CandidateView> SrcClassInfer::InferCandidateViews(
@@ -51,12 +51,13 @@ std::vector<CandidateView> SrcClassInfer::InferCandidateViews(
   if (!input.source_sample.valid() || input.source_sample.num_rows() == 0) {
     return {};
   }
-  std::vector<std::string> labels = FilteredLabelAttributes(input, categorical_);
-  if (labels.empty()) return {};
+  CategoricalSplit attributes = InferenceAttributes(input, categorical_);
+  if (attributes.categorical.empty()) return {};
   std::vector<ViewFamily> families = ClusteredViewGen(
       input.source_sample, SrcClassifierFactory(), clustered_, categorical_,
-      input.early_disjuncts, rng, std::move(labels), {}, input.pool,
-      input.obs, input.cancel);
+      input.early_disjuncts, rng, std::move(attributes.categorical),
+      std::move(attributes.non_categorical), input.pool, input.obs,
+      input.cancel);
   return CandidatesFromFamilies(families);
 }
 

@@ -35,11 +35,13 @@ ClassifierFactory SrcClassifierFactory();
 std::vector<CandidateView> CandidatesFromFamilies(
     const std::vector<ViewFamily>& families);
 
-/// Categorical attributes of the source sample minus the input's excluded
-/// partition attributes (shared with TgtClassInfer).  Returns at least an
-/// empty vector; callers should skip inference when it is empty.
-std::vector<std::string> FilteredLabelAttributes(
-    const InferenceInput& input, const CategoricalOptions& categorical);
+/// The source sample's attributes split by one pass of the categorical
+/// rule (shared with TgtClassInfer): `categorical` holds the label
+/// attributes, minus the input's excluded partition attributes — callers
+/// should skip inference when it is empty — and `non_categorical` the
+/// evidence attributes.
+CategoricalSplit InferenceAttributes(const InferenceInput& input,
+                                     const CategoricalOptions& categorical);
 
 }  // namespace csm
 

@@ -144,9 +144,8 @@ std::vector<CandidateView> TgtClassInfer::InferCandidateViews(
     return {};
   }
   CSM_CHECK(input.target_sample != nullptr);
-  std::vector<std::string> labels =
-      FilteredLabelAttributes(input, categorical_);
-  if (labels.empty()) return {};
+  CategoricalSplit attributes = InferenceAttributes(input, categorical_);
+  if (attributes.categorical.empty()) return {};
 
   // One shared target classifier per basic type family.
   const std::unique_ptr<ValueClassifier> string_tagger =
@@ -164,8 +163,9 @@ std::vector<CandidateView> TgtClassInfer::InferCandidateViews(
   };
   std::vector<ViewFamily> families = ClusteredViewGen(
       input.source_sample, factory, clustered_, categorical_,
-      input.early_disjuncts, rng, std::move(labels), {}, input.pool,
-      input.obs, input.cancel);
+      input.early_disjuncts, rng, std::move(attributes.categorical),
+      std::move(attributes.non_categorical), input.pool, input.obs,
+      input.cancel);
   return CandidatesFromFamilies(families);
 }
 

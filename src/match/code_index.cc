@@ -14,33 +14,6 @@
 namespace csm {
 namespace {
 
-/// Replaces each raw token id of `raw` (CSR over codes by `raw_offsets`)
-/// with its vocabulary index `to_index(id)` and run-length encodes each
-/// code's row into (index, count) terms sorted by index.
-template <typename Partial, typename ToIndex>
-void BuildPartials(const std::vector<uint32_t>& raw_offsets,
-                   const std::vector<uint32_t>& raw, ToIndex to_index,
-                   std::vector<uint32_t>* offsets,
-                   std::vector<Partial>* partials) {
-  offsets->assign(1, 0);
-  offsets->reserve(raw_offsets.size());
-  std::vector<uint32_t> indices;
-  for (size_t c = 0; c + 1 < raw_offsets.size(); ++c) {
-    indices.clear();
-    for (uint32_t k = raw_offsets[c]; k < raw_offsets[c + 1]; ++k) {
-      indices.push_back(to_index(raw[k]));
-    }
-    std::sort(indices.begin(), indices.end());
-    for (size_t k = 0; k < indices.size();) {
-      size_t run = k + 1;
-      while (run < indices.size() && indices[run] == indices[k]) ++run;
-      partials->push_back({indices[k], static_cast<uint32_t>(run - k)});
-      k = run;
-    }
-    offsets->push_back(static_cast<uint32_t>(partials->size()));
-  }
-}
-
 /// Merge's dense accumulator, borrowed per thread as GramRankSlots borrows
 /// its rank table: each slot's sum and the touched-slot bitset, all zero
 /// between calls, grown to the largest vocabulary the thread has merged.
@@ -59,6 +32,33 @@ MergeScratch& LocalMergeScratch(size_t vocab_size) {
 }
 
 }  // namespace
+
+void BuildCodePartials(const std::vector<uint32_t>& raw_offsets,
+                       const std::vector<uint32_t>& raw, size_t vocab_size,
+                       std::vector<uint32_t>* offsets,
+                       std::vector<CodePartial>* partials) {
+  // last_code[v]: the last code whose row held index v, and at[v] its term
+  // in that row, so each occurrence either opens a term or adds to one.
+  constexpr uint32_t kNoCode = ~uint32_t{0};
+  std::vector<uint32_t> last_code(vocab_size, kNoCode);
+  std::vector<uint32_t> at(vocab_size);
+  offsets->assign(1, 0);
+  offsets->reserve(raw_offsets.size());
+  partials->clear();
+  for (uint32_t c = 0; c + 1 < raw_offsets.size(); ++c) {
+    for (uint32_t k = raw_offsets[c]; k < raw_offsets[c + 1]; ++k) {
+      const uint32_t v = raw[k];
+      if (last_code[v] != c) {
+        last_code[v] = c;
+        at[v] = static_cast<uint32_t>(partials->size());
+        partials->push_back({v, 1});
+      } else {
+        ++(*partials)[at[v]].count;
+      }
+    }
+    offsets->push_back(static_cast<uint32_t>(partials->size()));
+  }
+}
 
 CodeTokenIndex::CodeTokenIndex(const Column& column)
     : row_codes_(column.size(), kNullCode) {
@@ -129,11 +129,11 @@ CodeTokenIndex::CodeTokenIndex(const Column& column)
     vocab_index[first_touch] = static_cast<uint32_t>(gram_vocab_.size());
     gram_vocab_.push_back(GramOfRank(rank));
   });
-  BuildPartials(
-      raw_gram_offsets, raw_grams,
-      [&](uint32_t first_touch) { return vocab_index[first_touch]; },
-      &gram_offsets_, &gram_partials_);
+  for (uint32_t& gram : raw_grams) gram = vocab_index[gram];
+  BuildCodePartials(raw_gram_offsets, raw_grams, gram_vocab_.size(),
+                    &gram_offsets_, &gram_partials_);
 
+  // The interner takes no more adds: its views are final.
   std::vector<GramId> by_token(interner->size());
   std::iota(by_token.begin(), by_token.end(), GramId{0});
   std::sort(by_token.begin(), by_token.end(), [&](GramId a, GramId b) {
@@ -145,15 +145,18 @@ CodeTokenIndex::CodeTokenIndex(const Column& column)
     rank[by_token[k]] = static_cast<uint32_t>(k);
     word_vocab_.push_back(interner->value(by_token[k]));
   }
-  BuildPartials(
-      raw_word_offsets, raw_words, [&](GramId id) { return rank[id]; },
-      &word_offsets_, &word_partials_);
+  for (uint32_t& word : raw_words) word = rank[word];
+  BuildCodePartials(raw_word_offsets, raw_words, word_vocab_.size(),
+                    &word_offsets_, &word_partials_);
   words_ = std::move(interner);
 }
 
 CodeTokenIndex::CodeCounts CodeTokenIndex::Count(
     const PosList& positions) const {
-  std::vector<uint32_t> count(num_codes(), 0);
+  // The thread's per-code counters, zero between calls and grown to the
+  // most codes the thread has counted; only the counted codes are reset.
+  thread_local std::vector<uint32_t> count;
+  if (count.size() < num_codes()) count.resize(num_codes(), 0);
   CodeCounts out;
   for (RowId p : positions) {
     CSM_CHECK_LT(p, row_codes_.size());
@@ -161,12 +164,19 @@ CodeTokenIndex::CodeCounts CodeTokenIndex::Count(
     if (code == kNullCode) continue;
     if (count[code]++ == 0) out.emplace_back(code, 0);
   }
-  for (auto& [code, n] : out) n = count[code];
+  for (auto& [code, n] : out) {
+    n = count[code];
+    count[code] = 0;
+  }
   return out;
 }
 
+void CodeTokenIndex::AppendRendering(uint32_t code, std::string* out) const {
+  representatives_.AppendRendering(code, out);
+}
+
 SlotTerms CodeTokenIndex::Merge(const std::vector<uint32_t>& offsets,
-                                const std::vector<Partial>& partials,
+                                const std::vector<CodePartial>& partials,
                                 size_t vocab_size,
                                 const CodeCounts& counts) const {
   MergeScratch& scratch = LocalMergeScratch(vocab_size);
@@ -175,7 +185,7 @@ SlotTerms CodeTokenIndex::Merge(const std::vector<uint32_t>& offsets,
   for (const auto& [code, n] : counts) {
     const double weight = static_cast<double>(n);
     for (uint32_t k = offsets[code]; k < offsets[code + 1]; ++k) {
-      const Partial& p = partials[k];
+      const CodePartial& p = partials[k];
       sums[p.index] += weight * static_cast<double>(p.count);
       touched[p.index / 64] |= uint64_t{1} << (p.index % 64);
     }

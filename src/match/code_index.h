@@ -13,10 +13,12 @@
 // Codes are the distinct non-null values in first-seen row order: one per
 // string dictionary entry, int value or real bit pattern (the grouping
 // AttributeSample::DistinctRenders uses, so NaN payloads and -0.0 keep
-// their own codes).  Partials are CSR rows of (vocabulary slot, count);
-// the q-gram vocabulary is sorted by GramId (built by dense 3-gram rank,
-// text/gram.h) and the word vocabulary lexicographically, so a merge emits
-// terms in exactly the order the profile builders sort their entries into.
+// their own codes).  Partials are CSR rows of (vocabulary slot, count),
+// built without a sort by stamping each slot with the last code that held
+// it; the q-gram vocabulary is sorted by GramId (built by dense 3-gram
+// rank, text/gram.h) and the word vocabulary lexicographically, so a merge
+// emits terms in exactly the order the profile builders sort their entries
+// into.
 // Counts are exact integers below 2^53, so merged profiles are
 // bit-identical to built ones.
 //
@@ -36,6 +38,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -55,6 +58,22 @@ struct SlotTerm {
   double count;
 };
 using SlotTerms = std::vector<SlotTerm>;
+
+/// One (vocabulary index, count) term of a code's partial profile.
+struct CodePartial {
+  uint32_t index;
+  uint32_t count;
+};
+
+/// Run-length encodes each code's row of `raw` (CSR over codes by
+/// `raw_offsets`; every entry a vocabulary index below `vocab_size`) into
+/// one (index, count) term per distinct index of the row, in the order the
+/// indices first occur in it, CSR over codes by `*offsets`.  A per-index
+/// last-code stamp finds a term already opened in the row: no sort.
+void BuildCodePartials(const std::vector<uint32_t>& raw_offsets,
+                       const std::vector<uint32_t>& raw, size_t vocab_size,
+                       std::vector<uint32_t>* offsets,
+                       std::vector<CodePartial>* partials);
 
 /// A target attribute's whole-table profiles laid over one index's
 /// vocabularies, for scoring that index's subsets against the target: built
@@ -102,8 +121,13 @@ class CodeTokenIndex {
   explicit CodeTokenIndex(const Column& column);
 
   /// The codes at `positions` (rows of the indexed column; NULL rows are
-  /// skipped) with their multiplicities.
+  /// skipped) with their multiplicities, counted in the calling thread's
+  /// scratch.
   CodeCounts Count(const PosList& positions) const;
+
+  /// Appends the rendering of code `code`'s value (Value::ToString) to
+  /// `*out`.
+  void AppendRendering(uint32_t code, std::string* out) const;
 
   /// The padded 3-gram terms of the counted rows, sorted by slot.
   SlotTerms MergeQGrams(const CodeCounts& counts) const;
@@ -125,18 +149,12 @@ class CodeTokenIndex {
                   IndexAlignment* alignment) const;
 
  private:
-  /// One (vocabulary slot, count) term of a code's partial profile.
-  struct Partial {
-    uint32_t index;
-    uint32_t count;
-  };
-
   /// Adds count x partial for every counted code into the thread's dense
   /// accumulator and returns the touched slots' sums in slot order, leaving
   /// the accumulator zero again (only the touched slots and bitset words
   /// are written).
   SlotTerms Merge(const std::vector<uint32_t>& offsets,
-                  const std::vector<Partial>& partials, size_t vocab_size,
+                  const std::vector<CodePartial>& partials, size_t vocab_size,
                   const CodeCounts& counts) const;
 
   size_t num_codes() const { return representatives_.size(); }
@@ -148,11 +166,11 @@ class CodeTokenIndex {
   Column representatives_;
 
   std::vector<uint32_t> gram_offsets_;  // code c: [offsets[c], offsets[c+1])
-  std::vector<Partial> gram_partials_;
+  std::vector<CodePartial> gram_partials_;
   std::vector<GramId> gram_vocab_;      // sorted by id
 
   std::vector<uint32_t> word_offsets_;
-  std::vector<Partial> word_partials_;
+  std::vector<CodePartial> word_partials_;
   std::shared_ptr<const TokenInterner> words_;  // owns the token bytes
   std::vector<std::string_view> word_vocab_;    // sorted lexicographically
 };

@@ -5,9 +5,33 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "text/tokenizer.h"
 
 namespace csm {
+namespace {
+
+/// The non-null values of a numeric `column` (int or real; any other type
+/// folds nothing) at `*positions`, or at every row when null, added in
+/// that order: DescriptiveStats is order-sensitive.
+DescriptiveStats FoldNumeric(const Column& column, const PosList* positions) {
+  DescriptiveStats stats;
+  const bool is_int = column.type() == ValueType::kInt;
+  if (!is_int && column.type() != ValueType::kReal) return stats;
+  auto add = [&](size_t r) {
+    if (column.IsNull(r)) return;
+    stats.Add(is_int ? static_cast<double>(column.ints()[r])
+                     : column.reals()[r]);
+  };
+  if (positions == nullptr) {
+    for (size_t r = 0; r < column.size(); ++r) add(r);
+  } else {
+    for (RowId p : *positions) add(p);
+  }
+  return stats;
+}
+
+}  // namespace
 
 AttributeSample AttributeSample::FromTable(const Table& instance,
                                            std::string_view attribute) {
@@ -27,17 +51,41 @@ AttributeSample AttributeSample::Restrict(const PosList& positions) const {
   CSM_CHECK(index_ != nullptr && !code_counts_.has_value())
       << "Restrict needs an Indexed whole-table sample of "
       << ref_.ToString();
-  AttributeSample out(ref_, column_.Gather(positions));
+  AttributeSample out(ref_, Column());
+  out.type_ = type_;
+  out.size_ = positions.size();
   out.index_ = index_;
   out.code_counts_ = index_->Count(positions);
+  // Numeric stats fold the values in position order, as a gathered column
+  // would; every other reader answers from the code counts.
+  if (type_ == ValueType::kInt || type_ == ValueType::kReal) {
+    std::call_once(out.caches_->numeric_once, [&] {
+      out.caches_->numeric_stats = FoldNumeric(column_, &positions);
+    });
+  }
   return out;
+}
+
+const AttributeSample::NameForm& AttributeSample::Name() const {
+  std::call_once(caches_->name_once, [this] {
+    WordProfileBuilder builder;
+    for (const std::string& token : NameTokens(ref_.attribute)) {
+      builder.Add(token);
+    }
+    caches_->name = NameForm{ToLower(ref_.attribute), builder.Build()};
+  });
+  return *caches_->name;
 }
 
 size_t AttributeSample::NonNullCount() const {
   std::call_once(caches_->non_null_once, [this] {
     size_t n = 0;
-    for (size_t r = 0; r < column_.size(); ++r) {
-      if (!column_.IsNull(r)) ++n;
+    if (code_counts_.has_value()) {
+      for (const auto& [code, count] : *code_counts_) n += count;
+    } else {
+      for (size_t r = 0; r < column_.size(); ++r) {
+        if (!column_.IsNull(r)) ++n;
+      }
     }
     caches_->non_null_count = n;
   });
@@ -48,6 +96,16 @@ const std::vector<std::pair<std::string, double>>&
 AttributeSample::DistinctRenders() const {
   std::call_once(caches_->distinct_once, [this] {
     std::vector<std::pair<std::string, double>> out;
+    if (code_counts_.has_value()) {
+      // A code is a distinct value of the whole-table grouping below.
+      for (const auto& [code, count] : *code_counts_) {
+        std::string text;
+        index_->AppendRendering(code, &text);
+        out.emplace_back(std::move(text), static_cast<double>(count));
+      }
+      caches_->distinct = std::move(out);
+      return;
+    }
     auto render = [&](size_t r) {
       return column_.type() == ValueType::kString
                  ? column_.dictionary().value(column_.codes()[r])
@@ -139,19 +197,10 @@ const csm::WordProfile& AttributeSample::WordProfile() const {
 }
 
 const DescriptiveStats& AttributeSample::NumericStats() const {
+  // A numeric restriction folded its values when it was made; any other
+  // restriction's column is not numeric and folds nothing.
   std::call_once(caches_->numeric_once, [this] {
-    // Row-order accumulation: DescriptiveStats is order-sensitive, and a
-    // gathered column keeps the view's row order.
-    DescriptiveStats stats;
-    const bool is_int = column_.type() == ValueType::kInt;
-    if (is_int || column_.type() == ValueType::kReal) {
-      for (size_t r = 0; r < column_.size(); ++r) {
-        if (column_.IsNull(r)) continue;
-        stats.Add(is_int ? static_cast<double>(column_.ints()[r])
-                         : column_.reals()[r]);
-      }
-    }
-    caches_->numeric_stats = stats;
+    caches_->numeric_stats = FoldNumeric(column_, nullptr);
   });
   return *caches_->numeric_stats;
 }

@@ -26,13 +26,12 @@ namespace csm {
 /// value bag v(R, a).  Token profiles and numeric statistics are built
 /// lazily and cached, so a sample kept alive across many Score() calls
 /// (e.g., a target attribute compared against many candidate views) pays
-/// the tokenization cost once.
+/// the tokenization cost once, for its values and for its attribute name.
 ///
-/// The bag is a Column segment with no per-row boxing.  There are two ways
-/// to get one:
+/// The bag has no per-row boxing.  There are two ways to get one:
 ///   * FromTable: a whole table's column.  Its profile builders tokenize
 ///     each *distinct* rendered value once, scaled by its multiplicity.
-///   * Indexed(...).Restrict(positions): the column gathered at a candidate
+///   * Indexed(...).Restrict(positions): the code counts of a candidate
 ///     view's or placebo draw's rows, with the profiles merged from the
 ///     whole column's per-code token index (match/code_index.h) instead of
 ///     tokenized again.  Scoring reads its merged slot terms against an
@@ -60,18 +59,29 @@ class AttributeSample {
                                  std::string_view attribute);
 
   /// The sample at `positions` (rows of the indexed table, e.g. a view's
-  /// MatchingPositions or a placebo draw): the column gathered at the
-  /// positions, so NumericStats folds values in position order and
-  /// DistinctRenders groups them as for a whole table, and the count of
-  /// each code at them, from which both token profiles merge the index's
-  /// per-code partials.  Equal, bit for bit, to FromTable over the rows at
-  /// `positions` materialized as a table.
+  /// MatchingPositions or a placebo draw): the count of each code at the
+  /// positions, from which both token profiles merge the index's per-code
+  /// partials and DistinctRenders renders each code once, and, for a
+  /// numeric column, its values folded into NumericStats in position
+  /// order.  No column is copied.  Equal, bit for bit, to FromTable over
+  /// the rows at `positions` materialized as a table.
   /// CHECK-fails unless this sample was built by Indexed.
   AttributeSample Restrict(const PosList& positions) const;
 
   const AttributeRef& ref() const { return ref_; }
-  ValueType declared_type() const { return column_.type(); }
-  size_t size() const { return column_.size(); }
+  ValueType declared_type() const { return type_; }
+  size_t size() const { return size_; }
+
+  /// The attribute name as NameMatcher compares it: lowercased, and as the
+  /// word profile of its NameTokens.
+  struct NameForm {
+    std::string lowercase;
+    csm::WordProfile tokens;
+  };
+
+  /// The attribute name's NameForm (cached), so a sample scored against
+  /// many others tokenizes its name once.
+  const NameForm& Name() const;
 
   /// Number of non-null values (cached).
   size_t NonNullCount() const;
@@ -115,6 +125,7 @@ class AttributeSample {
   /// Lazily built caches guarded by once-flags (which are neither copyable
   /// nor movable, hence the shared heap block).
   struct Caches {
+    std::once_flag name_once;
     std::once_flag non_null_once;
     std::once_flag distinct_once;
     std::once_flag qgram_once;
@@ -123,6 +134,7 @@ class AttributeSample {
     std::once_flag word_terms_once;
     std::once_flag numeric_once;
     size_t non_null_count = 0;
+    std::optional<NameForm> name;
     std::optional<std::vector<std::pair<std::string, double>>> distinct;
     std::optional<SlotTerms> gram_terms;
     std::optional<SlotTerms> word_terms;
@@ -132,10 +144,17 @@ class AttributeSample {
   };
 
   AttributeSample(AttributeRef ref, Column column)
-      : ref_(std::move(ref)), column_(std::move(column)) {}
+      : ref_(std::move(ref)),
+        type_(column.type()),
+        size_(column.size()),
+        column_(std::move(column)) {}
 
   AttributeRef ref_;
-  /// The bag (dictionary shared with the source table, copy-on-write).
+  ValueType type_;
+  /// Number of values: the bag's rows, or a restriction's positions.
+  size_t size_;
+  /// The bag of a whole-table sample (dictionary shared with the source
+  /// table, copy-on-write); empty in a restriction.
   Column column_;
   /// The whole column's per-code token index: set on Indexed samples and
   /// on their restrictions.
@@ -167,9 +186,13 @@ class AttributeMatcher {
   }
 
   /// Corpus-level preparation before a batch of Score() calls; the default
-  /// does nothing.  `targets` are all target attribute samples in play;
-  /// they must outlive the matcher's Score calls.
-  virtual void Prepare(const std::vector<const AttributeSample*>& targets) {
+  /// does nothing.  `targets` are all target attribute samples in play and
+  /// `sources` the whole-table source samples that will be scored against
+  /// them (empty when none will, as in a restored session); all must
+  /// outlive the matcher's Score calls.
+  virtual void Prepare(const std::vector<const AttributeSample*>& sources,
+                       const std::vector<const AttributeSample*>& targets) {
+    (void)sources;
     (void)targets;
   }
 

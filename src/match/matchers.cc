@@ -1,64 +1,18 @@
 #include "match/matchers.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <string_view>
 
-#include "common/string_util.h"
 #include "text/string_distance.h"
-#include "text/tokenizer.h"
 
 namespace csm {
 
-std::vector<std::string> NameMatcher::NameTokens(std::string_view name) {
-  std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&] {
-    if (!current.empty()) {
-      tokens.push_back(current);
-      current.clear();
-    }
-  };
-  char prev = '\0';
-  for (char c : name) {
-    const bool is_alpha = std::isalpha(static_cast<unsigned char>(c)) != 0;
-    const bool is_digit = std::isdigit(static_cast<unsigned char>(c)) != 0;
-    if (!is_alpha && !is_digit) {
-      flush();
-      prev = c;
-      continue;
-    }
-    // CamelCase hump: upper after lower starts a new token; so does an
-    // alpha/digit boundary.
-    const bool hump = std::isupper(static_cast<unsigned char>(c)) &&
-                      std::islower(static_cast<unsigned char>(prev));
-    const bool kind_change =
-        (is_digit && std::isalpha(static_cast<unsigned char>(prev))) ||
-        (is_alpha && std::isdigit(static_cast<unsigned char>(prev)));
-    if (hump || kind_change) flush();
-    current += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    prev = c;
-  }
-  flush();
-  return tokens;
-}
-
 double NameMatcher::Score(const AttributeSample& source,
                           const AttributeSample& target) const {
-  const std::string a = ToLower(source.ref().attribute);
-  const std::string b = ToLower(target.ref().attribute);
-  double edit_sim = JaroWinklerSimilarity(a, b);
-
-  WordProfileBuilder pa, pb;
-  for (const std::string& token : NameTokens(source.ref().attribute)) {
-    pa.Add(token);
-  }
-  for (const std::string& token : NameTokens(target.ref().attribute)) {
-    pb.Add(token);
-  }
-  double token_sim = DiceSimilarity(pa.Build(), pb.Build());
-  return std::max(edit_sim, token_sim);
+  const AttributeSample::NameForm& a = source.Name();
+  const AttributeSample::NameForm& b = target.Name();
+  return std::max(JaroWinklerSimilarity(a.lowercase, b.lowercase),
+                  DiceSimilarity(a.tokens, b.tokens));
 }
 
 void NameMatcher::Align(const AttributeSample& indexed,
@@ -99,13 +53,17 @@ double QGramMatcher::ScoreAligned(const AttributeSample& restricted,
 }
 
 void TfIdfTokenMatcher::Prepare(
+    const std::vector<const AttributeSample*>& sources,
     const std::vector<const AttributeSample*>& targets) {
-  std::vector<const WordProfile*> documents;
-  documents.reserve(targets.size());
-  for (const AttributeSample* sample : targets) {
-    documents.push_back(&sample->WordProfile());
-  }
-  corpus_ = TfIdfCorpus(documents);
+  auto profiles = [](const std::vector<const AttributeSample*>& samples) {
+    std::vector<const WordProfile*> out;
+    out.reserve(samples.size());
+    for (const AttributeSample* sample : samples) {
+      out.push_back(&sample->WordProfile());
+    }
+    return out;
+  };
+  corpus_ = TfIdfCorpus(profiles(targets), profiles(sources));
 }
 
 bool TfIdfTokenMatcher::Applicable(const AttributeSample& source,

@@ -15,9 +15,10 @@
 
 namespace csm {
 
-/// Attribute-name similarity: the max of Jaro-Winkler on the normalized
-/// names and Dice overlap of their camelCase/underscore-split tokens.
-/// A schema-level signal, weighted below the instance-based matchers.
+/// Attribute-name similarity: the max of Jaro-Winkler on the lowercased
+/// names and Dice overlap of their camelCase/underscore-split tokens
+/// (NameTokens), both read from each sample's cached NameForm.  A
+/// schema-level signal, weighted below the instance-based matchers.
 class NameMatcher : public AttributeMatcher {
  public:
   explicit NameMatcher(double weight = 0.5) : weight_(weight) {}
@@ -33,10 +34,6 @@ class NameMatcher : public AttributeMatcher {
   double ScoreAligned(const AttributeSample& restricted,
                       const AttributeSample& target,
                       const IndexAlignment& alignment) const override;
-
-  /// Splits an attribute name into lowercase tokens on underscores, dashes,
-  /// spaces, digit boundaries and camelCase humps ("ItemType" -> item,type).
-  static std::vector<std::string> NameTokens(std::string_view name);
 
  private:
   double weight_;
@@ -67,14 +64,16 @@ class QGramMatcher : public AttributeMatcher {
 /// TF-IDF-weighted cosine over word tokens.  Prepare() builds the IDF
 /// corpus from the target attributes, so tokens common to every target
 /// column (stopwords, boilerplate) are discounted; the corpus keeps each
-/// target's side of the cosine, so scoring looks up only source tokens.
+/// target's side of the cosine and each prepared source's weighted norm,
+/// so scoring a prepared pair looks up only the source tokens both share.
 class TfIdfTokenMatcher : public AttributeMatcher {
  public:
   explicit TfIdfTokenMatcher(double weight = 1.0) : weight_(weight) {}
 
   std::string Name() const override { return "tfidf"; }
   double Weight() const override { return weight_; }
-  void Prepare(const std::vector<const AttributeSample*>& targets) override;
+  void Prepare(const std::vector<const AttributeSample*>& sources,
+               const std::vector<const AttributeSample*>& targets) override;
   bool Applicable(const AttributeSample& source,
                   const AttributeSample& target) const override;
   double Score(const AttributeSample& source,

@@ -24,7 +24,8 @@ constexpr double kMinScoreStddev = 0.05;
 }  // namespace
 
 void TableMatchSession::BuildSamples(const Table& source,
-                                     const Database& target) {
+                                     const Database& target,
+                                     bool score_sources) {
   // Training cap: bags come from a deterministic per-table row sample when
   // the table is larger than max_training_rows.  The draw depends only on
   // (options, table name, row count), so the restore constructor — which
@@ -52,10 +53,17 @@ void TableMatchSession::BuildSamples(const Table& source,
     }
   }
 
-  std::vector<const AttributeSample*> target_ptrs;
-  target_ptrs.reserve(target_samples_.size());
-  for (const auto& sample : target_samples_) target_ptrs.push_back(&sample);
-  for (auto& matcher : matchers_) matcher->Prepare(target_ptrs);
+  auto pointers = [](const std::vector<AttributeSample>& samples) {
+    std::vector<const AttributeSample*> out;
+    out.reserve(samples.size());
+    for (const AttributeSample& sample : samples) out.push_back(&sample);
+    return out;
+  };
+  const std::vector<const AttributeSample*> sources =
+      score_sources ? pointers(source_samples_)
+                    : std::vector<const AttributeSample*>{};
+  const std::vector<const AttributeSample*> targets = pointers(target_samples_);
+  for (auto& matcher : matchers_) matcher->Prepare(sources, targets);
 }
 
 void TableMatchSession::ReplayDistributions() {
@@ -81,7 +89,7 @@ TableMatchSession::TableMatchSession(
       options_(options),
       matchers_(std::move(matchers)) {
   CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
-  BuildSamples(source, target);
+  BuildSamples(source, target, /*score_sources=*/true);
 
   // Score every applicable (matcher, source, target) triple; the
   // per-(matcher, source) score distributions across targets are then the
@@ -119,7 +127,7 @@ TableMatchSession::TableMatchSession(
       options_(options),
       matchers_(std::move(matchers)) {
   CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
-  BuildSamples(source, target);
+  BuildSamples(source, target, /*score_sources=*/false);
 
   CSM_CHECK(scores.raw.size() == matchers_.size())
       << "restored scores have " << scores.raw.size() << " matchers, suite has "

@@ -166,8 +166,10 @@ class TableMatchSession {
   };
 
   /// Shared constructor prologue: attribute samples for every source and
-  /// target attribute, then matcher Prepare over the target samples.
-  void BuildSamples(const Table& source, const Database& target);
+  /// target attribute, then matcher Prepare over the target samples and,
+  /// when `score_sources` (the scoring constructor), the source samples.
+  void BuildSamples(const Table& source, const Database& target,
+                    bool score_sources);
 
   /// Builds distributions_ from raw_scores_ by adding the non-NaN scores of
   /// each (matcher, source) row in target order.  Both constructors end

@@ -25,11 +25,22 @@ struct CategoricalOptions {
 };
 
 /// Applies the rule to one attribute of `instance`.  Attributes with no
-/// non-null values are never categorical.  Accepts a zero-copy TableView;
-/// a Table converts implicitly (identity view).
+/// non-null values are never categorical.  Values are counted under
+/// Value's equality (every NaN is one value, -0.0 equals 0.0; NULLs are
+/// skipped) in one hash pass.  Accepts a zero-copy TableView; a Table
+/// converts implicitly (identity view).
 bool IsCategoricalAttribute(const TableView& instance,
                             std::string_view attribute,
                             const CategoricalOptions& options = {});
+
+/// Every attribute of `instance` on its side of the rule, each in schema
+/// order: one pass decides both Cat(R) and the h candidates.
+struct CategoricalSplit {
+  std::vector<std::string> categorical;
+  std::vector<std::string> non_categorical;
+};
+CategoricalSplit SplitCategoricalAttributes(
+    const TableView& instance, const CategoricalOptions& options = {});
 
 /// Cat(R): names of the categorical attributes of `instance`, in schema
 /// order.

@@ -1,8 +1,10 @@
 #include "relational/sample.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
-#include <unordered_set>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -35,6 +37,24 @@ TrainTestViewSplit SplitTrainTestView(const TableView& instance,
                             instance.Select(std::move(test))};
 }
 
+namespace {
+
+/// SampleRowPositions' per-thread scratch, grown to the largest draw the
+/// thread has made: the picks' open-addressing set and the two buffers the
+/// radix passes alternate between.
+struct SamplerScratch {
+  std::vector<uint64_t> slots;  // pick + 1; 0 marks an empty slot
+  PosList picks;
+  PosList spare;
+};
+
+SamplerScratch& LocalSamplerScratch() {
+  thread_local SamplerScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 PosList SampleRowPositions(size_t num_rows, size_t sample_size, Rng& rng) {
   // PosList entries are 32-bit; Table::AddRow enforces the same bound.
   CSM_CHECK_LE(num_rows, static_cast<size_t>(RowId{0} - 1) + 1);
@@ -45,23 +65,59 @@ PosList SampleRowPositions(size_t num_rows, size_t sample_size, Rng& rng) {
   }
   // Floyd's sampling: for j in [n-k, n), draw t uniform on [0, j]; take t
   // unless already taken, else take j.  Every k-subset is equally likely,
-  // with exactly k draws and a k-entry set — no n-sized allocation, no
-  // full shuffle.
-  PosList out;
-  out.reserve(sample_size);
-  std::unordered_set<RowId> chosen;
-  chosen.reserve(sample_size * 2);
+  // with exactly k draws — no n-sized allocation, no full shuffle.  The
+  // picks live in a linear-probing set of at least 2k slots, hashed by
+  // multiplying with 2^64 / phi and keeping the top bits.  The scratch is
+  // the thread's, so concurrent draws share nothing.
+  SamplerScratch& scratch = LocalSamplerScratch();
+  const int log_slots = static_cast<int>(std::bit_width(2 * sample_size | 1));
+  scratch.slots.assign(size_t{1} << log_slots, 0);
+  const uint64_t mask = (uint64_t{1} << log_slots) - 1;
+  // Inserts `pick` unless present; true when it was new.
+  auto insert = [&](uint64_t pick) {
+    uint64_t slot = (pick * 0x9e3779b97f4a7c15ULL) >> (64 - log_slots);
+    while (scratch.slots[slot] != 0) {
+      if (scratch.slots[slot] == pick + 1) return false;
+      slot = (slot + 1) & mask;
+    }
+    scratch.slots[slot] = pick + 1;
+    return true;
+  };
+  PosList& picks = scratch.picks;
+  picks.clear();
   for (size_t j = num_rows - sample_size; j < num_rows; ++j) {
-    const RowId t = static_cast<RowId>(rng.NextBounded(j + 1));
-    if (chosen.insert(t).second) {
-      out.push_back(t);
+    const uint64_t t = rng.NextBounded(j + 1);
+    if (insert(t)) {
+      picks.push_back(static_cast<RowId>(t));
     } else {
       // j itself is fresh: every prior pick is <= the prior j < this j.
-      chosen.insert(static_cast<RowId>(j));
-      out.push_back(static_cast<RowId>(j));
+      insert(j);
+      picks.push_back(static_cast<RowId>(j));
     }
   }
-  std::sort(out.begin(), out.end());
+
+  // Ascending order by least-significant-byte radix passes, one per byte
+  // of the largest position n - 1; the last pass writes the result.
+  const int passes = std::max(
+      1, static_cast<int>(std::bit_width(uint64_t{num_rows - 1}) + 7) / 8);
+  PosList out(sample_size);
+  scratch.spare.resize(sample_size);
+  const RowId* from = picks.data();
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = 8 * pass;
+    RowId* to = pass + 1 == passes ? out.data()
+                : from == picks.data() ? scratch.spare.data()
+                                       : picks.data();
+    std::array<size_t, 257> starts{};
+    for (size_t i = 0; i < sample_size; ++i) {
+      ++starts[((from[i] >> shift) & 0xffu) + 1];
+    }
+    for (size_t b = 1; b < starts.size(); ++b) starts[b] += starts[b - 1];
+    for (size_t i = 0; i < sample_size; ++i) {
+      to[starts[(from[i] >> shift) & 0xffu]++] = from[i];
+    }
+    from = to;
+  }
   return out;
 }
 

@@ -4,8 +4,8 @@
 //
 // The subsampling path is built on SampleRowPositions, a bounded-cost
 // uniform index sampler (Floyd's algorithm): drawing k of n rows costs
-// O(k log k) time and O(k) memory regardless of n, so samplers stay cheap
-// on million-row tables.  ReservoirSampleRows gathers exactly the positions
+// O(k) time and O(k) memory regardless of n, so samplers stay cheap on
+// million-row tables.  ReservoirSampleRows gathers exactly the positions
 // SampleRowPositions picks.
 
 #ifndef CSM_RELATIONAL_SAMPLE_H_
@@ -35,16 +35,19 @@ TrainTestViewSplit SplitTrainTestView(const TableView& instance,
 
 /// Uniformly samples `sample_size` distinct row positions from
 /// [0, num_rows), returned ascending.  Floyd's algorithm: exactly
-/// min(sample_size, num_rows) RNG draws and O(sample_size) memory — the
-/// cost never scales with num_rows, which is what lets a 500-row training
-/// sample stay 500-rows cheap on a 10^7-row table.  Returns all positions
-/// when sample_size >= num_rows.  Deterministic given `rng`.
+/// sample_size RNG draws when sample_size < num_rows, picks tracked in a
+/// flat open-addressing set and ordered by byte-radix passes (one per byte
+/// of num_rows - 1), in O(sample_size) time and memory — the cost never
+/// scales with num_rows, which is what lets a 500-row training sample stay
+/// 500-rows cheap on a 10^7-row table.  Returns all positions, drawing
+/// nothing, when sample_size >= num_rows.  Deterministic given `rng`;
+/// uses the calling thread's scratch, so concurrent calls are safe.
 PosList SampleRowPositions(size_t num_rows, size_t sample_size, Rng& rng);
 
 /// Bounded-cost uniform row sample without replacement: a columnar gather
 /// of the rows at SampleRowPositions(...).  The k-slot reservoir is filled
 /// by index sampling instead of a full-table scan, so building the sample
-/// costs O(k log k) plus the gather — independent of instance size.  Order
+/// costs O(k) plus the gather — independent of instance size.  Order
 /// of kept rows is preserved; returns a copy of `instance` when
 /// sample_size >= num_rows.
 Table ReservoirSampleRows(const Table& instance, size_t sample_size, Rng& rng);

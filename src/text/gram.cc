@@ -146,14 +146,36 @@ void GramRankSlots::Clear() {
 }
 
 GramId TokenInterner::GetOrAdd(std::string_view token) {
-  auto it = index_.find(token);
-  if (it != index_.end()) return it->second;
-  const GramId id = static_cast<GramId>(tokens_.size());
-  tokens_.emplace_back(token);
-  index_.emplace(std::string_view(tokens_.back()), id);
-  GlobalTokenKernelStats().grams_interned.fetch_add(1,
-                                                    std::memory_order_relaxed);
-  return id;
+  if (2 * (size() + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(16, 2 * slots_.size()));
+  }
+  const uint32_t tag =
+      static_cast<uint32_t>(std::hash<std::string_view>{}(token) >> 32);
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = tag & mask;; slot = (slot + 1) & mask) {
+    Slot& s = slots_[slot];
+    if (s.id == kNoToken) {
+      s = Slot{tag, static_cast<GramId>(size())};
+      bytes_.append(token);
+      starts_.push_back(static_cast<uint32_t>(bytes_.size()));
+      GlobalTokenKernelStats().grams_interned.fetch_add(
+          1, std::memory_order_relaxed);
+      return s.id;
+    }
+    if (s.tag == tag && value(s.id) == token) return s.id;
+  }
+}
+
+void TokenInterner::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  const size_t mask = capacity - 1;
+  for (const Slot& s : old) {
+    if (s.id == kNoToken) continue;
+    size_t slot = s.tag & mask;
+    while (slots_[slot].id != kNoToken) slot = (slot + 1) & mask;
+    slots_[slot] = s;
+  }
 }
 
 GramProfile::GramProfile(std::vector<Entry> entries, double total)
@@ -225,10 +247,8 @@ size_t WordProfile::IntersectionSize(const WordProfile& other) const {
   return n;
 }
 
-WordProfileBuilder::WordProfileBuilder()
-    : interner_(std::make_shared<TokenInterner>()) {}
-
 void WordProfileBuilder::Add(std::string_view token, double count) {
+  if (interner_ == nullptr) interner_ = std::make_shared<TokenInterner>();
   const GramId id = interner_->GetOrAdd(token);
   if (id >= counts_.size()) counts_.resize(id + 1, 0.0);
   counts_[id] += count;
@@ -252,18 +272,18 @@ void WordProfileBuilder::AddText(std::string_view text, double count) {
 }
 
 WordProfile WordProfileBuilder::Build() {
+  // The interner takes no more adds, so its views are final.
   std::vector<WordProfile::Entry> entries;
-  entries.reserve(interner_->size());
-  for (GramId id = 0; id < interner_->size(); ++id) {
-    entries.push_back({std::string_view(interner_->value(id)), counts_[id]});
+  const size_t n = interner_ == nullptr ? 0 : interner_->size();
+  entries.reserve(n);
+  for (GramId id = 0; id < n; ++id) {
+    entries.push_back({interner_->value(id), counts_[id]});
   }
   std::sort(entries.begin(), entries.end(),
             [](const WordProfile::Entry& a, const WordProfile::Entry& b) {
               return a.token < b.token;
             });
   WordProfile profile(std::move(interner_), std::move(entries), total_);
-  // Reset for reuse: a fresh interner, empty counts.
-  interner_ = std::make_shared<TokenInterner>();
   counts_.clear();
   total_ = 0.0;
   return profile;

@@ -24,6 +24,7 @@
 //   * TokenInterner.  Word tokens (unbounded length) intern to dense ids in
 //     first-seen order — the same determinism contract as StringDictionary:
 //     the ids assigned to a token stream are a function of the stream alone.
+//     The tokens share one byte arena and one open-addressing index.
 //
 //   * Flat profiles.  GramProfile / WordProfile store sorted (id, count) /
 //     (token, count) vectors; the q-gram cosine (Dot) and the word Dice
@@ -44,11 +45,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -171,30 +170,39 @@ class GramRankSlots {
 /// An append-only token -> dense id map; ids are assigned in first-seen
 /// order, so the encoding of a token stream is a deterministic function of
 /// the stream (the StringDictionary contract, applied to tokens).
+///
+/// The tokens live back to back in one byte arena, and the index is one
+/// open-addressing table of (hash tag, id) slots with linear probing at a
+/// load of at most 1/2: no string or hash node per token.  An add may move
+/// the arena, so take views (value()) only after the last add.
 class TokenInterner {
  public:
   /// Returns the id of `token`, adding it if absent.
   GramId GetOrAdd(std::string_view token);
 
-  const std::string& value(GramId id) const { return tokens_[id]; }
-  size_t size() const { return tokens_.size(); }
+  /// The bytes of token `id`; valid until the next add.
+  std::string_view value(GramId id) const {
+    return std::string_view(bytes_.data() + starts_[id],
+                            starts_[id + 1] - starts_[id]);
+  }
+  size_t size() const { return starts_.size() - 1; }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
+  /// One index slot: the upper half of the token's hash, which also picks
+  /// its home slot, and its id; kNoToken marks an empty slot.
+  struct Slot {
+    uint32_t tag = 0;
+    GramId id = kNoToken;
   };
-  struct Eq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
-  };
+  static constexpr GramId kNoToken = ~GramId{0};
 
-  std::deque<std::string> tokens_;  // stable addresses; index == id
-  std::unordered_map<std::string_view, GramId, Hash, Eq> index_;
+  /// Rebuilds the index with `capacity` slots (a power of two).
+  void Rehash(size_t capacity);
+
+  std::string bytes_;  // every token, in id order
+  /// Token id's bytes are [starts_[id], starts_[id + 1]) of bytes_.
+  std::vector<uint32_t> starts_{0};
+  std::vector<Slot> slots_;  // empty, or a power of two >= 2 * size()
 };
 
 /// A flat q-gram multiset: (id, count) entries sorted by id.  Counts are
@@ -286,12 +294,12 @@ class WordProfile {
   double total_ = 0.0;
 };
 
-/// Accumulates word-token counts through a fresh TokenInterner and emits
-/// lexicographically sorted profiles.  Reusable: Build() resets the builder.
+/// Accumulates word-token counts through a TokenInterner and emits
+/// lexicographically sorted profiles.  Build() hands its interner to the
+/// profile, whose entries view the token bytes; the next Add starts a new
+/// one.  Reusable: Build() resets the builder.
 class WordProfileBuilder {
  public:
-  WordProfileBuilder();
-
   /// Adds `count` occurrences of `token` (already a single word token).
   void Add(std::string_view token, double count = 1.0);
 
@@ -302,7 +310,7 @@ class WordProfileBuilder {
   WordProfile Build();
 
  private:
-  std::shared_ptr<TokenInterner> interner_;
+  std::shared_ptr<TokenInterner> interner_;  // null until the first Add
   std::vector<double> counts_;  // indexed by token id
   double total_ = 0.0;
   std::string token_scratch_;

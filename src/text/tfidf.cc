@@ -11,7 +11,8 @@ double SmoothedIdf(double num_documents, double df) {
 
 }  // namespace
 
-TfIdfCorpus::TfIdfCorpus(const std::vector<const WordProfile*>& documents)
+TfIdfCorpus::TfIdfCorpus(const std::vector<const WordProfile*>& documents,
+                         const std::vector<const WordProfile*>& queries)
     : num_documents_(documents.size()) {
   // Document frequencies first (exact small integers in doubles), then
   // each one replaced by its IDF in place.
@@ -29,7 +30,7 @@ TfIdfCorpus::TfIdfCorpus(const std::vector<const WordProfile*>& documents)
   for (auto& [token, value] : idf_) value = SmoothedIdf(n, value);
   unseen_idf_ = SmoothedIdf(n, 0.0);
 
-  documents_.reserve(documents.size());
+  documents_.reserve(documents.size() + queries.size());
   for (const WordProfile* document : documents) {
     Document state;
     state.idf.reserve(document->num_distinct());
@@ -39,6 +40,12 @@ TfIdfCorpus::TfIdfCorpus(const std::vector<const WordProfile*>& documents)
     state.norm = NormOf(*document, [&](size_t k) { return state.idf[k]; });
     document_of_.try_emplace(document, documents_.size());
     documents_.push_back(std::move(state));
+  }
+  // A profile that is also a document keeps its document state: the same
+  // norm, and its IDFs.
+  for (const WordProfile* query : queries) {
+    if (!document_of_.try_emplace(query, documents_.size()).second) continue;
+    documents_.push_back(Document{{}, LookedUpNorm(*query), false});
   }
 }
 
@@ -78,12 +85,14 @@ double TfIdfCorpus::WeightedCosine(const WordProfile& a,
   // exact +0.0 no-ops because profile counts (and hence weights) are
   // positive.  When b is a document, its norm and a shared token's IDF are
   // read from its stored state: the same values Idf() and LookedUpNorm
-  // give.  a (a source attribute in a session) is looked up.
+  // give.  a (a source attribute in a session) reads its stored norm when
+  // it is a query, and looks its IDFs up.
   if (a.empty() || b.empty()) return 0.0;
-  const Document* b_document = Find(b);
-  const double denom = LookedUpNorm(a) *
-                       (b_document != nullptr ? b_document->norm
-                                              : LookedUpNorm(b));
+  const Document* b_state = Find(b);
+  const Document* b_document =
+      b_state != nullptr && b_state->is_document ? b_state : nullptr;
+  const double denom = WeightedNorm(a) *
+                       (b_state != nullptr ? b_state->norm : LookedUpNorm(b));
   if (denom == 0.0) return 0.0;
   double dot = 0.0;
   auto ia = a.entries().begin();

@@ -1,5 +1,7 @@
 #include "text/tokenizer.h"
 
+#include <cctype>
+
 namespace csm {
 namespace {
 
@@ -71,6 +73,39 @@ std::vector<std::string> QGrams(std::string_view text, size_t q) {
     grams.emplace_back(padded, i, q);
   }
   return grams;
+}
+
+std::vector<std::string> NameTokens(std::string_view name) {
+  std::vector<std::string> tokens;
+  std::string current;
+  auto flush = [&] {
+    if (!current.empty()) {
+      tokens.push_back(current);
+      current.clear();
+    }
+  };
+  char prev = '\0';
+  for (char c : name) {
+    const bool is_alpha = std::isalpha(static_cast<unsigned char>(c)) != 0;
+    const bool is_digit = std::isdigit(static_cast<unsigned char>(c)) != 0;
+    if (!is_alpha && !is_digit) {
+      flush();
+      prev = c;
+      continue;
+    }
+    // CamelCase hump: upper after lower starts a new token; so does an
+    // alpha/digit boundary.
+    const bool hump = std::isupper(static_cast<unsigned char>(c)) &&
+                      std::islower(static_cast<unsigned char>(prev));
+    const bool kind_change =
+        (is_digit && std::isalpha(static_cast<unsigned char>(prev))) ||
+        (is_alpha && std::isdigit(static_cast<unsigned char>(prev)));
+    if (hump || kind_change) flush();
+    current += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    prev = c;
+  }
+  flush();
+  return tokens;
 }
 
 }  // namespace csm

@@ -47,6 +47,11 @@ void WordTokens(std::string_view text, std::vector<std::string>* out);
 /// in order of occurrence (duplicates kept).
 std::vector<std::string> QGrams(std::string_view text, size_t q);
 
+/// Splits an attribute name into lowercase tokens on underscores, dashes,
+/// spaces, digit boundaries and camelCase humps ("ItemType" -> item,type):
+/// the token side of NameMatcher.
+std::vector<std::string> NameTokens(std::string_view name);
+
 }  // namespace csm
 
 #endif  // CSM_TEXT_TOKENIZER_H_

@@ -92,6 +92,16 @@ TEST(FuzzSmokeTest, ViewProfileEquivalence) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, SamplerEquivalence) {
+  const Status status = check::FuzzSamplerEquivalence(Options(60));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(FuzzSmokeTest, SessionScoreEquivalence) {
+  const Status status = check::FuzzSessionScoreEquivalence(Options(100));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, DifferentialOracles) {
   const Status status = check::FuzzDifferential(Options(10));
   EXPECT_TRUE(status.ok()) << status.ToString();

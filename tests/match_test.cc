@@ -17,6 +17,7 @@
 #include "relational/csv.h"
 #include "relational/sample.h"
 #include "tests/test_util.h"
+#include "text/tokenizer.h"
 
 namespace csm {
 namespace {
@@ -73,13 +74,13 @@ TEST(AttributeSampleTest, FromTable) {
 // ---------------------------------------------------------- NameMatcher
 
 TEST(NameMatcherTest, TokensSplitCamelAndUnderscore) {
-  EXPECT_EQ(NameMatcher::NameTokens("ItemType"),
+  EXPECT_EQ(NameTokens("ItemType"),
             (std::vector<std::string>{"item", "type"}));
-  EXPECT_EQ(NameMatcher::NameTokens("year_published"),
+  EXPECT_EQ(NameTokens("year_published"),
             (std::vector<std::string>{"year", "published"}));
-  EXPECT_EQ(NameMatcher::NameTokens("bk_title2"),
+  EXPECT_EQ(NameTokens("bk_title2"),
             (std::vector<std::string>{"bk", "title", "2"}));
-  EXPECT_TRUE(NameMatcher::NameTokens("").empty());
+  EXPECT_TRUE(NameTokens("").empty());
 }
 
 TEST(NameMatcherTest, IdenticalNamesScoreOne) {
@@ -149,7 +150,7 @@ TEST(TfIdfMatcherTest, PrepareDiscountsUbiquitousTokens) {
   auto shared1 = StringSample("t", "x", {"the alpha", "the beta"});
   auto shared2 = StringSample("t", "y", {"the gamma", "the delta"});
   auto probe = StringSample("s", "p", {"the alpha"});
-  m.Prepare({&shared1, &shared2});
+  m.Prepare({&probe}, {&shared1, &shared2});
   // "the" appears in every target doc, so overlap via "alpha" dominates.
   EXPECT_GT(m.Score(probe, shared1), m.Score(probe, shared2));
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +14,8 @@
 #include <map>
 #include <set>
 
+#include "check/reference.h"
+#include "common/random.h"
 #include "relational/categorical.h"
 #include "relational/column.h"
 #include "relational/condition.h"
@@ -583,6 +586,72 @@ TEST(CategoricalTest, IntLabelsWork) {
   for (int i = 0; i < 60; ++i) rows.push_back({I(i % 3)});
   Table t = MakeTable("t", {"k"}, rows);
   EXPECT_TRUE(IsCategoricalAttribute(t, "k"));
+}
+
+// The hash-pass rule against the ordered-map one it replaced, on random
+// columns of NaN payloads, +-0.0, ints above 2^53 (distinct as ints, equal
+// as doubles), all-distinct and all-equal values, with NULLs mixed in; on
+// the table and on a view of every other row, at three tuple fractions.
+TEST(CategoricalTest, SplitMatchesOrderedMapRule) {
+  const double kReals[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(uint64_t{0x7ff8000000000001}),
+      std::bit_cast<double>(uint64_t{0xfff0000000000003}),
+      0.0, -0.0, 1.5};
+  const int64_t kBig = int64_t{1} << 53;
+  const int64_t kInts[] = {kBig, kBig + 1, kBig + 2, -kBig - 1, 7};
+  Rng rng(26);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t rows = rng.NextBounded(41);
+    const double null_probability = rng.NextBounded(3) * 0.25;
+    // 0: pooled values, 1: all distinct, 2: all equal.
+    const uint64_t shape = rng.NextBounded(3);
+    const size_t pool = 1 + rng.NextBounded(std::size(kReals));
+    TableSchema schema("t");
+    schema.AddAttribute("r", ValueType::kReal);
+    schema.AddAttribute("i", ValueType::kInt);
+    schema.AddAttribute("s", ValueType::kString);
+    Table t(schema);
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t k = shape == 0   ? rng.NextBounded(pool)
+                       : shape == 1 ? r
+                                    : 0;
+      Row row;
+      auto cell = [&](Value v) {
+        row.push_back(rng.NextDouble() < null_probability ? Value::Null() : v);
+      };
+      cell(Value::Real(shape == 1 ? static_cast<double>(r) + 0.5
+                                  : kReals[k % std::size(kReals)]));
+      cell(Value::Int(shape == 1 ? kBig + static_cast<int64_t>(r)
+                                 : kInts[k % std::size(kInts)]));
+      cell(Value::String("v" + std::to_string(k)));
+      t.AddRow(std::move(row));
+    }
+    PosList every_other;
+    for (size_t r = 0; r < rows; r += 2) {
+      every_other.push_back(static_cast<RowId>(r));
+    }
+    for (const TableView& view : {TableView(t), TableView(t, every_other)}) {
+      for (double fraction : {0.01, 0.2, 0.34}) {
+        CategoricalOptions options;
+        options.tuple_fraction = fraction;
+        const CategoricalSplit split =
+            SplitCategoricalAttributes(view, options);
+        for (const char* attribute : {"r", "i", "s"}) {
+          const bool want =
+              check::ReferenceIsCategoricalAttribute(view, attribute, options);
+          EXPECT_EQ(IsCategoricalAttribute(view, attribute, options), want)
+              << "trial " << trial << " " << attribute;
+          const auto& side = want ? split.categorical : split.non_categorical;
+          EXPECT_NE(std::find(side.begin(), side.end(), attribute),
+                    side.end())
+              << "trial " << trial << " " << attribute;
+        }
+        EXPECT_EQ(split.categorical.size() + split.non_categorical.size(), 3u);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Sample

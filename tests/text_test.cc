@@ -225,6 +225,29 @@ TEST(TfIdfTest, WeightedCosinePrefersDistinctiveOverlap) {
   EXPECT_GT(w12, w14);
 }
 
+TEST(TfIdfTest, QueriesKeepTheirNormButAreNotDocuments) {
+  const WordProfile d1 = WordsOf({"the", "cat", "sat"});
+  const WordProfile d2 = WordsOf({"the", "dog"});
+  const WordProfile query = WordsOf({"cat", "cat", "owl", "the"});
+  const TfIdfCorpus documents_only({&d1, &d2});
+  const TfIdfCorpus corpus({&d1, &d2}, {&query, &d1});
+  // A query counts toward no document frequency, and d1 stays a document.
+  EXPECT_EQ(corpus.num_documents(), 2u);
+  for (const char* token : {"the", "cat", "owl", "sat"}) {
+    EXPECT_EQ(corpus.Idf(token), documents_only.Idf(token)) << token;
+  }
+  // Its stored norm and cosines are the looked-up ones, bit for bit.
+  const WordProfile copy = query;
+  EXPECT_EQ(corpus.WeightedNorm(query), corpus.WeightedNorm(copy));
+  EXPECT_EQ(corpus.WeightedNorm(d1), documents_only.WeightedNorm(d1));
+  for (const WordProfile* document : {&d1, &d2}) {
+    EXPECT_EQ(corpus.WeightedCosine(query, *document),
+              corpus.WeightedCosine(copy, *document));
+    EXPECT_EQ(corpus.WeightedCosine(*document, query),
+              corpus.WeightedCosine(*document, copy));
+  }
+}
+
 TEST(TfIdfTest, EmptyCorpusStillWorks) {
   const TfIdfCorpus corpus;
   const WordProfile d = WordsOf({"a"});
