@@ -1,5 +1,6 @@
-// Micro-benchmarks (google-benchmark): classifier training/classification,
-// ClusteredViewGen, view materialization, and condition evaluation.
+// Micro-benchmarks (google-benchmark): classifier kernels (fitting a
+// model, predicting a distinct value), ClusteredViewGen, view
+// materialization, and condition evaluation.
 
 #include <benchmark/benchmark.h>
 
@@ -25,47 +26,55 @@ RetailDataset& SharedData() {
 }
 
 /// Each classifier bench reads one column built outside the timed loop:
-/// even training rows are labeled 0 and odd rows 1; a classify bench's
-/// probe is the last row.
-LabelId LabelOfRow(size_t r) { return static_cast<LabelId>(r % 2); }
+/// even training rows are labeled 0 and odd rows 1; a predict bench's probe
+/// is the last row, its model's one test item.
+CellRows TrainEveryRow(size_t rows, bool probe_last) {
+  CellRows out;
+  const size_t train = probe_last ? rows - 1 : rows;
+  for (size_t r = 0; r < train; ++r) {
+    out.train.push_back({static_cast<RowId>(r), static_cast<AtomId>(r % 2)});
+  }
+  if (probe_last) out.test.push_back({static_cast<RowId>(train), 0});
+  return out;
+}
 
-void BM_NaiveBayesTrain(benchmark::State& state) {
-  Rng rng(5);
+Column Titles(Rng& rng, bool with_probe) {
   Column titles(ValueType::kString);
   for (int i = 0; i < 200; ++i) {
     titles.Append(Value::String(MakeBookTitle(rng)));
     titles.Append(Value::String(MakeAlbumTitle(rng)));
   }
+  if (with_probe) titles.Append(Value::String(MakeBookTitle(rng)));
+  return titles;
+}
+
+void BM_NaiveBayesTrain(benchmark::State& state) {
+  Rng rng(5);
+  const Column titles = Titles(rng, false);
+  const CellRows rows = TrainEveryRow(titles.size(), false);
   for (auto _ : state) {
-    NaiveBayesClassifier nb;
-    for (size_t r = 0; r < titles.size(); ++r) {
-      nb.Train(titles, r, LabelOfRow(r));
-    }
-    benchmark::DoNotOptimize(nb);
+    NaiveBayesCellModel model(titles, rows, 2);
+    benchmark::DoNotOptimize(model);
   }
 }
 BENCHMARK(BM_NaiveBayesTrain);
 
-/// Memo-warm after the first iteration: a TgtClassInfer tagger's cost for
-/// a repeated evidence value.
-void BM_NaiveBayesClassify(benchmark::State& state) {
+/// One distinct value predicted by a fitted model: a tagger's cost per
+/// distinct evidence value, past tokenizing it.
+void BM_NaiveBayesPredict(benchmark::State& state) {
   Rng rng(6);
-  Column titles(ValueType::kString);
-  for (int i = 0; i < 200; ++i) {
-    titles.Append(Value::String(MakeBookTitle(rng)));
-    titles.Append(Value::String(MakeAlbumTitle(rng)));
-  }
-  titles.Append(Value::String(MakeBookTitle(rng)));  // the probe
-  const size_t probe = titles.size() - 1;
-  NaiveBayesClassifier nb;
-  for (size_t r = 0; r < probe; ++r) nb.Train(titles, r, LabelOfRow(r));
+  const Column titles = Titles(rng, true);
+  const NaiveBayesCellModel model(
+      titles, TrainEveryRow(titles.size(), true), 2);
+  std::vector<LabelId> predicted;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nb.Classify(titles, probe));
+    model.PredictAll({0, 1}, &predicted);
+    benchmark::DoNotOptimize(predicted.data());
   }
 }
-BENCHMARK(BM_NaiveBayesClassify);
+BENCHMARK(BM_NaiveBayesPredict);
 
-void BM_GaussianClassify(benchmark::State& state) {
+void BM_GaussianPredict(benchmark::State& state) {
   Rng rng(7);
   Column prices(ValueType::kReal);
   for (int i = 0; i < 500; ++i) {
@@ -73,14 +82,15 @@ void BM_GaussianClassify(benchmark::State& state) {
     prices.Append(Value::Real(rng.NextGaussian(14, 3)));
   }
   prices.Append(Value::Real(17.0));  // the probe
-  const size_t probe = prices.size() - 1;
-  GaussianClassifier g;
-  for (size_t r = 0; r < probe; ++r) g.Train(prices, r, LabelOfRow(r));
+  const GaussianCellModel model(prices, TrainEveryRow(prices.size(), true),
+                                2);
+  std::vector<LabelId> predicted;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.Classify(prices, probe));
+    model.PredictAll({0, 1}, &predicted);
+    benchmark::DoNotOptimize(predicted.data());
   }
 }
-BENCHMARK(BM_GaussianClassify);
+BENCHMARK(BM_GaussianPredict);
 
 void BM_ClusteredViewGen(benchmark::State& state) {
   const Table& inv = SharedData().source.GetTable("inventory");

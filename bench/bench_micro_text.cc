@@ -1,8 +1,9 @@
-// Microbenchmarks of the interned token kernel (text/gram.h) against the
-// map-of-strings baselines it replaced, on the Fig 19 grades workload
-// (200 students x 5 exams; the evidence attribute "name" repeats each of
-// the 200 distinct names five times — exactly the distinct-value reuse the
-// classifier memo exploits).
+// Microbenchmarks of the interned token kernel (text/gram.h) and the Naive
+// Bayes kernel (ml/naive_bayes.h) against the map-of-strings baselines
+// they replaced, on the Fig 19 grades workload (200 students x 5 exams;
+// the evidence attribute "name" repeats each of the 200 distinct names
+// five times — the distinct-value reuse that predicting each distinct
+// value once exploits).
 //
 // Five operations are measured, each in two implementations:
 //
@@ -10,22 +11,23 @@
 //                    (packed uint32 gram ids, zero per-gram allocations)
 //   profile_build    TokenProfile (std::map) accumulation vs
 //                    GramProfileBuilder -> flat sorted (id, count) entries
-//   nb_train         map-of-strings Naive Bayes training vs
-//                    NaiveBayesClassifier::Train over the name column
-//                    (per-(dictionary, code) token memo)
-//   nb_classify      per-call map NB scoring vs
-//                    NaiveBayesClassifier::Classify over the name column
-//                    (memo-warm: every value was classified before)
-//   nb_classify_cold the same baseline vs Classify over a column rebuilt
-//                    with its own dictionary for each rep, so every
-//                    distinct value misses the memo once and runs the
-//                    gram-major scoring kernel, as a fresh tagger does
+//   nb_train         map-of-strings Naive Bayes training vs fitting the
+//                    Naive Bayes kernel to one column of names per label
+//                    (each distinct code tokenized once), as TgtClassInfer
+//                    fits its string tagger to the target's columns
+//   nb_classify      per-call map NB scoring of every row vs predicting
+//                    the name column's distinct values with a fitted
+//                    kernel whose items are already tokenized, then
+//                    reading each row's label
+//   nb_classify_cold the same baseline vs a fresh tagger: fitting the
+//                    kernel, tokenizing each distinct name once and
+//                    predicting it, then reading each row's label
 //
 // All kernel paths produce bit-identical scores to the baselines (enforced
-// by FuzzTokenKernelEquivalence); this bench records the time.  Writes
-// BENCH_token_kernel.json (or argv[1]).  With CSM_BENCH_REQUIRE_SPEEDUP=1
-// the process fails unless every op is >= 1.0x and nb_classify >= 3.0x —
-// the CI smoke regression gate.
+// by FuzzTokenKernelEquivalence and FuzzEarlyDisjunctsEquivalence); this
+// bench records the time.  Writes BENCH_token_kernel.json (or argv[1]).
+// With CSM_BENCH_REQUIRE_SPEEDUP=1 the process fails unless every op is
+// >= 1.0x and nb_classify >= 3.0x — the CI smoke regression gate.
 
 #include <algorithm>
 #include <chrono>
@@ -35,6 +37,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -51,25 +54,19 @@ namespace {
 using namespace csm;
 using namespace csm::bench;
 
-/// Best-of-`reps` wall-clock seconds for `op(rep)`; `op` returns a size_t
-/// that is accumulated into a sink so the work cannot be optimized away.
+/// Best-of-`reps` wall-clock seconds for `op()`; `op` returns a size_t that
+/// is accumulated into a sink so the work cannot be optimized away.
 template <typename Op>
-double TimeBestOfReps(size_t reps, volatile size_t* sink, Op&& op) {
+double TimeBest(size_t reps, volatile size_t* sink, Op&& op) {
   double best = 1e300;
   for (size_t rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    *sink = *sink + op(rep);
+    *sink = *sink + op();
     const auto stop = std::chrono::steady_clock::now();
     best = std::min(best,
                     std::chrono::duration<double>(stop - start).count());
   }
   return best;
-}
-
-/// TimeBestOfReps for an `op()` that is the same in every rep.
-template <typename Op>
-double TimeBest(size_t reps, volatile size_t* sink, Op&& op) {
-  return TimeBestOfReps(reps, sink, [&](size_t) { return op(); });
 }
 
 /// The pre-kernel map-of-strings multinomial NB — per-label gram-string
@@ -169,14 +166,31 @@ int main(int argc, char** argv) {
     kept.push_back(static_cast<RowId>(r));
   }
   const Column evidence = name_column.Gather(kept);
-  // The kernel's label ids: each label's rank in string order, the
-  // baseline's map order.
+  // The kernel's labels: each label's rank in string order, the baseline's
+  // map order, and one column of names per label, in that order.
   const std::set<std::string> label_set(labels.begin(), labels.end());
-  std::vector<LabelId> label_ids;
-  for (const std::string& label : labels) {
-    label_ids.push_back(static_cast<LabelId>(
-        std::distance(label_set.begin(), label_set.find(label))));
+  std::vector<Column> label_columns(label_set.size(),
+                                    Column(ValueType::kString));
+  for (size_t i = 0; i < names.size(); ++i) {
+    label_columns[static_cast<size_t>(std::distance(
+                      label_set.begin(), label_set.find(labels[i])))]
+        .AppendString(names[i]);
   }
+  std::vector<const Column*> label_ptrs;
+  for (const Column& column : label_columns) label_ptrs.push_back(&column);
+  PosList rows(evidence.size());
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  std::vector<size_t> rank_order(label_set.size());
+  std::iota(rank_order.begin(), rank_order.end(), size_t{0});
+  // Predicts every item of a fitted kernel once and sums each row's label.
+  auto tag_rows = [&](const NaiveBayesCellModel& model,
+                      const std::vector<uint32_t>& items) {
+    std::vector<LabelId> predicted;
+    model.PredictAll(rank_order, &predicted);
+    size_t n = 0;
+    for (uint32_t item : items) n += predicted[item];
+    return n;
+  };
   std::set<std::string> distinct(names.begin(), names.end());
   std::printf("grades workload: %zu rows, %zu distinct names, %zu labels\n",
               names.size(), distinct.size(), label_set.size());
@@ -221,25 +235,22 @@ int main(int argc, char** argv) {
     return nb.TrainingSize();
   });
   train.kernel = TimeBest(reps, &sink, [&] {
-    NaiveBayesClassifier nb;
-    for (size_t i = 0; i < label_ids.size(); ++i) {
-      nb.Train(evidence, i, label_ids[i]);
-    }
-    return label_ids.size();
+    std::vector<std::vector<uint32_t>> items;
+    const NaiveBayesCellModel model(label_ptrs, {}, {}, &items);
+    return model.num_items();
   });
 
   // --- nb_classify --------------------------------------------------------
-  // Both classifiers are trained once outside the timed region; the kernel
-  // side classifies the name column's cells, so repeated names hit the
-  // per-distinct-value memo, as TgtClassInfer's taggers do.
+  // Both classifiers are trained once outside the timed region, and the
+  // kernel's items (the name column's distinct values) tokenized; the
+  // kernel side predicts each item once and reads every row's label.
   StringMapNaiveBayes baseline_nb(3);
   for (size_t i = 0; i < names.size(); ++i) {
     baseline_nb.Train(names[i], labels[i]);
   }
-  NaiveBayesClassifier kernel_nb;
-  for (size_t i = 0; i < label_ids.size(); ++i) {
-    kernel_nb.Train(evidence, i, label_ids[i]);
-  }
+  std::vector<std::vector<uint32_t>> warm_items;
+  const NaiveBayesCellModel warm_model(label_ptrs, {&evidence}, rows,
+                                       &warm_items);
   classify.baseline = TimeBest(reps, &sink, [&] {
     size_t n = 0;
     for (const std::string& name : names) {
@@ -248,30 +259,18 @@ int main(int argc, char** argv) {
     return n;
   });
   classify.kernel = TimeBest(reps, &sink, [&] {
-    size_t n = 0;
-    for (size_t i = 0; i < evidence.size(); ++i) {
-      n += kernel_nb.Classify(evidence, i);
-    }
-    return n;
+    return tag_rows(warm_model, warm_items[0]);
   });
 
   // --- nb_classify_cold ---------------------------------------------------
-  // One name column per rep, each with its own dictionary, built before the
-  // timed region and kept alive: the memo is keyed by dictionary address, so
-  // a freed dictionary's address must not come back.  The map baseline has
-  // no memo, so its cold pass is the nb_classify baseline.
-  std::vector<Column> cold_columns(reps, Column(ValueType::kString));
-  for (Column& column : cold_columns) {
-    for (const std::string& name : names) column.AppendString(name);
-  }
+  // A fresh tagger per rep: fit, tokenize every distinct name once, predict
+  // it once, read every row's label.  The map baseline keeps nothing
+  // between calls, so its cold pass is the nb_classify baseline.
   classify_cold.baseline = classify.baseline;
-  classify_cold.kernel = TimeBestOfReps(reps, &sink, [&](size_t rep) {
-    const Column& column = cold_columns[rep];
-    size_t n = 0;
-    for (size_t i = 0; i < column.size(); ++i) {
-      n += kernel_nb.Classify(column, i);
-    }
-    return n;
+  classify_cold.kernel = TimeBest(reps, &sink, [&] {
+    std::vector<std::vector<uint32_t>> items;
+    const NaiveBayesCellModel model(label_ptrs, {&evidence}, rows, &items);
+    return tag_rows(model, items[0]);
   });
 
   std::vector<OpRow*> ops = {&tokenize, &profile, &train, &classify,
@@ -307,9 +306,9 @@ int main(int argc, char** argv) {
                "  \"workload\": {\"dataset\": \"grades\", \"rows\": %zu, "
                "\"distinct_values\": %zu, \"repetitions\": %zu, \"timing\": "
                "\"best_of_reps\"},\n"
-               "  \"headline\": \"nb_classify = ClusteredViewGen doTesting "
-               "inner loop (tokenize + log-sum per row vs per-distinct-value "
-               "memo)\",\n"
+               "  \"headline\": \"nb_classify = TgtClassInfer's string tagging "
+               "(tokenize + log-sum per row vs a fitted Naive Bayes kernel "
+               "predicting each distinct value once)\",\n"
                "  \"min_speedup\": %.2f,\n"
                "  \"nb_classify_speedup\": %.2f,\n"
                "  \"ops\": [\n",

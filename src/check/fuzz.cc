@@ -1568,8 +1568,9 @@ std::map<std::string, LabelId> LabelRanks(std::vector<std::string> labels) {
   return ids;
 }
 
-/// Classifies every cell of the string column `cells` with the kernel and
-/// the reference and requires the same label (twice from the kernel: the
+/// Classifies every cell of the string column `cells` with the gram-major
+/// classifier (check/reference_classifier.h) and the map-of-strings
+/// reference and requires the same label (twice from the classifier: the
 /// second call replays its memo) and bit-equal LogScores for every label in
 /// `ids`.
 Status CompareNaiveBayes(const NaiveBayesClassifier& nb,
@@ -1603,6 +1604,68 @@ Status CompareNaiveBayes(const NaiveBayesClassifier& nb,
   return Status::Ok();
 }
 
+/// The production Naive Bayes kernel fitted as TgtClassInfer's tagger
+/// (NaiveBayesCellModel: label id g trains on every cell of
+/// `label_cells[g]`) against the reference on every cell of the string
+/// columns `evidence`, all of one length: the same label and bit-equal log
+/// scores for every label in `ids`.
+Status CompareNaiveBayesKernel(const std::vector<Column>& label_cells,
+                               const ReferenceNaiveBayes& reference,
+                               const std::vector<const Column*>& evidence,
+                               const std::map<std::string, LabelId>& ids,
+                               const std::string& stage) {
+  if (evidence.empty()) return Status::Ok();
+  std::vector<const Column*> labels;
+  for (const Column& column : label_cells) labels.push_back(&column);
+  PosList positions(evidence[0]->size());
+  std::iota(positions.begin(), positions.end(), RowId{0});
+  std::vector<std::vector<uint32_t>> items;
+  const NaiveBayesCellModel kernel(labels, evidence, positions, &items);
+  std::vector<size_t> label_order(labels.size());
+  std::iota(label_order.begin(), label_order.end(), size_t{0});
+  std::vector<LabelId> predicted;
+  kernel.PredictAll(label_order, &predicted);
+  for (size_t e = 0; e < evidence.size(); ++e) {
+    const Column& cells = *evidence[e];
+    for (RowId r : positions) {
+      if (cells.IsNull(r) != (items[e][r] == kNoItem)) {
+        return Status::Internal(stage + ": kernel item of row " +
+                                std::to_string(r) + " diverged");
+      }
+      if (cells.IsNull(r)) continue;
+      const std::string& text = cells.dictionary().value(cells.codes()[r]);
+      const std::string expected = reference.Classify(text);
+      const LabelId expected_id =
+          expected.empty() ? kNoLabel : ids.at(expected);
+      if (predicted[items[e][r]] != expected_id) {
+        return Status::Internal(
+            stage + ": NB kernel label diverged on \"" + text +
+            "\": reference=" + expected +
+            " kernel=" + std::to_string(predicted[items[e][r]]));
+      }
+      for (const auto& [label, id] : ids) {
+        if (!BitEqual(kernel.Score(items[e][r], id),
+                      reference.LogScore(text, label))) {
+          return Status::Internal(stage + ": NB kernel log score diverged on \"" +
+                                  text + "\" label " + label);
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+/// The string columns of `table`.
+std::vector<const Column*> StringColumns(const Table& table) {
+  std::vector<const Column*> out;
+  for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
+    if (table.column(c).type() == ValueType::kString) {
+      out.push_back(&table.column(c));
+    }
+  }
+  return out;
+}
+
 /// Naive Bayes over the string columns of `table` against the reference.
 /// Labels are column names, some with a twin label trained on the same
 /// cells (equal scores and frequencies, so label order breaks the tie);
@@ -1611,7 +1674,8 @@ Status CompareNaiveBayes(const NaiveBayesClassifier& nb,
 /// check (so the vocabulary grows after the model was finalized), or never
 /// (so its unseen grams score the unseen row).  Both checks classify every
 /// string cell of `table` and of `other`, whose columns hold their own
-/// dictionaries.
+/// dictionaries, with the reference classifier and with the production
+/// kernel fitted to every cell trained so far.
 Status CheckNaiveBayesAgainstReference(const Table& table, const Table& other,
                                        Rng& rng) {
   std::vector<std::string> labels;
@@ -1645,6 +1709,7 @@ Status CheckNaiveBayesAgainstReference(const Table& table, const Table& other,
   const std::map<std::string, LabelId> ids = LabelRanks(labels);
   ReferenceNaiveBayes reference(NaiveBayesClassifier::kGramQ);
   NaiveBayesClassifier nb;
+  std::vector<Column> label_cells(ids.size(), Column(ValueType::kString));
   auto train = [&](const Example& example) {
     const Column& column = table.column(example.col);
     const std::string& text =
@@ -1652,16 +1717,19 @@ Status CheckNaiveBayesAgainstReference(const Table& table, const Table& other,
     for (const std::string& label : example.labels) {
       nb.Train(column, example.row, ids.at(label));
       reference.Train(text, label);
+      label_cells[ids.at(label)].AppendString(text);
     }
   };
   auto compare = [&](const std::string& stage) -> Status {
     for (const Table* cells : {&table, &other}) {
-      for (size_t c = 0; c < cells->schema().num_attributes(); ++c) {
-        if (cells->column(c).type() != ValueType::kString) continue;
-        CSM_RETURN_IF_ERROR(CompareNaiveBayes(
-            nb, reference, cells->column(c), ids,
-            stage + (cells == &other ? ", other dictionary" : "")));
+      const std::string where =
+          stage + (cells == &other ? ", other dictionary" : "");
+      for (const Column* column : StringColumns(*cells)) {
+        CSM_RETURN_IF_ERROR(
+            CompareNaiveBayes(nb, reference, *column, ids, where));
       }
+      CSM_RETURN_IF_ERROR(CompareNaiveBayesKernel(
+          label_cells, reference, StringColumns(*cells), ids, where));
     }
     return Status::Ok();
   };
@@ -1692,10 +1760,12 @@ Status CheckNaiveBayesTies(Rng& rng) {
 
   Column cells(ValueType::kString);
   std::vector<std::string> cell_labels;
+  std::vector<Column> label_cells(2, Column(ValueType::kString));
   auto add = [&](const char* text, const char* label, size_t count) {
     for (size_t k = 0; k < count; ++k) {
       cells.AppendString(text);
       cell_labels.push_back(label);
+      label_cells[label[0] == 'a' ? 0 : 1].AppendString(text);
     }
   };
   add("b", "a", m_a);
@@ -1718,7 +1788,9 @@ Status CheckNaiveBayesTies(Rng& rng) {
     }
     probes.AppendString(probe);
   }
-  return CompareNaiveBayes(nb, reference, probes, ids, "tie");
+  CSM_RETURN_IF_ERROR(CompareNaiveBayes(nb, reference, probes, ids, "tie"));
+  return CompareNaiveBayesKernel(label_cells, reference, {&probes}, ids,
+                                 "tie");
 }
 
 /// Reference semantics of an AttributeSample over `positions` of `column`,
@@ -2399,6 +2471,12 @@ Table ReferenceCapped(const Table& table, const MatchOptions& options) {
       table.num_rows(), options.max_training_rows, rng));
 }
 
+/// The score grid shape of a session over the default matcher suite.
+TableMatchSession::ScoreGridShape GridShape(const TableMatchSession& session) {
+  return {DefaultMatcherSuite().size(), session.source_attributes().size(),
+          session.target_refs().size()};
+}
+
 /// A session's raw score matrix, read back through its serialized form.
 std::vector<std::vector<std::vector<double>>> RawScores(
     const TableMatchSession& session) {
@@ -2406,7 +2484,8 @@ std::vector<std::vector<std::vector<double>>> RawScores(
   session.AppendSerializedScores(&blob);
   size_t pos = 0;
   StatusOr<TableMatchSession::RestoredScores> parsed =
-      TableMatchSession::ParseSerializedScores(blob, &pos);
+      TableMatchSession::ParseSerializedScores(blob, &pos,
+                                               GridShape(session));
   CSM_CHECK(parsed.ok()) << parsed.status().ToString();
   return std::move(parsed.value().raw);
 }
@@ -2532,7 +2611,7 @@ Status FuzzSessionScoreEquivalence(const FuzzOptions& options) {
     fresh.AppendSerializedScores(&blob);
     size_t pos = 0;
     StatusOr<TableMatchSession::RestoredScores> parsed =
-        TableMatchSession::ParseSerializedScores(blob, &pos);
+        TableMatchSession::ParseSerializedScores(blob, &pos, GridShape(fresh));
     if (!parsed.ok()) return fail(parsed.status().ToString());
     const TableMatchSession restored(source, target, DefaultMatcherSuite(),
                                      match_options, std::move(parsed.value()));

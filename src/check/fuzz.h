@@ -96,12 +96,13 @@
 //                            Dice), TF-IDF
 //                            weighted cosine (stored document side and
 //                            computed side), the
-//                            gram-major Naive Bayes classifier (labels and
-//                            log scores over trained, held-out and
-//                            second-dictionary string cells, before and
-//                            after a second training batch grows the
-//                            vocabulary, plus exact score ties between
-//                            labels of different frequency) and
+//                            gram-major Naive Bayes classifier and the
+//                            Naive Bayes kernel fitted as TgtClassInfer's
+//                            tagger (labels and log scores over trained,
+//                            held-out and second-dictionary string cells,
+//                            before and after a second training batch
+//                            grows the vocabulary, plus exact score ties
+//                            between labels of different frequency) and
 //                            column-only AttributeSamples (whole
 //                            columns and random row draws) against
 //                            map-of-strings / boxed-bag reference
@@ -134,7 +135,13 @@
 //                            of 2 to max_label_cardinality atoms (rare
 //                            atoms hold one row or no train row), with
 //                            random target databases for TgtClassInfer's
-//                            taggers: every cell's per-cell model
+//                            taggers (NULL, NaN, +-inf and all-NULL
+//                            columns, coinciding "table.attr" names, no
+//                            column of a type, exact score ties): every
+//                            evidence cell's up-front tag against the
+//                            reference tagger's Classify
+//                            (check/reference_classifier.h); every cell's
+//                            per-cell model
 //                            (SrcClassInfer and TgtClassInfer) against a
 //                            classifier retrained on every cycle's
 //                            grouping — each test item's score of every

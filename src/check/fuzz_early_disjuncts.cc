@@ -1,5 +1,6 @@
 // FuzzEarlyDisjunctsEquivalence: ClusteredViewGen's per-cell models against
-// the retrain-per-cycle merge loop (check/reference.h).
+// the retrain-per-cycle merge loop (check/reference.h), and TgtClassInfer's
+// up-front tags against the reference taggers (check/reference_classifier.h).
 
 #include <algorithm>
 #include <bit>
@@ -18,8 +19,6 @@
 #include "core/tgt_class_infer.h"
 #include "exec/thread_pool.h"
 #include "ml/evaluation.h"
-#include "ml/gaussian_classifier.h"
-#include "ml/naive_bayes.h"
 #include "relational/sample.h"
 
 namespace csm::check {
@@ -205,36 +204,171 @@ Table RandomCellTable(size_t max_atoms, Rng& rng,
   return table;
 }
 
-/// A target database for TgtClassInfer's taggers: one or two tables of
-/// string and numeric columns over the evidence pools.
+/// Appends `count` string cells `text` to `column`.
+void AppendStrings(Column* column, const std::string& text, size_t count) {
+  for (size_t k = 0; k < count; ++k) column->AppendString(text);
+}
+
+/// A table of `columns` named `attributes`; shorter columns are padded with
+/// NULL cells.
+Table TableOf(const std::string& name,
+              const std::vector<std::string>& attributes,
+              std::vector<Column> columns) {
+  TableSchema schema(name);
+  size_t rows = 0;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    schema.AddAttribute(attributes[c], columns[c].type());
+    rows = std::max(rows, columns[c].size());
+  }
+  for (Column& column : columns) {
+    while (column.size() < rows) column.AppendNull();
+  }
+  Table table(schema);
+  for (size_t r = 0; r < rows; ++r) {
+    Row row;
+    for (const Column& column : columns) row.push_back(column.GetValue(r));
+    table.AddRow(std::move(row));
+  }
+  return table;
+}
+
+/// A target whose two string columns tie exactly, the less frequent one
+/// holding the lower label, on every two-letter evidence value outside
+/// their grams ("w0" to "w3"): T.a holds m_a cells "b" and n_a - m_a
+/// gram-free cells "!", T.z holds m_z cells "cde" and n_z - m_z cells "!",
+/// as in the Naive Bayes tie of FuzzTokenKernelEquivalence with c = 2 and
+/// a four-gram probe, so n_z + 1 = 16 (n_a + 1).  Sometimes a numeric
+/// column rides along; it changes neither string label's score.
+Database TieTargetDatabase(Rng& rng) {
+  const size_t m_a = 1 + 5 * rng.NextBounded(3);
+  const size_t m_z = (6 * m_a + 9) / 5;
+  const size_t n_a = m_a + rng.NextBounded(4);
+  const size_t n_z = 16 * (n_a + 1) - 1;
+  std::vector<std::string> attributes = {"a", "z"};
+  std::vector<Column> columns(2, Column(ValueType::kString));
+  AppendStrings(&columns[0], "b", m_a);
+  AppendStrings(&columns[0], "!", n_a - m_a);
+  AppendStrings(&columns[1], "cde", m_z);
+  AppendStrings(&columns[1], "!", n_z - m_z);
+  if (rng.NextBernoulli(0.5)) {
+    attributes.push_back("r");
+    Column& numbers = columns.emplace_back(ValueType::kReal);
+    for (size_t r = 0; r < n_z; ++r) {
+      AppendEvidence(&numbers, rng.NextBounded(6), 3, 0.7, rng);
+    }
+  }
+  Database target("target");
+  target.AddTable(TableOf("T", attributes, std::move(columns)));
+  return target;
+}
+
+/// A target database for TgtClassInfer's taggers: tables of string, int and
+/// real columns over the evidence pools, with NULL, NaN and +-inf cells.
+/// Each target keeps both type families or only one, so an evidence
+/// attribute may find no target column of its type.  Sometimes a table
+/// holds an all-NULL column or a twin column (the same cells, so its label
+/// ties exactly with the original's), and sometimes tables "p" and "p.q"
+/// hold up to 24 columns of one type whose "table.attr" names coincide in
+/// pairs ("p" + "q.aN" and "p.q" + "aN"), more than an insertion sort
+/// orders.  A quarter of the targets are TieTargetDatabase's.
 Database RandomTargetDatabase(Rng& rng) {
+  if (rng.NextBernoulli(0.25)) return TieTargetDatabase(rng);
+  static const ValueType kTypes[] = {ValueType::kString, ValueType::kInt,
+                                     ValueType::kReal};
+  const size_t families = rng.NextBounded(4);  // 2: text only, 3: numeric
+  auto random_type = [&] {
+    if (families == 2) return ValueType::kString;
+    if (families == 3) return kTypes[1 + rng.NextBounded(2)];
+    return kTypes[rng.NextBounded(3)];
+  };
+  auto random_column = [&](ValueType type, size_t rows, size_t shared) {
+    Column column(type);
+    for (size_t r = 0; r < rows; ++r) {
+      AppendEvidence(&column, rng.NextBounded(6), shared, 0.7, rng);
+    }
+    return column;
+  };
   Database target("target");
   const size_t tables = 1 + rng.NextBounded(2);
   for (size_t t = 0; t < tables; ++t) {
-    TableSchema schema("T" + std::to_string(t));
-    schema.AddAttribute("a", ValueType::kString);
-    schema.AddAttribute("b", rng.NextBernoulli(0.5) ? ValueType::kString
-                                                    : ValueType::kReal);
-    if (rng.NextBernoulli(0.5)) schema.AddAttribute("c", ValueType::kInt);
-    Table table(schema);
-    std::vector<Column> columns;
-    for (size_t c = 0; c < schema.num_attributes(); ++c) {
-      columns.emplace_back(schema.attribute(c).type);
-    }
     const size_t rows = 3 + rng.NextBounded(12);
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < columns.size(); ++c) {
-        AppendEvidence(&columns[c], rng.NextBounded(6), 2 + c, 0.7, rng);
-      }
+    std::vector<std::string> attributes;
+    std::vector<Column> columns;
+    const size_t num_columns = 2 + rng.NextBounded(2);
+    for (size_t c = 0; c < num_columns; ++c) {
+      attributes.push_back(std::string(1, static_cast<char>('a' + c)));
+      columns.push_back(random_column(random_type(), rows, 2 + c));
     }
-    for (size_t r = 0; r < rows; ++r) {
-      Row row;
-      for (const Column& column : columns) row.push_back(column.GetValue(r));
-      table.AddRow(std::move(row));
+    if (rng.NextBernoulli(0.2)) {
+      attributes.push_back("n");
+      Column& nulls = columns.emplace_back(random_type());
+      for (size_t r = 0; r < rows; ++r) nulls.AppendNull();
     }
-    target.AddTable(std::move(table));
+    if (rng.NextBernoulli(0.3)) {
+      attributes.push_back("twin");
+      Column twin = columns[rng.NextBounded(columns.size())];
+      columns.push_back(std::move(twin));
+    }
+    target.AddTable(
+        TableOf("T" + std::to_string(t), attributes, std::move(columns)));
+  }
+  if (rng.NextBernoulli(0.3)) {
+    const ValueType type = random_type();
+    const size_t pairs = 1 + rng.NextBounded(12);
+    const size_t rows = 3 + rng.NextBounded(6);
+    std::vector<std::string> outer_attributes, inner_attributes;
+    std::vector<Column> outer, inner;
+    for (size_t k = 0; k < pairs; ++k) {
+      outer_attributes.push_back("q.a" + std::to_string(k));
+      inner_attributes.push_back("a" + std::to_string(k));
+      outer.push_back(random_column(type, rows, 2 + k % 3));
+      inner.push_back(random_column(type, rows, 2 + k % 3));
+    }
+    target.AddTable(TableOf("p", outer_attributes, std::move(outer)));
+    target.AddTable(TableOf("p.q", inner_attributes, std::move(inner)));
   }
   return target;
+}
+
+/// Every evidence cell's up-front tag against the reference tagger of its
+/// type family (kNoLabel without one): the tags of `sample`, a view of
+/// `table`, hold the reference's tag at the view's positions and kNoLabel
+/// elsewhere.
+Status CompareTags(const Table& table, const TableView& sample,
+                   const std::vector<std::string>& evidence,
+                   const Database& target,
+                   const ValueClassifier* string_tagger,
+                   const ValueClassifier* numeric_tagger) {
+  const TargetTags tags(sample, evidence, target);
+  std::vector<bool> in_sample(table.num_rows(), false);
+  for (RowId pos : sample.Positions()) in_sample[pos] = true;
+  for (const std::string& e : evidence) {
+    const Column& h = table.column(table.schema().AttributeIndex(e));
+    const ValueClassifier* tagger =
+        h.type() == ValueType::kInt || h.type() == ValueType::kReal
+            ? numeric_tagger
+            : string_tagger;
+    const std::vector<LabelId>& actual = tags.Of(h);
+    if (actual.size() != table.num_rows()) {
+      return Status::Internal(e + ": " + std::to_string(actual.size()) +
+                              " tags for " + std::to_string(table.num_rows()) +
+                              " rows");
+    }
+    for (RowId pos = 0; pos < table.num_rows(); ++pos) {
+      const LabelId expected = !in_sample[pos] || tagger == nullptr
+                                   ? kNoLabel
+                                   : tagger->Classify(h, pos);
+      if (actual[pos] != expected) {
+        return Status::Internal(
+            e + " row " + std::to_string(pos) + " '" +
+            h.GetValue(pos).ToString() + "'" +
+            (in_sample[pos] ? "" : " (outside the sample)") + ": tag " +
+            std::to_string(actual[pos]) + ", reference " +
+            std::to_string(expected));
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 Status CompareFamilies(const std::vector<ViewFamily>& expected,
@@ -427,17 +561,32 @@ Status FuzzEarlyDisjunctsEquivalence(const FuzzOptions& options) {
         RandomCellTable(cvg.max_label_cardinality, rng, &labels, &evidence);
     const Database target = RandomTargetDatabase(rng);
     const std::shared_ptr<const ValueClassifier> string_tagger =
-        CreateTargetClassifier(ValueType::kString, target);
+        ReferenceTargetClassifier(ValueType::kString, target);
     const std::shared_ptr<const ValueClassifier> numeric_tagger =
-        CreateTargetClassifier(ValueType::kReal, target);
+        ReferenceTargetClassifier(ValueType::kReal, target);
+    // (0) The up-front tags against the reference taggers, over the whole
+    // table and over a random subset of its rows.
+    PosList subset;
+    for (RowId pos = 0; pos < table.num_rows(); ++pos) {
+      if (rng.NextBernoulli(0.5)) subset.push_back(pos);
+    }
+    for (const TableView& sample :
+         {TableView(table), TableView(table, std::move(subset))}) {
+      const Status status =
+          CompareTags(table, sample, evidence, target, string_tagger.get(),
+                      numeric_tagger.get());
+      if (!status.ok()) {
+        return fail(Status::Internal(
+            std::string("tags of ") +
+            (sample.is_identity() ? "the table" : "a subset") + ", " +
+            status.message()));
+      }
+    }
+    const TargetTags tags(table, evidence, target);
     const ClassifierFactory tgt_models = [&](const Column& h,
                                              const CellRows& rows,
                                              size_t num_atoms) {
-      const bool numeric =
-          h.type() == ValueType::kInt || h.type() == ValueType::kReal;
-      return std::make_unique<BestCatCellModel>(
-          numeric ? numeric_tagger.get() : string_tagger.get(), h, rows,
-          num_atoms);
+      return std::make_unique<BestCatCellModel>(tags.Of(h), rows, num_atoms);
     };
     struct Kind {
       const char* name;

@@ -10,9 +10,10 @@
 // the escaped group tokens that once labelled ClusteredViewGen's
 // classifiers and keyed its family dedup, ClusteredViewGen's merge loop
 // that retrained a fresh classifier every cycle, with TgtClassInfer's TBag
-// classifier, the hash-set Floyd sampler, the ordered-map categorical rule
-// and NameMatcher's per-pair name tokenizing.  Nothing in the product links
-// them.
+// classifier (the classifiers: check/reference_classifier.h), the hash-set
+// Floyd sampler, the ordered-map categorical rule and NameMatcher's
+// per-pair name tokenizing.
+// Nothing in the product links them.
 
 #ifndef CSM_CHECK_REFERENCE_H_
 #define CSM_CHECK_REFERENCE_H_
@@ -24,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "check/reference_classifier.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "core/context_options.h"

@@ -12,8 +12,6 @@
 #include "core/tgt_class_infer.h"
 #include "exec/task_rng.h"
 #include "ml/evaluation.h"
-#include "ml/gaussian_classifier.h"
-#include "ml/naive_bayes.h"
 #include "relational/categorical.h"
 #include "relational/condition.h"
 #include "relational/sample.h"

@@ -294,11 +294,8 @@ std::vector<ViewFamily> ClusteredViewGen(
   // deterministic RNG, so the train/test partitions do not depend on the
   // number of workers (or on which other cells exist being re-ordered).
   const uint64_t grid_seed = rng.Next();
-  const TokenKernelStats& kernel_stats = GlobalTokenKernelStats();
-  const uint64_t memo_hits_before =
-      kernel_stats.nb_memo_hits.load(std::memory_order_relaxed);
   const uint64_t grams_before =
-      kernel_stats.grams_interned.load(std::memory_order_relaxed);
+      GlobalTokenKernelStats().grams_interned.load(std::memory_order_relaxed);
   std::vector<std::vector<KeyedFamily>> cell_results = exec::ParallelMap(
       pool, cells.size(),
       [&](size_t i) {
@@ -336,13 +333,10 @@ std::vector<ViewFamily> ClusteredViewGen(
       cancel);
 
   if (obs.metrics != nullptr) {
-    const uint64_t memo_hits =
-        kernel_stats.nb_memo_hits.load(std::memory_order_relaxed) -
-        memo_hits_before;
     const uint64_t grams =
-        kernel_stats.grams_interned.load(std::memory_order_relaxed) -
+        GlobalTokenKernelStats().grams_interned.load(
+            std::memory_order_relaxed) -
         grams_before;
-    if (memo_hits > 0) obs.metrics->AddCounter("ml.nb_memo_hits", memo_hits);
     if (grams > 0) obs.metrics->AddCounter("text.grams_interned", grams);
   }
 

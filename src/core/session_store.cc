@@ -99,10 +99,10 @@ StatusOr<std::vector<TableMatchSession::RestoredScores>> ParseSessionScores(
 
   // The grid shape a session over (source table, target) holds; the
   // restore constructor CHECK-fails on any other.
-  const size_t matchers = DefaultMatcherSuite().size();
-  size_t target_attrs = 0;
+  TableMatchSession::ScoreGridShape shape;
+  shape.matchers = DefaultMatcherSuite().size();
   for (const Table& t : target.tables()) {
-    target_attrs += t.schema().num_attributes();
+    shape.targets += t.schema().num_attributes();
   }
   std::vector<TableMatchSession::RestoredScores> out;
   out.reserve(tables);
@@ -114,22 +114,9 @@ StatusOr<std::vector<TableMatchSession::RestoredScores>> ParseSessionScores(
     if (line.substr(6) != table.name()) {
       return fail("table name does not match the source database");
     }
-    auto scores = TableMatchSession::ParseSerializedScores(blob, &pos);
+    shape.sources = table.schema().num_attributes();
+    auto scores = TableMatchSession::ParseSerializedScores(blob, &pos, shape);
     if (!scores.ok()) return scores.status();
-    const auto& raw = scores.value().raw;
-    if (raw.size() != matchers) {
-      return fail("matcher count does not match the matcher suite");
-    }
-    for (const auto& per_source : raw) {
-      if (per_source.size() != table.schema().num_attributes()) {
-        return fail("score grid does not fit the source schema");
-      }
-      for (const auto& per_target : per_source) {
-        if (per_target.size() != target_attrs) {
-          return fail("score grid does not fit the target schema");
-        }
-      }
-    }
     out.push_back(std::move(scores).value());
   }
   return out;

@@ -1,6 +1,8 @@
 #include "core/tgt_class_infer.h"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -12,53 +14,85 @@
 
 namespace csm {
 
-std::unique_ptr<ValueClassifier> CreateTargetClassifier(
-    ValueType type, const Database& target_sample) {
-  // The numeric classifier takes both int and real columns; the string
-  // classifier takes string columns only.
-  const bool numeric = type == ValueType::kInt || type == ValueType::kReal;
+namespace {
+
+bool IsNumeric(ValueType type) {
+  return type == ValueType::kInt || type == ValueType::kReal;
+}
+
+/// The target's columns of one type family — string, or int and real —
+/// ranked by "table.attr" name, so the lower label of an exact score tie is
+/// the smaller name; coinciding names keep table and attribute order.
+std::vector<const Column*> RankedTargetColumns(bool numeric,
+                                               const Database& target) {
   std::vector<std::pair<std::string, const Column*>> columns;
-  for (const Table& table : target_sample.tables()) {
+  for (const Table& table : target.tables()) {
     for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
       const AttributeDef& attr = table.schema().attribute(c);
-      const bool numeric_attr =
-          attr.type == ValueType::kInt || attr.type == ValueType::kReal;
-      if (numeric ? !numeric_attr : attr.type != type) continue;
+      if (numeric ? !IsNumeric(attr.type) : attr.type != ValueType::kString) {
+        continue;
+      }
       columns.emplace_back(table.name() + "." + attr.name, &table.column(c));
     }
   }
-  // Label ids rank the columns by name, so the lower id of an exact score
-  // tie is the smaller name; coinciding names keep table order.  Neither
-  // classifier's model depends on the order its labels train in.
   std::stable_sort(
       columns.begin(), columns.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::unique_ptr<ValueClassifier> classifier;
-  if (numeric) {
-    classifier = std::make_unique<GaussianClassifier>();
-  } else {
-    classifier = std::make_unique<NaiveBayesClassifier>();
-  }
-  bool trained_any = false;
-  for (LabelId label = 0; label < columns.size(); ++label) {
-    const Column& column = *columns[label].second;
-    for (size_t r = 0; r < column.size(); ++r) {
-      if (IsMissingCell(column, r)) continue;
-      classifier->Train(column, r, label);
-      trained_any = true;
-    }
-  }
-  if (!trained_any) return nullptr;
-  return classifier;
+  std::vector<const Column*> ranked;
+  ranked.reserve(columns.size());
+  for (const auto& [name, column] : columns) ranked.push_back(column);
+  return ranked;
 }
 
-BestCatCellModel::BestCatCellModel(const ValueClassifier* tagger,
-                                   const Column& h, const CellRows& rows,
-                                   size_t num_atoms)
+}  // namespace
+
+TargetTags::TargetTags(const TableView& source_sample,
+                       const std::vector<std::string>& evidence,
+                       const Database& target_sample) {
+  const PosList positions = source_sample.Positions();
+  for (bool numeric : {false, true}) {
+    std::vector<const Column*> family;
+    for (const std::string& name : evidence) {
+      const Column& h =
+          source_sample.column(source_sample.schema().AttributeIndex(name));
+      if (IsNumeric(h.type()) == numeric) family.push_back(&h);
+    }
+    if (family.empty()) continue;
+    const std::vector<const Column*> labels =
+        RankedTargetColumns(numeric, target_sample);
+    std::vector<std::vector<uint32_t>> items;
+    std::unique_ptr<CellModel> model;
+    if (numeric) {
+      model = std::make_unique<GaussianCellModel>(labels, family, positions,
+                                                  &items);
+    } else {
+      model = std::make_unique<NaiveBayesCellModel>(labels, family, positions,
+                                                    &items);
+    }
+    std::vector<size_t> rank_order(labels.size());
+    std::iota(rank_order.begin(), rank_order.end(), size_t{0});
+    std::vector<LabelId> predicted;
+    model->PredictAll(rank_order, &predicted);
+    for (size_t e = 0; e < family.size(); ++e) {
+      columns_.push_back(family[e]);
+      std::vector<LabelId>& tags =
+          tags_.emplace_back(source_sample.base().num_rows(), kNoLabel);
+      for (size_t k = 0; k < positions.size(); ++k) {
+        if (items[e][k] != kNoItem) tags[positions[k]] = predicted[items[e][k]];
+      }
+    }
+  }
+}
+
+const std::vector<LabelId>& TargetTags::Of(const Column& h) const {
+  const auto it = std::find(columns_.begin(), columns_.end(), &h);
+  CSM_CHECK(it != columns_.end()) << "not an evidence column of the tags";
+  return tags_[static_cast<size_t>(it - columns_.begin())];
+}
+
+BestCatCellModel::BestCatCellModel(const std::vector<LabelId>& tags,
+                                   const CellRows& rows, size_t num_atoms)
     : groups_(num_atoms) {
-  auto tag_of = [&](const AtomRow& row) {
-    return tagger == nullptr ? kNoLabel : tagger->Classify(h, row.pos);
-  };
   // Train tags numbered in first-seen order; kNoLabel is a tag like any
   // other.
   std::unordered_map<LabelId, uint32_t> train_tag;
@@ -66,7 +100,7 @@ BestCatCellModel::BestCatCellModel(const ValueClassifier* tagger,
   row_tag.reserve(rows.train.size());
   for (const AtomRow& row : rows.train) {
     const auto [it, inserted] = train_tag.try_emplace(
-        tag_of(row), static_cast<uint32_t>(tag_totals_.size()));
+        tags[row.pos], static_cast<uint32_t>(tag_totals_.size()));
     if (inserted) tag_totals_.push_back(0);
     ++tag_totals_[it->second];
     row_tag.push_back(it->second);
@@ -79,7 +113,7 @@ BestCatCellModel::BestCatCellModel(const ValueClassifier* tagger,
   }
   std::unordered_map<LabelId, uint32_t> item_of_tag;
   for (const AtomRow& row : rows.test) {
-    const LabelId tag = tag_of(row);
+    const LabelId tag = tags[row.pos];
     const auto [it, inserted] = item_of_tag.try_emplace(
         tag, static_cast<uint32_t>(item_tag_.size()));
     if (inserted) {
@@ -147,19 +181,11 @@ std::vector<CandidateView> TgtClassInfer::InferCandidateViews(
   CategoricalSplit attributes = InferenceAttributes(input, categorical_);
   if (attributes.categorical.empty()) return {};
 
-  // One shared target classifier per basic type family.
-  const std::unique_ptr<ValueClassifier> string_tagger =
-      CreateTargetClassifier(ValueType::kString, *input.target_sample);
-  const std::unique_ptr<ValueClassifier> numeric_tagger =
-      CreateTargetClassifier(ValueType::kReal, *input.target_sample);
-
+  const TargetTags tags(input.source_sample, attributes.non_categorical,
+                        *input.target_sample);
   ClassifierFactory factory = [&](const Column& h, const CellRows& rows,
                                   size_t num_atoms) {
-    const bool numeric =
-        h.type() == ValueType::kInt || h.type() == ValueType::kReal;
-    return std::make_unique<BestCatCellModel>(
-        numeric ? numeric_tagger.get() : string_tagger.get(), h, rows,
-        num_atoms);
+    return std::make_unique<BestCatCellModel>(tags.Of(h), rows, num_atoms);
   };
   std::vector<ViewFamily> families = ClusteredViewGen(
       input.source_sample, factory, clustered_, categorical_,

@@ -3,8 +3,10 @@
 //
 // createTargetClassifier(D, Rt) trains, per basic type D, a classifier over
 // all target columns of that type whose labels are column names
-// ("Book.Title").  During ClusteredViewGen's doTraining the TBag of (tag,
-// label) pairs is collected; classification returns
+// ("Book.Title").  The tag belongs to the value, so every evidence value is
+// tagged once, before ClusteredViewGen runs (TargetTags).  During
+// ClusteredViewGen's doTraining the TBag of (tag, label) pairs is
+// collected; classification returns
 // bestCAT(tag) = argmax_v score(tag, v) where
 // score(g, v) = acc(g, v) * prec(g, v) = P(v|g) * P(g|v),
 // ties broken toward the more common v, and unseen tags map to the most
@@ -14,7 +16,7 @@
 #ifndef CSM_CORE_TGT_CLASS_INFER_H_
 #define CSM_CORE_TGT_CLASS_INFER_H_
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/view_inference.h"
@@ -22,14 +24,33 @@
 
 namespace csm {
 
-/// Trains the per-type target classifier C_D over the sample of the target
-/// database: every non-null value of every attribute of type `type` becomes
-/// a training example labeled with its column.  Label ids rank the columns
-/// by their "table.attr" names; columns whose names coincide keep distinct
-/// ids, in table and attribute order.  Returns nullptr when the target has
-/// no attribute of that type.
-std::unique_ptr<ValueClassifier> CreateTargetClassifier(
-    ValueType type, const Database& target_sample);
+/// The tags of TgtClassInfer's evidence attributes.  Per basic type family
+/// one classifier C_D is fitted to the target sample: the Naive Bayes model
+/// to its string columns, the Gaussian model to its int and real columns
+/// (ints widen to double).  Its labels rank the columns by their
+/// "table.attr" names; columns whose names coincide keep distinct labels, in
+/// table and attribute order.  Missing target cells (IsMissingCell) train
+/// nothing.  Each distinct non-missing value of an evidence attribute is
+/// then predicted once, with the labels in rank order, and that label is
+/// the tag of every cell holding it: kNoLabel when the target has no
+/// trained column of the family.
+class TargetTags {
+ public:
+  /// Tags the cells of `evidence` (attributes of `source_sample`; int and
+  /// real ones numeric, the rest text) at the sample's positions.
+  TargetTags(const TableView& source_sample,
+             const std::vector<std::string>& evidence,
+             const Database& target_sample);
+
+  /// The tags of evidence column `h` (the base column of one of the
+  /// evidence attributes) by base position; kNoLabel at a missing cell and
+  /// at a position outside the sample.
+  const std::vector<LabelId>& Of(const Column& h) const;
+
+ private:
+  std::vector<const Column*> columns_;
+  std::vector<std::vector<LabelId>> tags_;  // parallel to columns_
+};
 
 /// bestCAT's score(g, v) = P(v|g) * P(g|v) from TBag counts: `joint`
 /// (tag g, label v) pairs among the tag's `tag_total` and the label's
@@ -45,17 +66,17 @@ inline double BestCatScore(size_t joint, size_t tag_total,
 }
 
 /// The TBag / bestCAT classifier fitted once to a grid cell (CellModel).
-/// `tagger` (shared by every cell of the evidence type, possibly null: every
-/// cell then tags as kNoLabel) tags each train and test row once.  A group
-/// keeps its (tag, group) counts by train tag and its train-row total, so a
-/// merge adds two groups' counts.  Test items are distinct tags; bestCAT of
+/// `tags` holds the evidence column's tags by base position
+/// (TargetTags::Of), read once per train and test row.  A group keeps its
+/// (tag, group) counts by train tag and its train-row total, so a merge
+/// adds two groups' counts.  Test items are distinct tags; bestCAT of
 /// a tag no train row holds scores 0 for every label, so it goes to the
 /// most frequent group.  Ties go to the more frequent group, then the
 /// lower label (BeatsBest).
 class BestCatCellModel : public CellModel {
  public:
-  BestCatCellModel(const ValueClassifier* tagger, const Column& h,
-                   const CellRows& rows, size_t num_atoms);
+  BestCatCellModel(const std::vector<LabelId>& tags, const CellRows& rows,
+                   size_t num_atoms);
 
   double Score(uint32_t item, size_t group) const override;
   void PredictAll(const std::vector<size_t>& label_order,

@@ -327,7 +327,8 @@ void TableMatchSession::AppendSerializedScores(std::string* out) const {
 
 StatusOr<TableMatchSession::RestoredScores>
 TableMatchSession::ParseSerializedScores(const std::string& blob,
-                                         size_t* pos) {
+                                         size_t* pos,
+                                         const ScoreGridShape& shape) {
   auto fail = [](const char* msg) {
     return Status::InvalidArgument(std::string("session scores: ") + msg);
   };
@@ -347,12 +348,16 @@ TableMatchSession::ParseSerializedScores(const std::string& blob,
                   &matchers, &sources, &targets) != 3) {
     return fail("bad header line");
   }
-  // A corrupted header must not drive allocation: the score grid of a real
-  // session is matchers x attributes x attributes, far below these caps.
-  constexpr size_t kMaxDim = 1u << 20;
-  if (matchers == 0 || matchers > kMaxDim || sources > kMaxDim ||
-      targets > kMaxDim) {
-    return fail("implausible dimensions");
+  // A corrupted header must not drive allocation: only the expected grid
+  // is read.
+  if (matchers != shape.matchers) {
+    return fail("matcher count does not match the matcher suite");
+  }
+  if (sources != shape.sources) {
+    return fail("score grid does not fit the source schema");
+  }
+  if (targets != shape.targets) {
+    return fail("score grid does not fit the target schema");
   }
 
   RestoredScores out;

@@ -69,6 +69,15 @@ class TableMatchSession {
     std::vector<std::vector<std::vector<double>>> raw;
   };
 
+  /// The dimensions of a session's raw score matrix: the matcher suite's
+  /// size, the source table's attribute count and the target database's
+  /// attribute count over all its tables.
+  struct ScoreGridShape {
+    size_t matchers = 0;
+    size_t sources = 0;
+    size_t targets = 0;
+  };
+
   /// Runs the matcher suite for `source` against every table of `target`.
   /// The session keeps references into neither table; it copies the value
   /// bags it needs.  `matchers` is owned by the session.
@@ -101,11 +110,12 @@ class TableMatchSession {
   void AppendSerializedScores(std::string* out) const;
 
   /// Parses what AppendSerializedScores wrote, consuming the header and
-  /// score lines from `pos` (advanced past them).  Dimension/format errors
-  /// return non-OK and leave the blob unusable (callers fall back to a
-  /// fresh build).
+  /// score lines from `pos` (advanced past them).  A header whose
+  /// dimensions are not `shape` is rejected before anything is allocated.
+  /// Dimension/format errors return non-OK and leave the blob unusable
+  /// (callers fall back to a fresh build).
   static StatusOr<RestoredScores> ParseSerializedScores(
-      const std::string& blob, size_t* pos);
+      const std::string& blob, size_t* pos, const ScoreGridShape& shape);
 
   /// The standard matches with confidence >= tau, best-confidence first.
   MatchList AcceptedMatches(double tau) const;

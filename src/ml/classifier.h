@@ -1,14 +1,11 @@
-// Classifier interfaces of ClusteredViewGen (Fig. 6).
-//
-// A ValueClassifier maps one cell of an evidence attribute — a row of a
-// column segment — to a label.  Labels are dense ids the caller numbers;
-// TgtClassInfer's per-type target classifiers number the target columns
-// ranked by their "table.attr" names.
+// Classifier building blocks of ClusteredViewGen (Fig. 6).
 //
 // A CellModel is a classifier fitted once to one (l, h) cell of
 // ClusteredViewGen's grid, whose labels are groups of l's values that the
 // EarlyDisjuncts loop merges (Section 3.3).  It answers every cycle exactly
-// as a ValueClassifier retrained on that cycle's grouping would.
+// as a classifier retrained on that cycle's grouping would.  The Naive Bayes
+// and Gaussian models also fit TgtClassInfer's per-type taggers, whose
+// labels are target columns (core/tgt_class_infer.h).
 
 #ifndef CSM_ML_CLASSIFIER_H_
 #define CSM_ML_CLASSIFIER_H_
@@ -24,44 +21,21 @@
 namespace csm {
 
 /// A classifier label: a dense id numbered from 0 by the caller.  Ids carry
-/// the caller's label order, which decides exact ties (see Classify).
+/// the caller's label order, which decides exact ties (see BeatsBest).
 using LabelId = uint32_t;
 
-/// "No label": what Classify returns for a missing cell or an untrained
-/// classifier.  Never a trained label.
+/// "No label": the prediction for a missing cell or of a model without
+/// trained labels.  Never a trained label.
 inline constexpr LabelId kNoLabel = std::numeric_limits<LabelId>::max();
 
 /// True when a classifier ignores the cell: NULL, or a non-finite real
 /// (NaN, +-inf), which would poison a label's running mean and variance.
-/// Train skips such a cell, Classify returns kNoLabel for it, and
-/// ClusteredViewGen neither trains nor tests on its row.
+/// Training skips such a cell, it is tagged kNoLabel, and ClusteredViewGen
+/// neither trains nor tests on its row.
 inline bool IsMissingCell(const Column& column, size_t row) {
   return column.IsNull(row) || (column.type() == ValueType::kReal &&
                                 !std::isfinite(column.reals()[row]));
 }
-
-/// Every example is a cell (`column`, `row`).  A classifier may key
-/// per-distinct-value memos by the address of a string column's dictionary
-/// (see NaiveBayesClassifier), so every column it reads must outlive it and
-/// stay unmodified while the classifier is in use.  A classifier may hold
-/// state for every id below the largest label it has trained, so label ids
-/// should be dense.  Implementations CHECK that the column type is one they
-/// read.
-class ValueClassifier {
- public:
-  virtual ~ValueClassifier() = default;
-
-  /// Adds one training example; `label` is not kNoLabel.  Missing cells
-  /// (IsMissingCell) are ignored.
-  virtual void Train(const Column& column, size_t row, LabelId label) = 0;
-
-  /// Classifies the cell.  Returns kNoLabel for a missing cell or when the
-  /// classifier has seen no training data.  Exact score ties go to the
-  /// more frequent label, then to the lower id (the Gaussian classifier,
-  /// whose score already holds each label's prior, goes straight to the
-  /// lower id).
-  virtual LabelId Classify(const Column& column, size_t row) const = 0;
-};
 
 /// The tie rule of Naive Bayes and bestCAT, applied while scanning labels in
 /// id order: a label beats the best so far on a higher score, or on an equal
@@ -100,14 +74,18 @@ struct ItemAtomRows {
   size_t rows;
 };
 
+/// "No item": a tagger model's item for a missing evidence cell.
+inline constexpr uint32_t kNoItem = static_cast<uint32_t>(-1);
+
 /// A classifier fitted once to one grid cell: evidence column h, read at the
 /// cell's fixed train and test rows, and labels that are groups of atoms.
 /// It starts with one group per atom (group a is {a}); Merge(a, b) joins
 /// group b into group a and erases b, so the groups after b move down one
 /// index, as ClusteredViewGen's groups do.  Between merges the caller
 /// numbers the groups as labels and asks for predictions, which equal what
-/// a ValueClassifier trained on every train row under its group's label
-/// returns for each test row.  Test rows are deduplicated into distinct
+/// a classifier trained on every train row under its group's label returns
+/// for each test row (the retrained classifiers of
+/// check/reference_classifier.h).  Test rows are deduplicated into distinct
 /// items (a code, a value or a tag, by model), each scored once per cycle.
 /// A model reads `h` until it is destroyed, and is used by one thread.
 class CellModel {

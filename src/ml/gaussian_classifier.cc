@@ -17,7 +17,7 @@ namespace {
 /// NaN or +-inf.
 std::optional<double> NumericCell(const Column& column, size_t row) {
   CSM_CHECK(column.type() != ValueType::kString)
-      << "GaussianClassifier reads numeric columns, got string";
+      << "GaussianCellModel reads numeric columns, got string";
   if (IsMissingCell(column, row)) return std::nullopt;
   if (column.type() == ValueType::kInt) {
     return static_cast<double>(column.ints()[row]);
@@ -26,16 +26,6 @@ std::optional<double> NumericCell(const Column& column, size_t row) {
 }
 
 }  // namespace
-
-void GaussianClassifier::Train(const Column& column, size_t row,
-                               LabelId label) {
-  CSM_CHECK(label != kNoLabel) << "kNoLabel is not a trainable label";
-  const std::optional<double> x = NumericCell(column, row);
-  if (!x.has_value()) return;
-  if (label >= labels_.size()) labels_.resize(size_t{label} + 1);
-  labels_[label].Add(*x);
-  ++total_examples_;
-}
 
 GaussianLabel GaussianLabel::Of(const DescriptiveStats& stats,
                                size_t total_examples) {
@@ -49,38 +39,13 @@ GaussianLabel GaussianLabel::Of(const DescriptiveStats& stats,
   return label;
 }
 
-double GaussianClassifier::LogScore(double x, LabelId label) const {
-  if (label >= labels_.size() || labels_[label].empty()) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  return GaussianLabel::Of(labels_[label], total_examples_).LogScore(x);
-}
-
-LabelId GaussianClassifier::Classify(const Column& column, size_t row) const {
-  const std::optional<double> x = NumericCell(column, row);
-  if (!x.has_value()) return kNoLabel;
-  LabelId best = kNoLabel;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (LabelId label = 0; label < labels_.size(); ++label) {
-    if (labels_[label].empty()) continue;
-    const double score = LogScore(*x, label);
-    if (score > best_score) {
-      best = label;
-      best_score = score;
-    }
-  }
-  return best;
-}
-
 GaussianCellModel::GaussianCellModel(const Column& h, const CellRows& rows,
                                      size_t num_atoms)
     : groups_(num_atoms) {
   for (const AtomRow& row : rows.train) {
     const std::optional<double> x = NumericCell(h, row.pos);
     CSM_CHECK(x.has_value()) << "a cell's train rows hold no missing cell";
-    groups_[row.atom].rows.push_back(
-        static_cast<uint32_t>(train_values_.size()));
-    train_values_.push_back(*x);
+    AddTrainValue(*x, row.atom);
   }
   for (Group& group : groups_) {
     if (!group.rows.empty()) Fit(&group);
@@ -89,13 +54,51 @@ GaussianCellModel::GaussianCellModel(const Column& h, const CellRows& rows,
   for (const AtomRow& row : rows.test) {
     const std::optional<double> x = NumericCell(h, row.pos);
     CSM_CHECK(x.has_value()) << "a cell's test rows hold no missing cell";
-    const auto [it, inserted] = item_of_bits.try_emplace(
-        std::bit_cast<uint64_t>(*x),
-        static_cast<uint32_t>(item_values_.size()));
-    if (inserted) item_values_.push_back(*x);
-    AddTestRow(it->second, row);
+    AddTestRow(ItemOf(*x, &item_of_bits), row);
   }
   FinishTestRows();
+}
+
+GaussianCellModel::GaussianCellModel(
+    const std::vector<const Column*>& labels,
+    const std::vector<const Column*>& evidence, const PosList& positions,
+    std::vector<std::vector<uint32_t>>* items)
+    : groups_(labels.size()) {
+  for (size_t g = 0; g < labels.size(); ++g) {
+    for (RowId r = 0; r < labels[g]->size(); ++r) {
+      const std::optional<double> x = NumericCell(*labels[g], r);
+      if (x.has_value()) AddTrainValue(*x, g);
+    }
+  }
+  for (Group& group : groups_) {
+    if (!group.rows.empty()) Fit(&group);
+  }
+  std::unordered_map<uint64_t, uint32_t> item_of_bits;
+  items->assign(evidence.size(), {});
+  for (size_t e = 0; e < evidence.size(); ++e) {
+    std::vector<uint32_t>& out = (*items)[e];
+    out.reserve(positions.size());
+    for (RowId pos : positions) {
+      const std::optional<double> x = NumericCell(*evidence[e], pos);
+      out.push_back(x.has_value() ? ItemOf(*x, &item_of_bits) : kNoItem);
+      if (x.has_value()) AddTestRow(out.back(), AtomRow{pos, 0});
+    }
+  }
+  FinishTestRows();
+}
+
+void GaussianCellModel::AddTrainValue(double x, size_t group_index) {
+  groups_[group_index].rows.push_back(
+      static_cast<uint32_t>(train_values_.size()));
+  train_values_.push_back(x);
+}
+
+uint32_t GaussianCellModel::ItemOf(
+    double x, std::unordered_map<uint64_t, uint32_t>* item_of_bits) {
+  const auto [it, inserted] = item_of_bits->try_emplace(
+      std::bit_cast<uint64_t>(x), static_cast<uint32_t>(item_values_.size()));
+  if (inserted) item_values_.push_back(x);
+  return it->second;
 }
 
 void GaussianCellModel::Fit(Group* group) const {
@@ -122,7 +125,7 @@ void GaussianCellModel::PredictAll(const std::vector<size_t>& label_order,
       const Group& group = groups_[label_order[label]];
       if (group.rows.empty()) continue;
       const double score = group.label.LogScore(x);
-      // The lower id keeps an exact tie (GaussianClassifier::Classify).
+      // The lower label keeps an exact tie.
       if (score > best_score) {
         best = label;
         best_score = score;

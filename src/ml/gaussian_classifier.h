@@ -5,6 +5,8 @@
 #ifndef CSM_ML_GAUSSIAN_CLASSIFIER_H_
 #define CSM_ML_GAUSSIAN_CLASSIFIER_H_
 
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "ml/classifier.h"
@@ -12,10 +14,11 @@
 
 namespace csm {
 
-/// One label's Gaussian, as both GaussianClassifier and GaussianCellModel
-/// score it: its mean, its floored sample deviation, and the part of the
-/// log posterior that does not depend on the input, log(prior) -
-/// log(stddev) - log(2 pi) / 2, evaluated in that order.
+/// One label's Gaussian, as both GaussianCellModel and the retrained
+/// reference classifier (check/reference_classifier.h) score it: its mean,
+/// its floored sample deviation, and the part of the log posterior that does
+/// not depend on the input, log(prior) - log(stddev) - log(2 pi) / 2,
+/// evaluated in that order.
 struct GaussianLabel {
   /// Floor on each label's standard deviation, which keeps single-point or
   /// constant labels from producing degenerate likelihoods.
@@ -39,40 +42,33 @@ struct GaussianLabel {
 };
 
 /// Models each label's numeric inputs as a Gaussian and classifies by
-/// maximum posterior (Gaussian likelihood x label prior).  Reads kInt
-/// columns (ints widen to double), kReal columns and all-NULL kNull
-/// columns; CHECK-fails on any other column type.  A NaN or +-inf cell is
-/// missing, like NULL: training skips it, so one such cell cannot turn a
-/// label's mean and deviation into NaN and its score into a NaN that never
-/// wins.  Exact ties go to the lower id; a cell on which every label scores
-/// -inf or NaN classifies as kNoLabel.
-class GaussianClassifier : public ValueClassifier {
- public:
-  static constexpr double kMinStdDev = GaussianLabel::kMinStdDev;
-
-  void Train(const Column& column, size_t row, LabelId label) override;
-  LabelId Classify(const Column& column, size_t row) const override;
-
-  /// Log posterior (up to the evidence term) of `label` for numeric `x`;
-  /// -inf for labels never seen.
-  double LogScore(double x, LabelId label) const;
-
- private:
-  size_t total_examples_ = 0;
-  /// Indexed by label id; an empty entry is a label never trained.
-  std::vector<DescriptiveStats> labels_;
-};
-
-/// GaussianClassifier fitted once to a grid cell (CellModel).  A group keeps
-/// its train rows' indices in train-row order; a merge joins two groups'
-/// lists in that order and refolds the merged group's values, because the
-/// Welford fold depends on order (DescriptiveStats::Merge of the parts
-/// gives other bits).  Only the merged group's GaussianLabel is recomputed:
-/// a prior's denominator is the train-row count, which no merge changes.
-/// Test items are distinct values (by bit pattern; ints widen to double).
+/// maximum posterior (Gaussian likelihood x label prior), fitted once
+/// (CellModel).  Reads kInt columns (ints widen to double), kReal columns
+/// and all-NULL kNull columns; CHECK-fails on a string column.  A group
+/// keeps its train rows' indices in train-row order; a merge joins two
+/// groups' lists in that order and refolds the merged group's values,
+/// because the Welford fold depends on order (DescriptiveStats::Merge of
+/// the parts gives other bits).  Only the merged group's GaussianLabel is
+/// recomputed: a prior's denominator is the train-row count, which no merge
+/// changes.  Test items are distinct values (by bit pattern).  Exact ties
+/// go to the lower label; an item on which every group scores -inf or NaN
+/// is predicted kNoLabel.
 class GaussianCellModel : public CellModel {
  public:
+  /// A grid cell's model over evidence column `h`.
   GaussianCellModel(const Column& h, const CellRows& rows, size_t num_atoms);
+
+  /// A tagger's model (TgtClassInfer): group g trains on every non-missing
+  /// cell of `labels[g]` in row order — NULL, NaN and +-inf cells are
+  /// skipped, so one cannot turn a group's mean into NaN — and the test
+  /// cells are each `evidence[e]`'s non-missing cells at `positions`, one
+  /// item per distinct value over all of them.  `(*items)[e][k]` receives
+  /// the item of `evidence[e]` at `positions[k]`, kNoItem at a missing
+  /// cell.  Test rows carry atom 0.
+  GaussianCellModel(const std::vector<const Column*>& labels,
+                    const std::vector<const Column*>& evidence,
+                    const PosList& positions,
+                    std::vector<std::vector<uint32_t>>* items);
 
   double Score(uint32_t item, size_t group) const override;
   void PredictAll(const std::vector<size_t>& label_order,
@@ -85,6 +81,14 @@ class GaussianCellModel : public CellModel {
     std::vector<uint32_t> rows;
     GaussianLabel label;
   };
+
+  /// Appends a train value of group `group_index`.
+  void AddTrainValue(double x, size_t group_index);
+
+  /// The item of value `x`, numbered the first time its bit pattern shows
+  /// up (`item_of_bits`).
+  uint32_t ItemOf(double x,
+                  std::unordered_map<uint64_t, uint32_t>* item_of_bits);
 
   /// Folds `group`'s values in row order into its label.
   void Fit(Group* group) const;

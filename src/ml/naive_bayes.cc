@@ -3,17 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/logging.h"
 
 namespace csm {
 namespace {
 
-/// Per-thread scratch (normalized text, gram ids, per-label score sums),
-/// so the per-row training and classification loops allocate nothing.
+constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+
+/// Per-thread scratch (normalized text, gram ranks, per-label score sums),
+/// so the per-cell loops allocate nothing.
 struct TokenScratch {
   std::string padded;
-  std::vector<GramId> ids;
+  std::vector<uint32_t> ranks;
   std::vector<double> sums;
 };
 
@@ -22,276 +25,197 @@ TokenScratch& LocalScratch() {
   return scratch;
 }
 
-/// Replaces `*out` with the packed gram ids of `text`.
-void Tokenize(std::string_view text, std::vector<GramId>* out) {
-  out->clear();
-  AppendPackedQGrams(text, NaiveBayesClassifier::kGramQ,
-                     &LocalScratch().padded, out);
-}
-
 void CheckTextColumn(const Column& column) {
   CSM_CHECK(column.type() == ValueType::kString ||
             column.type() == ValueType::kNull)
-      << "NaiveBayesClassifier reads string columns, got "
+      << "NaiveBayesCellModel reads string columns, got "
       << ValueTypeToString(column.type());
 }
 
-}  // namespace
-
-NaiveBayesClassifier::NaiveBayesClassifier(
-    NaiveBayesClassifier&& other) noexcept
-    : total_examples_(other.total_examples_),
-      labels_(std::move(other.labels_)),
-      gram_index_(std::move(other.gram_index_)),
-      train_token_memo_(std::move(other.train_token_memo_)),
-      finalized_(other.finalized_),
-      model_(std::move(other.model_)),
-      classify_memo_(std::move(other.classify_memo_)) {}
-
-NaiveBayesClassifier& NaiveBayesClassifier::operator=(
-    NaiveBayesClassifier&& other) noexcept {
-  if (this == &other) return *this;
-  total_examples_ = other.total_examples_;
-  labels_ = std::move(other.labels_);
-  gram_index_ = std::move(other.gram_index_);
-  train_token_memo_ = std::move(other.train_token_memo_);
-  finalized_ = other.finalized_;
-  model_ = std::move(other.model_);
-  classify_memo_ = std::move(other.classify_memo_);
-  return *this;
+/// Replaces `scratch->ranks` with the dense 3-gram ranks of the code's text
+/// (the grams of AppendPackedQGrams, in its order).
+void Tokenize(const Column& column, uint32_t code, TokenScratch* scratch) {
+  scratch->ranks.clear();
+  AppendQGramRanks(column.dictionary().value(code), &scratch->padded,
+                   &scratch->ranks);
 }
 
-void NaiveBayesClassifier::TrainIndices(const std::vector<uint32_t>& indices,
-                                        LabelId label) {
-  if (label >= labels_.size()) labels_.resize(size_t{label} + 1);
-  LabelStats& stats = labels_[label];
-  ++stats.example_count;
-  ++total_examples_;
-  if (stats.counts.size() < gram_index_.size()) {
-    stats.counts.resize(gram_index_.size(), 0.0);
-  }
-  for (uint32_t d : indices) stats.counts[d] += 1.0;
-  // Adding 1.0 per occurrence is exact below 2^53, so one add of the
-  // occurrence count gives the same double.
-  stats.token_total += static_cast<double>(indices.size());
-  {
-    std::lock_guard<std::mutex> lock(model_mu_);
-    finalized_ = false;
-  }
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  if (!classify_memo_.empty()) classify_memo_.clear();
-}
+/// The distinct codes of one string column's train cells, each tokenized
+/// once into dense indices of `vocabulary`, which numbers the train cells'
+/// grams in first-seen order.
+class TrainCodes {
+ public:
+  TrainCodes(const Column& column, GramRankSlots* vocabulary,
+             TokenScratch* scratch)
+      : column_(&column), vocabulary_(vocabulary), scratch_(scratch) {}
 
-void NaiveBayesClassifier::Train(const Column& column, size_t row,
-                                 LabelId label) {
-  CheckTextColumn(column);
-  CSM_CHECK(label != kNoLabel) << "kNoLabel is not a trainable label";
-  if (column.IsNull(row)) return;
-  const StringDictionary& dict = column.dictionary();
-  const uint32_t code = column.codes()[row];
-  auto [it, inserted] = train_token_memo_[&dict].try_emplace(code);
-  if (inserted) {
-    std::vector<GramId>& ids = LocalScratch().ids;
-    Tokenize(dict.value(code), &ids);
-    std::vector<uint32_t>& indices = it->second;
-    indices.reserve(ids.size());
-    const size_t vocab_before = gram_index_.size();
-    for (GramId gram : ids) {
-      const uint32_t next = static_cast<uint32_t>(gram_index_.size());
-      indices.push_back(gram_index_.try_emplace(gram, next).first->second);
-    }
-    if (gram_index_.size() > vocab_before) {
-      GlobalTokenKernelStats().grams_interned.fetch_add(
-          gram_index_.size() - vocab_before, std::memory_order_relaxed);
+  /// Tokenizes the code of the cell at `pos` the first time it shows up.
+  void Add(RowId pos) {
+    const uint32_t code = column_->codes()[pos];
+    if (code >= slot_.size()) slot_.resize(code + 1, kNone);
+    if (slot_[code] != kNone) return;
+    slot_[code] = static_cast<uint32_t>(indices_.size());
+    Tokenize(*column_, code, scratch_);
+    std::vector<uint32_t>& indices = indices_.emplace_back();
+    indices.reserve(scratch_->ranks.size());
+    for (uint32_t rank : scratch_->ranks) {
+      indices.push_back(vocabulary_->Touch(rank));
     }
   }
-  TrainIndices(it->second, label);
-}
 
-const NaiveBayesClassifier::Model& NaiveBayesClassifier::Finalized() const {
-  std::lock_guard<std::mutex> lock(model_mu_);
-  if (finalized_) return model_;
-  const size_t num_labels = static_cast<size_t>(
-      std::count_if(labels_.begin(), labels_.end(),
-                    [](const LabelStats& s) { return s.example_count > 0; }));
-  const size_t vocab = gram_index_.size();
-  model_.labels.clear();
-  model_.example_counts.clear();
-  model_.log_priors.clear();
-  model_.log_prob.assign((vocab + 1) * num_labels, 0.0);
-  size_t l = 0;
-  for (LabelId label = 0; label < labels_.size(); ++label) {
-    const LabelStats& stats = labels_[label];
-    if (stats.example_count == 0) continue;
-    model_.labels.push_back(label);
-    model_.example_counts.push_back(stats.example_count);
-    // The exact expressions of the original per-call implementation, so the
-    // precomputed doubles are bit-identical to recomputing them per row.
-    model_.log_priors.push_back(NaiveBayesTerms::LogPrior(
-        stats.example_count, total_examples_, num_labels));
-    const double denom =
-        NaiveBayesTerms::Denominator(stats.token_total, vocab);
-    const double log_unseen = NaiveBayesTerms::LogTerm(0.0, denom);
-    for (size_t d = 0; d < vocab; ++d) {
-      const double count = d < stats.counts.size() ? stats.counts[d] : 0.0;
-      model_.log_prob[d * num_labels + l] =
-          count > 0.0 ? NaiveBayesTerms::LogTerm(count, denom) : log_unseen;
-    }
-    model_.log_prob[vocab * num_labels + l] = log_unseen;
-    ++l;
+  /// The dense indices of the added cell at `pos`.
+  const std::vector<uint32_t>& At(RowId pos) const {
+    return indices_[slot_[column_->codes()[pos]]];
   }
-  finalized_ = true;
-  return model_;
-}
 
-void NaiveBayesClassifier::ScoreAll(const Model& model,
-                                    const std::vector<GramId>& grams,
-                                    std::vector<double>* sums) const {
-  const size_t num_labels = model.labels.size();
-  const uint32_t unseen = static_cast<uint32_t>(gram_index_.size());
-  sums->assign(model.log_priors.begin(), model.log_priors.end());
-  double* out = sums->data();
-  for (GramId gram : grams) {
-    auto it = gram_index_.find(gram);
-    const uint32_t d = it == gram_index_.end() ? unseen : it->second;
-    const double* row = model.log_prob.data() + size_t{d} * num_labels;
-    for (size_t l = 0; l < num_labels; ++l) out[l] += row[l];
+  /// The dense indices of `code`, or null when no added cell holds it.
+  const std::vector<uint32_t>* Find(uint32_t code) const {
+    return code < slot_.size() && slot_[code] != kNone
+               ? &indices_[slot_[code]]
+               : nullptr;
   }
-}
 
-double NaiveBayesClassifier::LogScore(const Column& column, size_t row,
-                                      LabelId label) const {
-  CheckTextColumn(column);
-  if (label >= labels_.size() || labels_[label].example_count == 0) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  const Model& model = Finalized();
-  TokenScratch& scratch = LocalScratch();
-  scratch.ids.clear();
-  if (!column.IsNull(row)) {
-    Tokenize(column.dictionary().value(column.codes()[row]), &scratch.ids);
-  }
-  ScoreAll(model, scratch.ids, &scratch.sums);
-  const auto it =
-      std::lower_bound(model.labels.begin(), model.labels.end(), label);
-  return scratch.sums[static_cast<size_t>(it - model.labels.begin())];
-}
+ private:
+  const Column* column_;
+  GramRankSlots* vocabulary_;
+  TokenScratch* scratch_;
+  std::vector<uint32_t> slot_;  // by code; kNone when not added
+  std::vector<std::vector<uint32_t>> indices_;
+};
 
-LabelId NaiveBayesClassifier::ClassifyTokens(
-    const std::vector<GramId>& grams) const {
-  const Model& model = Finalized();
-  std::vector<double>& sums = LocalScratch().sums;
-  ScoreAll(model, grams, &sums);
-  LabelId best = kNoLabel;
-  double best_score = -std::numeric_limits<double>::infinity();
-  size_t best_frequency = 0;
-  for (size_t l = 0; l < sums.size(); ++l) {
-    // Model order is id order, so ties go to the more frequent label, then
-    // the lower id.
-    if (BeatsBest(sums[l], model.example_counts[l], best_score,
-                  best_frequency)) {
-      best = model.labels[l];
-      best_score = sums[l];
-      best_frequency = model.example_counts[l];
-    }
-  }
-  return best;
-}
+/// One string column's test cells numbered as items, one per distinct code
+/// in first-seen order after the `offsets->size() - 1` items before them.
+/// An item's dense indices are its code's train indices when `train` (the
+/// same column's train codes, or null) holds it, else its grams' slots (V
+/// for a gram outside the vocabulary); they are appended to `grams`, and
+/// their end to `offsets`.
+class ItemCodes {
+ public:
+  ItemCodes(const Column& column, const TrainCodes* train,
+            const GramRankSlots& vocabulary, TokenScratch* scratch,
+            std::vector<uint32_t>* grams, std::vector<uint32_t>* offsets)
+      : column_(&column),
+        train_(train),
+        vocabulary_(&vocabulary),
+        scratch_(scratch),
+        grams_(grams),
+        offsets_(offsets) {}
 
-LabelId NaiveBayesClassifier::Classify(const Column& column,
-                                       size_t row) const {
-  CheckTextColumn(column);
-  if (total_examples_ == 0 || column.IsNull(row)) return kNoLabel;
-  const StringDictionary& dict = column.dictionary();
-  const uint32_t code = column.codes()[row];
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    auto dict_it = classify_memo_.find(&dict);
-    if (dict_it != classify_memo_.end()) {
-      auto it = dict_it->second.find(code);
-      if (it != dict_it->second.end()) {
-        GlobalTokenKernelStats().nb_memo_hits.fetch_add(
-            1, std::memory_order_relaxed);
-        return it->second;
+  /// The item of the cell at `pos`.
+  uint32_t Of(RowId pos) {
+    const uint32_t code = column_->codes()[pos];
+    if (code >= item_of_code_.size()) item_of_code_.resize(code + 1, kNone);
+    if (item_of_code_[code] == kNone) {
+      item_of_code_[code] = static_cast<uint32_t>(offsets_->size() - 1);
+      const std::vector<uint32_t>* indices =
+          train_ == nullptr ? nullptr : train_->Find(code);
+      if (indices != nullptr) {
+        grams_->insert(grams_->end(), indices->begin(), indices->end());
+      } else {
+        Tokenize(*column_, code, scratch_);
+        for (uint32_t rank : scratch_->ranks) {
+          grams_->push_back(vocabulary_->Find(rank));
+        }
       }
+      offsets_->push_back(static_cast<uint32_t>(grams_->size()));
     }
+    return item_of_code_[code];
   }
-  // Miss: compute outside the lock (a racing duplicate computes the same
-  // deterministic label), then publish.
-  std::vector<GramId>& ids = LocalScratch().ids;
-  Tokenize(dict.value(code), &ids);
-  const LabelId label = ClassifyTokens(ids);
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  classify_memo_[&dict].emplace(code, label);
-  return label;
-}
+
+ private:
+  const Column* column_;
+  const TrainCodes* train_;
+  const GramRankSlots* vocabulary_;
+  TokenScratch* scratch_;
+  std::vector<uint32_t>* grams_;
+  std::vector<uint32_t>* offsets_;
+  std::vector<uint32_t> item_of_code_;  // kNone when not numbered
+};
+
+}  // namespace
 
 NaiveBayesCellModel::NaiveBayesCellModel(const Column& h,
                                          const CellRows& rows,
                                          size_t num_atoms)
     : groups_(num_atoms) {
   CheckTextColumn(h);
-  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
-  // Each distinct train code's dense gram indices, tokenized once; the
-  // vocabulary is every gram of the train rows, numbered in first-seen
-  // order by dense 3-gram rank (the grams of Tokenize, in its order).
-  GramRankSlots vocabulary;
-  std::vector<uint32_t> train_slot;  // by code; kNone when not a train code
-  std::vector<std::vector<uint32_t>> train_indices;
   TokenScratch& scratch = LocalScratch();
-  std::vector<uint32_t> ranks;
-  auto tokenize = [&](uint32_t code) {
-    ranks.clear();
-    AppendQGramRanks(h.dictionary().value(code), &scratch.padded, &ranks);
-  };
-  for (const AtomRow& row : rows.train) {
-    const uint32_t code = h.codes()[row.pos];
-    if (code >= train_slot.size()) train_slot.resize(code + 1, kNone);
-    if (train_slot[code] != kNone) continue;
-    train_slot[code] = static_cast<uint32_t>(train_indices.size());
-    tokenize(code);
-    std::vector<uint32_t>& indices = train_indices.emplace_back();
-    indices.reserve(ranks.size());
-    for (uint32_t rank : ranks) indices.push_back(vocabulary.Touch(rank));
-  }
-  vocab_ = vocabulary.size();
-  GlobalTokenKernelStats().grams_interned.fetch_add(vocab_,
-                                                    std::memory_order_relaxed);
+  GramRankSlots vocabulary;
+  TrainCodes train(h, &vocabulary, &scratch);
+  for (const AtomRow& row : rows.train) train.Add(row.pos);
+  SetVocabulary(vocabulary.size());
   total_examples_ = rows.train.size();
-  // Each atom's integer counts, its group's at the start.
-  for (const AtomRow& row : rows.train) {
-    const std::vector<uint32_t>& indices =
-        train_indices[train_slot[h.codes()[row.pos]]];
-    Group& group = groups_[row.atom];
-    if (group.counts.empty()) group.counts.assign(vocab_, 0);
-    ++group.example_count;
-    group.token_total += indices.size();
-    for (uint32_t d : indices) ++group.counts[d];
-  }
-  // Each distinct test code's dense indices: a train code's own, otherwise
-  // its grams' indices, V for a gram outside the vocabulary.
-  std::vector<uint32_t> item_of_code;
+  for (const AtomRow& row : rows.train) AddExample(train.At(row.pos), row.atom);
   item_offsets_.push_back(0);
-  for (const AtomRow& row : rows.test) {
-    const uint32_t code = h.codes()[row.pos];
-    if (code >= item_of_code.size()) item_of_code.resize(code + 1, kNone);
-    if (item_of_code[code] == kNone) {
-      item_of_code[code] = static_cast<uint32_t>(item_offsets_.size() - 1);
-      if (code < train_slot.size() && train_slot[code] != kNone) {
-        const std::vector<uint32_t>& indices =
-            train_indices[train_slot[code]];
-        item_grams_.insert(item_grams_.end(), indices.begin(), indices.end());
-      } else {
-        tokenize(code);
-        for (uint32_t rank : ranks) {
-          item_grams_.push_back(vocabulary.Find(rank));
-        }
-      }
-      item_offsets_.push_back(static_cast<uint32_t>(item_grams_.size()));
+  ItemCodes items(h, &train, vocabulary, &scratch, &item_grams_,
+                  &item_offsets_);
+  for (const AtomRow& row : rows.test) AddTestRow(items.Of(row.pos), row);
+  FinishTestRows();
+  Fit();
+}
+
+NaiveBayesCellModel::NaiveBayesCellModel(
+    const std::vector<const Column*>& labels,
+    const std::vector<const Column*>& evidence, const PosList& positions,
+    std::vector<std::vector<uint32_t>>* items)
+    : groups_(labels.size()) {
+  TokenScratch& scratch = LocalScratch();
+  GramRankSlots vocabulary;
+  std::vector<TrainCodes> train;
+  train.reserve(labels.size());
+  for (const Column* column : labels) {
+    CheckTextColumn(*column);
+    TrainCodes& codes = train.emplace_back(*column, &vocabulary, &scratch);
+    for (RowId r = 0; r < column->size(); ++r) {
+      if (!column->IsNull(r)) codes.Add(r);
     }
-    AddTestRow(item_of_code[code], row);
+  }
+  SetVocabulary(vocabulary.size());
+  for (size_t g = 0; g < labels.size(); ++g) {
+    for (RowId r = 0; r < labels[g]->size(); ++r) {
+      if (labels[g]->IsNull(r)) continue;
+      AddExample(train[g].At(r), g);
+      ++total_examples_;
+    }
+  }
+  item_offsets_.push_back(0);
+  items->assign(evidence.size(), {});
+  for (size_t e = 0; e < evidence.size(); ++e) {
+    const Column& column = *evidence[e];
+    CheckTextColumn(column);
+    ItemCodes codes(column, nullptr, vocabulary, &scratch, &item_grams_,
+                    &item_offsets_);
+    std::vector<uint32_t>& out = (*items)[e];
+    out.reserve(positions.size());
+    for (RowId pos : positions) {
+      if (column.IsNull(pos)) {
+        out.push_back(kNoItem);
+        continue;
+      }
+      out.push_back(codes.Of(pos));
+      AddTestRow(out.back(), AtomRow{pos, 0});
+    }
   }
   FinishTestRows();
+  Fit();
+}
+
+void NaiveBayesCellModel::SetVocabulary(size_t vocab) {
+  vocab_ = vocab;
+  GlobalTokenKernelStats().grams_interned.fetch_add(vocab_,
+                                                    std::memory_order_relaxed);
+}
+
+void NaiveBayesCellModel::AddExample(const std::vector<uint32_t>& indices,
+                                     size_t group_index) {
+  Group& group = groups_[group_index];
+  if (group.counts.empty()) group.counts.assign(vocab_, 0);
+  ++group.example_count;
+  group.token_total += indices.size();
+  for (uint32_t d : indices) ++group.counts[d];
+}
+
+void NaiveBayesCellModel::Fit() {
   for (Group& group : groups_) {
     if (group.example_count > 0) ComputeColumn(&group);
   }

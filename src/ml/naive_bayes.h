@@ -2,38 +2,26 @@
 // text attribute, a standard Naive Bayesian classifier is used, with the
 // values tokenized into 3-grams").
 //
-// Internally the classifier runs on the interned token kernel (text/gram.h)
-// and one dense vocabulary: every distinct training gram gets a dense index
-// in first-seen order, and each label counts its grams in a vector indexed
-// by it.  The first classification after training finalizes the counts into
-// one gram-major table of log-probabilities, log_prob[d * L + l] for dense
-// index d and label l, plus a row V (the vocabulary size) of each label's
-// unseen-gram term.  Scoring a text is then one vocabulary lookup per gram
-// occurrence and one contiguous row of L adds into L running sums, which
-// start at the labels' log priors.  Scores are bit-identical to the
-// original map-of-strings implementation: every log term is the same
-// std::log((count + alpha) / denom) double, and each label's sum still adds
-// its terms in per-occurrence order.
+// The model runs on the interned token kernel (text/gram.h) and one dense
+// vocabulary: every distinct training gram gets a dense index in first-seen
+// order, and each label counts its grams in a vector indexed by it.  The
+// counts become one gram-major table of log-probabilities,
+// log_prob[d * L + l] for dense index d and label l, plus a row V (the
+// vocabulary size) of each label's unseen-gram term.  Scoring a text is
+// then one contiguous row of L adds per gram occurrence into L running
+// sums, which start at the labels' log priors.  Scores are bit-identical
+// to the original map-of-strings implementation (the reference in
+// check/fuzz.cc): every log term is the same std::log((count + alpha) /
+// denom) double, and each label's sum still adds its terms in
+// per-occurrence order.
 //
-// Cells are read straight off dictionary-encoded string columns, and both
-// the tokenization of a training cell and the label of a classified cell
-// are memoized per (dictionary address, code), so a repeated value pays
-// for tokenization and the log-sum once.  A column the classifier has read
-// must therefore outlive it (the ValueClassifier contract).
-//
-// Thread safety: training is single-writer (no concurrent reads), after
-// which any number of threads may classify concurrently — the lazy finalize
-// and the classification memo are mutex-guarded and the scoring sums are
-// thread-local, which is what lets TgtClassInfer share one trained tagger
-// across all grid-cell workers.
+// Cells are read straight off dictionary-encoded string columns, and each
+// distinct code is tokenized once per model.
 
 #ifndef CSM_ML_NAIVE_BAYES_H_
 #define CSM_ML_NAIVE_BAYES_H_
 
 #include <cmath>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ml/classifier.h"
@@ -42,8 +30,9 @@
 namespace csm {
 
 /// Naive Bayes's arithmetic, one copy of each expression for
-/// NaiveBayesClassifier and NaiveBayesCellModel, so both give the same
-/// doubles from the same counts.
+/// NaiveBayesCellModel and the retrained reference classifier
+/// (check/reference_classifier.h), so both give the same doubles from the
+/// same counts.
 struct NaiveBayesTerms {
   /// Gram length (the paper's 3-grams) and Laplace smoothing alpha.
   static constexpr size_t kGramQ = 3;
@@ -71,99 +60,33 @@ struct NaiveBayesTerms {
   }
 };
 
-/// Multinomial NB with Laplace smoothing over padded 3-grams of the cell
-/// text.  Reads kString columns and all-NULL kNull columns; CHECK-fails on
-/// any other column type.
-class NaiveBayesClassifier : public ValueClassifier {
- public:
-  static constexpr size_t kGramQ = NaiveBayesTerms::kGramQ;
-  static constexpr double kSmoothing = NaiveBayesTerms::kSmoothing;
-
-  NaiveBayesClassifier() = default;
-
-  /// Movable (single-threaded by contract: no concurrent access to either
-  /// side during the move); the mutexes of the destination start fresh.
-  NaiveBayesClassifier(NaiveBayesClassifier&& other) noexcept;
-  NaiveBayesClassifier& operator=(NaiveBayesClassifier&& other) noexcept;
-
-  void Train(const Column& column, size_t row, LabelId label) override;
-  LabelId Classify(const Column& column, size_t row) const override;
-
-  /// Log posterior (up to the shared evidence term) of `label` for the
-  /// cell; -inf for labels never seen.  A NULL cell has no grams and scores
-  /// the label's log prior.  Exposed for tests and the differential fuzzer.
-  double LogScore(const Column& column, size_t row, LabelId label) const;
-
- private:
-  struct LabelStats {
-    size_t example_count = 0;
-    double token_total = 0.0;
-    /// Occurrences per dense gram index; indices past the end count zero.
-    std::vector<double> counts;
-  };
-
-  /// The finalized scoring model over the trained labels, in id order.
-  struct Model {
-    std::vector<LabelId> labels;
-    std::vector<size_t> example_counts;
-    std::vector<double> log_priors;
-    /// (V + 1) x L, gram-major: log_prob[d * L + l].  Row V holds each
-    /// label's log((0 + alpha) / denom), the term of a gram it never saw.
-    std::vector<double> log_prob;
-  };
-
-  /// Counts one example of `label` over dense gram indices.
-  void TrainIndices(const std::vector<uint32_t>& indices, LabelId label);
-
-  /// Builds model_ on first use after training; thread-safe.
-  const Model& Finalized() const;
-
-  /// Leaves every label's log score of `grams` in `*sums`, in model order:
-  /// the shared pass of ClassifyTokens and LogScore.
-  void ScoreAll(const Model& model, const std::vector<GramId>& grams,
-                std::vector<double>* sums) const;
-
-  /// Classify over pre-tokenized input (the shared tie-break loop).
-  LabelId ClassifyTokens(const std::vector<GramId>& grams) const;
-
-  size_t total_examples_ = 0;
-  /// Indexed by label id; a label with example_count 0 was never trained.
-  std::vector<LabelStats> labels_;
-  /// Gram -> dense index, assigned in first-seen training order; its size
-  /// is the vocabulary size V.
-  std::unordered_map<GramId, uint32_t> gram_index_;
-
-  /// Training token memo: (dictionary, code) -> dense gram indices.
-  /// Written during single-writer training only.
-  std::unordered_map<const StringDictionary*,
-                     std::unordered_map<uint32_t, std::vector<uint32_t>>>
-      train_token_memo_;
-
-  // Lazily finalized model + classification memo; see class comment.
-  mutable std::mutex model_mu_;
-  mutable bool finalized_ = false;  // guarded by model_mu_
-  mutable Model model_;
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<const StringDictionary*,
-                             std::unordered_map<uint32_t, LabelId>>
-      classify_memo_;  // guarded by memo_mu_
-};
-
-/// NaiveBayesClassifier fitted once to a grid cell (CellModel).  Each
-/// distinct train code is tokenized once into one dense vocabulary of V
-/// grams (the train rows' grams); a group keeps integer sufficient
-/// statistics — example count, token total and a count per gram — so a
-/// merge adds two groups' counts exactly and equals a retrain.  Each
-/// distinct test code is tokenized once into dense indices (V for a gram
-/// outside the vocabulary).  A group also keeps its log-probability
-/// column, which only its own counts and V decide, so a merge recomputes
-/// the merged group's column alone; the gram-major table over the trained
-/// groups (NaiveBayesClassifier's layout) and every prior, whose
-/// denominator holds the trained-group count, are rebuilt from the
-/// columns.  Reads kString columns.
+/// Multinomial Naive Bayes with Laplace smoothing over padded 3-grams of
+/// the cell text, fitted once (CellModel).  Each distinct train code is
+/// tokenized once into one dense vocabulary of V grams (the train cells'
+/// grams); a group keeps integer sufficient statistics — example count,
+/// token total and a count per gram — so a merge adds two groups' counts
+/// exactly and equals a retrain.  Each distinct test code is tokenized once
+/// into dense indices (V for a gram outside the vocabulary).  A group also
+/// keeps its log-probability column, which only its own counts and V
+/// decide, so a merge recomputes the merged group's column alone; the
+/// gram-major table over the trained groups and every prior, whose
+/// denominator holds the trained-group count, are rebuilt from the columns.
+/// Exact score ties go to the more frequent group, then the lower label
+/// (BeatsBest).  Reads kString and all-NULL kNull columns.
 class NaiveBayesCellModel : public CellModel {
  public:
+  /// A grid cell's model over evidence column `h`.
   NaiveBayesCellModel(const Column& h, const CellRows& rows, size_t num_atoms);
+
+  /// A tagger's model (TgtClassInfer): group g trains on every non-NULL
+  /// cell of `labels[g]` in row order, and the test cells are each
+  /// `evidence[e]`'s non-NULL cells at `positions`, one item per distinct
+  /// code of a column.  `(*items)[e][k]` receives the item of `evidence[e]`
+  /// at `positions[k]`, kNoItem at a NULL cell.  Test rows carry atom 0.
+  NaiveBayesCellModel(const std::vector<const Column*>& labels,
+                      const std::vector<const Column*>& evidence,
+                      const PosList& positions,
+                      std::vector<std::vector<uint32_t>>* items);
 
   double Score(uint32_t item, size_t group) const override;
   void PredictAll(const std::vector<size_t>& label_order,
@@ -184,6 +107,15 @@ class NaiveBayesCellModel : public CellModel {
     /// Column in the log-probability table; kNoColumn when untrained.
     size_t column = kNoColumn;
   };
+
+  /// Sets the vocabulary size V once every train code is tokenized.
+  void SetVocabulary(size_t vocab);
+
+  /// Counts one train example of group `group_index` over dense indices.
+  void AddExample(const std::vector<uint32_t>& indices, size_t group_index);
+
+  /// Computes every trained group's log column, then the table.
+  void Fit();
 
   /// Recomputes `group`'s log column from its counts.
   void ComputeColumn(Group* group) const;

@@ -36,7 +36,7 @@
 //     the TF-IDF weighted sums (non-integer terms) accumulate in the exact
 //     order the std::map iteration used.
 //
-// See DESIGN.md "Token kernel & classifier memoization".
+// See DESIGN.md "Token kernel & classifier kernels".
 
 #ifndef CSM_TEXT_GRAM_H_
 #define CSM_TEXT_GRAM_H_
@@ -60,11 +60,10 @@ using GramId = uint32_t;
 inline constexpr size_t kMaxPackedGramQ = 4;
 
 /// Process-wide kernel activity counters, surfaced as the
-/// `text.grams_interned` / `ml.nb_memo_hits` metrics.  Monotonic; readers
-/// take deltas around a region of interest.
+/// `text.grams_interned` metric.  Monotonic; readers take deltas around a
+/// region of interest.
 struct TokenKernelStats {
   std::atomic<uint64_t> grams_interned{0};
-  std::atomic<uint64_t> nb_memo_hits{0};
 };
 
 TokenKernelStats& GlobalTokenKernelStats();

@@ -23,8 +23,6 @@
 #include "core/tgt_class_infer.h"
 #include "datagen/retail_gen.h"
 #include "datagen/wordlists.h"
-#include "ml/gaussian_classifier.h"
-#include "ml/naive_bayes.h"
 #include "tests/test_util.h"
 
 namespace csm {
@@ -337,7 +335,7 @@ TEST(ClusteredViewGenTest, ExactTieBetweenNineAndTenGoesToTen) {
   const std::vector<LabelId> labels = NumberGroups(atoms, groups);
   EXPECT_EQ(labels, (std::vector<LabelId>{1, 0}));
   const Column cells = MakeColumn(ValueType::kString, {S("same")});
-  NaiveBayesClassifier nb;
+  check::NaiveBayesClassifier nb;
   for (size_t g = 0; g < groups.size(); ++g) nb.Train(cells, 0, labels[g]);
   const LabelId winner = nb.Classify(cells, 0);
   ASSERT_EQ(winner, labels[1]);
@@ -378,9 +376,12 @@ struct HandCell {
   }
 };
 
+/// TgtClassInfer's models where the target has no column of the evidence's
+/// type: every cell tags kNoLabel.
 ClassifierFactory TgtModelsWithoutTagger() {
   return [](const Column& h, const CellRows& rows, size_t num_atoms) {
-    return std::make_unique<BestCatCellModel>(nullptr, h, rows, num_atoms);
+    return std::make_unique<BestCatCellModel>(
+        std::vector<LabelId>(h.size(), kNoLabel), rows, num_atoms);
   };
 }
 
@@ -424,7 +425,7 @@ TEST(CellModelTest, GroupWithoutTrainRowsHasNoModelEntry) {
     EXPECT_TRUE(tags.ok()) << tags.ToString();
   }
   // The prior of "a" counts two trained labels: log((3 + 1) / (5 + 2)).
-  NaiveBayesClassifier nb;
+  check::NaiveBayesClassifier nb;
   for (const AtomRow& row : text.rows.train) {
     nb.Train(text.h, row.pos, row.atom == 0 ? 0 : 1);
   }
@@ -558,7 +559,7 @@ TEST(CellModelTest, GaussianMergeRefoldsRowsInTrainOrder) {
   const std::unique_ptr<CellModel> model =
       SrcClassifierFactory()(cell.h, cell.rows, 3);
   model->Merge(0, 1);
-  GaussianClassifier retrained;
+  check::GaussianClassifier retrained;
   for (const AtomRow& row : cell.rows.train) {
     retrained.Train(cell.h, row.pos, row.atom < 2 ? 0 : 1);
   }
@@ -736,7 +737,7 @@ TEST(TgtTagClassifierTest, DistinctTagsSeparateLabels) {
     text.Append(Value::String(MakeBookTitle(rng)));
     text.Append(Value::String(MakeUpc(rng)));
   }
-  auto tagger = std::make_shared<NaiveBayesClassifier>();
+  auto tagger = std::make_shared<check::NaiveBayesClassifier>();
   for (size_t r = 0; r < 60; ++r) tagger->Train(text, r, r % 2);
   check::TgtTagClassifier classifier(tagger);
   for (size_t r = 60; r < 120; ++r) {
@@ -744,6 +745,20 @@ TEST(TgtTagClassifierTest, DistinctTagsSeparateLabels) {
   }
   EXPECT_EQ(classifier.Classify(text, 120), kBook);
   EXPECT_EQ(classifier.Classify(text, 121), kCd);
+}
+
+/// The tags TargetTags gives the cells of `source`'s attributes `evidence`,
+/// by attribute then row.
+std::vector<std::vector<LabelId>> TagsOf(
+    const Table& source, const std::vector<std::string>& evidence,
+    const Database& target) {
+  const TargetTags tags(source, evidence, target);
+  std::vector<std::vector<LabelId>> out;
+  for (const std::string& name : evidence) {
+    out.push_back(
+        tags.Of(source.column(source.schema().AttributeIndex(name))));
+  }
+  return out;
 }
 
 TEST(CreateTargetClassifierTest, TrainsOnMatchingTypeOnly) {
@@ -756,17 +771,14 @@ TEST(CreateTargetClassifierTest, TrainsOnMatchingTypeOnly) {
   target.AddTable(MakeTable("albums", {"name", "year"},
                             {{S("velvet thunder"), I(1990)},
                              {S("neon wolves"), I(1994)}}));
-  const Column texts = MakeColumn(
-      ValueType::kString, {S("the silent garden"), S("velvet wolves")});
-  const Column numbers = MakeColumn(ValueType::kReal, {R(13.0), R(1992.0)});
-  auto string_classifier = CreateTargetClassifier(ValueType::kString, target);
-  ASSERT_NE(string_classifier, nullptr);
-  EXPECT_EQ(string_classifier->Classify(texts, 0), 1u);
-  EXPECT_EQ(string_classifier->Classify(texts, 1), 0u);
-  auto numeric_classifier = CreateTargetClassifier(ValueType::kReal, target);
-  ASSERT_NE(numeric_classifier, nullptr);
-  EXPECT_EQ(numeric_classifier->Classify(numbers, 0), 1u);
-  EXPECT_EQ(numeric_classifier->Classify(numbers, 1), 0u);
+  const Table source =
+      MakeTable("src", {"text", "number"},
+                {{S("the silent garden"), R(13.0)},
+                 {S("velvet wolves"), R(1992.0)},
+                 {N(), R(std::numeric_limits<double>::quiet_NaN())}});
+  const auto tags = TagsOf(source, {"text", "number"}, target);
+  EXPECT_EQ(tags[0], (std::vector<LabelId>{1, 0, kNoLabel}));
+  EXPECT_EQ(tags[1], (std::vector<LabelId>{1, 0, kNoLabel}));
 }
 
 TEST(CreateTargetClassifierTest, ColumnsWhoseNamesCoincideAreTwoLabels) {
@@ -781,19 +793,21 @@ TEST(CreateTargetClassifierTest, ColumnsWhoseNamesCoincideAreTwoLabels) {
   Database target("tgt");
   target.AddTable(MakeTable("a.b", {"c"}, titles));
   target.AddTable(MakeTable("a", {"b.c"}, upcs));
-  const Column probes = MakeColumn(
-      ValueType::kString,
-      {Value::String(MakeBookTitle(rng)), Value::String(MakeUpc(rng))});
-  auto classifier = CreateTargetClassifier(ValueType::kString, target);
-  ASSERT_NE(classifier, nullptr);
-  EXPECT_EQ(classifier->Classify(probes, 0), 0u);
-  EXPECT_EQ(classifier->Classify(probes, 1), 1u);
+  const Table source =
+      MakeTable("src", {"text"},
+                {{Value::String(MakeBookTitle(rng))},
+                 {Value::String(MakeUpc(rng))}});
+  EXPECT_EQ(TagsOf(source, {"text"}, target)[0],
+            (std::vector<LabelId>{0, 1}));
 }
 
 TEST(CreateTargetClassifierTest, NullWhenNoAttributeOfType) {
+  // No numeric target column: every numeric evidence cell tags kNoLabel.
   Database target("tgt");
   target.AddTable(MakeTable("t", {"s"}, {{S("x")}}));
-  EXPECT_EQ(CreateTargetClassifier(ValueType::kReal, target), nullptr);
+  const Table source = MakeTable("src", {"number"}, {{R(1.5)}, {R(2.5)}});
+  EXPECT_EQ(TagsOf(source, {"number"}, target)[0],
+            (std::vector<LabelId>{kNoLabel, kNoLabel}));
 }
 
 TEST(ViewInferenceTest, FactoryProducesRequestedKind) {

@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/session_store.h"
 #include "datagen/wordlists.h"
 #include "match/matchers.h"
 #include "match/session.h"
@@ -371,7 +372,10 @@ TEST(SessionTest, NonFiniteCellsScoreAlikeFreshAndRestored) {
   std::string blob;
   fresh.AppendSerializedScores(&blob);
   size_t pos = 0;
-  auto parsed = TableMatchSession::ParseSerializedScores(blob, &pos);
+  auto parsed = TableMatchSession::ParseSerializedScores(
+      blob, &pos,
+      {DefaultMatcherSuite().size(), fresh.source_attributes().size(),
+       fresh.target_refs().size()});
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const TableMatchSession restored(source, target, DefaultMatcherSuite(),
                                    MatchOptions{}, std::move(parsed.value()));
@@ -401,6 +405,24 @@ TEST(SessionTest, NonFiniteCellsScoreAlikeFreshAndRestored) {
     EXPECT_TRUE(BitEqual(fresh_matches[i].confidence,
                          restored_matches[i].confidence));
   }
+}
+
+// A session blob's header must not drive allocation: a 19-byte score
+// header claiming 1 x 2048 x 2048 doubles is rejected against the grid the
+// tables give (4 matchers x 1 x 1) before a single row is read.
+TEST(SessionTest, HeaderOfAnotherGridIsRejectedBeforeTheRows) {
+  Database source("src");
+  source.AddTable(MakeTable("items", {"title"}, {{S("velvet thunder")}}));
+  Database target("tgt");
+  target.AddTable(MakeTable("books", {"title"}, {{S("neon wolves")}}));
+  const std::string blob =
+      "csm-sessions 1\ntables 1\ntable items\nscores 1 2048 2048\n";
+  const auto parsed = ParseSessionScores(blob, source, target);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find(
+                "matcher count does not match the matcher suite"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(SessionTest, BlendAblationChangesConfidences) {

@@ -1,18 +1,22 @@
-// Tests for src/ml: Naive Bayes, Gaussian classifier, evaluation machinery.
+// Tests for src/ml's evaluation machinery, and for the Naive Bayes and
+// Gaussian classifiers whose scores and ties the per-cell models reproduce
+// (the references of check/reference_classifier.h).
 
 #include <gtest/gtest.h>
 
 #include <limits>
 
+#include "check/reference_classifier.h"
 #include "common/random.h"
 #include "ml/evaluation.h"
-#include "ml/gaussian_classifier.h"
-#include "ml/naive_bayes.h"
 #include "tests/test_util.h"
 
 namespace csm {
 namespace {
 
+using check::GaussianClassifier;
+using check::NaiveBayesClassifier;
+using check::ValueClassifier;
 using testing::I;
 using testing::MakeColumn;
 using testing::N;
@@ -142,40 +146,6 @@ TEST(NaiveBayesTest, DeterministicClassification) {
   for (size_t r = 0; r < probes.size(); ++r) {
     EXPECT_EQ(a.Classify(probes, r), b.Classify(probes, r));
   }
-}
-
-TEST(NaiveBayesTest, ClassifyCodedMemoizesPerDistinctValue) {
-  const Column cells =
-      MakeColumn(ValueType::kString, {S("aaa"), S("zzz"), S("aab"), S("aab")});
-  NaiveBayesClassifier nb;
-  nb.Train(cells, 0, 0);
-  nb.Train(cells, 1, 1);
-  const LabelId first = nb.Classify(cells, 2);
-  const uint64_t hits_before =
-      GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
-  for (int i = 0; i < 10; ++i) {
-    // Row 3 holds the same value (same code) as row 2.
-    EXPECT_EQ(nb.Classify(cells, 2 + static_cast<size_t>(i % 2)), first);
-  }
-  const uint64_t hits_after =
-      GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
-  EXPECT_GE(hits_after - hits_before, 10u);
-}
-
-TEST(NaiveBayesTest, TrainingAfterClassifyInvalidatesMemo) {
-  const Column cells = MakeColumn(ValueType::kString, {S("aaa"), S("aaz")});
-  constexpr LabelId kA = 0, kZ = 1;
-  NaiveBayesClassifier nb;
-  nb.Train(cells, 0, kA);
-  EXPECT_EQ(nb.Classify(cells, 1), kA);
-  // Flood a second label with the probe's own value; the classifier must
-  // re-score, not replay the memoized kA.
-  for (int i = 0; i < 20; ++i) nb.Train(cells, 1, kZ);
-  NaiveBayesClassifier fresh;
-  fresh.Train(cells, 0, kA);
-  for (int i = 0; i < 20; ++i) fresh.Train(cells, 1, kZ);
-  EXPECT_EQ(fresh.Classify(cells, 1), kZ);
-  EXPECT_EQ(nb.Classify(cells, 1), fresh.Classify(cells, 1));
 }
 
 TEST(NaiveBayesTest, NonStringColumnDies) {

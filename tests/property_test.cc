@@ -6,10 +6,10 @@
 #include <algorithm>
 #include <set>
 
+#include "check/reference_classifier.h"
 #include "check/token_profile.h"
 #include "common/random.h"
 #include "datagen/wordlists.h"
-#include "ml/naive_bayes.h"
 #include "relational/condition.h"
 #include "relational/sample.h"
 #include "relational/view.h"
@@ -147,7 +147,7 @@ TEST_P(SeededPropertyTest, NaiveBayesTrainingOrderInvariant) {
                                                      : MakeUpc(rng)));
   }
   auto label = [](size_t r) { return static_cast<LabelId>(r % 2); };
-  NaiveBayesClassifier forward, backward;
+  check::NaiveBayesClassifier forward, backward;
   for (size_t r = 0; r < num_examples; ++r) forward.Train(text, r, label(r));
   for (size_t r = num_examples; r-- > 0;) backward.Train(text, r, label(r));
   for (size_t r = num_examples; r < text.size(); ++r) {
