@@ -28,10 +28,14 @@
 #include "common/logging.h"
 #include "core/clustered_view_gen.h"
 #include "core/match_engine.h"
+#include "core/session_store.h"
 #include "core/view_inference.h"
+#include "exec/parallel.h"
+#include "exec/thread_pool.h"
 #include "match/code_index.h"
 #include "match/matcher.h"
 #include "match/matchers.h"
+#include "match/sample_store.h"
 #include "match/session.h"
 #include "ml/naive_bayes.h"
 #include "relational/csv.h"
@@ -2561,9 +2565,138 @@ bool SameMatchScore(const MatchScore& a, const MatchScore& b) {
          BitEqual(a.confidence, b.confidence);
 }
 
+/// The first raw score where `raw` differs from `want`, rendered with both
+/// hexfloats; empty when every score is the same.
+std::string DiffRawScores(
+    const TableMatchSession& session,
+    const std::vector<std::vector<std::vector<double>>>& raw,
+    const std::vector<std::vector<std::vector<double>>>& want) {
+  static const char* const kMatchers[] = {"name", "qgram", "tfidf",
+                                          "numeric"};
+  if (raw.size() != want.size()) return "matcher count diverged";
+  for (size_t m = 0; m < raw.size(); ++m) {
+    for (size_t s = 0; s < raw[m].size(); ++s) {
+      for (size_t t = 0; t < raw[m][s].size(); ++t) {
+        if (SameScore(raw[m][s][t], want[m][s][t])) continue;
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), ": %a, per-pair reference %a",
+                      raw[m][s][t], want[m][s][t]);
+        return std::string("raw ") + kMatchers[m] + " score of " +
+               session.source_attributes()[s] + " -> " +
+               session.target_refs()[t].ToString() + buf;
+      }
+    }
+  }
+  return "";
+}
+
+/// Sessions over one SampleStore, built concurrently on `pool`: `source`
+/// and a second table against `target`, and both against a database
+/// holding a content-equal copy of `source` beside `target`'s first table,
+/// so one entry serves a table as source and as target at once.  Each
+/// session, fresh and restored from its own scores, must equal the
+/// per-pair reference bit for bit, and the store must have built each
+/// distinct table once.  Empty when all hold.
+std::string CheckSharedStoreSessions(const Table& source,
+                                     const Database& target,
+                                     const MatchOptions& options, Rng& rng,
+                                     exec::ThreadPool* pool) {
+  const Table other = RandomNamedTable("src2", rng);
+  Database mirrored("mirror");
+  mirrored.AddTable(source);
+  mirrored.AddTable(target.tables()[0]);
+  struct Case {
+    const Table* source;
+    const Database* target;
+  };
+  const std::vector<Case> cases = {{&source, &target},
+                                   {&other, &target},
+                                   {&source, &mirrored},
+                                   {&other, &mirrored}};
+
+  // Resolved on this thread, as the engine does; the held entries keep
+  // every repeat a hit.
+  SampleStore store;
+  auto resolve = [&](const Table& table) {
+    return store.Resolve(FingerprintTableContent(table), table,
+                         options.max_training_rows,
+                         options.training_sample_seed);
+  };
+  std::vector<SessionSamples> samples;
+  for (const Case& c : cases) {
+    SessionSamples s{resolve(*c.source), {}};
+    for (const Table& table : c.target->tables()) {
+      s.targets.push_back(resolve(table));
+    }
+    samples.push_back(std::move(s));
+  }
+  if (store.misses() != 2 + target.tables().size()) {
+    return "store built " + std::to_string(store.misses()) +
+           " entries for " + std::to_string(2 + target.tables().size()) +
+           " distinct tables";
+  }
+  if (samples[2].targets[0] != samples[0].source) {
+    return "the source's copy in the target did not share its entry";
+  }
+
+  std::vector<std::unique_ptr<TableMatchSession>> fresh(cases.size());
+  exec::ParallelFor(pool, cases.size(), [&](size_t k) {
+    fresh[k] = std::make_unique<TableMatchSession>(
+        samples[k], DefaultMatcherSuite(), options);
+  });
+  std::vector<std::string> blobs(cases.size());
+  for (size_t k = 0; k < cases.size(); ++k) {
+    fresh[k]->AppendSerializedScores(&blobs[k]);
+  }
+  std::vector<std::unique_ptr<TableMatchSession>> restored(cases.size());
+  std::vector<std::string> errors(cases.size());
+  exec::ParallelFor(pool, cases.size(), [&](size_t k) {
+    size_t pos = 0;
+    StatusOr<TableMatchSession::RestoredScores> parsed =
+        TableMatchSession::ParseSerializedScores(blobs[k], &pos,
+                                                 GridShape(*fresh[k]));
+    if (!parsed.ok()) {
+      errors[k] = parsed.status().ToString();
+      return;
+    }
+    restored[k] = std::make_unique<TableMatchSession>(
+        samples[k], DefaultMatcherSuite(), options, std::move(parsed.value()));
+  });
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const std::string where = " (shared store, case " + std::to_string(k) +
+                              ": " + cases[k].source->name() + " -> " +
+                              cases[k].target->name() + ")";
+    if (!errors[k].empty()) return errors[k] + where;
+    const std::string diff = DiffRawScores(
+        *fresh[k], RawScores(*fresh[k]),
+        ReferenceRawScores(*cases[k].source, *cases[k].target, options));
+    if (!diff.empty()) return diff + where;
+    std::string restored_blob;
+    restored[k]->AppendSerializedScores(&restored_blob);
+    if (restored_blob != blobs[k]) return "restored raw scores diverged" + where;
+    for (const std::string& attribute : fresh[k]->source_attributes()) {
+      for (const AttributeRef& ref : fresh[k]->target_refs()) {
+        if (!SameMatchScore(restored[k]->PairScore(attribute, ref),
+                            fresh[k]->PairScore(attribute, ref))) {
+          return "restored pair score of " + attribute + " -> " +
+                 ref.ToString() + " diverged" + where;
+        }
+      }
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 Status FuzzSessionScoreEquivalence(const FuzzOptions& options) {
+  const size_t threads =
+      options.thread_counts.empty()
+          ? 1
+          : *std::max_element(options.thread_counts.begin(),
+                              options.thread_counts.end());
+  std::unique_ptr<exec::ThreadPool> pool =
+      threads > 1 ? std::make_unique<exec::ThreadPool>(threads) : nullptr;
   for (size_t i = 0; i < options.iterations; ++i) {
     Rng rng(IterationSeed(options.seed, i));
     auto fail = [&](const std::string& what) {
@@ -2584,25 +2717,10 @@ Status FuzzSessionScoreEquivalence(const FuzzOptions& options) {
     // reference, every matcher, bit for bit.
     const TableMatchSession fresh(source, target, DefaultMatcherSuite(),
                                   match_options);
-    const auto raw = RawScores(fresh);
-    const auto want = ReferenceRawScores(source, target, match_options);
-    static const char* const kMatchers[] = {"name", "qgram", "tfidf",
-                                            "numeric"};
-    if (raw.size() != want.size()) return fail("matcher count diverged");
-    for (size_t m = 0; m < raw.size(); ++m) {
-      for (size_t s = 0; s < raw[m].size(); ++s) {
-        for (size_t t = 0; t < raw[m][s].size(); ++t) {
-          if (!SameScore(raw[m][s][t], want[m][s][t])) {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf), ": %a, per-pair reference %a",
-                          raw[m][s][t], want[m][s][t]);
-            return fail(std::string("raw ") + kMatchers[m] + " score of " +
-                        fresh.source_attributes()[s] + " -> " +
-                        fresh.target_refs()[t].ToString() + buf);
-          }
-        }
-      }
-    }
+    const std::string diff =
+        DiffRawScores(fresh, RawScores(fresh),
+                      ReferenceRawScores(source, target, match_options));
+    if (!diff.empty()) return fail(diff);
 
     // (2) The restore constructor over those scores: the same matrix,
     // pair scores, accepted matches, and restricted-sample scores, with
@@ -2660,6 +2778,11 @@ Status FuzzSessionScoreEquivalence(const FuzzOptions& options) {
         }
       }
     }
+
+    // (3) The same sessions and more over one shared SampleStore.
+    const std::string shared = CheckSharedStoreSessions(
+        source, target, match_options, rng, pool.get());
+    if (!shared.empty()) return fail(shared);
   }
   return Status::Ok();
 }

@@ -173,7 +173,12 @@
 //                            from those scores against the fresh one (the
 //                            matrix, pair scores, accepted matches and
 //                            restricted-sample scores with either
-//                            session's alignment or none)
+//                            session's alignment or none); and sessions
+//                            over one SampleStore built concurrently on a
+//                            pool (a second source over the same target, a
+//                            target holding a content-equal copy of the
+//                            source, the iteration's training cap), fresh
+//                            and restored, against the per-pair reference
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_

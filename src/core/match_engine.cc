@@ -357,6 +357,10 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
   }
   ++cache_misses_;
   registry->AddCounter("engine.session_cache_misses");
+  // Resolve the samples before evicting, so a table that only the victim
+  // still reads is reused rather than rebuilt.
+  const std::vector<SessionSamples> samples =
+      ResolveSamples(source, target, registry);
   if (session_cache_.size() >= kMaxCachedSessionSets) {
     // Evict the least-recently-used entry (the cache holds at most 8
     // entries, so a linear scan over the recency ticks is fine).
@@ -395,7 +399,7 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
           if (cancel != nullptr && cancel->cancelled()) break;
           if (FaultInjector::Hit("standard.session", i)) break;
           auto session = std::make_unique<TableMatchSession>(
-              tables[i], target, DefaultMatcherSuite(), options_.match,
+              samples[i], DefaultMatcherSuite(), options_.match,
               std::move(parsed.value()[i]));
           entry.accepted.push_back(session->AcceptedMatches(options_.tau));
           entry.sessions.push_back(std::move(session));
@@ -441,7 +445,7 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
         obs::ScopedSpan span(tracer, span_name, parent_span);
         const auto start = Clock::now();
         b.session = std::make_unique<TableMatchSession>(
-            tables[i], target, DefaultMatcherSuite(), options_.match);
+            samples[i], DefaultMatcherSuite(), options_.match);
         b.accepted = b.session->AcceptedMatches(options_.tau);
         registry->Observe("standard.session_seconds", SecondsSince(start));
         return b;
@@ -475,6 +479,42 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
   // (a later call must rebuild the full set).
   partial_sessions_ = std::move(entry);
   return SessionLookup{&partial_sessions_, valid};
+}
+
+std::vector<SessionSamples> MatchEngine::ResolveSamples(
+    const Database& source, const Database& target,
+    obs::MetricsRegistry* registry) {
+  const uint64_t hits = sample_store_.hits();
+  const uint64_t misses = sample_store_.misses();
+  // A table in both roles, or content-equal to another, resolves once.
+  std::map<uint64_t, std::shared_ptr<const TableSamples>> resolved;
+  auto resolve = [&](const Table& table) {
+    const uint64_t fingerprint = FingerprintTableContent(table);
+    auto [it, inserted] = resolved.try_emplace(fingerprint);
+    if (inserted) {
+      it->second = sample_store_.Resolve(
+          fingerprint, table, options_.match.max_training_rows,
+          options_.match.training_sample_seed);
+    }
+    return it->second;
+  };
+  std::vector<std::shared_ptr<const TableSamples>> targets;
+  targets.reserve(target.tables().size());
+  for (const Table& table : target.tables()) targets.push_back(resolve(table));
+  std::vector<SessionSamples> out;
+  out.reserve(source.tables().size());
+  for (const Table& table : source.tables()) {
+    out.push_back(SessionSamples{resolve(table), targets});
+  }
+  if (sample_store_.hits() > hits) {
+    registry->AddCounter("engine.sample_store_hits",
+                         sample_store_.hits() - hits);
+  }
+  if (sample_store_.misses() > misses) {
+    registry->AddCounter("engine.sample_store_misses",
+                         sample_store_.misses() - misses);
+  }
+  return out;
 }
 
 ContextMatchResult MatchEngine::RunPipeline(const Database& source,

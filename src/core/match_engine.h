@@ -25,6 +25,10 @@
 //     calls on the same data.  Sessions draw no random numbers, so reuse is
 //     invisible to the RNG streams — results are bit-identical with a cold
 //     or warm cache (determinism_test enforces this).
+//   * a sample store (match/sample_store.h) keyed by table content: a
+//     session-cache miss builds each table's attribute samples only when no
+//     live session already holds them, in either role, so a request and
+//     its reverse-role request share their tables' samples.
 //
 // The engine is not internally synchronized: run one Execute call at a time
 // per engine (the call itself parallelizes internally).  The only member
@@ -117,7 +121,18 @@ class MatchEngine {
   /// "engine.session_cold_stores" / "engine.session_cold_invalid" counters).
   uint64_t session_cold_hits() const { return cold_hits_; }
   uint64_t session_cold_stores() const { return cold_stores_; }
-  void ClearSessionCache() { session_cache_.clear(); }
+  /// Sample-store introspection ("engine.sample_store_hits" /
+  /// "engine.sample_store_misses" counters): on every session-cache miss
+  /// each distinct table of the request resolves once, a hit when a live
+  /// session still holds its samples.
+  uint64_t sample_store_hits() const { return sample_store_.hits(); }
+  uint64_t sample_store_misses() const { return sample_store_.misses(); }
+  /// Drops every cached session, and with them every sample the store
+  /// holds: the next call runs cold.
+  void ClearSessionCache() {
+    session_cache_.clear();
+    partial_sessions_ = {};
+  }
 
  private:
   /// Cached phase-1 output for one (source, target) pair: the per-table
@@ -151,6 +166,13 @@ class MatchEngine {
                                uint64_t parent_span,
                                const CancellationToken* cancel);
 
+  /// The samples of each source table's session, in source table order:
+  /// every distinct table of `source` and `target` resolved once from the
+  /// sample store, here on the calling thread so the store needs no lock.
+  std::vector<SessionSamples> ResolveSamples(const Database& source,
+                                             const Database& target,
+                                             obs::MetricsRegistry* registry);
+
   /// The full staged pipeline behind every Execute mode.
   /// `baseline_only` stops after phase 1 + selection (status OK,
   /// completeness kBaselineOnly) — the brownout/load-shedding answer.
@@ -167,6 +189,10 @@ class MatchEngine {
   SessionColdStore* cold_store_ = nullptr;
   uint64_t cold_hits_ = 0;
   uint64_t cold_stores_ = 0;
+
+  /// Every live session's table samples, held weakly: the sessions below
+  /// own them.
+  SampleStore sample_store_;
 
   std::map<std::pair<uint64_t, uint64_t>, SessionCacheEntry> session_cache_;
   uint64_t cache_hits_ = 0;

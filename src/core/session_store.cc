@@ -13,6 +13,23 @@ uint64_t HashString(uint64_t h, const std::string& s) {
   return h;
 }
 
+/// Folds `table`'s name, schema, row count and cells into `h`.
+uint64_t FoldTable(uint64_t h, const Table& table) {
+  h = HashString(h, table.name());
+  h = HashString(h, table.schema().ToString());
+  h = MixFingerprint(h, table.num_rows());
+  // Row-major over the column segments: the same hash sequence the old
+  // row-store loop produced (Column::CellHash == Value::Hash), without
+  // boxing a Value per cell.
+  const size_t num_cols = table.schema().num_attributes();
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < num_cols; ++c) {
+      h = MixFingerprint(h, table.column(c).CellHash(r));
+    }
+  }
+  return h;
+}
+
 constexpr char kBlobMagic[] = "csm-sessions 1";
 
 }  // namespace
@@ -25,21 +42,12 @@ uint64_t MixFingerprint(uint64_t h, uint64_t v) {
 uint64_t FingerprintDatabase(const Database& db) {
   uint64_t h = HashString(0x811c9dc5u, db.name());
   h = MixFingerprint(h, db.tables().size());
-  for (const Table& table : db.tables()) {
-    h = HashString(h, table.name());
-    h = HashString(h, table.schema().ToString());
-    h = MixFingerprint(h, table.num_rows());
-    // Row-major over the column segments: the same hash sequence the old
-    // row-store loop produced (Column::CellHash == Value::Hash), without
-    // boxing a Value per cell.
-    const size_t num_cols = table.schema().num_attributes();
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        h = MixFingerprint(h, table.column(c).CellHash(r));
-      }
-    }
-  }
+  for (const Table& table : db.tables()) h = FoldTable(h, table);
   return h;
+}
+
+uint64_t FingerprintTableContent(const Table& table) {
+  return FoldTable(0x7461626c65667031ULL, table);  // "tablefp1"
 }
 
 uint64_t FingerprintMatchOptions(const MatchOptions& options) {

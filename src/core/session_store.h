@@ -40,6 +40,11 @@ uint64_t MixFingerprint(uint64_t h, uint64_t v);
 /// equal Database values between calls).
 uint64_t FingerprintDatabase(const Database& db);
 
+/// Content fingerprint of one table: its name, schema and every cell value
+/// (the fold FingerprintDatabase applies to each of its tables).  Keys the
+/// engine's SampleStore, which serves a table in either role.
+uint64_t FingerprintTableContent(const Table& table);
+
 /// Fingerprint of the MatchOptions fields that change what a session's raw
 /// score grid contains (min_non_null_values gates which triples are scored;
 /// the others shape confidences recomputed live, but are folded in too so a

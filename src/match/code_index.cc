@@ -158,6 +158,7 @@ CodeTokenIndex::CodeCounts CodeTokenIndex::Count(
   thread_local std::vector<uint32_t> count;
   if (count.size() < num_codes()) count.resize(num_codes(), 0);
   CodeCounts out;
+  out.reserve(std::min(positions.size(), num_codes()));
   for (RowId p : positions) {
     CSM_CHECK_LT(p, row_codes_.size());
     const uint32_t code = row_codes_[p];
@@ -190,9 +191,13 @@ SlotTerms CodeTokenIndex::Merge(const std::vector<uint32_t>& offsets,
       touched[p.index / 64] |= uint64_t{1} << (p.index % 64);
     }
   }
-  // Emit in slot order, returning each touched slot and bitset word to 0.
-  SlotTerms terms;
+  // Emit in slot order, returning each touched slot and bitset word to 0,
+  // into terms sized once from the touched-slot count.
   const size_t words = (vocab_size + 63) / 64;
+  size_t touched_slots = 0;
+  for (size_t w = 0; w < words; ++w) touched_slots += std::popcount(touched[w]);
+  SlotTerms terms;
+  terms.reserve(touched_slots);
   for (size_t w = 0; w < words; ++w) {
     if (touched[w] == 0) continue;
     for (uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {

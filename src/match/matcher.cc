@@ -187,7 +187,10 @@ const csm::WordProfile& AttributeSample::WordProfile() const {
       caches_->word_profile = index_->WordProfileOf(WordTerms());
       return;
     }
+    // One distinct value is about one distinct token: size the interner
+    // once instead of doubling it up from 16 slots.
     WordProfileBuilder builder;
+    builder.Reserve(DistinctRenders().size());
     for (const auto& [text, count] : DistinctRenders()) {
       builder.AddText(text, count);
     }

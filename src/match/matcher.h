@@ -200,6 +200,18 @@ class AttributeMatcher {
   virtual double Score(const AttributeSample& source,
                        const AttributeSample& target) const = 0;
 
+  /// Score(source, *targets[k]) into scores[k] for every k, the same
+  /// doubles: one row of a session's score grid.  The default scores each
+  /// pair; a matcher whose Score merges two profiles overrides it to
+  /// scatter `source`'s profile once and walk each target's.
+  virtual void ScoreRow(const AttributeSample& source,
+                        const std::vector<const AttributeSample*>& targets,
+                        double* scores) const {
+    for (size_t k = 0; k < targets.size(); ++k) {
+      scores[k] = Score(source, *targets[k]);
+    }
+  }
+
   /// Restrictions of one Indexed sample, scored in its index's vocabulary.
   /// Align fills the part of `alignment` (laid over `indexed`'s index) this
   /// matcher reads, from `target` — once per (source attribute, target

@@ -39,6 +39,15 @@ double QGramMatcher::Score(const AttributeSample& source,
   return CosineSimilarity(source.QGramProfile(), target.QGramProfile());
 }
 
+void QGramMatcher::ScoreRow(const AttributeSample& source,
+                            const std::vector<const AttributeSample*>& targets,
+                            double* scores) const {
+  const GramCosineRow row(source.QGramProfile());
+  for (size_t k = 0; k < targets.size(); ++k) {
+    scores[k] = row.Cosine(targets[k]->QGramProfile());
+  }
+}
+
 void QGramMatcher::Align(const AttributeSample& indexed,
                          const AttributeSample& target,
                          IndexAlignment* alignment) const {
@@ -74,6 +83,16 @@ bool TfIdfTokenMatcher::Applicable(const AttributeSample& source,
 double TfIdfTokenMatcher::Score(const AttributeSample& source,
                                 const AttributeSample& target) const {
   return corpus_.WeightedCosine(source.WordProfile(), target.WordProfile());
+}
+
+void TfIdfTokenMatcher::ScoreRow(
+    const AttributeSample& source,
+    const std::vector<const AttributeSample*>& targets,
+    double* scores) const {
+  const TfIdfCorpus::CosineRow row(corpus_, source.WordProfile());
+  for (size_t k = 0; k < targets.size(); ++k) {
+    scores[k] = row.Cosine(targets[k]->WordProfile());
+  }
 }
 
 void TfIdfTokenMatcher::Align(const AttributeSample& indexed,

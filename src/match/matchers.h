@@ -51,6 +51,10 @@ class QGramMatcher : public AttributeMatcher {
                   const AttributeSample& target) const override;
   double Score(const AttributeSample& source,
                const AttributeSample& target) const override;
+  /// GramCosineRow over `source`'s profile.
+  void ScoreRow(const AttributeSample& source,
+                const std::vector<const AttributeSample*>& targets,
+                double* scores) const override;
   void Align(const AttributeSample& indexed, const AttributeSample& target,
              IndexAlignment* alignment) const override;
   double ScoreAligned(const AttributeSample& restricted,
@@ -78,6 +82,10 @@ class TfIdfTokenMatcher : public AttributeMatcher {
                   const AttributeSample& target) const override;
   double Score(const AttributeSample& source,
                const AttributeSample& target) const override;
+  /// TfIdfCorpus::CosineRow over `source`'s word profile.
+  void ScoreRow(const AttributeSample& source,
+                const std::vector<const AttributeSample*>& targets,
+                double* scores) const override;
   void Align(const AttributeSample& indexed, const AttributeSample& target,
              IndexAlignment* alignment) const override;
   double ScoreAligned(const AttributeSample& restricted,

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "match/matchers.h"
-#include "relational/sample.h"
 #include "stats/distributions.h"
 
 namespace csm {
@@ -23,54 +22,57 @@ constexpr double kMinScoreStddev = 0.05;
 
 }  // namespace
 
-void TableMatchSession::BuildSamples(const Table& source,
-                                     const Database& target,
-                                     bool score_sources) {
-  // Training cap: bags come from a deterministic per-table row sample when
-  // the table is larger than max_training_rows.  The draw depends only on
-  // (options, table name, row count), so the restore constructor — which
-  // calls BuildSamples with the same tables and options — reproduces the
-  // exact bags the scoring constructor trained on.
-  auto capped = [&](const Table& table) -> Table {
-    Rng rng(DeriveTableSampleSeed(options_.training_sample_seed, table.name()));
-    return ReservoirSampleRows(table, options_.max_training_rows, rng);
+SessionSamples SessionSamples::Of(const Table& source,
+                                  const Database& target,
+                                  const MatchOptions& options) {
+  auto build = [&](const Table& table) {
+    return std::make_shared<const TableSamples>(
+        table, options.max_training_rows, options.training_sample_seed);
   };
-  const bool cap_source = options_.max_training_rows > 0 &&
-                          source.num_rows() > options_.max_training_rows;
-  const Table source_capped = cap_source ? capped(source) : Table();
-  const Table& src = cap_source ? source_capped : source;
-  for (const auto& attr : src.schema().attributes()) {
-    source_samples_.push_back(AttributeSample::FromTable(src, attr.name));
-  }
+  SessionSamples samples;
+  samples.source = build(source);
+  samples.targets.reserve(target.tables().size());
   for (const Table& table : target.tables()) {
-    const bool cap = options_.max_training_rows > 0 &&
-                     table.num_rows() > options_.max_training_rows;
-    const Table table_capped = cap ? capped(table) : Table();
-    const Table& tgt = cap ? table_capped : table;
-    for (const auto& attr : tgt.schema().attributes()) {
-      target_samples_.push_back(AttributeSample::FromTable(tgt, attr.name));
-      target_refs_.push_back(target_samples_.back().ref());
+    samples.targets.push_back(build(table));
+  }
+  return samples;
+}
+
+void TableMatchSession::PrepareSamples(bool score_sources) {
+  // Samples drawn under another training cap or seed would hold other bags
+  // than the options promise (and than a restore would read).
+  auto check = [&](const TableSamples& table) {
+    CSM_CHECK(table.max_training_rows() == options_.max_training_rows &&
+              table.training_sample_seed() == options_.training_sample_seed)
+        << "samples of " << table.table_name()
+        << " were drawn under other training options";
+  };
+  CSM_CHECK(samples_.source != nullptr) << "session needs source samples";
+  check(*samples_.source);
+  for (const auto& table : samples_.targets) {
+    CSM_CHECK(table != nullptr) << "session needs every target's samples";
+    check(*table);
+    for (const AttributeSample& sample : table->attributes()) {
+      targets_.push_back(&sample);
+      target_refs_.push_back(sample.ref());
     }
   }
 
-  auto pointers = [](const std::vector<AttributeSample>& samples) {
-    std::vector<const AttributeSample*> out;
-    out.reserve(samples.size());
-    for (const AttributeSample& sample : samples) out.push_back(&sample);
-    return out;
-  };
-  const std::vector<const AttributeSample*> sources =
-      score_sources ? pointers(source_samples_)
-                    : std::vector<const AttributeSample*>{};
-  const std::vector<const AttributeSample*> targets = pointers(target_samples_);
-  for (auto& matcher : matchers_) matcher->Prepare(sources, targets);
+  std::vector<const AttributeSample*> sources;
+  if (score_sources) {
+    sources.reserve(this->sources().size());
+    for (const AttributeSample& sample : this->sources()) {
+      sources.push_back(&sample);
+    }
+  }
+  for (auto& matcher : matchers_) matcher->Prepare(sources, targets_);
 }
 
 void TableMatchSession::ReplayDistributions() {
   for (size_t m = 0; m < matchers_.size(); ++m) {
-    for (size_t s = 0; s < source_samples_.size(); ++s) {
+    for (size_t s = 0; s < sources().size(); ++s) {
       DescriptiveStats distribution;
-      for (size_t t = 0; t < target_samples_.size(); ++t) {
+      for (size_t t = 0; t < targets_.size(); ++t) {
         double score = raw_scores_[m][s][t];
         if (!std::isnan(score)) distribution.Add(score);
       }
@@ -85,34 +87,50 @@ TableMatchSession::TableMatchSession(
     const Table& source, const Database& target,
     std::vector<std::unique_ptr<AttributeMatcher>> matchers,
     MatchOptions options)
-    : source_table_(source.name()),
-      options_(options),
-      matchers_(std::move(matchers)) {
-  CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
-  BuildSamples(source, target, /*score_sources=*/true);
+    : TableMatchSession(SessionSamples::Of(source, target, options),
+                        std::move(matchers), options) {}
 
-  // Score every applicable (matcher, source, target) triple; the
-  // per-(matcher, source) score distributions across targets are then the
-  // restore constructor's replay of the same grid.  A NaN score (e.g.,
-  // NumericMatcher over a bag holding NaN or +-inf) means inapplicable,
-  // exactly as ReplayDistributions and PairScore read it.
+TableMatchSession::TableMatchSession(
+    SessionSamples samples,
+    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
+    MatchOptions options)
+    : options_(options),
+      matchers_(std::move(matchers)),
+      samples_(std::move(samples)) {
+  CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
+  PrepareSamples(/*score_sources=*/true);
+
+  // Score every applicable (matcher, source, target) triple, one
+  // (matcher, source) row per ScoreRow call over the row's applicable
+  // targets; the per-(matcher, source) score distributions across targets
+  // are then the restore constructor's replay of the same grid.  A NaN
+  // score (e.g., NumericMatcher over a bag holding NaN or +-inf) means
+  // inapplicable, exactly as ReplayDistributions and PairScore read it.
+  const std::vector<AttributeSample>& sources = this->sources();
   raw_scores_.assign(matchers_.size(), {});
+  std::vector<const AttributeSample*> row;
+  std::vector<size_t> row_targets;
+  std::vector<double> row_scores;
   for (size_t m = 0; m < matchers_.size(); ++m) {
-    raw_scores_[m].assign(source_samples_.size(),
-                          std::vector<double>(target_samples_.size(), kNaN));
-    for (size_t s = 0; s < source_samples_.size(); ++s) {
-      if (source_samples_[s].NonNullCount() < options_.min_non_null_values) {
-        continue;
-      }
-      for (size_t t = 0; t < target_samples_.size(); ++t) {
-        if (target_samples_[t].NonNullCount() <
-                options_.min_non_null_values ||
-            !matchers_[m]->Applicable(source_samples_[s],
-                                      target_samples_[t])) {
+    raw_scores_[m].assign(sources.size(),
+                          std::vector<double>(targets_.size(), kNaN));
+    for (size_t s = 0; s < sources.size(); ++s) {
+      if (sources[s].NonNullCount() < options_.min_non_null_values) continue;
+      row.clear();
+      row_targets.clear();
+      for (size_t t = 0; t < targets_.size(); ++t) {
+        if (targets_[t]->NonNullCount() < options_.min_non_null_values ||
+            !matchers_[m]->Applicable(sources[s], *targets_[t])) {
           continue;
         }
-        raw_scores_[m][s][t] =
-            matchers_[m]->Score(source_samples_[s], target_samples_[t]);
+        row.push_back(targets_[t]);
+        row_targets.push_back(t);
+      }
+      if (row.empty()) continue;
+      row_scores.resize(row.size());
+      matchers_[m]->ScoreRow(sources[s], row, row_scores.data());
+      for (size_t k = 0; k < row.size(); ++k) {
+        raw_scores_[m][s][row_targets[k]] = row_scores[k];
       }
     }
   }
@@ -123,20 +141,27 @@ TableMatchSession::TableMatchSession(
     const Table& source, const Database& target,
     std::vector<std::unique_ptr<AttributeMatcher>> matchers,
     const MatchOptions& options, RestoredScores scores)
-    : source_table_(source.name()),
-      options_(options),
-      matchers_(std::move(matchers)) {
+    : TableMatchSession(SessionSamples::Of(source, target, options),
+                        std::move(matchers), options, std::move(scores)) {}
+
+TableMatchSession::TableMatchSession(
+    SessionSamples samples,
+    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
+    const MatchOptions& options, RestoredScores scores)
+    : options_(options),
+      matchers_(std::move(matchers)),
+      samples_(std::move(samples)) {
   CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
-  BuildSamples(source, target, /*score_sources=*/false);
+  PrepareSamples(/*score_sources=*/false);
 
   CSM_CHECK(scores.raw.size() == matchers_.size())
       << "restored scores have " << scores.raw.size() << " matchers, suite has "
       << matchers_.size();
   for (const auto& per_source : scores.raw) {
-    CSM_CHECK(per_source.size() == source_samples_.size())
+    CSM_CHECK(per_source.size() == sources().size())
         << "restored scores do not fit the source schema";
     for (const auto& per_target : per_source) {
-      CSM_CHECK(per_target.size() == target_samples_.size())
+      CSM_CHECK(per_target.size() == targets_.size())
           << "restored scores do not fit the target schema";
     }
   }
@@ -163,8 +188,8 @@ MatchScore TableMatchSession::CombineForBag(
   double weight_total = 0.0;
   double score_sum = 0.0;
   double confidence_sum = 0.0;
+  const AttributeSample& target = *targets_[target_index];
   for (size_t m = 0; m < matchers_.size(); ++m) {
-    const AttributeSample& target = target_samples_[target_index];
     if (!matchers_[m]->Applicable(sample, target)) continue;
     // Only matchers with a recorded distribution can produce confidences.
     if (distributions_.find(DistributionKey{m, source_index}) ==
@@ -191,8 +216,8 @@ MatchScore TableMatchSession::CombineForBag(
 }
 
 size_t TableMatchSession::SourceIndex(std::string_view attribute) const {
-  for (size_t s = 0; s < source_samples_.size(); ++s) {
-    if (source_samples_[s].ref().attribute == attribute) return s;
+  for (size_t s = 0; s < sources().size(); ++s) {
+    if (sources()[s].ref().attribute == attribute) return s;
   }
   CSM_CHECK(false) << "unknown source attribute '" << attribute << "'";
   return 0;
@@ -263,20 +288,20 @@ IndexAlignment TableMatchSession::AlignRestricted(
   alignment.index = indexed.index();
   alignment.target = TargetIndex(target);
   for (const auto& matcher : matchers_) {
-    matcher->Align(indexed, target_samples_[alignment.target], &alignment);
+    matcher->Align(indexed, *targets_[alignment.target], &alignment);
   }
   return alignment;
 }
 
 MatchList TableMatchSession::AcceptedMatches(double tau) const {
   MatchList out;
-  for (size_t s = 0; s < source_samples_.size(); ++s) {
+  for (size_t s = 0; s < sources().size(); ++s) {
     for (size_t t = 0; t < target_refs_.size(); ++t) {
-      MatchScore ms = PairScore(source_samples_[s].ref().attribute,
+      MatchScore ms = PairScore(sources()[s].ref().attribute,
                                 target_refs_[t]);
       if (ms.matchers_used == 0 || ms.confidence < tau) continue;
       Match match;
-      match.source = source_samples_[s].ref();
+      match.source = sources()[s].ref();
       match.target = target_refs_[t];
       match.condition = Condition::True();
       match.score = ms.score;
@@ -295,8 +320,8 @@ MatchList TableMatchSession::AcceptedMatches(double tau) const {
 
 std::vector<std::string> TableMatchSession::source_attributes() const {
   std::vector<std::string> out;
-  out.reserve(source_samples_.size());
-  for (const auto& sample : source_samples_) {
+  out.reserve(sources().size());
+  for (const auto& sample : sources()) {
     out.push_back(sample.ref().attribute);
   }
   return out;
@@ -305,7 +330,7 @@ std::vector<std::string> TableMatchSession::source_attributes() const {
 void TableMatchSession::AppendSerializedScores(std::string* out) const {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "scores %zu %zu %zu\n", matchers_.size(),
-                source_samples_.size(), target_samples_.size());
+                sources().size(), targets_.size());
   out->append(buf);
   for (const auto& per_source : raw_scores_) {
     for (const auto& per_target : per_source) {

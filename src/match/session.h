@@ -20,6 +20,7 @@
 #include "common/status.h"
 #include "match/match_types.h"
 #include "match/matcher.h"
+#include "match/sample_store.h"
 #include "relational/table.h"
 #include "stats/descriptive.h"
 
@@ -43,12 +44,27 @@ struct MatchOptions {
   /// training_sample_seed, table name)), so session construction cost is
   /// bounded by the cap, not by table size — the paper's matchers train on
   /// *samples* of instance data, and this knob is what keeps that true at
-  /// 10^6+ rows.  The restore path rebuilds the identical sample, so cold-
-  /// tier round trips stay bit-exact.
+  /// 10^6+ rows.  The draw is a function of the table, so the restore path
+  /// (and a SampleStore entry shared across sessions) holds the identical
+  /// sample, and cold-tier round trips stay bit-exact.
   size_t max_training_rows = 0;
   /// Seed for the per-table training-sample draws; folded with each table
   /// name so every table samples an independent reproducible stream.
   uint64_t training_sample_seed = 0x5eed0f5a4d704e65ULL;
+};
+
+/// The attribute samples a session reads: its source table's and every
+/// target table's, in target database order.  The engine resolves them
+/// from its SampleStore, so sessions over the same tables share them;
+/// Of builds private ones.
+struct SessionSamples {
+  std::shared_ptr<const TableSamples> source;
+  std::vector<std::shared_ptr<const TableSamples>> targets;
+
+  /// Unshared samples of `source` and of every table of `target` under
+  /// `options`' training cap and seed.
+  static SessionSamples Of(const Table& source, const Database& target,
+                           const MatchOptions& options);
 };
 
 /// Combined (score, confidence) for one attribute pair.
@@ -80,13 +96,22 @@ class TableMatchSession {
 
   /// Runs the matcher suite for `source` against every table of `target`.
   /// The session keeps references into neither table; it copies the value
-  /// bags it needs.  `matchers` is owned by the session.
+  /// bags it needs (SessionSamples::Of).  `matchers` is owned by the
+  /// session.
   TableMatchSession(const Table& source, const Database& target,
                     std::vector<std::unique_ptr<AttributeMatcher>> matchers,
                     MatchOptions options = {});
 
-  /// Restore path for the engine's cold session tier: builds the attribute
-  /// samples from the tables exactly like the scoring constructor, but
+  /// Runs the matcher suite over `samples`, which must have been built
+  /// under `options`' training cap and seed (CHECK-fails otherwise) and
+  /// which the session keeps alive.  Each (matcher, source attribute) row
+  /// of the grid is scored in one AttributeMatcher::ScoreRow call.
+  TableMatchSession(SessionSamples samples,
+                    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
+                    MatchOptions options);
+
+  /// Restore path for the engine's cold session tier: reads the attribute
+  /// samples of the tables exactly like the scoring constructor, but
   /// installs `scores.raw` instead of running the matcher scoring loop and
   /// replays the per-(matcher, source attribute) score distributions from
   /// it in the same order the scoring loop recorded them — so a restored
@@ -95,6 +120,9 @@ class TableMatchSession {
   /// CHECK-fails when the score dimensions do not fit (callers validate via
   /// the parse step first).
   TableMatchSession(const Table& source, const Database& target,
+                    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
+                    const MatchOptions& options, RestoredScores scores);
+  TableMatchSession(SessionSamples samples,
                     std::vector<std::unique_ptr<AttributeMatcher>> matchers,
                     const MatchOptions& options, RestoredScores scores);
 
@@ -161,7 +189,9 @@ class TableMatchSession {
   /// Source attribute names in schema order.
   std::vector<std::string> source_attributes() const;
 
-  const std::string& source_table() const { return source_table_; }
+  const std::string& source_table() const {
+    return samples_.source->table_name();
+  }
 
  private:
   struct DistributionKey {
@@ -175,11 +205,15 @@ class TableMatchSession {
     }
   };
 
-  /// Shared constructor prologue: attribute samples for every source and
-  /// target attribute, then matcher Prepare over the target samples and,
-  /// when `score_sources` (the scoring constructor), the source samples.
-  void BuildSamples(const Table& source, const Database& target,
-                    bool score_sources);
+  /// Shared constructor prologue: checks `samples_` against the options,
+  /// lays the target tables' samples out in target order, then runs
+  /// matcher Prepare over the target samples and, when `score_sources`
+  /// (the scoring constructor), the source samples.
+  void PrepareSamples(bool score_sources);
+
+  const std::vector<AttributeSample>& sources() const {
+    return samples_.source->attributes();
+  }
 
   /// Builds distributions_ from raw_scores_ by adding the non-NaN scores of
   /// each (matcher, source) row in target order.  Both constructors end
@@ -199,11 +233,11 @@ class TableMatchSession {
   size_t SourceIndex(std::string_view attribute) const;
   size_t TargetIndex(const AttributeRef& target) const;
 
-  std::string source_table_;
   MatchOptions options_;
   std::vector<std::unique_ptr<AttributeMatcher>> matchers_;
-  std::vector<AttributeSample> source_samples_;
-  std::vector<AttributeSample> target_samples_;
+  SessionSamples samples_;
+  /// Every target table's samples, in target order.
+  std::vector<const AttributeSample*> targets_;
   std::vector<AttributeRef> target_refs_;
 
   /// raw_scores_[m][s][t]: score of matcher m for source attr s vs target

@@ -5,7 +5,7 @@
 namespace csm {
 
 void CellModel::AddTestRow(uint32_t item, const AtomRow& row) {
-  if (item == item_rows_.size()) item_rows_.push_back(row.pos);
+  AddItem(item, row.pos);
   test_counts_.push_back(ItemAtomRows{item, row.atom, 1});
 }
 

@@ -121,6 +121,12 @@ class CellModel {
   void AddTestRow(uint32_t item, const AtomRow& row);
   void FinishTestRows();
 
+  /// Numbers `item` (held at `pos`) as AddTestRow does, without recording
+  /// a test row: for tagger models, which read items, not test counts.
+  void AddItem(uint32_t item, RowId pos) {
+    if (item == item_rows_.size()) item_rows_.push_back(pos);
+  }
+
  private:
   std::vector<RowId> item_rows_;
   std::vector<ItemAtomRows> test_counts_;

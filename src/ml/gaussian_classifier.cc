@@ -81,10 +81,9 @@ GaussianCellModel::GaussianCellModel(
     for (RowId pos : positions) {
       const std::optional<double> x = NumericCell(*evidence[e], pos);
       out.push_back(x.has_value() ? ItemOf(*x, &item_of_bits) : kNoItem);
-      if (x.has_value()) AddTestRow(out.back(), AtomRow{pos, 0});
+      if (x.has_value()) AddItem(out.back(), pos);
     }
   }
-  FinishTestRows();
 }
 
 void GaussianCellModel::AddTrainValue(double x, size_t group_index) {

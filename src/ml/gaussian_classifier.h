@@ -64,7 +64,8 @@ class GaussianCellModel : public CellModel {
   /// cells are each `evidence[e]`'s non-missing cells at `positions`, one
   /// item per distinct value over all of them.  `(*items)[e][k]` receives
   /// the item of `evidence[e]` at `positions[k]`, kNoItem at a missing
-  /// cell.  Test rows carry atom 0.
+  /// cell.  The items are numbered (num_items, item_row) but record no
+  /// test counts.
   GaussianCellModel(const std::vector<const Column*>& labels,
                     const std::vector<const Column*>& evidence,
                     const PosList& positions,

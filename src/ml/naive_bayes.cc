@@ -193,10 +193,9 @@ NaiveBayesCellModel::NaiveBayesCellModel(
         continue;
       }
       out.push_back(codes.Of(pos));
-      AddTestRow(out.back(), AtomRow{pos, 0});
+      AddItem(out.back(), pos);
     }
   }
-  FinishTestRows();
   Fit();
 }
 

@@ -82,7 +82,8 @@ class NaiveBayesCellModel : public CellModel {
   /// cell of `labels[g]` in row order, and the test cells are each
   /// `evidence[e]`'s non-NULL cells at `positions`, one item per distinct
   /// code of a column.  `(*items)[e][k]` receives the item of `evidence[e]`
-  /// at `positions[k]`, kNoItem at a NULL cell.  Test rows carry atom 0.
+  /// at `positions[k]`, kNoItem at a NULL cell.  The items are numbered
+  /// (num_items, item_row) but record no test counts.
   NaiveBayesCellModel(const std::vector<const Column*>& labels,
                       const std::vector<const Column*>& evidence,
                       const PosList& positions,

@@ -10,13 +10,42 @@ namespace csm {
 namespace {
 
 /// How many of `instance`'s rows hold each distinct non-null value of
-/// column `col`, in no particular order.  One hash pass, keyed by what
-/// Value's equality compares: a string's dictionary code (the dictionary
-/// is injective), an int's exact value, and a real's bits with every NaN
-/// one key and -0.0 folded into 0.0.
+/// string column `column`, in first-seen order: one pass over flat per-code
+/// counters (the dictionary is injective, so a code is a value under
+/// Value's equality), kept per thread, zero between calls and reset only at
+/// the codes counted.
+std::vector<size_t> DistinctCodeCounts(const TableView& instance,
+                                       const Column& column) {
+  thread_local std::vector<uint32_t> count;
+  const size_t codes = column.dictionary().size();
+  if (count.size() < codes) count.resize(codes, 0);
+  std::vector<uint32_t> seen;
+  for (size_t i = 0; i < instance.num_rows(); ++i) {
+    const RowId p = instance.position(i);
+    if (column.IsNull(p)) continue;
+    const uint32_t code = column.codes()[p];
+    if (count[code]++ == 0) seen.push_back(code);
+  }
+  std::vector<size_t> out;
+  out.reserve(seen.size());
+  for (uint32_t code : seen) {
+    out.push_back(count[code]);
+    count[code] = 0;
+  }
+  return out;
+}
+
+/// How many of `instance`'s rows hold each distinct non-null value of
+/// column `col`, in no particular order.  Strings count by dictionary code
+/// (DistinctCodeCounts); other columns in one hash pass, keyed by what
+/// Value's equality compares: an int's exact value, and a real's bits with
+/// every NaN one key and -0.0 folded into 0.0.
 std::vector<size_t> DistinctValueCounts(const TableView& instance,
                                         size_t col) {
   const Column& column = instance.column(col);
+  if (column.type() == ValueType::kString) {
+    return DistinctCodeCounts(instance, column);
+  }
   std::unordered_map<uint64_t, size_t> counts;
   auto count = [&](auto key_of) {
     for (size_t i = 0; i < instance.num_rows(); ++i) {
@@ -40,8 +69,7 @@ std::vector<size_t> DistinctValueCounts(const TableView& instance,
         return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
       });
       break;
-    case ValueType::kString:
-      count([&](RowId p) { return uint64_t{column.codes()[p]}; });
+    case ValueType::kString:  // counted by DistinctCodeCounts
       break;
   }
   std::vector<size_t> out;

@@ -27,8 +27,9 @@ struct CategoricalOptions {
 /// Applies the rule to one attribute of `instance`.  Attributes with no
 /// non-null values are never categorical.  Values are counted under
 /// Value's equality (every NaN is one value, -0.0 equals 0.0; NULLs are
-/// skipped) in one hash pass.  Accepts a zero-copy TableView; a Table
-/// converts implicitly (identity view).
+/// skipped) in one pass: strings by dictionary code in flat per-thread
+/// counters, other types in a hash table.  Accepts a zero-copy TableView;
+/// a Table converts implicitly (identity view).
 bool IsCategoricalAttribute(const TableView& instance,
                             std::string_view attribute,
                             const CategoricalOptions& options = {});

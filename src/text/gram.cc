@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "check/invariants.h"
 #include "common/logging.h"
 #include "text/tokenizer.h"
 
@@ -166,6 +167,12 @@ GramId TokenInterner::GetOrAdd(std::string_view token) {
   }
 }
 
+void TokenInterner::Reserve(size_t tokens) {
+  const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * tokens));
+  if (capacity > slots_.size()) Rehash(capacity);
+  starts_.reserve(tokens + 1);
+}
+
 void TokenInterner::Rehash(size_t capacity) {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(capacity, Slot{});
@@ -255,6 +262,12 @@ void WordProfileBuilder::Add(std::string_view token, double count) {
   total_ += count;
 }
 
+void WordProfileBuilder::Reserve(size_t tokens) {
+  if (interner_ == nullptr) interner_ = std::make_shared<TokenInterner>();
+  interner_->Reserve(tokens);
+  counts_.reserve(tokens);
+}
+
 void WordProfileBuilder::AddText(std::string_view text, double count) {
   token_scratch_.clear();
   for (char c : text) {
@@ -301,6 +314,64 @@ double DiceSimilarity(const WordProfile& a, const WordProfile& b) {
   if (total == 0) return 0.0;
   return 2.0 * static_cast<double>(a.IntersectionSize(b)) /
          static_cast<double>(total);
+}
+
+uint32_t RankOfGram(GramId id) {
+  if ((id >> 24) != 0) return kNumGramRanks;
+  const uint32_t a = kSymbolOf[(id >> 16) & 0xffu];
+  const uint32_t b = kSymbolOf[(id >> 8) & 0xffu];
+  const uint32_t c = kSymbolOf[id & 0xffu];
+  if (a == kNotSymbol || b == kNotSymbol || c == kNotSymbol) {
+    return kNumGramRanks;
+  }
+  return (a * kGramSymbols + b) * kGramSymbols + c;
+}
+
+ZeroedScratch::ZeroedScratch(size_t size) {
+  thread_local Buffer thread_buffer;
+  buffer_ = &thread_buffer;
+  if (buffer_->borrowed || size > kMaxThreadDoubles) {
+    own_ = std::make_unique<Buffer>();
+    buffer_ = own_.get();
+  }
+  buffer_->borrowed = true;
+  if (buffer_->values.size() < size) buffer_->values.resize(size, 0.0);
+  data_ = buffer_->values.data();
+}
+
+ZeroedScratch::~ZeroedScratch() { buffer_->borrowed = false; }
+
+static_assert(kNumGramRanks <= ZeroedScratch::kMaxThreadDoubles);
+
+GramCosineRow::GramCosineRow(const GramProfile& a)
+    : a_(a), counts_(kNumGramRanks) {
+  for (const GramProfile::Entry& e : a_.entries()) {
+    const uint32_t rank = RankOfGram(e.id);
+    CSM_CHECK_LT(rank, kNumGramRanks) << "not a padded 3-gram: " << e.id;
+    counts_.data()[rank] = e.count;
+  }
+}
+
+GramCosineRow::~GramCosineRow() {
+  for (const GramProfile::Entry& e : a_.entries()) {
+    counts_.data()[RankOfGram(e.id)] = 0.0;
+  }
+}
+
+double GramCosineRow::Cosine(const GramProfile& b) const {
+  // CosineSimilarity's guards and denominator, then Dot with a's side read
+  // from the scatter.
+  if (a_.empty() || b.empty()) return 0.0;
+  const double denom = a_.Norm() * b.Norm();
+  if (denom == 0.0) return 0.0;
+  const double* counts = counts_.data();
+  double dot = 0.0;
+  for (const GramProfile::Entry& e : b.entries()) {
+    const uint32_t rank = RankOfGram(e.id);
+    CSM_INVARIANT_LT(rank, kNumGramRanks) << "not a padded 3-gram: " << e.id;
+    dot += counts[rank] * e.count;
+  }
+  return dot / denom;
 }
 
 }  // namespace csm

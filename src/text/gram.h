@@ -179,6 +179,10 @@ class TokenInterner {
   /// Returns the id of `token`, adding it if absent.
   GramId GetOrAdd(std::string_view token);
 
+  /// Sizes the index for `tokens` tokens at once, so the adds up to that
+  /// many never rehash; ids are unchanged.
+  void Reserve(size_t tokens);
+
   /// The bytes of token `id`; valid until the next add.
   std::string_view value(GramId id) const {
     return std::string_view(bytes_.data() + starts_[id],
@@ -306,6 +310,11 @@ class WordProfileBuilder {
   /// occurrence with weight `count`.
   void AddText(std::string_view text, double count = 1.0);
 
+  /// Sizes the interner for about `tokens` distinct tokens (e.g. a bag's
+  /// distinct-value count) before the first add, so a large build does not
+  /// grow its index by doubling; ids and profiles are unchanged.
+  void Reserve(size_t tokens);
+
   WordProfile Build();
 
  private:
@@ -320,6 +329,62 @@ class WordProfileBuilder {
 /// (check/token_profile.h).
 double CosineSimilarity(const GramProfile& a, const GramProfile& b);
 double DiceSimilarity(const WordProfile& a, const WordProfile& b);
+
+/// The dense rank of a packed padded 3-gram (the inverse of GramOfRank);
+/// kNumGramRanks or more for any other id.
+uint32_t RankOfGram(GramId id);
+
+/// A dense array of doubles, all zero when borrowed, taken from the calling
+/// thread's scratch (grown to the largest size the thread has asked for,
+/// up to kMaxThreadDoubles) the way GramRankSlots borrows its table; a
+/// second borrower on the same thread, or a larger array, gets a private
+/// one.  The borrower must zero every element it wrote before it lets go.
+/// Use on the thread that created it.
+class ZeroedScratch {
+ public:
+  /// The most a thread keeps between borrows: 0.5 MiB, room for a 3-gram
+  /// row (kNumGramRanks) and a TF-IDF row over as many corpus tokens.
+  static constexpr size_t kMaxThreadDoubles = size_t{1} << 16;
+
+  explicit ZeroedScratch(size_t size);
+  ~ZeroedScratch();
+  ZeroedScratch(const ZeroedScratch&) = delete;
+  ZeroedScratch& operator=(const ZeroedScratch&) = delete;
+
+  double* data() const { return data_; }
+
+ private:
+  struct Buffer {
+    std::vector<double> values;
+    bool borrowed = false;
+  };
+
+  Buffer* buffer_;
+  std::unique_ptr<Buffer> own_;  // set when the thread's buffer won't do
+  double* data_;
+};
+
+/// CosineSimilarity of one padded 3-gram profile `a` against many, bit for
+/// bit: `a`'s counts are scattered by dense rank into a ZeroedScratch once
+/// (0.42 MiB, reset only at `a`'s ranks), and each Cosine walks the other
+/// profile's entries in id order, adding a.count x b.count where Dot's
+/// merge adds it.  A gram `a` lacks adds 0 x count = +0.0, an exact no-op
+/// on the non-negative sum, so each dot is Dot's.  Every profile must hold
+/// padded 3-grams (kProfileGramQ), as QGramProfile does.
+class GramCosineRow {
+ public:
+  explicit GramCosineRow(const GramProfile& a);
+  ~GramCosineRow();
+  GramCosineRow(const GramCosineRow&) = delete;
+  GramCosineRow& operator=(const GramCosineRow&) = delete;
+
+  /// CosineSimilarity(a, b).
+  double Cosine(const GramProfile& b) const;
+
+ private:
+  const GramProfile& a_;
+  ZeroedScratch counts_;  // a's count by rank
+};
 
 }  // namespace csm
 

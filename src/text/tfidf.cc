@@ -1,6 +1,7 @@
 #include "text/tfidf.h"
 
 #include <cmath>
+#include <utility>
 
 namespace csm {
 namespace {
@@ -14,44 +15,61 @@ double SmoothedIdf(double num_documents, double df) {
 TfIdfCorpus::TfIdfCorpus(const std::vector<const WordProfile*>& documents,
                          const std::vector<const WordProfile*>& queries)
     : num_documents_(documents.size()) {
-  // Document frequencies first (exact small integers in doubles), then
-  // each one replaced by its IDF in place.
-  for (const WordProfile* document : documents) {
-    for (const WordProfile::Entry& e : document->entries()) {
-      auto it = idf_.find(e.token);
-      if (it == idf_.end()) {
-        idf_.emplace(std::string(e.token), 1.0);
-      } else {
-        it->second += 1.0;
-      }
-    }
-  }
-  const double n = static_cast<double>(num_documents_);
-  for (auto& [token, value] : idf_) value = SmoothedIdf(n, value);
-  unseen_idf_ = SmoothedIdf(n, 0.0);
-
+  // Document frequencies first (exact small integers in doubles), each
+  // token numbered on first sight, then each one replaced by its IDF in
+  // place.
   documents_.reserve(documents.size() + queries.size());
   for (const WordProfile* document : documents) {
     Document state;
-    state.idf.reserve(document->num_distinct());
+    state.ids.reserve(document->num_distinct());
     for (const WordProfile::Entry& e : document->entries()) {
-      state.idf.push_back(Idf(e.token));
+      auto it = token_ids_.find(e.token);
+      if (it == token_ids_.end()) {
+        const auto id = static_cast<uint32_t>(idf_.size());
+        token_ids_.emplace(std::string(e.token), id);
+        idf_.push_back(1.0);
+        state.ids.push_back(id);
+      } else {
+        idf_[it->second] += 1.0;
+        state.ids.push_back(it->second);
+      }
     }
-    state.norm = NormOf(*document, [&](size_t k) { return state.idf[k]; });
-    document_of_.try_emplace(document, documents_.size());
     documents_.push_back(std::move(state));
+  }
+  const double n = static_cast<double>(num_documents_);
+  for (double& value : idf_) value = SmoothedIdf(n, value);
+  unseen_idf_ = SmoothedIdf(n, 0.0);
+
+  for (size_t d = 0; d < documents.size(); ++d) {
+    Document& state = documents_[d];
+    state.idf.reserve(state.ids.size());
+    for (uint32_t id : state.ids) state.idf.push_back(idf_[id]);
+    state.norm = NormOf(*documents[d], [&](size_t k) { return state.idf[k]; });
+    document_of_.try_emplace(documents[d], d);
   }
   // A profile that is also a document keeps its document state: the same
   // norm, and its IDFs.
   for (const WordProfile* query : queries) {
     if (!document_of_.try_emplace(query, documents_.size()).second) continue;
-    documents_.push_back(Document{{}, LookedUpNorm(*query), false});
+    Document state;
+    state.is_document = false;
+    state.ids.reserve(query->num_distinct());
+    for (const WordProfile::Entry& e : query->entries()) {
+      state.ids.push_back(IdOf(e.token));
+    }
+    state.norm =
+        NormOf(*query, [&](size_t k) { return IdfOfId(state.ids[k]); });
+    documents_.push_back(std::move(state));
   }
 }
 
+uint32_t TfIdfCorpus::IdOf(std::string_view token) const {
+  auto it = token_ids_.find(token);
+  return it == token_ids_.end() ? kUnseenToken : it->second;
+}
+
 double TfIdfCorpus::Idf(std::string_view token) const {
-  auto it = idf_.find(token);
-  return it == idf_.end() ? unseen_idf_ : it->second;
+  return IdfOfId(IdOf(token));
 }
 
 const TfIdfCorpus::Document* TfIdfCorpus::Find(const WordProfile& p) const {
@@ -111,6 +129,52 @@ double TfIdfCorpus::WeightedCosine(const WordProfile& a,
       ++ia;
       ++ib;
     }
+  }
+  return dot / denom;
+}
+
+TfIdfCorpus::CosineRow::CosineRow(const TfIdfCorpus& corpus,
+                                  const WordProfile& a)
+    : corpus_(corpus), a_(a), counts_(corpus.idf_.size()) {
+  // a's norm and ids as WeightedCosine reads them: stored when a is a
+  // document or query, else looked up.
+  const Document* state = corpus_.Find(a_);
+  if (state != nullptr) {
+    a_norm_ = state->norm;
+    a_ids_ = state->ids;
+  } else {
+    a_norm_ = corpus_.LookedUpNorm(a_);
+    a_ids_.reserve(a_.num_distinct());
+    for (const WordProfile::Entry& e : a_.entries()) {
+      a_ids_.push_back(corpus_.IdOf(e.token));
+    }
+  }
+  for (size_t k = 0; k < a_ids_.size(); ++k) {
+    if (a_ids_[k] != kUnseenToken) {
+      counts_.data()[a_ids_[k]] = a_.entries()[k].count;
+    }
+  }
+}
+
+TfIdfCorpus::CosineRow::~CosineRow() {
+  for (uint32_t id : a_ids_) {
+    if (id != kUnseenToken) counts_.data()[id] = 0.0;
+  }
+}
+
+double TfIdfCorpus::CosineRow::Cosine(const WordProfile& b) const {
+  if (a_.empty() || b.empty()) return 0.0;
+  const Document* b_state = corpus_.Find(b);
+  if (b_state == nullptr || !b_state->is_document) {
+    return corpus_.WeightedCosine(a_, b);
+  }
+  const double denom = a_norm_ * b_state->norm;
+  if (denom == 0.0) return 0.0;
+  const double* counts = counts_.data();
+  double dot = 0.0;
+  for (size_t k = 0; k < b.entries().size(); ++k) {
+    const double idf = b_state->idf[k];
+    dot += (counts[b_state->ids[k]] * idf) * (b.entries()[k].count * idf);
   }
   return dot / denom;
 }

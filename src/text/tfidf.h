@@ -4,11 +4,13 @@
 // is computed over the documents the corpus is built from, and similarity
 // is the cosine of the TF-IDF-weighted vectors.
 //
-// The corpus is built once from all of its documents and stores each
-// token's IDF in one hash table, so scoring pays one lookup per token and
-// no logarithm.  It also keeps each document's side of the cosine — the IDF
-// of every entry and the IDF-weighted norm — so a cosine against a document
-// (a session's target attribute) looks up only the other side's tokens.
+// The corpus is built once from all of its documents and numbers each
+// token densely in one hash table beside its IDF, so scoring pays one
+// lookup per token and no logarithm.  It also keeps each document's side
+// of the cosine — the IDF of every entry and the IDF-weighted norm — so a
+// cosine against a document (a session's target attribute) looks up only
+// the other side's tokens, and CosineRow scores one profile against many
+// documents without a lookup per pair.
 // Profiles registered as queries (a session's source attributes) keep
 // their IDF-weighted norm beside the documents' state without counting
 // toward any document frequency, so a query's norm is summed once per
@@ -63,11 +65,43 @@ class TfIdfCorpus {
   /// its IDFs up.
   double WeightedCosine(const WordProfile& a, const WordProfile& b) const;
 
+  /// WeightedCosine of one profile `a` against many, bit for bit: `a`'s
+  /// counts are scattered once by corpus token id into a ZeroedScratch
+  /// (one double per corpus token, reset only at `a`'s tokens), and each
+  /// Cosine against a document walks the document's entries in token
+  /// order, adding (a.count x idf) x (b.count x idf) where the merge adds
+  /// it.  A token `a` lacks adds (0 x idf) x (count x idf) = +0.0, an exact
+  /// no-op on the non-negative sum, so each dot is the merge's.  A `b` that
+  /// is not a document falls back to WeightedCosine.  The corpus and `a`
+  /// must outlive the row.
+  class CosineRow {
+   public:
+    CosineRow(const TfIdfCorpus& corpus, const WordProfile& a);
+    ~CosineRow();
+    CosineRow(const CosineRow&) = delete;
+    CosineRow& operator=(const CosineRow&) = delete;
+
+    /// corpus.WeightedCosine(a, b).
+    double Cosine(const WordProfile& b) const;
+
+   private:
+    const TfIdfCorpus& corpus_;
+    const WordProfile& a_;
+    double a_norm_ = 0.0;
+    std::vector<uint32_t> a_ids_;  // corpus id per entry, kUnseenToken if none
+    ZeroedScratch counts_;         // a's count by corpus id
+  };
+
  private:
-  /// A document's side of every cosine; a query keeps only its norm (and
-  /// no IDFs).
+  /// Corpus id of a token no document holds.
+  static constexpr uint32_t kUnseenToken = ~uint32_t{0};
+
+  /// A document's side of every cosine: each entry's corpus id and IDF, and
+  /// the weighted norm.  A query keeps its entries' ids (kUnseenToken where
+  /// no document holds the token) and its norm, and no IDFs.
   struct Document {
-    std::vector<double> idf;  // per entry, in entry order
+    std::vector<uint32_t> ids;  // per entry, in entry order
+    std::vector<double> idf;    // per entry, in entry order
     double norm = 0.0;
     bool is_document = true;
   };
@@ -83,6 +117,14 @@ class TfIdfCorpus {
   /// Weighted norm of `p` from IDF table lookups.
   double LookedUpNorm(const WordProfile& p) const;
 
+  /// The corpus id of `token`, or kUnseenToken.
+  uint32_t IdOf(std::string_view token) const;
+
+  /// The IDF of corpus id `id` (unseen_idf_ for kUnseenToken).
+  double IdfOfId(uint32_t id) const {
+    return id == kUnseenToken ? unseen_idf_ : idf_[id];
+  }
+
   struct Hash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const {
@@ -96,8 +138,10 @@ class TfIdfCorpus {
     }
   };
 
-  /// IDF of every token with df >= 1.
-  std::unordered_map<std::string, double, Hash, Eq> idf_;
+  /// Dense corpus id of every token with df >= 1, in first-seen order,
+  /// and each id's IDF.
+  std::unordered_map<std::string, uint32_t, Hash, Eq> token_ids_;
+  std::vector<double> idf_;
   std::vector<Document> documents_;  // documents, then queries
   std::unordered_map<const WordProfile*, size_t> document_of_;
   size_t num_documents_ = 0;

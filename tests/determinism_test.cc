@@ -176,6 +176,86 @@ TEST(MatchEngineTest, GradesSessionCacheReuseIsInvisible) {
 }
 
 // ---------------------------------------------------------------------------
+// The sample store: sessions share table samples across requests (a pair
+// and its reverse, a source table that another session reads too), yet a
+// warm engine answers every request exactly as a fresh engine does, at any
+// thread count, and ClearSessionCache leaves nothing warm behind.
+
+TEST(MatchEngineTest, SampleStoreSharingIsInvisible) {
+  RetailOptions a_options;
+  a_options.num_items = 100;
+  a_options.gamma = 2;
+  a_options.seed = 21;
+  const RetailDataset a = MakeRetailDataset(a_options);
+  RetailOptions b_options = a_options;
+  b_options.seed = 22;
+  const RetailDataset b = MakeRetailDataset(b_options);
+  GradesOptions g_options;
+  g_options.num_students = 60;
+  g_options.seed = 23;
+  const GradesDataset grades = MakeGradesDataset(g_options);
+  // A two-table source: the pair's own source table beside another's.
+  Database two("two");
+  two.AddTable(a.source.tables()[0]);
+  two.AddTable(b.source.tables()[0].Renamed("inventory2"));
+
+  std::vector<MatchRequest> sequence = {
+      {.source = BorrowDatabase(a.source), .target = BorrowDatabase(a.target)},
+      {.mode = MatchMode::kTargetContext,
+       .source = BorrowDatabase(a.source),
+       .target = BorrowDatabase(a.target)},
+      {.source = BorrowDatabase(two), .target = BorrowDatabase(a.target)},
+      {.source = BorrowDatabase(a.source), .target = BorrowDatabase(a.target)},
+      {.source = BorrowDatabase(grades.source),
+       .target = BorrowDatabase(grades.target)},
+  };
+  // Store resolutions per pass: the pair builds its 3 tables; the reverse
+  // finds all 3 live; the two-table source finds 3 and builds 1; the
+  // duplicate hits the session cache; the unrelated pair builds 2.
+  constexpr uint64_t kHitsPerPass = 6;
+  constexpr uint64_t kMissesPerPass = 6;
+
+  ContextMatchOptions o;
+  o.inference = ViewInferenceKind::kSrcClass;
+  o.early_disjuncts = true;
+  o.omega = 0.05;
+  o.seed = 24;
+  std::vector<std::string> want;
+  for (const MatchRequest& request : sequence) {
+    o.threads = 1;
+    want.push_back(Fingerprint(MatchEngine(o).Execute(request).result));
+    EXPECT_FALSE(want.back().empty());
+  }
+  for (size_t threads : {1u, 2u, 4u}) {
+    o.threads = threads;
+    for (size_t k = 0; k < sequence.size(); ++k) {
+      MatchEngine fresh(o);
+      EXPECT_EQ(Fingerprint(fresh.Execute(sequence[k]).result), want[k])
+          << "fresh engine, request " << k << ", threads=" << threads;
+      EXPECT_EQ(fresh.sample_store_hits(), 0u);
+    }
+    MatchEngine engine(o);
+    obs::MetricsRegistry metrics;
+    engine.set_metrics(&metrics);
+    for (uint64_t pass = 1; pass <= 2; ++pass) {
+      for (size_t k = 0; k < sequence.size(); ++k) {
+        EXPECT_EQ(Fingerprint(engine.Execute(sequence[k]).result), want[k])
+            << "pass " << pass << ", request " << k << ", threads=" << threads;
+      }
+      EXPECT_EQ(engine.sample_store_hits(), pass * kHitsPerPass)
+          << "threads=" << threads;
+      EXPECT_EQ(engine.sample_store_misses(), pass * kMissesPerPass)
+          << "threads=" << threads;
+      engine.ClearSessionCache();
+    }
+    EXPECT_EQ(metrics.Counter("engine.sample_store_hits"), 2 * kHitsPerPass);
+    EXPECT_EQ(metrics.Counter("engine.sample_store_misses"),
+              2 * kMissesPerPass);
+    EXPECT_EQ(engine.session_cache_hits(), 2u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cancellation determinism: a run cancelled at a fixed *logical* point (a
 // FaultInjector spec armed on a candidate index) must produce bit-identical
 // partial results at any thread count, because degradation is quantized to

@@ -14,6 +14,7 @@
 #include "core/session_store.h"
 #include "datagen/wordlists.h"
 #include "match/matchers.h"
+#include "match/sample_store.h"
 #include "match/session.h"
 #include "relational/csv.h"
 #include "relational/sample.h"
@@ -505,6 +506,63 @@ TEST(SessionTest, TrainingCapNoOpWhenTablesFit) {
     EXPECT_TRUE(SameCorrespondence(with_cap[i], without[i]));
     EXPECT_EQ(with_cap[i].confidence, without[i].confidence);
   }
+}
+
+// The store hands out one entry per (table content, cap, seed) while a
+// holder keeps it, and forgets it once the last holder lets go.
+TEST(SampleStoreTest, SharesLiveEntriesAndRebuildsReleasedOnes) {
+  SessionFixture fx;
+  const uint64_t fingerprint = FingerprintTableContent(fx.source);
+  SampleStore store;
+  auto first = store.Resolve(fingerprint, fx.source, 0, 7);
+  EXPECT_EQ(store.Resolve(fingerprint, fx.source, 0, 7), first);
+  EXPECT_EQ(store.hits(), 1u);
+  ASSERT_EQ(first->attributes().size(), 3u);
+  EXPECT_EQ(first->attributes()[1].ref().ToString(), "inv.title");
+  // Another cap (or seed) is another entry: here a 20-row draw.
+  auto capped = store.Resolve(fingerprint, fx.source, 20, 7);
+  EXPECT_NE(capped, first);
+  EXPECT_EQ(capped->attributes()[0].size(), 20u);
+  EXPECT_NE(store.Resolve(fingerprint, fx.source, 0, 8), first);
+  EXPECT_EQ(store.misses(), 3u);
+  // Released entries are rebuilt, and their keys swept.
+  first.reset();
+  capped.reset();
+  auto rebuilt = store.Resolve(fingerprint, fx.source, 0, 7);
+  EXPECT_EQ(store.misses(), 4u);
+  EXPECT_EQ(store.num_keys(), 1u);
+  // A content-equal copy of the table shares the entry; another name does
+  // not.
+  const Table copy = fx.source;
+  EXPECT_EQ(FingerprintTableContent(copy), fingerprint);
+  EXPECT_NE(FingerprintTableContent(fx.source.Renamed("inv2")), fingerprint);
+}
+
+// A session over shared samples (its source table also one of its targets)
+// scores exactly like one over private samples.
+TEST(SessionTest, SharedSamplesScoreLikePrivateOnes) {
+  SessionFixture fx;
+  Database target = fx.target;
+  target.AddTable(fx.source);
+  MatchOptions options;
+  SampleStore store;
+  auto resolve = [&](const Table& table) {
+    return store.Resolve(FingerprintTableContent(table), table,
+                         options.max_training_rows,
+                         options.training_sample_seed);
+  };
+  SessionSamples samples{resolve(fx.source), {}};
+  for (const Table& table : target.tables()) {
+    samples.targets.push_back(resolve(table));
+  }
+  EXPECT_EQ(samples.targets.back(), samples.source);
+  const TableMatchSession shared(samples, DefaultMatcherSuite(), options);
+  const TableMatchSession own(fx.source, target, DefaultMatcherSuite(),
+                              options);
+  std::string shared_blob, own_blob;
+  shared.AppendSerializedScores(&shared_blob);
+  own.AppendSerializedScores(&own_blob);
+  EXPECT_EQ(shared_blob, own_blob);
 }
 
 TEST(MatchTypesTest, ToStringAndCorrespondence) {

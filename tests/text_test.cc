@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "check/token_profile.h"
 #include "text/gram.h"
@@ -248,6 +250,47 @@ TEST(TfIdfTest, QueriesKeepTheirNormButAreNotDocuments) {
   }
 }
 
+// A row scatters one profile and scores it against many: every cosine is
+// WeightedCosine's bit for bit, against documents (the dense walk) and
+// against a query or a stranger (the merge fallback), for a document, a
+// query, a stranger holding a token no document has, and an empty profile.
+TEST(TfIdfTest, CosineRowMatchesWeightedCosine) {
+  const WordProfile d1 = WordsOf({"the", "cat", "sat", "cat", "mat"});
+  const WordProfile d2 = WordsOf({"the", "dog", "dog", "ran"});
+  const WordProfile d3 = WordsOf({"a", "cat", "and", "a", "dog"});
+  const WordProfile query = WordsOf({"cat", "cat", "owl", "the", "dog"});
+  const WordProfile stranger = WordsOf({"zebra", "mat", "the", "the"});
+  const WordProfile empty;
+  const TfIdfCorpus corpus({&d1, &d2, &d3}, {&query});
+  for (const WordProfile* a : {&d1, &query, &stranger, &empty}) {
+    const TfIdfCorpus::CosineRow row(corpus, *a);
+    for (const WordProfile* b : {&d1, &d2, &d3, &query, &stranger, &empty}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(row.Cosine(*b)),
+                std::bit_cast<uint64_t>(corpus.WeightedCosine(*a, *b)));
+    }
+  }
+}
+
+// A corpus with more tokens than a thread keeps scratch for scores its
+// rows in a private array, with the same cosines.
+TEST(TfIdfTest, CosineRowOverALargeCorpus) {
+  std::vector<std::string> many;
+  for (size_t k = 0; k <= ZeroedScratch::kMaxThreadDoubles; ++k) {
+    many.push_back("w" + std::to_string(k));
+  }
+  const WordProfile big = WordsOf(many);
+  const WordProfile d = WordsOf({"w7", "w7", "x", "w65536"});
+  const WordProfile query = WordsOf({"w65536", "w7", "y"});
+  const TfIdfCorpus corpus({&big, &d}, {&query});
+  for (const WordProfile* a : {&query, &d}) {
+    const TfIdfCorpus::CosineRow row(corpus, *a);
+    for (const WordProfile* b : {&big, &d}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(row.Cosine(*b)),
+                std::bit_cast<uint64_t>(corpus.WeightedCosine(*a, *b)));
+    }
+  }
+}
+
 TEST(TfIdfTest, EmptyCorpusStillWorks) {
   const TfIdfCorpus corpus;
   const WordProfile d = WordsOf({"a"});
@@ -337,6 +380,40 @@ TEST(GramKernelTest, DenseRanksKeepGramIdOrder) {
   ASSERT_EQ(ranks.size(), grams.size());
   for (size_t g = 0; g < grams.size(); ++g) {
     EXPECT_EQ(GramOfRank(ranks[g]), PackGram(grams[g])) << grams[g];
+  }
+}
+
+TEST(GramKernelTest, RankOfGramInvertsGramOfRank) {
+  for (uint32_t rank = 0; rank < kNumGramRanks; ++rank) {
+    ASSERT_EQ(RankOfGram(GramOfRank(rank)), rank);
+  }
+  EXPECT_EQ(RankOfGram(PackGram("abcd")), kNumGramRanks);
+  EXPECT_EQ(RankOfGram(PackGram("a!b")), kNumGramRanks);
+}
+
+// A row's cosines are CosineSimilarity's bit for bit, rows nest on one
+// thread, and each leaves the thread's scratch zero for the next.
+TEST(GramKernelTest, CosineRowMatchesCosineSimilarity) {
+  auto profile = [](std::vector<std::pair<std::string, double>> texts) {
+    GramProfileBuilder builder;
+    for (const auto& [text, count] : texts) builder.AddText(text, count);
+    return builder.Build();
+  };
+  const std::vector<GramProfile> profiles = {
+      profile({{"The Cat sat", 3}, {"on the mat", 1}}),
+      profile({{"dog days", 2}, {"the cat", 5}}),
+      profile({{"zz top", 1}}),
+      profile({{"---", 4}}),  // no word character: an empty profile
+      profile({{"Ab 9", 7}, {"the cat sat on the mat", 2}})};
+  for (const GramProfile& a : profiles) {
+    const GramCosineRow row(a);
+    for (const GramProfile& b : profiles) {
+      const GramCosineRow nested(b);
+      EXPECT_EQ(std::bit_cast<uint64_t>(row.Cosine(b)),
+                std::bit_cast<uint64_t>(CosineSimilarity(a, b)));
+      EXPECT_EQ(std::bit_cast<uint64_t>(nested.Cosine(a)),
+                std::bit_cast<uint64_t>(CosineSimilarity(b, a)));
+    }
   }
 }
 
